@@ -1,7 +1,7 @@
 //! Compressed-backend micro-benches: block decode vs raw slice scan
 //! (postings/sec) on both traversal orders, plus the random-access
-//! probe cost — the decode-overhead numbers quoted in README/DESIGN
-//! §14.
+//! probe cost (hit / miss, ascending / shuffled doc order) — the
+//! decode-overhead numbers quoted in README/DESIGN §14.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sparta_index::{CompressedIndex, InMemoryIndex, Index, Posting};
@@ -89,29 +89,43 @@ fn bench_decode_vs_raw(c: &mut Criterion) {
         });
     });
 
-    // Random probes: pRA's access pattern (binary search + one block
-    // decode per probe on the compressed side).
-    const LOOKUPS: u64 = 512;
-    g.throughput(Throughput::Elements(LOOKUPS));
+    // Random probes: pRA's access pattern (binary search of the block
+    // directory + a point walk of one block's gap plane on the
+    // compressed side). Hit vs miss shows the walk costs the same
+    // either way; ascending vs shuffled separates what probe order
+    // buys on both backends (a predictable directory search) from
+    // what a decoded-block cache could add on the compressed one.
+    const LOOKUPS: usize = 4096;
+    // A fifth of the ids are absent, four fifths stored: stride each
+    // sample so both span the whole id space.
+    let stride = (N as usize / 5 / LOOKUPS).max(1);
+    let sample = |stored: bool| -> Vec<u32> {
+        (0..N)
+            .filter(|d| (d.wrapping_mul(2654435761) % 5 != 0) == stored)
+            .step_by(if stored { 4 * stride } else { stride })
+            .take(LOOKUPS)
+            .collect()
+    };
+    g.throughput(Throughput::Elements(LOOKUPS as u64));
     let (ra, rc) = (raw.random_access().unwrap(), comp.random_access().unwrap());
-    g.bench_function("random_access_raw", |b| {
-        b.iter(|| {
-            let mut sum = 0u64;
-            for i in 0..LOOKUPS {
-                sum += u64::from(ra.term_score(0, ((i * 2654435761) % u64::from(N)) as u32));
+    for (kind, ascending) in [("hit", sample(true)), ("miss", sample(false))] {
+        assert_eq!(ascending.len(), LOOKUPS);
+        let mut shuffled = ascending.clone();
+        shuffled.sort_unstable_by_key(|d| d.wrapping_mul(2246822519));
+        for (order, docs) in [("ascending", &ascending), ("shuffled", &shuffled)] {
+            for (backend, index) in [("raw", ra), ("compressed", rc)] {
+                g.bench_function(format!("random_access_{backend}_{kind}_{order}"), |b| {
+                    b.iter(|| {
+                        let sum: u64 = docs
+                            .iter()
+                            .map(|&d| u64::from(index.term_score(0, d)))
+                            .sum();
+                        std::hint::black_box(sum)
+                    });
+                });
             }
-            std::hint::black_box(sum)
-        });
-    });
-    g.bench_function("random_access_compressed", |b| {
-        b.iter(|| {
-            let mut sum = 0u64;
-            for i in 0..LOOKUPS {
-                sum += u64::from(rc.term_score(0, ((i * 2654435761) % u64::from(N)) as u32));
-            }
-            std::hint::black_box(sum)
-        });
-    });
+        }
+    }
     g.finish();
 }
 

@@ -19,7 +19,9 @@
 //!                                # same pinned cell replayed on the
 //!                                #   compressed posting backend; also
 //!                                #   asserts block-max pruning and
-//!                                #   block decoding actually fired
+//!                                #   block decoding actually fired,
+//!                                #   and that pRA's probes decode no
+//!                                #   block
 //! repro --emit-trace <name>      # flight-recorder timeline of the
 //!                                #   pinned guard cell as Chrome
 //!                                #   trace JSON: out/TRACE_<name>.json
@@ -766,17 +768,19 @@ const GUARD_K: &str = "20";
 const GUARD_SEED: u64 = 0x5eed_caf3;
 const GUARD_QUERIES: usize = 4;
 const GUARD_TERMS: usize = 6;
-const GUARD_ALGOS: [&str; 4] = ["sparta", "pnra", "pbmw", "pjass"];
+const GUARD_ALGOS: [&str; 5] = ["sparta", "pnra", "pbmw", "pjass", "pra"];
 
 /// One guard cell's schedule-independent counters. `postings`/`heap`
 /// are backend-independent on the bit-exact compressed format;
 /// `blocks_skipped`/`blocks_decoded` are the compressed backend's
-/// block-max-pruning and decode evidence.
+/// block-max-pruning and decode evidence; `random_accesses` is pRA's
+/// probe count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct GuardCell {
     name: String,
     postings: u64,
     heap: u64,
+    random_accesses: u64,
     blocks_skipped: u64,
     blocks_decoded: u64,
 }
@@ -786,10 +790,22 @@ impl GuardCell {
         match key {
             "postings_scanned" => self.postings,
             "heap_updates" => self.heap,
+            "random_accesses" => self.random_accesses,
             "blocks_skipped" => self.blocks_skipped,
             "blocks_decoded" => self.blocks_decoded,
             other => panic!("unknown guard counter {other:?}"),
         }
+    }
+
+    /// The guard's common `keys` plus the counters only this cell
+    /// carries: pRA is the one guard algorithm that probes.
+    fn keys<'a>(&self, keys: &'a [&'a str]) -> impl Iterator<Item = &'a str> {
+        let extra: &[&str] = if self.name == "pra" {
+            &["random_accesses"]
+        } else {
+            &[]
+        };
+        keys.iter().chain(extra).copied()
     }
 }
 
@@ -817,6 +833,7 @@ fn perf_guard_measure_kind(kind: IndexKind) -> Vec<GuardCell> {
                 name: name.to_string(),
                 postings: 0,
                 heap: 0,
+                random_accesses: 0,
                 blocks_skipped: 0,
                 blocks_decoded: 0,
             };
@@ -836,6 +853,7 @@ fn perf_guard_measure_kind(kind: IndexKind) -> Vec<GuardCell> {
                 let decode1 = io.map(|s| s.decode_snapshot()).unwrap_or_default();
                 cell.postings += r.work.postings_scanned;
                 cell.heap += r.work.heap_updates;
+                cell.random_accesses += r.work.random_accesses;
                 cell.blocks_skipped += r.work.blocks_skipped;
                 cell.blocks_decoded += decode1.0.saturating_sub(decode0.0);
             }
@@ -860,7 +878,7 @@ fn perf_guard_json(cells: &[GuardCell], keys: &[&str]) -> sparta_obs::json::Json
                     .iter()
                     .map(|c| {
                         let mut j = Json::obj().with("algorithm", c.name.as_str());
-                        for &key in keys {
+                        for key in c.keys(keys) {
                             j = j.with(key, c.get(key));
                         }
                         j
@@ -895,7 +913,7 @@ fn guard_against(path: &str, cells: &[GuardCell], keys: &[&str], write: bool) {
             drifted = true;
             continue;
         };
-        for &key in keys {
+        for key in cell.keys(keys) {
             let got = cell.get(key);
             let want = b.get(key).and_then(|v| v.as_f64()).unwrap_or(-1.0);
             if want != got as f64 {
@@ -929,8 +947,9 @@ fn perf_guard(path: &str, write: bool) {
 /// cell replayed on the compressed posting backend. Beyond the
 /// equality check against its own baseline, this asserts the backend
 /// actually exercises its machinery: every algorithm decodes blocks,
-/// and pBMW's block-max pruning still skips block groups (admissible
-/// quantized bounds would be pointless if pruning never fired).
+/// pBMW's block-max pruning still skips block groups (admissible
+/// quantized bounds would be pointless if pruning never fired), and
+/// pRA's probes stay point lookups that decode no block.
 fn perf_guard_compressed(path: &str, write: bool) {
     let cells = perf_guard_measure_kind(IndexKind::Compressed);
     for c in &cells {
@@ -951,6 +970,23 @@ fn perf_guard_compressed(path: &str, write: bool) {
     assert!(
         pbmw.blocks_skipped > 0,
         "pbmw skipped no blocks on the pinned cell — block-max pruning stopped firing"
+    );
+    // A probe is a point lookup, not a block decode: pRA decodes only
+    // the score-ordered blocks it scans (at most one partial block per
+    // term cursor).
+    let pra = cells
+        .iter()
+        .find(|c| c.name == "pra")
+        .expect("pra is a guard algorithm");
+    let scan_blocks = pra
+        .postings
+        .div_ceil(sparta_index::DEFAULT_BLOCK_SIZE as u64)
+        + (GUARD_TERMS * GUARD_QUERIES) as u64;
+    assert!(
+        pra.blocks_decoded <= scan_blocks,
+        "pra decoded {} blocks for {} scanned postings — random access regressed to block decode",
+        pra.blocks_decoded,
+        pra.postings
     );
     guard_against(
         path,

@@ -76,18 +76,28 @@ fn process_term(
         .random_access()
         .expect("pRA requires a secondary index");
     let mut exhausted = false;
+    // Only this term's job chain writes UB[i], so the value read here
+    // stays the stored one for the whole segment.
+    let mut stored_ub = state.ub.get(i);
+    let (mut postings, mut randoms) = (0u64, 0u64);
     for _ in 0..state.cfg.seg_size {
         if state.is_done() {
-            return;
+            break;
         }
         let Some(p) = cursor.next() else {
             exhausted = true;
             break;
         };
-        state.postings.incr();
+        postings += 1;
         // RA updates UB per posting (stopping detection is the cheap
-        // part of RA; the expensive part is the random access).
-        state.ub.set(i, p.score);
+        // part of RA; the expensive part is the random access). A
+        // store of the value already there is unobservable, but would
+        // still invalidate the line every worker reads in
+        // `check_stop` — score-ordered lists repeat scores in runs.
+        if u64::from(p.score) != stored_ub {
+            state.ub.set(i, p.score);
+            stored_ub = u64::from(p.score);
+        }
         // First-wins claim of the document: `insert` returns the
         // prior value, so exactly one worker sees `None` per doc.
         if state.seen.insert(p.doc, ()).is_none() {
@@ -96,13 +106,16 @@ fn process_term(
             for (j, &t) in state.terms.iter().enumerate() {
                 if j != i {
                     full += u64::from(ra.term_score(t, p.doc));
-                    state.randoms.incr();
+                    randoms += 1;
                 }
             }
             state.heap.offer(full, p.doc, &state.trace);
         }
         state.check_stop();
     }
+    // One flush per segment, not one shared RMW per posting and probe.
+    state.postings.add(postings);
+    state.randoms.add(randoms);
     if exhausted {
         state.ub.exhaust(i);
         state.check_stop();

@@ -43,7 +43,9 @@
 //! scratch buffers: no per-posting dispatch, no allocation after
 //! cursor construction (enforced by `sparta-lint`'s alloc ban on this
 //! file). Every decoded block is counted in [`IoStats`]
-//! (`blocks_decoded`, `compressed_bytes`).
+//! (`blocks_decoded`, `compressed_bytes`). A random-access probe
+//! decodes no block: it walks one block's gap plane in place and is
+//! counted as a random access (`random_accesses`, `bytes_read`).
 
 use crate::cursor::{DocCursor, RandomAccess, ScoreCursor};
 use crate::posting::{self, BlockMeta, Posting, DEFAULT_BLOCK_SIZE};
@@ -80,28 +82,34 @@ fn pack(values: &[u32], width: u32, words: &mut Vec<u64>, bit: &mut usize) {
     }
 }
 
+/// Reads the one `width`-bit field starting at `bit`: two word reads,
+/// three shifts, one mask — branch-free. `words` must carry one padding
+/// word past the last data bit (the builder guarantees it).
+#[inline]
+fn field(words: &[u64], bit: usize, width: u32) -> u32 {
+    debug_assert!(width <= 32);
+    let w = bit >> 6;
+    let sh = (bit & 63) as u32;
+    let lo = words[w] >> sh;
+    let hi = (words[w + 1] << 1) << (63 - sh);
+    ((lo | hi) & ((1u64 << width) - 1)) as u32
+}
+
 /// Decodes `out.len()` values of `width` bits starting at `start_bit`.
 ///
-/// The hot loop: two word reads, three shifts, one mask per value —
-/// fixed-width, branch-free, auto-vectorizable. `words` must carry one
-/// padding word past the last data bit (the builder guarantees it).
+/// The hot loop: one [`field`] per value — fixed-width, branch-free,
+/// auto-vectorizable.
 #[inline]
 fn unpack(words: &[u64], start_bit: usize, width: u32, out: &mut [u32]) {
-    debug_assert!(width <= 32);
     if width == 0 {
         for o in out.iter_mut() {
             *o = 0;
         }
         return;
     }
-    let mask = (1u64 << width) - 1;
     let mut bit = start_bit;
     for o in out.iter_mut() {
-        let w = bit >> 6;
-        let sh = (bit & 63) as u32;
-        let lo = words[w] >> sh;
-        let hi = (words[w + 1] << 1) << (63 - sh);
-        *o = ((lo | hi) & mask) as u32;
+        *o = field(words, bit, width);
         bit += width as usize;
     }
 }
@@ -340,7 +348,7 @@ impl CompressedTermData {
 
     /// Number of postings in block `bi` (the last block may be short).
     #[inline]
-    fn block_len(&self, bi: usize) -> usize {
+    pub(crate) fn block_len(&self, bi: usize) -> usize {
         let bs = self.block_size as usize;
         (self.len as usize - bi * bs).min(bs)
     }
@@ -381,11 +389,16 @@ impl CompressedTermData {
         let mut d = if bi == 0 {
             docs[0]
         } else {
-            self.blocks[bi - 1].last_doc + docs[0] + 1
+            self.blocks[bi - 1]
+                .last_doc
+                .wrapping_add(docs[0])
+                .wrapping_add(1)
         };
         docs[0] = d;
+        // Wrapping, like the clamped gather below: corrupt on-disk
+        // planes yield wrong doc ids, never a panic.
         for v in docs[1..n].iter_mut() {
-            d = d + *v + 1;
+            d = d.wrapping_add(*v).wrapping_add(1);
             *v = d;
         }
         // Codebook indices → exact scores.
@@ -427,6 +440,55 @@ impl CompressedTermData {
             *s = self.dict[(idx as usize).min(self.dict.len() - 1)];
         }
         (n, idx)
+    }
+
+    /// Point lookup: the score of `doc` (0 if the list skips it) and
+    /// the packed bytes touched, or `None` when `doc` lies past the
+    /// list's last posting. Scratch-free: walks only the gap plane of
+    /// the one block that can hold `doc`, keeping a running doc id,
+    /// from whichever end of the block is nearer in doc-id space —
+    /// forward from the previous block's `last_doc`, or backward from
+    /// the block's own — and on a hit reads the single codebook index.
+    /// Wrapping and clamped like the block decoders: corrupt planes
+    /// yield wrong scores, never a panic.
+    fn probe(&self, doc: DocId) -> Option<(u32, u64)> {
+        let bi = self.blocks.partition_point(|b| b.last_doc < doc);
+        let hi = self.blocks.get(bi)?.last_doc;
+        let n = self.block_len(bi);
+        let m = self.doc_meta[bi];
+        let (off, gap_bits) = (m.off as usize, u32::from(m.bits));
+        let gap = |i: usize| field(&self.words, off + i * gap_bits as usize, gap_bits);
+        // The doc id before the block; "−1" before the list, so the
+        // raw first-of-list field decodes like any other gap−1.
+        let lo = match bi {
+            0 => u32::MAX,
+            _ => self.blocks[bi - 1].last_doc,
+        };
+        let (i, d, walked) = if doc.wrapping_sub(lo) <= hi.wrapping_sub(doc) {
+            let (mut i, mut d) = (0, lo.wrapping_add(gap(0)).wrapping_add(1));
+            while d < doc && i + 1 < n {
+                i += 1;
+                d = d.wrapping_add(gap(i)).wrapping_add(1);
+            }
+            (i, d, i + 1)
+        } else {
+            let (mut i, mut d) = (n - 1, hi);
+            while d > doc && i > 0 {
+                d = d.wrapping_sub(gap(i)).wrapping_sub(1);
+                i -= 1;
+            }
+            (i, d, n - 1 - i)
+        };
+        let mut bits = walked * gap_bits as usize;
+        let mut score = 0;
+        if d == doc {
+            let sidx_bits = u32::from(self.sidx_bits);
+            let at = off + n * gap_bits as usize + i * sidx_bits as usize;
+            let idx = field(&self.words, at, sidx_bits) as usize;
+            score = self.dict[idx.min(self.dict.len() - 1)];
+            bits += sidx_bits as usize;
+        }
+        Some((score, bits.div_ceil(8) as u64))
     }
 
     /// In-memory footprint of the compressed representation.
@@ -808,7 +870,15 @@ impl<H: TermAccess> DocCursor for CompressedDocCursor<H> {
         let lo = start - bi * self.block_size();
         let inner = self.docs[lo..self.n].partition_point(|&d| d < target);
         self.pos = start + inner;
-        debug_assert!(self.pos < self.h.term().len());
+        if lo + inner == self.n {
+            // `last_doc` promised a doc >= target inside block `bi`;
+            // only a corrupt plane runs off its end, into the next
+            // block or the end of the list.
+            if self.exhausted() {
+                return None;
+            }
+            self.load(bi + 1);
+        }
         self.doc()
     }
 
@@ -920,25 +990,11 @@ impl Index for CompressedIndex {
 
 impl RandomAccess for CompressedIndex {
     fn term_score(&self, term: TermId, doc: DocId) -> u32 {
-        let Some(td) = self.term_data(term) else {
+        let Some((score, bytes)) = self.term_data(term).and_then(|td| td.probe(doc)) else {
             return 0;
         };
-        if td.is_empty() {
-            return 0;
-        }
-        let bi = td.blocks.partition_point(|b| b.last_doc < doc);
-        if bi >= td.blocks.len() {
-            return 0;
-        }
-        // Stack scratch: random access decodes one block per probe.
-        let mut docs = [0u32; MAX_BLOCK];
-        let mut scores = [0u32; MAX_BLOCK];
-        let n = td.decode_doc_block(bi, &mut docs, &mut scores);
-        self.io.record_block_decode(td.doc_block_bytes(bi));
-        match docs[..n].binary_search(&doc) {
-            Ok(i) => scores[i],
-            Err(_) => 0,
-        }
+        self.io.record_random(bytes);
+        score
     }
 }
 
@@ -1223,17 +1279,20 @@ mod tests {
         while c.next().is_some() {}
         assert_eq!(io.blocks_decoded(), 10);
         assert!(io.compressed_bytes() > 0);
-        let bytes_after_scan = io.compressed_bytes();
         // A doc cursor decodes block 0 on open.
         let _dc = comp.doc_cursor(0);
         assert_eq!(io.blocks_decoded(), 11);
-        // Random access decodes exactly one block per probe.
+        let bytes_after_decodes = io.compressed_bytes();
+        // A random-access probe decodes no block: it is a random
+        // access that touches a few packed bytes.
+        assert_eq!(io.snapshot(), (0, 0, 0));
         comp.term_score(0, 123);
-        assert_eq!(io.blocks_decoded(), 12);
-        assert!(io.compressed_bytes() > bytes_after_scan);
+        assert_eq!(io.decode_snapshot(), (11, bytes_after_decodes));
+        assert_eq!(io.random_accesses(), 1);
+        assert!(io.bytes_read() > 0);
         io.reset();
-        assert_eq!(io.blocks_decoded(), 0);
-        assert_eq!(io.compressed_bytes(), 0);
+        assert_eq!(io.decode_snapshot(), (0, 0));
+        assert_eq!(io.snapshot(), (0, 0, 0));
     }
 
     #[test]

@@ -267,6 +267,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The loader validates plane offsets and widths, not the values
+    /// inside them: a corrupt `last_doc` or gap plane must surface as
+    /// wrong answers, never as a panic — overflow-checked debug builds
+    /// included.
+    #[test]
+    fn corrupt_compressed_values_never_panic() {
+        use crate::builder::IndexKind;
+        use crate::cursor::RandomAccess;
+        let dir = tempdir("compressed_values");
+        let list: Vec<Posting> = (0..300u32)
+            .map(|i| Posting::new(i * 3 + 1, (i * 37) % 211 + 1))
+            .collect();
+        let mut w = IndexWriter::create_with_kind(&dir, 900, 1, 64, IndexKind::Compressed).unwrap();
+        w.add_term(list).unwrap();
+        w.finish().unwrap();
+        let path = dir.join("compressed.bin");
+        let good = std::fs::read(&path).unwrap();
+        let td = load_compressed(&dir).unwrap().term_data(0).unwrap().clone();
+        // One term: its packed words end the file, and the 19-byte
+        // block directory entries (leading with `last_doc`) sit right
+        // before the word count.
+        let words_at = good.len() - td.words.len() * 8;
+        let dir_at = words_at - 4 - 19 * td.blocks.len();
+        for bi in 0..td.blocks.len() {
+            let mut bad = good.clone();
+            bad[dir_at + 19 * bi..][..4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let m = td.doc_meta[bi];
+            let gap_bits = td.block_len(bi) * m.bits as usize;
+            let gap_plane = m.off as usize / 8..(m.off as usize + gap_bits).div_ceil(8);
+            for b in &mut bad[words_at..][gap_plane] {
+                *b ^= 0xFF;
+            }
+            std::fs::write(&path, &bad).unwrap();
+            let ix = load_compressed(&dir).unwrap();
+            let far = [u32::MAX - 1, u32::MAX];
+            for d in (0..1_000).chain(far) {
+                ix.term_score(0, d);
+            }
+            let mut c = ix.doc_cursor(0);
+            while c.advance().is_some() {
+                c.score();
+            }
+            for target in (0..1_000).step_by(7).chain(far) {
+                let mut c = ix.doc_cursor(0);
+                c.seek(target);
+                c.score();
+                c.seek(u32::MAX);
+                c.score();
+            }
+            let mut sc = ix.score_cursor(0);
+            while sc.next().is_some() {}
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn writer_enforces_term_count() {
         let dir = tempdir("count");

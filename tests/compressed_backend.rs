@@ -6,9 +6,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use sparta::index::compressed::MAX_BLOCK;
 use sparta::index::{
-    BoundMode, CompressedIndex, InMemoryIndex, Index, IndexBuilder, IndexKind, Posting,
-    ScoreQuantizer,
+    BoundMode, CompressedIndex, CompressedTermData, InMemoryIndex, Index, IndexBuilder, IndexKind,
+    Posting, ScoreQuantizer,
 };
 use sparta::prelude::*;
 use std::sync::Arc;
@@ -26,6 +28,84 @@ fn arb_lists() -> impl Strategy<Value = Vec<Vec<Posting>>> {
             .collect::<Vec<_>>()
     });
     vec(list, 1..4)
+}
+
+/// Largest doc id [`arb_wide_list`] emits.
+const WIDE_MAX_DOC: u64 = 1 << 31;
+
+/// One posting list over doc ids up to 2³¹, plus its block size: runs
+/// of consecutive docs (zero-width gap planes) separated by gaps of
+/// every magnitude (17–32-bit gap fields that straddle words). Shape
+/// 0 is a single posting, 1 one consecutive run, 2 constant scores
+/// (zero-width index plane), 3 the general mix.
+fn arb_wide_list() -> impl Strategy<Value = (Vec<Posting>, usize)> {
+    let runs = vec((1u32..33, 0u32..u32::MAX, 1u32..40, 1u32..5_000_000), 1..30);
+    (runs, 0u8..4, 0usize..4).prop_map(|(runs, shape, bs)| {
+        let mut ps = Vec::new();
+        let mut next = 0u64;
+        for (shift, frac, len, score) in runs {
+            next += u64::from(frac) >> shift;
+            let len = if shape == 0 { 1 } else { len };
+            for j in 0..len {
+                if next > WIDE_MAX_DOC {
+                    break;
+                }
+                let score = if shape == 2 { 777 } else { score + j % 3 };
+                ps.push(Posting::new(next as u32, score));
+                next += 1;
+            }
+            if shape < 2 {
+                break;
+            }
+        }
+        (ps, [1, 8, 64, 256][bs])
+    })
+}
+
+/// The probe algorithm the point lookup replaced, kept as its oracle:
+/// decode the whole block, binary-search it.
+fn full_decode_probe(td: &CompressedTermData, doc: u32) -> u32 {
+    let bi = td.blocks().partition_point(|b| b.last_doc < doc);
+    if bi >= td.blocks().len() {
+        return 0;
+    }
+    let (mut docs, mut scores) = ([0u32; MAX_BLOCK], [0u32; MAX_BLOCK]);
+    let n = td.decode_doc_block(bi, &mut docs, &mut scores);
+    docs[..n].binary_search(&doc).map_or(0, |i| scores[i])
+}
+
+/// Every probe in `docs` of every term returns the raw score, by the
+/// point lookup and by the full-decode oracle alike.
+fn assert_probes_agree(
+    lists: Vec<Vec<Posting>>,
+    block_size: usize,
+    docs: impl Iterator<Item = u32> + Clone,
+) -> Result<(), TestCaseError> {
+    let raw = InMemoryIndex::with_block_size(lists.clone(), WIDE_MAX_DOC + 1, block_size);
+    let comp = CompressedIndex::with_block_size(lists, WIDE_MAX_DOC + 1, block_size);
+    let (ra, rb) = (raw.random_access().unwrap(), comp.random_access().unwrap());
+    for t in 0..raw.num_terms() {
+        let td = comp.term_data(t).unwrap();
+        for d in docs.clone() {
+            let want = ra.term_score(t, d);
+            prop_assert_eq!(
+                rb.term_score(t, d),
+                want,
+                "term {} doc {} bs {}",
+                t,
+                d,
+                block_size
+            );
+            prop_assert_eq!(
+                full_decode_probe(td, d),
+                want,
+                "oracle, term {} doc {}",
+                t,
+                d
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -91,17 +171,19 @@ proptest! {
     }
 
     // RandomAccess: every (term, doc) probe — members and
-    // non-members — returns the raw score.
+    // non-members — returns the raw score: densely over small doc ids,
+    // and on a wide list at every stored doc, its neighbours, 0, the
+    // doc just past the list and `u32::MAX`.
     #[test]
-    fn random_access_round_trips(lists in arb_lists()) {
-        let raw = InMemoryIndex::with_block_size(lists.clone(), NUM_DOCS, 8);
-        let comp = CompressedIndex::with_block_size(lists, NUM_DOCS, 8);
-        let (ra, rb) = (raw.random_access().unwrap(), comp.random_access().unwrap());
-        for t in 0..raw.num_terms() {
-            for d in 0..NUM_DOCS as u32 {
-                prop_assert_eq!(ra.term_score(t, d), rb.term_score(t, d), "term {} doc {}", t, d);
-            }
-        }
+    fn random_access_round_trips(lists in arb_lists(), wide in arb_wide_list()) {
+        assert_probes_agree(lists, 8, 0..NUM_DOCS as u32)?;
+        let (list, block_size) = wide;
+        let probes: Vec<u32> = list
+            .iter()
+            .flat_map(|p| [p.doc.saturating_sub(1), p.doc, p.doc + 1])
+            .chain([0, u32::MAX])
+            .collect();
+        assert_probes_agree(vec![list], block_size, probes.into_iter())?;
     }
 
     // Quantization admissibility on arbitrary score ranges: the

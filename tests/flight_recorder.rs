@@ -52,13 +52,15 @@ fn concurrent_reader_only_sees_well_formed_events() {
         // seqlock must deliver only fully-written events (skipping
         // in-flight slots), each internally consistent.
         while !done.load(Ordering::Acquire) {
-            let mut last_ts = 0;
+            // `None` first: the logical clock's first tick is 0, and a
+            // reader quick enough to catch event 0 must accept it.
+            let mut last_ts = None;
             ring.for_each(|e| {
                 assert_eq!(e.worker, 3);
                 assert_eq!(e.kind, EventKind::QueuePush);
                 assert!(e.payload < WRITES);
-                assert!(e.ts > last_ts, "snapshot not oldest-to-newest");
-                last_ts = e.ts;
+                assert!(Some(e.ts) > last_ts, "snapshot not oldest-to-newest");
+                last_ts = Some(e.ts);
             });
         }
     });
