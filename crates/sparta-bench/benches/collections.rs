@@ -1,12 +1,13 @@
 //! Substrate micro-benches: the striped map against a single-mutex
 //! map (the paper's granular-lock claim, §4.3), heap offers, swap-cell
-//! snapshots, the doc-id hasher against SipHash, and slab admission
-//! against per-document `Arc` allocation.
+//! snapshots, the doc-id hasher against SipHash, slab admission
+//! against per-document `Arc` allocation, and Sparta's `docMap`
+//! operations on the lock-free table against the striped map.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parking_lot::Mutex;
-use sparta_collections::{BoundedTopK, FastBuildHasher, StripedMap, SwapCell};
-use sparta_core::sparta::doc_slab::DocSlab;
+use sparta_collections::{BoundedTopK, DocTable, FastBuildHasher, StripedMap, SwapCell};
+use sparta_core::sparta::doc_slab::{DocSlab, SlabRun};
 use sparta_core::sparta::doc_type::DocType;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
@@ -207,16 +208,104 @@ fn bench_slab_vs_arc_admission(c: &mut Criterion) {
     g.bench_function("doc_slab", |b| {
         b.iter(|| {
             let slab = DocSlab::new(M);
+            let mut run = SlabRun::default();
             let mut handles = Vec::with_capacity(DOCS as usize);
             for id in 0..DOCS {
-                let h = slab.alloc(id);
-                slab.set_score(h, 0, id % 97 + 1);
+                let h = slab.stage(&mut run, id);
+                run.commit();
+                slab.record(h).set_score(0, id % 97 + 1);
                 handles.push(h);
             }
-            let sum: u64 = handles.iter().map(|&h| slab.current_sum(h)).sum();
+            let sum: u64 = handles.iter().map(|&h| slab.record(h).current_sum()).sum();
             std::hint::black_box(sum)
         });
     });
+    g.finish();
+}
+
+/// Sparta's two `docMap` operations — a lookup that hits, and an
+/// admission — on the striped map (what pNRA/pRA/pJASS still use) and
+/// on the lock-free table, from 1 and 2 threads. Each thread works a
+/// disjoint half of the doc ids, so the 2-thread rows measure cache-
+/// line traffic (stripe-lock RMWs, the shared `len`), not key
+/// conflicts. This is the layer number behind the PR 13 claim.
+fn bench_docmap_ops(c: &mut Criterion) {
+    let mut g = c.benchmark_group("docmap");
+    g.sample_size(20)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1));
+    const DOCS: u32 = 50_000;
+    // Score-order traversal meets doc ids in no particular order.
+    let doc = |i: u32| i.wrapping_mul(2654435761) % DOCS;
+    let halves = |threads: u32, t: u32| (t * DOCS / threads)..((t + 1) * DOCS / threads);
+
+    for threads in [1u32, 2] {
+        let striped: StripedMap<u32, u32> = (0..DOCS).map(|d| (d, d)).collect();
+        g.bench_function(BenchmarkId::new("get_hit/striped", threads), |b| {
+            b.iter(|| {
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let striped = &striped;
+                        s.spawn(move || {
+                            for i in halves(threads, t) {
+                                std::hint::black_box(striped.get(&doc(i)));
+                            }
+                        });
+                    }
+                });
+            });
+        });
+        let table = DocTable::from_entries((0..DOCS).map(|d| (d, d)));
+        g.bench_function(BenchmarkId::new("get_hit/table", threads), |b| {
+            b.iter(|| {
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let table = &table;
+                        s.spawn(move || {
+                            for i in halves(threads, t) {
+                                std::hint::black_box(table.get(doc(i)));
+                            }
+                        });
+                    }
+                });
+            });
+        });
+        g.bench_function(BenchmarkId::new("admit/striped", threads), |b| {
+            b.iter(|| {
+                let map: StripedMap<u32, u32> = StripedMap::new();
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let map = &map;
+                        s.spawn(move || {
+                            for i in halves(threads, t) {
+                                map.get_or_try_insert_with(doc(i), true, || i);
+                            }
+                        });
+                    }
+                });
+                std::hint::black_box(map.len())
+            });
+        });
+        g.bench_function(BenchmarkId::new("admit/table", threads), |b| {
+            b.iter(|| {
+                let table = DocTable::with_capacity(DOCS as usize);
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let table = &table;
+                        s.spawn(move || {
+                            let range = halves(threads, t);
+                            let n = range.len();
+                            for i in range {
+                                table.get_or_try_insert_with(doc(i), true, || i);
+                            }
+                            table.add_len(n);
+                        });
+                    }
+                });
+                std::hint::black_box(table.len())
+            });
+        });
+    }
     g.finish();
 }
 
@@ -226,6 +315,7 @@ criterion_group!(
     bench_heap_offers,
     bench_swap_cell,
     bench_fast_hash_vs_siphash,
-    bench_slab_vs_arc_admission
+    bench_slab_vs_arc_admission,
+    bench_docmap_ops
 );
 criterion_main!(benches);

@@ -8,15 +8,30 @@
 //! statistics.
 
 use crossbeam::utils::CachePadded;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of counter slots; a small power of two ≥ typical core counts.
 const SLOTS: usize = 16;
 
+/// The calling thread's slot index, handed out round-robin from a
+/// process-wide counter on the thread's first use. Hashing the thread
+/// id instead (as this type once did) collides like a birthday
+/// problem: with per-query worker threads, two live workers shared a
+/// slot — and its cache line — in about one query of sixteen.
+/// Round-robin gives any `SLOTS` consecutively started threads
+/// distinct slots.
+fn thread_slot() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SLOTS;
+    }
+    SLOT.with(|s| *s)
+}
+
 /// A counter sharded over cache-line-padded slots.
 ///
-/// `add` picks a slot from the calling thread's identity so different
-/// threads usually hit different cache lines. `get` sums all slots;
+/// `add` uses the calling thread's own slot, so up to `SLOTS` live
+/// threads hit distinct cache lines. `get` sums all slots;
 /// the result is exact once all writers are quiescent, and a valid
 /// (possibly slightly stale) lower bound while they are running.
 pub struct ShardedCounter {
@@ -36,17 +51,7 @@ impl ShardedCounter {
 
     #[inline]
     fn slot(&self) -> &AtomicU64 {
-        // Derive a slot index from the thread id; stable per thread.
-        thread_local! {
-            static SLOT: usize = {
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                std::thread::current().id().hash(&mut h);
-                (h.finish() as usize) % SLOTS
-            };
-        }
-        let idx = SLOT.with(|s| *s);
-        &self.slots[idx]
+        &self.slots[thread_slot()]
     }
 
     /// Adds `n` to the counter.
@@ -116,5 +121,38 @@ mod tests {
             }
         });
         assert_eq!(c.get(), 80_000);
+    }
+
+    /// `SLOTS` concurrently live threads that take their slots back to
+    /// back must get `SLOTS` distinct ones. Other tests of this binary
+    /// may start threads in between, so retry until a round runs
+    /// undisturbed; the thread-id hash this replaces passed a round
+    /// with probability 16!/16^16 ≈ 10⁻⁶.
+    #[test]
+    fn concurrently_live_threads_get_distinct_slots() {
+        use std::sync::Barrier;
+        for _attempt in 0..64 {
+            let barrier = Barrier::new(SLOTS);
+            let mut slots: Vec<usize> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..SLOTS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let slot = thread_slot();
+                            // Keep every thread alive until all hold
+                            // a slot: "concurrently live".
+                            barrier.wait();
+                            slot
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            slots.sort_unstable();
+            slots.dedup();
+            if slots.len() == SLOTS {
+                return;
+            }
+        }
+        panic!("16 live threads never received 16 distinct slots");
     }
 }

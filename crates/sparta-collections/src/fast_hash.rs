@@ -25,7 +25,7 @@ use std::hash::{BuildHasher, Hasher};
 
 /// 2^64 / φ, the Fibonacci hashing constant (Knuth, TAOCP §6.4). Odd,
 /// so multiplication by it is a bijection on `u64`.
-const PHI64: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const PHI64: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Finalizer multipliers (SplitMix64's, Steele et al.) — two xor-shift
 /// multiply rounds give full avalanche so both the *high* bits (used

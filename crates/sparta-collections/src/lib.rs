@@ -11,6 +11,10 @@
 //!   shared `docMap` with a granular lock and reports that this performs
 //!   better than a generic concurrent hash map; this is the Rust
 //!   equivalent.
+//! * [`DocTable`] — an insert-only open-addressing `doc id → handle`
+//!   table, one atomic word per slot, sized once: lookups are plain
+//!   loads and admission is one compare-and-swap. Sparta's `docMap`
+//!   (the baselines keep [`StripedMap`]).
 //! * [`SwapCell`] — a shared pointer that readers can snapshot cheaply
 //!   and a single writer can replace wholesale ("a single pointer
 //!   swing", §4.3), used by the cleaner to publish the pruned `docMap`.
@@ -25,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod counter;
+pub mod doc_table;
 pub mod fast_hash;
 pub mod mutable_topk;
 pub mod striped_map;
@@ -32,6 +37,7 @@ pub mod swap_cell;
 pub mod topk_heap;
 
 pub use counter::ShardedCounter;
+pub use doc_table::{DocTable, Lookup};
 pub use fast_hash::{FastBuildHasher, FastHashMap, FastHashSet, FastIntHasher};
 pub use mutable_topk::MutableTopK;
 pub use striped_map::StripedMap;

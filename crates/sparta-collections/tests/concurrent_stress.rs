@@ -8,7 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparta_collections::{BoundedTopK, MutableTopK, ShardedCounter, StripedMap, SwapCell};
+use sparta_collections::{
+    BoundedTopK, DocTable, Lookup, MutableTopK, ShardedCounter, StripedMap, SwapCell,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -177,4 +179,62 @@ fn sharded_counter_sum_consistency() {
     assert_eq!(c.get(), THREADS * PER_THREAD + 5);
     c.reset();
     assert_eq!(c.get(), 0);
+}
+
+/// The `docMap` guarantee on the lock-free table: four threads race to
+/// admit the same documents (in different orders), each offering a
+/// handle of its own; every document ends with exactly one handle —
+/// one of those offered for it — and every thread was told that same
+/// handle, whether it won the slot or adopted the winner's.
+#[test]
+fn doc_table_one_handle_per_doc_under_contention() {
+    const THREADS: u32 = 4;
+    const DOCS: u32 = 3000;
+    let base = test_seed() as u32;
+    let table = DocTable::with_capacity(DOCS as usize);
+    let start = std::sync::Barrier::new(THREADS as usize);
+    let told: Vec<Vec<(u32, u32, bool)>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (table, start) = (&table, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let mut out = Vec::with_capacity(DOCS as usize);
+                    let mut won = 0;
+                    for i in 0..DOCS {
+                        // A per-thread stride walks the same set in a
+                        // different order (3000 is coprime to each).
+                        let doc = (i * [7, 11, 13, 17][t as usize] + base) % DOCS;
+                        // Handles are unique per (thread, doc).
+                        let mine = t * DOCS + doc;
+                        match table.get_or_try_insert_with(doc, true, || mine) {
+                            Lookup::Inserted(h) => {
+                                assert_eq!(h, mine);
+                                won += 1;
+                                out.push((doc, h, true));
+                            }
+                            Lookup::Found(h) => out.push((doc, h, false)),
+                            other => panic!("insertion was allowed and sized for: {other:?}"),
+                        }
+                    }
+                    table.add_len(won);
+                    out
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(table.len(), DOCS as usize, "exactly one winner per doc");
+    for per_thread in &told {
+        for &(doc, h, _) in per_thread {
+            assert_eq!(
+                table.get(doc),
+                Some(h),
+                "doc {doc}: a thread holds a stale handle"
+            );
+            assert_eq!(h % DOCS, doc, "doc {doc}: handle offered for another doc");
+        }
+    }
+    let winners = told.iter().flatten().filter(|&&(_, _, won)| won).count();
+    assert_eq!(winners, DOCS as usize);
 }

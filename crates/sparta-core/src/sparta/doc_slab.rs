@@ -1,33 +1,40 @@
-//! A per-query arena of document records with inline score slots.
+//! A per-query arena of 24-byte candidate records.
 //!
-//! The `Arc<DocType>` representation costs two heap allocations per
-//! admitted document (the `Arc` control block + record, and the inner
-//! `Box<[AtomicU32]>` of scores) plus a pointer chase per score access,
-//! and retires those allocations one by one when the cleaner prunes.
-//! [`DocSlab`] replaces it for Sparta's per-query candidate set: all
-//! records live inline in large blocks, each record is one contiguous
-//! stride of `3 + m` words —
+//! NRA never needs a candidate's individual term scores — only their
+//! sum and *which* terms are known: `UB(D) = sum + Σ_{i ∉ known} UB[i]`,
+//! and a worker's term-local map wants exactly the candidates whose
+//! bit for its term is clear. So a record is `2 + ⌈m/64⌉` words,
 //!
 //! ```text
-//! ┌────────┬───────────┬────────┬──────────┬───┬────────────┐
-//! │   id   │ sum (Σsᵢ) │   lb   │ score[0] │ … │ score[m-1] │
-//! └────────┴───────────┴────────┴──────────┴───┴────────────┘
+//! ┌────────┬───────────┬──────────────────────┐
+//! │   id   │ sum (Σsᵢ) │ known-mask[⌈m/64⌉]   │   24 bytes for m ≤ 64
+//! └────────┴───────────┴──────────────────────┘
 //! ```
 //!
-//! — and lookups hand out [`DocHandle`], a `Copy` 4-byte index, instead
-//! of an 8-byte refcounted pointer. Records are never freed
-//! individually: the slab drops wholesale with the query (pruned
-//! records merely become unreachable from `docMap`), so admission is a
-//! wait-free `fetch_add` bump and the whole query performs **at most
-//! one allocation per slab block** — the acceptance criterion asserted
-//! by the slab-accounting test via [`DocSlab::blocks_allocated`].
+//! instead of one word per query term, and the per-posting work —
+//! add to `sum`, set a bit, compare `sum` with Θ — touches one cache
+//! line. (The lazily refreshed lower bound lives in the heap's own
+//! entries; see `heap.rs`.)
 //!
+//! Records are addressed by [`DocHandle`], a `Copy` 4-byte index, and
+//! are never freed individually: the slab drops wholesale with the
+//! query (pruned records merely become unreachable from `docMap`).
 //! Blocks grow geometrically (`BASE_CAP << block_index`), so a query
-//! admitting N documents touches O(log N) blocks, and block addresses
-//! are stable once published (a `OnceLock` per slot), so handles can be
-//! dereferenced without any lock while other workers admit documents.
+//! admitting N documents performs **at most one allocation per slab
+//! block**, O(log N) in all — asserted by the slab-accounting test via
+//! [`DocSlab::blocks_allocated`] — and block addresses are stable once
+//! published (a `OnceLock` per slot), so handles are dereferenced
+//! without any lock while other workers admit documents.
+//!
+//! Admission does not bump a shared counter per document. A writer
+//! reserves a [`SlabRun`] of [`RUN`] consecutive indices with one
+//! `fetch_add` and fills it privately, so the records on a freshly
+//! written cache line belong to one worker. A run's unused tail (and a
+//! record staged for an admission that lost its `docMap` race) is
+//! never scored, and [`DocSlab::for_each_scored`] — the cleaner's
+//! first-pass walk — skips exactly those.
 
-use super::doc_type::SharedUb;
+use super::doc_type::UbSnapshot;
 use sparta_corpus::types::DocId;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -38,61 +45,177 @@ const BASE_CAP: usize = 256;
 /// (cumulative capacity `BASE_CAP · (2^NUM_BLOCKS − 1)` > `u32::MAX`).
 const NUM_BLOCKS: usize = 25;
 
-/// Words preceding the score slots: id, running sum, lazy LB.
-const HDR: usize = 3;
+/// Words preceding the mask: id, running sum.
+const HDR: usize = 2;
+
+/// Record indices a writer reserves at a time. Divides `BASE_CAP`, so
+/// a run never straddles two blocks; 32 records are 12 cache lines,
+/// and a query wastes at most one run's tail per posting list.
+pub const RUN: usize = 32;
 
 /// A `Copy` reference to one record in a [`DocSlab`] — what Sparta's
-/// `docMap` and `termMap` store instead of `Arc<DocType>`.
+/// `docMap`, `termMap`s and heap store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DocHandle(u32);
 
-/// A grow-only arena of `⟨id, sum, LB, score[m]⟩` records.
+impl DocHandle {
+    /// The record index, as stored in a `DocTable` slot.
+    #[inline]
+    pub fn index(self) -> u32 {
+        self.0
+    }
+
+    /// Rebuilds a handle from [`index`](Self::index).
+    #[inline]
+    pub fn from_index(index: u32) -> Self {
+        Self(index)
+    }
+}
+
+/// A run of record indices reserved by — and private to — one writer
+/// (Sparta keeps one in each posting list's recycled job box).
+#[derive(Debug, Default)]
+pub struct SlabRun {
+    next: u32,
+    end: u32,
+}
+
+impl SlabRun {
+    /// Consumes the record last returned by [`DocSlab::stage`]: the
+    /// next `stage` moves on to a fresh one.
+    #[inline]
+    pub fn commit(&mut self) {
+        debug_assert!(self.next < self.end, "commit without a staged record");
+        self.next += 1;
+    }
+}
+
+/// A grow-only arena of `⟨id, sum, known-mask⟩` records.
 ///
-/// Concurrency contract (mirrors `DocType`, §4.3): `score[i]` is
-/// written only by the worker owning term i; `sum` is maintained by
-/// commuting `fetch_add` deltas; `lb` is only meaningful under the
-/// heap lock. Any thread may read anything.
+/// Concurrency contract (§4.3): term i's score is added — once per
+/// record — only by the worker owning term i; `sum` is maintained by
+/// commuting `fetch_add`s and the mask by commuting `fetch_or`s. Any
+/// thread may read anything.
 pub struct DocSlab {
     m: usize,
-    /// Words per record: `HDR + m`.
+    /// Words per record: `HDR + ⌈m/64⌉`.
     stride: usize,
-    /// Records allocated so far (bump pointer).
-    len: AtomicUsize,
+    /// Record indices handed out to runs so far.
+    reserved: AtomicUsize,
     blocks: Box<[OnceLock<Box<[AtomicU64]>>]>,
     /// Blocks actually allocated — the slab's entire allocation count
     /// (excluding the fixed-size slab struct itself).
     blocks_allocated: AtomicUsize,
 }
 
+/// A borrowed view of one record: locate once, then operate.
+#[derive(Clone, Copy)]
+pub struct Record<'a> {
+    words: &'a [AtomicU64],
+}
+
+impl Record<'_> {
+    #[inline]
+    fn id_word(&self) -> &AtomicU64 {
+        &self.words[0]
+    }
+
+    #[inline]
+    fn sum_word(&self) -> &AtomicU64 {
+        &self.words[1]
+    }
+
+    #[inline]
+    fn mask_word(&self, w: usize) -> &AtomicU64 {
+        &self.words[HDR + w]
+    }
+
+    /// The record's document id.
+    #[inline]
+    pub fn id(&self) -> DocId {
+        // ordering: the id is stored once in stage() before the handle (model: doc_table_claim)
+        // escapes through the docMap slot CAS, whose release/acquire
+        // pair orders that store before any reader holding the handle;
+        // the cleaner's walk only looks at records it has seen scored,
+        // and scoring needs the handle too.
+        self.id_word().load(Ordering::Relaxed) as DocId
+    }
+
+    /// Records term i's score (owner of term i only, once per record)
+    /// and returns the running sum including it.
+    #[inline]
+    pub fn set_score(&self, i: usize, score: u32) -> u64 {
+        let bit = 1u64 << (i % 64);
+        // ordering: sum before mask, both AcqRel — a reader that (model: doc_slab_publish)
+        // Acquire-loads the mask and sees bit i therefore sees s_i in
+        // the sum it loads next. The reverse race (sum seen, bit not
+        // yet) makes UB(D) count s_i *and* UB[i]: an over-estimate,
+        // which is safe.
+        let sum = self
+            .sum_word()
+            .fetch_add(u64::from(score), Ordering::AcqRel);
+        let before = self.mask_word(i / 64).fetch_or(bit, Ordering::AcqRel);
+        debug_assert_eq!(before & bit, 0, "term {i} scored twice");
+        sum + u64::from(score)
+    }
+
+    /// Whether term i's score is known (in the sum).
+    #[inline]
+    pub fn knows(&self, i: usize) -> bool {
+        self.mask_word(i / 64).load(Ordering::Acquire) & (1 << (i % 64)) != 0
+    }
+
+    /// Sum of the known term scores — the record's lower bound.
+    #[inline]
+    pub fn current_sum(&self) -> u64 {
+        self.sum_word().load(Ordering::Acquire)
+    }
+
+    /// Whether any term has scored this record. False for a run's
+    /// unused tail and for a staged record that lost its admission.
+    #[inline]
+    fn is_scored(&self) -> bool {
+        (0..self.words.len() - HDR).any(|w| self.mask_word(w).load(Ordering::Acquire) != 0)
+            || self.current_sum() != 0
+    }
+
+    /// `UB(D) = sum + Σ_{i ∉ mask} bounds[i]` (Table 1) against one
+    /// pass's private copy of the bounds. Mask first, then sum — see
+    /// [`set_score`](Self::set_score).
+    #[inline]
+    pub fn ub(&self, bounds: &UbSnapshot) -> u64 {
+        let mut unknown = bounds.total();
+        for w in 0..self.words.len() - HDR {
+            let mut bits = self.mask_word(w).load(Ordering::Acquire);
+            while bits != 0 {
+                unknown -= bounds.get(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.current_sum() + unknown
+    }
+}
+
 impl DocSlab {
-    /// Creates an empty slab for records with `m` score slots.
+    /// Creates an empty slab for records of `m`-term queries.
     pub fn new(m: usize) -> Self {
         Self {
             m,
-            stride: HDR + m,
-            len: AtomicUsize::new(0),
+            stride: HDR + m.div_ceil(64).max(1),
+            reserved: AtomicUsize::new(0),
             blocks: (0..NUM_BLOCKS).map(|_| OnceLock::new()).collect(),
             blocks_allocated: AtomicUsize::new(0),
         }
     }
 
-    /// Number of score slots per record.
-    pub fn arity(&self) -> usize {
-        self.m
-    }
-
-    /// Records allocated so far.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether no record has been allocated yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Record indices handed out to runs so far — an upper bound on
+    /// the records in use (runs have unused tails).
+    pub fn reserved(&self) -> usize {
+        self.reserved.load(Ordering::Acquire)
     }
 
     /// Blocks allocated so far — the slab's total heap-allocation
-    /// count, asserted to be O(log len) by the accounting test.
+    /// count, asserted to be O(log reserved) by the accounting test.
     pub fn blocks_allocated(&self) -> usize {
         self.blocks_allocated.load(Ordering::Acquire)
     }
@@ -116,100 +239,64 @@ impl DocSlab {
         })
     }
 
-    /// Admits a new record for `id` with zeroed scores. Wait-free bump
-    /// except when the admission is the first to touch a block.
-    pub fn alloc(&self, id: DocId) -> DocHandle {
-        let idx = self.len.fetch_add(1, Ordering::AcqRel);
-        assert!(idx <= u32::MAX as usize, "DocSlab overflow");
-        let (b, off) = self.locate(idx);
-        // Relaxed is enough: the handle is only published to other
-        // threads through the docMap stripe lock (or the heap lock),
-        // which orders this store before any reader's load.
+    /// Prepares the next record of `run` for `id` — reserving a fresh
+    /// run with one shared `fetch_add` if this one is spent — *without*
+    /// consuming it: a caller whose admission loses its race simply
+    /// stages again for the next document; the winner calls
+    /// [`SlabRun::commit`].
+    pub fn stage(&self, run: &mut SlabRun, id: DocId) -> DocHandle {
+        if run.next == run.end {
+            let start = self.reserved.fetch_add(RUN, Ordering::AcqRel);
+            // `u32::MAX` itself is not a handle: DocTable stores
+            // `handle + 1` in 32 bits.
+            assert!(start + RUN <= u32::MAX as usize, "DocSlab overflow");
+            run.next = start as u32;
+            run.end = (start + RUN) as u32;
+        }
+        let (b, off) = self.locate(run.next as usize);
+        // ordering: the handle only reaches another thread through the (model: doc_table_claim)
+        // docMap slot CAS (or, in tests, a lock) that follows; its
+        // release edge publishes this store.
         self.block(b)[off].store(u64::from(id), Ordering::Relaxed);
-        DocHandle(idx as u32)
+        DocHandle(run.next)
     }
 
+    /// The record `h` refers to.
     #[inline]
-    fn record(&self, h: DocHandle) -> (&[AtomicU64], usize) {
+    pub fn record(&self, h: DocHandle) -> Record<'_> {
         let (b, off) = self.locate(h.0 as usize);
         let block = self.blocks[b].get().expect("handle into unallocated block");
-        (block, off)
+        Record {
+            words: &block[off..off + self.stride],
+        }
     }
 
-    /// The record's document id.
-    #[inline]
-    pub fn id(&self, h: DocHandle) -> DocId {
-        let (block, off) = self.record(h);
-        // ordering: the id word is written once in alloc() before the (model: doc_slab_publish)
-        // handle is published through the docMap stripe lock (or the
-        // heap lock); that lock's release/acquire pair orders the store
-        // before any reader holding a handle, so Relaxed suffices here
-        // even though the sibling score/sum words use Acquire.
-        block[off].load(Ordering::Relaxed) as DocId
-    }
-
-    /// Sets term i's score (owner thread only) and folds the delta into
-    /// the running sum, exactly like `DocType::set_score`.
-    #[inline]
-    pub fn set_score(&self, h: DocHandle, i: usize, score: u32) {
-        debug_assert!(i < self.m);
-        let (block, off) = self.record(h);
-        let old = block[off + HDR + i].swap(u64::from(score), Ordering::AcqRel);
-        let delta = u64::from(score).wrapping_sub(old);
-        block[off + 1].fetch_add(delta, Ordering::AcqRel);
-    }
-
-    /// Term i's score so far (0 = not yet seen).
-    #[inline]
-    pub fn score(&self, h: DocHandle, i: usize) -> u32 {
-        debug_assert!(i < self.m);
-        let (block, off) = self.record(h);
-        block[off + HDR + i].load(Ordering::Acquire) as u32
-    }
-
-    /// Sum of the known term scores — one load of the running sum.
-    #[inline]
-    pub fn current_sum(&self, h: DocHandle) -> u64 {
-        let (block, off) = self.record(h);
-        block[off + 1].load(Ordering::Acquire)
-    }
-
-    /// The lazily cached LB (valid under the heap lock).
-    #[inline]
-    pub fn lb(&self, h: DocHandle) -> u64 {
-        let (block, off) = self.record(h);
-        block[off + 2].load(Ordering::Acquire)
-    }
-
-    /// Stores the recomputed LB (heap lock held).
-    #[inline]
-    pub fn set_lb(&self, h: DocHandle, lb: u64) {
-        let (block, off) = self.record(h);
-        block[off + 2].store(lb, Ordering::Release);
-    }
-
-    /// Upper bound `UB(D) = Σᵢ (score[i] > 0 ? score[i] : UB[i])`
-    /// (Table 1), γ-scaled for the probabilistic-pruning extension
-    /// (γ = 1 gives the safe bound). Mirrors `DocType::ub_scaled`.
-    pub fn ub_scaled(&self, h: DocHandle, ub: &SharedUb, gamma: f64) -> u64 {
-        let (block, off) = self.record(h);
-        (0..self.m)
-            .map(|i| {
-                let v = block[off + HDR + i].load(Ordering::Acquire);
-                if v > 0 {
-                    v
-                } else if gamma >= 1.0 {
-                    ub.get(i)
-                } else {
-                    (ub.get(i) as f64 * gamma) as u64
+    /// Visits, in index order, every record some term has scored —
+    /// everything admitted, minus unused run tails and staged records
+    /// that lost their admission. (A record admitted but not yet
+    /// scored is skipped too; once `UBStop` holds such a record has
+    /// `UB(D) = Σ UB[i] ≤ Θ` and could never qualify anyway.)
+    pub fn for_each_scored<F: FnMut(DocHandle, Record<'_>)>(&self, mut f: F) {
+        let mut remaining = self.reserved();
+        let mut idx = 0u32;
+        for (b, slot) in self.blocks.iter().enumerate() {
+            if remaining == 0 {
+                break;
+            }
+            let in_block = remaining.min(BASE_CAP << b);
+            remaining -= in_block;
+            // A block whose runs are all reserved-but-unstaged may not
+            // exist yet.
+            if let Some(block) = slot.get() {
+                for (r, words) in block.chunks_exact(self.stride).take(in_block).enumerate() {
+                    let rec = Record { words };
+                    if rec.is_scored() {
+                        f(DocHandle(idx + r as u32), rec);
+                    }
                 }
-            })
-            .sum()
-    }
-
-    /// Safe upper bound (γ = 1).
-    pub fn ub(&self, h: DocHandle, ub: &SharedUb) -> u64 {
-        self.ub_scaled(h, ub, 1.0)
+            }
+            idx += in_block as u32;
+        }
     }
 }
 
@@ -217,7 +304,7 @@ impl std::fmt::Debug for DocSlab {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DocSlab")
             .field("m", &self.m)
-            .field("len", &self.len())
+            .field("reserved", &self.reserved())
             .field("blocks_allocated", &self.blocks_allocated())
             .finish()
     }
@@ -226,49 +313,88 @@ impl std::fmt::Debug for DocSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparta::SharedUb;
     use std::sync::Arc;
 
-    #[test]
-    fn record_roundtrip_matches_doc_type_semantics() {
-        let slab = DocSlab::new(3);
-        let h = slab.alloc(57);
-        assert_eq!(slab.id(h), 57);
-        assert_eq!(slab.current_sum(h), 0);
-        slab.set_score(h, 0, 11);
-        slab.set_score(h, 2, 41);
-        assert_eq!(slab.score(h, 0), 11);
-        assert_eq!(slab.score(h, 1), 0);
-        assert_eq!(slab.current_sum(h), 52);
-        slab.set_lb(h, 52);
-        assert_eq!(slab.lb(h), 52);
-        // Downward revision subtracts cleanly via the wrapping delta.
-        slab.set_score(h, 0, 1);
-        assert_eq!(slab.current_sum(h), 42);
+    /// Admits a record outright: stage, then commit.
+    fn alloc(slab: &DocSlab, run: &mut SlabRun, id: DocId) -> DocHandle {
+        let h = slab.stage(run, id);
+        run.commit();
+        h
+    }
+
+    fn snapshot(ub: &SharedUb, gamma: f64) -> UbSnapshot {
+        let mut s = UbSnapshot::default();
+        ub.snapshot_into(gamma, &mut s);
+        s
     }
 
     #[test]
-    fn figure_1_ub_matches_doc_type() {
+    fn record_is_24_bytes_up_to_64_terms() {
+        let record_bytes = |m| DocSlab::new(m).stride * std::mem::size_of::<AtomicU64>();
+        assert_eq!(record_bytes(1), 24);
+        assert_eq!(record_bytes(12), 24);
+        assert_eq!(record_bytes(64), 24);
+        assert_eq!(record_bytes(65), 32);
+    }
+
+    #[test]
+    fn record_roundtrip() {
+        let slab = DocSlab::new(3);
+        let mut run = SlabRun::default();
+        let h = alloc(&slab, &mut run, 57);
+        let rec = slab.record(h);
+        assert_eq!(rec.id(), 57);
+        assert_eq!(rec.current_sum(), 0);
+        assert_eq!(rec.set_score(0, 11), 11);
+        assert_eq!(rec.set_score(2, 41), 52);
+        assert!(rec.knows(0) && !rec.knows(1) && rec.knows(2));
+        assert_eq!(rec.current_sum(), 52);
+    }
+
+    #[test]
+    fn figure_1_ub() {
+        // UB = [38, 32, 41]; D57 knows terms 2 and 3 (40, 41).
         let ub = SharedUb::new(3);
         ub.set(0, 38);
         ub.set(1, 32);
         ub.set(2, 41);
         let slab = DocSlab::new(3);
-        let h = slab.alloc(57);
-        slab.set_score(h, 1, 40);
-        slab.set_score(h, 2, 41);
-        assert_eq!(slab.ub(h, &ub), 38 + 40 + 41);
+        let h = alloc(&slab, &mut SlabRun::default(), 57);
+        let rec = slab.record(h);
+        rec.set_score(1, 40);
+        rec.set_score(2, 41);
+        assert_eq!(rec.ub(&snapshot(&ub, 1.0)), 38 + 40 + 41);
         // γ-scaled: the one unknown term is discounted.
-        assert_eq!(slab.ub_scaled(h, &ub, 0.5), 19 + 40 + 41);
+        assert_eq!(rec.ub(&snapshot(&ub, 0.5)), 19 + 40 + 41);
+    }
+
+    #[test]
+    fn two_mask_words_for_wide_queries() {
+        let m = 70;
+        let ub = SharedUb::new(m);
+        for i in 0..m {
+            ub.set(i, 10);
+        }
+        let slab = DocSlab::new(m);
+        let h = alloc(&slab, &mut SlabRun::default(), 1);
+        let rec = slab.record(h);
+        rec.set_score(3, 5);
+        rec.set_score(64, 6);
+        rec.set_score(69, 7);
+        assert!(rec.knows(64) && rec.knows(69) && !rec.knows(63) && !rec.knows(65));
+        assert_eq!(rec.ub(&snapshot(&ub, 1.0)), 18 + 67 * 10);
     }
 
     #[test]
     fn geometric_blocks_cover_many_records() {
         let slab = DocSlab::new(2);
         let n = 10_000usize;
-        let handles: Vec<DocHandle> = (0..n).map(|i| slab.alloc(i as DocId)).collect();
-        assert_eq!(slab.len(), n);
+        let mut run = SlabRun::default();
+        let handles: Vec<DocHandle> = (0..n).map(|i| alloc(&slab, &mut run, i as DocId)).collect();
+        assert_eq!(slab.reserved(), n.next_multiple_of(RUN));
         for (i, &h) in handles.iter().enumerate() {
-            assert_eq!(slab.id(h) as usize, i, "stable address for record {i}");
+            assert_eq!(slab.record(h).id() as usize, i, "stable address for {i}");
         }
         // 10_000 records with BASE_CAP=256 fit in blocks 0..=5
         // (256·(2^6−1) = 16_128 ≥ 10_000): O(log n) allocations.
@@ -296,10 +422,32 @@ mod tests {
     }
 
     #[test]
+    fn staged_but_lost_records_are_reused_and_never_walked() {
+        let slab = DocSlab::new(2);
+        let mut run = SlabRun::default();
+        let a = alloc(&slab, &mut run, 10);
+        slab.record(a).set_score(0, 1);
+        // Staged for doc 11, lost the race: not committed…
+        let lost = slab.stage(&mut run, 11);
+        // …so the same record serves the next admission.
+        let b = alloc(&slab, &mut run, 12);
+        assert_eq!(lost, b);
+        assert_eq!(slab.record(b).id(), 12);
+        slab.record(b).set_score(1, 2);
+        // A final staged-and-lost record plus the run's tail stay
+        // unscored and are never visited.
+        slab.stage(&mut run, 13);
+        let mut walked = Vec::new();
+        slab.for_each_scored(|h, rec| walked.push((h, rec.id())));
+        assert_eq!(walked, vec![(a, 10), (b, 12)]);
+        assert_eq!(slab.reserved(), RUN);
+    }
+
+    #[test]
     fn concurrent_admission_and_owner_writes() {
         let slab = Arc::new(DocSlab::new(4));
-        // 4 workers admit disjoint documents and each writes its own
-        // term slot of every record it can see — the §4.3 contract.
+        // 4 workers admit disjoint documents from their own runs and
+        // each scores its own term — the §4.3 contract.
         let handles: Arc<parking_lot::Mutex<Vec<DocHandle>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         std::thread::scope(|s| {
@@ -307,21 +455,24 @@ mod tests {
                 let slab = Arc::clone(&slab);
                 let handles = Arc::clone(&handles);
                 s.spawn(move || {
+                    let mut run = SlabRun::default();
                     for i in 0..500u32 {
-                        let h = slab.alloc(w * 500 + i);
-                        slab.set_score(h, w as usize, w + 1);
+                        let h = alloc(&slab, &mut run, w * 500 + i);
+                        slab.record(h).set_score(w as usize, w + 1);
                         handles.lock().push(h);
                     }
                 });
             }
         });
-        assert_eq!(slab.len(), 2000);
         let handles = handles.lock();
-        let mut ids: Vec<DocId> = handles.iter().map(|&h| slab.id(h)).collect();
+        let mut ids: Vec<DocId> = handles.iter().map(|&h| slab.record(h).id()).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 2000, "no two handles share a record");
-        let total: u64 = handles.iter().map(|&h| slab.current_sum(h)).sum();
+        let total: u64 = handles.iter().map(|&h| slab.record(h).current_sum()).sum();
         assert_eq!(total, 500 * (1 + 2 + 3 + 4));
+        let mut walked = 0;
+        slab.for_each_scored(|_, _| walked += 1);
+        assert_eq!(walked, 2000, "the walk sees admissions, not run tails");
     }
 }

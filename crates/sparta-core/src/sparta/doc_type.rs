@@ -3,13 +3,16 @@
 use sparta_corpus::types::DocId;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// The paper's `DocType`: ⟨id, score[m], LB⟩ (Table 1).
+/// The paper's `DocType`: ⟨id, score[m], LB⟩ (Table 1) — the
+/// free-standing refcounted record the pNRA baseline keeps (Sparta's
+/// own candidates are `DocSlab` records).
 ///
 /// `score[i]` is written **only** by the worker currently processing
 /// term i ("at most one thread processes each term", §4.3), and read
 /// by all; plain atomics with release/acquire ordering suffice — no
 /// lock. `LB` is "updated in a lazy manner while holding the global
-/// lock on docHeap" (§4.3), so it is only meaningful under that lock.
+/// lock on docHeap" (§4.3); it is only meaningful under that lock, so
+/// it lives in the heap's own entries (`SpartaHeap`), not here.
 #[derive(Debug)]
 pub struct DocType {
     /// Document id.
@@ -22,7 +25,6 @@ pub struct DocType {
     /// is exact for its own slot, and `fetch_add` makes the concurrent
     /// additions from different owners commute.
     sum: AtomicU64,
-    lb: AtomicU64,
 }
 
 impl DocType {
@@ -32,7 +34,6 @@ impl DocType {
             id,
             scores: (0..m).map(|_| AtomicU32::new(0)).collect(),
             sum: AtomicU64::new(0),
-            lb: AtomicU64::new(0),
         }
     }
 
@@ -46,7 +47,7 @@ impl DocType {
     /// correct even when a score is revised downward.
     #[inline]
     pub fn set_score(&self, i: usize, score: u32) {
-        // ordering: both RMWs are AcqRel so the running sum stays a (model: doc_slab_publish)
+        // ordering: both RMWs are AcqRel so the running sum stays a (model: doc_type_publish)
         // *publication point*: a thread that Acquire-loads `sum` in
         // current_sum() and observes this delta also observes the score
         // swap that produced it (release sequence through the two
@@ -68,18 +69,6 @@ impl DocType {
     #[inline]
     pub fn current_sum(&self) -> u64 {
         self.sum.load(Ordering::Acquire)
-    }
-
-    /// The lazily cached LB (valid under the heap lock).
-    #[inline]
-    pub fn lb(&self) -> u64 {
-        self.lb.load(Ordering::Acquire)
-    }
-
-    /// Stores the recomputed LB (heap lock held).
-    #[inline]
-    pub fn set_lb(&self, lb: u64) {
-        self.lb.store(lb, Ordering::Release);
     }
 
     /// Upper bound `UB(D) = Σᵢ (score[i] > 0 ? score[i] : UB[i])`
@@ -159,6 +148,48 @@ impl SharedUb {
     pub fn ub_stop(&self, theta: u64) -> bool {
         self.sum() <= theta
     }
+
+    /// Copies the bounds, γ-scaled, into `out` (reusing its buffer).
+    /// Take the snapshot *before* reading any record: a record write
+    /// the snapshot's `UB[i]` does not cover (same or later segment)
+    /// carries a score ≤ that `UB[i]`, so a bound computed from the
+    /// snapshot can only over-estimate.
+    pub fn snapshot_into(&self, gamma: f64, out: &mut UbSnapshot) {
+        out.bounds.clear();
+        out.bounds.extend(self.ub.iter().map(|u| {
+            let u = u.load(Ordering::Acquire);
+            if gamma >= 1.0 {
+                u
+            } else {
+                (u as f64 * gamma) as u64
+            }
+        }));
+        out.total = out.bounds.iter().sum();
+    }
+}
+
+/// One cleaner pass's private copy of `UB[m]`, γ-scaled for the
+/// probabilistic-pruning extension (γ = 1 is the safe bound), with
+/// its total: `UB(D)` for a slab record is then one subtraction per
+/// *known* term instead of one shared load per unknown one.
+#[derive(Debug, Default)]
+pub struct UbSnapshot {
+    bounds: Vec<u64>,
+    total: u64,
+}
+
+impl UbSnapshot {
+    /// The (scaled) bound of term i.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        self.bounds[i]
+    }
+
+    /// Σᵢ of the (scaled) bounds.
+    #[inline]
+    pub fn total(&self) -> u64 {
+        self.total
+    }
 }
 
 #[cfg(test)]
@@ -175,8 +206,6 @@ mod tests {
         assert_eq!(d.score(0), 11);
         assert_eq!(d.score(1), 0);
         assert_eq!(d.current_sum(), 52);
-        d.set_lb(52);
-        assert_eq!(d.lb(), 52);
     }
 
     #[test]

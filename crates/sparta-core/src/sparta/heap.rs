@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A heap's view of its document records. The heap only needs four
+/// A heap's view of its document records. The heap only needs two
 /// operations on a record, so it is generic over *where* records live:
 /// refcounted `Arc<DocType>` ([`ArcDocs`], the baseline algorithms) or
 /// inline slab records addressed by `Copy` handles (`Arc<DocSlab>`,
@@ -32,12 +32,6 @@ pub trait DocStore {
 
     /// Σ of the known term scores (the record's lower bound, fresh).
     fn sum_of(&self, h: &Self::Handle) -> u64;
-
-    /// The lazily cached LB (valid under the heap lock).
-    fn lb_of(&self, h: &Self::Handle) -> u64;
-
-    /// Stores the recomputed LB (heap lock held).
-    fn set_lb_of(&self, h: &Self::Handle, lb: u64);
 }
 
 /// [`DocStore`] over free-standing refcounted records — the handle
@@ -57,16 +51,6 @@ impl DocStore for ArcDocs {
     fn sum_of(&self, h: &Arc<DocType>) -> u64 {
         h.current_sum()
     }
-
-    #[inline]
-    fn lb_of(&self, h: &Arc<DocType>) -> u64 {
-        h.lb()
-    }
-
-    #[inline]
-    fn set_lb_of(&self, h: &Arc<DocType>, lb: u64) {
-        h.set_lb(lb);
-    }
 }
 
 impl DocStore for Arc<DocSlab> {
@@ -74,27 +58,27 @@ impl DocStore for Arc<DocSlab> {
 
     #[inline]
     fn doc_id_of(&self, h: &DocHandle) -> DocId {
-        self.id(*h)
+        self.record(*h).id()
     }
 
     #[inline]
     fn sum_of(&self, h: &DocHandle) -> u64 {
-        DocSlab::current_sum(self, *h)
-    }
-
-    #[inline]
-    fn lb_of(&self, h: &DocHandle) -> u64 {
-        DocSlab::lb(self, *h)
-    }
-
-    #[inline]
-    fn set_lb_of(&self, h: &DocHandle, lb: u64) {
-        DocSlab::set_lb(self, *h, lb);
+        self.record(*h).current_sum()
     }
 }
 
+/// One heap member. The lazily refreshed `lb` is only ever read or
+/// written under the heap lock, so it lives here — in the lock's own
+/// data — rather than as an atomic word in every candidate record; the
+/// id rides along so ranking members never dereferences a record.
+struct Entry<H> {
+    handle: H,
+    doc: DocId,
+    lb: u64,
+}
+
 struct Inner<H> {
-    docs: Vec<H>,
+    docs: Vec<Entry<H>>,
     members: FastHashSet<DocId>,
 }
 
@@ -165,53 +149,66 @@ impl<S: DocStore> SpartaHeap<S> {
     /// `D.current_sum() > theta()` (line 23).
     pub fn update(&self, d: &S::Handle, trace: &TraceSink) -> bool {
         let id = self.store.doc_id_of(d);
-        let mut inner = self.inner.lock();
-        if inner.members.contains(&id) {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if !inner.members.insert(id) {
             // Line 28: only documents not already present are
             // (re)inserted; members' LBs refresh on the next insert.
             return false;
         }
-        inner.members.insert(id);
-        inner.docs.push(d.clone());
-        // Lines 30–32: lazily refresh every member's LB under the lock.
-        for doc in &inner.docs {
-            self.store.set_lb_of(doc, self.store.sum_of(doc));
+        inner.docs.push(Entry {
+            handle: d.clone(),
+            doc: id,
+            lb: 0,
+        });
+        // Lines 30–36 in one pass under the lock: lazily refresh every
+        // member's LB while tracking the two smallest `(lb, doc)` keys
+        // — the smallest is the eviction victim if the heap overflowed,
+        // and whichever of the two is the minimum of what remains is
+        // the new Θ.
+        const NONE: (u64, DocId, usize) = (u64::MAX, DocId::MAX, usize::MAX);
+        let (mut min, mut second) = (NONE, NONE);
+        for (idx, e) in inner.docs.iter_mut().enumerate() {
+            e.lb = self.store.sum_of(&e.handle);
+            let key = (e.lb, e.doc, idx);
+            if key < min {
+                second = min;
+                min = key;
+            } else if key < second {
+                second = key;
+            }
         }
-        // Lines 33–34: evict the lowest-scored doc beyond capacity.
+        let lb = inner.docs.last().expect("just pushed").lb;
         if inner.docs.len() > self.k {
-            let (mi, _) = inner
-                .docs
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, doc)| (self.store.lb_of(doc), self.store.doc_id_of(doc)))
-                .expect("non-empty");
-            let evicted = inner.docs.swap_remove(mi);
-            let eid = self.store.doc_id_of(&evicted);
-            inner.members.remove(&eid);
+            // Lines 33–34: evict the lowest-scored doc beyond capacity.
+            let evicted = inner.docs.swap_remove(min.2);
+            inner.members.remove(&evicted.doc);
+            min = second;
         }
         // Lines 35–36: Θ becomes the k-th lowest LB once full.
         if inner.docs.len() == self.k {
-            let min = inner
-                .docs
-                .iter()
-                .map(|doc| self.store.lb_of(doc))
-                .min()
-                .unwrap_or(0);
-            self.theta.store(min, Ordering::Release);
+            self.theta.store(min.0, Ordering::Release);
         }
         self.len.store(inner.docs.len(), Ordering::Release);
-        drop(inner);
+        drop(guard);
         // Line 37: heapUpdTime ← current time.
         self.upd_nanos
             .store(self.start.elapsed().as_nanos() as u64, Ordering::Release);
         self.updates.fetch_add(1, Ordering::Relaxed);
-        trace.record(id, self.store.lb_of(d));
+        trace.record(id, lb);
         true
     }
 
     /// Whether `doc` is currently in the heap.
     pub fn contains(&self, doc: DocId) -> bool {
         self.inner.lock().members.contains(&doc)
+    }
+
+    /// `doc`'s lazily cached LB as of the last insert, if a member.
+    #[cfg(test)]
+    fn cached_lb(&self, doc: DocId) -> Option<u64> {
+        let inner = self.inner.lock();
+        inner.docs.iter().find(|e| e.doc == doc).map(|e| e.lb)
     }
 
     /// Snapshot of the member ids (one lock acquisition; used by the
@@ -238,9 +235,9 @@ impl<S: DocStore> SpartaHeap<S> {
         let mut hits: Vec<SearchHit> = inner
             .docs
             .iter()
-            .map(|d| SearchHit {
-                doc: self.store.doc_id_of(d),
-                score: self.store.sum_of(d),
+            .map(|e| SearchHit {
+                doc: e.doc,
+                score: self.store.sum_of(&e.handle),
             })
             .collect();
         drop(inner);
@@ -300,7 +297,7 @@ mod tests {
         d1.set_score(1, 100);
         // …but Θ/LB only refresh on the next insert (lazy).
         h.update(&doc(2, 2, &[(0, 5)]), &t);
-        assert_eq!(d1.lb(), 110, "refreshed under the lock");
+        assert_eq!(h.cached_lb(1), Some(110), "refreshed under the lock");
         assert_eq!(h.theta(), 5);
         // A third doc must evict doc 2, not the improved doc 1.
         h.update(&doc(3, 2, &[(0, 50)]), &t);

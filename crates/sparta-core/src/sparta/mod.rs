@@ -18,6 +18,13 @@
 //!    term's score into a thread-local `termMap` that fits in cache,
 //!    eliminating shared-map reads entirely.
 //!
+//! The shared candidate state is built around the cache line
+//! (DESIGN.md §10): 24-byte `⟨id, sum, known-mask⟩` records in a
+//! per-query [`DocSlab`], and a `docMap` that is an insert-only
+//! lock-free [`DocTable`] — lookups are plain loads, admission is one
+//! compare-and-swap, and removal never happens in place because the
+//! cleaner publishes a rebuilt map instead.
+//!
 //! Deviation from the pseudocode, documented: Algorithm 1's *main
 //! thread* waits for `UBStop` and then enqueues CLEANER (lines 4–5).
 //! We have no dedicated main thread per query (the same code must run
@@ -32,15 +39,17 @@ pub mod doc_slab;
 pub mod doc_type;
 pub mod heap;
 
-pub use doc_slab::{DocHandle, DocSlab};
-pub use doc_type::{DocType, SharedUb};
+pub use doc_slab::{DocHandle, DocSlab, SlabRun};
+pub use doc_type::{DocType, SharedUb, UbSnapshot};
 pub use heap::{ArcDocs, DocStore, SpartaHeap};
 
 use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{FastBuildHasher, FastHashMap, ShardedCounter, StripedMap, SwapCell};
+use sparta_collections::{
+    DocTable, FastBuildHasher, FastHashMap, Lookup, ShardedCounter, SwapCell,
+};
 use sparta_corpus::types::{DocId, Query, TermId};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
@@ -69,8 +78,11 @@ struct State {
     /// refer into it by [`DocHandle`]. Dropped wholesale with the query.
     slab: Arc<DocSlab>,
     heap: SpartaHeap<Arc<DocSlab>>,
-    doc_map: SwapCell<StripedMap<DocId, DocHandle>>,
+    doc_map: SwapCell<DocMap>,
     done: AtomicBool,
+    /// An admission found `doc_map` full: this run is abandoned and
+    /// the query starts over with a bigger table.
+    docmap_full: AtomicBool,
     cleaner_scheduled: AtomicBool,
     debug_cleaner: bool,
     trace: TraceSink,
@@ -81,16 +93,62 @@ struct State {
     timeout_stops: AtomicU64,
 }
 
+/// One published version of `docMap`: the lookup table plus, for a
+/// version the cleaner built, its entries as a dense list.
+struct DocMap {
+    table: DocTable,
+    /// The handles in `table`, in the order the cleaner kept them —
+    /// what the next pass and `termMap` construction walk, so neither
+    /// scans a sparse slot array. `None` for the query's first map,
+    /// which workers are still admitting into: its entries are the
+    /// slab's scored records.
+    live: Option<Box<[DocHandle]>>,
+}
+
+impl DocMap {
+    /// The growing-phase map, sized once for every document the query
+    /// could possibly admit.
+    fn open(max_docs: usize) -> Self {
+        Self {
+            table: DocTable::with_capacity(max_docs),
+            live: None,
+        }
+    }
+
+    /// A pruned replacement holding exactly `live`, built privately.
+    fn rebuilt(slab: &DocSlab, live: Vec<DocHandle>) -> Self {
+        let entries = live.iter().map(|&h| (slab.record(h).id(), h.index()));
+        Self {
+            table: DocTable::from_entries(entries),
+            live: Some(live.into_boxed_slice()),
+        }
+    }
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Visits every entry, sequentially in memory order.
+    fn for_each(&self, slab: &DocSlab, mut f: impl FnMut(DocHandle, doc_slab::Record<'_>)) {
+        match &self.live {
+            Some(live) => live.iter().for_each(|&h| f(h, slab.record(h))),
+            None => slab.for_each_scored(f),
+        }
+    }
+}
+
 impl State {
-    fn new(m: usize, cfg: SearchConfig) -> Self {
+    fn new(m: usize, max_docs: usize, cfg: SearchConfig) -> Self {
         let slab = Arc::new(DocSlab::new(m));
         Self {
             cfg,
             ub: SharedUb::new(m),
             heap: SpartaHeap::with_store(Arc::clone(&slab), cfg.k),
             slab,
-            doc_map: SwapCell::new(StripedMap::new()),
+            doc_map: SwapCell::new(DocMap::open(max_docs)),
             done: AtomicBool::new(false),
+            docmap_full: AtomicBool::new(false),
             cleaner_scheduled: AtomicBool::new(false),
             debug_cleaner: debug_cleaner_enabled(),
             trace: TraceSink::with_clock(cfg.trace, cfg.clock),
@@ -119,6 +177,7 @@ impl State {
             queue.push(Job::cyclic(CleanerJob {
                 state: Arc::clone(self),
                 queue: Arc::clone(queue),
+                bounds: UbSnapshot::default(),
             }));
         }
     }
@@ -142,6 +201,8 @@ struct SegmentJob {
     i: usize,
     cursor: Box<dyn ScoreCursor>,
     term_map: Option<TermMap>,
+    /// Slab record indices reserved for this list's admissions.
+    run: SlabRun,
 }
 
 impl CyclicJob for SegmentJob {
@@ -152,58 +213,85 @@ impl CyclicJob for SegmentJob {
             return false;
         }
         let seg_span = state.spans.span(Phase::TermProcess);
+        // One snapshot per segment, taken *before* UBStop is evaluated:
+        // a worker that then still sees UBStop false holds the query's
+        // first map (the cleaner, which alone replaces it, is only
+        // scheduled once UBStop holds), so admissions never target a
+        // rebuilt map. After UBStop a stale snapshot can only contain
+        // already-dead entries, so updating through it is harmless.
+        let map = state.doc_map.load();
+        // UBStop is Σ UB[i] ≤ Θ: m + 1 shared loads, so it is evaluated
+        // here and again only after this worker's own successful heap
+        // update — the one event inside a segment that moves it (UB[i]
+        // is published at segment end). It is monotone, so a stale
+        // `false` merely admits a candidate that is dead on arrival.
+        let mut ub_stop = state.ub_stop();
         // Lines 9–12: once the shrinking docMap is small, build the
         // local replica of the entries still missing this term's score.
-        if self.term_map.is_none() && state.ub_stop() {
-            let map = state.doc_map.load();
-            if map.len() < state.cfg.phi {
-                let mut local = TermMap::with_capacity_and_hasher(map.len(), FastBuildHasher);
-                map.for_each(|id, h| {
-                    if state.slab.score(*h, i) == 0 {
-                        local.insert(*id, *h);
-                    }
-                });
-                self.term_map = Some(local);
-            }
+        if self.term_map.is_none() && ub_stop && map.len() < state.cfg.phi {
+            let mut local = TermMap::with_capacity_and_hasher(map.len(), FastBuildHasher);
+            map.for_each(&state.slab, |h, rec| {
+                if !rec.knows(i) {
+                    local.insert(rec.id(), h);
+                }
+            });
+            self.term_map = Some(local);
         }
-        // Workers not yet on a local map take one snapshot per segment;
-        // before UBStop the map is never swapped (single instance), and
-        // after UBStop a stale snapshot can only contain already-dead
-        // entries, so updating through it is harmless.
-        let snapshot = if self.term_map.is_none() {
-            Some(state.doc_map.load())
-        } else {
-            None
-        };
 
         let mut last_score: Option<u32> = None;
         let mut exhausted = false;
+        let mut aborted = false;
+        // Counted locally and flushed once per segment: a shared RMW
+        // per posting is a cache-line transfer per posting.
+        let mut scanned = 0u64;
+        let mut admitted = 0usize;
         for _ in 0..state.cfg.seg_size {
             if state.is_done() {
-                return false; // line 14
+                aborted = true; // line 14
+                break;
             }
             let Some(p) = self.cursor.next() else {
                 exhausted = true;
                 break;
             };
-            state.postings.incr();
+            scanned += 1;
             last_score = Some(p.score);
             // Lines 16–21: locate (or admit) the document's record.
-            // Admission is a slab bump: the record lives inline in the
-            // arena and the map stores the 4-byte handle.
-            let d = match (&self.term_map, &snapshot) {
-                (Some(local), _) => local.get(&p.doc).copied(),
-                (None, Some(map)) => {
-                    map.get_or_try_insert_with(p.doc, !state.ub_stop(), || state.slab.alloc(p.doc))
+            // Admission stages the next record of this job's reserved
+            // run and claims the docMap slot with one CAS; a lost race
+            // adopts the winner's record and re-stages next time.
+            let d = match &self.term_map {
+                Some(local) => local.get(&p.doc).copied(),
+                None => {
+                    let make = || state.slab.stage(&mut self.run, p.doc).index();
+                    match map.table.get_or_try_insert_with(p.doc, !ub_stop, make) {
+                        Lookup::Found(h) => Some(DocHandle::from_index(h)),
+                        Lookup::Inserted(h) => {
+                            self.run.commit();
+                            admitted += 1;
+                            Some(DocHandle::from_index(h))
+                        }
+                        Lookup::Absent => None,
+                        Lookup::Full => {
+                            state.docmap_full.store(true, Ordering::Relaxed);
+                            state.done.store(true, Ordering::Release);
+                            aborted = true;
+                            break;
+                        }
+                    }
                 }
-                _ => unreachable!("exactly one of term_map/snapshot is set"),
             };
             if let Some(h) = d {
-                state.slab.set_score(h, i, p.score); // line 22
-                if state.slab.current_sum(h) > state.heap.theta() {
-                    state.heap.update(&h, &state.trace); // line 23
+                let sum = state.slab.record(h).set_score(i, p.score); // line 22
+                if sum > state.heap.theta() && state.heap.update(&h, &state.trace) {
+                    ub_stop = state.ub_stop(); // line 23 moved Θ
                 }
             }
+        }
+        state.postings.add(scanned);
+        map.table.add_len(admitted);
+        if aborted {
+            return false;
         }
         // Line 24: publish the term's upper bound once per segment.
         if let Some(s) = last_score {
@@ -232,6 +320,8 @@ impl CyclicJob for SegmentJob {
 struct CleanerJob {
     state: Arc<State>,
     queue: Arc<JobQueue>,
+    /// This pass's private copy of `UB[m]`; the buffer is reused.
+    bounds: UbSnapshot,
 }
 
 impl CyclicJob for CleanerJob {
@@ -245,17 +335,27 @@ impl CyclicJob for CleanerJob {
         let cur = state.doc_map.load();
         let theta = state.heap.theta();
         let members = state.heap.members_snapshot();
+        // With the probabilistic extension (γ < 1), "upper bound"
+        // becomes the γ-scaled estimate — candidates merely *unlikely*
+        // to reach Θ are dropped too.
+        let gamma = state.cfg.prune_gamma.unwrap_or(1.0);
+        state.ub.snapshot_into(gamma, &mut self.bounds);
         state
             .docmap_peak
             .fetch_max(cur.len() as u64, Ordering::Relaxed);
-        // Lines 41–45: rebuild into tmpDocMap, keeping entries whose
-        // upper bound still exceeds Θ, plus all heap members (whose
-        // bounds may equal Θ), then swing the global pointer. With the
-        // probabilistic extension (γ < 1), "upper bound" becomes the
-        // γ-scaled estimate — candidates merely *unlikely* to reach Θ
-        // are dropped too. Pruning removes only the handle; the record
-        // stays in the slab until the query drops (no per-record free).
-        //
+        // Lines 41–45: keep the entries whose upper bound still exceeds
+        // Θ, plus all heap members (whose bounds may equal Θ), then
+        // swing the global pointer to a map rebuilt from the survivors.
+        // Pass 1 walks the slab's scored records, every later pass the
+        // previous pass's survivors — both sequential. Membership is a
+        // lookup only on the prune branch. Pruning removes only the
+        // handle; the record stays in the slab until the query drops.
+        let mut survivors = Vec::with_capacity(cur.len());
+        cur.for_each(&state.slab, |h, rec| {
+            if rec.ub(&self.bounds) > theta || members.contains(&rec.id()) {
+                survivors.push(h);
+            }
+        });
         // `stragglers` counts retained non-members: the pseudocode's
         // `|docMap| = |docHeap|` stopping test assumes docHeap ⊆ docMap
         // and is exactly `stragglers == 0` then. We check stragglers
@@ -263,20 +363,17 @@ impl CyclicJob for CleanerJob {
         // re-grow and re-enter the heap through a worker's termMap,
         // breaking the ⊆ invariant (a size-equality check would then
         // never fire and the query would degrade to a full scan).
-        let gamma = state.cfg.prune_gamma.unwrap_or(1.0);
-        let tmp: StripedMap<DocId, DocHandle> = StripedMap::new();
-        let mut stragglers = 0usize;
-        cur.for_each(|id, h| {
-            let member = members.contains(id);
-            if member || state.slab.ub_scaled(*h, &state.ub, gamma) > theta {
-                if !member {
-                    stragglers += 1;
-                }
-                tmp.insert(*id, *h);
-            }
-        });
-        if tmp.len() < cur.len() {
-            state.doc_map.swap(Arc::new(tmp));
+        // Every member found in the map survived, so the non-members
+        // are the rest.
+        let members_in_map = members
+            .iter()
+            .filter(|&&d| cur.table.get(d).is_some())
+            .count();
+        let stragglers = survivors.len() - members_in_map;
+        if survivors.len() < cur.len() {
+            state
+                .doc_map
+                .swap(Arc::new(DocMap::rebuilt(&state.slab, survivors)));
         }
         // Line 46: stopping conditions — Eq. 2 (no candidate outside
         // the heap can still qualify), or the Δ timeout (exact: Δ = ∞).
@@ -340,22 +437,41 @@ impl Algorithm for Sparta {
                 spans: cfg.spans.then(Vec::new),
             };
         }
-        let state = Arc::new(State::new(m, *cfg));
-        let queue = JobQueue::tagged(cfg.query_tag);
-        {
-            let _plan = state.spans.span(Phase::Plan);
-            for (i, &t) in query.terms.iter().enumerate() {
-                let cursor = open_cursor(index, t);
-                queue.push(Job::cyclic(SegmentJob {
-                    state: Arc::clone(&state),
-                    queue: Arc::clone(&queue),
-                    i,
-                    cursor,
-                    term_map: None,
-                }));
+        // docMap is sized once: a query can admit no more documents
+        // than its posting lists hold, nor more than the corpus has.
+        // `num_docs` is only what the index declares, though; should an
+        // admission find the table full, the run is abandoned and the
+        // query starts over sized from the list lengths alone (doubling
+        // from there, should those be wrong as well).
+        let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
+        let mut max_docs = postings.min(index.num_docs());
+        let (state, queue) = loop {
+            let state = Arc::new(State::new(
+                m,
+                max_docs.min(u64::from(u32::MAX)) as usize,
+                *cfg,
+            ));
+            let queue = JobQueue::tagged(cfg.query_tag);
+            {
+                let _plan = state.spans.span(Phase::Plan);
+                for (i, &t) in query.terms.iter().enumerate() {
+                    let cursor = open_cursor(index, t);
+                    queue.push(Job::cyclic(SegmentJob {
+                        state: Arc::clone(&state),
+                        queue: Arc::clone(&queue),
+                        i,
+                        cursor,
+                        term_map: None,
+                        run: SlabRun::default(),
+                    }));
+                }
             }
-        }
-        exec.run(Arc::clone(&queue));
+            exec.run(Arc::clone(&queue));
+            if !state.docmap_full.load(Ordering::Relaxed) {
+                break (state, queue);
+            }
+            max_docs = max_docs.saturating_mul(2).max(postings);
+        };
 
         let merge = state.spans.span(Phase::HeapMerge);
         let mut hits = state.heap.sorted_hits();
@@ -459,6 +575,77 @@ mod tests {
     #[test]
     fn exact_many_terms() {
         check_exact(1500, 8, 20, 8, 4);
+    }
+
+    /// m = 70 needs two known-mask words per record; the same path
+    /// handles it (no arity limit, no fallback layout).
+    #[test]
+    fn exact_wide_query_uses_two_mask_words() {
+        for threads in [1, 3] {
+            check_exact(400, 70, 10, threads, 5);
+        }
+    }
+
+    /// Doc ids 0 and `u32::MAX` share a docMap slot word's extremes
+    /// (`doc << 32 | handle + 1`) with ordinary ids.
+    #[test]
+    fn exact_with_extreme_doc_ids() {
+        // (doc, per-list base score): both extremes rank in the top 3.
+        // The oracle's accumulator is dense in doc id, so the expected
+        // ranking is stated by hand.
+        let docs = [
+            (0u32, 50u32),
+            (1, 10),
+            (77, 20),
+            (u32::MAX - 1, 30),
+            (u32::MAX, 40),
+        ];
+        let lists: Vec<Vec<Posting>> = (0..3u32)
+            .map(|t| docs.iter().map(|&(d, s)| Posting::new(d, s + t)).collect())
+            .collect();
+        let want = vec![0, u32::MAX, u32::MAX - 1];
+        let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(lists, 1 << 32));
+        let q = Query::new(vec![0, 1, 2]);
+        for threads in [1, 2] {
+            let cfg = SearchConfig::exact(3).with_seg_size(2);
+            let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+            assert_eq!(r.docs(), want, "t={threads}");
+        }
+    }
+
+    /// `num_docs` is whatever the index was told. Declared far below
+    /// the distinct documents the lists hold, it under-sizes `docMap`;
+    /// the query must notice, start over, and still be exact.
+    #[test]
+    fn exact_when_num_docs_is_under_declared() {
+        let lists = |t: u32| -> Vec<Posting> {
+            (0..1000u32)
+                .map(|d| Posting::new(d, (d * 7 + t * 13) % 501 + 1))
+                .collect()
+        };
+        let build = |num_docs| -> Arc<dyn Index> {
+            Arc::new(InMemoryIndex::from_term_postings(
+                vec![lists(0), lists(1)],
+                num_docs,
+            ))
+        };
+        let q = Query::new(vec![0, 1]);
+        let honest = build(1000);
+        let want = Oracle::compute(honest.as_ref(), &q, 5);
+        let lying = build(4);
+        let cfg = SearchConfig::exact(5).with_seg_size(64);
+        for threads in [1, 3] {
+            let r = Sparta.search(&lying, &q, &cfg, &DedicatedExecutor::new(threads));
+            assert_eq!(want.recall(&r.docs()), 1.0, "t={threads}: {:?}", r.docs());
+            assert_eq!(r.work.jobs_panicked, 0, "t={threads}");
+        }
+        // The abandoned run leaves no trace in the reported work (one
+        // thread: the schedule, hence the work, is deterministic).
+        let one = DedicatedExecutor::new(1);
+        assert_eq!(
+            Sparta.search(&lying, &q, &cfg, &one).work,
+            Sparta.search(&honest, &q, &cfg, &one).work
+        );
     }
 
     #[test]

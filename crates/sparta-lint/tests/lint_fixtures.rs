@@ -103,7 +103,14 @@ fn bad_alloc_fires_on_record_path_only() {
     // annotated construction site stays silent.
     let rules = rules_for("bad_alloc_recorder.rs", "crates/sparta-obs/src/ring.rs");
     assert_eq!(rules, ["alloc"]);
-    // Outside the recorder's record path the alloc ban does not apply.
+    // Sparta's docMap table is under the same ban: lookups and claims
+    // run per posting, only the constructor may allocate.
+    let rules = rules_for(
+        "bad_alloc_recorder.rs",
+        "crates/sparta-collections/src/doc_table.rs",
+    );
+    assert_eq!(rules, ["alloc"]);
+    // Outside the banned paths the alloc rule does not apply.
     let rules = rules_for("bad_alloc_recorder.rs", CORE_MOD);
     assert!(rules.is_empty(), "unexpected: {rules:?}");
 }

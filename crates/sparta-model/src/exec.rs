@@ -45,6 +45,17 @@ pub(crate) enum Op {
         operand: u64,
         ord: MemOrder,
     },
+    /// Strong compare-and-swap. Success is an RMW of the latest
+    /// message (ordering `success`); failure is a *load* (ordering
+    /// `failure`) of any readable message whose value differs from
+    /// `expected` — C11 lets a failing CAS observe a stale value.
+    Cas {
+        loc: usize,
+        expected: u64,
+        new: u64,
+        success: MemOrder,
+        failure: MemOrder,
+    },
     Fence {
         ord: MemOrder,
     },
@@ -67,6 +78,7 @@ pub(crate) enum Op {
 pub(crate) enum RmwKind {
     Add,
     Sub,
+    Or,
     Swap,
 }
 
@@ -183,6 +195,11 @@ impl ExecSt {
                             out.push(Choice { tid, cand });
                         }
                     }
+                    Op::Cas { loc, expected, .. } => {
+                        for cand in 0..self.cas_outcomes(tid, loc, expected).len() {
+                            out.push(Choice { tid, cand });
+                        }
+                    }
                     Op::Lock { m } => {
                         if self.mutexes[m].holder.is_none() {
                             out.push(Choice { tid, cand: 0 });
@@ -197,6 +214,25 @@ impl ExecSt {
                 }
                 Status::Running | Status::Parked { .. } | Status::Finished => {}
             }
+        }
+        out
+    }
+
+    /// The outcomes a CAS by `tid` may take, in candidate order: every
+    /// readable message with a value other than `expected` (a failing
+    /// load of that message), then — if the latest message holds
+    /// `expected` — success (`None`).
+    fn cas_outcomes(&self, tid: usize, loc: usize, expected: u64) -> Vec<Option<usize>> {
+        let l = &self.locs[loc];
+        let mut out: Vec<Option<usize>> = self.threads[tid]
+            .mem
+            .readable(l, loc)
+            .into_iter()
+            .filter(|&k| l.hist[k].val != expected)
+            .map(Some)
+            .collect();
+        if l.latest().val == expected {
+            out.push(None);
         }
         out
     }
@@ -233,9 +269,27 @@ impl ExecSt {
                 let old = t.mem.rmw(&mut self.locs[loc], loc, ord, |v| match kind {
                     RmwKind::Add => v.wrapping_add(operand),
                     RmwKind::Sub => v.wrapping_sub(operand),
+                    RmwKind::Or => v | operand,
                     RmwKind::Swap => operand,
                 });
                 self.grant(tid, old);
+            }
+            Op::Cas {
+                loc,
+                expected,
+                new,
+                success,
+                failure,
+            } => {
+                // The observed value tells the caller which way it
+                // went: it equals `expected` exactly on success.
+                let seen = match self.cas_outcomes(tid, loc, expected)[c.cand] {
+                    Some(k) => self.threads[tid].mem.load(&self.locs[loc], loc, k, failure),
+                    None => self.threads[tid]
+                        .mem
+                        .rmw(&mut self.locs[loc], loc, success, |_| new),
+                };
+                self.grant(tid, seen);
             }
             Op::Fence { ord } => {
                 self.threads[tid].mem.fence(ord);

@@ -162,6 +162,34 @@ mod litmus {
         );
     }
 
+    /// Compare-and-swap: of two racing claims exactly one succeeds,
+    /// and the loser's failure value is the winner's.
+    #[test]
+    fn cas_has_exactly_one_winner() {
+        let mut m = Model::new("litmus_cas");
+        let x = m.atomic_u64("x", 0);
+        for (name, mine) in [("a", 1u64), ("b", 2u64)] {
+            m.thread(name, move |t| {
+                match x.compare_exchange(t, 0, mine, MemOrder::AcqRel, MemOrder::Acquire) {
+                    Ok(old) => t.observe("winner_replaced", old),
+                    Err(seen) => t.observe("loser_saw", seen),
+                }
+            });
+        }
+        m.invariant(move |leaf| {
+            if leaf.observed("winner_replaced") != [0] {
+                return Err("not exactly one CAS winner".to_string());
+            }
+            if leaf.observed("loser_saw") != [leaf.value(x)] {
+                return Err("loser did not observe the winner's value".to_string());
+            }
+            Ok(())
+        });
+        let report = m.check();
+        report.assert_clean();
+        assert_eq!(report.executions, 2, "either claim may land first");
+    }
+
     /// A thread that parks with nobody left to notify is a wedge, and
     /// wedges are violations (this is the lost-wakeup detector).
     #[test]

@@ -66,8 +66,41 @@ impl ModelAtomicU64 {
         self.rmw(t, RmwKind::Sub, operand, ord)
     }
 
+    pub fn fetch_or(&self, t: &ThreadCtx, operand: u64, ord: MemOrder) -> u64 {
+        self.rmw(t, RmwKind::Or, operand, ord)
+    }
+
     pub fn swap(&self, t: &ThreadCtx, val: u64, ord: MemOrder) -> u64 {
         self.rmw(t, RmwKind::Swap, val, ord)
+    }
+
+    /// Strong compare-and-swap with `std`'s result shape: `Ok(old)` if
+    /// the latest value was `expected` (now `new`), else `Err(seen)`
+    /// where `seen` may be any value the memory model lets a load
+    /// observe.
+    pub fn compare_exchange(
+        &self,
+        t: &ThreadCtx,
+        expected: u64,
+        new: u64,
+        success: MemOrder,
+        failure: MemOrder,
+    ) -> Result<u64, u64> {
+        let seen = t.exec.visible(
+            t.tid,
+            Op::Cas {
+                loc: self.loc,
+                expected,
+                new,
+                success,
+                failure,
+            },
+        );
+        if seen == expected {
+            Ok(seen)
+        } else {
+            Err(seen)
+        }
     }
 
     fn rmw(&self, t: &ThreadCtx, kind: RmwKind, operand: u64, ord: MemOrder) -> u64 {

@@ -14,6 +14,8 @@ use crate::Model;
 
 pub mod admission;
 pub mod doc_slab;
+pub mod doc_table;
+pub mod doc_type;
 pub mod job_queue;
 pub mod seqlock;
 pub mod server_flags;
@@ -40,6 +42,8 @@ pub fn all_shipped() -> Vec<Model> {
         job_queue::model(job_queue::Variant::LockBridge, Mutation::None),
         seqlock::model(Mutation::None),
         doc_slab::model(Mutation::None),
+        doc_table::model(Mutation::None),
+        doc_type::model(Mutation::None),
         admission::model(Mutation::None),
         server_flags::model(Mutation::None),
         tag_alloc::model(tag_alloc::Rmw::Atomic),

@@ -7,7 +7,7 @@
 //! of it would be theater.
 
 use sparta_model::protocols::{
-    admission, doc_slab, job_queue, seqlock, server_flags, tag_alloc, Mutation,
+    admission, doc_slab, doc_table, doc_type, job_queue, seqlock, server_flags, tag_alloc, Mutation,
 };
 use sparta_model::Model;
 
@@ -67,7 +67,7 @@ fn seqlock_release_publish_dropped_is_caught() {
 }
 
 #[test]
-fn doc_slab_acquire_sum_load_flipped_to_relaxed_is_caught() {
+fn doc_slab_acquire_mask_load_flipped_to_relaxed_is_caught() {
     assert_caught(
         "doc_slab/acquire",
         &doc_slab::model(Mutation::AcquireToRelaxed),
@@ -75,10 +75,42 @@ fn doc_slab_acquire_sum_load_flipped_to_relaxed_is_caught() {
 }
 
 #[test]
-fn doc_slab_release_half_of_fetch_add_dropped_is_caught() {
+fn doc_slab_release_half_of_fetch_or_dropped_is_caught() {
     assert_caught(
         "doc_slab/release",
         &doc_slab::model(Mutation::ReleaseToRelaxed),
+    );
+}
+
+#[test]
+fn doc_table_acquire_slot_load_flipped_to_relaxed_is_caught() {
+    assert_caught(
+        "doc_table/acquire",
+        &doc_table::model(Mutation::AcquireToRelaxed),
+    );
+}
+
+#[test]
+fn doc_table_release_half_of_claim_cas_dropped_is_caught() {
+    assert_caught(
+        "doc_table/release",
+        &doc_table::model(Mutation::ReleaseToRelaxed),
+    );
+}
+
+#[test]
+fn doc_type_acquire_sum_load_flipped_to_relaxed_is_caught() {
+    assert_caught(
+        "doc_type/acquire",
+        &doc_type::model(Mutation::AcquireToRelaxed),
+    );
+}
+
+#[test]
+fn doc_type_release_half_of_fetch_add_dropped_is_caught() {
+    assert_caught(
+        "doc_type/release",
+        &doc_type::model(Mutation::ReleaseToRelaxed),
     );
 }
 

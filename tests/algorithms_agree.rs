@@ -202,13 +202,32 @@ fn sparta_early_stops_on_skewed_lists() {
     let cfg = SearchConfig::exact(k as usize)
         .with_seg_size(512)
         .with_phi(4096);
-    let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(3));
     let total = 3 * u64::from(n);
-    assert!(
-        r.work.postings_scanned < total / 4,
-        "Sparta scanned {} of {total}",
-        r.work.postings_scanned
-    );
     let oracle = Oracle::compute(ix.as_ref(), &q, k as usize);
-    assert_eq!(oracle.recall(&r.docs()), 1.0);
+    // Real threads. Between UBStop and the cleaner's verdict the other
+    // workers keep scanning, so a cleaner thread the OS preempts (three
+    // workers, often on two cores) lets them run the lists dry: one
+    // run's count can measure the scheduler rather than Sparta. Every
+    // attempt must be exact; the early stop must show within a few.
+    let mut best = u64::MAX;
+    for _ in 0..8 {
+        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(3));
+        assert_eq!(oracle.recall(&r.docs()), 1.0);
+        best = best.min(r.work.postings_scanned);
+        if best < total / 4 {
+            break;
+        }
+    }
+    assert!(best < total / 4, "Sparta scanned {best} of {total}");
+    // The same bound on every explored deterministic schedule, where a
+    // failure replays from its seed.
+    sparta_testkit::sweep_schedules(8, |seed, exec| {
+        let r = Sparta.search(&ix, &q, &cfg, exec);
+        assert!(
+            r.work.postings_scanned < total / 4,
+            "seed {seed}: Sparta scanned {} of {total}",
+            r.work.postings_scanned
+        );
+        assert_eq!(oracle.recall(&r.docs()), 1.0, "seed {seed}");
+    });
 }

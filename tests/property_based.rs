@@ -6,7 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sparta::collections::{BoundedTopK, MutableTopK, StripedMap};
+use sparta::collections::{BoundedTopK, DocTable, Lookup, MutableTopK, StripedMap};
 use sparta::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,6 +46,54 @@ proptest! {
                 oracle.topk()
             );
             prop_assert_eq!(r.hits.len(), oracle.topk().len(), "{}", algo.name());
+        }
+    }
+
+    #[test]
+    fn doc_table_models_insert_only_hashmap(
+        ops in vec((0u8..3, 0usize..48, 0u32..1000), 0..300),
+        cap in 1usize..40,
+    ) {
+        // Keys include both ends of the id space and values both ends
+        // of the handle space (`u32::MAX` is not a handle: the slot
+        // stores handle + 1). The table is sized for `cap` distinct
+        // keys and driven exactly to that load, never past it.
+        let key = |i: usize| match i {
+            0 => 0,
+            1 => u32::MAX,
+            _ => (i as u32).wrapping_mul(2654435761),
+        };
+        let table = DocTable::with_capacity(cap);
+        let mut model: HashMap<u32, u32> = HashMap::new();
+        for (op, i, v) in ops {
+            let k = key(i % (cap + 8));
+            let v = if v == 999 { u32::MAX - 1 } else { v };
+            let allow = op != 0 && (model.len() < cap || model.contains_key(&k));
+            let mut made = false;
+            let got = table.get_or_try_insert_with(k, allow, || {
+                made = true;
+                v
+            });
+            let want = match model.get(&k) {
+                Some(&w) => Lookup::Found(w),
+                None if allow => {
+                    model.insert(k, v);
+                    Lookup::Inserted(v)
+                }
+                None => Lookup::Absent,
+            };
+            prop_assert_eq!(got, want);
+            // The factory runs exactly when a value is inserted.
+            prop_assert_eq!(made, matches!(got, Lookup::Inserted(_)));
+            prop_assert_eq!(table.get(k), model.get(&k).copied());
+        }
+        // Insert-only: everything ever admitted is still there (checked
+        // after every op above), and a sealed rebuild of the same
+        // entries answers identically over the whole key universe.
+        let rebuilt = DocTable::from_entries(model.iter().map(|(&d, &h)| (d, h)).collect::<Vec<_>>());
+        prop_assert_eq!(rebuilt.len(), model.len());
+        for i in 0..cap + 8 {
+            prop_assert_eq!(rebuilt.get(key(i)), model.get(&key(i)).copied());
         }
     }
 
