@@ -484,11 +484,12 @@ pub fn run_load_sim(cfg: &LoadConfig) -> LoadReport {
 /// The stage labels [`scrape_admin`] extracts, in exposition order.
 const SCRAPE_STAGES: [&str; 4] = ["admission_wait", "queue_wait", "execute", "response_write"];
 
+/// Every sample of one `/metrics` exposition: `(series, value)`.
+type Samples = Vec<(String, f64)>;
+
 /// One `/metrics` scrape, decoded: the admission snapshot, the stage
 /// totals, and every sample (for the monotonicity cross-check).
-fn scrape_admin(
-    admin: std::net::SocketAddr,
-) -> Option<(ServerSnapshot, Vec<StageStat>, Vec<(String, f64)>)> {
+fn scrape_admin(admin: std::net::SocketAddr) -> Option<(ServerSnapshot, Vec<StageStat>, Samples)> {
     let (status, body) = sparta_server::http_get(admin, "/metrics").ok()?;
     if status != 200 {
         return None;
@@ -540,7 +541,7 @@ struct ScrapeState {
     admin: std::net::SocketAddr,
     scrapes: u64,
     monotone: bool,
-    prev: Vec<(String, f64)>,
+    prev: Samples,
     last: Option<(ServerSnapshot, Vec<StageStat>)>,
 }
 
@@ -781,8 +782,10 @@ mod tests {
 
     #[test]
     fn burst_arrivals_queue_deeper_than_poisson() {
-        let mut poisson = LoadConfig::default();
-        poisson.qps_levels = vec![1000.0];
+        let poisson = LoadConfig {
+            qps_levels: vec![1000.0],
+            ..LoadConfig::default()
+        };
         let mut burst = poisson.clone();
         burst.burst_size = Some(20);
         let p = run_load_sim(&poisson).levels.remove(0);

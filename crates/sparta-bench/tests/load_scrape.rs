@@ -25,10 +25,12 @@ fn tcp_sweep_scrapes_server_truth() {
         ServerMetrics::new(),
     );
     let handle = serve_with_admin("127.0.0.1:0", "127.0.0.1:0", scheduler).expect("bind loopback");
-    let mut cfg = LoadConfig::default();
-    cfg.qps_levels = vec![200.0, 500.0];
-    cfg.queries_per_level = 20;
-    cfg.admission = admission;
+    let cfg = LoadConfig {
+        qps_levels: vec![200.0, 500.0],
+        queries_per_level: 20,
+        admission,
+        ..LoadConfig::default()
+    };
     let requests = vec![QueryRequest {
         k: 5,
         algorithm: "sparta".to_string(),

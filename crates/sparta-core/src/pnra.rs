@@ -16,7 +16,7 @@ use crate::result::{TopKResult, WorkStats};
 use crate::sparta::{open_cursor, DocType, SharedUb, SpartaHeap};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{ShardedCounter, StripedMap};
+use sparta_collections::{FastHashSet, ShardedCounter, StripedMap};
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
@@ -110,6 +110,8 @@ impl CyclicJob for SegmentJob {
 struct StopChecker {
     state: Arc<State>,
     queue: Arc<JobQueue>,
+    /// This check's copy of the heap's member ids; the buffer is reused.
+    members: FastHashSet<DocId>,
 }
 
 impl CyclicJob for StopChecker {
@@ -135,7 +137,8 @@ impl CyclicJob for StopChecker {
             // Equation 2: every traversed non-heap candidate has
             // UB(D) ≤ Θ. Without cleaning, this is a full scan.
             let theta = state.heap.theta();
-            let members = state.heap.members_snapshot();
+            state.heap.members_snapshot_into(&mut self.members);
+            let members = &self.members;
             let mut ok = true;
             state.doc_map.for_each(|id, d| {
                 if ok && !members.contains(id) && d.ub(&state.ub) > theta {
@@ -203,6 +206,7 @@ impl Algorithm for PNra {
             queue.push(Job::cyclic(StopChecker {
                 state: Arc::clone(&state),
                 queue: Arc::clone(&queue),
+                members: FastHashSet::default(),
             }));
         }
         exec.run(Arc::clone(&queue));

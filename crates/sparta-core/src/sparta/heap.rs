@@ -6,6 +6,40 @@
 //! lower bound in a lazy manner while holding the global lock on
 //! docHeap: Every thread that adds a document to the heap updates the
 //! lower bounds of all heap documents" (§4.3, Alg. 1 lines 26–38).
+//!
+//! Refreshing all k members on every insert is k random record reads
+//! under the one lock every worker contends for. Only two facts about
+//! the members are ever used — which one has the smallest LB (the
+//! eviction victim) and what that LB is (Θ) — so the members are kept
+//! as a binary min-heap on their **cached** key `(lb, doc)` and only
+//! the root is refreshed ("settled"): re-read its sum, and if it grew,
+//! store the new LB and sift it down; repeat until the root's cached
+//! LB is fresh.
+//!
+//! Why that is the same answer. A record's sum only grows, so a cached
+//! LB is never above the true one. The heap order holds on cached
+//! keys, so once the root's cached LB equals its true LB,
+//!
+//! ```text
+//! true(root) = cached(root) ≤ cached(x) ≤ true(x)   for every member x
+//! ```
+//!
+//! and ties fall to the smaller doc id exactly as a pass over fresh
+//! `(lb, doc)` keys would break them: a member tied with the root on
+//! true LB has cached LB ≤ that, hence equal, and then the heap order
+//! already put the smaller id on top. So the settled root *is* the
+//! minimum of all k (or k + 1) fresh keys. Θ, the victim, `update`'s
+//! return value, the update count, the traced `(doc, lb)` and
+//! [`sorted_hits`](SpartaHeap::sorted_hits) (which re-reads every sum)
+//! therefore equal the refresh-everything version's whenever no score
+//! changes during the call — always under one thread or the
+//! deterministic executor. With scores racing on real threads Θ is
+//! still what NRA needs: at the moment the root settles, all k members
+//! have true LB ≥ Θ, so Θ is a lower bound on the k-th best LB.
+//!
+//! Settling terminates: every iteration that does not stop saw a
+//! member's sum grow since it was cached, and a record's sum changes
+//! at most m times (once per query term).
 
 use super::doc_slab::{DocHandle, DocSlab};
 use super::doc_type::DocType;
@@ -77,9 +111,49 @@ struct Entry<H> {
     lb: u64,
 }
 
+impl<H> Entry<H> {
+    /// The cached ordering key; the doc id breaks LB ties.
+    #[inline]
+    fn key(&self) -> (u64, DocId) {
+        (self.lb, self.doc)
+    }
+}
+
 struct Inner<H> {
+    /// Binary min-heap on [`Entry::key`] (see the module docs).
     docs: Vec<Entry<H>>,
     members: FastHashSet<DocId>,
+}
+
+/// Restores the heap order after a push: moves the last entry up.
+fn sift_up<H>(docs: &mut [Entry<H>]) {
+    let mut i = docs.len() - 1;
+    while i > 0 {
+        let parent = (i - 1) / 2;
+        if docs[parent].key() <= docs[i].key() {
+            break;
+        }
+        docs.swap(parent, i);
+        i = parent;
+    }
+}
+
+/// Restores the heap order after the root's key grew.
+fn sift_down<H>(docs: &mut [Entry<H>]) {
+    let mut i = 0;
+    loop {
+        let mut min = i;
+        for child in [2 * i + 1, 2 * i + 2] {
+            if child < docs.len() && docs[child].key() < docs[min].key() {
+                min = child;
+            }
+        }
+        if min == i {
+            break;
+        }
+        docs.swap(i, min);
+        i = min;
+    }
 }
 
 /// The shared `docHeap` of Algorithm 1, generic over the record store
@@ -125,8 +199,8 @@ impl<S: DocStore> SpartaHeap<S> {
         }
     }
 
-    /// Θ — the k-th lowest LB once the heap is full, else 0 (lock-free
-    /// read; workers poll this on every posting).
+    /// Θ — the lowest LB of the k members once the heap is full, else 0
+    /// (lock-free read; workers poll this on every posting).
     #[inline]
     pub fn theta(&self) -> u64 {
         self.theta.load(Ordering::Acquire)
@@ -153,41 +227,27 @@ impl<S: DocStore> SpartaHeap<S> {
         let inner = &mut *guard;
         if !inner.members.insert(id) {
             // Line 28: only documents not already present are
-            // (re)inserted; members' LBs refresh on the next insert.
+            // (re)inserted; a member's LB refreshes when it is the root.
             return false;
         }
+        let lb = self.store.sum_of(d);
         inner.docs.push(Entry {
             handle: d.clone(),
             doc: id,
-            lb: 0,
+            lb,
         });
-        // Lines 30–36 in one pass under the lock: lazily refresh every
-        // member's LB while tracking the two smallest `(lb, doc)` keys
-        // — the smallest is the eviction victim if the heap overflowed,
-        // and whichever of the two is the minimum of what remains is
-        // the new Θ.
-        const NONE: (u64, DocId, usize) = (u64::MAX, DocId::MAX, usize::MAX);
-        let (mut min, mut second) = (NONE, NONE);
-        for (idx, e) in inner.docs.iter_mut().enumerate() {
-            e.lb = self.store.sum_of(&e.handle);
-            let key = (e.lb, e.doc, idx);
-            if key < min {
-                second = min;
-                min = key;
-            } else if key < second {
-                second = key;
-            }
-        }
-        let lb = inner.docs.last().expect("just pushed").lb;
+        sift_up(&mut inner.docs);
         if inner.docs.len() > self.k {
             // Lines 33–34: evict the lowest-scored doc beyond capacity.
-            let evicted = inner.docs.swap_remove(min.2);
+            self.settle_root(&mut inner.docs);
+            let evicted = inner.docs.swap_remove(0);
+            sift_down(&mut inner.docs);
             inner.members.remove(&evicted.doc);
-            min = second;
         }
-        // Lines 35–36: Θ becomes the k-th lowest LB once full.
+        // Lines 35–36: Θ becomes the lowest member LB once full.
         if inner.docs.len() == self.k {
-            self.theta.store(min.0, Ordering::Release);
+            self.settle_root(&mut inner.docs);
+            self.theta.store(inner.docs[0].lb, Ordering::Release);
         }
         self.len.store(inner.docs.len(), Ordering::Release);
         drop(guard);
@@ -199,22 +259,31 @@ impl<S: DocStore> SpartaHeap<S> {
         true
     }
 
+    /// Lines 30–32, lazily: refreshes the root's LB until the cached
+    /// value is fresh, which makes the root the member with the
+    /// smallest *true* `(lb, doc)` (see the module docs).
+    fn settle_root(&self, docs: &mut [Entry<S::Handle>]) {
+        loop {
+            let fresh = self.store.sum_of(&docs[0].handle);
+            if fresh == docs[0].lb {
+                return;
+            }
+            docs[0].lb = fresh;
+            sift_down(docs);
+        }
+    }
+
     /// Whether `doc` is currently in the heap.
-    pub fn contains(&self, doc: DocId) -> bool {
+    #[cfg(test)]
+    fn contains(&self, doc: DocId) -> bool {
         self.inner.lock().members.contains(&doc)
     }
 
-    /// `doc`'s lazily cached LB as of the last insert, if a member.
-    #[cfg(test)]
-    fn cached_lb(&self, doc: DocId) -> Option<u64> {
-        let inner = self.inner.lock();
-        inner.docs.iter().find(|e| e.doc == doc).map(|e| e.lb)
-    }
-
-    /// Snapshot of the member ids (one lock acquisition; used by the
-    /// cleaner per pass rather than per document).
-    pub fn members_snapshot(&self) -> FastHashSet<DocId> {
-        self.inner.lock().members.clone()
+    /// Copies the member ids into `out` (one lock acquisition per
+    /// pass rather than per document). A caller that keeps `out`
+    /// between passes pays for its allocation once.
+    pub fn members_snapshot_into(&self, out: &mut FastHashSet<DocId>) {
+        out.clone_from(&self.inner.lock().members);
     }
 
     /// Time since the last heap change (since creation if none).
@@ -248,7 +317,88 @@ impl<S: DocStore> SpartaHeap<S> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::doc_slab::SlabRun;
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use sparta_obs::ClockMode;
+    use std::sync::Barrier;
+
+    /// The refresh-everything `docHeap` this module used to ship, kept
+    /// as the model [`SpartaHeap`] is checked against: every successful
+    /// insert re-reads all members' sums in one pass under the (here
+    /// implicit) lock, evicts the smallest fresh `(lb, doc)` if over
+    /// capacity and publishes the smallest remaining LB as Θ.
+    struct ReferenceHeap<S: DocStore> {
+        store: S,
+        k: usize,
+        docs: Vec<Entry<S::Handle>>,
+        members: FastHashSet<DocId>,
+        theta: u64,
+        /// `(doc, lb)` of every successful update, as it would be traced.
+        traced: Vec<(DocId, u64)>,
+    }
+
+    impl<S: DocStore> ReferenceHeap<S> {
+        fn new(store: S, k: usize) -> Self {
+            Self {
+                store,
+                k,
+                docs: Vec::new(),
+                members: FastHashSet::default(),
+                theta: 0,
+                traced: Vec::new(),
+            }
+        }
+
+        fn update(&mut self, d: &S::Handle) -> bool {
+            let id = self.store.doc_id_of(d);
+            if !self.members.insert(id) {
+                return false;
+            }
+            self.docs.push(Entry {
+                handle: d.clone(),
+                doc: id,
+                lb: 0,
+            });
+            const NONE: (u64, DocId, usize) = (u64::MAX, DocId::MAX, usize::MAX);
+            let (mut min, mut second) = (NONE, NONE);
+            for (idx, e) in self.docs.iter_mut().enumerate() {
+                e.lb = self.store.sum_of(&e.handle);
+                let key = (e.lb, e.doc, idx);
+                if key < min {
+                    second = min;
+                    min = key;
+                } else if key < second {
+                    second = key;
+                }
+            }
+            let lb = self.docs.last().expect("just pushed").lb;
+            if self.docs.len() > self.k {
+                let evicted = self.docs.swap_remove(min.2);
+                self.members.remove(&evicted.doc);
+                min = second;
+            }
+            if self.docs.len() == self.k {
+                self.theta = min.0;
+            }
+            self.traced.push((id, lb));
+            true
+        }
+
+        fn sorted_hits(&self) -> Vec<SearchHit> {
+            let mut hits: Vec<SearchHit> = self
+                .docs
+                .iter()
+                .map(|e| SearchHit {
+                    doc: e.doc,
+                    score: self.store.sum_of(&e.handle),
+                })
+                .collect();
+            hits.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(b.doc.cmp(&a.doc)));
+            hits
+        }
+    }
 
     fn doc(id: DocId, m: usize, scores: &[(usize, u32)]) -> Arc<DocType> {
         let d = Arc::new(DocType::new(id, m));
@@ -295,13 +445,14 @@ mod tests {
         h.update(&d1, &t);
         // d1's score grows after insertion (another term arrives)…
         d1.set_score(1, 100);
-        // …but Θ/LB only refresh on the next insert (lazy).
+        // …and the next insert must see the grown LB, not the cached
+        // 10: Θ is doc 2's 5.
         h.update(&doc(2, 2, &[(0, 5)]), &t);
-        assert_eq!(h.cached_lb(1), Some(110), "refreshed under the lock");
         assert_eq!(h.theta(), 5);
         // A third doc must evict doc 2, not the improved doc 1.
         h.update(&doc(3, 2, &[(0, 50)]), &t);
         assert!(h.contains(1) && h.contains(3) && !h.contains(2));
+        assert_eq!(h.theta(), 50);
     }
 
     #[test]
@@ -355,5 +506,207 @@ mod tests {
         want.sort_unstable_by(|a, b| b.cmp(a));
         let got: Vec<u64> = hits.iter().map(|h| h.score).collect();
         assert_eq!(got, want[..16].to_vec());
+    }
+
+    /// One step of a differential program over `docs × m` scores.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Doc `d`'s term `i` grows by `s`.
+        Grow(usize, usize, u32),
+        /// `update(d)`, whether or not `d` would pass the Θ pre-filter.
+        Update(usize),
+    }
+
+    /// The corners a run of programs has to reach for the differential
+    /// test to mean anything; each is counted, then asserted non-zero.
+    #[derive(Debug, Default)]
+    struct Corners {
+        k_is_one: u32,
+        k_exceeds_docs: u32,
+        evicted_on_doc_id_tie: u32,
+        reentered_after_eviction: u32,
+        grew_at_the_root: u32,
+    }
+
+    /// Runs `ops` against the lazily settled heap and the reference,
+    /// comparing everything observable after every step.
+    fn run_differential(
+        k: usize,
+        docs: usize,
+        m: usize,
+        ops: &[Op],
+        seen: &mut Corners,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let recs: Vec<Arc<DocType>> = (0..docs)
+            .map(|d| Arc::new(DocType::new(d as DocId, m)))
+            .collect();
+        let heap = SpartaHeap::new(k);
+        let mut model = ReferenceHeap::new(ArcDocs, k);
+        let trace = TraceSink::with_clock(true, ClockMode::Logical);
+        let mut evicted = FastHashSet::default();
+        seen.k_is_one += u32::from(k == 1);
+        seen.k_exceeds_docs += u32::from(k > docs);
+        for &op in ops {
+            match op {
+                Op::Grow(d, i, s) => {
+                    let (d, i) = (d % docs, i % m);
+                    let inner = heap.inner.lock();
+                    let at_root = inner.docs.first().is_some_and(|e| e.doc == d as DocId);
+                    drop(inner);
+                    seen.grew_at_the_root += u32::from(at_root);
+                    recs[d].set_score(i, recs[d].score(i) + s);
+                }
+                Op::Update(d) => {
+                    let d = d % docs;
+                    let before = heap.inner.lock().members.clone();
+                    let changed = heap.update(&recs[d], &trace);
+                    prop_assert_eq!(changed, model.update(&recs[d]), "update({d})");
+                    let after = heap.inner.lock().members.clone();
+                    if let Some(&victim) = before.difference(&after).next() {
+                        evicted.insert(victim);
+                        let tied = before
+                            .iter()
+                            .any(|&o| o != victim && sum(&recs, o) == sum(&recs, victim));
+                        seen.evicted_on_doc_id_tie += u32::from(tied);
+                    }
+                    let entered = after.contains(&(d as DocId)) && changed;
+                    seen.reentered_after_eviction +=
+                        u32::from(entered && evicted.contains(&(d as DocId)));
+                }
+            }
+            prop_assert_eq!(heap.theta(), model.theta, "Θ after {op:?}");
+            prop_assert_eq!(heap.len(), model.docs.len(), "len after {op:?}");
+            prop_assert_eq!(
+                &heap.inner.lock().members,
+                &model.members,
+                "members after {op:?}"
+            );
+            if k > docs {
+                prop_assert_eq!(heap.theta(), 0, "a heap that cannot fill keeps Θ = 0");
+            }
+        }
+        prop_assert_eq!(heap.sorted_hits(), model.sorted_hits());
+        prop_assert_eq!(heap.update_count(), model.traced.len() as u64);
+        let traced: Vec<(DocId, u64)> = trace
+            .into_events()
+            .expect("trace enabled")
+            .iter()
+            .map(|e| (e.doc, e.score))
+            .collect();
+        prop_assert_eq!(traced, model.traced);
+        Ok(())
+    }
+
+    fn sum(recs: &[Arc<DocType>], doc: DocId) -> u64 {
+        recs[doc as usize].current_sum()
+    }
+
+    /// Differential test: the O(log k) heap is indistinguishable from
+    /// the refresh-everything one under any single-threaded program.
+    /// Increments are drawn from 1..4 so LB ties are the common case.
+    #[test]
+    fn lazy_heap_matches_the_refresh_everything_reference() {
+        let op = (0u8..5, 0usize..64, 0usize..6, 1u32..4).prop_map(|(kind, d, i, s)| {
+            if kind < 3 {
+                Op::Grow(d, i, s)
+            } else {
+                Op::Update(d)
+            }
+        });
+        // k from {1, a few, possibly more than there are docs}.
+        let program = (0usize..70, 1usize..65, 1usize..7, vec(op, 0..400));
+        let mut seen = Corners::default();
+        proptest::test_runner::run(
+            "lazy_heap_matches_the_refresh_everything_reference",
+            ProptestConfig {
+                cases: 256,
+                ..ProptestConfig::default()
+            },
+            |rng| {
+                let (k, docs, m, ops) = program.generate(rng);
+                let k = match k % 4 {
+                    0 => 1,
+                    1 => 1 + k % 4,
+                    _ => 1 + k,
+                };
+                run_differential(k, docs, m, &ops, &mut seen)
+            },
+        );
+        assert!(
+            seen.k_is_one > 0
+                && seen.k_exceeds_docs > 0
+                && seen.evicted_on_doc_id_tie > 0
+                && seen.reentered_after_eviction > 0
+                && seen.grew_at_the_root > 0,
+            "generators missed a corner: {seen:?}"
+        );
+    }
+
+    /// The property Sparta relies on, on its own record store and on
+    /// real threads: each of 4 threads owns one term and scores every
+    /// doc, then applies the Alg. 1 line 23 filter. Docs are walked a
+    /// block at a time behind a barrier, each thread in its own order
+    /// within the block, so a doc's four scores land concurrently —
+    /// mostly while it already sits in the heap under a stale cached
+    /// LB — and `settle_root` reads sums while `fetch_add`s land.
+    /// Whoever adds a doc's last score sees its final sum, so the heap
+    /// must end up holding k largest final sums. k is an eighth of the
+    /// docs so that Θ keeps climbing through the partial sums all run
+    /// long (with a small k it outgrows them within a few blocks, and
+    /// a heap that evicts on stale LBs is no longer caught).
+    #[test]
+    fn nra_invariant_holds_while_settling_races_with_scoring() {
+        const BLOCK: u32 = 64;
+        const BLOCKS: u32 = 48;
+        const DOCS: u32 = BLOCK * BLOCKS;
+        const M: usize = 4;
+        const K: usize = 400;
+        let score = |d: u32, t: usize| (d.wrapping_mul(2654435761) >> (7 + t)) % 50 + 1;
+        for round in 0..8u32 {
+            let slab = Arc::new(DocSlab::new(M));
+            let mut run = SlabRun::default();
+            let handles: Vec<DocHandle> = (0..DOCS)
+                .map(|d| {
+                    let h = slab.stage(&mut run, d);
+                    run.commit();
+                    h
+                })
+                .collect();
+            let heap = SpartaHeap::with_store(Arc::clone(&slab), K);
+            let trace = TraceSink::new(false);
+            let block_start = Barrier::new(M);
+            std::thread::scope(|s| {
+                for t in 0..M {
+                    let (slab, heap, trace, handles, block_start) =
+                        (&slab, &heap, &trace, &handles, &block_start);
+                    s.spawn(move || {
+                        // Up, down, and two odd strides (coprime to
+                        // BLOCK) from different starts.
+                        let stride = [1, BLOCK - 1, 7, 27][t];
+                        for block in 0..BLOCKS {
+                            let mut at = (round * 5 + t as u32 * 17) % BLOCK;
+                            block_start.wait();
+                            for _ in 0..BLOCK {
+                                let d = block * BLOCK + at;
+                                let h = handles[d as usize];
+                                let sum = slab.record(h).set_score(t, score(d + round, t));
+                                if sum > heap.theta() {
+                                    heap.update(&h, trace);
+                                }
+                                at = (at + stride) % BLOCK;
+                            }
+                        }
+                    });
+                }
+            });
+            let mut want: Vec<u64> = (0..DOCS)
+                .map(|d| (0..M).map(|t| u64::from(score(d + round, t))).sum())
+                .collect();
+            want.sort_unstable_by(|a, b| b.cmp(a));
+            let got: Vec<u64> = heap.sorted_hits().iter().map(|h| h.score).collect();
+            assert_eq!(got, want[..K], "round {round}");
+            assert_eq!(heap.len(), K);
+            assert!(heap.theta() <= want[K - 1], "Θ is a lower bound");
+        }
     }
 }

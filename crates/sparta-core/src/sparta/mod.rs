@@ -48,7 +48,7 @@ use crate::result::{TopKResult, WorkStats};
 use crate::trace::TraceSink;
 use crate::Algorithm;
 use sparta_collections::{
-    DocTable, FastBuildHasher, FastHashMap, Lookup, ShardedCounter, SwapCell,
+    DocTable, FastBuildHasher, FastHashMap, FastHashSet, Lookup, ShardedCounter, SwapCell,
 };
 use sparta_corpus::types::{DocId, Query, TermId};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
@@ -178,6 +178,7 @@ impl State {
                 state: Arc::clone(self),
                 queue: Arc::clone(queue),
                 bounds: UbSnapshot::default(),
+                members: FastHashSet::default(),
             }));
         }
     }
@@ -322,6 +323,8 @@ struct CleanerJob {
     queue: Arc<JobQueue>,
     /// This pass's private copy of `UB[m]`; the buffer is reused.
     bounds: UbSnapshot,
+    /// This pass's copy of the heap's member ids; likewise reused.
+    members: FastHashSet<DocId>,
 }
 
 impl CyclicJob for CleanerJob {
@@ -334,7 +337,8 @@ impl CyclicJob for CleanerJob {
         state.cleaner_passes.fetch_add(1, Ordering::Relaxed);
         let cur = state.doc_map.load();
         let theta = state.heap.theta();
-        let members = state.heap.members_snapshot();
+        state.heap.members_snapshot_into(&mut self.members);
+        let members = &self.members;
         // With the probabilistic extension (γ < 1), "upper bound"
         // becomes the γ-scaled estimate — candidates merely *unlikely*
         // to reach Θ are dropped too.
@@ -348,11 +352,17 @@ impl CyclicJob for CleanerJob {
         // swing the global pointer to a map rebuilt from the survivors.
         // Pass 1 walks the slab's scored records, every later pass the
         // previous pass's survivors — both sequential. Membership is a
-        // lookup only on the prune branch. Pruning removes only the
-        // handle; the record stays in the slab until the query drops.
+        // lookup only on the prune branch, and there only for a record
+        // whose sum has reached Θ: a member's sum is never below the Θ
+        // read above (Θ is the smallest member LB, sums only grow, and
+        // Θ was read before the members were copied). Pruning removes
+        // only the handle; the record stays in the slab until the
+        // query drops.
         let mut survivors = Vec::with_capacity(cur.len());
         cur.for_each(&state.slab, |h, rec| {
-            if rec.ub(&self.bounds) > theta || members.contains(&rec.id()) {
+            if rec.ub(&self.bounds) > theta
+                || (rec.current_sum() >= theta && members.contains(&rec.id()))
+            {
                 survivors.push(h);
             }
         });

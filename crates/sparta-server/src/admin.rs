@@ -30,10 +30,13 @@
 //!
 //! Error paths are first-class: malformed request lines get `400`,
 //! unknown paths `404`, request heads larger than
-//! [`MAX_REQUEST_BYTES`] get `431`, and a client that vanishes
-//! mid-response only costs the handler thread a failed write. Handlers
-//! poll the server's stop flag on read timeouts, so admin connections
-//! never outlive shutdown.
+//! [`MAX_REQUEST_BYTES`] get `431` followed by a bounded lingering
+//! close (the rest of the oversized head is read and discarded, so the
+//! kernel does not reset the connection under the client before it has
+//! read the answer), and a client that vanishes mid-response only
+//! costs the handler thread a failed write. Handlers poll the server's
+//! stop flag on read timeouts, so admin connections never outlive
+//! shutdown.
 
 use crate::scheduler::BatchScheduler;
 use crate::server::POLL_INTERVAL;
@@ -56,6 +59,12 @@ pub const MAX_REQUEST_BYTES: usize = 4096;
 /// (mirrors the data-plane's mid-frame bound: an admin client that
 /// opens a socket and sends nothing cannot pin a thread forever).
 const REQUEST_TIMEOUT_POLLS: usize = 200;
+
+/// Upper bound on what a handler reads and discards after answering
+/// `431`. A client still sending past this is cut off (and may see a
+/// reset instead of the answer); the admin plane never waits on, or
+/// reads, unbounded input.
+const MAX_DISCARD_BYTES: usize = 16 * MAX_REQUEST_BYTES;
 
 /// Shared state the admin handlers read. Everything is either atomic
 /// or behind the scheduler's own synchronization; handlers never block
@@ -90,6 +99,7 @@ pub(crate) fn handle_admin_connection(stream: TcpStream, state: &AdminState) {
                 "text/plain",
                 "request head exceeds 4096 bytes\n",
             );
+            discard_rest_of_request(&mut reader, &state.stop);
             return;
         }
         // Stop, EOF before a full request, or a dead socket: nothing
@@ -127,19 +137,39 @@ enum ReadError {
     Gone,
 }
 
+/// Reads the next bytes the client sent into `chunk`, polling through
+/// read timeouts. `None` once nothing more is coming: EOF, a dead
+/// socket, [`REQUEST_TIMEOUT_POLLS`] idle polls in a row, or server
+/// stop.
+fn read_more(reader: &mut TcpStream, stop: &AtomicBool, chunk: &mut [u8]) -> Option<usize> {
+    let mut idle_polls = 0usize;
+    loop {
+        // ordering: Acquire pairs with the Release store in (model: server_lifecycle)
+        // stop_and_join; a stopping server abandons pending reads.
+        if stop.load(Ordering::Acquire) {
+            return None;
+        }
+        match reader.read(chunk) {
+            Ok(0) => return None,
+            Ok(n) => return Some(n),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                idle_polls += 1;
+                if idle_polls > REQUEST_TIMEOUT_POLLS {
+                    return None;
+                }
+            }
+            Err(_) => return None,
+        }
+    }
+}
+
 /// Reads until the end of the request head (blank line) or the first
 /// full request line, whichever lets us route. Bounded by
 /// [`MAX_REQUEST_BYTES`] and [`REQUEST_TIMEOUT_POLLS`].
 fn read_request_head(reader: &mut TcpStream, stop: &AtomicBool) -> Result<String, ReadError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
-    let mut idle_polls = 0usize;
     loop {
-        // ordering: Acquire pairs with the Release store in (model: server_lifecycle)
-        // stop_and_join; a stopping server abandons pending reads.
-        if stop.load(Ordering::Acquire) {
-            return Err(ReadError::Gone);
-        }
         // The request line is enough to route; the head ends at the
         // blank line but we don't need to wait for it.
         if buf.contains(&b'\n') {
@@ -148,19 +178,25 @@ fn read_request_head(reader: &mut TcpStream, stop: &AtomicBool) -> Result<String
         if buf.len() >= MAX_REQUEST_BYTES {
             return Err(ReadError::Oversized);
         }
-        match reader.read(&mut chunk) {
-            Ok(0) => return Err(ReadError::Gone),
-            Ok(n) => {
-                idle_polls = 0;
-                buf.extend_from_slice(&chunk[..n.min(MAX_REQUEST_BYTES + 1 - buf.len())]);
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                idle_polls += 1;
-                if idle_polls > REQUEST_TIMEOUT_POLLS {
-                    return Err(ReadError::Gone);
-                }
-            }
-            Err(_) => return Err(ReadError::Gone),
+        let n = read_more(reader, stop, &mut chunk).ok_or(ReadError::Gone)?;
+        buf.extend_from_slice(&chunk[..n.min(MAX_REQUEST_BYTES + 1 - buf.len())]);
+    }
+}
+
+/// The lingering half of a rejecting close. The answer is already
+/// written and the write side shut; closing now, with the client's
+/// unread bytes still queued (or still arriving), makes the kernel
+/// reset the connection, which can fail the client's write or discard
+/// the answer before the client reads it. So read and drop what the
+/// client sends until it finishes, [`read_more`] gives up, or
+/// [`MAX_DISCARD_BYTES`] have gone by.
+fn discard_rest_of_request(reader: &mut TcpStream, stop: &AtomicBool) {
+    let mut chunk = [0u8; 512];
+    let mut discarded = 0usize;
+    while discarded < MAX_DISCARD_BYTES {
+        match read_more(reader, stop, &mut chunk) {
+            Some(n) => discarded += n,
+            None => return,
         }
     }
 }
