@@ -1,14 +1,11 @@
 //! Substrate micro-benches: the striped map against a single-mutex
 //! map (the paper's granular-lock claim, §4.3), heap offers, swap-cell
-//! snapshots, the doc-id hasher against SipHash, slab admission
-//! against per-document `Arc` allocation, and Sparta's `docMap`
+//! snapshots, the doc-id hasher against SipHash, and Sparta's `docMap`
 //! operations on the lock-free table against the striped map.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parking_lot::Mutex;
 use sparta_collections::{BoundedTopK, DocTable, FastBuildHasher, StripedMap, SwapCell};
-use sparta_core::sparta::doc_slab::{DocSlab, SlabRun};
-use sparta_core::sparta::doc_type::DocType;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -182,49 +179,8 @@ fn bench_fast_hash_vs_siphash(c: &mut Criterion) {
     g.finish();
 }
 
-/// Slab admission against per-document `Arc<DocType>` allocation: the
-/// cost of bringing one candidate into the docMap and posting its
-/// first score, at the paper's m = 4 terms.
-fn bench_slab_vs_arc_admission(c: &mut Criterion) {
-    let mut g = c.benchmark_group("doc_record_admission");
-    g.sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    const DOCS: u32 = 50_000;
-    const M: usize = 4;
-
-    g.bench_function("arc_doc_type", |b| {
-        b.iter(|| {
-            let mut records = Vec::with_capacity(DOCS as usize);
-            for id in 0..DOCS {
-                let d = Arc::new(DocType::new(id, M));
-                d.set_score(0, id % 97 + 1);
-                records.push(d);
-            }
-            let sum: u64 = records.iter().map(|d| d.current_sum()).sum();
-            std::hint::black_box(sum)
-        });
-    });
-    g.bench_function("doc_slab", |b| {
-        b.iter(|| {
-            let slab = DocSlab::new(M);
-            let mut run = SlabRun::default();
-            let mut handles = Vec::with_capacity(DOCS as usize);
-            for id in 0..DOCS {
-                let h = slab.stage(&mut run, id);
-                run.commit();
-                slab.record(h).set_score(0, id % 97 + 1);
-                handles.push(h);
-            }
-            let sum: u64 = handles.iter().map(|&h| slab.record(h).current_sum()).sum();
-            std::hint::black_box(sum)
-        });
-    });
-    g.finish();
-}
-
 /// Sparta's two `docMap` operations — a lookup that hits, and an
-/// admission — on the striped map (what pNRA/pRA/pJASS still use) and
+/// admission — on the striped map (what pRA/pJASS still use) and
 /// on the lock-free table, from 1 and 2 threads. Each thread works a
 /// disjoint half of the doc ids, so the 2-thread rows measure cache-
 /// line traffic (stripe-lock RMWs, the shared `len`), not key
@@ -315,7 +271,6 @@ criterion_group!(
     bench_heap_offers,
     bench_swap_cell,
     bench_fast_hash_vs_siphash,
-    bench_slab_vs_arc_admission,
     bench_docmap_ops
 );
 criterion_main!(benches);

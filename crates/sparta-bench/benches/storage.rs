@@ -88,49 +88,5 @@ fn bench_disk_access(c: &mut Criterion) {
     g.finish();
 }
 
-/// Decompression overhead vs raw scans — the §5 claim that
-/// "the impact of decompression on end-to-end performance is
-/// marginal" checked on this implementation's varint codec.
-fn bench_compression(c: &mut Criterion) {
-    use sparta_index::compress;
-    use sparta_index::Posting;
-    let postings: Vec<Posting> = (0..100_000u32)
-        .map(|i| Posting::new(i * 3 + i % 2, (i.wrapping_mul(2654435761)) % 1_000_000 + 1))
-        .collect();
-    let mut score_ordered = postings.clone();
-    sparta_index::posting::sort_score_order(&mut score_ordered);
-    let compressed = compress::compress_score_ordered(&score_ordered);
-    println!(
-        "compression ratio: {} raw -> {} compressed ({:.2}x)",
-        postings.len() * 8,
-        compressed.len(),
-        (postings.len() * 8) as f64 / compressed.len() as f64
-    );
-    let mut g = c.benchmark_group("compression");
-    g.sample_size(20)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .throughput(Throughput::Elements(postings.len() as u64));
-    g.bench_function("raw_scan", |b| {
-        b.iter(|| {
-            let mut sum = 0u64;
-            for p in &score_ordered {
-                sum += u64::from(p.score);
-            }
-            std::hint::black_box(sum)
-        });
-    });
-    g.bench_function("decode_scan", |b| {
-        b.iter(|| {
-            let mut sum = 0u64;
-            for p in compress::ScoreOrderedDecoder::new(&compressed, score_ordered.len()) {
-                sum += u64::from(p.score);
-            }
-            std::hint::black_box(sum)
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_disk_access, bench_compression);
+criterion_group!(benches, bench_disk_access);
 criterion_main!(benches);

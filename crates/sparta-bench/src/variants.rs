@@ -5,11 +5,11 @@
 //! p ∈ {0.02, 0.005}. Those constants are tuned to ClueWeb at 50M
 //! docs on their hardware; on a scaled-down synthetic corpus the same
 //! recall operating points correspond to different constants (e.g.
-//! smaller f — Θ saturates much faster on a small index). We therefore
-//! keep the *paper* constants available verbatim and provide
+//! smaller f — Θ saturates much faster on a small index). The paper's
+//! constants are recorded here — high: Δ = 10 ms, f = 5, p = 0.02;
+//! low: Δ = 2 ms, f = 10, p = 0.005 — and the code provides the
 //! *calibrated* equivalents that hit the high/low recall bands at this
-//! reproduction's scale. The `repro` binary prints which set it used;
-//! EXPERIMENTS.md discusses the mapping.
+//! reproduction's scale. EXPERIMENTS.md discusses the mapping.
 
 use sparta_core::config::SearchConfig;
 use std::time::Duration;
@@ -37,28 +37,6 @@ impl VariantParams {
             delta: None,
             bmw_f: 1.0,
             jass_p: 1.0,
-            trace: false,
-        }
-    }
-
-    /// The paper's high-recall constants, verbatim (§5.3).
-    pub fn paper_high() -> Self {
-        Self {
-            label: "high",
-            delta: Some(Duration::from_millis(10)),
-            bmw_f: 5.0,
-            jass_p: 0.02,
-            trace: false,
-        }
-    }
-
-    /// The paper's low-recall constants, verbatim (§5.3).
-    pub fn paper_low() -> Self {
-        Self {
-            label: "low",
-            delta: Some(Duration::from_millis(2)),
-            bmw_f: 10.0,
-            jass_p: 0.005,
             trace: false,
         }
     }
@@ -113,17 +91,6 @@ mod tests {
         assert!(c.is_exact());
         assert_eq!(c.bmw_f, 1.0);
         assert_eq!(c.jass_p, 1.0);
-    }
-
-    #[test]
-    fn paper_constants_match_section_5_3() {
-        let h = VariantParams::paper_high();
-        assert_eq!(h.delta, Some(Duration::from_millis(10)));
-        assert_eq!(h.bmw_f, 5.0);
-        assert_eq!(h.jass_p, 0.02);
-        let l = VariantParams::paper_low();
-        assert_eq!(l.bmw_f, 10.0);
-        assert_eq!(l.jass_p, 0.005);
     }
 
     #[test]

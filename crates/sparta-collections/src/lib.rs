@@ -10,11 +10,12 @@
 //!   stripes. The Sparta paper (§4.3) protects each hash bucket of the
 //!   shared `docMap` with a granular lock and reports that this performs
 //!   better than a generic concurrent hash map; this is the Rust
-//!   equivalent.
+//!   equivalent. pRA's first-wins `seen` set and pJASS's accumulators
+//!   use it.
 //! * [`DocTable`] — an insert-only open-addressing `doc id → handle`
 //!   table, one atomic word per slot, sized once: lookups are plain
-//!   loads and admission is one compare-and-swap. Sparta's `docMap`
-//!   (the baselines keep [`StripedMap`]).
+//!   loads and admission is one compare-and-swap. Sparta's and pNRA's
+//!   `docMap`.
 //! * [`SwapCell`] — a shared pointer that readers can snapshot cheaply
 //!   and a single writer can replace wholesale ("a single pointer
 //!   swing", §4.3), used by the cleaner to publish the pruned `docMap`.

@@ -1,4 +1,4 @@
-//! Search configuration and the paper's variant parameterization.
+//! Search configuration.
 
 use sparta_obs::ClockMode;
 use std::time::Duration;
@@ -67,28 +67,6 @@ impl SearchConfig {
             clock: ClockMode::Wall,
             query_tag: 0,
         }
-    }
-
-    /// Applies a named variant's parameters (§5.3).
-    pub fn with_variant(mut self, v: Variant) -> Self {
-        match v {
-            Variant::Exact => {
-                self.delta = None;
-                self.bmw_f = 1.0;
-                self.jass_p = 1.0;
-            }
-            Variant::High => {
-                self.delta = Some(Duration::from_millis(10));
-                self.bmw_f = 5.0;
-                self.jass_p = 0.02;
-            }
-            Variant::Low => {
-                self.delta = Some(Duration::from_millis(2));
-                self.bmw_f = 10.0;
-                self.jass_p = 0.005;
-            }
-        }
-        self
     }
 
     /// Builder: sets Δ.
@@ -180,29 +158,6 @@ impl Default for SearchConfig {
     }
 }
 
-/// The paper's three evaluation variants per algorithm (§5.3):
-/// `A-exact`, `A-high` (recall ≥ 96%), `A-low`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Variant {
-    /// Safe/exact evaluation.
-    Exact,
-    /// High-recall approximation (Δ = 10ms / f = 5 / p = 0.02).
-    High,
-    /// Low-recall approximation (f = 10 / p = 0.005).
-    Low,
-}
-
-impl Variant {
-    /// Suffix used in experiment labels ("sparta-high" etc.).
-    pub fn suffix(&self) -> &'static str {
-        match self {
-            Variant::Exact => "exact",
-            Variant::High => "high",
-            Variant::Low => "low",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,19 +170,6 @@ mod tests {
         assert_eq!(c.phi, 10_000);
         assert_eq!(c.bmw_f, 1.0);
         assert_eq!(c.jass_p, 1.0);
-    }
-
-    #[test]
-    fn variants_set_paper_parameters() {
-        let h = SearchConfig::exact(10).with_variant(Variant::High);
-        assert_eq!(h.delta, Some(Duration::from_millis(10)));
-        assert_eq!(h.bmw_f, 5.0);
-        assert_eq!(h.jass_p, 0.02);
-        let l = SearchConfig::exact(10).with_variant(Variant::Low);
-        assert_eq!(l.bmw_f, 10.0);
-        assert_eq!(l.jass_p, 0.005);
-        let e = h.with_variant(Variant::Exact);
-        assert!(e.is_exact());
     }
 
     #[test]

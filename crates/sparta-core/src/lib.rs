@@ -3,12 +3,14 @@
 //!
 //! The primary contribution is [`sparta::Sparta`], a parallel
 //! threshold-algorithm variant with judicious context sharing: a
-//! striped shared candidate map that a background *cleaner* keeps
+//! lock-free shared candidate map that a background *cleaner* keeps
 //! pruning, per-segment (lazy) upper-bound updates, and thread-local
 //! map replicas once the candidate set fits in cache (§4).
 //!
 //! The baselines of the paper's case study (§5.2) are implemented in
-//! full:
+//! full. pNRA shares Sparta's candidate substrate — `DocSlab` records,
+//! a `DocTable` map, [`sparta::SpartaHeap`] — so the two differ only in
+//! the algorithm; pRA and pJASS keep a `StripedMap`:
 //!
 //! | algorithm | module | paper role |
 //! |---|---|---|
@@ -43,7 +45,7 @@ pub mod sparta;
 pub mod ta;
 pub mod trace;
 
-pub use config::{SearchConfig, Variant};
+pub use config::SearchConfig;
 pub use oracle::Oracle;
 pub use recall::recall_of_docs;
 pub use registry::{algorithm_by_name, all_algorithms};

@@ -10,13 +10,18 @@
 //! rebuilt by nobody, every posting invalidates the `UB` cache line,
 //! and the stopping-condition task must scan the entire (huge) map to
 //! evaluate Equation 2.
+//!
+//! What is *not* naïve is the substrate: candidates are Sparta's slab
+//! records behind Sparta's lock-free table, ranked by Sparta's heap, so
+//! the two algorithms pay the same per-candidate constants and differ
+//! only in what the paper says they differ in.
 
 use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
-use crate::sparta::{open_cursor, DocType, SharedUb, SpartaHeap};
+use crate::sparta::{open_cursor, DocHandle, DocSlab, SharedUb, SlabRun, SpartaHeap, UbSnapshot};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{FastHashSet, ShardedCounter, StripedMap};
+use sparta_collections::{DocTable, FastHashSet, Lookup, ShardedCounter};
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
@@ -29,17 +34,24 @@ use std::time::Instant;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PNra;
 
+/// Shared per-query state: Sparta's candidate substrate (DESIGN.md
+/// §10) without Sparta's optimizations — the map is never replaced, so
+/// it needs no `SwapCell`, and there are no term-local replicas.
 struct State {
-    m: usize,
     cfg: SearchConfig,
     ub: SharedUb,
+    slab: Arc<DocSlab>,
     heap: SpartaHeap,
-    doc_map: StripedMap<DocId, Arc<DocType>>,
+    doc_map: DocTable,
     done: AtomicBool,
+    /// An admission found `doc_map` full: this run is abandoned and
+    /// the query starts over with a bigger table.
+    docmap_full: AtomicBool,
     trace: TraceSink,
     spans: QueryTrace,
     postings: ShardedCounter,
     docmap_peak: AtomicU64,
+    timeout_stops: AtomicU64,
 }
 
 impl State {
@@ -60,6 +72,8 @@ struct SegmentJob {
     state: Arc<State>,
     i: usize,
     cursor: Box<dyn ScoreCursor>,
+    /// Slab record indices reserved for this list's admissions.
+    run: SlabRun,
 }
 
 impl CyclicJob for SegmentJob {
@@ -71,46 +85,63 @@ impl CyclicJob for SegmentJob {
         }
         let _seg_span = state.spans.span(Phase::TermProcess);
         let mut exhausted = false;
+        let mut scanned = 0u64;
+        let mut admitted = 0usize;
         for _ in 0..state.cfg.seg_size {
             if state.is_done() {
-                return false;
+                break;
             }
             let Some(p) = self.cursor.next() else {
                 exhausted = true;
                 break;
             };
-            state.postings.incr();
-            // Naïve: UB updated on *every* posting — the cache-miss
-            // storm Sparta's segment-lazy updates avoid (§4.3).
+            scanned += 1;
+            // Naïve: UB updated — and UBStop re-evaluated — on *every*
+            // posting: the cache-miss storm Sparta's segment-lazy
+            // updates avoid (§4.3).
             state.ub.set(i, p.score);
-            let d = state
+            let make = || state.slab.stage(&mut self.run, p.doc).index();
+            let h = match state
                 .doc_map
-                .get_or_try_insert_with(p.doc, !state.ub_stop(), || {
-                    Arc::new(DocType::new(p.doc, state.m))
-                });
-            if let Some(d) = d {
-                d.set_score(i, p.score);
-                if d.current_sum() > state.heap.theta() {
-                    state.heap.update(&d, &state.trace);
+                .get_or_try_insert_with(p.doc, !state.ub_stop(), make)
+            {
+                Lookup::Found(h) => h,
+                Lookup::Inserted(h) => {
+                    self.run.commit();
+                    admitted += 1;
+                    h
                 }
+                Lookup::Absent => continue,
+                Lookup::Full => {
+                    state.docmap_full.store(true, Ordering::Relaxed);
+                    state.done.store(true, Ordering::Release);
+                    break;
+                }
+            };
+            let h = DocHandle::from_index(h);
+            let sum = state.slab.record(h).set_score(i, p.score);
+            if sum > state.heap.theta() {
+                state.heap.update(&h, &state.trace);
             }
         }
+        state.postings.add(scanned);
+        state.doc_map.add_len(admitted);
         if exhausted {
             state.ub.exhaust(i);
-            false
-        } else {
-            !state.is_done()
         }
+        !exhausted && !state.is_done()
     }
 }
 
 /// The dedicated stopping-condition task: evaluates Eq. 1 and Eq. 2
-/// over the whole (never-pruned) map, plus the Δ timeout. A recycled
-/// [`CyclicJob`]: one step per check.
+/// over the whole (never-pruned) candidate set, plus the Δ timeout. A
+/// recycled [`CyclicJob`]: one step per check.
 struct StopChecker {
     state: Arc<State>,
     queue: Arc<JobQueue>,
-    /// This check's copy of the heap's member ids; the buffer is reused.
+    /// This check's private copy of `UB[m]`; the buffer is reused.
+    bounds: UbSnapshot,
+    /// This check's copy of the heap's member ids; likewise reused.
     members: FastHashSet<DocId>,
 }
 
@@ -124,6 +155,22 @@ impl CyclicJob for StopChecker {
         state
             .docmap_peak
             .fetch_max(state.doc_map.len() as u64, Ordering::Relaxed);
+        // Equation 2: every traversed non-heap candidate has
+        // UB(D) ≤ Θ. Without cleaning, this is a full scan of the
+        // slab. Θ, then the members, then the bounds are read before
+        // any record is (see `SharedUb::snapshot_into`).
+        let mut eq2 = state.ub_stop();
+        if eq2 {
+            let theta = state.heap.theta();
+            state.heap.members_snapshot_into(&mut self.members);
+            state.ub.snapshot_into(1.0, &mut self.bounds);
+            let (bounds, members) = (&self.bounds, &self.members);
+            state.slab.for_each_scored(|_, rec| {
+                if eq2 && rec.ub(bounds) > theta && !members.contains(&rec.id()) {
+                    eq2 = false;
+                }
+            });
+        }
         let timed_out = state
             .cfg
             .delta
@@ -132,28 +179,65 @@ impl CyclicJob for StopChecker {
         // job, all traversal jobs are gone (exhausted or lost to a
         // fault); no further updates can arrive, so spinning is futile.
         // See the same guard in Sparta's cleaner.
-        let mut stop = timed_out || self.queue.outstanding() <= 1;
-        if !stop && state.ub_stop() {
-            // Equation 2: every traversed non-heap candidate has
-            // UB(D) ≤ Θ. Without cleaning, this is a full scan.
-            let theta = state.heap.theta();
-            state.heap.members_snapshot_into(&mut self.members);
-            let members = &self.members;
-            let mut ok = true;
-            state.doc_map.for_each(|id, d| {
-                if ok && !members.contains(id) && d.ub(&state.ub) > theta {
-                    ok = false;
-                }
-            });
-            stop = ok;
-        }
-        if stop {
+        let starved = self.queue.outstanding() <= 1;
+        if eq2 || timed_out || starved {
+            if timed_out && !eq2 {
+                // The Δ budget (approximate variant) fired before Eq. 2.
+                state.timeout_stops.fetch_add(1, Ordering::Relaxed);
+            }
             state.done.store(true, Ordering::Release);
             false
         } else {
             true
         }
     }
+}
+
+/// Runs the query once over a `docMap` sized for `max_docs` documents;
+/// the caller starts over if the run reports `docmap_full`.
+fn run_once(
+    index: &Arc<dyn Index>,
+    query: &Query,
+    cfg: &SearchConfig,
+    exec: &dyn Executor,
+    max_docs: u64,
+) -> (Arc<State>, Arc<JobQueue>) {
+    let slab = Arc::new(DocSlab::new(query.terms.len()));
+    let state = Arc::new(State {
+        cfg: *cfg,
+        ub: SharedUb::new(query.terms.len()),
+        heap: SpartaHeap::new(Arc::clone(&slab), cfg.k),
+        slab,
+        doc_map: DocTable::with_capacity(max_docs.min(u64::from(u32::MAX)) as usize),
+        done: AtomicBool::new(false),
+        docmap_full: AtomicBool::new(false),
+        trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+        spans: QueryTrace::new(cfg.spans, cfg.clock),
+        postings: ShardedCounter::new(),
+        docmap_peak: AtomicU64::new(0),
+        timeout_stops: AtomicU64::new(0),
+    });
+    let queue = JobQueue::tagged(cfg.query_tag);
+    {
+        let _plan = state.spans.span(Phase::Plan);
+        for (i, &t) in query.terms.iter().enumerate() {
+            let cursor = open_cursor(index, t);
+            queue.push(Job::cyclic(SegmentJob {
+                state: Arc::clone(&state),
+                i,
+                cursor,
+                run: SlabRun::default(),
+            }));
+        }
+        queue.push(Job::cyclic(StopChecker {
+            state: Arc::clone(&state),
+            queue: Arc::clone(&queue),
+            bounds: UbSnapshot::default(),
+            members: FastHashSet::default(),
+        }));
+    }
+    exec.run(Arc::clone(&queue));
+    (state, queue)
 }
 
 impl Algorithm for PNra {
@@ -170,8 +254,7 @@ impl Algorithm for PNra {
     ) -> TopKResult {
         // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
         let start = Instant::now();
-        let m = query.terms.len();
-        if m == 0 {
+        if query.terms.is_empty() {
             return TopKResult {
                 hits: Vec::new(),
                 elapsed: start.elapsed(),
@@ -180,54 +263,35 @@ impl Algorithm for PNra {
                 spans: cfg.spans.then(Vec::new),
             };
         }
-        let state = Arc::new(State {
-            m,
-            cfg: *cfg,
-            ub: SharedUb::new(m),
-            heap: SpartaHeap::new(cfg.k),
-            doc_map: StripedMap::new(),
-            done: AtomicBool::new(false),
-            trace: TraceSink::with_clock(cfg.trace, cfg.clock),
-            spans: QueryTrace::new(cfg.spans, cfg.clock),
-            postings: ShardedCounter::new(),
-            docmap_peak: AtomicU64::new(0),
-        });
-        let queue = JobQueue::new();
-        {
-            let _plan = state.spans.span(Phase::Plan);
-            for (i, &t) in query.terms.iter().enumerate() {
-                let cursor = open_cursor(index, t);
-                queue.push(Job::cyclic(SegmentJob {
-                    state: Arc::clone(&state),
-                    i,
-                    cursor,
-                }));
+        // docMap is sized as Sparta sizes its first map, and an index
+        // that under-declares `num_docs` is answered the same way: the
+        // run that found the table full is abandoned and the query
+        // starts over sized from the list lengths (doubling from there).
+        let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
+        let mut max_docs = postings.min(index.num_docs());
+        let (state, queue) = loop {
+            let (state, queue) = run_once(index, query, cfg, exec, max_docs);
+            if !state.docmap_full.load(Ordering::Relaxed) {
+                break (state, queue);
             }
-            queue.push(Job::cyclic(StopChecker {
-                state: Arc::clone(&state),
-                queue: Arc::clone(&queue),
-                members: FastHashSet::default(),
-            }));
-        }
-        exec.run(Arc::clone(&queue));
+            max_docs = max_docs.saturating_mul(2).max(postings);
+        };
 
         let merge = state.spans.span(Phase::HeapMerge);
         let mut hits = state.heap.sorted_hits();
         hits.truncate(cfg.k);
         drop(merge);
+        let docmap_final = state.doc_map.len() as u64;
         let work = WorkStats {
             postings_scanned: state.postings.get(),
             random_accesses: 0,
             heap_updates: state.heap.update_count(),
-            docmap_peak: state
-                .docmap_peak
-                .load(Ordering::Relaxed)
-                .max(state.doc_map.len() as u64),
+            docmap_peak: state.docmap_peak.load(Ordering::Relaxed).max(docmap_final),
             cleaner_passes: 0,
             jobs_panicked: queue.panicked() as u64,
             jobs_recycled: queue.recycled() as u64,
-            docmap_final: state.doc_map.len() as u64,
-            timeout_stops: 0,
+            docmap_final,
+            timeout_stops: state.timeout_stops.load(Ordering::Relaxed),
             ..WorkStats::default()
         };
         let state = Arc::into_inner(state).expect("all jobs drained");
@@ -245,8 +309,10 @@ impl Algorithm for PNra {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use crate::sparta::doc_slab::RUN;
+    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
+    use std::time::Duration;
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
         let lists: Vec<Vec<Posting>> = (0..m as u32)
@@ -301,5 +367,110 @@ mod tests {
         let q = Query::new(vec![0]);
         let r = PNra.search(&ix, &q, &SearchConfig::exact(4), &DedicatedExecutor::new(2));
         assert_eq!(r.docs(), vec![2, 9]);
+    }
+
+    /// Mirror of Sparta's test: an index that declares fewer documents
+    /// than its lists hold under-sizes `docMap`; the query must notice,
+    /// start over, and still be exact.
+    #[test]
+    fn pnra_exact_when_num_docs_is_under_declared() {
+        let lists = |t: u32| -> Vec<Posting> {
+            (0..1000u32)
+                .map(|d| Posting::new(d, (d * 7 + t * 13) % 501 + 1))
+                .collect()
+        };
+        let build = |num_docs| -> Arc<dyn Index> {
+            Arc::new(InMemoryIndex::from_term_postings(
+                vec![lists(0), lists(1)],
+                num_docs,
+            ))
+        };
+        let q = Query::new(vec![0, 1]);
+        let honest = build(1000);
+        let want = Oracle::compute(honest.as_ref(), &q, 5);
+        let lying = build(4);
+        let cfg = SearchConfig::exact(5).with_seg_size(64);
+        for threads in [1, 3] {
+            let r = PNra.search(&lying, &q, &cfg, &DedicatedExecutor::new(threads));
+            assert_eq!(want.recall(&r.docs()), 1.0, "t={threads}: {:?}", r.docs());
+            assert_eq!(r.work.jobs_panicked, 0, "t={threads}");
+        }
+        // The abandoned run leaves no trace in the reported work (one
+        // thread: the schedule, hence the work, is deterministic).
+        let one = DedicatedExecutor::new(1);
+        assert_eq!(
+            PNra.search(&lying, &q, &cfg, &one).work,
+            PNra.search(&honest, &q, &cfg, &one).work
+        );
+    }
+
+    /// Passes the queue on to a deterministic executor, noting its tag.
+    struct TagSpy {
+        inner: DeterministicExecutor,
+        tag: AtomicU64,
+    }
+
+    impl Executor for TagSpy {
+        fn run(&self, queue: Arc<JobQueue>) {
+            self.tag.store(queue.tag(), Ordering::Relaxed);
+            self.inner.run(queue);
+        }
+
+        fn parallelism(&self) -> usize {
+            self.inner.parallelism()
+        }
+    }
+
+    /// What a served `pnra` request is attributed and accounted by: the
+    /// queue carries the config's tag, and a stop the Δ budget caused
+    /// (Δ = 0: the first check, long before Eq. 2) is reported as one.
+    #[test]
+    fn reports_delta_stop_and_query_tag() {
+        let ix = pseudo_index(3000, 3, 8);
+        let q = Query::new(vec![0, 1, 2]);
+        let cfg = SearchConfig::exact(10)
+            .with_seg_size(64)
+            .with_delta(Some(Duration::ZERO))
+            .with_query_tag(77);
+        for seed in 0..8 {
+            let exec = TagSpy {
+                inner: DeterministicExecutor::new(seed),
+                tag: AtomicU64::new(0),
+            };
+            let r = PNra.search(&ix, &q, &cfg, &exec);
+            assert_eq!(r.work.timeout_stops, 1, "seed {seed}");
+            assert_eq!(exec.tag.load(Ordering::Relaxed), 77, "seed {seed}");
+        }
+        let exact = cfg.with_delta(None);
+        let r = PNra.search(&ix, &q, &exact, &DeterministicExecutor::new(0));
+        assert_eq!(r.work.timeout_stops, 0, "an Eq. 2 stop is not a Δ stop");
+    }
+
+    /// A candidate costs a slab record, never an allocation of its own:
+    /// the query's slab allocates one block per geometric step.
+    #[test]
+    fn candidates_cost_slab_blocks_only() {
+        let ix = pseudo_index(5000, 4, 6);
+        let q = Query::new(vec![0, 1, 2, 3]);
+        let cfg = SearchConfig::exact(10).with_seg_size(128);
+        let (state, _queue) = run_once(&ix, &q, &cfg, &DedicatedExecutor::new(4), 5000);
+        let candidates = state.doc_map.len();
+        assert!(candidates > 50 * 10, "only {candidates} candidates");
+        // Lost admission races re-stage the same record, so a list
+        // wastes at most its last run's tail.
+        let reserved = state.slab.reserved();
+        assert!(
+            reserved <= candidates + 4 * RUN,
+            "{reserved} for {candidates}"
+        );
+        // Blocks hold 256, 512, 1024, … records.
+        let blocks_needed = (reserved.div_ceil(256) + 1)
+            .next_power_of_two()
+            .trailing_zeros() as usize;
+        assert!(
+            state.slab.blocks_allocated() <= blocks_needed,
+            "{} blocks for {reserved} records",
+            state.slab.blocks_allocated()
+        );
     }
 }

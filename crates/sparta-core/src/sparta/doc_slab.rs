@@ -34,7 +34,7 @@
 //! never scored, and [`DocSlab::for_each_scored`] — the cleaner's
 //! first-pass walk — skips exactly those.
 
-use super::doc_type::UbSnapshot;
+use super::bounds::UbSnapshot;
 use sparta_corpus::types::DocId;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;

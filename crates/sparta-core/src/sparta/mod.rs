@@ -35,13 +35,13 @@
 //! for the exact variant's `|docMap| = |docHeap|` condition to become
 //! true, and is exactly what shrinks `termMap`-eligible copies.
 
+pub mod bounds;
 pub mod doc_slab;
-pub mod doc_type;
 pub mod heap;
 
+pub use bounds::{SharedUb, UbSnapshot};
 pub use doc_slab::{DocHandle, DocSlab, SlabRun};
-pub use doc_type::{DocType, SharedUb, UbSnapshot};
-pub use heap::{ArcDocs, DocStore, SpartaHeap};
+pub use heap::SpartaHeap;
 
 use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
@@ -77,7 +77,7 @@ struct State {
     /// Per-query record arena; `doc_map`, `termMap`s, and the heap all
     /// refer into it by [`DocHandle`]. Dropped wholesale with the query.
     slab: Arc<DocSlab>,
-    heap: SpartaHeap<Arc<DocSlab>>,
+    heap: SpartaHeap,
     doc_map: SwapCell<DocMap>,
     done: AtomicBool,
     /// An admission found `doc_map` full: this run is abandoned and
@@ -144,7 +144,7 @@ impl State {
         Self {
             cfg,
             ub: SharedUb::new(m),
-            heap: SpartaHeap::with_store(Arc::clone(&slab), cfg.k),
+            heap: SpartaHeap::new(Arc::clone(&slab), cfg.k),
             slab,
             doc_map: SwapCell::new(DocMap::open(max_docs)),
             done: AtomicBool::new(false),

@@ -29,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod compress;
 pub mod compressed;
 pub mod cursor;
 pub mod iostats;

@@ -1,6 +1,5 @@
 //! Binary layout constants and (de)serialization of fixed-width records.
 
-use crate::compress::{read_varint, write_varint};
 use crate::compressed::{CompressedTermData, PlaneMeta, ScoreQuantizer, MAX_BLOCK};
 use crate::posting::{BlockMeta, Posting};
 use std::io::{self, Read, Write};
@@ -373,6 +372,55 @@ pub fn decode_compressed_term<R: Read>(
     })
 }
 
+/// Appends `v` as a LEB128 varint.
+#[inline]
+fn write_varint(mut v: u32, out: &mut Vec<u8>) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Reads a LEB128 varint, returning `(value, bytes_consumed)`.
+/// Returns `None` on truncated, overflowing, or non-canonical input.
+///
+/// A u32 occupies at most 5 LEB128 bytes, and the 5th byte contributes
+/// only its low 4 payload bits (`4·7 + 4 = 32`). The 5th-byte check
+/// must happen *before* the shift: `value << 28` silently discards
+/// high bits in Rust, so a payload with bits above 0xF would otherwise
+/// truncate into a wrong — but plausible — u32 long before the
+/// too-many-continuation-bytes guard trips. Non-canonical (overlong)
+/// encodings — a zero *final* byte after at least one continuation
+/// byte, which `write_varint` never emits — are rejected too, so
+/// every accepted byte string is the unique encoding of its value.
+#[inline]
+fn read_varint(buf: &[u8]) -> Option<(u32, usize)> {
+    let mut v: u32 = 0;
+    let mut shift = 0;
+    for (i, &b) in buf.iter().enumerate() {
+        if shift == 28 && b & 0x70 != 0 {
+            return None; // malformed: 5th byte overflows u32
+        }
+        v |= u32::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return None; // malformed: overlong (trailing zero byte)
+            }
+            return Some((v, i + 1));
+        }
+        shift += 7;
+        if shift > 28 {
+            return None; // malformed: too many continuation bytes
+        }
+    }
+    None
+}
+
 fn read_varint_from<R: Read>(r: &mut R, scratch: &mut [u8; 5]) -> io::Result<u32> {
     for i in 0..5 {
         let mut b = [0u8; 1];
@@ -555,5 +603,82 @@ mod tests {
         let mut bytes = Vec::new();
         encode_blocks(&bs, &mut bytes);
         assert_eq!(decode_blocks(&bytes), bs);
+    }
+
+    #[test]
+    fn varint_round_trip() {
+        let mut buf = Vec::new();
+        for v in [0u32, 1, 127, 128, 16_383, 16_384, u32::MAX] {
+            buf.clear();
+            write_varint(v, &mut buf);
+            let (got, n) = read_varint(&buf).unwrap();
+            assert_eq!(got, v);
+            assert_eq!(n, buf.len());
+        }
+    }
+
+    #[test]
+    fn varint_rejects_truncation_and_overlong() {
+        assert!(read_varint(&[]).is_none());
+        assert!(read_varint(&[0x80]).is_none(), "truncated continuation");
+        assert!(
+            read_varint(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80]).is_none(),
+            "overlong"
+        );
+    }
+
+    #[test]
+    fn varint_rejects_fifth_byte_overflow() {
+        // Regression: a 5th byte with payload bits above 0xF used to
+        // silently truncate (`v << 28` drops high bits) into a wrong
+        // but plausible u32 before the continuation-count guard fired.
+        // 0x10 is the lowest overflowing payload bit.
+        assert!(read_varint(&[0xFF, 0xFF, 0xFF, 0xFF, 0x10]).is_none());
+        assert!(read_varint(&[0xFF, 0xFF, 0xFF, 0xFF, 0x7F]).is_none());
+        // The same payload spread over continuation: rejected by count.
+        assert!(read_varint(&[0xFF, 0xFF, 0xFF, 0xFF, 0x90, 0x01]).is_none());
+        // The maximum valid 5-byte encoding still decodes.
+        assert_eq!(
+            read_varint(&[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+            Some((u32::MAX, 5))
+        );
+    }
+
+    #[test]
+    fn varint_rejects_non_canonical_trailing_zero() {
+        // [0x80, 0x00] would decode to 0, but 0 encodes as [0x00]:
+        // accepting both would make encodings ambiguous.
+        assert!(read_varint(&[0x80, 0x00]).is_none());
+        assert!(read_varint(&[0xFF, 0x80, 0x00]).is_none());
+        assert_eq!(read_varint(&[0x00]), Some((0, 1)));
+        // Zero-payload *continuation* bytes are canonical and must
+        // stay accepted: 16384 == [0x80, 0x80, 0x01].
+        let mut buf = Vec::new();
+        write_varint(16_384, &mut buf);
+        assert_eq!(buf, [0x80, 0x80, 0x01]);
+        assert_eq!(read_varint(&buf), Some((16_384, 3)));
+    }
+
+    #[test]
+    fn varint_every_accepted_encoding_is_canonical() {
+        // Exhaustive over all 1- and 2-byte inputs: decode(buf) == v
+        // implies encode(v) == buf.
+        let mut enc = Vec::new();
+        for b0 in 0..=255u8 {
+            let one = [b0];
+            if let Some((v, n)) = read_varint(&one) {
+                enc.clear();
+                write_varint(v, &mut enc);
+                assert_eq!(enc, &one[..n], "value {v}");
+            }
+            for b1 in 0..=255u8 {
+                let two = [b0, b1];
+                if let Some((v, n)) = read_varint(&two) {
+                    enc.clear();
+                    write_varint(v, &mut enc);
+                    assert_eq!(enc, &two[..n], "value {v}");
+                }
+            }
+        }
     }
 }

@@ -20,24 +20,13 @@
 //!   (`to_vec`, `collect`, …) and `vec!`/`format!` must not appear
 //!   outside construction, which carries
 //!   `// lint: allow(alloc): <reason>`.
-//! - **`unsafe-code`** — no `unsafe` anywhere in the workspace, with
-//!   one carve-out: modules whitelisted by
-//!   [`crate::Policy::unsafe_whitelisted`] (the future
-//!   `sparta-lockfree` crate) trade the blanket ban for the *fencing*
-//!   rule set below.
-//! - **`unsafe-unjustified`** — in a whitelisted module, every
-//!   `unsafe` site must carry `// lint: allow(unsafe): <reason>`.
-//! - **`miri-coverage`** — a whitelisted file containing any `unsafe`
-//!   must carry a file-level `// miri: <test name>` marker naming the
-//!   miri-run test that exercises it (the CI miri job is blocking, so
-//!   the named test is actually executed under the interpreter).
+//! - **`unsafe-code`** — no `unsafe` anywhere in the workspace.
 //! - **`missing-forbid`** — every crate root must carry
 //!   `#![forbid(unsafe_code)]` so the previous rule is also enforced
-//!   by rustc on every future PR. Whitelisted crates are exempt (they
-//!   cannot forbid what they are licensed to use).
+//!   by rustc on every future PR.
 //!
 //! Test code (`tests/` dirs, `benches/`, `examples/`, `#[cfg(test)]`
-//! items) is exempt from the API bans but not from the unsafe rules.
+//! items) is exempt from the API bans but not from the unsafe rule.
 
 use crate::report::Diagnostic;
 use crate::scan::Scan;
@@ -49,48 +38,25 @@ pub struct ApiScope {
     pub wall_clock: bool,
     pub sleep: bool,
     pub alloc: bool,
-    /// False only for vendored shims, which get hygiene checks but not
-    /// workspace-policy lints.
-    pub unsafe_code: bool,
-    /// Unsafe-whitelisted module: `unsafe` is allowed but fenced —
-    /// per-site `lint: allow(unsafe)` justification plus a file-level
-    /// `// miri:` coverage marker.
-    pub unsafe_whitelisted: bool,
 }
 
 /// Runs the API pass over one file.
 pub fn scan_apis(path: &str, scan: &Scan, scope: ApiScope, diags: &mut Vec<Diagnostic>) {
     let toks = &scan.lex.toks;
-    let mut saw_unsafe = false;
     for i in 0..toks.len() {
         let t = &toks[i];
         let line = t.line;
         let in_test = scan.in_test_region(line);
 
         if t.is_ident("unsafe") {
-            saw_unsafe = true;
-            if scope.unsafe_whitelisted {
-                if !scan.lex.annotated(line, "unsafe") {
-                    diags.push(Diagnostic::new(
-                        "unsafe-unjustified",
-                        path,
-                        line,
-                        "`unsafe` in a whitelisted module still needs a \
-                         per-site `// lint: allow(unsafe): <reason>` \
-                         justification"
-                            .to_string(),
-                    ));
-                }
-            } else if scope.unsafe_code {
-                diags.push(Diagnostic::new(
-                    "unsafe-code",
-                    path,
-                    line,
-                    "`unsafe` is forbidden workspace-wide (crate roots carry \
-                     `#![forbid(unsafe_code)]`)"
-                        .to_string(),
-                ));
-            }
+            diags.push(Diagnostic::new(
+                "unsafe-code",
+                path,
+                line,
+                "`unsafe` is forbidden workspace-wide (crate roots carry \
+                 `#![forbid(unsafe_code)]`)"
+                    .to_string(),
+            ));
         }
         if in_test {
             continue;
@@ -196,21 +162,6 @@ pub fn scan_apis(path: &str, scan: &Scan, scope: ApiScope, diags: &mut Vec<Diagn
             ));
         }
     }
-
-    if scope.unsafe_whitelisted
-        && saw_unsafe
-        && !scan.lex.annotations.iter().any(|a| a.rule == "miri")
-    {
-        diags.push(Diagnostic::new(
-            "miri-coverage",
-            path,
-            1,
-            "file uses `unsafe` but has no `// miri: <test name>` marker — \
-             name the miri-run test that covers these blocks so the CI miri \
-             job actually interprets them"
-                .to_string(),
-        ));
-    }
 }
 
 /// Crate-root hygiene: `#![forbid(unsafe_code)]` must be present.
@@ -258,8 +209,6 @@ mod tests {
         wall_clock: true,
         sleep: true,
         alloc: false,
-        unsafe_code: true,
-        unsafe_whitelisted: false,
     };
 
     const ALLOC_ONLY: ApiScope = ApiScope {
@@ -267,17 +216,6 @@ mod tests {
         wall_clock: false,
         sleep: false,
         alloc: true,
-        unsafe_code: true,
-        unsafe_whitelisted: false,
-    };
-
-    const WHITELISTED: ApiScope = ApiScope {
-        std_hash: false,
-        wall_clock: false,
-        sleep: false,
-        alloc: false,
-        unsafe_code: true,
-        unsafe_whitelisted: true,
     };
 
     #[test]
@@ -364,34 +302,6 @@ mod tests {
             ALLOC_ONLY,
         );
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn whitelisted_unsafe_needs_justification_and_miri_marker() {
-        // Fully fenced: per-site justification + file marker → clean.
-        let d = run(
-            "// miri: lockfree_smoke\n\
-             // lint: allow(unsafe): tagged-pointer load, fenced by generation\n\
-             unsafe { read(p) }",
-            WHITELISTED,
-        );
-        assert!(d.is_empty(), "{d:?}");
-        // Justified site but no miri marker → miri-coverage.
-        let d = run(
-            "// lint: allow(unsafe): tagged-pointer load, fenced by generation\n\
-             unsafe { read(p) }",
-            WHITELISTED,
-        );
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "miri-coverage");
-        // Marker but bare site → unsafe-unjustified.
-        let d = run("// miri: lockfree_smoke\nunsafe { read(p) }", WHITELISTED);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "unsafe-unjustified");
-        // Outside the whitelist the same code is a plain violation.
-        let d = run("unsafe { read(p) }", ALL);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "unsafe-code");
     }
 
     #[test]

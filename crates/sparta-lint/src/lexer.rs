@@ -53,11 +53,8 @@ impl Tok {
 ///   reason must also cite a `sparta-model` protocol via a
 ///   `model: <name>` tag on the same line (checked by [`crate::models`]).
 /// - `// lint: allow(<rule>): <reason>` — suppresses a named API rule
-///   (`wall-clock`, `std-hash`, `sleep`, `lock-unwrap`, `condvar-wait`,
-///   `unsafe`) at one site.
-/// - `// miri: <test name>` — a file-level marker in unsafe-whitelisted
-///   modules naming the miri-run test that covers the file's unsafe
-///   blocks (rule name is `"miri"`).
+///   (`wall-clock`, `std-hash`, `sleep`, `lock-unwrap`, `condvar-wait`)
+///   at one site.
 ///
 /// An annotation applies to its own line (trailing comment) or, when
 /// the comment stands alone, to the next non-comment line below it.
@@ -112,13 +109,6 @@ fn parse_annotation(body: &str, line: u32) -> Option<Annotation> {
         return Some(Annotation {
             line,
             rule: "ordering".to_string(),
-            reason: rest.trim().to_string(),
-        });
-    }
-    if let Some(rest) = body.strip_prefix("miri:") {
-        return Some(Annotation {
-            line,
-            rule: "miri".to_string(),
             reason: rest.trim().to_string(),
         });
     }

@@ -18,8 +18,7 @@
 //! 3. **Forbidden APIs** ([`apis`]) — std `HashMap`/`HashSet` in
 //!    hot-path modules, `Instant::now`/`SystemTime` outside the
 //!    `sparta-obs` clock abstraction, `thread::sleep` in `sparta-core`,
-//!    any `unsafe` (fenced, not banned, in whitelisted lock-free
-//!    modules), and crate roots missing `#![forbid(unsafe_code)]`.
+//!    any `unsafe`, and crate roots missing `#![forbid(unsafe_code)]`.
 //! 4. **Model cross-reference** ([`models`]) — every `// ordering:`
 //!    justification must cite a `sparta-model` protocol via a
 //!    `model: <name>` tag, closing the loop between the lexical claim
@@ -123,13 +122,6 @@ impl Policy {
             && !Policy::is_test_path(path)
     }
 
-    /// Modules licensed to use `unsafe` under the fencing rule set
-    /// (per-site justification + miri coverage marker) instead of the
-    /// blanket ban: the planned `sparta-lockfree` crate.
-    pub fn unsafe_whitelisted(path: &str) -> bool {
-        path.starts_with("crates/sparta-lockfree/src/")
-    }
-
     /// Whether a path is test-only code (unit-test regions are handled
     /// separately, per `#[cfg(test)]` item).
     pub fn is_test_path(path: &str) -> bool {
@@ -194,18 +186,15 @@ pub fn lint_source(
         condvar::scan_condvars(path, &scan, &mut report.diagnostics);
     }
 
-    let whitelisted = Policy::unsafe_whitelisted(path);
     let scope = ApiScope {
         std_hash: Policy::bans_std_hash(path) && !in_test_path,
         wall_clock: Policy::bans_wall_clock(path) && !in_test_path,
         sleep: Policy::bans_sleep(path) && !in_test_path,
         alloc: Policy::bans_alloc(path) && !in_test_path,
-        unsafe_code: !whitelisted,
-        unsafe_whitelisted: whitelisted,
     };
     apis::scan_apis(path, &scan, scope, &mut report.diagnostics);
 
-    if Policy::is_crate_root(path) && !whitelisted {
+    if Policy::is_crate_root(path) {
         apis::check_crate_root(path, &scan, &mut report.diagnostics);
     }
 }
@@ -217,11 +206,7 @@ pub fn lint_shim(path: &str, src: &str, report: &mut Report) {
     let lex = lexer::lex(src);
     let scan = Scan::new(&lex);
     report.files_scanned += 1;
-    let scope = ApiScope {
-        unsafe_code: true,
-        ..ApiScope::default()
-    };
-    apis::scan_apis(path, &scan, scope, &mut report.diagnostics);
+    apis::scan_apis(path, &scan, ApiScope::default(), &mut report.diagnostics);
     if path.ends_with("src/lib.rs") {
         apis::check_crate_root(path, &scan, &mut report.diagnostics);
     }

@@ -154,25 +154,6 @@ fn bad_unknown_model_fires_with_registry() {
 }
 
 #[test]
-fn bad_unsafe_nomiri_fires_fencing_rules_when_whitelisted() {
-    let rules = rules_for(
-        "bad_unsafe_nomiri.rs",
-        "crates/sparta-lockfree/src/fixture.rs",
-    );
-    assert_eq!(rules, ["miri-coverage", "unsafe-unjustified"]);
-    // The same file outside the whitelist is a flat unsafe ban — the
-    // per-site justification buys nothing there.
-    let rules = rules_for("bad_unsafe_nomiri.rs", CORE_MOD);
-    assert_eq!(rules, ["unsafe-code", "unsafe-code"]);
-}
-
-#[test]
-fn clean_lockfree_fencing_is_silent() {
-    let rules = rules_for("clean_lockfree.rs", "crates/sparta-lockfree/src/fixture.rs");
-    assert!(rules.is_empty(), "unexpected: {rules:?}");
-}
-
-#[test]
 fn clean_fixture_is_silent() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf();
     let report = sparta_lint::run_files(&root, &[fixture("clean.rs")], Some(CORE_ROOT))

@@ -1,12 +1,15 @@
-//! The `DocSlab` record protocol Sparta's cleaner leans on
-//! (`sparta-core/src/sparta/doc_slab.rs`, `doc_type.rs`): a record is
+//! The `DocSlab` record protocol Sparta's cleaner — and pNRA's stop
+//! checker — lean on (`sparta-core/src/sparta/doc_slab.rs`,
+//! `bounds.rs`): a record is
 //! `⟨id, sum, known-mask⟩`; the owner of term i scores a document with
 //! `sum.fetch_add(sᵢ, AcqRel)` **then** `mask.fetch_or(bitᵢ, AcqRel)`,
 //! and publishes `UB[i]` (Release) at the end of the segment, when
 //! every later posting of its list scores ≤ that value. The cleaner
 //! snapshots `UB[i]` (Acquire) *first*, then loads a record's mask
 //! (Acquire), then its sum (Acquire), and computes
-//! `UB(D) = sum + (bitᵢ seen ? 0 : UB[i])`.
+//! `UB(D) = sum + (bitᵢ seen ? 0 : UB[i])`. pNRA stores `UB[i]` on
+//! every posting, before scoring it: the same protocol with segments
+//! one posting long.
 //!
 //! The DESIGN.md §10 claim under test: **the cleaner never
 //! under-estimates `UB(D)`** — whatever it races with, the bound it

@@ -15,7 +15,6 @@ use crate::Model;
 pub mod admission;
 pub mod doc_slab;
 pub mod doc_table;
-pub mod doc_type;
 pub mod job_queue;
 pub mod seqlock;
 pub mod server_flags;
@@ -43,7 +42,6 @@ pub fn all_shipped() -> Vec<Model> {
         seqlock::model(Mutation::None),
         doc_slab::model(Mutation::None),
         doc_table::model(Mutation::None),
-        doc_type::model(Mutation::None),
         admission::model(Mutation::None),
         server_flags::model(Mutation::None),
         tag_alloc::model(tag_alloc::Rmw::Atomic),

@@ -7,7 +7,7 @@
 //! of it would be theater.
 
 use sparta_model::protocols::{
-    admission, doc_slab, doc_table, doc_type, job_queue, seqlock, server_flags, tag_alloc, Mutation,
+    admission, doc_slab, doc_table, job_queue, seqlock, server_flags, tag_alloc, Mutation,
 };
 use sparta_model::Model;
 
@@ -95,22 +95,6 @@ fn doc_table_release_half_of_claim_cas_dropped_is_caught() {
     assert_caught(
         "doc_table/release",
         &doc_table::model(Mutation::ReleaseToRelaxed),
-    );
-}
-
-#[test]
-fn doc_type_acquire_sum_load_flipped_to_relaxed_is_caught() {
-    assert_caught(
-        "doc_type/acquire",
-        &doc_type::model(Mutation::AcquireToRelaxed),
-    );
-}
-
-#[test]
-fn doc_type_release_half_of_fetch_add_dropped_is_caught() {
-    assert_caught(
-        "doc_type/release",
-        &doc_type::model(Mutation::ReleaseToRelaxed),
     );
 }
 

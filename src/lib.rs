@@ -49,7 +49,7 @@ pub use sparta_index as index;
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use sparta_core::config::{SearchConfig, Variant};
+    pub use sparta_core::config::SearchConfig;
     pub use sparta_core::docorder::{MaxScore, PBmw, SeqBmw, Wand};
     pub use sparta_core::jass::Jass;
     pub use sparta_core::oracle::Oracle;

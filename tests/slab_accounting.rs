@@ -1,5 +1,5 @@
-//! Hot-path allocation accounting (ISSUE 3 acceptance): Sparta's
-//! per-query candidate records live in a [`DocSlab`] arena whose only
+//! Hot-path allocation accounting (ISSUE 3 acceptance): Sparta's and
+//! pNRA's per-query candidate records live in a [`DocSlab`] arena whose only
 //! heap allocations are its geometric blocks, and segment
 //! continuations recycle their job boxes instead of re-boxing a
 //! closure per segment. Both claims are asserted here through the
@@ -136,7 +136,7 @@ fn doc_slab_stress_under_schedule_sweep() {
 /// One posting list's traversal in miniature: for each of its docs,
 /// look the doc up in the shared table — staging a record from this
 /// job's own run and claiming the slot if it is new — then score it.
-/// Exactly `SegmentJob`'s admission sequence.
+/// Exactly the admission sequence of Sparta's and pNRA's `SegmentJob`.
 struct ScoreJob {
     slab: Arc<DocSlab>,
     table: Arc<DocTable>,
@@ -174,7 +174,8 @@ impl CyclicJob for ScoreJob {
 
 /// Runs one `ScoreJob` per range (term = position) on `exec` and
 /// checks that every doc ends with exactly one live record — the one
-/// the table names — holding the scores of every range that covers it.
+/// the table names — holding the scores of every range that covers it,
+/// and that admitting them cost one allocation per slab block.
 fn check_shared_records(ctx: &str, exec: &dyn Executor, ranges: &[std::ops::Range<u32>]) {
     let docs = ranges.iter().map(|r| r.end).max().unwrap();
     let slab = Arc::new(DocSlab::new(ranges.len()));
@@ -211,6 +212,18 @@ fn check_shared_records(ctx: &str, exec: &dyn Executor, ranges: &[std::ops::Rang
         );
     });
     assert_eq!(live.len(), docs as usize, "{ctx}");
+    // A lost claim re-stages the same record, so each job wastes at
+    // most its last run's tail.
+    assert!(
+        slab.reserved() <= docs as usize + ranges.len() * RUN,
+        "{ctx}: {} records reserved for {docs} docs",
+        slab.reserved()
+    );
+    assert_eq!(
+        slab.blocks_allocated(),
+        blocks_needed(slab.reserved()),
+        "{ctx}: an admission allocated outside the slab's blocks"
+    );
     for doc in 0..docs {
         let want: u32 = ranges
             .iter()
@@ -263,6 +276,37 @@ fn sparta_recycles_continuations_on_all_schedules() {
             "seed {seed}: docmap_peak {} below final {}",
             r.work.docmap_peak,
             r.work.docmap_final
+        );
+    });
+}
+
+/// pNRA never prunes, so every document of every list becomes — and
+/// stays — a candidate. Its admission sequence at that scale costs
+/// O(log candidates) allocations (four overlapping lists, 10 000
+/// candidates, 6 blocks), and the search itself shows the map it
+/// admitted into never shrank while its segment boxes were recycled.
+#[test]
+fn pnra_candidates_cost_slab_blocks_only() {
+    sweep_schedules(4, |seed, exec| {
+        let lists = [0..4000, 2000..6000, 4000..8000, 6000..10_000];
+        check_shared_records(&format!("pnra scale, seed {seed}"), exec, &lists);
+    });
+    assert_eq!(blocks_needed(10_000 + 4 * RUN), 6);
+
+    let (ix, corpus) = build_index(67);
+    let q = long_query(&corpus, 5);
+    let cfg = SearchConfig::exact(15).with_seg_size(64);
+    sweep_schedules(16, |seed, exec| {
+        let r = PNra.search(&ix, &q, &cfg, exec);
+        assert!(r.work.jobs_recycled > 0, "seed {seed}: boxes not recycled");
+        assert_eq!(
+            r.work.docmap_final, r.work.docmap_peak,
+            "seed {seed}: pNRA's candidate map shrank"
+        );
+        assert!(
+            r.work.docmap_peak > 15,
+            "seed {seed}: peak {} never grew beyond k",
+            r.work.docmap_peak
         );
     });
 }
