@@ -10,12 +10,14 @@
 //!   stripes. The Sparta paper (§4.3) protects each hash bucket of the
 //!   shared `docMap` with a granular lock and reports that this performs
 //!   better than a generic concurrent hash map; this is the Rust
-//!   equivalent. pRA's first-wins `seen` set and pJASS's accumulators
-//!   use it.
+//!   equivalent. No algorithm uses it any more — the repo benchmark's
+//!   `collections.striped_upsert_ns` probe is its last caller.
 //! * [`DocTable`] — an insert-only open-addressing `doc id → handle`
 //!   table, one atomic word per slot, sized once: lookups are plain
-//!   loads and admission is one compare-and-swap. Sparta's and pNRA's
-//!   `docMap`.
+//!   loads and admission is one compare-and-swap. Sparta's, pNRA's
+//!   and pJASS's `docMap`.
+//! * [`DocBitset`] — one bit per document, claimed with one
+//!   `fetch_or`: pRA's first-wins `seen` set.
 //! * [`SwapCell`] — a shared pointer that readers can snapshot cheaply
 //!   and a single writer can replace wholesale ("a single pointer
 //!   swing", §4.3), used by the cleaner to publish the pruned `docMap`.
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod counter;
+pub mod doc_bitset;
 pub mod doc_table;
 pub mod fast_hash;
 pub mod mutable_topk;
@@ -38,6 +41,7 @@ pub mod swap_cell;
 pub mod topk_heap;
 
 pub use counter::ShardedCounter;
+pub use doc_bitset::{Claim, DocBitset};
 pub use doc_table::{DocTable, Lookup};
 pub use fast_hash::{FastBuildHasher, FastHashMap, FastHashSet, FastIntHasher};
 pub use mutable_topk::MutableTopK;

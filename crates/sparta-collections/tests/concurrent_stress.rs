@@ -9,7 +9,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparta_collections::{
-    BoundedTopK, DocTable, Lookup, MutableTopK, ShardedCounter, StripedMap, SwapCell,
+    BoundedTopK, Claim, DocBitset, DocTable, Lookup, MutableTopK, ShardedCounter, StripedMap,
+    SwapCell,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -237,4 +238,59 @@ fn doc_table_one_handle_per_doc_under_contention() {
     }
     let winners = told.iter().flatten().filter(|&&(_, _, won)| won).count();
     assert_eq!(winners, DOCS as usize);
+}
+
+/// pRA's first-wins claim under real contention: four threads claim
+/// the same shuffled id set (with repeats, and packed 64 to a word, so
+/// neighbouring bits are contested too). Every id has exactly one
+/// `First` across all threads, and the reported length is the number
+/// of distinct ids.
+#[test]
+fn doc_bitset_one_first_per_doc_under_contention() {
+    const THREADS: u64 = 4;
+    const DOCS: u32 = 2000;
+    let base = test_seed();
+    // A shared pool of ids: about three quarters of the space, each
+    // drawn possibly several times.
+    let mut rng = StdRng::seed_from_u64(base ^ 0xB175E7);
+    let pool: Vec<u32> = (0..3000).map(|_| rng.gen_range(0..DOCS)).collect();
+    let mut distinct = pool.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+
+    let seen = DocBitset::with_capacity(DOCS as usize);
+    let start = std::sync::Barrier::new(THREADS as usize);
+    let firsts: Vec<Vec<u32>> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (seen, start, pool) = (&seen, &start, &pool);
+                s.spawn(move || {
+                    // Each thread walks the pool in its own order.
+                    let mut order = pool.clone();
+                    let mut rng = StdRng::seed_from_u64(base.wrapping_add(t));
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.gen_range(0..=i));
+                    }
+                    start.wait();
+                    order
+                        .into_iter()
+                        .filter(|&d| match seen.claim(d) {
+                            Claim::First => true,
+                            Claim::Seen => false,
+                            Claim::OutOfRange => panic!("doc {d} is in range"),
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let mut won: Vec<u32> = firsts.into_iter().flatten().collect();
+    won.sort_unstable();
+    assert_eq!(
+        won, distinct,
+        "seed {base}: an id had no first or more than one"
+    );
+    assert_eq!(seen.len(), distinct.len(), "seed {base}");
+    assert_eq!(seen.claim(DOCS), Claim::OutOfRange);
 }

@@ -8,22 +8,24 @@
 //! traversed, and then unlocks it. The algorithm stops after scanning
 //! a predefined fraction, p, of postings."
 //!
-//! We realize "per-document lock" as an atomic accumulator reached
-//! through a striped map — the same granularity, without a parked
-//! mutex per document. The map is intentionally never pruned (the
-//! paper contrasts pJASS's "huge in-memory document map" with Sparta's
-//! cleaning, §6).
+//! We realize "per-document lock" as an atomic accumulator: a document's
+//! running sum is one word of its record in the query's `DocSlab`
+//! (Sparta's and pNRA's substrate, DESIGN.md §10), reached through one
+//! lock-free `DocTable` — the same granularity, with no mutex, parked
+//! or striped, and no allocation per document. The map is intentionally
+//! never pruned (the paper contrasts pJASS's "huge in-memory document
+//! map" with Sparta's cleaning, §6).
 
 use crate::config::SearchConfig;
 use crate::jass::posting_budget;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::shared_heap::SharedHeap;
-use crate::sparta::open_cursor;
+use crate::sparta::{open_cursor, DocHandle, DocSlab, SlabRun};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{BoundedTopK, ShardedCounter, StripedMap};
-use sparta_corpus::types::{DocId, Query};
-use sparta_exec::{Executor, JobQueue};
+use sparta_collections::{BoundedTopK, DocTable, Lookup};
+use sparta_corpus::types::Query;
+use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,10 +38,19 @@ pub struct PJass;
 
 struct State {
     cfg: SearchConfig,
-    acc: StripedMap<DocId, Arc<AtomicU64>>,
-    scanned: ShardedCounter,
+    /// One record per accumulated document; its `sum` is the
+    /// accumulator.
+    slab: DocSlab,
+    doc_map: DocTable,
+    /// Postings scanned, reported once per segment. A count: it
+    /// publishes nothing (Relaxed); the stop it triggers travels
+    /// through `done`.
+    scanned: AtomicU64,
     budget: u64,
     done: AtomicBool,
+    /// An admission found `doc_map` full: this run is abandoned and
+    /// the query starts over with a bigger table.
+    docmap_full: AtomicBool,
     trace: TraceSink,
     spans: QueryTrace,
     /// Trace-only instrumentation: a small heap fed by accumulator
@@ -55,38 +66,106 @@ impl State {
     }
 }
 
-fn process_term(state: Arc<State>, queue: Arc<JobQueue>, mut cursor: Box<dyn ScoreCursor>) {
-    if state.is_done() {
-        return;
-    }
-    let seg_span = state.spans.span(Phase::TermProcess);
-    let mut exhausted = false;
-    for _ in 0..state.cfg.seg_size {
+/// One term's traversal as a recycled [`CyclicJob`] — each step is a
+/// segment; the same box re-enqueues until the list exhausts or the
+/// budget is spent.
+struct SegmentJob {
+    state: Arc<State>,
+    i: usize,
+    cursor: Box<dyn ScoreCursor>,
+    /// Slab record indices reserved for this list's admissions.
+    run: SlabRun,
+}
+
+impl CyclicJob for SegmentJob {
+    fn run_step(&mut self) -> bool {
+        let state = &self.state;
         if state.is_done() {
-            return;
+            return false;
         }
-        let Some(p) = cursor.next() else {
-            exhausted = true;
-            break;
-        };
-        state.scanned.incr();
-        let slot = state
-            .acc
-            .get_or_insert_with(p.doc, || Arc::new(AtomicU64::new(0)));
-        let new_total = slot.fetch_add(u64::from(p.score), Ordering::AcqRel) + u64::from(p.score);
-        if let Some(th) = &state.trace_heap {
-            th.offer(new_total, p.doc, &state.trace);
+        let _seg_span = state.spans.span(Phase::TermProcess);
+        // The segment is capped at what is left of the budget, so one
+        // worker at a time stops on the budget's exact posting and T
+        // workers overshoot it by less than T segments.
+        let before = state.scanned.load(Ordering::Relaxed);
+        let limit = state
+            .budget
+            .saturating_sub(before)
+            .min(state.cfg.seg_size as u64);
+        let mut exhausted = false;
+        let mut scanned = 0u64;
+        let mut admitted = 0usize;
+        while scanned < limit && !state.is_done() {
+            let Some(p) = self.cursor.next() else {
+                exhausted = true;
+                break;
+            };
+            scanned += 1;
+            let make = || state.slab.stage(&mut self.run, p.doc).index();
+            let h = match state.doc_map.get_or_try_insert_with(p.doc, true, make) {
+                Lookup::Found(h) => h,
+                Lookup::Inserted(h) => {
+                    self.run.commit();
+                    admitted += 1;
+                    h
+                }
+                Lookup::Absent => unreachable!("insertion was allowed"),
+                Lookup::Full => {
+                    state.docmap_full.store(true, Ordering::Relaxed);
+                    state.done.store(true, Ordering::Release);
+                    break;
+                }
+            };
+            let rec = state.slab.record(DocHandle::from_index(h));
+            let new_total = rec.set_score(self.i, p.score);
+            if let Some(th) = &state.trace_heap {
+                th.offer(new_total, p.doc, &state.trace);
+            }
         }
-        if state.scanned.get() >= state.budget {
+        state.doc_map.add_len(admitted);
+        if state.scanned.fetch_add(scanned, Ordering::Relaxed) + scanned >= state.budget {
             state.done.store(true, Ordering::Release);
-            return;
+        }
+        !exhausted && !state.is_done()
+    }
+}
+
+/// Runs the query once over a `docMap` sized for `max_docs` documents;
+/// the caller starts over if the run reports `docmap_full`.
+fn run_once(
+    index: &Arc<dyn Index>,
+    query: &Query,
+    cfg: &SearchConfig,
+    exec: &dyn Executor,
+    budget: u64,
+    max_docs: u64,
+) -> (Arc<State>, Arc<JobQueue>) {
+    let state = Arc::new(State {
+        cfg: *cfg,
+        slab: DocSlab::new(query.terms.len()),
+        doc_map: DocTable::with_capacity(max_docs.min(u64::from(u32::MAX)) as usize),
+        scanned: AtomicU64::new(0),
+        budget,
+        done: AtomicBool::new(false),
+        docmap_full: AtomicBool::new(false),
+        trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+        spans: QueryTrace::new(cfg.spans, cfg.clock),
+        trace_heap: cfg.trace.then(|| SharedHeap::new(cfg.k.max(1))),
+    });
+    let queue = JobQueue::tagged(cfg.query_tag);
+    {
+        let _plan = state.spans.span(Phase::Plan);
+        for (i, &t) in query.terms.iter().enumerate() {
+            queue.push(Job::cyclic(SegmentJob {
+                state: Arc::clone(&state),
+                i,
+                cursor: open_cursor(index, t),
+                run: SlabRun::default(),
+            }));
         }
     }
-    drop(seg_span); // the guard borrows `state`, which the continuation moves
-    if !exhausted && !state.is_done() {
-        let q = Arc::clone(&queue);
-        queue.push(Box::new(move || process_term(state, q, cursor)));
-    }
+    exec.run(Arc::clone(&queue));
+    (state, queue)
 }
 
 impl Algorithm for PJass {
@@ -103,34 +182,26 @@ impl Algorithm for PJass {
     ) -> TopKResult {
         // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
         let start = Instant::now();
-        let total: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
-        let state = Arc::new(State {
-            cfg: *cfg,
-            acc: StripedMap::new(),
-            scanned: ShardedCounter::new(),
-            budget: posting_budget(total, cfg.jass_p),
-            done: AtomicBool::new(false),
-            trace: TraceSink::with_clock(cfg.trace, cfg.clock),
-            spans: QueryTrace::new(cfg.spans, cfg.clock),
-            trace_heap: cfg.trace.then(|| SharedHeap::new(cfg.k.max(1))),
-        });
-        let queue = JobQueue::new();
-        {
-            let _plan = state.spans.span(Phase::Plan);
-            for &t in &query.terms {
-                let cursor = open_cursor(index, t);
-                let st = Arc::clone(&state);
-                let q = Arc::clone(&queue);
-                queue.push(Box::new(move || process_term(st, q, cursor)));
+        let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
+        let budget = posting_budget(postings, cfg.jass_p);
+        // docMap is sized as pNRA and Sparta size theirs, and an index
+        // that under-declares `num_docs` is answered the same way: the
+        // run that found the table full is abandoned and the query
+        // starts over sized from the list lengths (doubling from there).
+        let mut max_docs = postings.min(index.num_docs());
+        let (state, queue) = loop {
+            let (state, queue) = run_once(index, query, cfg, exec, budget, max_docs);
+            if !state.docmap_full.load(Ordering::Relaxed) {
+                break (state, queue);
             }
-        }
-        exec.run(Arc::clone(&queue));
+            max_docs = max_docs.saturating_mul(2).max(postings);
+        };
 
-        // Final selection over the accumulator table.
+        // Final selection over the accumulators.
         let merge_span = state.spans.span(Phase::HeapMerge);
         let mut heap = BoundedTopK::new(cfg.k.max(1));
-        state.acc.for_each(|&d, s| {
-            heap.offer(s.load(Ordering::Acquire), d);
+        state.slab.for_each_scored(|_, rec| {
+            heap.offer(rec.current_sum(), rec.id());
         });
         let hits = finalize_hits(
             heap.into_sorted_vec()
@@ -143,15 +214,16 @@ impl Algorithm for PJass {
             cfg.k,
         );
         drop(merge_span);
+        let accumulators = state.doc_map.len() as u64;
         let work = WorkStats {
-            postings_scanned: state.scanned.get(),
+            postings_scanned: state.scanned.load(Ordering::Relaxed),
             random_accesses: 0,
             heap_updates: hits.len() as u64,
-            docmap_peak: state.acc.len() as u64,
+            docmap_peak: accumulators,
             cleaner_passes: 0,
             jobs_panicked: queue.panicked() as u64,
             jobs_recycled: queue.recycled() as u64,
-            docmap_final: state.acc.len() as u64,
+            docmap_final: accumulators,
             timeout_stops: 0,
             ..WorkStats::default()
         };
@@ -171,6 +243,8 @@ mod tests {
     use super::*;
     use crate::jass::Jass;
     use crate::oracle::Oracle;
+    use crate::sparta::doc_slab::RUN;
+    use crate::test_support::{honest_and_under_declared, TagSpy};
     use sparta_exec::DedicatedExecutor;
     use sparta_index::{InMemoryIndex, Posting};
 
@@ -251,5 +325,74 @@ mod tests {
         let cfg = SearchConfig::exact(10).with_trace(true);
         let r = PJass.search(&ix, &q, &cfg, &DedicatedExecutor::new(2));
         assert!(r.trace.unwrap().len() >= 10);
+    }
+
+    /// `docMap` is sized from the index's declared `num_docs`, which
+    /// nothing validates: an index declaring 10 documents whose ids run
+    /// to 3 000 must cost restarts, not a panic or a wrong answer.
+    #[test]
+    fn exact_when_num_docs_is_under_declared() {
+        let (honest, lying) = honest_and_under_declared(2);
+        let q = Query::new(vec![0, 1]);
+        let want = Oracle::compute(honest.as_ref(), &q, 5);
+        let truth: Vec<u64> = want.topk().iter().map(|h| h.score).collect();
+        let cfg = SearchConfig::exact(5).with_seg_size(64);
+        for threads in [1, 3] {
+            let r = PJass.search(&lying, &q, &cfg, &DedicatedExecutor::new(threads));
+            assert_eq!(want.recall(&r.docs()), 1.0, "t={threads}: {:?}", r.docs());
+            assert_eq!(r.scores(), truth, "t={threads}");
+            assert_eq!(r.work.jobs_panicked, 0, "t={threads}");
+            assert_eq!(r.work.docmap_peak, 3000, "t={threads}");
+        }
+        // The abandoned runs leave no trace in the reported work (one
+        // thread: the schedule, hence the work, is deterministic).
+        let one = DedicatedExecutor::new(1);
+        assert_eq!(
+            PJass.search(&lying, &q, &cfg, &one).work,
+            PJass.search(&honest, &q, &cfg, &one).work
+        );
+    }
+
+    /// A served `pjass` request is attributed by its queue's tag, and
+    /// one worker at a time stops on the budget's exact posting.
+    #[test]
+    fn carries_query_tag_and_stops_on_the_exact_budget() {
+        let ix = pseudo_index(3000, 3, 8);
+        let q = Query::new(vec![0, 1, 2]);
+        let cfg = SearchConfig::exact(10)
+            .with_seg_size(64)
+            .with_jass_p(0.1)
+            .with_query_tag(77);
+        for seed in 0..8 {
+            let exec = TagSpy::new(seed);
+            let r = PJass.search(&ix, &q, &cfg, &exec);
+            assert_eq!(exec.tag(), 77, "seed {seed}");
+            assert_eq!(r.work.postings_scanned, 900, "seed {seed}");
+        }
+    }
+
+    /// An accumulator costs a slab record, never an allocation of its
+    /// own: the query's slab allocates one block per geometric step.
+    #[test]
+    fn accumulators_cost_slab_blocks_only() {
+        let ix = pseudo_index(5000, 4, 6);
+        let q = Query::new(vec![0, 1, 2, 3]);
+        let cfg = SearchConfig::exact(10).with_seg_size(128);
+        let exec = DedicatedExecutor::new(4);
+        let (state, _queue) = run_once(&ix, &q, &cfg, &exec, u64::MAX, 5000);
+        assert_eq!(state.doc_map.len(), 5000);
+        // Lost admission races re-stage the same record, so a list
+        // wastes at most its last run's tail.
+        let reserved = state.slab.reserved();
+        assert!(reserved <= 5000 + 4 * RUN, "{reserved} for 5000");
+        // Blocks hold 256, 512, 1024, … records.
+        let blocks_needed = (reserved.div_ceil(256) + 1)
+            .next_power_of_two()
+            .trailing_zeros() as usize;
+        assert!(
+            state.slab.blocks_allocated() <= blocks_needed,
+            "{} blocks for {reserved} records",
+            state.slab.blocks_allocated()
+        );
     }
 }

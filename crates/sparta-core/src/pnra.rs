@@ -310,6 +310,7 @@ mod tests {
     use super::*;
     use crate::oracle::Oracle;
     use crate::sparta::doc_slab::RUN;
+    use crate::test_support::TagSpy;
     use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
     use std::time::Duration;
@@ -404,23 +405,6 @@ mod tests {
         );
     }
 
-    /// Passes the queue on to a deterministic executor, noting its tag.
-    struct TagSpy {
-        inner: DeterministicExecutor,
-        tag: AtomicU64,
-    }
-
-    impl Executor for TagSpy {
-        fn run(&self, queue: Arc<JobQueue>) {
-            self.tag.store(queue.tag(), Ordering::Relaxed);
-            self.inner.run(queue);
-        }
-
-        fn parallelism(&self) -> usize {
-            self.inner.parallelism()
-        }
-    }
-
     /// What a served `pnra` request is attributed and accounted by: the
     /// queue carries the config's tag, and a stop the Δ budget caused
     /// (Δ = 0: the first check, long before Eq. 2) is reported as one.
@@ -433,13 +417,10 @@ mod tests {
             .with_delta(Some(Duration::ZERO))
             .with_query_tag(77);
         for seed in 0..8 {
-            let exec = TagSpy {
-                inner: DeterministicExecutor::new(seed),
-                tag: AtomicU64::new(0),
-            };
+            let exec = TagSpy::new(seed);
             let r = PNra.search(&ix, &q, &cfg, &exec);
             assert_eq!(r.work.timeout_stops, 1, "seed {seed}");
-            assert_eq!(exec.tag.load(Ordering::Relaxed), 77, "seed {seed}");
+            assert_eq!(exec.tag(), 77, "seed {seed}");
         }
         let exact = cfg.with_delta(None);
         let r = PNra.search(&ix, &q, &exact, &DeterministicExecutor::new(0));

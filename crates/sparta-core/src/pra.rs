@@ -16,11 +16,11 @@ use crate::shared_heap::SharedHeap;
 use crate::sparta::{open_cursor, SharedUb};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{ShardedCounter, StripedMap};
-use sparta_corpus::types::{DocId, Query};
+use sparta_collections::{Claim, DocBitset, ShardedCounter};
+use sparta_corpus::types::Query;
 use sparta_exec::{Executor, JobQueue};
 use sparta_index::{Index, ScoreCursor};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -34,9 +34,15 @@ struct State {
     ub: SharedUb,
     heap: SharedHeap,
     /// First-wins dedup: a doc is fully scored by whichever worker
-    /// claims it first.
-    seen: StripedMap<DocId, ()>,
+    /// claims it first — one bit per document of the index.
+    seen: DocBitset,
+    /// A posting named a document beyond `seen` (the index declared
+    /// fewer documents than its lists hold): the ids `seen` would have
+    /// had to cover, 0 while every id was in range. Nonzero abandons
+    /// this run; the query starts over with a set that large.
+    needed: AtomicU64,
     done: AtomicBool,
+    timeout_stops: AtomicU64,
     trace: TraceSink,
     postings: ShardedCounter,
     randoms: ShardedCounter,
@@ -57,7 +63,13 @@ impl State {
             .delta
             .is_some_and(|d| self.heap.since_last_update() >= d);
         if ub_stop || timed_out {
-            self.done.store(true, Ordering::Release);
+            // Whoever flips `done` ended the query; on the Δ budget
+            // alone (approximate variant) that is the query's one
+            // timeout stop.
+            let ended_here = !self.done.swap(true, Ordering::AcqRel);
+            if ended_here && !ub_stop {
+                self.timeout_stops.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -98,18 +110,28 @@ fn process_term(
             state.ub.set(i, p.score);
             stored_ub = u64::from(p.score);
         }
-        // First-wins claim of the document: `insert` returns the
-        // prior value, so exactly one worker sees `None` per doc.
-        if state.seen.insert(p.doc, ()).is_none() {
-            // Fresh claim: compute the full score via random access.
-            let mut full = u64::from(p.score);
-            for (j, &t) in state.terms.iter().enumerate() {
-                if j != i {
-                    full += u64::from(ra.term_score(t, p.doc));
-                    randoms += 1;
+        // First-wins claim of the document: one `fetch_or`, and
+        // exactly one worker is told `First` per doc.
+        match state.seen.claim(p.doc) {
+            Claim::First => {
+                // Fresh claim: compute the full score via random access.
+                let mut full = u64::from(p.score);
+                for (j, &t) in state.terms.iter().enumerate() {
+                    if j != i {
+                        full += u64::from(ra.term_score(t, p.doc));
+                        randoms += 1;
+                    }
                 }
+                state.heap.offer(full, p.doc, &state.trace);
             }
-            state.heap.offer(full, p.doc, &state.trace);
+            Claim::Seen => {}
+            Claim::OutOfRange => {
+                state
+                    .needed
+                    .fetch_max(u64::from(p.doc) + 1, Ordering::Relaxed);
+                state.done.store(true, Ordering::Release);
+                break;
+            }
         }
         state.check_stop();
     }
@@ -123,6 +145,41 @@ fn process_term(
         let q = Arc::clone(&queue);
         queue.push(Box::new(move || process_term(state, q, i, cursor)));
     }
+}
+
+/// Runs the query once with `seen` covering document ids `0..docs`; the
+/// caller starts over if the run reports an id beyond that.
+fn run_once(
+    index: &Arc<dyn Index>,
+    query: &Query,
+    cfg: &SearchConfig,
+    exec: &dyn Executor,
+    docs: u64,
+) -> (Arc<State>, Arc<JobQueue>) {
+    let state = Arc::new(State {
+        cfg: *cfg,
+        terms: query.terms.clone(),
+        ub: SharedUb::new(query.terms.len()),
+        heap: SharedHeap::new(cfg.k),
+        // Doc ids are 32 bits wide: a larger declaration buys nothing.
+        seen: DocBitset::with_capacity(usize::try_from(docs.min(1 << 32)).unwrap_or(usize::MAX)),
+        needed: AtomicU64::new(0),
+        done: AtomicBool::new(false),
+        timeout_stops: AtomicU64::new(0),
+        trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+        postings: ShardedCounter::new(),
+        randoms: ShardedCounter::new(),
+        index: Arc::clone(index),
+    });
+    let queue = JobQueue::tagged(cfg.query_tag);
+    for (i, &t) in query.terms.iter().enumerate() {
+        let cursor = open_cursor(index, t);
+        let st = Arc::clone(&state);
+        let q = Arc::clone(&queue);
+        queue.push(Box::new(move || process_term(st, q, i, cursor)));
+    }
+    exec.run(Arc::clone(&queue));
+    (state, queue)
 }
 
 impl Algorithm for PRa {
@@ -148,26 +205,20 @@ impl Algorithm for PRa {
                 spans: None,
             };
         }
-        let state = Arc::new(State {
-            cfg: *cfg,
-            terms: query.terms.clone(),
-            ub: SharedUb::new(query.terms.len()),
-            heap: SharedHeap::new(cfg.k),
-            seen: StripedMap::new(),
-            done: AtomicBool::new(false),
-            trace: TraceSink::new(cfg.trace),
-            postings: ShardedCounter::new(),
-            randoms: ShardedCounter::new(),
-            index: Arc::clone(index),
-        });
-        let queue = JobQueue::new();
-        for (i, &t) in query.terms.iter().enumerate() {
-            let cursor = open_cursor(index, t);
-            let st = Arc::clone(&state);
-            let q = Arc::clone(&queue);
-            queue.push(Box::new(move || process_term(st, q, i, cursor)));
-        }
-        exec.run(Arc::clone(&queue));
+        // `seen` covers the documents the index declares. `num_docs` is
+        // never validated, so an id beyond it is answered as pNRA and
+        // Sparta answer a full `docMap`: the run is abandoned and the
+        // query starts over with a set that covers the id (at least
+        // doubling, so a lying index costs O(log) restarts).
+        let mut docs = index.num_docs();
+        let (state, queue) = loop {
+            let (state, queue) = run_once(index, query, cfg, exec, docs);
+            let needed = state.needed.load(Ordering::Relaxed);
+            if needed == 0 {
+                break (state, queue);
+            }
+            docs = needed.max(docs.saturating_mul(2));
+        };
 
         let hits = finalize_hits(
             state
@@ -178,16 +229,18 @@ impl Algorithm for PRa {
                 .collect(),
             cfg.k,
         );
+        // Claims are never withdrawn: the set's peak is its final size.
+        let claimed = state.seen.len() as u64;
         let work = WorkStats {
             postings_scanned: state.postings.get(),
             random_accesses: state.randoms.get(),
             heap_updates: state.heap.update_count(),
-            docmap_peak: state.seen.len() as u64,
+            docmap_peak: claimed,
             cleaner_passes: 0,
             jobs_panicked: queue.panicked() as u64,
             jobs_recycled: queue.recycled() as u64,
-            docmap_final: state.seen.len() as u64,
-            timeout_stops: 0,
+            docmap_final: claimed,
+            timeout_stops: state.timeout_stops.load(Ordering::Relaxed),
             ..WorkStats::default()
         };
         let state = Arc::into_inner(state).expect("all jobs drained");
@@ -205,8 +258,10 @@ impl Algorithm for PRa {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use crate::test_support::{honest_and_under_declared, TagSpy};
+    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
+    use std::time::Duration;
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
         let lists: Vec<Vec<Posting>> = (0..m as u32)
@@ -265,5 +320,55 @@ mod tests {
         let r = PRa.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
         assert_eq!(r.work.random_accesses, 500 * 3);
         assert_eq!(r.hits.len(), 500);
+    }
+
+    /// `seen` is sized from the index's declared `num_docs`, which
+    /// nothing validates: an index declaring 10 documents whose ids run
+    /// to 3 000 must cost restarts, not a panic or a wrong answer.
+    #[test]
+    fn exact_when_num_docs_is_under_declared() {
+        let (honest, lying) = honest_and_under_declared(3);
+        let q = Query::new(vec![0, 1, 2]);
+        let want = Oracle::compute(honest.as_ref(), &q, 5);
+        let cfg = SearchConfig::exact(5).with_seg_size(64);
+        for threads in [1, 3] {
+            let r = PRa.search(&lying, &q, &cfg, &DedicatedExecutor::new(threads));
+            assert_eq!(want.recall(&r.docs()), 1.0, "t={threads}: {:?}", r.docs());
+            let truth: Vec<u64> = want.topk().iter().map(|h| h.score).collect();
+            assert_eq!(r.scores(), truth, "t={threads}");
+            assert_eq!(r.work.jobs_panicked, 0, "t={threads}");
+            // Each claimed document still costs exactly m − 1 probes.
+            assert_eq!(r.work.random_accesses, r.work.docmap_peak * 2);
+        }
+        // The abandoned runs leave no trace in the reported work (one
+        // thread: the schedule, hence the work, is deterministic).
+        let one = DedicatedExecutor::new(1);
+        assert_eq!(
+            PRa.search(&lying, &q, &cfg, &one).work,
+            PRa.search(&honest, &q, &cfg, &one).work
+        );
+    }
+
+    /// What a served `pra` request is attributed and accounted by: the
+    /// queue carries the config's tag, and a stop the Δ budget caused
+    /// (Δ = 0: the first posting's check, long before `UBStop`) is
+    /// counted once, by the one worker whose check ended the query.
+    #[test]
+    fn reports_delta_stop_and_query_tag() {
+        let ix = pseudo_index(3000, 3, 8);
+        let q = Query::new(vec![0, 1, 2]);
+        let cfg = SearchConfig::exact(10)
+            .with_seg_size(64)
+            .with_delta(Some(Duration::ZERO))
+            .with_query_tag(77);
+        for seed in 0..8 {
+            let exec = TagSpy::new(seed);
+            let r = PRa.search(&ix, &q, &cfg, &exec);
+            assert_eq!(r.work.timeout_stops, 1, "seed {seed}");
+            assert_eq!(exec.tag(), 77, "seed {seed}");
+        }
+        let exact = cfg.with_delta(None);
+        let r = PRa.search(&ix, &q, &exact, &DeterministicExecutor::new(0));
+        assert_eq!(r.work.timeout_stops, 0, "a UBStop stop is not a Δ stop");
     }
 }

@@ -110,6 +110,12 @@ fn bad_alloc_fires_on_record_path_only() {
         "crates/sparta-collections/src/doc_table.rs",
     );
     assert_eq!(rules, ["alloc"]);
+    // …and so is pRA's claim bitset, for the same reason.
+    let rules = rules_for(
+        "bad_alloc_recorder.rs",
+        "crates/sparta-collections/src/doc_bitset.rs",
+    );
+    assert_eq!(rules, ["alloc"]);
     // Outside the banned paths the alloc rule does not apply.
     let rules = rules_for("bad_alloc_recorder.rs", CORE_MOD);
     assert!(rules.is_empty(), "unexpected: {rules:?}");

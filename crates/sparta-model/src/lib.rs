@@ -16,9 +16,9 @@
 //! a `model: <name>` tag, so an ordering claim without a machine check
 //! is a lint violation. The shipped models live in [`protocols`]; each
 //! is an instruction-level port of a real protocol (JobQueue
-//! completion, the seqlock event ring, DocSlab score publication, the
-//! admission gate, server lifecycle flags, the scheduler tag
-//! allocator) with its DESIGN.md invariant attached, plus *mutation*
+//! completion, the seqlock event ring, DocSlab score publication,
+//! DocTable admission, the DocBitset claim, the admission gate, server
+//! lifecycle flags, the scheduler tag allocator) with its DESIGN.md invariant attached, plus *mutation*
 //! variants proving the checker actually detects a weakened ordering.
 //!
 //! ```

@@ -13,6 +13,7 @@
 use crate::Model;
 
 pub mod admission;
+pub mod doc_bitset;
 pub mod doc_slab;
 pub mod doc_table;
 pub mod job_queue;
@@ -42,6 +43,7 @@ pub fn all_shipped() -> Vec<Model> {
         seqlock::model(Mutation::None),
         doc_slab::model(Mutation::None),
         doc_table::model(Mutation::None),
+        doc_bitset::model(doc_bitset::Rmw::Atomic),
         admission::model(Mutation::None),
         server_flags::model(Mutation::None),
         tag_alloc::model(tag_alloc::Rmw::Atomic),

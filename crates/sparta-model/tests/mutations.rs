@@ -7,7 +7,8 @@
 //! of it would be theater.
 
 use sparta_model::protocols::{
-    admission, doc_slab, doc_table, job_queue, seqlock, server_flags, tag_alloc, Mutation,
+    admission, doc_bitset, doc_slab, doc_table, job_queue, seqlock, server_flags, tag_alloc,
+    Mutation,
 };
 use sparta_model::Model;
 
@@ -138,6 +139,18 @@ fn tag_alloc_split_rmw_is_caught() {
     assert_caught(
         "tag_alloc/split-rmw",
         &tag_alloc::model(tag_alloc::Rmw::SplitLoadStore),
+    );
+}
+
+/// The claim bitset is all-Relaxed too (the bit is an identity); its
+/// seeded mutant is the same loss of atomicity — load-then-store
+/// instead of `fetch_or` — which hands one document two firsts or
+/// erases a neighbour's bit.
+#[test]
+fn doc_bitset_split_rmw_is_caught() {
+    assert_caught(
+        "doc_bitset/split-rmw",
+        &doc_bitset::model(doc_bitset::Rmw::SplitLoadStore),
     );
 }
 

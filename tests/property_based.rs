@@ -6,9 +6,11 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sparta::collections::{BoundedTopK, DocTable, Lookup, MutableTopK, StripedMap};
+use sparta::collections::{
+    BoundedTopK, Claim, DocBitset, DocTable, Lookup, MutableTopK, StripedMap,
+};
 use sparta::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// An arbitrary tiny index: m lists of (doc, score) postings with
@@ -95,6 +97,29 @@ proptest! {
         for i in 0..cap + 8 {
             prop_assert_eq!(rebuilt.get(key(i)), model.get(&key(i)).copied());
         }
+    }
+
+    #[test]
+    fn doc_bitset_models_hashset(
+        docs in vec(0u32..300, 0..400),
+        cap in 0usize..260,
+    ) {
+        // Ids run past the capacity on purpose: an out-of-range claim
+        // is reported and leaves the set as it was.
+        let seen = DocBitset::with_capacity(cap);
+        let mut model: HashSet<u32> = HashSet::new();
+        for d in docs {
+            let want = if d as usize >= cap {
+                Claim::OutOfRange
+            } else if model.insert(d) {
+                Claim::First
+            } else {
+                Claim::Seen
+            };
+            prop_assert_eq!(seen.claim(d), want);
+            prop_assert_eq!(seen.len(), model.len());
+        }
+        prop_assert_eq!(seen.is_empty(), model.is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Hot-path allocation accounting (ISSUE 3 acceptance): Sparta's and
-//! pNRA's per-query candidate records live in a [`DocSlab`] arena whose only
-//! heap allocations are its geometric blocks, and segment
+//! Hot-path allocation accounting (ISSUE 3 acceptance): Sparta's,
+//! pNRA's and pJASS's per-query candidate records live in a
+//! [`DocSlab`] arena whose only heap allocations are its geometric
+//! blocks, and segment
 //! continuations recycle their job boxes instead of re-boxing a
 //! closure per segment. Both claims are asserted here through the
 //! slab's own accounting counters and the queue's recycle counter —
@@ -308,5 +309,35 @@ fn pnra_candidates_cost_slab_blocks_only() {
             "seed {seed}: peak {} never grew beyond k",
             r.work.docmap_peak
         );
+    });
+}
+
+/// pJASS accumulates into the same slab behind the same table: an
+/// accumulator is a record (the admission mechanics are the ones
+/// `check_shared_records` pins above), never an allocation of its own,
+/// and nothing is ever pruned — the map ends holding exactly the
+/// distinct documents of the query's lists.
+#[test]
+fn pjass_accumulators_are_slab_records() {
+    let (ix, corpus) = build_index(67);
+    let q = long_query(&corpus, 5);
+    let mut distinct = std::collections::HashSet::new();
+    for &t in &q.terms {
+        let mut c = ix.doc_cursor(t);
+        while let Some(d) = c.doc() {
+            distinct.insert(d);
+            c.advance();
+        }
+    }
+    let cfg = SearchConfig::exact(15).with_seg_size(64);
+    sweep_schedules(16, |seed, exec| {
+        let r = PJass.search(&ix, &q, &cfg, exec);
+        assert!(r.work.jobs_recycled > 0, "seed {seed}: boxes not recycled");
+        assert_eq!(
+            r.work.docmap_peak,
+            distinct.len() as u64,
+            "seed {seed}: one accumulator per distinct document"
+        );
+        assert_eq!(r.work.docmap_final, r.work.docmap_peak, "seed {seed}");
     });
 }
