@@ -1,74 +1,13 @@
-//! Substrate micro-benches: the striped map against a single-mutex
-//! map (the paper's granular-lock claim, §4.3), heap offers, swap-cell
-//! snapshots, the doc-id hasher against SipHash, and Sparta's `docMap`
-//! operations on the lock-free table against the striped map.
+//! Substrate micro-benches: heap offers, swap-cell snapshots, the
+//! doc-id hasher against SipHash, and Sparta's `docMap` operations on
+//! the lock-free table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parking_lot::Mutex;
-use sparta_collections::{BoundedTopK, DocTable, FastBuildHasher, StripedMap, SwapCell};
+use sparta_collections::{BoundedTopK, DocTable, FastBuildHasher, SwapCell};
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Striped map vs one big mutex, under concurrent mixed load.
-fn bench_striped_vs_mutex(c: &mut Criterion) {
-    let mut g = c.benchmark_group("striped_map_vs_single_mutex");
-    g.sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1));
-    const OPS: u32 = 20_000;
-    const THREADS: usize = 4;
-
-    for stripes in [1usize, 8, 64] {
-        g.bench_with_input(
-            BenchmarkId::new("striped", stripes),
-            &stripes,
-            |b, &stripes| {
-                b.iter(|| {
-                    let map: Arc<StripedMap<u32, u32>> =
-                        Arc::new(StripedMap::with_stripes(stripes));
-                    std::thread::scope(|s| {
-                        for t in 0..THREADS as u32 {
-                            let map = Arc::clone(&map);
-                            s.spawn(move || {
-                                for i in 0..OPS {
-                                    let k = i.wrapping_mul(2654435761).wrapping_add(t) % 4096;
-                                    if i % 4 == 0 {
-                                        map.insert(k, i);
-                                    } else {
-                                        std::hint::black_box(map.get(&k));
-                                    }
-                                }
-                            });
-                        }
-                    });
-                });
-            },
-        );
-    }
-    g.bench_function("single_mutex_hashmap", |b| {
-        b.iter(|| {
-            let map: Arc<Mutex<HashMap<u32, u32>>> = Arc::new(Mutex::new(HashMap::new()));
-            std::thread::scope(|s| {
-                for t in 0..THREADS as u32 {
-                    let map = Arc::clone(&map);
-                    s.spawn(move || {
-                        for i in 0..OPS {
-                            let k = i.wrapping_mul(2654435761).wrapping_add(t) % 4096;
-                            if i % 4 == 0 {
-                                map.lock().insert(k, i);
-                            } else {
-                                std::hint::black_box(map.lock().get(&k).copied());
-                            }
-                        }
-                    });
-                }
-            });
-        });
-    });
-    g.finish();
-}
 
 /// Heap offer cost at the paper's k = 1000.
 fn bench_heap_offers(c: &mut Criterion) {
@@ -180,11 +119,10 @@ fn bench_fast_hash_vs_siphash(c: &mut Criterion) {
 }
 
 /// Sparta's two `docMap` operations — a lookup that hits, and an
-/// admission — on the striped map (what pRA/pJASS still use) and
-/// on the lock-free table, from 1 and 2 threads. Each thread works a
-/// disjoint half of the doc ids, so the 2-thread rows measure cache-
-/// line traffic (stripe-lock RMWs, the shared `len`), not key
-/// conflicts. This is the layer number behind the PR 13 claim.
+/// admission — on the lock-free table, from 1 and 2 threads. Each
+/// thread works a disjoint half of the doc ids, so the 2-thread rows
+/// measure cache-line traffic, not key conflicts. This is the layer
+/// number behind the PR 13 claim.
 fn bench_docmap_ops(c: &mut Criterion) {
     let mut g = c.benchmark_group("docmap");
     g.sample_size(20)
@@ -196,21 +134,6 @@ fn bench_docmap_ops(c: &mut Criterion) {
     let halves = |threads: u32, t: u32| (t * DOCS / threads)..((t + 1) * DOCS / threads);
 
     for threads in [1u32, 2] {
-        let striped: StripedMap<u32, u32> = (0..DOCS).map(|d| (d, d)).collect();
-        g.bench_function(BenchmarkId::new("get_hit/striped", threads), |b| {
-            b.iter(|| {
-                std::thread::scope(|s| {
-                    for t in 0..threads {
-                        let striped = &striped;
-                        s.spawn(move || {
-                            for i in halves(threads, t) {
-                                std::hint::black_box(striped.get(&doc(i)));
-                            }
-                        });
-                    }
-                });
-            });
-        });
         let table = DocTable::from_entries((0..DOCS).map(|d| (d, d)));
         g.bench_function(BenchmarkId::new("get_hit/table", threads), |b| {
             b.iter(|| {
@@ -224,22 +147,6 @@ fn bench_docmap_ops(c: &mut Criterion) {
                         });
                     }
                 });
-            });
-        });
-        g.bench_function(BenchmarkId::new("admit/striped", threads), |b| {
-            b.iter(|| {
-                let map: StripedMap<u32, u32> = StripedMap::new();
-                std::thread::scope(|s| {
-                    for t in 0..threads {
-                        let map = &map;
-                        s.spawn(move || {
-                            for i in halves(threads, t) {
-                                map.get_or_try_insert_with(doc(i), true, || i);
-                            }
-                        });
-                    }
-                });
-                std::hint::black_box(map.len())
             });
         });
         g.bench_function(BenchmarkId::new("admit/table", threads), |b| {
@@ -267,7 +174,6 @@ fn bench_docmap_ops(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_striped_vs_mutex,
     bench_heap_offers,
     bench_swap_cell,
     bench_fast_hash_vs_siphash,

@@ -30,7 +30,7 @@
 //!                                #   guard cell, n repetitions
 //! repro profile <name>           # deterministic aggregate profile of
 //!                                #   the pinned guard cell (utilization,
-//!                                #   contention, per-phase self time):
+//!                                #   per-phase self time):
 //!                                #   out/PROFILE_<name>.json; add
 //!                                #   --collapsed for the flamegraph
 //!                                #   text rendering on stdout
@@ -1046,7 +1046,7 @@ fn emit_trace(trace_name: &str) {
 /// `profile [name] [--collapsed]`: replays the pinned perf-guard cell
 /// under the deterministic executor with a logical-clock flight
 /// recorder, folds the rings into an aggregate profile (per-worker
-/// utilization breakdown, contention sites, per-phase self time), and
+/// utilization breakdown, per-phase self time), and
 /// writes it to `out/PROFILE_<name>.json`. Deterministic end to end:
 /// two runs emit byte-identical files, so CI pins the bytes. With
 /// `--collapsed`, also prints the flamegraph-collapsed rendering
@@ -1079,7 +1079,7 @@ fn profile_cmd(args: &[String]) {
             a.search(&ds.index, q, &cfg, &exec);
         }
     }
-    let profile = sparta_obs::profile_recorder(&rec, sparta_obs::DEFAULT_TOP_SITES);
+    let profile = sparta_obs::profile_recorder(&rec);
     let text = profile.to_json().to_pretty_string(2);
     sparta_obs::validate_profile_json(&text)
         .unwrap_or_else(|e| panic!("emitted profile violates its own schema: {e}"));
@@ -1091,18 +1091,17 @@ fn profile_cmd(args: &[String]) {
     .expect("resolve profile path");
     std::fs::write(&path, &text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
     println!(
-        "{:>7} {:>8} {:>7} {:>7} {:>7} {:>7}",
-        "worker", "events", "busy", "parked", "queue", "lock"
+        "{:>7} {:>8} {:>7} {:>7} {:>7}",
+        "worker", "events", "busy", "parked", "queue"
     );
     for w in &profile.workers {
         println!(
-            "{:>7} {:>8} {:>6.1}% {:>6.1}% {:>6.1}% {:>6.1}%",
+            "{:>7} {:>8} {:>6.1}% {:>6.1}% {:>6.1}%",
             w.worker,
             w.events,
             100.0 * w.busy_fraction(),
             100.0 * w.parked_fraction(),
-            100.0 * w.queue_wait_fraction(),
-            100.0 * w.lock_wait_fraction()
+            100.0 * w.queue_wait_fraction()
         );
     }
     for p in &profile.phases {
@@ -1118,12 +1117,11 @@ fn profile_cmd(args: &[String]) {
         print!("{}", profile.to_collapsed());
     }
     println!(
-        "wrote {} ({} events folded, {} dropped, {} skipped reads, dominant_wait={})",
+        "wrote {} ({} events folded, {} dropped, {} skipped reads)",
         path.display(),
         profile.events_folded,
         profile.dropped_events,
-        profile.skipped_reads,
-        profile.dominant_wait().unwrap_or("none")
+        profile.skipped_reads
     );
 }
 

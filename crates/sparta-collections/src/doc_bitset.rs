@@ -2,9 +2,9 @@
 //!
 //! pRA (§5.2.2) lets several workers meet the same document and
 //! "allows only the first to take effect". That is one bit of shared
-//! state per document, and a [`StripedMap`](crate::StripedMap) bought
-//! it with a stripe mutex and a growing hash-map insert on every
-//! posting. [`DocBitset`] is the bit itself:
+//! state per document, which a locked hash map would buy with a mutex
+//! and a growing insert on every posting. [`DocBitset`] is the bit
+//! itself:
 //!
 //! * `⌈docs/64⌉` atomic words allocated once, at construction — 12.5 KB
 //!   for 100 000 documents;

@@ -1,9 +1,9 @@
 //! An insert-only, lock-free `doc id → record handle` table.
 //!
 //! Sparta's shared `docMap` is read on every posting and written only
-//! when a document is first seen. [`StripedMap`](crate::StripedMap)
-//! pays a lock acquire and release — two locked read-modify-writes on
-//! a cache line the other core just wrote — for both, so a second
+//! when a document is first seen. A lock per bucket (the paper's
+//! §4.3) pays a lock acquire and release — two locked read-modify-writes
+//! on a cache line the other core just wrote — for both, so a second
 //! worker makes every lookup slower. [`DocTable`] is the shape the
 //! access pattern actually needs:
 //!

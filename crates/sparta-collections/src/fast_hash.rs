@@ -2,20 +2,17 @@
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3, a keyed hash
 //! designed to resist hash-flooding from *adversarial* keys. Sparta's
-//! shared `docMap` and the per-term `termMap` replicas are keyed by
-//! document ids — small machine integers produced by our own index,
-//! never by an attacker — so SipHash's ~10 ns per hash is pure
-//! overhead, and the hot path pays it **twice** per access (once to
-//! pick the stripe, once inside the stripe's map). [`FastIntHasher`]
+//! hot maps are keyed by document ids — small machine integers
+//! produced by our own index, never by an attacker — so
+//! SipHash's ~10 ns per hash is pure overhead. [`FastIntHasher`]
 //! replaces it with Fibonacci (multiplicative) hashing: one XOR and
 //! one multiply per written word plus a two-round xor-shift finalizer,
 //! totalling a handful of cycles.
 //!
 //! The hasher is deterministic (no per-process random state, unlike
-//! `RandomState`), which the property tests exploit: a
-//! [`StripedMap`](crate::StripedMap) with this hasher must be
-//! observationally equivalent to `std::collections::HashMap` under any
-//! operation sequence.
+//! `RandomState`), so a hash computed once can be split — high bits
+//! for one level of a two-level structure, low bits for the `HashMap`
+//! inside — and recomputed identically by that map.
 //!
 //! Why not `fxhash`/`ahash`? This workspace builds offline (no registry
 //! access; see `shims/README.md`), and the mixer below is ~30 lines —

@@ -6,12 +6,9 @@
 //! * [`BoundedTopK`] — a bounded min-heap tracking the k highest-scoring
 //!   items seen so far, together with the threshold Θ (the k-th best
 //!   score) that drives early stopping in every top-k algorithm.
-//! * [`StripedMap`] — a hash map sharded into independently locked
-//!   stripes. The Sparta paper (§4.3) protects each hash bucket of the
-//!   shared `docMap` with a granular lock and reports that this performs
-//!   better than a generic concurrent hash map; this is the Rust
-//!   equivalent. No algorithm uses it any more — the repo benchmark's
-//!   `collections.striped_upsert_ns` probe is its last caller.
+//! * [`StripedMap`] — the paper's lock-per-bucket `docMap` (§4.3),
+//!   kept only for the repo benchmark's `collections.striped_upsert_ns`
+//!   probe; no algorithm uses it.
 //! * [`DocTable`] — an insert-only open-addressing `doc id → handle`
 //!   table, one atomic word per slot, sized once: lookups are plain
 //!   loads and admission is one compare-and-swap. Sparta's, pNRA's
@@ -24,9 +21,7 @@
 //! * [`ShardedCounter`] — a contention-avoiding counter used for
 //!   approximate map sizes and statistics.
 //! * [`fast_hash`] — a deterministic multiplicative hasher for integer
-//!   keys (doc ids); one hash drives both stripe selection and bucket
-//!   indexing, replacing the double SipHash previously paid per
-//!   `docMap` access.
+//!   keys (doc ids), in place of SipHash on hot integer-keyed maps.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,8 +11,8 @@
 //! We realize "per-document lock" as an atomic accumulator: a document's
 //! running sum is one word of its record in the query's `DocSlab`
 //! (Sparta's and pNRA's substrate, DESIGN.md §10), reached through one
-//! lock-free `DocTable` — the same granularity, with no mutex, parked
-//! or striped, and no allocation per document. The map is intentionally
+//! lock-free `DocTable` — the same granularity, with no mutex and no
+//! allocation per document. The map is intentionally
 //! never pruned (the paper contrasts pJASS's "huge in-memory document
 //! map" with Sparta's cleaning, §6).
 

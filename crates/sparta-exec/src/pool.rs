@@ -180,7 +180,7 @@ impl Drop for WorkerPool {
 
 fn worker_loop(sh: &Shared, worker: usize) {
     // Install this worker's ring for the lifetime of the loop: every
-    // recorder::record below (and inside run_job / StripedMap / spans)
+    // recorder::record below (and inside run_job / spans)
     // lands in it. No recorder → all of those are one-branch no-ops.
     let _rec_guard = sh.recorder.as_ref().map(|r| r.install(worker));
     // Park/Unpark are recorded on busy↔idle *transitions*, not on every

@@ -12,9 +12,8 @@
 //!    coherent Release/Acquire/AcqRel publish groups; no `SeqCst`) or
 //!    carry a `// ordering: <reason>` justification.
 //! 2. **Lock-order graph** ([`locks`]) — static lock nesting is
-//!    extracted per function (plus `StripedMap` entry-closure
-//!    contexts), merged into a class graph, and checked for cycles;
-//!    `.lock().unwrap()` is flagged.
+//!    extracted per function, merged into a class graph, and checked
+//!    for cycles; `.lock().unwrap()` is flagged on hot paths.
 //! 3. **Forbidden APIs** ([`apis`]) — std `HashMap`/`HashSet` in
 //!    hot-path modules, `Instant::now`/`SystemTime` outside the
 //!    `sparta-obs` clock abstraction, `thread::sleep` in `sparta-core`,

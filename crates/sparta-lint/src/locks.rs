@@ -8,21 +8,15 @@
 //! - `let g = x.lock();` — guard `g` lives to the end of its block or
 //!   to an explicit `drop(g)`;
 //! - `x.lock().method(…)` — a temporary guard that lives to the end of
-//!   the statement;
-//! - closures passed to [`StripedMap`]'s entry APIs
-//!   (`get_or_insert_with`, `get_or_try_insert_with`, `update`,
-//!   `for_each`) run **under a stripe lock** even though the `lock()`
-//!   call is inside `striped_map.rs`; the pass models those argument
-//!   ranges as holding the `stripes` class.
+//!   the statement.
 //!
-//! Lock *classes* are receiver tails (`jobs`, `stripes`, `inner`, …)
+//! Lock *classes* are receiver tails (`jobs`, `heap`, `inner`, …)
 //! merged across files, which matches how the workspace names its
 //! locks one struct field per lock. The pass fails on any cycle in the
-//! class graph (static deadlock risk, including self-loops: two
-//! stripes, two `jobs` queues), and flags `.lock().unwrap()` —
-//! std-`Mutex` poisoning idiom, banned in hot-path crates where
-//! `parking_lot` is the standard — anywhere, and *especially* while a
-//! stripe is held.
+//! class graph (static deadlock risk, including self-loops: two `jobs`
+//! queues), and flags `.lock().unwrap()` — std-`Mutex` poisoning
+//! idiom, banned in hot-path crates where `parking_lot` is the
+//! standard.
 //!
 //! This is intraprocedural: a function that merely calls another
 //! function which locks contributes no edge. The `// ordering:`-style
@@ -35,14 +29,6 @@ use crate::scan::Scan;
 use std::collections::{BTreeMap, BTreeSet};
 
 const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
-
-/// StripedMap entry points whose closure argument runs under a stripe.
-const STRIPE_CONTEXT_METHODS: [&str; 4] = [
-    "get_or_insert_with",
-    "get_or_try_insert_with",
-    "update",
-    "for_each",
-];
 
 /// One observed nesting: `outer` held while `inner` is acquired.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,14 +61,6 @@ pub fn scan_locks(
                 && c.args_close == c.args_open + 1
                 && !c.recv_tail.is_empty()
         })
-        .collect();
-
-    // Stripe-context ranges: closure arguments of StripedMap entry APIs.
-    let stripe_ranges: Vec<(usize, usize)> = scan
-        .calls
-        .iter()
-        .filter(|c| STRIPE_CONTEXT_METHODS.contains(&c.method.as_str()))
-        .map(|c| (c.args_open, c.args_close))
         .collect();
 
     #[derive(Debug)]
@@ -124,24 +102,11 @@ pub fn scan_locks(
         let site = *acq_iter.next().unwrap();
         let class = site.recv_tail.clone();
 
-        // Edges from every held guard (lexical) …
-        let allow = scan.lex.annotated(site.line, "lock-order");
-        if !allow {
+        // Edges from every held guard (lexical).
+        if !scan.lex.annotated(site.line, "lock-order") {
             for g in &active {
                 edges.push(LockEdge {
                     outer: g.class.clone(),
-                    inner: class.clone(),
-                    file: path.to_string(),
-                    line: site.line,
-                });
-            }
-            // … and from an enclosing StripedMap entry closure.
-            let in_stripe_ctx = stripe_ranges
-                .iter()
-                .any(|&(open, close)| open < site.method_idx && site.method_idx < close);
-            if in_stripe_ctx {
-                edges.push(LockEdge {
-                    outer: "stripes".to_string(),
                     inner: class.clone(),
                     file: path.to_string(),
                     line: site.line,
@@ -156,28 +121,18 @@ pub fn scan_locks(
             && toks
                 .get(site.args_close + 2)
                 .is_some_and(|t| t.is_ident("unwrap"));
-        if unwrapped && site.method == "lock" {
-            let under_stripe = active.iter().any(|g| g.class == "stripes")
-                || stripe_ranges
-                    .iter()
-                    .any(|&(open, close)| open < site.method_idx && site.method_idx < close);
-            let banned_here = api_bans_active && !scan.in_test_region(site.line);
-            if (under_stripe || banned_here) && !scan.lex.annotated(site.line, "lock-unwrap") {
-                let msg = if under_stripe {
-                    format!(
-                        "`.lock().unwrap()` on `{}` while holding a StripedMap stripe — \
-                         a poisoned std Mutex would wedge the stripe; use parking_lot",
-                        site.recv
-                    )
-                } else {
-                    format!(
-                        "`.lock().unwrap()` on `{}` — std Mutex poisoning idiom; \
-                         hot-path crates use parking_lot locks (no unwrap)",
-                        site.recv
-                    )
-                };
-                diags.push(Diagnostic::new("lock-unwrap", path, site.line, msg));
-            }
+        if unwrapped
+            && site.method == "lock"
+            && api_bans_active
+            && !scan.in_test_region(site.line)
+            && !scan.lex.annotated(site.line, "lock-unwrap")
+        {
+            let msg = format!(
+                "`.lock().unwrap()` on `{}` — std Mutex poisoning idiom; \
+                 hot-path crates use parking_lot locks (no unwrap)",
+                site.recv
+            );
+            diags.push(Diagnostic::new("lock-unwrap", path, site.line, msg));
         }
 
         // Register the new guard.
@@ -363,20 +318,19 @@ mod tests {
 
     #[test]
     fn self_loop_is_a_cycle() {
-        let (e, _) = run("fn f(x: &X) { let a = x.stripes[i].lock(); x.stripes[j].lock(); }");
+        let (e, _) = run("fn f(x: &X) { let a = x.jobs[i].lock(); x.jobs[j].lock(); }");
         let d = check_cycles(&e);
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("self-cycle"));
     }
 
     #[test]
-    fn stripe_closure_context_adds_edge_and_flags_unwrap() {
-        let (e, d) =
-            run("fn f(m: &M, o: &O) { m.get_or_insert_with(k, || o.inner.lock().unwrap()); }");
-        assert!(e.iter().any(|e| e.outer == "stripes" && e.inner == "inner"));
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "lock-unwrap");
-        assert!(d[0].message.contains("stripe"));
+    fn closure_argument_holds_no_lock() {
+        // No callee is modelled as locking around its closure argument:
+        // a lock inside one nests under nothing.
+        let (e, d) = run("fn f(m: &M, o: &O) { m.update(&k, |v| o.inner.lock().push(*v)); }");
+        assert!(e.is_empty(), "{e:?}");
+        assert!(d.is_empty());
     }
 
     #[test]

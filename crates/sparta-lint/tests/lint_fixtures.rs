@@ -49,14 +49,12 @@ fn bad_lock_cycle_fires() {
 }
 
 #[test]
-fn bad_lock_unwrap_under_stripe_fires_everywhere() {
-    // sparta-index is outside the lock-unwrap ban paths: the stripe
-    // variant must fire on its own.
-    let rules = rules_for(
-        "bad_lock_unwrap_stripe.rs",
-        "crates/sparta-index/src/fixture.rs",
-    );
+fn bad_lock_unwrap_fires_on_hot_path_only() {
+    let rules = rules_for("bad_lock_unwrap.rs", CORE_MOD);
     assert_eq!(rules, ["lock-unwrap"]);
+    // sparta-index is outside the lock-unwrap ban paths.
+    let rules = rules_for("bad_lock_unwrap.rs", "crates/sparta-index/src/fixture.rs");
+    assert!(rules.is_empty(), "unexpected: {rules:?}");
 }
 
 #[test]

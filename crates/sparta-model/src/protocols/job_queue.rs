@@ -15,8 +15,7 @@
 use super::Mutation;
 use crate::{MemOrder, Model};
 
-/// Which finish-side protocol to model (mirrors the old
-/// `wakeup_model::Protocol`).
+/// Which finish-side protocol to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
     /// Decrement then notify, never touching the waiter's mutex: the

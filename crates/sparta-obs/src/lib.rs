@@ -20,7 +20,7 @@
 //! * [`recorder`] / [`ring`] / [`trace_export`] — the **flight
 //!   recorder**: a fixed-capacity, lock-free, allocation-free event
 //!   ring per worker (job start/end, queue push/pop, park/unpark,
-//!   requeues, stripe-lock waits, span begin/end), installed into a
+//!   requeues, span begin/end, score marks), installed into a
 //!   thread local by the executors, dumped by the stall watchdog, and
 //!   exported as Chrome trace-event JSON for `chrome://tracing` /
 //!   Perfetto.
@@ -57,12 +57,12 @@ pub use export::{
 pub use history::{start_sampler, HistorySample, MetricsHistory, SamplerHandle};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MaxGauge};
 pub use profile::{
-    profile_recorder, validate_profile_json, ContentionSite, PhaseProfile, Profile,
-    WorkerUtilization, DEFAULT_TOP_SITES, PROFILE_SCHEMA_VERSION,
+    profile_recorder, validate_profile_json, PhaseProfile, Profile, WorkerUtilization,
+    PROFILE_SCHEMA_VERSION,
 };
 pub use recorder::{FlightRecorder, RecorderGuard};
 pub use registry::{ExecMetrics, ExecSnapshot, WorkerMetrics};
-pub use ring::{pack_wait, unpack_wait, Event, EventKind, EventRing};
+pub use ring::{Event, EventKind, EventRing};
 pub use server::{ServerMetrics, ServerSnapshot, StageLatency, StageSnapshot};
 pub use span::{phase_totals, Phase, PhaseTotal, QueryTrace, SpanEvent, SpanGuard};
 pub use trace_export::{

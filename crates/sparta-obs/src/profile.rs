@@ -5,13 +5,8 @@
 //! ring's resident events into one [`Profile`]:
 //!
 //! - a per-worker **utilization breakdown** — busy (job slices), parked
-//!   (`Park`/`Unpark`), queue-wait (job end → next job start) and
-//!   lock-wait (`StripeWait`) ticks, each as a fraction of that
-//!   worker's observed window;
-//! - a **contention-site table** — `StripeWait` payloads carry the
-//!   stripe index ([`pack_wait`](crate::ring::pack_wait)) and the fold
-//!   attributes each wait to the innermost phase span open at the time,
-//!   yielding count / total / max per `(stripe, phase)` site;
+//!   (`Park`/`Unpark`) and queue-wait (job end → next job start) ticks,
+//!   each as a fraction of that worker's observed window;
 //! - a **per-phase self-time table** from `SpanBegin`/`SpanEnd`
 //!   nesting — inclusive totals plus self time (a parent's ticks minus
 //!   its children's);
@@ -30,25 +25,19 @@
 use crate::clock::ClockMode;
 use crate::json::Json;
 use crate::recorder::FlightRecorder;
-use crate::ring::{unpack_wait, Event, EventKind};
+use crate::ring::{Event, EventKind};
 use crate::span::Phase;
 use std::fmt::Write as _;
 
 /// Schema version stamped into profile JSON documents.
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
-
-/// Default cap on contention-site table rows (highest total first).
-pub const DEFAULT_TOP_SITES: usize = 16;
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// Span stacks deeper than this many frames stop extending the
 /// collapsed path key (deeper self time folds into the capped frame).
 const MAX_STACK_KEY_DEPTH: usize = 15;
 
-/// One worker's utilization breakdown over its observed window.
-///
-/// The classes are not disjoint: `lock_wait_ticks` happen inside job
-/// slices (a stripe wait blocks mid-job), so busy + parked +
-/// queue_wait ≤ window while lock_wait ⊆ busy.
+/// One worker's utilization breakdown over its observed window
+/// (busy + parked + queue_wait ≤ window).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerUtilization {
     /// The recording worker's id.
@@ -64,8 +53,6 @@ pub struct WorkerUtilization {
     /// Ticks between finishing a job (or unparking) and starting the
     /// next job — time the worker wanted work but had none running.
     pub queue_wait_ticks: u64,
-    /// Ticks spent blocked on contended stripe locks (within jobs).
-    pub lock_wait_ticks: u64,
 }
 
 fn fraction(part: u64, whole: u64) -> f64 {
@@ -91,27 +78,6 @@ impl WorkerUtilization {
     pub fn queue_wait_fraction(&self) -> f64 {
         fraction(self.queue_wait_ticks, self.window_ticks)
     }
-
-    /// `lock_wait_ticks` as a fraction of the window.
-    pub fn lock_wait_fraction(&self) -> f64 {
-        fraction(self.lock_wait_ticks, self.window_ticks)
-    }
-}
-
-/// One contended site: a stripe index plus the innermost phase span
-/// open on the waiting worker when the wait was recorded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ContentionSite {
-    /// Stripe index from the packed `StripeWait` payload.
-    pub stripe: u16,
-    /// Phase attribution (`None` when no span was open).
-    pub phase: Option<Phase>,
-    /// Waits recorded at this site.
-    pub count: u64,
-    /// Total ticks waited.
-    pub total_ticks: u64,
-    /// Longest single wait.
-    pub max_ticks: u64,
 }
 
 /// Aggregate time for one phase across all workers.
@@ -145,9 +111,6 @@ pub struct Profile {
     pub clock: ClockMode,
     /// Per-worker utilization, workers ascending (quiet rings omitted).
     pub workers: Vec<WorkerUtilization>,
-    /// Contention sites, highest total first, capped at the `top_sites`
-    /// argument of [`profile_recorder`].
-    pub sites: Vec<ContentionSite>,
     /// Per-phase self-time table in [`Phase::ALL`] order (phases with
     /// no closed spans omitted).
     pub phases: Vec<PhaseProfile>,
@@ -211,13 +174,7 @@ impl WorkerFold {
         self.last_mark = now;
     }
 
-    fn fold(
-        &mut self,
-        e: &Event,
-        stacks: &mut Vec<StackSlot>,
-        sites: &mut Vec<ContentionSite>,
-        phases: &mut [(u64, u64, u64)],
-    ) {
+    fn fold(&mut self, e: &Event, stacks: &mut Vec<StackSlot>, phases: &mut [(u64, u64, u64)]) {
         match e.kind {
             EventKind::JobStart => {
                 if let Some(prev) = self.idle_since.take() {
@@ -237,15 +194,6 @@ impl WorkerFold {
                     self.util.parked_ticks += e.ts.saturating_sub(start);
                 }
                 self.idle_since = Some(e.ts);
-            }
-            EventKind::StripeWait => {
-                let (stripe, waited) = unpack_wait(e.payload);
-                self.util.lock_wait_ticks += waited;
-                let phase = self
-                    .span_stack
-                    .last()
-                    .and_then(|&(p, _, _)| Phase::from_index(p));
-                bump_site(sites, stripe, phase, waited);
             }
             EventKind::SpanBegin => {
                 self.attribute_self(e.ts, stacks);
@@ -287,34 +235,13 @@ fn bump_stack(stacks: &mut Vec<StackSlot>, worker: u32, key: u64, ticks: u64) {
     stacks.push(StackSlot { worker, key, ticks });
 }
 
-fn bump_site(sites: &mut Vec<ContentionSite>, stripe: u16, phase: Option<Phase>, ticks: u64) {
-    if let Some(s) = sites
-        .iter_mut()
-        .find(|s| s.stripe == stripe && s.phase == phase)
-    {
-        s.count += 1;
-        s.total_ticks += ticks;
-        s.max_ticks = s.max_ticks.max(ticks);
-        return;
-    }
-    sites.push(ContentionSite {
-        stripe,
-        phase,
-        count: 1,
-        total_ticks: ticks,
-        max_ticks: ticks,
-    });
-}
-
 /// Folds everything currently resident in `rec`'s rings into a
-/// [`Profile`], keeping at most `top_sites` contention-table rows.
-/// Deterministic: workers ascending, ring order within a worker; under
-/// a logical clock the result renders byte-identically across replays.
-pub fn profile_recorder(rec: &FlightRecorder, top_sites: usize) -> Profile {
+/// [`Profile`]. Deterministic: workers ascending, ring order within a
+/// worker; under a logical clock the result renders byte-identically
+/// across replays.
+pub fn profile_recorder(rec: &FlightRecorder) -> Profile {
     // lint: allow(alloc): fold-wide accumulators, built once per call.
     let mut workers: Vec<WorkerUtilization> = Vec::with_capacity(rec.worker_count());
-    // lint: allow(alloc): fold-wide accumulators (see above).
-    let mut sites: Vec<ContentionSite> = Vec::new();
     // lint: allow(alloc): fold-wide accumulators (see above).
     let mut stacks: Vec<StackSlot> = Vec::new();
     let mut phase_acc = [(0u64, 0u64, 0u64); Phase::ALL.len()]; // (count, inclusive, self)
@@ -334,7 +261,7 @@ pub fn profile_recorder(rec: &FlightRecorder, top_sites: usize) -> Profile {
         let mut fold = WorkerFold::new(ring.worker());
         fold.last_mark = first_ts;
         for e in &events {
-            fold.fold(e, &mut stacks, &mut sites, &mut phase_acc);
+            fold.fold(e, &mut stacks, &mut phase_acc);
         }
         fold.util.events = events.len() as u64;
         fold.util.window_ticks = last_ts.saturating_sub(first_ts);
@@ -354,20 +281,10 @@ pub fn profile_recorder(rec: &FlightRecorder, top_sites: usize) -> Profile {
             self_ticks,
         });
     }
-    // Contention table: highest total first; stripe then phase index
-    // break ties so equal-weight sites order deterministically.
-    sites.sort_by(|a, b| {
-        b.total_ticks
-            .cmp(&a.total_ticks)
-            .then(a.stripe.cmp(&b.stripe))
-            .then(phase_rank(a.phase).cmp(&phase_rank(b.phase)))
-    });
-    sites.truncate(top_sites);
     stacks.sort_by(|a, b| a.worker.cmp(&b.worker).then(a.key.cmp(&b.key)));
     Profile {
         clock: rec.mode(),
         workers,
-        sites,
         phases,
         events_folded,
         dropped_events: rec.dropped_events(),
@@ -376,29 +293,7 @@ pub fn profile_recorder(rec: &FlightRecorder, top_sites: usize) -> Profile {
     }
 }
 
-fn phase_rank(p: Option<Phase>) -> u8 {
-    p.map(|p| p.index()).unwrap_or(u8::MAX)
-}
-
-fn phase_label(p: Option<Phase>) -> &'static str {
-    p.map(|p| p.as_str()).unwrap_or("(no span)")
-}
-
 impl Profile {
-    /// Dominant wait class across workers: the larger of total
-    /// queue-wait and lock-wait ticks (`None` when neither occurred).
-    pub fn dominant_wait(&self) -> Option<&'static str> {
-        let queue: u64 = self.workers.iter().map(|w| w.queue_wait_ticks).sum();
-        let lock: u64 = self.workers.iter().map(|w| w.lock_wait_ticks).sum();
-        if queue == 0 && lock == 0 {
-            None
-        } else if lock > queue {
-            Some("lock_wait")
-        } else {
-            Some("queue_wait")
-        }
-    }
-
     /// Renders the collapsed flamegraph form: one
     /// `worker{N};phase;subphase ticks` line per observed span stack,
     /// sorted (worker, stack) — ready for `flamegraph.pl`.
@@ -446,20 +341,6 @@ impl Profile {
                     .with("parked_fraction", w.parked_fraction())
                     .with("queue_wait_ticks", w.queue_wait_ticks)
                     .with("queue_wait_fraction", w.queue_wait_fraction())
-                    .with("lock_wait_ticks", w.lock_wait_ticks)
-                    .with("lock_wait_fraction", w.lock_wait_fraction())
-            })
-            .collect(); // lint: allow(alloc): rendering, not the fold path.
-        let sites: Vec<Json> = self
-            .sites
-            .iter()
-            .map(|s| {
-                Json::obj()
-                    .with("stripe", u64::from(s.stripe))
-                    .with("phase", phase_label(s.phase))
-                    .with("count", s.count)
-                    .with("total_ticks", s.total_ticks)
-                    .with("max_ticks", s.max_ticks)
             })
             .collect(); // lint: allow(alloc): rendering, not the fold path.
         let phases: Vec<Json> = self
@@ -480,9 +361,7 @@ impl Profile {
             .with("events_folded", self.events_folded)
             .with("dropped_events", self.dropped_events)
             .with("skipped_reads", self.skipped_reads)
-            .with("dominant_wait", self.dominant_wait().unwrap_or("none"))
             .with("workers", Json::Arr(workers))
-            .with("contention", Json::Arr(sites))
             .with("phases", Json::Arr(phases))
             .with("collapsed", Json::Arr(collapsed))
     }
@@ -513,9 +392,6 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
             // lint: allow(alloc): validation error path, not the fold path.
             .ok_or_else(|| format!("envelope: missing numeric `{key}`"))?;
     }
-    doc.get("dominant_wait")
-        .and_then(Json::as_str)
-        .ok_or("envelope: missing `dominant_wait`")?;
     let workers = doc
         .get("workers")
         .and_then(Json::as_arr)
@@ -531,29 +407,11 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
             "parked_fraction",
             "queue_wait_ticks",
             "queue_wait_fraction",
-            "lock_wait_ticks",
-            "lock_wait_fraction",
         ] {
             w.get(key)
                 .and_then(Json::as_f64)
                 // lint: allow(alloc): validation error path, not the fold path.
                 .ok_or_else(|| format!("workers[{i}]: missing numeric `{key}`"))?;
-        }
-    }
-    let sites = doc
-        .get("contention")
-        .and_then(Json::as_arr)
-        .ok_or("missing contention array")?;
-    for (i, s) in sites.iter().enumerate() {
-        s.get("phase")
-            .and_then(Json::as_str)
-            // lint: allow(alloc): validation error path, not the fold path.
-            .ok_or_else(|| format!("contention[{i}]: missing `phase`"))?;
-        for key in ["stripe", "count", "total_ticks", "max_ticks"] {
-            s.get(key)
-                .and_then(Json::as_f64)
-                // lint: allow(alloc): validation error path, not the fold path.
-                .ok_or_else(|| format!("contention[{i}]: missing numeric `{key}`"))?;
         }
     }
     let phases = doc
@@ -582,11 +440,10 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::clock::ClockMode;
-    use crate::recorder::{record, timed_tagged};
-    use crate::ring::pack_wait;
+    use crate::recorder::record;
 
-    /// A scripted two-worker recording with nesting, parks, and tagged
-    /// stripe waits; logical clock so every tick is pinned.
+    /// A scripted two-worker recording with nesting and parks; logical
+    /// clock so every tick is pinned.
     fn sample_recorder() -> std::sync::Arc<FlightRecorder> {
         let rec = FlightRecorder::new(2, 128, ClockMode::Logical);
         {
@@ -594,7 +451,7 @@ mod tests {
             record(EventKind::JobStart, 1); // t=0
             record(EventKind::SpanBegin, Phase::Plan.index() as u64); // t=1
             record(EventKind::SpanBegin, Phase::TermProcess.index() as u64); // t=2
-            record(EventKind::StripeWait, pack_wait(7, 3)); // t=3
+            record(EventKind::ScoreMark, 3); // t=3
             record(EventKind::SpanEnd, Phase::TermProcess.index() as u64); // t=4
             record(EventKind::SpanEnd, Phase::Plan.index() as u64); // t=5
             record(EventKind::JobEnd, 0); // t=6
@@ -606,7 +463,7 @@ mod tests {
         {
             let _g = rec.install(1);
             record(EventKind::JobStart, 1);
-            timed_tagged(EventKind::StripeWait, 7, || {});
+            record(EventKind::ScoreMark, 0);
             record(EventKind::JobEnd, 0);
         }
         rec
@@ -615,7 +472,7 @@ mod tests {
     #[test]
     fn utilization_breakdown_accounts_each_class() {
         let rec = sample_recorder();
-        let p = profile_recorder(&rec, DEFAULT_TOP_SITES);
+        let p = profile_recorder(&rec);
         assert_eq!(p.workers.len(), 2);
         let w0 = &p.workers[0];
         assert_eq!(w0.worker, 0);
@@ -623,30 +480,13 @@ mod tests {
         assert_eq!(w0.busy_ticks, 6 + 1, "two job slices");
         assert_eq!(w0.queue_wait_ticks, 1, "job end t=6 → job start t=7");
         assert_eq!(w0.parked_ticks, 1, "park t=9 → unpark t=10");
-        assert_eq!(w0.lock_wait_ticks, 3);
         assert!((w0.busy_fraction() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn contention_sites_attribute_stripe_and_phase() {
-        let rec = sample_recorder();
-        let p = profile_recorder(&rec, DEFAULT_TOP_SITES);
-        // Worker 0 waited inside term_process; worker 1 outside spans.
-        assert_eq!(p.sites.len(), 2);
-        let top = &p.sites[0];
-        assert_eq!(top.stripe, 7);
-        assert_eq!(top.phase, Some(Phase::TermProcess));
-        assert_eq!(top.count, 1);
-        assert_eq!(top.total_ticks, 3);
-        assert_eq!(top.max_ticks, 3);
-        assert_eq!(p.sites[1].phase, None);
-        assert_eq!(p.sites[1].stripe, 7);
     }
 
     #[test]
     fn phase_self_time_subtracts_children() {
         let rec = sample_recorder();
-        let p = profile_recorder(&rec, DEFAULT_TOP_SITES);
+        let p = profile_recorder(&rec);
         let plan = p.phases.iter().find(|p| p.phase == Phase::Plan).unwrap();
         let term = p
             .phases
@@ -666,7 +506,7 @@ mod tests {
     #[test]
     fn collapsed_lines_stack_worker_then_phases() {
         let rec = sample_recorder();
-        let p = profile_recorder(&rec, DEFAULT_TOP_SITES);
+        let p = profile_recorder(&rec);
         let collapsed = p.to_collapsed();
         assert!(collapsed.contains("worker0;plan 2\n"), "{collapsed}");
         assert!(
@@ -677,8 +517,8 @@ mod tests {
 
     #[test]
     fn profiles_render_byte_identical_and_validate() {
-        let a = profile_recorder(&sample_recorder(), 8);
-        let b = profile_recorder(&sample_recorder(), 8);
+        let a = profile_recorder(&sample_recorder());
+        let b = profile_recorder(&sample_recorder());
         let ja = a.to_json().to_pretty_string(2);
         let jb = b.to_json().to_pretty_string(2);
         assert_eq!(ja, jb);
@@ -686,37 +526,7 @@ mod tests {
         validate_profile_json(&ja).expect("own profile must validate");
         assert!(validate_profile_json("{}").is_err());
         assert!(validate_profile_json("not json").is_err());
-        let broken = ja.replace("\"dominant_wait\"", "\"dominant_mangled\"");
+        let broken = ja.replace("\"busy_ticks\"", "\"busy_mangled\"");
         assert!(validate_profile_json(&broken).is_err());
-    }
-
-    #[test]
-    fn dominant_wait_picks_larger_class() {
-        let rec = sample_recorder();
-        let p = profile_recorder(&rec, DEFAULT_TOP_SITES);
-        // lock_wait 3+1 ticks vs queue_wait 1 tick.
-        assert_eq!(p.dominant_wait(), Some("lock_wait"));
-        let quiet = FlightRecorder::new(1, 8, ClockMode::Logical);
-        assert_eq!(profile_recorder(&quiet, 4).dominant_wait(), None);
-    }
-
-    #[test]
-    fn top_sites_caps_the_table() {
-        let rec = FlightRecorder::new(1, 256, ClockMode::Logical);
-        {
-            let _g = rec.install(0);
-            for stripe in 0..10u16 {
-                record(
-                    EventKind::StripeWait,
-                    pack_wait(stripe, u64::from(stripe) + 1),
-                );
-            }
-        }
-        let p = profile_recorder(&rec, 4);
-        assert_eq!(p.sites.len(), 4);
-        // Highest totals kept, descending.
-        assert_eq!(p.sites[0].stripe, 9);
-        assert_eq!(p.sites[0].total_ticks, 10);
-        assert_eq!(p.sites[3].stripe, 6);
     }
 }

@@ -6,20 +6,19 @@
 //! [`ObsClock`]. Executors *install* a worker's ring into a thread
 //! local for the duration of that worker's run (scoped by
 //! [`RecorderGuard`]); instrumentation points anywhere below — the job
-//! queue, `StripedMap`, phase spans — call the free functions
-//! [`record`] / [`timed`], which no-op in a branch when no ring is
-//! installed. The install discipline is what makes each ring SPSC:
-//! only the thread a ring is installed on writes to it (sequential
-//! re-installs, e.g. a deterministic executor multiplexing virtual
-//! workers on one thread, are fine — there is never more than one
-//! writer at a time).
+//! queue, phase spans — call the free function [`record`], which
+//! no-ops in a branch when no ring is installed. The install
+//! discipline is what makes each ring SPSC: only the thread a ring is
+//! installed on writes to it (sequential re-installs, e.g. a
+//! deterministic executor multiplexing virtual workers on one thread,
+//! are fine — there is never more than one writer at a time).
 //!
 //! Everything on the record path is allocation-free (enforced by the
 //! `alloc` lint rule); the construction-time allocations are the
 //! annotated exceptions.
 
 use crate::clock::{ClockMode, ObsClock};
-use crate::ring::{pack_wait, EventKind, EventRing};
+use crate::ring::{EventKind, EventRing};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -138,56 +137,12 @@ pub fn record(kind: EventKind, payload: u64) {
     });
 }
 
-/// Whether this thread currently has a ring installed.
-pub fn is_recording() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
-/// Runs `f`, recording its duration (in clock ticks) as a `kind` event
-/// whose payload is the elapsed ticks. Used to time contended waits
-/// (e.g. stripe-lock acquisition). When no ring is installed, `f` runs
-/// untimed — no clock reads, so uninstrumented runs stay byte-identical.
-#[inline]
-pub fn timed<R>(kind: EventKind, f: impl FnOnce() -> R) -> R {
-    let ring = CURRENT.with(|c| c.borrow().as_ref().map(Arc::clone));
-    match ring {
-        None => f(),
-        Some(ring) => {
-            let start = ring.tick();
-            let out = f();
-            let waited = ring.tick().saturating_sub(start);
-            ring.record(kind, waited);
-            out
-        }
-    }
-}
-
-/// Like [`timed`], but packs a contention-site index into the payload's
-/// high bits ([`pack_wait`]) so aggregate profiles can attribute the
-/// wait to the specific site (e.g. a `StripedMap` stripe) that blocked.
-#[inline]
-pub fn timed_tagged<R>(kind: EventKind, site: u16, f: impl FnOnce() -> R) -> R {
-    let ring = CURRENT.with(|c| c.borrow().as_ref().map(Arc::clone));
-    match ring {
-        None => f(),
-        Some(ring) => {
-            let start = ring.tick();
-            let out = f();
-            let waited = ring.tick().saturating_sub(start);
-            ring.record(kind, pack_wait(site, waited));
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::unpack_wait;
 
     #[test]
     fn record_without_install_is_noop() {
-        assert!(!is_recording());
         record(EventKind::Park, 0); // must not panic
     }
 
@@ -196,7 +151,6 @@ mod tests {
         let rec = FlightRecorder::new(2, 16, ClockMode::Logical);
         {
             let _g0 = rec.install(0);
-            assert!(is_recording());
             record(EventKind::JobStart, 1);
             {
                 let _g1 = rec.install(1);
@@ -205,7 +159,7 @@ mod tests {
             // Inner guard dropped: back on ring 0.
             record(EventKind::JobEnd, 3);
         }
-        assert!(!is_recording());
+        record(EventKind::JobEnd, 4); // uninstalled: goes nowhere
         assert_eq!(rec.ring(0).head(), 2);
         assert_eq!(rec.ring(1).head(), 1);
         let mut payloads = Vec::new();
@@ -220,40 +174,6 @@ mod tests {
         let _g = rec.install(4);
         record(EventKind::Unpark, 0);
         assert_eq!(rec.ring(0).head(), 1);
-    }
-
-    #[test]
-    fn timed_records_wait_and_returns_value() {
-        let rec = FlightRecorder::new(1, 16, ClockMode::Logical);
-        let _g = rec.install(0);
-        let v = timed(EventKind::StripeWait, || 42);
-        assert_eq!(v, 42);
-        let mut got = None;
-        rec.ring(0).for_each(|e| got = Some(e));
-        let e = got.unwrap();
-        assert_eq!(e.kind, EventKind::StripeWait);
-        assert_eq!(e.payload, 1, "two ticks bracket the closure");
-    }
-
-    #[test]
-    fn timed_without_install_runs_plain() {
-        assert_eq!(timed(EventKind::StripeWait, || 7), 7);
-        assert_eq!(timed_tagged(EventKind::StripeWait, 5, || 7), 7);
-    }
-
-    #[test]
-    fn timed_tagged_packs_site_into_payload() {
-        let rec = FlightRecorder::new(1, 16, ClockMode::Logical);
-        let _g = rec.install(0);
-        let v = timed_tagged(EventKind::StripeWait, 42, || 9);
-        assert_eq!(v, 9);
-        let mut got = None;
-        rec.ring(0).for_each(|e| got = Some(e));
-        let e = got.unwrap();
-        assert_eq!(e.kind, EventKind::StripeWait);
-        let (site, waited) = unpack_wait(e.payload);
-        assert_eq!(site, 42);
-        assert_eq!(waited, 1, "two ticks bracket the closure");
     }
 
     #[test]

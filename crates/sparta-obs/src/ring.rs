@@ -65,20 +65,17 @@ pub enum EventKind {
     Unpark = 5,
     /// Cyclic jobs were requeued (payload: queue depth after the batch).
     Requeue = 6,
-    /// A `StripedMap` stripe lock was contended (payload: site index in
-    /// the high 16 bits, ticks waited in the low 48 — see [`pack_wait`]).
-    StripeWait = 7,
     /// A query phase span opened (payload: `Phase` index).
-    SpanBegin = 8,
+    SpanBegin = 7,
     /// A query phase span closed (payload: `Phase` index).
-    SpanEnd = 9,
+    SpanEnd = 8,
     /// Periodic heap-trace progress mark (payload: doc id).
-    ScoreMark = 10,
+    ScoreMark = 9,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 10] = [
         EventKind::JobStart,
         EventKind::JobEnd,
         EventKind::QueuePush,
@@ -86,7 +83,6 @@ impl EventKind {
         EventKind::Park,
         EventKind::Unpark,
         EventKind::Requeue,
-        EventKind::StripeWait,
         EventKind::SpanBegin,
         EventKind::SpanEnd,
         EventKind::ScoreMark,
@@ -102,7 +98,6 @@ impl EventKind {
             EventKind::Park => "park",
             EventKind::Unpark => "unpark",
             EventKind::Requeue => "requeue",
-            EventKind::StripeWait => "stripe_wait",
             EventKind::SpanBegin => "span_begin",
             EventKind::SpanEnd => "span_end",
             EventKind::ScoreMark => "score_mark",
@@ -114,26 +109,6 @@ impl EventKind {
     pub fn from_u8(v: u8) -> Option<EventKind> {
         EventKind::ALL.get(v as usize).copied()
     }
-}
-
-/// How many low bits of a `StripeWait` payload hold the waited ticks;
-/// the high 16 bits carry the contention-site (stripe) index.
-pub const WAIT_TICKS_BITS: u32 = 48;
-
-/// Packs a contention-site index and a waited interval into one
-/// `StripeWait` payload word. Waits longer than 2^48 ticks (~3 days of
-/// nanoseconds) saturate rather than corrupt the site index.
-#[inline]
-pub fn pack_wait(site: u16, ticks: u64) -> u64 {
-    let cap = (1u64 << WAIT_TICKS_BITS) - 1;
-    (u64::from(site) << WAIT_TICKS_BITS) | ticks.min(cap)
-}
-
-/// Inverse of [`pack_wait`]: `(site, ticks)`.
-#[inline]
-pub fn unpack_wait(payload: u64) -> (u16, u64) {
-    let cap = (1u64 << WAIT_TICKS_BITS) - 1;
-    ((payload >> WAIT_TICKS_BITS) as u16, payload & cap)
 }
 
 /// One decoded event, as handed to [`EventRing::for_each`] consumers.
@@ -225,20 +200,13 @@ impl EventRing {
         &self.clock
     }
 
-    /// Reads one timestamp from the ring's clock without recording —
-    /// used to time waited intervals (e.g. stripe-lock contention).
-    pub fn tick(&self) -> u64 {
-        self.clock.tick()
-    }
-
     /// Records one event, stamped now. Wait-free, allocation-free.
     #[inline]
     pub fn record(&self, kind: EventKind, payload: u64) {
         self.record_at(self.clock.tick(), kind, payload);
     }
 
-    /// Records one event with an explicit timestamp (for pre-timed
-    /// intervals whose start tick was taken earlier).
+    /// Records one event with an explicit timestamp.
     pub fn record_at(&self, ts: u64, kind: EventKind, payload: u64) {
         // ordering: single producer — only the owning worker writes (model: seqlock_ring)
         // `head`, so its own read needs no synchronization.
@@ -395,19 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_payload_packs_site_and_saturates_ticks() {
-        assert_eq!(unpack_wait(pack_wait(0, 0)), (0, 0));
-        assert_eq!(unpack_wait(pack_wait(63, 1234)), (63, 1234));
-        assert_eq!(unpack_wait(pack_wait(u16::MAX, 7)), (u16::MAX, 7));
-        let cap = (1u64 << WAIT_TICKS_BITS) - 1;
-        assert_eq!(
-            unpack_wait(pack_wait(3, u64::MAX)),
-            (3, cap),
-            "oversized waits saturate instead of corrupting the site"
-        );
-    }
-
-    #[test]
     fn clean_reads_leave_skip_counter_at_zero() {
         let r = ring(8);
         for i in 0..5u64 {
@@ -421,7 +376,7 @@ mod tests {
     #[test]
     fn explicit_timestamp_is_preserved() {
         let r = ring(4);
-        r.record_at(777, EventKind::StripeWait, 42);
+        r.record_at(777, EventKind::ScoreMark, 42);
         let mut got = None;
         r.for_each(|e| got = Some(e));
         let e = got.unwrap();

@@ -10,8 +10,6 @@
 //! - `"park"` slices from `Park`/`Unpark` pairs,
 //! - `"queue_wait"` *derived* slices — the gap between a worker
 //!   finishing a job (or waking from a park) and starting its next job,
-//! - `"lock_wait"` slices from `StripeWait` events (timestamped at
-//!   acquisition; the slice is back-dated by the waited ticks),
 //! - phase-named slices from `SpanBegin`/`SpanEnd` pairs,
 //! - instant events (`ph: "i"`) for queue pushes/pops, cyclic
 //!   requeues, and heap-trace score marks.
@@ -113,14 +111,6 @@ fn worker_events(mode: ClockMode, tid: u32, events: &[Event], out: &mut Vec<Json
                     out.push(slice(mode, "park", tid, start, e.ts - start, Json::obj()));
                 }
                 idle_since = Some(e.ts);
-            }
-            EventKind::StripeWait => {
-                let (stripe, waited) = crate::ring::unpack_wait(e.payload);
-                let args = Json::obj()
-                    .with("waited", waited)
-                    .with("stripe", u64::from(stripe));
-                let start = e.ts.saturating_sub(waited);
-                out.push(slice(mode, "lock_wait", tid, start, waited, args));
             }
             EventKind::SpanBegin => span_start.push((e.payload, e.ts)),
             EventKind::SpanEnd => {
@@ -324,7 +314,7 @@ mod tests {
             record(EventKind::JobEnd, 0);
             record(EventKind::Park, 0);
             record(EventKind::Unpark, 0);
-            record(EventKind::StripeWait, 3);
+            record(EventKind::ScoreMark, 3);
         }
         {
             let _g = rec.install(1);
@@ -344,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn emits_job_park_queue_wait_and_lock_wait() {
+    fn emits_job_park_queue_wait_and_instants() {
         let rec = sample_recorder();
         let doc = chrome_trace(&rec);
         let names = names(&doc);
@@ -354,9 +344,9 @@ mod tests {
             names.contains(&"queue_wait".to_string()),
             "gap between job end and next job start must derive a slice: {names:?}"
         );
-        assert!(names.contains(&"lock_wait".to_string()));
         assert!(names.contains(&"plan".to_string()), "phase 0 span named");
         assert!(names.contains(&"queue_push".to_string()));
+        assert!(names.contains(&"score_mark".to_string()));
     }
 
     #[test]
@@ -381,26 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn lock_wait_is_backdated() {
-        let rec = sample_recorder();
-        let doc = chrome_trace(&rec);
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let lw = events
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("lock_wait"))
-            .unwrap();
-        let ts = lw.get("ts").and_then(Json::as_f64).unwrap();
-        let dur = lw.get("dur").and_then(Json::as_f64).unwrap();
-        assert_eq!(dur, 3.0);
-        assert!(ts >= 0.0);
-    }
-
-    #[test]
     fn dump_text_accounts_and_lists_tail() {
         let rec = sample_recorder();
         let dump = dump_text(&rec);
         assert!(dump.contains("2 workers"));
-        assert!(dump.contains("stripe_wait"));
+        assert!(dump.contains("score_mark"));
         assert!(dump.contains("park"));
         assert!(dump.contains("worker 0"));
         assert!(dump.contains("worker 1"));

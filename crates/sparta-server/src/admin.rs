@@ -15,8 +15,8 @@
 //!   recorder rings (open in `chrome://tracing` / Perfetto).
 //! * `GET /debug/slow` — the slow-query log as JSON.
 //! * `GET /debug/profile` — deterministic aggregate profile folded
-//!   from the flight-recorder rings (utilization breakdown, contention
-//!   sites, per-phase self time) as JSON; `?format=collapsed` returns
+//!   from the flight-recorder rings (utilization breakdown, per-phase
+//!   self time) as JSON; `?format=collapsed` returns
 //!   the flamegraph-collapsed text rendering instead.
 //! * `GET /debug/history` — the bounded metrics-history ring as JSON
 //!   (periodic `ServerSnapshot`/`StageSnapshot`/`ExecSnapshot` samples
@@ -42,7 +42,7 @@ use crate::scheduler::BatchScheduler;
 use crate::server::POLL_INTERVAL;
 use sparta_obs::{
     chrome_trace_string, exec_snapshot_text, profile_recorder, server_snapshot_text,
-    stage_snapshot_text, MetricsHistory, DEFAULT_TOP_SITES,
+    stage_snapshot_text, MetricsHistory,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -255,7 +255,7 @@ fn route(path: &str, state: &AdminState) -> (u16, &'static str, &'static str, St
         ),
         "/debug/profile" => match state.scheduler.recorder() {
             Some(rec) => {
-                let profile = profile_recorder(rec, DEFAULT_TOP_SITES);
+                let profile = profile_recorder(rec);
                 if query.split('&').any(|kv| kv == "format=collapsed") {
                     (200, "OK", "text/plain", profile.to_collapsed())
                 } else {

@@ -20,8 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod wakeup_model;
-
 use sparta_core::config::SearchConfig;
 use sparta_core::oracle::Oracle;
 use sparta_core::result::TopKResult;

@@ -13,9 +13,10 @@
 //!
 //! Coverage here is three-layered:
 //!
-//! 1. [`wakeup_model`] *exhaustively enumerates* every interleaving of
-//!    one waiter and one finisher under both protocols: the legacy
-//!    protocol provably loses wakeups, the lock bridge never does.
+//! 1. `sparta_model`'s `job_queue` model *exhaustively enumerates*
+//!    every interleaving of one waiter and one finisher under both
+//!    protocols: the legacy protocol provably loses wakeups, the lock
+//!    bridge never does.
 //! 2. [`sweep_pool_schedules`] churns real `WorkerPool`s (1–4 workers,
 //!    seed-derived) through construction, query execution, burst
 //!    submission, and the retire/join shutdown handshake — the
@@ -25,24 +26,25 @@
 
 use sparta::prelude::*;
 use sparta_exec::JobQueue;
-use sparta_testkit::wakeup_model::{explore, lost_wakeup_interleavings, Protocol};
+use sparta_model::protocols::job_queue::{model, Variant};
+use sparta_model::protocols::Mutation;
 use sparta_testkit::{build_index, long_query, sweep_pool_schedules};
 use std::sync::Arc;
 
 #[test]
 fn wakeup_model_proves_the_lock_bridge() {
-    let legacy = explore(Protocol::Legacy);
+    let legacy = model(Variant::Legacy, Mutation::None).check();
+    let bridge = model(Variant::LockBridge, Mutation::None).check();
+    assert!(!legacy.truncated && !bridge.truncated, "must be exhaustive");
     assert!(
-        legacy.lost_wakeups >= 1,
+        legacy.violations >= 1,
         "legacy protocol must exhibit the lost wakeup: {legacy:?}"
     );
-    let bridge = explore(Protocol::LockBridge);
     assert_eq!(
-        bridge.lost_wakeups, 0,
+        bridge.violations, 0,
         "lock-bridge protocol must never lose a wakeup: {bridge:?}"
     );
-    assert!(bridge.interleavings > 0);
-    assert_eq!(lost_wakeup_interleavings(Protocol::LockBridge), 0);
+    assert!(bridge.executions > 0);
 }
 
 #[test]

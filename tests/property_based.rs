@@ -123,73 +123,38 @@ proptest! {
     }
 
     #[test]
-    fn striped_map_models_hashmap(ops in vec((0u8..8, 0u32..40, 0u32..1000), 0..200)) {
-        // Exercise the full StripedMap surface against a sequential
-        // HashMap model: every read/write path goes through the shared
-        // fast-hash stripe selection, so this also pins the hasher's
-        // correctness (a bad stripe_of would lose or duplicate keys).
-        let striped: StripedMap<u32, u32> = StripedMap::with_stripes(4);
+    fn striped_map_models_hashmap(ops in vec((0u8..2, 0u32..40, 0u32..1000), 0..200)) {
+        // The benchmark probe's surface (`get_or_insert_with`, `update`,
+        // `len`) against a sequential HashMap model: every call goes
+        // through the shared fast-hash stripe selection, so this also
+        // pins the hasher (a bad stripe choice would lose or duplicate
+        // keys).
+        let striped: StripedMap<u32, u32> = StripedMap::new();
         let mut model: HashMap<u32, u32> = HashMap::new();
         for (op, k, v) in ops {
-            match op {
-                0 => {
-                    prop_assert_eq!(striped.insert(k, v), model.insert(k, v));
-                }
-                1 => {
-                    prop_assert_eq!(striped.remove(&k), model.remove(&k));
-                }
-                2 => {
-                    prop_assert_eq!(
-                        striped.get_or_insert_with(k, || v),
-                        *model.entry(k).or_insert(v)
-                    );
-                }
-                3 => {
-                    // allow_insert toggles on the value parity; when
-                    // insertion is refused the model stays unchanged.
-                    let allow = v % 2 == 0;
-                    let got = striped.get_or_try_insert_with(k, allow, || v);
-                    let want = match model.get(&k) {
-                        Some(&w) => Some(w),
-                        None if allow => {
-                            model.insert(k, v);
-                            Some(v)
-                        }
-                        None => None,
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                4 => {
-                    let got = striped.update(&k, |x| *x = x.wrapping_add(v));
-                    let want = match model.get_mut(&k) {
-                        Some(x) => {
-                            *x = x.wrapping_add(v);
-                            true
-                        }
-                        None => false,
-                    };
-                    prop_assert_eq!(got, want);
-                }
-                5 => {
-                    prop_assert_eq!(striped.contains_key(&k), model.contains_key(&k));
-                }
-                6 if k == 0 => {
-                    // Rare (k must draw 0): full clear.
-                    striped.clear();
-                    model.clear();
-                    prop_assert!(striped.is_empty());
-                }
-                _ => {
-                    prop_assert_eq!(striped.get(&k), model.get(&k).copied());
-                }
+            if op == 0 {
+                prop_assert_eq!(
+                    striped.get_or_insert_with(k, || v),
+                    *model.entry(k).or_insert(v)
+                );
+            } else {
+                let got = striped.update(&k, |x| *x = x.wrapping_add(v));
+                let want = match model.get_mut(&k) {
+                    Some(x) => {
+                        *x = x.wrapping_add(v);
+                        true
+                    }
+                    None => false,
+                };
+                prop_assert_eq!(got, want);
             }
             prop_assert_eq!(striped.len(), model.len());
         }
-        let mut collected = striped.collect();
-        collected.sort_unstable();
-        let mut expected: Vec<(u32, u32)> = model.into_iter().collect();
-        expected.sort_unstable();
-        prop_assert_eq!(collected, expected);
+        // Every modelled key reads back its value without a new insert.
+        for (&k, &v) in &model {
+            prop_assert_eq!(striped.get_or_insert_with(k, || u32::MAX), v);
+        }
+        prop_assert_eq!(striped.len(), model.len());
     }
 
     #[test]
