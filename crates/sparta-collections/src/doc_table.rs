@@ -56,9 +56,8 @@ pub enum Lookup {
     Inserted(u32),
     /// Absent, and insertion was not allowed (or the table is sealed).
     Absent,
-    /// Absent, insertion was allowed, and the document's probe window
-    /// holds no empty slot: the table was sized for fewer distinct
-    /// documents than it has been given. The factory did not run.
+    /// Absent, insertion was allowed, and documents sharing its home
+    /// left no empty slot in the probe window. The factory did not run.
     Full,
 }
 
@@ -122,10 +121,10 @@ impl DocTable {
     }
 
     /// Creates an open table sized for at most `entries` distinct
-    /// documents. Inserting more is answered with [`Lookup::Full`]
-    /// sooner or later — the bound Sparta passes, `min(Σ doc_freq,
-    /// num_docs)`, holds for a correct index, but `num_docs` is only
-    /// declared, never checked.
+    /// documents. Sparta's candidates pass `min(Σ doc_freq, num_docs)`,
+    /// a true bound since `num_docs` bounds every doc id an index
+    /// yields. Ids sharing a [`home`](Self::home) can still crowd its
+    /// probe window ([`Lookup::Full`]) long before the table fills.
     pub fn with_capacity(entries: usize) -> Self {
         Self::with_slots(entries, false)
     }
@@ -161,11 +160,11 @@ impl DocTable {
         table
     }
 
-    /// Fibonacci hashing: one multiply, and the *high* bits of the
-    /// product are well mixed even for the dense sequential ids an
-    /// index hands out.
+    /// `doc`'s first probe slot. Fibonacci hashing: one multiply, and
+    /// the *high* bits of the product are well mixed even for the dense
+    /// sequential ids an index hands out.
     #[inline]
-    fn home(&self, doc: u32) -> usize {
+    pub fn home(&self, doc: u32) -> usize {
         (u64::from(doc).wrapping_mul(PHI64) >> self.shift) as usize
     }
 

@@ -36,7 +36,7 @@ pub mod swap_cell;
 pub mod topk_heap;
 
 pub use counter::ShardedCounter;
-pub use doc_bitset::{Claim, DocBitset};
+pub use doc_bitset::DocBitset;
 pub use doc_table::{DocTable, Lookup};
 pub use fast_hash::{FastBuildHasher, FastHashMap, FastHashSet, FastIntHasher};
 pub use mutable_topk::MutableTopK;

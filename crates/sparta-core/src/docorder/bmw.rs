@@ -8,7 +8,7 @@ use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::trace::TraceSink;
 use crate::Algorithm;
 use sparta_collections::BoundedTopK;
-use sparta_corpus::types::{DocId, Query};
+use sparta_corpus::types::Query;
 use sparta_exec::Executor;
 use sparta_index::Index;
 use std::sync::Arc;
@@ -42,7 +42,7 @@ impl Algorithm for SeqBmw {
         let mut work = WorkStats::default();
         wand_range(
             &mut cursors,
-            DocId::MAX,
+            index.num_docs(),
             &mut heap,
             cfg.bmw_f,
             &|| 0,

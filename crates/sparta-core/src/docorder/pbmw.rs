@@ -79,8 +79,8 @@ impl Algorithm for PBmw {
         let cfg = *cfg;
         let plan = shared.spans.span(Phase::Plan);
         for j in 0..jobs {
-            let lo = (n * j / jobs) as DocId;
-            let hi = (n * (j + 1) / jobs) as DocId;
+            // u64: the last range ends at `num_docs`, 2^32 at most.
+            let (lo, hi) = (n * j / jobs, n * (j + 1) / jobs);
             if lo == hi {
                 continue;
             }
@@ -129,15 +129,16 @@ fn run_range(
     index: &Arc<dyn Index>,
     terms: &[u32],
     cfg: &SearchConfig,
-    lo: DocId,
-    hi: DocId,
+    lo: u64,
+    hi: u64,
 ) {
     let mut cursors: Vec<_> = terms
         .iter()
         .map(|&t| Arc::clone(index).doc_cursor_arc(t))
         .collect();
     for c in cursors.iter_mut() {
-        c.seek(lo);
+        // `lo < hi ≤ num_docs ≤ 2^32`: a doc id.
+        c.seek(lo as DocId);
     }
     let mut local = BoundedTopK::new(cfg.k.max(1));
     let mut work = WorkStats::default();

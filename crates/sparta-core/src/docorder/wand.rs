@@ -22,15 +22,15 @@ use std::time::Instant;
 pub struct Wand;
 
 /// Runs WAND over pre-opened doc cursors, bounded to docs `< limit`
-/// (pass `DocId::MAX` for the full corpus). `f ≥ 1` relaxes pruning
-/// for the approximate variant (upper bounds must exceed `Θ·f`).
+/// (`num_docs` for the full corpus: up to 2^32, hence `u64`). `f ≥ 1`
+/// relaxes pruning for the approximate variant (bounds must exceed `Θ·f`).
 ///
 /// `theta_floor` supplies an external lower bound on the k-th score
 /// (pBMW's promoted global Θ); pass a closure returning 0 when unused.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn wand_range(
     cursors: &mut [Box<dyn DocCursor + '_>],
-    limit: DocId,
+    limit: u64,
     heap: &mut BoundedTopK<DocId>,
     f: f64,
     theta_floor: &dyn Fn() -> u64,
@@ -50,7 +50,7 @@ pub(crate) fn wand_range(
         let pivot_doc = cursors[order[pivot_pos]]
             .doc()
             .expect("pivot cursor non-exhausted");
-        if pivot_doc >= limit {
+        if u64::from(pivot_doc) >= limit {
             return;
         }
 
@@ -78,13 +78,18 @@ pub(crate) fn wand_range(
                 // the first doc past the shallowest block boundary
                 // (bounded by the next list's head).
                 work.blocks_skipped += 1;
-                let mut next = min_block_last.saturating_add(1);
+                let mut next = u64::from(min_block_last) + 1;
                 if last_pos + 1 < m {
                     if let Some(d) = cursors[order[last_pos + 1]].doc() {
-                        next = next.min(d);
+                        next = next.min(u64::from(d));
                     }
                 }
-                let next = next.max(pivot_doc.saturating_add(1));
+                let next = next.max(u64::from(pivot_doc) + 1);
+                if next >= limit {
+                    // Every list is at or past `next` once these move.
+                    return;
+                }
+                let next = next as DocId;
                 for &i in &order[..=last_pos] {
                     if cursors[i].doc().is_some_and(|d| d < next) {
                         cursors[i].seek(next);
@@ -147,7 +152,7 @@ impl Algorithm for Wand {
         let mut work = WorkStats::default();
         wand_range(
             &mut cursors,
-            DocId::MAX,
+            index.num_docs(),
             &mut heap,
             cfg.bmw_f,
             &|| 0,

@@ -10,9 +10,9 @@
 //!
 //! We realize "per-document lock" as an atomic accumulator: a document's
 //! running sum is one word of its record in the query's `DocSlab`
-//! (Sparta's and pNRA's substrate, DESIGN.md §10), reached through one
-//! lock-free `DocTable` — the same granularity, with no mutex and no
-//! allocation per document. The map is intentionally
+//! (Sparta's and pNRA's substrate, `sparta::candidates`), reached
+//! through one lock-free `DocTable` — the same granularity, with no
+//! mutex and no allocation per document. The map is intentionally
 //! never pruned (the paper contrasts pJASS's "huge in-memory document
 //! map" with Sparta's cleaning, §6).
 
@@ -20,15 +20,16 @@ use crate::config::SearchConfig;
 use crate::jass::posting_budget;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::shared_heap::SharedHeap;
-use crate::sparta::{open_cursor, DocHandle, DocSlab, SlabRun};
+use crate::sparta::candidates::{until_fits, Candidates};
+use crate::sparta::{open_cursor, SlabRun};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{BoundedTopK, DocTable, Lookup};
+use sparta_collections::BoundedTopK;
 use sparta_corpus::types::Query;
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,30 +41,18 @@ struct State {
     cfg: SearchConfig,
     /// One record per accumulated document; its `sum` is the
     /// accumulator.
-    slab: DocSlab,
-    doc_map: DocTable,
+    cands: Candidates,
     /// Postings scanned, reported once per segment. A count: it
     /// publishes nothing (Relaxed); the stop it triggers travels
-    /// through `done`.
+    /// through the run's `done` ([`Candidates::stop`]).
     scanned: AtomicU64,
     budget: u64,
-    done: AtomicBool,
-    /// An admission found `doc_map` full: this run is abandoned and
-    /// the query starts over with a bigger table.
-    docmap_full: AtomicBool,
     trace: TraceSink,
     spans: QueryTrace,
     /// Trace-only instrumentation: a small heap fed by accumulator
     /// updates so recall dynamics can be replayed. pJASS itself builds
     /// its heap only at the end; this exists only when tracing.
     trace_heap: Option<SharedHeap>,
-}
-
-impl State {
-    #[inline]
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
 }
 
 /// One term's traversal as a recycled [`CyclicJob`] — each step is a
@@ -80,7 +69,7 @@ struct SegmentJob {
 impl CyclicJob for SegmentJob {
     fn run_step(&mut self) -> bool {
         let state = &self.state;
-        if state.is_done() {
+        if state.cands.is_done() {
             return false;
         }
         let _seg_span = state.spans.span(Phase::TermProcess);
@@ -94,60 +83,44 @@ impl CyclicJob for SegmentJob {
             .min(state.cfg.seg_size as u64);
         let mut exhausted = false;
         let mut scanned = 0u64;
-        let mut admitted = 0usize;
-        while scanned < limit && !state.is_done() {
+        while scanned < limit && !state.cands.is_done() {
             let Some(p) = self.cursor.next() else {
                 exhausted = true;
                 break;
             };
             scanned += 1;
-            let make = || state.slab.stage(&mut self.run, p.doc).index();
-            let h = match state.doc_map.get_or_try_insert_with(p.doc, true, make) {
-                Lookup::Found(h) => h,
-                Lookup::Inserted(h) => {
-                    self.run.commit();
-                    admitted += 1;
-                    h
-                }
-                Lookup::Absent => unreachable!("insertion was allowed"),
-                Lookup::Full => {
-                    state.docmap_full.store(true, Ordering::Relaxed);
-                    state.done.store(true, Ordering::Release);
-                    break;
-                }
+            // Always allowed, so `None` means the run was abandoned.
+            let Some(h) = state.cands.admit(&mut self.run, p.doc, true) else {
+                break;
             };
-            let rec = state.slab.record(DocHandle::from_index(h));
-            let new_total = rec.set_score(self.i, p.score);
+            let new_total = state.cands.slab.record(h).set_score(self.i, p.score);
             if let Some(th) = &state.trace_heap {
                 th.offer(new_total, p.doc, &state.trace);
             }
         }
-        state.doc_map.add_len(admitted);
+        state.cands.flush(&mut self.run);
         if state.scanned.fetch_add(scanned, Ordering::Relaxed) + scanned >= state.budget {
-            state.done.store(true, Ordering::Release);
+            state.cands.stop();
         }
-        !exhausted && !state.is_done()
+        !exhausted && !state.cands.is_done()
     }
 }
 
-/// Runs the query once over a `docMap` sized for `max_docs` documents;
-/// the caller starts over if the run reports `docmap_full`.
+/// Runs the query once over `cands`; the caller starts over if the run
+/// was abandoned.
 fn run_once(
     index: &Arc<dyn Index>,
     query: &Query,
     cfg: &SearchConfig,
     exec: &dyn Executor,
     budget: u64,
-    max_docs: u64,
+    cands: Candidates,
 ) -> (Arc<State>, Arc<JobQueue>) {
     let state = Arc::new(State {
         cfg: *cfg,
-        slab: DocSlab::new(query.terms.len()),
-        doc_map: DocTable::with_capacity(max_docs.min(u64::from(u32::MAX)) as usize),
+        cands,
         scanned: AtomicU64::new(0),
         budget,
-        done: AtomicBool::new(false),
-        docmap_full: AtomicBool::new(false),
         trace: TraceSink::with_clock(cfg.trace, cfg.clock),
         spans: QueryTrace::new(cfg.spans, cfg.clock),
         trace_heap: cfg.trace.then(|| SharedHeap::new(cfg.k.max(1))),
@@ -184,23 +157,13 @@ impl Algorithm for PJass {
         let start = Instant::now();
         let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
         let budget = posting_budget(postings, cfg.jass_p);
-        // docMap is sized as pNRA and Sparta size theirs, and an index
-        // that under-declares `num_docs` is answered the same way: the
-        // run that found the table full is abandoned and the query
-        // starts over sized from the list lengths (doubling from there).
-        let mut max_docs = postings.min(index.num_docs());
-        let (state, queue) = loop {
-            let (state, queue) = run_once(index, query, cfg, exec, budget, max_docs);
-            if !state.docmap_full.load(Ordering::Relaxed) {
-                break (state, queue);
-            }
-            max_docs = max_docs.saturating_mul(2).max(postings);
-        };
+        let run = |cands| run_once(index, query, cfg, exec, budget, cands);
+        let (state, queue) = until_fits(index.as_ref(), query, run, |(s, _)| &s.cands);
 
         // Final selection over the accumulators.
         let merge_span = state.spans.span(Phase::HeapMerge);
         let mut heap = BoundedTopK::new(cfg.k.max(1));
-        state.slab.for_each_scored(|_, rec| {
+        state.cands.slab.for_each_scored(|_, rec| {
             heap.offer(rec.current_sum(), rec.id());
         });
         let hits = finalize_hits(
@@ -214,7 +177,7 @@ impl Algorithm for PJass {
             cfg.k,
         );
         drop(merge_span);
-        let accumulators = state.doc_map.len() as u64;
+        let accumulators = state.cands.table.len() as u64;
         let work = WorkStats {
             postings_scanned: state.scanned.load(Ordering::Relaxed),
             random_accesses: 0,
@@ -244,7 +207,7 @@ mod tests {
     use crate::jass::Jass;
     use crate::oracle::Oracle;
     use crate::sparta::doc_slab::RUN;
-    use crate::test_support::{honest_and_under_declared, TagSpy};
+    use crate::test_support::TagSpy;
     use sparta_exec::DedicatedExecutor;
     use sparta_index::{InMemoryIndex, Posting};
 
@@ -327,32 +290,6 @@ mod tests {
         assert!(r.trace.unwrap().len() >= 10);
     }
 
-    /// `docMap` is sized from the index's declared `num_docs`, which
-    /// nothing validates: an index declaring 10 documents whose ids run
-    /// to 3 000 must cost restarts, not a panic or a wrong answer.
-    #[test]
-    fn exact_when_num_docs_is_under_declared() {
-        let (honest, lying) = honest_and_under_declared(2);
-        let q = Query::new(vec![0, 1]);
-        let want = Oracle::compute(honest.as_ref(), &q, 5);
-        let truth: Vec<u64> = want.topk().iter().map(|h| h.score).collect();
-        let cfg = SearchConfig::exact(5).with_seg_size(64);
-        for threads in [1, 3] {
-            let r = PJass.search(&lying, &q, &cfg, &DedicatedExecutor::new(threads));
-            assert_eq!(want.recall(&r.docs()), 1.0, "t={threads}: {:?}", r.docs());
-            assert_eq!(r.scores(), truth, "t={threads}");
-            assert_eq!(r.work.jobs_panicked, 0, "t={threads}");
-            assert_eq!(r.work.docmap_peak, 3000, "t={threads}");
-        }
-        // The abandoned runs leave no trace in the reported work (one
-        // thread: the schedule, hence the work, is deterministic).
-        let one = DedicatedExecutor::new(1);
-        assert_eq!(
-            PJass.search(&lying, &q, &cfg, &one).work,
-            PJass.search(&honest, &q, &cfg, &one).work
-        );
-    }
-
     /// A served `pjass` request is attributed by its queue's tag, and
     /// one worker at a time stops on the budget's exact posting.
     #[test]
@@ -379,20 +316,21 @@ mod tests {
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128);
         let exec = DedicatedExecutor::new(4);
-        let (state, _queue) = run_once(&ix, &q, &cfg, &exec, u64::MAX, 5000);
-        assert_eq!(state.doc_map.len(), 5000);
+        let cands = Candidates::new(4, 5000);
+        let (state, _queue) = run_once(&ix, &q, &cfg, &exec, u64::MAX, cands);
+        assert_eq!(state.cands.table.len(), 5000);
         // Lost admission races re-stage the same record, so a list
         // wastes at most its last run's tail.
-        let reserved = state.slab.reserved();
+        let reserved = state.cands.slab.reserved();
         assert!(reserved <= 5000 + 4 * RUN, "{reserved} for 5000");
         // Blocks hold 256, 512, 1024, … records.
         let blocks_needed = (reserved.div_ceil(256) + 1)
             .next_power_of_two()
             .trailing_zeros() as usize;
         assert!(
-            state.slab.blocks_allocated() <= blocks_needed,
+            state.cands.slab.blocks_allocated() <= blocks_needed,
             "{} blocks for {reserved} records",
-            state.slab.blocks_allocated()
+            state.cands.slab.blocks_allocated()
         );
     }
 }

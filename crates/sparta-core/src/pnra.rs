@@ -18,15 +18,16 @@
 
 use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
-use crate::sparta::{open_cursor, DocHandle, DocSlab, SharedUb, SlabRun, SpartaHeap, UbSnapshot};
+use crate::sparta::candidates::{until_fits, Candidates};
+use crate::sparta::{open_cursor, SharedUb, SlabRun, SpartaHeap, UbSnapshot};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{DocTable, FastHashSet, Lookup, ShardedCounter};
+use sparta_collections::{FastHashSet, ShardedCounter};
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,13 +41,8 @@ pub struct PNra;
 struct State {
     cfg: SearchConfig,
     ub: SharedUb,
-    slab: Arc<DocSlab>,
+    cands: Candidates,
     heap: SpartaHeap,
-    doc_map: DocTable,
-    done: AtomicBool,
-    /// An admission found `doc_map` full: this run is abandoned and
-    /// the query starts over with a bigger table.
-    docmap_full: AtomicBool,
     trace: TraceSink,
     spans: QueryTrace,
     postings: ShardedCounter,
@@ -58,11 +54,6 @@ impl State {
     #[inline]
     fn ub_stop(&self) -> bool {
         self.ub.ub_stop(self.heap.theta())
-    }
-
-    #[inline]
-    fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
     }
 }
 
@@ -80,15 +71,14 @@ impl CyclicJob for SegmentJob {
     fn run_step(&mut self) -> bool {
         let state = &self.state;
         let i = self.i;
-        if state.is_done() {
+        if state.cands.is_done() {
             return false;
         }
         let _seg_span = state.spans.span(Phase::TermProcess);
         let mut exhausted = false;
         let mut scanned = 0u64;
-        let mut admitted = 0usize;
         for _ in 0..state.cfg.seg_size {
-            if state.is_done() {
+            if state.cands.is_done() {
                 break;
             }
             let Some(p) = self.cursor.next() else {
@@ -100,36 +90,20 @@ impl CyclicJob for SegmentJob {
             // posting: the cache-miss storm Sparta's segment-lazy
             // updates avoid (§4.3).
             state.ub.set(i, p.score);
-            let make = || state.slab.stage(&mut self.run, p.doc).index();
-            let h = match state
-                .doc_map
-                .get_or_try_insert_with(p.doc, !state.ub_stop(), make)
-            {
-                Lookup::Found(h) => h,
-                Lookup::Inserted(h) => {
-                    self.run.commit();
-                    admitted += 1;
-                    h
-                }
-                Lookup::Absent => continue,
-                Lookup::Full => {
-                    state.docmap_full.store(true, Ordering::Relaxed);
-                    state.done.store(true, Ordering::Release);
-                    break;
-                }
+            let Some(h) = state.cands.admit(&mut self.run, p.doc, !state.ub_stop()) else {
+                continue;
             };
-            let h = DocHandle::from_index(h);
-            let sum = state.slab.record(h).set_score(i, p.score);
+            let sum = state.cands.slab.record(h).set_score(i, p.score);
             if sum > state.heap.theta() {
                 state.heap.update(&h, &state.trace);
             }
         }
         state.postings.add(scanned);
-        state.doc_map.add_len(admitted);
+        state.cands.flush(&mut self.run);
         if exhausted {
             state.ub.exhaust(i);
         }
-        !exhausted && !state.is_done()
+        !exhausted && !state.cands.is_done()
     }
 }
 
@@ -148,13 +122,13 @@ struct StopChecker {
 impl CyclicJob for StopChecker {
     fn run_step(&mut self) -> bool {
         let state = &self.state;
-        if state.is_done() {
+        if state.cands.is_done() {
             return false;
         }
         let _check_span = state.spans.span(Phase::StopCheck);
         state
             .docmap_peak
-            .fetch_max(state.doc_map.len() as u64, Ordering::Relaxed);
+            .fetch_max(state.cands.table.len() as u64, Ordering::Relaxed);
         // Equation 2: every traversed non-heap candidate has
         // UB(D) ≤ Θ. Without cleaning, this is a full scan of the
         // slab. Θ, then the members, then the bounds are read before
@@ -165,7 +139,7 @@ impl CyclicJob for StopChecker {
             state.heap.members_snapshot_into(&mut self.members);
             state.ub.snapshot_into(1.0, &mut self.bounds);
             let (bounds, members) = (&self.bounds, &self.members);
-            state.slab.for_each_scored(|_, rec| {
+            state.cands.slab.for_each_scored(|_, rec| {
                 if eq2 && rec.ub(bounds) > theta && !members.contains(&rec.id()) {
                     eq2 = false;
                 }
@@ -185,7 +159,7 @@ impl CyclicJob for StopChecker {
                 // The Δ budget (approximate variant) fired before Eq. 2.
                 state.timeout_stops.fetch_add(1, Ordering::Relaxed);
             }
-            state.done.store(true, Ordering::Release);
+            state.cands.stop();
             false
         } else {
             true
@@ -193,24 +167,20 @@ impl CyclicJob for StopChecker {
     }
 }
 
-/// Runs the query once over a `docMap` sized for `max_docs` documents;
-/// the caller starts over if the run reports `docmap_full`.
+/// Runs the query once over `cands`; the caller starts over if the run
+/// was abandoned.
 fn run_once(
     index: &Arc<dyn Index>,
     query: &Query,
     cfg: &SearchConfig,
     exec: &dyn Executor,
-    max_docs: u64,
+    cands: Candidates,
 ) -> (Arc<State>, Arc<JobQueue>) {
-    let slab = Arc::new(DocSlab::new(query.terms.len()));
     let state = Arc::new(State {
         cfg: *cfg,
         ub: SharedUb::new(query.terms.len()),
-        heap: SpartaHeap::new(Arc::clone(&slab), cfg.k),
-        slab,
-        doc_map: DocTable::with_capacity(max_docs.min(u64::from(u32::MAX)) as usize),
-        done: AtomicBool::new(false),
-        docmap_full: AtomicBool::new(false),
+        heap: SpartaHeap::new(Arc::clone(&cands.slab), cfg.k),
+        cands,
         trace: TraceSink::with_clock(cfg.trace, cfg.clock),
         spans: QueryTrace::new(cfg.spans, cfg.clock),
         postings: ShardedCounter::new(),
@@ -263,25 +233,14 @@ impl Algorithm for PNra {
                 spans: cfg.spans.then(Vec::new),
             };
         }
-        // docMap is sized as Sparta sizes its first map, and an index
-        // that under-declares `num_docs` is answered the same way: the
-        // run that found the table full is abandoned and the query
-        // starts over sized from the list lengths (doubling from there).
-        let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
-        let mut max_docs = postings.min(index.num_docs());
-        let (state, queue) = loop {
-            let (state, queue) = run_once(index, query, cfg, exec, max_docs);
-            if !state.docmap_full.load(Ordering::Relaxed) {
-                break (state, queue);
-            }
-            max_docs = max_docs.saturating_mul(2).max(postings);
-        };
+        let run = |cands| run_once(index, query, cfg, exec, cands);
+        let (state, queue) = until_fits(index.as_ref(), query, run, |(s, _)| &s.cands);
 
         let merge = state.spans.span(Phase::HeapMerge);
         let mut hits = state.heap.sorted_hits();
         hits.truncate(cfg.k);
         drop(merge);
-        let docmap_final = state.doc_map.len() as u64;
+        let docmap_final = state.cands.table.len() as u64;
         let work = WorkStats {
             postings_scanned: state.postings.get(),
             random_accesses: 0,
@@ -370,41 +329,6 @@ mod tests {
         assert_eq!(r.docs(), vec![2, 9]);
     }
 
-    /// Mirror of Sparta's test: an index that declares fewer documents
-    /// than its lists hold under-sizes `docMap`; the query must notice,
-    /// start over, and still be exact.
-    #[test]
-    fn pnra_exact_when_num_docs_is_under_declared() {
-        let lists = |t: u32| -> Vec<Posting> {
-            (0..1000u32)
-                .map(|d| Posting::new(d, (d * 7 + t * 13) % 501 + 1))
-                .collect()
-        };
-        let build = |num_docs| -> Arc<dyn Index> {
-            Arc::new(InMemoryIndex::from_term_postings(
-                vec![lists(0), lists(1)],
-                num_docs,
-            ))
-        };
-        let q = Query::new(vec![0, 1]);
-        let honest = build(1000);
-        let want = Oracle::compute(honest.as_ref(), &q, 5);
-        let lying = build(4);
-        let cfg = SearchConfig::exact(5).with_seg_size(64);
-        for threads in [1, 3] {
-            let r = PNra.search(&lying, &q, &cfg, &DedicatedExecutor::new(threads));
-            assert_eq!(want.recall(&r.docs()), 1.0, "t={threads}: {:?}", r.docs());
-            assert_eq!(r.work.jobs_panicked, 0, "t={threads}");
-        }
-        // The abandoned run leaves no trace in the reported work (one
-        // thread: the schedule, hence the work, is deterministic).
-        let one = DedicatedExecutor::new(1);
-        assert_eq!(
-            PNra.search(&lying, &q, &cfg, &one).work,
-            PNra.search(&honest, &q, &cfg, &one).work
-        );
-    }
-
     /// What a served `pnra` request is attributed and accounted by: the
     /// queue carries the config's tag, and a stop the Δ budget caused
     /// (Δ = 0: the first check, long before Eq. 2) is reported as one.
@@ -434,12 +358,13 @@ mod tests {
         let ix = pseudo_index(5000, 4, 6);
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128);
-        let (state, _queue) = run_once(&ix, &q, &cfg, &DedicatedExecutor::new(4), 5000);
-        let candidates = state.doc_map.len();
+        let cands = Candidates::new(4, 5000);
+        let (state, _queue) = run_once(&ix, &q, &cfg, &DedicatedExecutor::new(4), cands);
+        let candidates = state.cands.table.len();
         assert!(candidates > 50 * 10, "only {candidates} candidates");
         // Lost admission races re-stage the same record, so a list
         // wastes at most its last run's tail.
-        let reserved = state.slab.reserved();
+        let reserved = state.cands.slab.reserved();
         assert!(
             reserved <= candidates + 4 * RUN,
             "{reserved} for {candidates}"
@@ -449,9 +374,9 @@ mod tests {
             .next_power_of_two()
             .trailing_zeros() as usize;
         assert!(
-            state.slab.blocks_allocated() <= blocks_needed,
+            state.cands.slab.blocks_allocated() <= blocks_needed,
             "{} blocks for {reserved} records",
-            state.slab.blocks_allocated()
+            state.cands.slab.blocks_allocated()
         );
     }
 }

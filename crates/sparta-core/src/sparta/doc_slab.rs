@@ -78,6 +78,8 @@ impl DocHandle {
 pub struct SlabRun {
     next: u32,
     end: u32,
+    /// Commits not yet reported (`Candidates::flush` takes them).
+    pub(crate) committed: usize,
 }
 
 impl SlabRun {
@@ -87,6 +89,7 @@ impl SlabRun {
     pub fn commit(&mut self) {
         debug_assert!(self.next < self.end, "commit without a staged record");
         self.next += 1;
+        self.committed += 1;
     }
 }
 

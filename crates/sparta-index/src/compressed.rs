@@ -403,7 +403,6 @@ impl CompressedTermData {
         }
         // Codebook indices → exact scores.
         for s in scores[..n].iter_mut() {
-            debug_assert!((*s as usize) < self.dict.len());
             // Clamped gather: corrupt on-disk planes yield wrong
             // scores, never a panic.
             *s = self.dict[(*s as usize).min(self.dict.len() - 1)];
@@ -432,14 +431,31 @@ impl CompressedTermData {
             u32::from(m.bits),
             &mut scores[..n],
         );
-        // Index drops → codebook indices → exact scores.
+        // Index drops → codebook indices → exact scores (wrapping and
+        // clamped, like the doc plane).
         let mut idx = prev_idx;
         for s in scores[..n].iter_mut() {
-            debug_assert!(*s <= idx);
             idx = idx.wrapping_sub(*s);
             *s = self.dict[(idx as usize).min(self.dict.len() - 1)];
         }
         (n, idx)
+    }
+
+    /// The largest doc id the list can yield, over the block directory
+    /// and both id planes (corrupt planes decode ids it never names).
+    pub(crate) fn max_decoded_doc(&self) -> Option<DocId> {
+        let mut docs = [0u32; MAX_BLOCK];
+        let mut scores = [0u32; MAX_BLOCK];
+        let mut max = self.blocks.iter().map(|b| b.last_doc).max();
+        let mut prev_idx = self.dict.len().saturating_sub(1) as u32;
+        for bi in 0..self.blocks.len() {
+            let n = self.decode_doc_block(bi, &mut docs, &mut scores);
+            max = max.max(docs[..n].iter().copied().max());
+            let (n, idx) = self.decode_score_block(bi, prev_idx, &mut docs, &mut scores);
+            max = max.max(docs[..n].iter().copied().max());
+            prev_idx = idx;
+        }
+        max
     }
 
     /// Point lookup: the score of `doc` (0 if the list skips it) and
@@ -532,7 +548,8 @@ pub struct CompressedIndex {
 }
 
 impl CompressedIndex {
-    /// Assembles an index from per-term posting vectors (any order).
+    /// Assembles an index from per-term posting vectors (any order);
+    /// `num_docs` is a floor, as for [`crate::InMemoryIndex`].
     pub fn from_term_postings(terms: Vec<Vec<Posting>>, num_docs: u64) -> Self {
         Self::with_block_size(terms, num_docs, DEFAULT_BLOCK_SIZE)
     }
@@ -540,18 +557,16 @@ impl CompressedIndex {
     /// As [`from_term_postings`](Self::from_term_postings) with an
     /// explicit block size (at most [`MAX_BLOCK`]).
     pub fn with_block_size(terms: Vec<Vec<Posting>>, num_docs: u64, block_size: usize) -> Self {
-        let terms = terms
+        let terms: Vec<CompressedTermData> = terms
             .into_iter()
             .map(|p| CompressedTermData::from_postings(p, block_size))
             // lint: allow(alloc): build-time term assembly
             .collect();
-        Self {
-            terms,
-            num_docs,
-            block_size,
-            bounds: BoundMode::Exact,
-            io: IoStats::new(),
-        }
+        let last_docs = terms
+            .iter()
+            .filter_map(|t| t.blocks.last().map(|b| b.last_doc));
+        let num_docs = crate::num_docs_covering(num_docs, last_docs);
+        Self::from_parts(terms, num_docs, block_size)
     }
 
     /// Re-encodes an existing raw in-memory index (the bench harness's
@@ -568,17 +583,11 @@ impl CompressedIndex {
             })
             // lint: allow(alloc): build-time term assembly
             .collect();
-        Self {
-            terms,
-            num_docs: ix.num_docs(),
-            block_size: ix.block_size(),
-            bounds: BoundMode::Exact,
-            io: IoStats::new(),
-        }
+        Self::from_parts(terms, ix.num_docs(), ix.block_size())
     }
 
-    /// Reassembles an index from already-built term data (the storage
-    /// reader's path).
+    /// Reassembles an index from built term data whose ids `num_docs`
+    /// already bounds (the other constructors' and the reader's path).
     pub(crate) fn from_parts(
         terms: Vec<CompressedTermData>,
         num_docs: u64,

@@ -44,8 +44,18 @@ pub use memory::InMemoryIndex;
 pub use posting::{BlockMeta, Posting, DEFAULT_BLOCK_SIZE};
 pub use storage::reader::DiskIndex;
 
-use sparta_corpus::types::TermId;
+use sparta_corpus::types::{DocId, TermId};
 use std::sync::Arc;
+
+/// The ceiling on [`Index::num_docs`]: ids are 32 bits wide.
+pub(crate) const MAX_DOCS: u64 = 1 << 32;
+
+/// An in-memory constructor's count: the declared one (a floor, for
+/// documents matching no term) capped at 2^32, raised to cover `ids`.
+pub(crate) fn num_docs_covering(declared: u64, ids: impl Iterator<Item = DocId>) -> u64 {
+    ids.map(|d| u64::from(d) + 1)
+        .fold(declared.min(MAX_DOCS), u64::max)
+}
 
 /// In-memory size of an index's posting storage, split into the
 /// posting planes themselves and the lookup metadata (block directory,
@@ -71,7 +81,12 @@ impl IndexFootprint {
 /// serves many concurrent queries, and one query opens independent
 /// cursors from multiple worker threads.
 pub trait Index: Send + Sync {
-    /// Total number of documents N in the corpus.
+    /// Total number of documents N in the corpus, and an invariant:
+    /// every doc id a cursor or probe yields is `< num_docs() ≤ 2^32`.
+    /// In-memory constructors raise a declared count to cover their
+    /// ids; the loaders reject a header that does not. Whatever is
+    /// sized from it (pRA's bitset, the candidate table, pBMW's ranges,
+    /// the oracle) relies on it.
     fn num_docs(&self) -> u64;
 
     /// Number of terms in the dictionary.

@@ -51,7 +51,8 @@ pub struct InMemoryIndex {
 
 impl InMemoryIndex {
     /// Assembles an index from per-term posting vectors (any order).
-    /// `terms[t]` becomes the posting list of term `t`.
+    /// `terms[t]` becomes the posting list of term `t`; `num_docs` is a
+    /// floor, raised to cover every id ([`Index::num_docs`]).
     pub fn from_term_postings(terms: Vec<Vec<Posting>>, num_docs: u64) -> Self {
         Self::with_block_size(terms, num_docs, DEFAULT_BLOCK_SIZE)
     }
@@ -59,13 +60,16 @@ impl InMemoryIndex {
     /// As [`from_term_postings`](Self::from_term_postings) with an
     /// explicit block size.
     pub fn with_block_size(terms: Vec<Vec<Posting>>, num_docs: u64, block_size: usize) -> Self {
-        let terms = terms
+        let terms: Vec<TermData> = terms
             .into_iter()
             .map(|p| TermData::from_postings(p, block_size))
             .collect();
+        let last_docs = terms
+            .iter()
+            .filter_map(|t| t.doc_order.last().map(|p| p.doc));
         Self {
+            num_docs: crate::num_docs_covering(num_docs, last_docs),
             terms,
-            num_docs,
             block_size,
         }
     }
@@ -367,6 +371,30 @@ mod tests {
         assert_eq!(ix.doc_freq(7), 0, "unknown term");
         assert_eq!(ix.max_score(0), 100);
         assert_eq!(ix.max_score(1), 41);
+    }
+
+    /// A declared count is a floor: lists holding ids `0..3000` behind
+    /// a declaration of 10 report 3 000 documents on both in-memory
+    /// backends, so everything sized from `num_docs` covers every id a
+    /// cursor yields.
+    #[test]
+    fn num_docs_covers_the_largest_id() {
+        let lists = || vec![(0..3000u32).map(|d| Posting::new(d, d % 501 + 1)).collect()];
+        assert_eq!(
+            InMemoryIndex::from_term_postings(lists(), 10).num_docs(),
+            3000
+        );
+        assert_eq!(
+            InMemoryIndex::from_term_postings(lists(), 5000).num_docs(),
+            5000
+        );
+        let compressed = crate::CompressedIndex::from_term_postings(lists(), 10);
+        assert_eq!(compressed.num_docs(), 3000);
+        let extreme = vec![vec![Posting::new(u32::MAX, 1)]];
+        assert_eq!(
+            InMemoryIndex::from_term_postings(extreme, u64::MAX).num_docs(),
+            1 << 32
+        );
     }
 
     #[test]

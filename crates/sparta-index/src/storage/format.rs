@@ -139,14 +139,6 @@ pub fn decode_postings(bytes: &[u8], out: &mut Vec<Posting>) {
     }
 }
 
-/// Decodes a single posting from an 8-byte record.
-pub fn decode_posting(c: &[u8]) -> Posting {
-    Posting {
-        doc: u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-        score: u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-    }
-}
-
 /// Encodes block metadata.
 pub fn encode_blocks(blocks: &[BlockMeta], out: &mut Vec<u8>) {
     out.clear();
@@ -435,7 +427,7 @@ fn read_varint_from<R: Read>(r: &mut R, scratch: &mut [u8; 5]) -> io::Result<u32
     Err(bad("malformed varint"))
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -585,7 +577,6 @@ mod tests {
         let mut got = Vec::new();
         decode_postings(&bytes, &mut got);
         assert_eq!(got, ps);
-        assert_eq!(decode_posting(&bytes[8..16]), ps[1]);
     }
 
     #[test]

@@ -173,6 +173,82 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Overwrites `file`'s bytes at `at` (appends when `at` is its
+    /// length).
+    fn patch(dir: &std::path::Path, file: &str, at: usize, with: &[u8]) {
+        let path = dir.join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.resize(bytes.len().max(at + with.len()), 0);
+        bytes[at..at + with.len()].copy_from_slice(with);
+        std::fs::write(&path, bytes).unwrap();
+    }
+
+    /// The sample with one patch applied must fail to open with
+    /// `InvalidData` — each of these used to panic on first use.
+    fn assert_open_rejects(tag: &str, file: &str, at: usize, with: &[u8]) {
+        let dir = tempdir(tag);
+        write_sample(&dir);
+        assert!(DiskIndex::open(&dir, IoModel::free()).is_ok(), "{tag}");
+        patch(&dir, file, at, with);
+        let err = DiskIndex::open(&dir, IoModel::free()).err().expect(tag);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Field offsets: `meta.bin` block_size at 24; a `dict.bin` entry
+    /// is 40 bytes with `block_off` at 24 and `num_blocks` at 32. The
+    /// sample's terms own blocks 0–4, 5, none and 6 of seven.
+    #[test]
+    fn open_rejects_a_term_overrunning_blocks_bin() {
+        assert_open_rejects("overrun", "dict.bin", 3 * 40 + 24, &7u64.to_le_bytes());
+    }
+
+    #[test]
+    fn open_rejects_more_blocks_than_postings_fill() {
+        // Term 1: 40 postings in one block; two would still lie inside
+        // blocks.bin, but block 1 would start past the list.
+        assert_open_rejects("num_blocks", "dict.bin", 40 + 32, &2u32.to_le_bytes());
+    }
+
+    #[test]
+    fn open_rejects_a_ragged_blocks_bin() {
+        assert_open_rejects("ragged", "blocks.bin", 7 * 8, &[0; 3]);
+    }
+
+    #[test]
+    fn open_rejects_block_size_zero() {
+        assert_open_rejects("block_size", "meta.bin", 24, &0u32.to_le_bytes());
+    }
+
+    /// `num_docs` bounds every stored id (`Index::num_docs`): both
+    /// loaders reject a header at or below the sample's largest id,
+    /// 897, or above 2^32, and accept 898. The header field sits at
+    /// byte 12 of `meta.bin` and of `compressed.bin` alike.
+    #[test]
+    fn loaders_reject_num_docs_not_covering_a_stored_id() {
+        use crate::builder::IndexKind;
+        let dir = tempdir("num_docs");
+        let lists = sample_lists();
+        let mut w =
+            IndexWriter::create_with_kind(&dir, 900, lists.len() as u32, 64, IndexKind::Compressed)
+                .unwrap();
+        for l in &lists {
+            w.add_term(l.clone()).unwrap();
+        }
+        w.finish().unwrap();
+        let kind = |r: std::io::Result<()>| r.err().map(|e| e.kind());
+        let disk = || kind(DiskIndex::open(&dir, IoModel::free()).map(drop));
+        let compressed = || kind(load_compressed(&dir).map(drop));
+        let bad = Some(std::io::ErrorKind::InvalidData);
+        for (num_docs, want) in [(897u64, bad), ((1 << 32) + 1, bad), (898, None)] {
+            patch(&dir, "meta.bin", 12, &num_docs.to_le_bytes());
+            patch(&dir, "compressed.bin", 12, &num_docs.to_le_bytes());
+            assert_eq!(disk(), want, "meta.bin num_docs {num_docs}");
+            assert_eq!(compressed(), want, "compressed.bin num_docs {num_docs}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn compressed_section_round_trips() {
         use crate::builder::IndexKind;
@@ -264,61 +340,6 @@ mod tests {
 
         std::fs::write(&path, &good).unwrap();
         assert!(load_compressed(&dir).is_ok());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The loader validates plane offsets and widths, not the values
-    /// inside them: a corrupt `last_doc` or gap plane must surface as
-    /// wrong answers, never as a panic — overflow-checked debug builds
-    /// included.
-    #[test]
-    fn corrupt_compressed_values_never_panic() {
-        use crate::builder::IndexKind;
-        use crate::cursor::RandomAccess;
-        let dir = tempdir("compressed_values");
-        let list: Vec<Posting> = (0..300u32)
-            .map(|i| Posting::new(i * 3 + 1, (i * 37) % 211 + 1))
-            .collect();
-        let mut w = IndexWriter::create_with_kind(&dir, 900, 1, 64, IndexKind::Compressed).unwrap();
-        w.add_term(list).unwrap();
-        w.finish().unwrap();
-        let path = dir.join("compressed.bin");
-        let good = std::fs::read(&path).unwrap();
-        let td = load_compressed(&dir).unwrap().term_data(0).unwrap().clone();
-        // One term: its packed words end the file, and the 19-byte
-        // block directory entries (leading with `last_doc`) sit right
-        // before the word count.
-        let words_at = good.len() - td.words.len() * 8;
-        let dir_at = words_at - 4 - 19 * td.blocks.len();
-        for bi in 0..td.blocks.len() {
-            let mut bad = good.clone();
-            bad[dir_at + 19 * bi..][..4].copy_from_slice(&u32::MAX.to_le_bytes());
-            let m = td.doc_meta[bi];
-            let gap_bits = td.block_len(bi) * m.bits as usize;
-            let gap_plane = m.off as usize / 8..(m.off as usize + gap_bits).div_ceil(8);
-            for b in &mut bad[words_at..][gap_plane] {
-                *b ^= 0xFF;
-            }
-            std::fs::write(&path, &bad).unwrap();
-            let ix = load_compressed(&dir).unwrap();
-            let far = [u32::MAX - 1, u32::MAX];
-            for d in (0..1_000).chain(far) {
-                ix.term_score(0, d);
-            }
-            let mut c = ix.doc_cursor(0);
-            while c.advance().is_some() {
-                c.score();
-            }
-            for target in (0..1_000).step_by(7).chain(far) {
-                let mut c = ix.doc_cursor(0);
-                c.seek(target);
-                c.score();
-                c.seek(u32::MAX);
-                c.score();
-            }
-            let mut sc = ix.score_cursor(0);
-            while sc.next().is_some() {}
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -32,19 +32,21 @@ pub struct DiskIndex {
 
 impl DiskIndex {
     /// Opens an index directory written by
-    /// [`super::writer::IndexWriter`].
+    /// [`super::writer::IndexWriter`]. `InvalidData` unless every
+    /// term's `⌈len / block_size⌉` blocks lie inside `blocks.bin` and
+    /// end below `num_docs`, so no later slice of them can panic.
     pub fn open(dir: impl AsRef<Path>, model: IoModel) -> io::Result<Self> {
         let dir = dir.as_ref();
         let mut meta_file = File::open(dir.join("meta.bin"))?;
         let meta = Meta::read_from(&mut meta_file)?;
+        if meta.block_size == 0 {
+            return Err(format::bad("block_size is 0"));
+        }
 
         let mut dict_bytes = Vec::new();
         File::open(dir.join("dict.bin"))?.read_to_end(&mut dict_bytes)?;
         if dict_bytes.len() != meta.num_terms as usize * DictEntry::SIZE {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "dict.bin size does not match num_terms",
-            ));
+            return Err(format::bad("dict.bin size does not match num_terms"));
         }
         let mut dict = Vec::with_capacity(meta.num_terms as usize);
         let mut slice = dict_bytes.as_slice();
@@ -54,7 +56,20 @@ impl DiskIndex {
 
         let mut block_bytes = Vec::new();
         File::open(dir.join("blocks.bin"))?.read_to_end(&mut block_bytes)?;
+        if block_bytes.len() % 8 != 0 {
+            return Err(format::bad("blocks.bin is not a whole number of blocks"));
+        }
         let blocks = format::decode_blocks(&block_bytes);
+        for e in &dict {
+            let end = e.block_off.checked_add(u64::from(e.num_blocks));
+            if end.is_none_or(|end| end > blocks.len() as u64) {
+                return Err(format::bad("a term's blocks overrun blocks.bin"));
+            }
+            if u64::from(e.num_blocks) != e.len.div_ceil(u64::from(meta.block_size)) {
+                return Err(format::bad("block count does not match posting count"));
+            }
+        }
+        check_num_docs(meta.num_docs, blocks.iter().map(|b| b.last_doc).max())?;
 
         Ok(Self {
             meta,
@@ -104,6 +119,29 @@ impl DiskIndex {
         }
         Ok(())
     }
+
+    /// Decodes postings into `out`; a doc id ≥ `num_docs` is a failed
+    /// read (`false`, `out` left empty), so no cursor yields it.
+    fn decode(&self, bytes: &[u8], out: &mut Vec<Posting>) -> bool {
+        format::decode_postings(bytes, out);
+        let ok = out.iter().all(|p| u64::from(p.doc) < self.meta.num_docs);
+        if !ok {
+            out.clear();
+        }
+        ok
+    }
+}
+
+/// Rejects a header `num_docs` above 2^32 or not above `max_doc`, the
+/// largest stored id ([`Index::num_docs`]).
+fn check_num_docs(num_docs: u64, max_doc: Option<DocId>) -> io::Result<()> {
+    let least = max_doc.map_or(0, |d| u64::from(d) + 1);
+    if (least..=crate::MAX_DOCS).contains(&num_docs) {
+        return Ok(());
+    }
+    Err(format::bad(format!(
+        "num_docs {num_docs} is outside {least}..=2^32"
+    )))
 }
 
 impl Index for DiskIndex {
@@ -175,7 +213,9 @@ impl RandomAccess for DiskIndex {
             return 0;
         }
         let mut postings = Vec::new();
-        format::decode_postings(&buf, &mut postings);
+        if !self.decode(&buf, &mut postings) {
+            return 0;
+        }
         match postings.binary_search_by_key(&doc, |p| p.doc) {
             Ok(i) => postings[i].score,
             Err(_) => 0,
@@ -226,10 +266,10 @@ impl<R: Borrow<DiskIndex>> DiskScoreCursor<R> {
         if ix
             .read_at(&ix.score_file, off, &mut self.bytes, true)
             .is_err()
+            || !ix.decode(&self.bytes, &mut self.buf)
         {
             return false;
         }
-        format::decode_postings(&self.bytes, &mut self.buf);
         self.buf_start = self.pos;
         true
     }
@@ -322,13 +362,13 @@ impl<R: Borrow<DiskIndex>> DiskDocCursor<R> {
         let ok = {
             let ix = self.ix.borrow();
             ix.read_at(&ix.doc_file, off, &mut self.bytes, seq).is_ok()
+                && ix.decode(&self.bytes, &mut self.block)
         };
         if !ok {
             self.done = true;
             return;
         }
         self.next_seq_off = off + (count * 8) as u64;
-        format::decode_postings(&self.bytes, &mut self.block);
         self.cur_block = bi;
         self.rel = 0;
     }
@@ -444,6 +484,7 @@ impl<R: Borrow<DiskIndex> + Send> DocCursor for DiskDocCursor<R> {
 ///
 /// Version-1 directories have no such section; opening them raises
 /// `NotFound`, and callers fall back to [`DiskIndex`] / a raw build.
+/// A decoded id not below the header's `num_docs` is `InvalidData`.
 pub fn load_compressed(dir: impl AsRef<Path>) -> io::Result<crate::CompressedIndex> {
     let dir = dir.as_ref();
     let mut f = std::io::BufReader::new(File::open(dir.join("compressed.bin"))?);
@@ -454,11 +495,10 @@ pub fn load_compressed(dir: impl AsRef<Path>) -> io::Result<crate::CompressedInd
     }
     let mut rest = [0u8; 1];
     if f.read(&mut rest)? != 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "trailing bytes after last term",
-        ));
+        return Err(format::bad("trailing bytes after last term"));
     }
+    let max_doc = terms.iter().filter_map(|t| t.max_decoded_doc()).max();
+    check_num_docs(num_docs, max_doc)?;
     Ok(crate::CompressedIndex::from_parts(
         terms,
         num_docs,

@@ -93,12 +93,14 @@ impl Policy {
     /// paths (the sampler runs forever beside the serving path;
     /// construction and rendering escape with `lint: allow(alloc)`),
     /// and the per-posting candidate-state structures — the `docMap`
-    /// table and pRA's claim bitset (a lookup or claim runs per posting
-    /// and must stay a probe over the words sized at construction; the
-    /// constructor's one allocation escapes with `lint: allow(alloc)`).
+    /// table, pRA's claim bitset and Sparta/pNRA/pJASS's candidates (a
+    /// lookup, claim or admission runs per posting and must stay a probe
+    /// over the words sized at construction; the constructor's
+    /// allocation escapes with `lint: allow(alloc)`).
     pub fn bans_alloc(path: &str) -> bool {
         path == "crates/sparta-collections/src/doc_table.rs"
             || path == "crates/sparta-collections/src/doc_bitset.rs"
+            || path == "crates/sparta-core/src/sparta/candidates.rs"
             || path == "crates/sparta-obs/src/ring.rs"
             || path == "crates/sparta-obs/src/recorder.rs"
             || path == "crates/sparta-obs/src/history.rs"

@@ -108,12 +108,15 @@ fn bad_alloc_fires_on_record_path_only() {
         "crates/sparta-collections/src/doc_table.rs",
     );
     assert_eq!(rules, ["alloc"]);
-    // …and so is pRA's claim bitset, for the same reason.
-    let rules = rules_for(
-        "bad_alloc_recorder.rs",
+    // …and so are pRA's claim bitset and the candidate substrate the
+    // other score-order algorithms admit through, for the same reason.
+    for path in [
         "crates/sparta-collections/src/doc_bitset.rs",
-    );
-    assert_eq!(rules, ["alloc"]);
+        "crates/sparta-core/src/sparta/candidates.rs",
+    ] {
+        let rules = rules_for("bad_alloc_recorder.rs", path);
+        assert_eq!(rules, ["alloc"], "{path}");
+    }
     // Outside the banned paths the alloc rule does not apply.
     let rules = rules_for("bad_alloc_recorder.rs", CORE_MOD);
     assert!(rules.is_empty(), "unexpected: {rules:?}");

@@ -11,7 +11,7 @@
 //! seen". What the protocol does need is the read-modify-write's
 //! atomicity, twice over — 64 documents share a word:
 //!
-//! * **Exactly one `First` per bit**, however many workers claim it.
+//! * **Exactly one first claimant per bit**, however many workers claim it.
 //! * **No lost neighbour**: a claim of one bit never erases a
 //!   concurrent claim of another bit of the same word (the final word
 //!   holds every claimed bit, so `len` counts every document).
@@ -37,7 +37,7 @@ const SHARED: u64 = 1 << 3;
 const NEIGHBOUR: u64 = 1 << 4;
 
 /// Two workers claim the same document; the second then claims the
-/// neighbouring document of the same word. Invariants: one `First` for
+/// neighbouring document of the same word. Invariants: one first claim for
 /// the shared bit, one for the neighbour, and the word ends holding
 /// both.
 pub fn model(rmw: Rmw) -> Model {
