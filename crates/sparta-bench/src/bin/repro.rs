@@ -5,8 +5,12 @@
 //! cargo run --release -p sparta-bench --bin repro -- <experiment>
 //! ```
 //!
-//! Experiments: `table2 table3 table4 fig3a fig3b fig3c fig3d fig3e
-//! fig3f fig3g fig3h fig3i fig4 ablations ramdisk all`
+//! Experiments are the rows of [`EXPERIMENTS`], in DESIGN.md §5 order:
+//! `table2 table3 table4 fig3a fig3b fig3c fig3d fig3e fig3f fig3g
+//! fig3h fig3i fig4 ablations ramdisk`, or `all` (the default) for every
+//! one in turn. Most are grids — a row axis (corpus, query length or
+//! thread count), (algorithm, variant) columns and one statistic — run
+//! by [`run_grid`]; an unknown ID exits 2 before any dataset is built.
 //!
 //! Machine-readable export (see DESIGN.md "Observability"):
 //!
@@ -26,8 +30,6 @@
 //!                                #   pinned guard cell as Chrome
 //!                                #   trace JSON: out/TRACE_<name>.json
 //! repro --validate-trace <path>  # schema-checks an emitted trace
-//! repro --recorder-overhead [n]  # recorder on-vs-off p50 on the
-//!                                #   guard cell, n repetitions
 //! repro profile <name>           # deterministic aggregate profile of
 //!                                #   the pinned guard cell (utilization,
 //!                                #   per-phase self time):
@@ -46,11 +48,14 @@
 
 #![forbid(unsafe_code)]
 
-use sparta_bench::{Dataset, LatencyStats, Scale, VariantParams};
+use sparta_bench::measure::{run_latency_with, run_throughput};
+use sparta_bench::{Dataset, Scale, VariantParams};
 use sparta_core::recall::{recall_dynamics, time_to_recall};
 use sparta_core::{algorithm_by_name, Algorithm};
-use sparta_exec::{DedicatedExecutor, Executor as _};
+use sparta_corpus::types::Query;
+use sparta_exec::DedicatedExecutor;
 use sparta_index::IndexKind;
+use sparta_obs::{ClockMode, FlightRecorder};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,203 +77,364 @@ fn algo(name: &str) -> Arc<dyn Algorithm> {
     algorithm_by_name(name).unwrap_or_else(|| panic!("unknown algorithm {name}"))
 }
 
+/// The variant operating point a grid column names: `exact`, `high`
+/// or `low` (§5.3).
+fn variant_by_name(name: &str) -> Option<VariantParams> {
+    [
+        VariantParams::exact(),
+        VariantParams::high(),
+        VariantParams::low(),
+    ]
+    .into_iter()
+    .find(|v| v.label == name)
+}
+
 fn fmt_ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
 }
 
-fn cell(
-    ds: &Dataset,
-    name: &str,
-    m: usize,
-    params: &VariantParams,
-    t: usize,
-    recall: bool,
-) -> LatencyStats {
-    let qs: Vec<_> = ds.queries_of_length(m, queries_per_cell()).to_vec();
-    sparta_bench::measure::run_latency(ds, algo(name).as_ref(), &qs, params, t, recall)
+/// One paper experiment: an entry of [`EXPERIMENTS`].
+struct Experiment {
+    id: &'static str,
+    /// Printed between `==` bars; `{threads}` expands to `SPARTA_THREADS`.
+    title: &'static str,
+    body: Body,
+    /// The paper's numbers (or a note on reading the rows), printed
+    /// under the body.
+    reference: &'static [&'static str],
 }
 
-/// Table 2: mean latency of 12-term queries, exact algorithms.
-fn table2() {
+enum Body {
+    /// A grid: its row axis, its columns, and the statistic each cell
+    /// reports.
+    Grid(Rows, &'static [Col], Stat),
+    /// A printer of its own shape.
+    Custom(fn()),
+}
+
+/// A grid column: (algorithm, variant).
+type Col = (&'static str, &'static str);
+
+/// A grid's row axis, with the corpus it runs on.
+#[derive(Debug, Clone, Copy)]
+enum Rows {
+    /// CW then CWX10, over 12-term queries — or over the voice-query
+    /// mix when `voice_mix`.
+    Corpus { voice_mix: bool },
+    /// Query length 1–12 on one corpus, `min(m, SPARTA_THREADS)`
+    /// workers per query.
+    Terms(Scale),
+    /// Workers per query 1–12 on one corpus, 12-term queries.
+    Threads(Scale),
+}
+
+/// One grid row: label, corpus, query length (`None`: the voice mix)
+/// and workers per query.
+type Row = (String, Scale, Option<usize>, usize);
+
+/// A grid cell's statistic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stat {
+    Mean,
+    P95,
+    Recall,
+    Qps,
+}
+
+const ALL_EXACT: &[Col] = &[
+    ("sparta", "exact"),
+    ("pnra", "exact"),
+    ("snra", "exact"),
+    ("pra", "exact"),
+    ("pbmw", "exact"),
+    ("pjass", "exact"),
+];
+const ALL_HIGH: &[Col] = &[
+    ("sparta", "high"),
+    ("pra", "high"),
+    ("pnra", "high"),
+    ("snra", "high"),
+    ("pbmw", "high"),
+    ("pjass", "high"),
+];
+/// The four algorithms the paper runs in throughput and thread sweeps.
+const FOUR_HIGH: &[Col] = &[
+    ("sparta", "high"),
+    ("pra", "high"),
+    ("pbmw", "high"),
+    ("pjass", "high"),
+];
+const SPARTA_VS_LOW: &[Col] = &[("sparta", "high"), ("pbmw", "low"), ("pjass", "low")];
+
+/// Every experiment `repro` runs, in DESIGN.md §5 order.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "table2",
+        title: "Table 2: mean exact latency (ms), 12-term queries, {threads} threads",
+        body: Body::Grid(Rows::Corpus { voice_mix: false }, ALL_EXACT, Stat::Mean),
+        reference: &[
+            "(paper, 50M/500M docs: Sparta 860/12010, pNRA 13291/OOM, sNRA 5553/56223, \
+             pRA 480/7410, pBMW 750/10210, pJASS 54343/OOM)",
+        ],
+    },
+    Experiment {
+        id: "table3",
+        title: "Table 3: recall of approximate variants, 12-term queries",
+        body: Body::Grid(
+            Rows::Corpus { voice_mix: false },
+            &[
+                ("sparta", "high"),
+                ("pra", "high"),
+                ("pnra", "high"),
+                ("snra", "high"),
+                ("pbmw", "high"),
+                ("pbmw", "low"),
+                ("pjass", "high"),
+                ("pjass", "low"),
+            ],
+            Stat::Recall,
+        ),
+        reference: &["(paper CW: 97.5 / 98.5 / 98.5 / 99 / 97.5 / 80 / 96 / 93)"],
+    },
+    Experiment {
+        id: "table4",
+        title: "Table 4: throughput (qps), voice-query mix, {threads}-thread shared pool",
+        body: Body::Grid(Rows::Corpus { voice_mix: true }, FOUR_HIGH, Stat::Qps),
+        reference: &["(paper CW: 12.5 / 10.9 / 5.95 / 10.8; CWX10: 9.6 / 1.8 / 0.38 / N/A)"],
+    },
+    Experiment {
+        id: "fig3a",
+        title: "Fig 3a: mean latency (ms) vs #terms, CW, high-recall, m threads",
+        body: Body::Grid(Rows::Terms(Scale::Cw), ALL_HIGH, Stat::Mean),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3b",
+        title: "Fig 3b: p95 latency (ms) vs #terms, CW, high-recall, m threads",
+        body: Body::Grid(Rows::Terms(Scale::Cw), ALL_HIGH, Stat::P95),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3c",
+        title: "Fig 3c: mean latency (ms) vs #terms, CWX10, high-recall, m threads",
+        body: Body::Grid(Rows::Terms(Scale::CwX10), ALL_HIGH, Stat::Mean),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3d",
+        title: "Fig 3d: mean latency (ms) vs #terms, CW: sparta-high vs low-recall",
+        body: Body::Grid(Rows::Terms(Scale::Cw), SPARTA_VS_LOW, Stat::Mean),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3e",
+        title: "Fig 3e: p95 latency (ms) vs #terms, CW: sparta-high vs low-recall",
+        body: Body::Grid(Rows::Terms(Scale::Cw), SPARTA_VS_LOW, Stat::P95),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3f",
+        title: "Fig 3f: recall vs elapsed time, 12-term query, CW",
+        body: Body::Custom(|| fig3_dynamics(Scale::Cw)),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3g",
+        title: "Fig 3g: recall vs elapsed time, 12-term query, CWX10",
+        body: Body::Custom(|| fig3_dynamics(Scale::CwX10)),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3h",
+        title: "Fig 3h: mean latency (ms) vs #threads, 12-term queries, CW",
+        body: Body::Grid(Rows::Threads(Scale::Cw), FOUR_HIGH, Stat::Mean),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig3i",
+        title: "Fig 3i: mean latency (ms) vs #threads, 12-term queries, CWX10",
+        body: Body::Grid(Rows::Threads(Scale::CwX10), FOUR_HIGH, Stat::Mean),
+        reference: &[],
+    },
+    Experiment {
+        id: "fig4",
+        title: "Fig 4: throughput (qps) vs #terms, CW, {threads}-thread pool",
+        body: Body::Grid(Rows::Terms(Scale::Cw), FOUR_HIGH, Stat::Qps),
+        reference: &[],
+    },
+    Experiment {
+        id: "ablations",
+        title: "Ablations: Sparta design choices, 12-term queries, exact",
+        body: Body::Custom(ablations),
+        reference: &[
+            "(pNRA in Table 2 is the no-cleaner + no-local-maps + per-posting-UB ablation;",
+            " γ rows are the probabilistic-pruning extension — §6 future work — so their",
+            " results are approximate even without Δ)",
+        ],
+    },
+    Experiment {
+        id: "ramdisk",
+        title: "RAM-resident vs disk-resident (SSD model) index",
+        body: Body::Custom(ramdisk),
+        reference: &[
+            "(paper: all algorithms except pRA are insensitive to disk residency;",
+            " pRA pays one random access per document scored)",
+        ],
+    },
+];
+
+/// The experiments `what` names: one ID, or every one for `all`.
+fn select(what: &str) -> Option<&'static [Experiment]> {
+    if what == "all" {
+        return Some(EXPERIMENTS);
+    }
+    let i = EXPERIMENTS.iter().position(|e| e.id == what)?;
+    Some(&EXPERIMENTS[i..=i])
+}
+
+/// Runs the experiments `what` names; an unknown name exits 2.
+fn run_experiments(what: &str) {
+    let Some(selected) = select(what) else {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        eprintln!(
+            "repro: unknown experiment {what:?}; expected one of: {} all",
+            ids.join(" ")
+        );
+        std::process::exit(2);
+    };
+    let t0 = std::time::Instant::now();
     println!(
-        "== Table 2: mean exact latency (ms), 12-term queries, {} threads ==",
-        threads()
+        "sparta repro: docs={} (x10={}), k={}, threads={}, queries/cell={}\n",
+        sparta_bench::dataset::base_docs(),
+        sparta_bench::dataset::base_docs() * 10,
+        Dataset::cached(Scale::Cw).k,
+        threads(),
+        queries_per_cell()
     );
-    println!(
-        "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "corpus", "sparta", "pnra", "snra", "pra", "pbmw", "pjass"
-    );
-    for scale in [Scale::Cw, Scale::CwX10] {
-        let ds = Dataset::cached(scale);
-        print!("{:>6}", scale.name());
-        for name in ["sparta", "pnra", "snra", "pra", "pbmw", "pjass"] {
-            let s = cell(ds, name, 12, &VariantParams::exact(), threads(), false);
-            print!(" {:>9}", fmt_ms(s.mean()));
+    for e in selected {
+        println!(
+            "== {} ==",
+            e.title.replace("{threads}", &threads().to_string())
+        );
+        match e.body {
+            Body::Grid(rows, cols, stat) => run_grid(rows, cols, stat),
+            Body::Custom(run) => run(),
+        }
+        for line in e.reference {
+            println!("{line}");
         }
         println!();
     }
-    println!(
-        "(paper, 50M/500M docs: Sparta 860/12010, pNRA 13291/OOM, sNRA 5553/56223, \
-         pRA 480/7410, pBMW 750/10210, pJASS 54343/OOM)"
-    );
+    eprintln!("[{what} done in {:.1?}]", t0.elapsed());
 }
 
-/// Table 3: recall of the approximate variants, 12-term queries.
-fn table3() {
-    println!("== Table 3: recall of approximate variants, 12-term queries ==");
-    let high = VariantParams::high();
-    let low = VariantParams::low();
-    println!(
-        "calibrated params: Δ={:?}, f(high/low)={}/{}, p(high/low)={}/{}",
-        high.delta.unwrap(),
-        high.bmw_f,
-        low.bmw_f,
-        high.jass_p,
-        low.jass_p
-    );
-    println!(
-        "{:>6} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>11} {:>10}",
-        "corpus",
-        "sparta-high",
-        "pra-high",
-        "pnra-high",
-        "snra-high",
-        "pbmw-high",
-        "pbmw-low",
-        "pjass-high",
-        "pjass-low"
-    );
-    for scale in [Scale::Cw, Scale::CwX10] {
-        let ds = Dataset::cached(scale);
-        print!("{:>6}", scale.name());
-        let cells: [(&str, &VariantParams, usize); 8] = [
-            ("sparta", &high, 12),
-            ("pra", &high, 10),
-            ("pnra", &high, 10),
-            ("snra", &high, 10),
-            ("pbmw", &high, 10),
-            ("pbmw", &low, 10),
-            ("pjass", &high, 11),
-            ("pjass", &low, 10),
-        ];
-        for (name, params, width) in cells {
-            let s = cell(ds, name, 12, params, threads(), true);
-            print!(" {:>w$.1}%", 100.0 * s.mean_recall, w = width - 1);
-        }
-        println!();
+/// Measures and prints one grid, a row at a time. Column labels name
+/// the variant only where the grid mixes variants.
+fn run_grid(rows: Rows, cols: &[Col], stat: Stat) {
+    if stat == Stat::Recall {
+        let (high, low) = (VariantParams::high(), VariantParams::low());
+        println!(
+            "calibrated params: Δ={:?}, f(high/low)={}/{}, p(high/low)={}/{}",
+            high.delta.unwrap(),
+            high.bmw_f,
+            low.bmw_f,
+            high.jass_p,
+            low.jass_p
+        );
     }
-    println!("(paper CW: 97.5 / 98.5 / 98.5 / 99 / 97.5 / 80 / 96 / 93)");
-}
-
-/// Table 4: throughput (qps) on the voice-query mix, shared pool.
-fn table4() {
-    println!(
-        "== Table 4: throughput (qps), voice-query mix, {}-thread shared pool ==",
-        threads()
-    );
-    let n_mix = (queries_per_cell() * 5).max(40);
-    println!(
-        "{:>6} {:>9} {:>9} {:>9} {:>9}",
-        "corpus", "sparta", "pra", "pbmw", "pjass"
-    );
-    for scale in [Scale::Cw, Scale::CwX10] {
-        let ds = Dataset::cached(scale);
-        let mix = ds.queries.voice_mix(n_mix, 99);
-        print!("{:>6}", scale.name());
-        for name in ["sparta", "pra", "pbmw", "pjass"] {
-            let qps = sparta_bench::measure::run_throughput(
-                ds,
-                algo(name).as_ref(),
-                &mix,
-                &VariantParams::high(),
-                threads(),
+    let t = threads();
+    let (axis, rows): (&str, Vec<Row>) = match rows {
+        Rows::Corpus { voice_mix } => (
+            "corpus",
+            [Scale::Cw, Scale::CwX10]
+                .map(|s| (s.name().to_string(), s, (!voice_mix).then_some(12), t))
+                .into(),
+        ),
+        Rows::Terms(s) => (
+            "terms",
+            [1, 2, 4, 6, 8, 10, 12]
+                .map(|m| (m.to_string(), s, Some(m), m.min(t)))
+                .into(),
+        ),
+        Rows::Threads(s) => {
+            println!(
+                "  [note: this host has {} hardware core(s) — thread-count scaling measures",
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
             );
-            print!(" {qps:>9.2}");
+            println!("   scheduling overhead here, not hardware parallelism; see EXPERIMENTS.md]");
+            (
+                "threads",
+                [1, 2, 4, 8, 12]
+                    .map(|n| (n.to_string(), s, Some(12), n))
+                    .into(),
+            )
         }
-        println!();
-    }
-    println!("(paper CW: 12.5 / 10.9 / 5.95 / 10.8; CWX10: 9.6 / 1.8 / 0.38 / N/A)");
-}
-
-/// Figures 3a/3b (CW) and 3c (CWX10): latency vs query length.
-fn fig3_latency(scale: Scale, p95: bool, tag: &str) {
-    let ds = Dataset::cached(scale);
-    let stat = if p95 { "p95" } else { "mean" };
-    println!(
-        "== Fig {tag}: {stat} latency (ms) vs #terms, {}, high-recall, m threads ==",
-        scale.name()
-    );
-    let names = ["sparta", "pra", "pnra", "snra", "pbmw", "pjass"];
-    print!("{:>6}", "terms");
-    for n in names {
-        print!(" {n:>9}");
+    };
+    let mixed = cols.iter().any(|&(_, v)| v != cols[0].1);
+    let labels: Vec<String> = cols
+        .iter()
+        .map(|&(a, v)| if mixed { format!("{a}-{v}") } else { a.into() })
+        .collect();
+    let aw = axis.len().max(6);
+    print!("{axis:>aw$}");
+    for l in &labels {
+        print!(" {l:>w$}", w = l.len().max(9));
     }
     println!();
-    for m in [1usize, 2, 4, 6, 8, 10, 12] {
-        print!("{m:>6}");
-        for name in names {
-            let s = cell(ds, name, m, &VariantParams::high(), m.min(threads()), false);
-            let v = if p95 { s.percentile(0.95) } else { s.mean() };
-            print!(" {:>9}", fmt_ms(v));
+    for (label, scale, terms, workers) in rows {
+        let ds = Dataset::cached(scale);
+        let qs = match terms {
+            Some(m) => ds.queries_of_length(m, queries_per_cell()).to_vec(),
+            None => ds.queries.voice_mix((queries_per_cell() * 5).max(40), 99),
+        };
+        print!("{label:>aw$}");
+        for (&(name, variant), l) in cols.iter().zip(&labels) {
+            let v = measure_cell(ds, &qs, name, variant, stat, workers);
+            print!(" {v:>w$}", w = l.len().max(9));
         }
         println!();
     }
 }
 
-/// Figures 3d/3e: Sparta-high vs low-recall pBMW/pJASS.
-fn fig3_low(scale: Scale, p95: bool, tag: &str) {
-    let ds = Dataset::cached(scale);
-    let stat = if p95 { "p95" } else { "mean" };
-    println!(
-        "== Fig {tag}: {stat} latency (ms) vs #terms, {}: sparta-high vs low-recall ==",
-        scale.name()
-    );
-    println!(
-        "{:>6} {:>12} {:>9} {:>9}",
-        "terms", "sparta-high", "pbmw-low", "pjass-low"
-    );
-    for m in [1usize, 2, 4, 6, 8, 10, 12] {
-        let sh = cell(
+/// One grid cell: `stat` of `name` at `variant` over `qs`.
+fn measure_cell(
+    ds: &Dataset,
+    qs: &[Query],
+    name: &str,
+    variant: &str,
+    stat: Stat,
+    workers: usize,
+) -> String {
+    let a = algo(name);
+    let params = variant_by_name(variant).unwrap_or_else(|| panic!("unknown variant {variant}"));
+    let latency = || {
+        run_latency_with(
             ds,
-            "sparta",
-            m,
-            &VariantParams::high(),
-            m.min(threads()),
-            false,
-        );
-        let bl = cell(
-            ds,
-            "pbmw",
-            m,
-            &VariantParams::low(),
-            m.min(threads()),
-            false,
-        );
-        let jl = cell(
-            ds,
-            "pjass",
-            m,
-            &VariantParams::low(),
-            m.min(threads()),
-            false,
-        );
-        let v = |s: &LatencyStats| if p95 { s.percentile(0.95) } else { s.mean() };
-        println!(
-            "{m:>6} {:>12} {:>9} {:>9}",
-            fmt_ms(v(&sh)),
-            fmt_ms(v(&bl)),
-            fmt_ms(v(&jl))
-        );
+            a.as_ref(),
+            qs,
+            &params,
+            workers,
+            stat == Stat::Recall,
+            None,
+        )
+    };
+    match stat {
+        Stat::Mean => fmt_ms(latency().mean()),
+        Stat::P95 => fmt_ms(latency().percentile(0.95)),
+        Stat::Recall => format!("{:.1}%", 100.0 * latency().mean_recall),
+        // Throughput always runs on the shared SPARTA_THREADS pool.
+        Stat::Qps => format!(
+            "{:.2}",
+            run_throughput(ds, a.as_ref(), qs, &params, threads())
+        ),
     }
 }
 
 /// Figures 3f/3g: recall dynamics over elapsed time, 12-term queries.
-fn fig3_dynamics(scale: Scale, tag: &str) {
+fn fig3_dynamics(scale: Scale) {
     let ds = Dataset::cached(scale);
-    println!(
-        "== Fig {tag}: recall vs elapsed time, 12-term query, {} ==",
-        scale.name()
-    );
     let q = &ds.queries_of_length(12, 1)[0];
     let oracle = ds.oracle(q);
     let exec = DedicatedExecutor::new(threads());
@@ -314,66 +480,6 @@ fn fig3_dynamics(scale: Scale, tag: &str) {
     println!("( ' '<10% '.'<30% 'o'<60% 'O'<90% '#'>=90%, {samples} samples over each run )");
 }
 
-/// Figures 3h/3i: latency vs intra-query parallelism, 12-term queries.
-fn fig3_parallelism(scale: Scale, tag: &str) {
-    let ds = Dataset::cached(scale);
-    println!(
-        "== Fig {tag}: mean latency (ms) vs #threads, 12-term queries, {} ==",
-        scale.name()
-    );
-    println!(
-        "  [note: this host has {} hardware core(s) — thread-count scaling measures",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    println!("   scheduling overhead here, not hardware parallelism; see EXPERIMENTS.md]");
-    let names = ["sparta", "pra", "pbmw", "pjass"];
-    print!("{:>8}", "threads");
-    for n in names {
-        print!(" {n:>9}");
-    }
-    println!();
-    for t in [1usize, 2, 4, 8, 12] {
-        print!("{t:>8}");
-        for name in names {
-            let s = cell(ds, name, 12, &VariantParams::high(), t, false);
-            print!(" {:>9}", fmt_ms(s.mean()));
-        }
-        println!();
-    }
-}
-
-/// Figure 4: throughput vs query length (CW).
-fn fig4() {
-    let ds = Dataset::cached(Scale::Cw);
-    println!(
-        "== Fig 4: throughput (qps) vs #terms, CW, {}-thread pool ==",
-        threads()
-    );
-    let names = ["sparta", "pra", "pbmw", "pjass"];
-    print!("{:>6}", "terms");
-    for n in names {
-        print!(" {n:>9}");
-    }
-    println!();
-    for m in [1usize, 2, 4, 6, 8, 10, 12] {
-        let qs: Vec<_> = ds.queries_of_length(m, queries_per_cell()).to_vec();
-        print!("{m:>6}");
-        for name in names {
-            let qps = sparta_bench::measure::run_throughput(
-                ds,
-                algo(name).as_ref(),
-                &qs,
-                &VariantParams::high(),
-                threads(),
-            );
-            print!(" {qps:>9.2}");
-        }
-        println!();
-    }
-}
-
 /// Ablations: Sparta's design choices isolated (DESIGN.md §6).
 fn ablations() {
     let ds = Dataset::cached(Scale::Cw);
@@ -403,7 +509,6 @@ fn ablations() {
                 peak
             );
         };
-    println!("== Ablations: Sparta design choices, 12-term queries, exact ==");
     run("baseline (Φ=10k, seg=1024)", &|c| c);
     run("no term-local maps (Φ=0)", &|c| c.with_phi(0));
     run("per-posting UB (seg=1)", &|c| c.with_seg_size(1));
@@ -411,9 +516,6 @@ fn ablations() {
     run("huge segments (seg=16384)", &|c| c.with_seg_size(16384));
     run("probabilistic pruning γ=0.9", &|c| c.with_prune_gamma(0.9));
     run("probabilistic pruning γ=0.7", &|c| c.with_prune_gamma(0.7));
-    println!("(pNRA in Table 2 is the no-cleaner + no-local-maps + per-posting-UB ablation;");
-    println!(" γ rows are the probabilistic-pruning extension — §6 future work — so their");
-    println!(" results are approximate even without Δ)");
 }
 
 /// RAM-resident vs disk-resident indexes (§5: "in all cases, all
@@ -423,7 +525,6 @@ fn ramdisk() {
     use sparta_corpus::scoring::TfIdfScorer;
     use sparta_corpus::synth::{CorpusModel, SynthCorpus};
     use sparta_index::{DiskIndex, Index, IndexBuilder, IoModel};
-    println!("== RAM-resident vs disk-resident (SSD model) index ==");
     let docs = sparta_bench::dataset::base_docs().min(20_000);
     let corpus = SynthCorpus::build(CorpusModel::clueweb_sim(docs, 42));
     let builder = IndexBuilder::new(TfIdfScorer);
@@ -463,8 +564,6 @@ fn ramdisk() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
-    println!("(paper: all algorithms except pRA are insensitive to disk residency;");
-    println!(" pRA pays one random access per document scored)");
 }
 
 /// `load [flags]`: the open-loop latency-under-load sweep against the
@@ -775,7 +874,7 @@ const GUARD_ALGOS: [&str; 5] = ["sparta", "pnra", "pbmw", "pjass", "pra"];
 /// `blocks_skipped`/`blocks_decoded` are the compressed backend's
 /// block-max-pruning and decode evidence; `random_accesses` is pRA's
 /// probe count.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Default)]
 struct GuardCell {
     name: String,
     postings: u64,
@@ -809,21 +908,28 @@ impl GuardCell {
     }
 }
 
-fn perf_guard_measure() -> Vec<GuardCell> {
-    perf_guard_measure_kind(IndexKind::Raw)
+/// A logical-clock recorder sized for one replay of the guard cell.
+fn guard_recorder() -> Arc<FlightRecorder> {
+    FlightRecorder::new(4, 1 << 15, ClockMode::Logical)
 }
 
-fn perf_guard_measure_kind(kind: IndexKind) -> Vec<GuardCell> {
+/// Replays the pinned guard cell on `kind`: every guard algorithm over
+/// the guard queries, query `i` under the deterministic schedule
+/// `GUARD_SEED + i`. With a `recorder`, the runs also record heap
+/// traces and phase spans on the logical clock into it. Returns each
+/// algorithm's summed counters.
+fn replay_guard_cell(kind: IndexKind, recorder: Option<&Arc<FlightRecorder>>) -> Vec<GuardCell> {
     std::env::set_var("SPARTA_DOCS", GUARD_DOCS);
     std::env::set_var("SPARTA_K", GUARD_K);
-    // SPARTA_RECORDER=1 runs the same pinned schedules with a flight
-    // recorder attached — the counters must not notice.
-    let use_recorder = std::env::var("SPARTA_RECORDER")
-        .map(|v| v == "1")
-        .unwrap_or(false);
     let ds = Dataset::build_kind(Scale::Cw, kind);
     let qs = ds.queries_of_length(GUARD_TERMS, GUARD_QUERIES);
-    let cfg = VariantParams::exact().config(ds.k);
+    let mut cfg = VariantParams::exact().config(ds.k);
+    if recorder.is_some() {
+        cfg = cfg
+            .with_trace(true)
+            .with_spans(true)
+            .with_clock(ClockMode::Logical);
+    }
     let io = ds.index.io_stats();
     GUARD_ALGOS
         .iter()
@@ -831,22 +937,13 @@ fn perf_guard_measure_kind(kind: IndexKind) -> Vec<GuardCell> {
             let a = algo(name);
             let mut cell = GuardCell {
                 name: name.to_string(),
-                postings: 0,
-                heap: 0,
-                random_accesses: 0,
-                blocks_skipped: 0,
-                blocks_decoded: 0,
+                ..GuardCell::default()
             };
             for (i, q) in qs.iter().enumerate() {
                 let mut exec =
                     sparta_exec::DeterministicExecutor::new(GUARD_SEED.wrapping_add(i as u64));
-                if use_recorder {
-                    let workers = exec.parallelism();
-                    exec = exec.with_recorder(sparta_obs::FlightRecorder::new(
-                        workers,
-                        1 << 12,
-                        sparta_obs::ClockMode::Logical,
-                    ));
+                if let Some(rec) = recorder {
+                    exec = exec.with_recorder(Arc::clone(rec));
                 }
                 let decode0 = io.map(|s| s.decode_snapshot()).unwrap_or_default();
                 let r = a.search(&ds.index, q, &cfg, &exec);
@@ -935,24 +1032,30 @@ fn guard_against(path: &str, cells: &[GuardCell], keys: &[&str], write: bool) {
 }
 
 /// `--perf-guard <baseline> [--write]`: replays the pinned
-/// deterministic cell on the raw backend. With `--write`, records the
-/// counters into `<baseline>`; otherwise compares against the
-/// checked-in baseline and exits non-zero on any drift.
-fn perf_guard(path: &str, write: bool) {
-    let cells = perf_guard_measure();
-    guard_against(path, &cells, &["postings_scanned", "heap_updates"], write);
+/// deterministic cell on the raw backend (`--perf-guard-compressed`:
+/// on the compressed one). With `--write`, records the counters into
+/// `<baseline>`; otherwise compares against the checked-in baseline
+/// and exits non-zero on any drift. `SPARTA_RECORDER=1` replays with a
+/// flight recorder attached — the counters must not notice.
+fn perf_guard(path: &str, kind: IndexKind, write: bool) {
+    let recorder = (std::env::var("SPARTA_RECORDER").as_deref() == Ok("1")).then(guard_recorder);
+    let cells = replay_guard_cell(kind, recorder.as_ref());
+    let mut keys = vec!["postings_scanned", "heap_updates"];
+    if kind == IndexKind::Compressed {
+        check_compressed_machinery(&cells);
+        keys.extend(["blocks_skipped", "blocks_decoded"]);
+    }
+    guard_against(path, &cells, &keys, write);
 }
 
-/// `--perf-guard-compressed <baseline> [--write]`: the same pinned
-/// cell replayed on the compressed posting backend. Beyond the
-/// equality check against its own baseline, this asserts the backend
-/// actually exercises its machinery: every algorithm decodes blocks,
-/// pBMW's block-max pruning still skips block groups (admissible
-/// quantized bounds would be pointless if pruning never fired), and
-/// pRA's probes stay point lookups that decode no block.
-fn perf_guard_compressed(path: &str, write: bool) {
-    let cells = perf_guard_measure_kind(IndexKind::Compressed);
-    for c in &cells {
+/// Beyond the equality check against its own baseline, the compressed
+/// guard asserts the backend actually exercises its machinery: every
+/// algorithm decodes blocks, pBMW's block-max pruning still skips
+/// block groups (admissible quantized bounds would be pointless if
+/// pruning never fired), and pRA's probes stay point lookups that
+/// decode no block.
+fn check_compressed_machinery(cells: &[GuardCell]) {
+    for c in cells {
         assert!(
             c.blocks_decoded > 0,
             "{}: compressed run decoded no blocks — the backend was not exercised",
@@ -988,17 +1091,6 @@ fn perf_guard_compressed(path: &str, write: bool) {
         pra.blocks_decoded,
         pra.postings
     );
-    guard_against(
-        path,
-        &cells,
-        &[
-            "postings_scanned",
-            "heap_updates",
-            "blocks_skipped",
-            "blocks_decoded",
-        ],
-        write,
-    );
 }
 
 /// `--emit-trace <name>`: replays the pinned perf-guard cell under the
@@ -1008,24 +1100,8 @@ fn perf_guard_compressed(path: &str, write: bool) {
 /// Perfetto). Deterministic end to end: two runs emit byte-identical
 /// files.
 fn emit_trace(trace_name: &str) {
-    std::env::set_var("SPARTA_DOCS", GUARD_DOCS);
-    std::env::set_var("SPARTA_K", GUARD_K);
-    let ds = Dataset::build(Scale::Cw);
-    let qs = ds.queries_of_length(GUARD_TERMS, GUARD_QUERIES);
-    let rec = sparta_obs::FlightRecorder::new(4, 1 << 15, sparta_obs::ClockMode::Logical);
-    let cfg = VariantParams::exact()
-        .config(ds.k)
-        .with_trace(true)
-        .with_spans(true)
-        .with_clock(sparta_obs::ClockMode::Logical);
-    for &name in &GUARD_ALGOS {
-        let a = algo(name);
-        for (i, q) in qs.iter().enumerate() {
-            let exec = sparta_exec::DeterministicExecutor::new(GUARD_SEED.wrapping_add(i as u64))
-                .with_recorder(Arc::clone(&rec));
-            a.search(&ds.index, q, &cfg, &exec);
-        }
-    }
+    let rec = guard_recorder();
+    replay_guard_cell(IndexKind::Raw, Some(&rec));
     let text = sparta_obs::chrome_trace_string(&rec);
     let path = sparta_bench::out_path(
         std::path::Path::new("out"),
@@ -1061,24 +1137,8 @@ fn profile_cmd(args: &[String]) {
             other => panic!("unknown profile flag {other:?}"),
         }
     }
-    std::env::set_var("SPARTA_DOCS", GUARD_DOCS);
-    std::env::set_var("SPARTA_K", GUARD_K);
-    let ds = Dataset::build(Scale::Cw);
-    let qs = ds.queries_of_length(GUARD_TERMS, GUARD_QUERIES);
-    let rec = sparta_obs::FlightRecorder::new(4, 1 << 15, sparta_obs::ClockMode::Logical);
-    let cfg = VariantParams::exact()
-        .config(ds.k)
-        .with_trace(true)
-        .with_spans(true)
-        .with_clock(sparta_obs::ClockMode::Logical);
-    for &name in &GUARD_ALGOS {
-        let a = algo(name);
-        for (i, q) in qs.iter().enumerate() {
-            let exec = sparta_exec::DeterministicExecutor::new(GUARD_SEED.wrapping_add(i as u64))
-                .with_recorder(Arc::clone(&rec));
-            a.search(&ds.index, q, &cfg, &exec);
-        }
-    }
+    let rec = guard_recorder();
+    replay_guard_cell(IndexKind::Raw, Some(&rec));
     let profile = sparta_obs::profile_recorder(&rec);
     let text = profile.to_json().to_pretty_string(2);
     sparta_obs::validate_profile_json(&text)
@@ -1138,64 +1198,6 @@ fn validate_trace(path: &str) {
     }
 }
 
-/// `--recorder-overhead [reps]`: measures the flight recorder's cost on
-/// the pinned guard cell — p50 latency with the recorder off vs on
-/// (wall clock, dedicated executor) plus a counter-identity check under
-/// the deterministic schedules. Prints an EXPERIMENTS.md-ready line.
-fn recorder_overhead(reps: usize) {
-    // Counters first: the recorder must not change the work done.
-    std::env::remove_var("SPARTA_RECORDER");
-    let base = perf_guard_measure();
-    std::env::set_var("SPARTA_RECORDER", "1");
-    let with = perf_guard_measure();
-    std::env::remove_var("SPARTA_RECORDER");
-    assert_eq!(
-        base, with,
-        "work counters drifted between recorder-off and recorder-on runs"
-    );
-    println!(
-        "counters identical on vs off ({} algorithm cells)",
-        base.len()
-    );
-    // Timing: guard queries, wall clock, recorder off vs on.
-    let ds = Dataset::build(Scale::Cw);
-    let qs: Vec<_> = ds.queries_of_length(GUARD_TERMS, GUARD_QUERIES).to_vec();
-    let params = VariantParams::exact();
-    let t = threads();
-    let measure = |rec: Option<&Arc<sparta_obs::FlightRecorder>>| -> f64 {
-        let mut p50s = Vec::new();
-        for _ in 0..reps {
-            for &name in &GUARD_ALGOS {
-                let s = sparta_bench::measure::run_latency_with(
-                    &ds,
-                    algo(name).as_ref(),
-                    &qs,
-                    &params,
-                    t,
-                    false,
-                    rec,
-                );
-                p50s.push(s.percentile(0.5).as_secs_f64() * 1e3);
-            }
-        }
-        p50s.iter().sum::<f64>() / p50s.len().max(1) as f64
-    };
-    // Warm both paths once so first-touch costs don't skew either side.
-    let warm_rec = sparta_obs::FlightRecorder::new(t, 1 << 12, sparta_obs::ClockMode::Wall);
-    let _ = measure(None);
-    let _ = measure(Some(&warm_rec));
-    let off = measure(None);
-    let rec = sparta_obs::FlightRecorder::new(t, 1 << 12, sparta_obs::ClockMode::Wall);
-    let on = measure(Some(&rec));
-    let overhead = (on - off) / off * 100.0;
-    println!(
-        "recorder overhead: mean p50 off {off:.3}ms, on {on:.3}ms, {overhead:+.2}% \
-         ({} events recorded, {} dropped, reps={reps}, threads={t})",
-        rec.total_events(),
-        rec.dropped_events()
-    );
-}
-
 /// `--validate-json <path>`: parses an emitted document and checks the
 /// schema, exiting non-zero on any drift.
 fn validate_json(path: &str) {
@@ -1211,132 +1213,86 @@ fn validate_json(path: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--emit-json") => {
-            let name = args.get(1).map(String::as_str).unwrap_or("run");
-            emit_json(name);
-            return;
-        }
-        Some("--validate-json") => {
-            let path = args.get(1).expect("--validate-json needs a path");
-            validate_json(path);
-            return;
-        }
-        Some("--emit-trace") => {
-            let name = args.get(1).map(String::as_str).unwrap_or("run");
-            emit_trace(name);
-            return;
-        }
-        Some("--validate-trace") => {
-            let path = args.get(1).expect("--validate-trace needs a path");
-            validate_trace(path);
-            return;
-        }
-        Some("--recorder-overhead") => {
-            let reps = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(3).max(1);
-            recorder_overhead(reps);
-            return;
-        }
-        Some("load") => {
-            load_cmd(&args[1..]);
-            return;
-        }
-        Some("profile") => {
-            profile_cmd(&args[1..]);
-            return;
-        }
-        Some("--perf-guard") => {
+    let arg = |i: usize| args.get(i).map(String::as_str);
+    match arg(0) {
+        Some("--emit-json") => emit_json(arg(1).unwrap_or("run")),
+        Some("--validate-json") => validate_json(arg(1).expect("--validate-json needs a path")),
+        Some("--emit-trace") => emit_trace(arg(1).unwrap_or("run")),
+        Some("--validate-trace") => validate_trace(arg(1).expect("--validate-trace needs a path")),
+        Some("load") => load_cmd(&args[1..]),
+        Some("profile") => profile_cmd(&args[1..]),
+        Some(flag @ ("--perf-guard" | "--perf-guard-compressed")) => {
+            let (kind, baseline) = if flag == "--perf-guard" {
+                (IndexKind::Raw, "BENCH_perf_guard.json")
+            } else {
+                (IndexKind::Compressed, "BENCH_perf_guard_compressed.json")
+            };
             let path = args
                 .iter()
                 .skip(1)
                 .find(|a| *a != "--write")
-                .map(String::as_str)
-                .unwrap_or("BENCH_perf_guard.json");
-            perf_guard(path, args.iter().any(|a| a == "--write"));
-            return;
+                .map_or(baseline, String::as_str);
+            perf_guard(path, kind, args.iter().any(|a| a == "--write"));
         }
-        Some("--perf-guard-compressed") => {
-            let path = args
-                .iter()
-                .skip(1)
-                .find(|a| *a != "--write")
-                .map(String::as_str)
-                .unwrap_or("BENCH_perf_guard_compressed.json");
-            perf_guard_compressed(path, args.iter().any(|a| a == "--write"));
-            return;
+        what => run_experiments(what.unwrap_or("all")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), EXPERIMENTS.len());
+    }
+
+    /// `all` runs every experiment in the order DESIGN.md §5 names
+    /// their `repro <id>` commands.
+    #[test]
+    fn all_runs_in_design_order() {
+        let design = include_str!("../../../../DESIGN.md");
+        let section = &design[design.find("## 5.").unwrap()..design.find("## 6.").unwrap()];
+        let mut documented: Vec<&str> = Vec::new();
+        for cmd in section.split("`repro ").skip(1) {
+            let id = cmd.split('`').next().unwrap();
+            if !documented.contains(&id) {
+                documented.push(id);
+            }
         }
-        _ => {}
+        let all: Vec<&str> = select("all").unwrap().iter().map(|e| e.id).collect();
+        assert_eq!(all, documented);
     }
-    let what = args.first().map(String::as_str).unwrap_or("all");
-    let t0 = std::time::Instant::now();
-    println!(
-        "sparta repro: docs={} (x10={}), k={}, threads={}, queries/cell={}\n",
-        sparta_bench::dataset::base_docs(),
-        sparta_bench::dataset::base_docs() * 10,
-        Dataset::cached(Scale::Cw).k,
-        threads(),
-        queries_per_cell()
-    );
-    let all = what == "all";
-    if all || what == "table2" {
-        table2();
-        println!();
+
+    #[test]
+    fn every_grid_column_resolves() {
+        for e in EXPERIMENTS {
+            let Body::Grid(_, cols, _) = e.body else {
+                continue;
+            };
+            for &(name, variant) in cols {
+                assert!(
+                    algorithm_by_name(name).is_some(),
+                    "{}: unknown algorithm {name}",
+                    e.id
+                );
+                assert!(
+                    matches!(variant, "exact" | "high" | "low")
+                        && variant_by_name(variant).is_some(),
+                    "{}: unknown variant {variant}",
+                    e.id
+                );
+            }
+        }
     }
-    if all || what == "table3" {
-        table3();
-        println!();
+
+    #[test]
+    fn unknown_id_is_rejected() {
+        assert!(select("bogus").is_none());
+        assert!(select("").is_none());
+        assert_eq!(select("fig3a").map(<[Experiment]>::len), Some(1));
     }
-    if all || what == "table4" {
-        table4();
-        println!();
-    }
-    if all || what == "fig3a" {
-        fig3_latency(Scale::Cw, false, "3a");
-        println!();
-    }
-    if all || what == "fig3b" {
-        fig3_latency(Scale::Cw, true, "3b");
-        println!();
-    }
-    if all || what == "fig3c" {
-        fig3_latency(Scale::CwX10, false, "3c");
-        println!();
-    }
-    if all || what == "fig3d" {
-        fig3_low(Scale::Cw, false, "3d");
-        println!();
-    }
-    if all || what == "fig3e" {
-        fig3_low(Scale::Cw, true, "3e");
-        println!();
-    }
-    if all || what == "fig3f" {
-        fig3_dynamics(Scale::Cw, "3f");
-        println!();
-    }
-    if all || what == "fig3g" {
-        fig3_dynamics(Scale::CwX10, "3g");
-        println!();
-    }
-    if all || what == "fig3h" {
-        fig3_parallelism(Scale::Cw, "3h");
-        println!();
-    }
-    if all || what == "fig3i" {
-        fig3_parallelism(Scale::CwX10, "3i");
-        println!();
-    }
-    if all || what == "fig4" {
-        fig4();
-        println!();
-    }
-    if all || what == "ablations" {
-        ablations();
-        println!();
-    }
-    if all || what == "ramdisk" {
-        ramdisk();
-        println!();
-    }
-    eprintln!("[{what} done in {:.1?}]", t0.elapsed());
 }

@@ -50,21 +50,9 @@ pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
 }
 
 /// Runs `algo` over `queries` in latency mode (`threads` dedicated
-/// workers per query, §5.1) and measures latency + recall.
-pub fn run_latency(
-    ds: &Dataset,
-    algo: &dyn Algorithm,
-    queries: &[Query],
-    params: &VariantParams,
-    threads: usize,
-    measure_recall: bool,
-) -> LatencyStats {
-    run_latency_with(ds, algo, queries, params, threads, measure_recall, None)
-}
-
-/// [`run_latency`] with an optional flight recorder attached to the
-/// executor — used by recorder-overhead measurements and
-/// `SPARTA_RECORDER=1` report builds.
+/// workers per query, §5.1) and measures latency + recall, with an
+/// optional flight recorder attached to the executor (`SPARTA_RECORDER=1`
+/// report builds).
 pub fn run_latency_with(
     ds: &Dataset,
     algo: &dyn Algorithm,
@@ -142,19 +130,6 @@ pub fn run_throughput(
     });
     let elapsed = t0.elapsed();
     mix.len() as f64 / elapsed.as_secs_f64()
-}
-
-/// Convenience: the mean latency of one (algorithm, length) cell.
-pub fn mean_latency_cell(
-    ds: &Dataset,
-    algo: &dyn Algorithm,
-    m: usize,
-    n_queries: usize,
-    params: &VariantParams,
-    threads: usize,
-) -> LatencyStats {
-    let queries: Vec<Query> = ds.queries_of_length(m, n_queries).to_vec();
-    run_latency(ds, algo, &queries, params, threads, false)
 }
 
 #[cfg(test)]

@@ -58,20 +58,12 @@ use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The Sparta algorithm.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Sparta;
-
-/// Resolves `SPARTA_DEBUG_CLEANER` once per process. The lookup used
-/// to run on every cleaner pass — an environment-map probe (with its
-/// internal lock on some platforms) in the middle of the hot loop.
-fn debug_cleaner_enabled() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("SPARTA_DEBUG_CLEANER").is_some())
-}
 
 /// Shared per-query state (Table 1).
 struct State {
@@ -83,7 +75,6 @@ struct State {
     heap: SpartaHeap,
     doc_map: SwapCell<DocMap>,
     cleaner_scheduled: AtomicBool,
-    debug_cleaner: bool,
     trace: TraceSink,
     spans: QueryTrace,
     postings: ShardedCounter,
@@ -143,7 +134,6 @@ impl State {
             cands,
             doc_map: SwapCell::new(DocMap::Open),
             cleaner_scheduled: AtomicBool::new(false),
-            debug_cleaner: debug_cleaner_enabled(),
             trace: TraceSink::with_clock(cfg.trace, cfg.clock),
             spans: QueryTrace::new(cfg.spans, cfg.clock),
             postings: ShardedCounter::new(),
@@ -362,15 +352,6 @@ impl CyclicJob for CleanerJob {
         }
         // Line 46: stopping conditions — Eq. 2 (no candidate outside
         // the heap can still qualify), or the Δ timeout (exact: Δ = ∞).
-        if state.debug_cleaner {
-            eprintln!(
-                "cleaner: map={} heap={} stragglers={stragglers} theta={} ubsum={}",
-                state.doc_map.load().table(cands).len(),
-                state.heap.len(),
-                state.heap.theta(),
-                state.ub.sum()
-            );
-        }
         let eq2 = stragglers == 0;
         let timed_out = state
             .cfg
