@@ -1051,9 +1051,8 @@ fn perf_guard(path: &str, kind: IndexKind, write: bool) {
 /// Beyond the equality check against its own baseline, the compressed
 /// guard asserts the backend actually exercises its machinery: every
 /// algorithm decodes blocks, pBMW's block-max pruning still skips
-/// block groups (admissible quantized bounds would be pointless if
-/// pruning never fired), and pRA's probes stay point lookups that
-/// decode no block.
+/// block groups, and pRA's probes stay point lookups that decode no
+/// block.
 fn check_compressed_machinery(cells: &[GuardCell]) {
     for c in cells {
         assert!(

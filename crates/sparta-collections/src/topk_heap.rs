@@ -112,13 +112,6 @@ impl<T: Ord + Copy> BoundedTopK<T> {
         }
     }
 
-    /// The lowest score currently in the heap, even when not yet full.
-    /// `None` when empty.
-    #[inline]
-    pub fn min_score(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.score)
-    }
-
     /// Offers an item. Returns `true` if the heap changed (the item was
     /// admitted), `false` if it was rejected for scoring at or below
     /// the current contents' floor.
@@ -146,37 +139,6 @@ impl<T: Ord + Copy> BoundedTopK<T> {
         }
     }
 
-    /// Offers an item and reports what was evicted, for callers that
-    /// maintain auxiliary bookkeeping (e.g. Sparta's heap trace).
-    pub fn offer_evict(&mut self, score: u64, item: T) -> OfferOutcome<T> {
-        if self.heap.len() < self.k {
-            self.heap.push(Entry { score, item });
-            return OfferOutcome::Inserted;
-        }
-        let entry = Entry { score, item };
-        match self.heap.peek() {
-            Some(min) if entry < *min => {
-                let evicted = self.heap.pop().expect("non-empty");
-                self.heap.push(entry);
-                OfferOutcome::Displaced(evicted.item)
-            }
-            Some(_) => OfferOutcome::Rejected,
-            None => unreachable!(),
-        }
-    }
-
-    /// Whether an item with `score` would be admitted right now.
-    #[inline]
-    pub fn would_admit(&self, score: u64, item: T) -> bool {
-        if self.heap.len() < self.k {
-            return true;
-        }
-        match self.heap.peek() {
-            Some(min) => (Entry { score, item }) < *min,
-            None => true,
-        }
-    }
-
     /// Iterates over the current entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &Entry<T>> {
         self.heap.iter()
@@ -196,27 +158,6 @@ impl<T: Ord + Copy> BoundedTopK<T> {
         v.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| b.item.cmp(&a.item)));
         v
     }
-
-    /// Replaces the entire contents from an iterator of `(score, item)`
-    /// pairs, keeping only the top k. Used when a caller recomputes all
-    /// scores (Sparta's lazy lower-bound refresh, Alg. 1 lines 30–32).
-    pub fn rebuild<I: IntoIterator<Item = (u64, T)>>(&mut self, items: I) {
-        self.heap.clear();
-        for (score, item) in items {
-            self.offer(score, item);
-        }
-    }
-}
-
-/// Result of [`BoundedTopK::offer_evict`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OfferOutcome<T> {
-    /// The heap was not yet full; the item was inserted.
-    Inserted,
-    /// The heap was full; the item displaced the previous minimum.
-    Displaced(T),
-    /// The item scored at or below the floor and was rejected.
-    Rejected,
 }
 
 #[cfg(test)]
@@ -255,33 +196,6 @@ mod tests {
         assert!(!h.offer(10, 0), "tie broken toward larger item");
         assert!(h.offer(10, 3), "tie broken toward larger item");
         assert_eq!(h.sorted_entries()[0].item, 3);
-    }
-
-    #[test]
-    fn offer_evict_reports_displacement() {
-        let mut h = BoundedTopK::new(1);
-        assert_eq!(h.offer_evict(10, 7u32), OfferOutcome::Inserted);
-        assert_eq!(h.offer_evict(12, 8), OfferOutcome::Displaced(7));
-        assert_eq!(h.offer_evict(3, 9), OfferOutcome::Rejected);
-    }
-
-    #[test]
-    fn would_admit_matches_offer() {
-        let mut h = BoundedTopK::new(2);
-        for (s, d) in [(5u64, 1u32), (9, 2), (1, 3), (7, 4), (7, 0), (8, 9)] {
-            let predicted = h.would_admit(s, d);
-            let actual = h.offer(s, d);
-            assert_eq!(predicted, actual, "score {s} item {d}");
-        }
-    }
-
-    #[test]
-    fn rebuild_keeps_top_k() {
-        let mut h = BoundedTopK::new(2);
-        h.offer(1, 1u32);
-        h.rebuild([(4u64, 10u32), (2, 11), (9, 12)]);
-        let v = h.into_sorted_vec();
-        assert_eq!(v.iter().map(|e| e.item).collect::<Vec<_>>(), vec![12, 10]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Block-Max WAND (Ding & Suel, SIGIR'11): WAND with per-block upper
-//! bounds, "us[ing] block-level statistics to prune the search"
+//! bounds, "us\[ing\] block-level statistics to prune the search"
 //! (§5.2.1). The paper's selected block size is 64 postings.
 
 use super::wand::wand_range;
@@ -33,11 +33,7 @@ impl Algorithm for SeqBmw {
         // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
         let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
-        let mut cursors: Vec<_> = query
-            .terms
-            .iter()
-            .map(|&t| Arc::clone(index).doc_cursor_arc(t))
-            .collect();
+        let mut cursors: Vec<_> = query.terms.iter().map(|&t| index.doc_cursor(t)).collect();
         let mut heap = BoundedTopK::new(cfg.k.max(1));
         let mut work = WorkStats::default();
         wand_range(

@@ -44,10 +44,7 @@ impl Algorithm for MaxScore {
         // max scores of lists 0..=i.
         let mut terms = query.terms.clone();
         terms.sort_by_key(|&t| index.max_score(t));
-        let mut cursors: Vec<_> = terms
-            .iter()
-            .map(|&t| Arc::clone(index).doc_cursor_arc(t))
-            .collect();
+        let mut cursors: Vec<_> = terms.iter().map(|&t| index.doc_cursor(t)).collect();
         let m = cursors.len();
         let prefix_bounds: Vec<u64> = cursors
             .iter()

@@ -22,7 +22,7 @@ use sparta_index::DocCursor;
 
 /// Sorts cursor indexes by current document id (exhausted cursors
 /// last). The WAND/BMW pivot scan relies on this ordering.
-pub(crate) fn sort_by_doc(order: &mut [usize], cursors: &[Box<dyn DocCursor + '_>]) {
+pub(crate) fn sort_by_doc(order: &mut [usize], cursors: &[Box<dyn DocCursor>]) {
     order.sort_by_key(|&i| cursors[i].doc().map_or(u64::MAX, u64::from));
 }
 
@@ -32,7 +32,7 @@ pub(crate) fn sort_by_doc(order: &mut [usize], cursors: &[Box<dyn DocCursor + '_
 /// full sum cannot beat it (search is over).
 pub(crate) fn find_pivot(
     order: &[usize],
-    cursors: &[Box<dyn DocCursor + '_>],
+    cursors: &[Box<dyn DocCursor>],
     threshold: u64,
 ) -> Option<usize> {
     let mut acc = 0u64;

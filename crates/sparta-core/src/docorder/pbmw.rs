@@ -132,10 +132,7 @@ fn run_range(
     lo: u64,
     hi: u64,
 ) {
-    let mut cursors: Vec<_> = terms
-        .iter()
-        .map(|&t| Arc::clone(index).doc_cursor_arc(t))
-        .collect();
+    let mut cursors: Vec<_> = terms.iter().map(|&t| index.doc_cursor(t)).collect();
     for c in cursors.iter_mut() {
         // `lo < hi ≤ num_docs ≤ 2^32`: a doc id.
         c.seek(lo as DocId);

@@ -29,7 +29,7 @@ pub struct Wand;
 /// (pBMW's promoted global Θ); pass a closure returning 0 when unused.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn wand_range(
-    cursors: &mut [Box<dyn DocCursor + '_>],
+    cursors: &mut [Box<dyn DocCursor>],
     limit: u64,
     heap: &mut BoundedTopK<DocId>,
     f: f64,
@@ -143,11 +143,7 @@ impl Algorithm for Wand {
         // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
         let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
-        let mut cursors: Vec<_> = query
-            .terms
-            .iter()
-            .map(|&t| Arc::clone(index).doc_cursor_arc(t))
-            .collect();
+        let mut cursors: Vec<_> = query.terms.iter().map(|&t| index.doc_cursor(t)).collect();
         let mut heap = BoundedTopK::new(cfg.k.max(1));
         let mut work = WorkStats::default();
         wand_range(

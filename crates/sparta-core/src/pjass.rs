@@ -21,7 +21,7 @@ use crate::jass::posting_budget;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::shared_heap::SharedHeap;
 use crate::sparta::candidates::{until_fits, Candidates};
-use crate::sparta::{open_cursor, SlabRun};
+use crate::sparta::SlabRun;
 use crate::trace::TraceSink;
 use crate::Algorithm;
 use sparta_collections::BoundedTopK;
@@ -132,7 +132,7 @@ fn run_once(
             queue.push(Job::cyclic(SegmentJob {
                 state: Arc::clone(&state),
                 i,
-                cursor: open_cursor(index, t),
+                cursor: index.score_cursor(t),
                 run: SlabRun::default(),
             }));
         }

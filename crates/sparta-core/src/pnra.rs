@@ -19,7 +19,7 @@
 use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
 use crate::sparta::candidates::{until_fits, Candidates};
-use crate::sparta::{open_cursor, SharedUb, SlabRun, SpartaHeap, UbSnapshot};
+use crate::sparta::{SharedUb, SlabRun, SpartaHeap, UbSnapshot};
 use crate::trace::TraceSink;
 use crate::Algorithm;
 use sparta_collections::{FastHashSet, ShardedCounter};
@@ -191,7 +191,7 @@ fn run_once(
     {
         let _plan = state.spans.span(Phase::Plan);
         for (i, &t) in query.terms.iter().enumerate() {
-            let cursor = open_cursor(index, t);
+            let cursor = index.score_cursor(t);
             queue.push(Job::cyclic(SegmentJob {
                 state: Arc::clone(&state),
                 i,

@@ -13,7 +13,7 @@
 use crate::config::SearchConfig;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::shared_heap::SharedHeap;
-use crate::sparta::{open_cursor, SharedUb};
+use crate::sparta::SharedUb;
 use crate::trace::TraceSink;
 use crate::Algorithm;
 use sparta_collections::{DocBitset, ShardedCounter};
@@ -174,7 +174,7 @@ impl Algorithm for PRa {
             queue.push(Job::cyclic(TermJob {
                 state: Arc::clone(&state),
                 i,
-                cursor: open_cursor(index, t),
+                cursor: index.score_cursor(t),
             }));
         }
         exec.run(Arc::clone(&queue));

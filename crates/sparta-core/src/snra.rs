@@ -1,7 +1,7 @@
 //! sNRA — shared-nothing parallelization of NRA (§5.2.2).
 //!
 //! "sNRA is a shared-nothing parallelization of NRA, where the index
-//! is partitioned to [P] shards by document id. Each thread finds the
+//! is partitioned to \[P\] shards by document id. Each thread finds the
 //! top-k documents in its shard by running NRA independently with
 //! thread-local data structures. When all threads complete, their
 //! lists are merged and the global top-k documents are kept."
@@ -73,21 +73,11 @@ impl ShardedLists {
     }
 
     /// Opens owning cursors over shard `s`'s lists.
-    pub fn cursors(&self, s: usize) -> Vec<Box<dyn ScoreCursor + 'static>> {
+    pub fn cursors(&self, s: usize) -> Vec<Box<dyn ScoreCursor>> {
         self.shards[s]
             .iter()
-            .map(|l| {
-                Box::new(SliceScoreCursor::new(ArcList(Arc::clone(l)))) as Box<dyn ScoreCursor>
-            })
+            .map(|l| Box::new(SliceScoreCursor::new(Arc::clone(l))) as Box<dyn ScoreCursor>)
             .collect()
-    }
-}
-
-struct ArcList(Arc<Vec<Posting>>);
-
-impl AsRef<[Posting]> for ArcList {
-    fn as_ref(&self) -> &[Posting] {
-        self.0.as_slice()
     }
 }
 

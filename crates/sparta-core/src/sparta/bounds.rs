@@ -24,13 +24,13 @@ impl SharedUb {
         }
     }
 
-    /// UB[i].
+    /// `UB[i]`.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         self.ub[i].load(Ordering::Acquire)
     }
 
-    /// Sets UB[i] to the last traversed score.
+    /// Sets `UB[i]` to the last traversed score.
     #[inline]
     pub fn set(&self, i: usize, score: u32) {
         self.ub[i].store(u64::from(score), Ordering::Release);
@@ -42,13 +42,13 @@ impl SharedUb {
         self.ub[i].store(0, Ordering::Release);
     }
 
-    /// Σᵢ UB[i].
+    /// Σᵢ `UB[i]`.
     #[inline]
     pub fn sum(&self) -> u64 {
         self.ub.iter().map(|u| u.load(Ordering::Acquire)).sum()
     }
 
-    /// Equation 1: Σᵢ UB[i] ≤ Θ.
+    /// Equation 1: Σᵢ `UB[i]` ≤ Θ.
     #[inline]
     pub fn ub_stop(&self, theta: u64) -> bool {
         self.sum() <= theta

@@ -24,7 +24,7 @@
 //! lock-free [`DocTable`] — lookups are plain loads, admission is one
 //! compare-and-swap, and removal never happens in place because the
 //! cleaner publishes a rebuilt map instead. The first map and its
-//! admission are [`candidates`], which pNRA and pJASS share.
+//! admission are `candidates`, which pNRA and pJASS share.
 //!
 //! Deviation from the pseudocode, documented: Algorithm 1's *main
 //! thread* waits for `UBStop` and then enqueues CLEANER (lines 4–5).
@@ -53,7 +53,7 @@ use candidates::{until_fits, Candidates};
 use sparta_collections::{
     DocTable, FastBuildHasher, FastHashMap, FastHashSet, ShardedCounter, SwapCell,
 };
-use sparta_corpus::types::{DocId, Query, TermId};
+use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
@@ -410,12 +410,11 @@ impl Algorithm for Sparta {
             {
                 let _plan = state.spans.span(Phase::Plan);
                 for (i, &t) in query.terms.iter().enumerate() {
-                    let cursor = open_cursor(index, t);
                     queue.push(Job::cyclic(SegmentJob {
                         state: Arc::clone(&state),
                         queue: Arc::clone(&queue),
                         i,
-                        cursor,
+                        cursor: index.score_cursor(t),
                         term_map: None,
                         run: SlabRun::default(),
                     }));
@@ -465,11 +464,6 @@ impl Algorithm for Sparta {
             spans: state.spans.into_spans(),
         }
     }
-}
-
-/// Opens an owning score cursor for `term`.
-pub(crate) fn open_cursor(index: &Arc<dyn Index>, term: TermId) -> Box<dyn ScoreCursor> {
-    Arc::clone(index).score_cursor_arc(term)
 }
 
 #[cfg(test)]

@@ -57,19 +57,19 @@ impl UpperBounds {
         self.exhausted.iter().all(|&e| e)
     }
 
-    /// Σᵢ UB[i].
+    /// Σᵢ `UB[i]`.
     #[inline]
     pub fn sum(&self) -> u64 {
         self.ub.iter().sum()
     }
 
-    /// UB[i].
+    /// `UB[i]`.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         self.ub[i]
     }
 
-    /// The `UBStop` condition (Equation 1): Σᵢ UB[i] ≤ Θ. With Θ = 0
+    /// The `UBStop` condition (Equation 1): Σᵢ `UB[i]` ≤ Θ. With Θ = 0
     /// (heap not yet full) this only fires when every list is
     /// exhausted — the degenerate "fewer than k matches" case.
     #[inline]
@@ -78,7 +78,7 @@ impl UpperBounds {
     }
 
     /// Upper bound of a document given its known per-term scores
-    /// (`0` = unknown): known score where available, UB[i] otherwise.
+    /// (`0` = unknown): known score where available, `UB[i]` otherwise.
     pub fn doc_ub(&self, scores: &[u32]) -> u64 {
         scores
             .iter()

@@ -29,7 +29,7 @@ const SWEEP_EVERY: u64 = 4096;
 /// Runs sequential NRA over pre-opened score cursors (`cursors[i]` for
 /// query term i). Shared with sNRA, which calls this once per shard.
 pub fn run_nra(
-    mut cursors: Vec<Box<dyn ScoreCursor + '_>>,
+    mut cursors: Vec<Box<dyn ScoreCursor>>,
     cfg: &SearchConfig,
     trace: &TraceSink,
 ) -> (Vec<SearchHit>, WorkStats) {

@@ -1,7 +1,7 @@
 //! The per-query job queue.
 //!
-//! Sparta (Alg. 1) "divide[s] posting list traversals to segments …
-//! and use[s] a job queue to allocate posting list segments to
+//! Sparta (Alg. 1) "divide\[s\] posting list traversals to segments …
+//! and use\[s\] a job queue to allocate posting list segments to
 //! threads". Jobs are self-scheduling closures: a job that finishes a
 //! segment pushes the follow-up job for the next segment. The queue
 //! tracks an *outstanding* count (queued + currently running jobs);

@@ -2,6 +2,7 @@
 
 use crate::posting::Posting;
 use sparta_corpus::types::{DocId, TermId};
+use std::sync::Arc;
 
 /// Sequential traversal of one posting list in decreasing term-score
 /// order ("score-order" / "impact-order" access, §3.1). Used by the TA
@@ -9,9 +10,6 @@ use sparta_corpus::types::{DocId, TermId};
 pub trait ScoreCursor: Send {
     /// Returns the next posting, or `None` at the end of the list.
     fn next(&mut self) -> Option<Posting>;
-
-    /// Number of postings not yet returned.
-    fn remaining(&self) -> u64;
 
     /// Total length of the underlying list.
     fn len(&self) -> u64;
@@ -58,18 +56,6 @@ pub trait DocCursor: Send {
     /// use block metadata / binary search to skip efficiently.
     fn seek(&mut self, target: DocId) -> Option<DocId>;
 
-    /// Maximum term score in the block containing the current posting
-    /// (0 if exhausted).
-    fn block_max_score(&self) -> u32;
-
-    /// Last document id of the current block, i.e. the furthest doc
-    /// reachable without entering the next block.
-    fn block_last_doc(&self) -> Option<DocId>;
-
-    /// Jumps past the current block: positions on the first posting of
-    /// the next block (BMW's "shallow" advance). Returns the new doc.
-    fn skip_block(&mut self) -> Option<DocId>;
-
     /// Block metadata for the block that would contain `target`
     /// (i.e. the first block at/after the current position whose
     /// `last_doc >= target`), *without moving the cursor* — BMW's
@@ -109,50 +95,39 @@ pub trait RandomAccess: Send + Sync {
     }
 }
 
-/// A [`ScoreCursor`] over any holder of a score-ordered posting slice
-/// (`&[Posting]`, `Arc<Vec<Posting>>`, …) — shared by the in-memory
-/// index, owning cursors for `'static` jobs, and sNRA's materialized
-/// shards.
-pub struct SliceScoreCursor<T> {
-    postings: T,
+/// A [`ScoreCursor`] over a shared score-ordered posting list — the
+/// in-memory index's score order and sNRA's materialized shards.
+pub struct SliceScoreCursor {
+    postings: Arc<Vec<Posting>>,
     pos: usize,
 }
 
-impl<T: AsRef<[Posting]>> SliceScoreCursor<T> {
-    /// Wraps a score-ordered posting holder.
-    pub fn new(postings: T) -> Self {
-        debug_assert!(crate::posting::is_score_ordered(postings.as_ref()));
+impl SliceScoreCursor {
+    /// Wraps a score-ordered posting list.
+    pub fn new(postings: Arc<Vec<Posting>>) -> Self {
+        debug_assert!(crate::posting::is_score_ordered(&postings));
         Self { postings, pos: 0 }
-    }
-
-    #[inline]
-    fn slice(&self) -> &[Posting] {
-        self.postings.as_ref()
     }
 }
 
-impl<T: AsRef<[Posting]> + Send> ScoreCursor for SliceScoreCursor<T> {
+impl ScoreCursor for SliceScoreCursor {
     #[inline]
     fn next(&mut self) -> Option<Posting> {
-        let p = self.slice().get(self.pos).copied();
+        let p = self.postings.get(self.pos).copied();
         if p.is_some() {
             self.pos += 1;
         }
         p
     }
 
-    fn remaining(&self) -> u64 {
-        (self.slice().len() - self.pos) as u64
-    }
-
     fn len(&self) -> u64 {
-        self.slice().len() as u64
+        self.postings.len() as u64
     }
 
     fn next_segment(&mut self, n: usize, out: &mut Vec<Posting>) -> usize {
         out.clear();
-        let end = (self.pos + n).min(self.slice().len());
-        out.extend_from_slice(&self.slice()[self.pos..end]);
+        let end = (self.pos + n).min(self.postings.len());
+        out.extend_from_slice(&self.postings[self.pos..end]);
         let delivered = end - self.pos;
         self.pos = end;
         delivered
@@ -170,21 +145,18 @@ mod tests {
             Posting::new(2, 20),
             Posting::new(3, 10),
         ];
-        let mut c = SliceScoreCursor::new(&postings);
+        let mut c = SliceScoreCursor::new(Arc::new(postings));
         assert_eq!(c.len(), 3);
-        assert_eq!(c.remaining(), 3);
         assert_eq!(c.next(), Some(Posting::new(1, 30)));
-        assert_eq!(c.remaining(), 2);
         assert_eq!(c.next(), Some(Posting::new(2, 20)));
         assert_eq!(c.next(), Some(Posting::new(3, 10)));
         assert_eq!(c.next(), None);
-        assert_eq!(c.remaining(), 0);
     }
 
     #[test]
     fn slice_cursor_segments() {
         let postings: Vec<Posting> = (0..10u32).map(|i| Posting::new(i, 100 - i)).collect();
-        let mut c = SliceScoreCursor::new(&postings);
+        let mut c = SliceScoreCursor::new(Arc::new(postings));
         let mut seg = Vec::new();
         assert_eq!(c.next_segment(4, &mut seg), 4);
         assert_eq!(seg.len(), 4);

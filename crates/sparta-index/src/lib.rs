@@ -15,7 +15,12 @@
 //!     maximum scores for skipping [Ding & Suel 2011],
 //!   * **random access** (RA) — `ts(D, t)` lookups by document id via
 //!     a secondary index;
+//!
+//!   each backend implements each path once, and every cursor holds
+//!   its term's data by `Arc`, so it is `'static`;
 //! * [`memory::InMemoryIndex`] — RAM-resident implementation;
+//! * [`compressed::CompressedIndex`] — RAM-resident block-compressed
+//!   postings, decoded bit-exactly behind the same cursors;
 //! * [`storage`] — an uncompressed binary on-disk format ("stored on
 //!   disk uncompressed as a collection of binary files", §5.1) read in
 //!   fixed-size blocks through an I/O layer that counts block fetches
@@ -37,7 +42,7 @@ pub mod posting;
 pub mod storage;
 
 pub use builder::{IndexBuilder, IndexKind};
-pub use compressed::{BoundMode, CompressedIndex, CompressedTermData, ScoreQuantizer};
+pub use compressed::{CompressedIndex, CompressedTermData};
 pub use cursor::{DocCursor, RandomAccess, ScoreCursor};
 pub use iostats::{IoModel, IoStats};
 pub use memory::InMemoryIndex;
@@ -59,7 +64,7 @@ pub(crate) fn num_docs_covering(declared: u64, ids: impl Iterator<Item = DocId>)
 
 /// In-memory size of an index's posting storage, split into the
 /// posting planes themselves and the lookup metadata (block directory,
-/// score codebooks, quantization params).
+/// score codebooks).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexFootprint {
     /// Bytes holding postings (raw arrays or packed planes).
@@ -101,19 +106,21 @@ pub trait Index: Send + Sync {
     fn max_score(&self, term: TermId) -> u32;
 
     /// Opens a cursor over `term`'s postings in decreasing-score order.
-    fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor + '_>;
+    /// The cursor shares the term's data by `Arc`, so it outlives the
+    /// borrow and can move into `'static` jobs on pool threads.
+    fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor>;
 
     /// Opens a cursor over `term`'s postings in increasing-doc-id
-    /// order, with block-max metadata.
-    fn doc_cursor(&self, term: TermId) -> Box<dyn DocCursor + '_>;
+    /// order, with block-max metadata; `'static` like
+    /// [`score_cursor`](Self::score_cursor).
+    fn doc_cursor(&self, term: TermId) -> Box<dyn DocCursor>;
 
-    /// Owning variant of [`score_cursor`](Self::score_cursor): the
-    /// cursor keeps the index alive via `Arc`, so it can be moved into
-    /// `'static` jobs running on persistent worker-pool threads.
-    fn score_cursor_arc(self: Arc<Self>, term: TermId) -> Box<dyn ScoreCursor>;
-
-    /// Owning variant of [`doc_cursor`](Self::doc_cursor).
-    fn doc_cursor_arc(self: Arc<Self>, term: TermId) -> Box<dyn DocCursor>;
+    /// [`score_cursor`](Self::score_cursor) under its former name, kept
+    /// only because the benchmark harness's `index.cursor_open` probe
+    /// still calls it.
+    fn score_cursor_arc(self: Arc<Self>, term: TermId) -> Box<dyn ScoreCursor> {
+        self.score_cursor(term)
+    }
 
     /// Random access: the secondary index mapping `(term, doc)` to the
     /// term score, if this index maintains one. RA-family algorithms

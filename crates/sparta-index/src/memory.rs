@@ -10,10 +10,10 @@ use crate::cursor::{DocCursor, RandomAccess, ScoreCursor, SliceScoreCursor};
 use crate::posting::{self, BlockMeta, Posting, DEFAULT_BLOCK_SIZE};
 use crate::{Index, IoStats};
 use sparta_corpus::types::{DocId, TermId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-term data: both orders plus block metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TermData {
     /// Postings in decreasing-score order.
     pub score_order: Arc<Vec<Posting>>,
@@ -79,36 +79,17 @@ impl InMemoryIndex {
         self.block_size
     }
 
-    /// Direct access to a term's data (empty static data for unknown
-    /// terms is not provided here; use [`Index`] methods for safety).
+    /// Direct access to a term's data (`None` for unknown terms; the
+    /// [`Index`] methods serve those as empty lists).
     pub fn term_data(&self, term: TermId) -> Option<&TermData> {
         self.terms.get(term as usize)
     }
 
-    /// Materializes a doc-id-sharded view for shared-nothing
-    /// parallelization (sNRA, §5.2.2): shard `i` of `n` receives the
-    /// postings of documents `d` with `d % n == i`, in both orders.
-    /// Only the given `terms` are materialized (a query touches m
-    /// lists, so this is O(Σ df(tᵢ)) — the paper pre-builds shards
-    /// offline; we exclude this cost from measured query latency).
-    pub fn shard_for_terms(&self, terms: &[TermId], shards: usize) -> Vec<InMemoryIndex> {
-        assert!(shards > 0);
-        let max_term = terms.iter().map(|&t| t as usize + 1).max().unwrap_or(0);
-        let mut per_shard: Vec<Vec<Vec<Posting>>> =
-            (0..shards).map(|_| vec![Vec::new(); max_term]).collect();
-        for &t in terms {
-            if let Some(td) = self.term_data(t) {
-                for &p in td.doc_order.iter() {
-                    per_shard[(p.doc as usize) % shards][t as usize].push(p);
-                }
-            }
-        }
-        per_shard
-            .into_iter()
-            .map(|term_postings| {
-                InMemoryIndex::with_block_size(term_postings, self.num_docs, self.block_size)
-            })
-            .collect()
+    /// A term's data, or the shared empty list for unknown terms.
+    fn term_or_empty(&self, term: TermId) -> &TermData {
+        static EMPTY: OnceLock<TermData> = OnceLock::new();
+        self.term_data(term)
+            .unwrap_or_else(|| EMPTY.get_or_init(TermData::default))
     }
 }
 
@@ -129,50 +110,14 @@ impl Index for InMemoryIndex {
         self.term_data(term).map_or(0, |t| t.max_score)
     }
 
-    fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor + '_> {
-        match self.term_data(term) {
-            Some(t) => Box::new(SliceScoreCursor::new(t.score_order.as_slice())),
-            None => Box::new(SliceScoreCursor::new(&[])),
-        }
+    fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor> {
+        let t = self.term_or_empty(term);
+        Box::new(SliceScoreCursor::new(Arc::clone(&t.score_order)))
     }
 
-    fn doc_cursor(&self, term: TermId) -> Box<dyn DocCursor + '_> {
-        static EMPTY: (Vec<Posting>, Vec<BlockMeta>) = (Vec::new(), Vec::new());
-        match self.term_data(term) {
-            Some(t) => Box::new(SliceDocCursor::new(
-                t.doc_order.as_slice(),
-                t.blocks.as_slice(),
-                self.block_size,
-                t.max_score,
-            )),
-            None => Box::new(SliceDocCursor::new(&EMPTY.0, &EMPTY.1, self.block_size, 0)),
-        }
-    }
-
-    fn score_cursor_arc(self: Arc<Self>, term: TermId) -> Box<dyn ScoreCursor> {
-        match self.term_data(term) {
-            Some(t) => Box::new(SliceScoreCursor::new(ArcPostings(Arc::clone(
-                &t.score_order,
-            )))),
-            None => Box::new(SliceScoreCursor::new(ArcPostings(Arc::new(Vec::new())))),
-        }
-    }
-
-    fn doc_cursor_arc(self: Arc<Self>, term: TermId) -> Box<dyn DocCursor> {
-        match self.term_data(term) {
-            Some(t) => Box::new(SliceDocCursor::new(
-                ArcPostings(Arc::clone(&t.doc_order)),
-                ArcBlocks(Arc::clone(&t.blocks)),
-                self.block_size,
-                t.max_score,
-            )),
-            None => Box::new(SliceDocCursor::new(
-                ArcPostings(Arc::new(Vec::new())),
-                ArcBlocks(Arc::new(Vec::new())),
-                self.block_size,
-                0,
-            )),
-        }
+    fn doc_cursor(&self, term: TermId) -> Box<dyn DocCursor> {
+        let t = self.term_or_empty(term);
+        Box::new(SliceDocCursor::new(t, self.block_size))
     }
 
     fn random_access(&self) -> Option<&dyn RandomAccess> {
@@ -195,24 +140,6 @@ impl Index for InMemoryIndex {
     }
 }
 
-/// `AsRef<[Posting]>` adapter over a shared posting vector.
-pub struct ArcPostings(pub Arc<Vec<Posting>>);
-
-impl AsRef<[Posting]> for ArcPostings {
-    fn as_ref(&self) -> &[Posting] {
-        self.0.as_slice()
-    }
-}
-
-/// `AsRef<[BlockMeta]>` adapter over shared block metadata.
-pub struct ArcBlocks(pub Arc<Vec<BlockMeta>>);
-
-impl AsRef<[BlockMeta]> for ArcBlocks {
-    fn as_ref(&self) -> &[BlockMeta] {
-        self.0.as_slice()
-    }
-}
-
 impl RandomAccess for InMemoryIndex {
     fn term_score(&self, term: TermId, doc: DocId) -> u32 {
         match self.term_data(term) {
@@ -225,41 +152,28 @@ impl RandomAccess for InMemoryIndex {
     }
 }
 
-/// A [`DocCursor`] over any holders of doc-ordered postings + block
-/// metadata (`&[…]` for borrowed use, `Arc<Vec<…>>` for owning use).
-pub struct SliceDocCursor<P, B> {
-    postings: P,
-    blocks: B,
+/// A [`DocCursor`] over a term's shared doc-ordered postings and block
+/// metadata.
+pub(crate) struct SliceDocCursor {
+    postings: Arc<Vec<Posting>>,
+    blocks: Arc<Vec<BlockMeta>>,
     block_size: usize,
     max_score: u32,
     pos: usize,
 }
 
-impl<P: AsRef<[Posting]>, B: AsRef<[BlockMeta]>> SliceDocCursor<P, B> {
-    /// Wraps doc-ordered postings and their block metadata.
-    pub fn new(postings: P, blocks: B, block_size: usize, max_score: u32) -> Self {
-        debug_assert!(posting::is_doc_ordered(postings.as_ref()));
-        debug_assert_eq!(
-            blocks.as_ref().len(),
-            postings.as_ref().len().div_ceil(block_size)
-        );
+impl SliceDocCursor {
+    /// Opens a cursor on the first posting of `term`.
+    pub(crate) fn new(term: &TermData, block_size: usize) -> Self {
+        debug_assert!(posting::is_doc_ordered(&term.doc_order));
+        debug_assert_eq!(term.blocks.len(), term.doc_order.len().div_ceil(block_size));
         Self {
-            postings,
-            blocks,
+            postings: Arc::clone(&term.doc_order),
+            blocks: Arc::clone(&term.blocks),
             block_size,
-            max_score,
+            max_score: term.max_score,
             pos: 0,
         }
-    }
-
-    #[inline]
-    fn ps(&self) -> &[Posting] {
-        self.postings.as_ref()
-    }
-
-    #[inline]
-    fn bs(&self) -> &[BlockMeta] {
-        self.blocks.as_ref()
     }
 
     #[inline]
@@ -268,19 +182,19 @@ impl<P: AsRef<[Posting]>, B: AsRef<[BlockMeta]>> SliceDocCursor<P, B> {
     }
 }
 
-impl<P: AsRef<[Posting]> + Send, B: AsRef<[BlockMeta]> + Send> DocCursor for SliceDocCursor<P, B> {
+impl DocCursor for SliceDocCursor {
     #[inline]
     fn doc(&self) -> Option<DocId> {
-        self.ps().get(self.pos).map(|p| p.doc)
+        self.postings.get(self.pos).map(|p| p.doc)
     }
 
     #[inline]
     fn score(&self) -> u32 {
-        self.ps().get(self.pos).map_or(0, |p| p.score)
+        self.postings.get(self.pos).map_or(0, |p| p.score)
     }
 
     fn advance(&mut self) -> Option<DocId> {
-        if self.pos < self.ps().len() {
+        if self.pos < self.postings.len() {
             self.pos += 1;
         }
         self.doc()
@@ -295,47 +209,27 @@ impl<P: AsRef<[Posting]> + Send, B: AsRef<[BlockMeta]> + Send> DocCursor for Sli
             return None;
         }
         // Use block metadata to find the block, then binary search in it.
-        let bi = self.bs()[self.block_idx()..].partition_point(|b| b.last_doc < target)
+        let bi = self.blocks[self.block_idx()..].partition_point(|b| b.last_doc < target)
             + self.block_idx();
-        if bi >= self.bs().len() {
-            self.pos = self.ps().len();
+        if bi >= self.blocks.len() {
+            self.pos = self.postings.len();
             return None;
         }
         let start = (bi * self.block_size).max(self.pos);
-        let end = ((bi + 1) * self.block_size).min(self.ps().len());
-        let inner = self.ps()[start..end].partition_point(|p| p.doc < target);
+        let end = ((bi + 1) * self.block_size).min(self.postings.len());
+        let inner = self.postings[start..end].partition_point(|p| p.doc < target);
         self.pos = start + inner;
-        debug_assert!(self.pos < self.ps().len());
+        debug_assert!(self.pos < self.postings.len());
         self.doc()
     }
 
     fn block_at(&self, target: DocId) -> Option<(DocId, u32)> {
-        if self.pos >= self.ps().len() {
+        if self.pos >= self.postings.len() {
             return None;
         }
         let from = self.block_idx();
-        let bi = from + self.bs()[from..].partition_point(|b| b.last_doc < target);
-        self.bs().get(bi).map(|b| (b.last_doc, b.max_score))
-    }
-
-    fn block_max_score(&self) -> u32 {
-        if self.pos >= self.ps().len() {
-            return 0;
-        }
-        self.bs().get(self.block_idx()).map_or(0, |b| b.max_score)
-    }
-
-    fn block_last_doc(&self) -> Option<DocId> {
-        if self.pos >= self.ps().len() {
-            return None;
-        }
-        self.bs().get(self.block_idx()).map(|b| b.last_doc)
-    }
-
-    fn skip_block(&mut self) -> Option<DocId> {
-        let next = (self.block_idx() + 1) * self.block_size;
-        self.pos = next.min(self.ps().len());
-        self.doc()
+        let bi = from + self.blocks[from..].partition_point(|b| b.last_doc < target);
+        self.blocks.get(bi).map(|b| (b.last_doc, b.max_score))
     }
 
     fn max_score(&self) -> u32 {
@@ -343,7 +237,7 @@ impl<P: AsRef<[Posting]> + Send, B: AsRef<[BlockMeta]> + Send> DocCursor for Sli
     }
 
     fn len(&self) -> u64 {
-        self.ps().len() as u64
+        self.postings.len() as u64
     }
 }
 
@@ -424,20 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn doc_cursor_block_metadata() {
-        let ix = index();
-        let mut c = ix.doc_cursor(0);
-        // Block size 4: docs [0,2,4,6][8,10,12,14][16,18].
-        assert_eq!(c.block_last_doc(), Some(6));
-        assert_eq!(c.block_max_score(), 100);
-        assert_eq!(c.skip_block(), Some(8));
-        assert_eq!(c.block_last_doc(), Some(14));
-        assert_eq!(c.block_max_score(), 100 - 8);
-        assert_eq!(c.skip_block(), Some(16));
-        assert_eq!(c.skip_block(), None);
-    }
-
-    #[test]
     fn random_access_lookup() {
         let ix = index();
         let ra = ix.random_access().unwrap();
@@ -447,34 +327,5 @@ mod tests {
         assert_eq!(ra.term_score(9, 3), 0, "unknown term");
         assert_eq!(ra.full_score(&[0, 1], 4), 96 + 41);
         assert_eq!(ra.full_score(&[0, 1], 3), 31, "term 0 contributes nothing");
-    }
-
-    #[test]
-    fn sharding_partitions_postings() {
-        let ix = index();
-        let shards = ix.shard_for_terms(&[0, 1], 3);
-        assert_eq!(shards.len(), 3);
-        let total: u64 = shards.iter().map(|s| s.doc_freq(0)).sum();
-        assert_eq!(total, ix.doc_freq(0));
-        for (i, s) in shards.iter().enumerate() {
-            let mut c = s.doc_cursor(0);
-            while let Some(d) = c.doc() {
-                assert_eq!(d as usize % 3, i, "doc {d} in wrong shard");
-                c.advance();
-            }
-        }
-    }
-
-    #[test]
-    fn empty_term_cursors_are_safe() {
-        let ix = index();
-        let mut sc = ix.score_cursor(9);
-        assert_eq!(sc.next(), None);
-        assert!(sc.is_empty());
-        let mut dc = ix.doc_cursor(9);
-        assert_eq!(dc.doc(), None);
-        assert_eq!(dc.advance(), None);
-        assert_eq!(dc.seek(5), None);
-        assert_eq!(dc.skip_block(), None);
     }
 }

@@ -1,6 +1,6 @@
 //! Binary layout constants and (de)serialization of fixed-width records.
 
-use crate::compressed::{CompressedTermData, PlaneMeta, ScoreQuantizer, MAX_BLOCK};
+use crate::compressed::{CompressedTermData, PlaneMeta, MAX_BLOCK};
 use crate::posting::{BlockMeta, Posting};
 use std::io::{self, Read, Write};
 
@@ -18,8 +18,10 @@ pub const MIN_FORMAT_VERSION: u32 = 1;
 /// Magic at the start of the compressed section (`compressed.bin`).
 pub const COMPRESSED_MAGIC: &[u8; 8] = b"SPARTACP";
 
-/// Version of the compressed section's own layout.
-pub const COMPRESSED_SECTION_VERSION: u32 = 1;
+/// Version of the compressed section's own layout. Version 2 dropped
+/// the quantized block bounds: 8 quantizer bytes per term and one byte
+/// per block-directory entry.
+pub const COMPRESSED_SECTION_VERSION: u32 = 2;
 
 /// Contents of `meta.bin`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,9 +213,6 @@ pub fn encode_compressed_term(td: &CompressedTermData, out: &mut Vec<u8>) {
     out.extend_from_slice(&td.max_score.to_le_bytes());
     out.push(td.sidx_bits);
     out.push(td.doc_raw_bits);
-    let q = td.quant.unwrap_or(ScoreQuantizer { min: 0, scale: 1 });
-    out.extend_from_slice(&q.min.to_le_bytes());
-    out.extend_from_slice(&q.scale.to_le_bytes());
 
     out.extend_from_slice(&(td.dict.len() as u32).to_le_bytes());
     let mut prev = 0u32;
@@ -226,7 +225,6 @@ pub fn encode_compressed_term(td: &CompressedTermData, out: &mut Vec<u8>) {
     for (bi, b) in td.blocks.iter().enumerate() {
         out.extend_from_slice(&b.last_doc.to_le_bytes());
         out.extend_from_slice(&b.max_score.to_le_bytes());
-        out.push(td.qmax[bi]);
         out.extend_from_slice(&td.doc_meta[bi].off.to_le_bytes());
         out.push(td.doc_meta[bi].bits);
         out.extend_from_slice(&td.score_meta[bi].off.to_le_bytes());
@@ -258,13 +256,6 @@ pub fn decode_compressed_term<R: Read>(
     if sidx_bits > 32 || doc_raw_bits > 32 {
         return Err(bad("invalid packed field width"));
     }
-    let quant = ScoreQuantizer {
-        min: read_u32(r)?,
-        scale: read_u32(r)?,
-    };
-    if quant.scale == 0 {
-        return Err(bad("invalid quantizer scale"));
-    }
 
     let dict_len = read_u32(r)? as usize;
     if dict_len == 0 || dict_len > len as usize {
@@ -294,15 +285,12 @@ pub fn decode_compressed_term<R: Read>(
         return Err(bad("block count does not match posting count"));
     }
     let mut blocks = Vec::with_capacity(num_blocks);
-    let mut qmax = Vec::with_capacity(num_blocks);
     let mut doc_meta = Vec::with_capacity(num_blocks);
     let mut score_meta = Vec::with_capacity(num_blocks);
     for _ in 0..num_blocks {
         let last_doc = read_u32(r)?;
         let bmax = read_u32(r)?;
         let mut b1 = [0u8; 1];
-        r.read_exact(&mut b1)?;
-        qmax.push(b1[0]);
         let doc_off = read_u32(r)?;
         r.read_exact(&mut b1)?;
         let doc_bits = b1[0];
@@ -354,8 +342,6 @@ pub fn decode_compressed_term<R: Read>(
         block_size,
         dict,
         blocks,
-        quant: Some(quant),
-        qmax,
         sidx_bits,
         doc_raw_bits,
         doc_meta,
@@ -515,7 +501,6 @@ mod tests {
         assert_eq!(got.len(), td.len());
         assert_eq!(got.max_score(), td.max_score());
         assert_eq!(got.blocks(), td.blocks());
-        assert_eq!(got.quantizer(), td.quantizer());
         let mut docs = [0u32; crate::compressed::MAX_BLOCK];
         let mut scores = [0u32; crate::compressed::MAX_BLOCK];
         let mut docs2 = [0u32; crate::compressed::MAX_BLOCK];

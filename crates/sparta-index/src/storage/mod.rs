@@ -47,6 +47,7 @@ pub use writer::IndexWriter;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::IndexKind;
     use crate::memory::InMemoryIndex;
     use crate::posting::Posting;
     use crate::{Index, IoModel};
@@ -64,8 +65,12 @@ mod tests {
     }
 
     fn write_sample(dir: &std::path::Path) {
+        write_sample_kind(dir, IndexKind::Raw);
+    }
+
+    fn write_sample_kind(dir: &std::path::Path, kind: IndexKind) {
         let lists = sample_lists();
-        let mut w = IndexWriter::create(dir, 900, lists.len() as u32, 64).unwrap();
+        let mut w = IndexWriter::create_with_kind(dir, 900, lists.len() as u32, 64, kind).unwrap();
         for l in &lists {
             w.add_term(l.clone()).unwrap();
         }
@@ -120,11 +125,13 @@ mod tests {
         let mut a = disk.doc_cursor(0);
         let mut b = mem.doc_cursor(0);
         for target in [0u32, 5, 100, 101, 450, 897, 898] {
+            assert_eq!(a.block_at(target), b.block_at(target), "block_at {target}");
             assert_eq!(a.seek(target), b.seek(target), "seek {target}");
-            assert_eq!(a.block_max_score(), b.block_max_score());
-            assert_eq!(a.block_last_doc(), b.block_last_doc());
+            assert_eq!(
+                a.doc().map(|d| a.block_at(d)),
+                b.doc().map(|d| b.block_at(d))
+            );
         }
-        assert_eq!(a.skip_block(), b.skip_block());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -226,16 +233,8 @@ mod tests {
     /// byte 12 of `meta.bin` and of `compressed.bin` alike.
     #[test]
     fn loaders_reject_num_docs_not_covering_a_stored_id() {
-        use crate::builder::IndexKind;
         let dir = tempdir("num_docs");
-        let lists = sample_lists();
-        let mut w =
-            IndexWriter::create_with_kind(&dir, 900, lists.len() as u32, 64, IndexKind::Compressed)
-                .unwrap();
-        for l in &lists {
-            w.add_term(l.clone()).unwrap();
-        }
-        w.finish().unwrap();
+        write_sample_kind(&dir, IndexKind::Compressed);
         let kind = |r: std::io::Result<()>| r.err().map(|e| e.kind());
         let disk = || kind(DiskIndex::open(&dir, IoModel::free()).map(drop));
         let compressed = || kind(load_compressed(&dir).map(drop));
@@ -251,17 +250,9 @@ mod tests {
 
     #[test]
     fn compressed_section_round_trips() {
-        use crate::builder::IndexKind;
         use crate::compressed::CompressedIndex;
         let dir = tempdir("compressed_rt");
-        let lists = sample_lists();
-        let mut w =
-            IndexWriter::create_with_kind(&dir, 900, lists.len() as u32, 64, IndexKind::Compressed)
-                .unwrap();
-        for l in &lists {
-            w.add_term(l.clone()).unwrap();
-        }
-        w.finish().unwrap();
+        write_sample_kind(&dir, IndexKind::Compressed);
 
         // The raw planes are still a valid v2 index.
         assert!(DiskIndex::open(&dir, IoModel::free()).is_ok());
@@ -286,7 +277,8 @@ mod tests {
             let mut b = built.doc_cursor(t);
             loop {
                 assert_eq!(a.doc(), b.doc(), "term {t}");
-                assert_eq!(a.block_max_score(), b.block_max_score(), "term {t}");
+                let here = a.doc().unwrap_or(0);
+                assert_eq!(a.block_at(here), b.block_at(here), "term {t}");
                 if a.advance().is_none() {
                     b.advance();
                     break;
@@ -309,16 +301,8 @@ mod tests {
 
     #[test]
     fn compressed_section_rejects_corruption() {
-        use crate::builder::IndexKind;
         let dir = tempdir("compressed_corrupt");
-        let lists = sample_lists();
-        let mut w =
-            IndexWriter::create_with_kind(&dir, 900, lists.len() as u32, 64, IndexKind::Compressed)
-                .unwrap();
-        for l in &lists {
-            w.add_term(l.clone()).unwrap();
-        }
-        w.finish().unwrap();
+        write_sample_kind(&dir, IndexKind::Compressed);
         let path = dir.join("compressed.bin");
         let good = std::fs::read(&path).unwrap();
 
@@ -340,6 +324,26 @@ mod tests {
 
         std::fs::write(&path, &good).unwrap();
         assert!(load_compressed(&dir).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `compressed.bin` carries its own layout version at byte 8: the
+    /// previous layout and any later one are `InvalidData`, not a
+    /// misparse.
+    #[test]
+    fn compressed_section_rejects_other_versions() {
+        use format::COMPRESSED_SECTION_VERSION;
+        let dir = tempdir("compressed_version");
+        write_sample_kind(&dir, IndexKind::Compressed);
+        assert!(load_compressed(&dir).is_ok());
+        for version in [
+            COMPRESSED_SECTION_VERSION - 1,
+            COMPRESSED_SECTION_VERSION + 1,
+        ] {
+            patch(&dir, "compressed.bin", 8, &version.to_le_bytes());
+            let err = load_compressed(&dir).expect_err("another version loads");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "v{version}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,7 +6,6 @@ use crate::iostats::{IoModel, IoStats};
 use crate::posting::{BlockMeta, Posting};
 use crate::Index;
 use sparta_corpus::types::{DocId, TermId};
-use std::borrow::Borrow;
 use std::fs::File;
 use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
@@ -21,6 +20,12 @@ pub const IO_BLOCK_BYTES: usize = 64 * 1024;
 /// are RAM-resident; posting data is fetched on demand through the
 /// [`IoStats`]/[`IoModel`] accounting layer.
 pub struct DiskIndex {
+    /// Shared with every open cursor, so cursors are `'static`.
+    state: Arc<DiskState>,
+}
+
+/// Everything a [`DiskIndex`] and its cursors read.
+struct DiskState {
     meta: Meta,
     dict: Vec<DictEntry>,
     blocks: Vec<BlockMeta>,
@@ -71,7 +76,7 @@ impl DiskIndex {
         }
         check_num_docs(meta.num_docs, blocks.iter().map(|b| b.last_doc).max())?;
 
-        Ok(Self {
+        let state = Arc::new(DiskState {
             meta,
             dict,
             blocks,
@@ -79,23 +84,20 @@ impl DiskIndex {
             doc_file: File::open(dir.join("doc.bin"))?,
             io: IoStats::new(),
             model,
-        })
-    }
-
-    /// The latency model in effect.
-    pub fn model(&self) -> IoModel {
-        self.model
-    }
-
-    /// Replaces the latency model (e.g. to switch an opened index
-    /// between counting-only and SSD-simulation modes).
-    pub fn set_model(&mut self, model: IoModel) {
-        self.model = model;
+        });
+        Ok(Self { state })
     }
 
     /// Block size (postings per block-max block).
     pub fn block_size(&self) -> usize {
-        self.meta.block_size as usize
+        self.state.meta.block_size as usize
+    }
+}
+
+impl DiskState {
+    /// `term`'s dictionary entry (all zeros for unknown terms).
+    fn entry_or_empty(&self, term: TermId) -> DictEntry {
+        self.dict.get(term as usize).copied().unwrap_or_default()
     }
 
     fn entry(&self, term: TermId) -> Option<&DictEntry> {
@@ -146,35 +148,27 @@ fn check_num_docs(num_docs: u64, max_doc: Option<DocId>) -> io::Result<()> {
 
 impl Index for DiskIndex {
     fn num_docs(&self) -> u64 {
-        self.meta.num_docs
+        self.state.meta.num_docs
     }
 
     fn num_terms(&self) -> u32 {
-        self.meta.num_terms
+        self.state.meta.num_terms
     }
 
     fn doc_freq(&self, term: TermId) -> u64 {
-        self.dict.get(term as usize).map_or(0, |e| e.len)
+        self.state.entry_or_empty(term).len
     }
 
     fn max_score(&self, term: TermId) -> u32 {
-        self.dict.get(term as usize).map_or(0, |e| e.max_score)
+        self.state.entry_or_empty(term).max_score
     }
 
-    fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor + '_> {
-        Box::new(DiskScoreCursor::new(self, term))
+    fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor> {
+        Box::new(DiskScoreCursor::new(Arc::clone(&self.state), term))
     }
 
-    fn doc_cursor(&self, term: TermId) -> Box<dyn DocCursor + '_> {
-        Box::new(DiskDocCursor::new(self, term))
-    }
-
-    fn score_cursor_arc(self: Arc<Self>, term: TermId) -> Box<dyn ScoreCursor> {
-        Box::new(DiskScoreCursor::new(self, term))
-    }
-
-    fn doc_cursor_arc(self: Arc<Self>, term: TermId) -> Box<dyn DocCursor> {
-        Box::new(DiskDocCursor::new(self, term))
+    fn doc_cursor(&self, term: TermId) -> Box<dyn DocCursor> {
+        Box::new(DiskDocCursor::new(Arc::clone(&self.state), term))
     }
 
     fn random_access(&self) -> Option<&dyn RandomAccess> {
@@ -182,7 +176,7 @@ impl Index for DiskIndex {
     }
 
     fn io_stats(&self) -> Option<&IoStats> {
-        Some(&self.io)
+        Some(&self.state.io)
     }
 }
 
@@ -191,19 +185,20 @@ impl RandomAccess for DiskIndex {
     /// random block fetch, modelling the paper's secondary index (one
     /// I/O request and cache miss per access, §3.2).
     fn term_score(&self, term: TermId, doc: DocId) -> u32 {
-        let Some(e) = self.entry(term) else { return 0 };
-        let blocks = self.term_blocks(e);
+        let ix = &*self.state;
+        let Some(e) = ix.entry(term) else { return 0 };
+        let blocks = ix.term_blocks(e);
         let bi = blocks.partition_point(|b| b.last_doc < doc);
         if bi >= blocks.len() {
             return 0;
         }
-        let bs = self.meta.block_size as usize;
+        let bs = ix.meta.block_size as usize;
         let start = bi * bs;
         let count = (e.len as usize - start).min(bs);
         let mut buf = vec![0u8; count * 8];
-        if self
+        if ix
             .read_at(
-                &self.doc_file,
+                &ix.doc_file,
                 e.doc_off + (start * 8) as u64,
                 &mut buf,
                 false,
@@ -213,7 +208,7 @@ impl RandomAccess for DiskIndex {
             return 0;
         }
         let mut postings = Vec::new();
-        if !self.decode(&buf, &mut postings) {
+        if !ix.decode(&buf, &mut postings) {
             return 0;
         }
         match postings.binary_search_by_key(&doc, |p| p.doc) {
@@ -224,10 +219,8 @@ impl RandomAccess for DiskIndex {
 }
 
 /// Sequential score-order cursor reading [`IO_BLOCK_BYTES`] at a time.
-/// Generic over the index holder: `&DiskIndex` for borrowed cursors,
-/// `Arc<DiskIndex>` for owning cursors movable into `'static` jobs.
-struct DiskScoreCursor<R> {
-    ix: R,
+struct DiskScoreCursor {
+    ix: Arc<DiskState>,
     entry: DictEntry,
     buf: Vec<Posting>,
     /// Absolute posting index of `buf[0]`.
@@ -237,14 +230,9 @@ struct DiskScoreCursor<R> {
     bytes: Vec<u8>,
 }
 
-impl<R: Borrow<DiskIndex>> DiskScoreCursor<R> {
-    fn new(ix: R, term: TermId) -> Self {
-        let entry = ix
-            .borrow()
-            .dict
-            .get(term as usize)
-            .copied()
-            .unwrap_or_default();
+impl DiskScoreCursor {
+    fn new(ix: Arc<DiskState>, term: TermId) -> Self {
+        let entry = ix.entry_or_empty(term);
         Self {
             ix,
             entry,
@@ -262,7 +250,7 @@ impl<R: Borrow<DiskIndex>> DiskScoreCursor<R> {
         let count = ((self.entry.len - self.pos) * 8).min(IO_BLOCK_BYTES as u64) as usize;
         self.bytes.resize(count, 0);
         let off = self.entry.score_off + self.pos * 8;
-        let ix = self.ix.borrow();
+        let ix = &*self.ix;
         if ix
             .read_at(&ix.score_file, off, &mut self.bytes, true)
             .is_err()
@@ -275,7 +263,7 @@ impl<R: Borrow<DiskIndex>> DiskScoreCursor<R> {
     }
 }
 
-impl<R: Borrow<DiskIndex> + Send> ScoreCursor for DiskScoreCursor<R> {
+impl ScoreCursor for DiskScoreCursor {
     fn next(&mut self) -> Option<Posting> {
         if self.pos >= self.entry.len {
             return None;
@@ -290,19 +278,15 @@ impl<R: Borrow<DiskIndex> + Send> ScoreCursor for DiskScoreCursor<R> {
         Some(p)
     }
 
-    fn remaining(&self) -> u64 {
-        self.entry.len - self.pos
-    }
-
     fn len(&self) -> u64 {
         self.entry.len
     }
 }
 
 /// Doc-order cursor that loads one block-max block at a time, using
-/// the RAM block metadata for seeks and BMW-style block skips.
-struct DiskDocCursor<R> {
-    ix: R,
+/// the RAM block metadata for seeks and BMW-style block probes.
+struct DiskDocCursor {
+    ix: Arc<DiskState>,
     entry: DictEntry,
     /// Local (term-relative) index of the loaded block; usize::MAX if
     /// nothing is loaded yet.
@@ -317,14 +301,9 @@ struct DiskDocCursor<R> {
     bytes: Vec<u8>,
 }
 
-impl<R: Borrow<DiskIndex>> DiskDocCursor<R> {
-    fn new(ix: R, term: TermId) -> Self {
-        let entry = ix
-            .borrow()
-            .dict
-            .get(term as usize)
-            .copied()
-            .unwrap_or_default();
+impl DiskDocCursor {
+    fn new(ix: Arc<DiskState>, term: TermId) -> Self {
+        let entry = ix.entry_or_empty(term);
         let done = entry.len == 0;
         let mut c = Self {
             ix,
@@ -344,7 +323,7 @@ impl<R: Borrow<DiskIndex>> DiskDocCursor<R> {
 
     fn blocks(&self) -> &[BlockMeta] {
         let s = self.entry.block_off as usize;
-        &self.ix.borrow().blocks[s..s + self.entry.num_blocks as usize]
+        &self.ix.blocks[s..s + self.entry.num_blocks as usize]
     }
 
     fn load_block(&mut self, bi: usize) {
@@ -353,17 +332,15 @@ impl<R: Borrow<DiskIndex>> DiskDocCursor<R> {
             self.block.clear();
             return;
         }
-        let bs = self.ix.borrow().meta.block_size as usize;
+        let bs = self.ix.meta.block_size as usize;
         let start = bi * bs;
         let count = (self.entry.len as usize - start).min(bs);
         let off = self.entry.doc_off + (start * 8) as u64;
         self.bytes.resize(count * 8, 0);
         let seq = off == self.next_seq_off;
-        let ok = {
-            let ix = self.ix.borrow();
-            ix.read_at(&ix.doc_file, off, &mut self.bytes, seq).is_ok()
-                && ix.decode(&self.bytes, &mut self.block)
-        };
+        let ix = &*self.ix;
+        let ok = ix.read_at(&ix.doc_file, off, &mut self.bytes, seq).is_ok()
+            && ix.decode(&self.bytes, &mut self.block);
         if !ok {
             self.done = true;
             return;
@@ -374,7 +351,7 @@ impl<R: Borrow<DiskIndex>> DiskDocCursor<R> {
     }
 }
 
-impl<R: Borrow<DiskIndex> + Send> DocCursor for DiskDocCursor<R> {
+impl DocCursor for DiskDocCursor {
     fn doc(&self) -> Option<DocId> {
         if self.done {
             None
@@ -441,31 +418,6 @@ impl<R: Borrow<DiskIndex> + Send> DocCursor for DiskDocCursor<R> {
         let blocks = self.blocks();
         let bi = self.cur_block + blocks[self.cur_block..].partition_point(|b| b.last_doc < target);
         blocks.get(bi).map(|b| (b.last_doc, b.max_score))
-    }
-
-    fn block_max_score(&self) -> u32 {
-        if self.done {
-            0
-        } else {
-            self.blocks()[self.cur_block].max_score
-        }
-    }
-
-    fn block_last_doc(&self) -> Option<DocId> {
-        if self.done {
-            None
-        } else {
-            Some(self.blocks()[self.cur_block].last_doc)
-        }
-    }
-
-    fn skip_block(&mut self) -> Option<DocId> {
-        if self.done {
-            return None;
-        }
-        let next = self.cur_block + 1;
-        self.load_block(next);
-        self.doc()
     }
 
     fn max_score(&self) -> u32 {

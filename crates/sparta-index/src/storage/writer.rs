@@ -133,11 +133,6 @@ impl IndexWriter {
         Ok(())
     }
 
-    /// Convenience: appends postings given as raw `(doc, score)` pairs.
-    pub fn add_term_pairs(&mut self, pairs: &[(u32, u32)]) -> io::Result<()> {
-        self.add_term(pairs.iter().map(|&(d, s)| Posting::new(d, s)).collect())
-    }
-
     /// Flushes data files and writes the dictionary and metadata.
     /// Fails if fewer terms than declared were added.
     pub fn finish(mut self) -> io::Result<()> {

@@ -1,12 +1,13 @@
 //! Property tests for cursor semantics: `seek` must agree with a
 //! linear-scan reference, block metadata must bound its block, and
 //! random access must agree with the doc-ordered list, over arbitrary
-//! posting lists and block sizes — on both index backends.
+//! posting lists and block sizes — on both index backends. Plus every
+//! operation on an empty or unknown term, on all three backends.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sparta_index::storage::IndexWriter;
-use sparta_index::{DiskIndex, InMemoryIndex, Index, IoModel, Posting};
+use sparta_index::{CompressedIndex, DiskIndex, InMemoryIndex, Index, IoModel, Posting};
 
 fn arb_list() -> impl Strategy<Value = Vec<Posting>> {
     vec((0u32..2000, 1u32..100_000), 0..300).prop_map(|mut ps| {
@@ -63,8 +64,6 @@ proptest! {
             let chunk = &list[block * block_size..((block + 1) * block_size).min(list.len())];
             let want_last = chunk.last().unwrap().doc;
             let want_max = chunk.iter().map(|p| p.score).max().unwrap();
-            prop_assert_eq!(c.block_last_doc(), Some(want_last), "at doc {}", d);
-            prop_assert_eq!(c.block_max_score(), want_max);
             // block_at on the current doc describes the current block.
             prop_assert_eq!(c.block_at(d), Some((want_last, want_max)));
             c.advance();
@@ -111,4 +110,74 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// An empty list (term 1) and term ids at and past `num_terms` behave
+/// as empty lists under every cursor and random-access operation, on
+/// every backend — none panics. Compressed unknown terms share one
+/// empty list of block size 0, so an operation that divides by the
+/// block size before checking for exhaustion would panic here.
+#[test]
+fn empty_and_unknown_terms_are_safe_on_every_backend() {
+    let lists = vec![
+        (0..100u32).map(|d| Posting::new(d * 3, d + 1)).collect(),
+        Vec::new(),
+    ];
+    let dir = std::env::temp_dir().join(format!("sparta-cursor-empty-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut w = IndexWriter::create(&dir, 300, 2, 16).unwrap();
+    for l in &lists {
+        w.add_term(l.clone()).unwrap();
+    }
+    w.finish().unwrap();
+    let backends: [(&str, Box<dyn Index>); 3] = [
+        (
+            "raw",
+            Box::new(InMemoryIndex::with_block_size(lists.clone(), 300, 16)),
+        ),
+        (
+            "compressed",
+            Box::new(CompressedIndex::with_block_size(lists, 300, 16)),
+        ),
+        (
+            "disk",
+            Box::new(DiskIndex::open(&dir, IoModel::free()).unwrap()),
+        ),
+    ];
+    for (name, ix) in &backends {
+        for term in [1, 2, 7, u32::MAX] {
+            let ctx = format!("{name}, term {term}");
+            assert_eq!((ix.doc_freq(term), ix.max_score(term)), (0, 0), "{ctx}");
+
+            let mut sc = ix.score_cursor(term);
+            assert_eq!(sc.len(), 0, "{ctx}");
+            assert_eq!(sc.next(), None, "{ctx}");
+            let mut seg = vec![Posting::new(1, 1)];
+            assert_eq!(sc.next_segment(8, &mut seg), 0, "{ctx}");
+            assert!(seg.is_empty(), "{ctx}");
+            assert_eq!(sc.next(), None, "{ctx}");
+
+            let mut dc = ix.doc_cursor(term);
+            assert_eq!(dc.len(), 0, "{ctx}");
+            assert_eq!(
+                (dc.doc(), dc.score(), dc.max_score()),
+                (None, 0, 0),
+                "{ctx}"
+            );
+            for target in [0, 5, u32::MAX] {
+                assert_eq!(dc.block_at(target), None, "{ctx}");
+            }
+            assert_eq!(dc.advance(), None, "{ctx}");
+            assert_eq!(dc.seek(0), None, "{ctx}");
+            assert_eq!(dc.seek(u32::MAX), None, "{ctx}");
+            assert_eq!((dc.doc(), dc.score()), (None, 0), "{ctx}");
+
+            let ra = ix.random_access().unwrap();
+            for doc in [0, 3, u32::MAX] {
+                assert_eq!(ra.term_score(term, doc), 0, "{ctx}");
+            }
+            assert_eq!(ra.full_score(&[term, term], 3), 0, "{ctx}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -4,7 +4,7 @@
 //! workspace *claims* are correct in `// ordering:` comments. Modelled
 //! primitives ([`ModelAtomicU64`], [`ModelAtomicPtr`], [`ModelMutex`],
 //! [`ModelCondvar`]) route every access through a view-based
-//! operational semantics of C11 release/acquire ([`mem`]), and an
+//! operational semantics of C11 release/acquire (`mem`), and an
 //! exhaustive schedule explorer ([`Model::check`]) enumerates every
 //! interleaving *and every stale read the memory model permits*,
 //! asserting the model's invariants on each leaf. A failing

@@ -1,6 +1,6 @@
 //! The `DocBitset` first-wins claim
 //! (`sparta-collections/src/doc_bitset.rs`): pRA's "allow only the
-//! first [worker] to take effect" (§5.2.2) is one bit per document,
+//! first \[worker\] to take effect" (§5.2.2) is one bit per document,
 //! and a claim is `word.fetch_or(bit, Relaxed)` — the worker whose
 //! returned old value has the bit clear is the document's first.
 //!

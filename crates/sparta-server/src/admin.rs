@@ -4,9 +4,10 @@
 //! Routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition: admission counters
-//!   and high-water gauges ([`ServerSnapshot`]), the per-query stage
-//!   latency histograms ([`StageSnapshot`]), and — when the scheduler's
-//!   pool is instrumented — the aggregated executor snapshot.
+//!   and high-water gauges ([`sparta_obs::ServerSnapshot`]), the
+//!   per-query stage latency histograms
+//!   ([`sparta_obs::StageSnapshot`]), and — when the scheduler's pool
+//!   is instrumented — the aggregated executor snapshot.
 //! * `GET /healthz` — liveness: `200 ok` whenever the listener answers.
 //! * `GET /readyz` — readiness: `200` only between "accept loops are
 //!   live" and "shutdown/drain began"; `503` otherwise, so a load

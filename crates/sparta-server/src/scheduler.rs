@@ -20,7 +20,7 @@
 //! wait, queue wait, execution, and (recorded by the transport in
 //! [`complete`](BatchScheduler::complete)) response write plus
 //! end-to-end. Queries whose end-to-end time crosses the
-//! [`SlowLog`](crate::slowlog::SlowLog) threshold are captured with a
+//! [`SlowLog`] threshold are captured with a
 //! flight-recorder ring dump; a default-constructed scheduler
 //! instruments its pool with both [`ExecMetrics`] and a
 //! [`FlightRecorder`] so the admin plane has something to serve.

@@ -3,7 +3,7 @@
 //!
 //! One thread accepts connections; each connection gets a handler
 //! thread that reads framed requests and answers through the shared
-//! [`BatchScheduler`](crate::BatchScheduler). Shutdown is cooperative:
+//! [`BatchScheduler`]. Shutdown is cooperative:
 //! [`ServerHandle::shutdown`] raises a flag, pokes the accept loop(s)
 //! with a throwaway connection, and joins every thread — no detached
 //! threads survive, so the stall watchdog stays quiet after a test.

@@ -1,16 +1,14 @@
 //! The compressed posting backend as every algorithm sees it:
-//! property-based roundtrips over all three cursor traits, the
-//! quantized-bound admissibility guarantee, and the full algorithm
-//! matrix returning identical top-k results on raw vs compressed
-//! indexes of the same corpus.
+//! property-based roundtrips over all three cursor traits and the
+//! full algorithm matrix returning identical top-k results on raw vs
+//! compressed indexes of the same corpus.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sparta::index::compressed::MAX_BLOCK;
 use sparta::index::{
-    BoundMode, CompressedIndex, CompressedTermData, InMemoryIndex, Index, IndexBuilder, IndexKind,
-    Posting, ScoreQuantizer,
+    CompressedIndex, CompressedTermData, InMemoryIndex, Index, IndexBuilder, IndexKind, Posting,
 };
 use sparta::prelude::*;
 use std::sync::Arc;
@@ -143,10 +141,10 @@ proptest! {
         }
     }
 
-    // DocCursor: a mixed advance/seek/skip walk tracks the raw
+    // DocCursor: a mixed advance/seek/block-probe walk tracks the raw
     // cursor's docs, scores, and block-max metadata exactly.
     #[test]
-    fn doc_cursors_round_trip(lists in arb_lists(), ops in vec((0u8..4, 0u32..NUM_DOCS as u32), 0..60)) {
+    fn doc_cursors_round_trip(lists in arb_lists(), ops in vec((0u8..3, 0u32..NUM_DOCS as u32), 0..60)) {
         let raw = InMemoryIndex::with_block_size(lists.clone(), NUM_DOCS, 8);
         let comp = CompressedIndex::with_block_size(lists, NUM_DOCS, 8);
         for t in 0..raw.num_terms() {
@@ -157,14 +155,12 @@ proptest! {
                 match op {
                     0 => { prop_assert_eq!(a.advance(), b.advance()); }
                     1 => { prop_assert_eq!(a.seek(target), b.seek(target)); }
-                    2 => { prop_assert_eq!(a.skip_block(), b.skip_block()); }
                     _ => { prop_assert_eq!(a.block_at(target), b.block_at(target)); }
                 }
                 prop_assert_eq!(a.doc(), b.doc(), "term {}", t);
-                if a.doc().is_some() {
+                if let Some(d) = a.doc() {
                     prop_assert_eq!(a.score(), b.score(), "term {}", t);
-                    prop_assert_eq!(a.block_max_score(), b.block_max_score(), "term {}", t);
-                    prop_assert_eq!(a.block_last_doc(), b.block_last_doc(), "term {}", t);
+                    prop_assert_eq!(a.block_at(d), b.block_at(d), "term {}", t);
                 }
             }
         }
@@ -185,49 +181,11 @@ proptest! {
             .collect();
         assert_probes_agree(vec![list], block_size, probes.into_iter())?;
     }
-
-    // Quantization admissibility on arbitrary score ranges: the
-    // round-up u8 code never dequantizes below the input, and stays
-    // within one quantization step above it.
-    #[test]
-    fn quantizer_is_admissible(min in 0u32..3_000_000, span in 0u32..4_000_000, scores in vec(0.0f64..1.0, 1..40)) {
-        let q = ScoreQuantizer::fit(min, min.saturating_add(span));
-        for &x in &scores {
-            let s = min + (x * span as f64) as u32;
-            let back = q.dequantize(q.quantize_ceil(s));
-            prop_assert!(back >= s, "quantized bound {} below true score {}", back, s);
-            prop_assert!(
-                u64::from(back) <= u64::from(s) + u64::from(q.scale),
-                "bound {} looser than one step above {} (scale {})", back, s, q.scale
-            );
-        }
-    }
-
-    // Quantized block maxima are admissible *as served*: under
-    // `BoundMode::Quantized` every posting's block bound dominates its
-    // true score, and dominates the exact block max it summarizes.
-    #[test]
-    fn quantized_block_bounds_dominate_scores(lists in arb_lists()) {
-        let comp = CompressedIndex::with_block_size(lists.clone(), NUM_DOCS, 8)
-            .with_bound_mode(BoundMode::Quantized);
-        let exact = CompressedIndex::with_block_size(lists.clone(), NUM_DOCS, 8);
-        for (t, list) in lists.iter().enumerate() {
-            let quant = comp.doc_cursor(t as u32);
-            let tight = exact.doc_cursor(t as u32);
-            for p in list {
-                let (last_q, bound_q) = quant.block_at(p.doc).expect("member doc has a block");
-                let (last_e, bound_e) = tight.block_at(p.doc).expect("member doc has a block");
-                prop_assert_eq!(last_q, last_e, "block boundaries are mode-independent");
-                prop_assert!(bound_q >= p.score, "quantized bound {} < score {}", bound_q, p.score);
-                prop_assert!(bound_q >= bound_e, "quantized bound {} < exact max {}", bound_q, bound_e);
-            }
-        }
-    }
 }
 
 /// The full algorithm matrix on a real synthetic corpus: identical
-/// top-k doc ids AND scores on raw vs compressed (the default backend
-/// is bit-exact), recall@k == 1.0 against the oracle on both.
+/// top-k doc ids AND scores on raw vs compressed (the compressed
+/// backend is bit-exact), recall@k == 1.0 against the oracle on both.
 ///
 /// Both backends replay the *same seeded schedule* per query: with a
 /// free-running multi-thread executor, parallel algorithms break
@@ -263,39 +221,6 @@ fn full_matrix_raw_vs_compressed_equality() {
                 );
                 assert_eq!(oracle.recall(&b.docs()), 1.0, "{} recall@k", algo.name());
             }
-        }
-    }
-}
-
-/// Quantized bound mode stays exact for threshold algorithms: looser
-/// (but admissible) block maxima may change *work*, never the result
-/// set (scores are served losslessly from the codebook either way).
-#[test]
-fn quantized_bounds_preserve_recall() {
-    let corpus = sparta_testkit::build_corpus(92);
-    let builder = IndexBuilder::new(TfIdfScorer);
-    let raw: Arc<dyn Index> = Arc::from(builder.build_kind(&corpus, IndexKind::Raw));
-    let comp: Arc<dyn Index> = Arc::new(
-        builder
-            .build_compressed(&corpus)
-            .with_bound_mode(BoundMode::Quantized),
-    );
-    let k = 10;
-    let cfg = SearchConfig::exact(k);
-    let exec = DedicatedExecutor::new(2);
-    let log = QueryLog::generate(corpus.stats(), 2, 6, 23);
-    for q in log.of_length(4) {
-        let oracle = Oracle::compute(raw.as_ref(), q, k);
-        for name in ["sparta", "pbmw", "wand", "maxscore"] {
-            let algo = sparta::core::algorithm_by_name(name).unwrap();
-            let r = algo.search(&comp, q, &cfg, &exec);
-            assert_eq!(
-                oracle.recall(&r.docs()),
-                1.0,
-                "{name} recall under quantized bounds: got {:?}, want {:?}",
-                r.docs(),
-                oracle.topk()
-            );
         }
     }
 }

@@ -59,7 +59,7 @@ fn invert(bytes: &mut [u8]) {
 /// Byte ranges of one block's entry and planes in a one-term
 /// `compressed.bin` (partial edge bytes included).
 struct Block {
-    /// The 19-byte directory entry; it leads with `last_doc`.
+    /// The 18-byte directory entry; it leads with `last_doc`.
     entry: usize,
     /// Doc-ordered plane: the gaps, then the codebook indices.
     gaps: Range<usize>,
@@ -75,19 +75,26 @@ struct Block {
 fn blocks(file: &[u8], td: &CompressedTermData) -> Vec<Block> {
     let (idx_bits, raw_bits) = (file[28 + 8] as usize, file[28 + 9] as usize);
     let words_at = file.len() - td.footprint().posting_bytes as usize;
-    let dir_at = words_at - 4 - 19 * td.blocks().len();
+    let dir_at = words_at - 4 - 18 * td.blocks().len();
     let u32_at = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
     let bytes = |bit: usize, bits: usize| words_at + bit / 8..words_at + (bit + bits).div_ceil(8);
     (0..td.blocks().len())
         .map(|bi| {
-            let entry = dir_at + 19 * bi;
+            let entry = dir_at + 18 * bi;
+            let b = td.blocks()[bi];
+            let meta = (u32_at(entry), u32_at(entry + 4));
+            assert_eq!(
+                meta,
+                (b.last_doc as usize, b.max_score as usize),
+                "block {bi}"
+            );
             let n = (td.len() - bi * BLOCK).min(BLOCK);
-            let (doc_off, gap_bits) = (u32_at(entry + 9), file[entry + 13] as usize);
+            let (doc_off, gap_bits) = (u32_at(entry + 8), file[entry + 12] as usize);
             Block {
                 entry,
                 gaps: bytes(doc_off, n * gap_bits),
                 score_idx: bytes(doc_off + n * gap_bits, n * idx_bits),
-                raw_ids: bytes(u32_at(entry + 14), n * raw_bits),
+                raw_ids: bytes(u32_at(entry + 13), n * raw_bits),
             }
         })
         .collect()
