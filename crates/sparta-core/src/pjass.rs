@@ -20,7 +20,7 @@ use crate::config::SearchConfig;
 use crate::jass::posting_budget;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::shared_heap::SharedHeap;
-use crate::sparta::candidates::{until_fits, Candidates};
+use crate::sparta::candidates::{until_fits, Candidates, Segment};
 use crate::sparta::SlabRun;
 use crate::trace::TraceSink;
 use crate::Algorithm;
@@ -56,12 +56,13 @@ struct State {
 }
 
 /// One term's traversal as a recycled [`CyclicJob`] — each step is a
-/// segment; the same box re-enqueues until the list exhausts or the
-/// budget is spent.
+/// segment, fetched and resolved as Sparta's are; the same box
+/// re-enqueues until the list exhausts or the budget is spent.
 struct SegmentJob {
     state: Arc<State>,
     i: usize,
     cursor: Box<dyn ScoreCursor>,
+    seg: Segment,
     /// Slab record indices reserved for this list's admissions.
     run: SlabRun,
 }
@@ -80,17 +81,18 @@ impl CyclicJob for SegmentJob {
         let limit = state
             .budget
             .saturating_sub(before)
-            .min(state.cfg.seg_size as u64);
-        let mut exhausted = false;
+            .min(state.cfg.seg_size as u64) as usize;
+        let exhausted = self
+            .seg
+            .fetch(&mut *self.cursor, limit, |d| state.cands.find(d));
         let mut scanned = 0u64;
-        while scanned < limit && !state.cands.is_done() {
-            let Some(p) = self.cursor.next() else {
-                exhausted = true;
+        for (p, found) in self.seg.iter() {
+            if state.cands.is_done() {
                 break;
-            };
+            }
             scanned += 1;
             // Always allowed, so `None` means the run was abandoned.
-            let Some(h) = state.cands.admit(&mut self.run, p.doc, true) else {
+            let Some(h) = found.or_else(|| state.cands.admit(&mut self.run, p.doc, true)) else {
                 break;
             };
             let new_total = state.cands.slab.record(h).set_score(self.i, p.score);
@@ -129,10 +131,12 @@ fn run_once(
     {
         let _plan = state.spans.span(Phase::Plan);
         for (i, &t) in query.terms.iter().enumerate() {
+            let cursor = index.score_cursor(t);
             queue.push(Job::cyclic(SegmentJob {
                 state: Arc::clone(&state),
                 i,
-                cursor: index.score_cursor(t),
+                seg: Segment::new(cursor.as_ref(), cfg.seg_size),
+                cursor,
                 run: SlabRun::default(),
             }));
         }

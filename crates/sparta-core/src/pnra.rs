@@ -18,7 +18,7 @@
 
 use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
-use crate::sparta::candidates::{until_fits, Candidates};
+use crate::sparta::candidates::{until_fits, Candidates, Segment};
 use crate::sparta::{SharedUb, SlabRun, SpartaHeap, UbSnapshot};
 use crate::trace::TraceSink;
 use crate::Algorithm;
@@ -58,11 +58,13 @@ impl State {
 }
 
 /// One term's traversal as a recycled [`CyclicJob`] — each step is a
-/// segment; the same box re-enqueues until the list exhausts.
+/// segment, fetched and resolved as Sparta's are; the same box
+/// re-enqueues until the list exhausts.
 struct SegmentJob {
     state: Arc<State>,
     i: usize,
     cursor: Box<dyn ScoreCursor>,
+    seg: Segment,
     /// Slab record indices reserved for this list's admissions.
     run: SlabRun,
 }
@@ -75,22 +77,21 @@ impl CyclicJob for SegmentJob {
             return false;
         }
         let _seg_span = state.spans.span(Phase::TermProcess);
-        let mut exhausted = false;
+        let exhausted = self.seg.fetch(&mut *self.cursor, state.cfg.seg_size, |d| {
+            state.cands.find(d)
+        });
         let mut scanned = 0u64;
-        for _ in 0..state.cfg.seg_size {
+        for (p, found) in self.seg.iter() {
             if state.cands.is_done() {
                 break;
             }
-            let Some(p) = self.cursor.next() else {
-                exhausted = true;
-                break;
-            };
             scanned += 1;
             // Naïve: UB updated — and UBStop re-evaluated — on *every*
             // posting: the cache-miss storm Sparta's segment-lazy
             // updates avoid (§4.3).
             state.ub.set(i, p.score);
-            let Some(h) = state.cands.admit(&mut self.run, p.doc, !state.ub_stop()) else {
+            let allow = !state.ub_stop();
+            let Some(h) = found.or_else(|| state.cands.admit(&mut self.run, p.doc, allow)) else {
                 continue;
             };
             let sum = state.cands.slab.record(h).set_score(i, p.score);
@@ -195,6 +196,7 @@ fn run_once(
             queue.push(Job::cyclic(SegmentJob {
                 state: Arc::clone(&state),
                 i,
+                seg: Segment::new(cursor.as_ref(), cfg.seg_size),
                 cursor,
                 run: SlabRun::default(),
             }));

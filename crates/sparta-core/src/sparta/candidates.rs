@@ -5,11 +5,17 @@
 //! can still fill its 128-slot probe window; that admission abandons
 //! the run, and [`until_fits`] restarts at `max(2·cap, Σ df)`.
 //! Admission is allocation-free (`sparta-lint`'s `alloc` rule).
+//!
+//! Their segment jobs read a list a [`Segment`] at a time: one
+//! `next_segment` fetch, then a *resolve pass* that looks every posting
+//! up with loads only. The lookups are independent of one another, so
+//! their cache misses overlap; the per-posting pass that follows admits
+//! only the misses, in list order.
 
 use super::doc_slab::{DocHandle, DocSlab, SlabRun};
 use sparta_collections::{DocTable, Lookup};
 use sparta_corpus::types::{DocId, Query};
-use sparta_index::Index;
+use sparta_index::{Index, Posting, ScoreCursor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -62,6 +68,14 @@ impl Candidates {
         }
     }
 
+    /// `doc`'s record if it has been admitted. Loads only; the table is
+    /// insert-only, so a handle found here is what [`admit`](Self::admit)
+    /// would return.
+    #[inline]
+    pub(crate) fn find(&self, doc: DocId) -> Option<DocHandle> {
+        self.table.get(doc).map(DocHandle::from_index)
+    }
+
     /// Reports `run`'s admissions since its last flush: one shared RMW
     /// per segment.
     #[inline]
@@ -78,6 +92,56 @@ impl Candidates {
     /// Ends the run: the algorithm's own stop (Eq. 2, Δ, the p-budget).
     pub(crate) fn stop(&self) {
         self.done.store(true, Ordering::Release);
+    }
+}
+
+/// One segment job's scratch: its current segment's postings, and the
+/// record the resolve pass found for each. Made with the job box and
+/// refilled in place, so fetching and resolving allocate nothing.
+pub(crate) struct Segment {
+    postings: Vec<Posting>,
+    found: Vec<Option<DocHandle>>,
+}
+
+impl Segment {
+    /// Scratch for segments of up to `seg_size` postings of `cursor`'s
+    /// list — no larger than the list, whatever `seg_size` is.
+    pub(crate) fn new(cursor: &dyn ScoreCursor, seg_size: usize) -> Self {
+        let cap = usize::try_from(cursor.len()).map_or(seg_size, |len| len.min(seg_size));
+        Self {
+            // lint: allow(alloc): the job's scratch, once per job
+            postings: Vec::with_capacity(cap),
+            // lint: allow(alloc): the job's scratch, once per job
+            found: Vec::with_capacity(cap),
+        }
+    }
+
+    /// Fetches the next up to `n` postings from `cursor` and resolves
+    /// each through `lookup`, which must only load: a miss is left to
+    /// the caller's per-posting pass. Returns whether the list is
+    /// exhausted — a short delivery (the `next_segment` contract).
+    #[inline]
+    pub(crate) fn fetch(
+        &mut self,
+        cursor: &mut dyn ScoreCursor,
+        n: usize,
+        lookup: impl Fn(DocId) -> Option<DocHandle>,
+    ) -> bool {
+        let delivered = cursor.next_segment(n, &mut self.postings);
+        self.found.clear();
+        self.found
+            .extend(self.postings.iter().map(|p| lookup(p.doc)));
+        delivered < n
+    }
+
+    /// The segment's postings in list order, each with what the resolve
+    /// pass found.
+    #[inline]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Posting, Option<DocHandle>)> + '_ {
+        self.postings
+            .iter()
+            .copied()
+            .zip(self.found.iter().copied())
     }
 }
 
@@ -110,7 +174,84 @@ mod tests {
     use crate::sparta::Sparta;
     use crate::{Algorithm, SearchConfig};
     use sparta_exec::DedicatedExecutor;
-    use sparta_index::{InMemoryIndex, Posting};
+    use sparta_index::storage::IndexWriter;
+    use sparta_index::{CompressedIndex, DiskIndex, InMemoryIndex, IoModel};
+
+    /// Terms over docs `0..n`, term t holding `lens[t]` of them, with
+    /// scores spread wide enough that ties are rare.
+    fn lists(lens: &[u32], n: u32) -> Vec<Vec<Posting>> {
+        (0..lens.len() as u32)
+            .map(|t| {
+                (0..lens[t as usize])
+                    .map(|j| {
+                        let d = (j * 7 + t * 31) % n;
+                        let x = d.wrapping_mul(2654435761).wrapping_add(t * 193);
+                        Posting::new(d, x.wrapping_mul(2246822519) % 50_000 + 1)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Each algorithm that admits through [`Segment`] returns `want`'s
+    /// top-k over `ix` at 1 and 3 threads, with no job lost.
+    fn exact_at_one_and_three_threads(ix: &Arc<dyn Index>, cfg: SearchConfig, ctx: &str) {
+        let q = Query::new((0..ix.num_terms()).collect());
+        let want = Oracle::compute(ix.as_ref(), &q, cfg.k);
+        let algos: [&dyn Algorithm; 3] = [&Sparta, &PNra, &PJass];
+        for algo in algos {
+            for threads in [1, 3] {
+                let ctx = format!("{ctx}, {} t={threads}", algo.name());
+                let r = algo.search(ix, &q, &cfg, &DedicatedExecutor::new(threads));
+                assert_eq!(want.recall(&r.docs()), 1.0, "{ctx}: {:?}", r.docs());
+                assert_eq!(r.work.jobs_panicked, 0, "{ctx}");
+            }
+        }
+    }
+
+    /// Every list a multiple of the segment size: each job's last fetch
+    /// is empty, and that empty delivery alone ends the list.
+    #[test]
+    fn lists_ending_on_a_segment_boundary_stay_exact() {
+        let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(
+            lists(&[64, 192, 640], 1000),
+            1000,
+        ));
+        let cfg = SearchConfig::exact(10).with_seg_size(64).with_phi(128);
+        exact_at_one_and_three_threads(&ix, cfg, "seg 64");
+    }
+
+    /// `usize::MAX` is a valid segment size — one fetch reads a whole
+    /// list — on every backend. It once overflowed the raw cursor.
+    #[test]
+    fn one_segment_per_list_stays_exact_on_every_backend() {
+        let lists = lists(&[300, 900, 1500], 2000);
+        let dir = std::env::temp_dir().join(format!("sparta-core-seg-max-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut w = IndexWriter::create(&dir, 2000, lists.len() as u32, 64).unwrap();
+        for l in &lists {
+            w.add_term(l.clone()).unwrap();
+        }
+        w.finish().unwrap();
+        let disk = DiskIndex::open(&dir, IoModel::free()).unwrap();
+        // The reader keeps its files open.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let backends: [(&str, Arc<dyn Index>); 3] = [
+            (
+                "raw",
+                Arc::new(InMemoryIndex::from_term_postings(lists.clone(), 2000)),
+            ),
+            (
+                "compressed",
+                Arc::new(CompressedIndex::from_term_postings(lists, 2000)),
+            ),
+            ("disk", Arc::new(disk)),
+        ];
+        let cfg = SearchConfig::exact(10).with_seg_size(usize::MAX);
+        for (name, ix) in &backends {
+            exact_at_one_and_three_threads(ix, cfg, name);
+        }
+    }
 
     /// An honest index whose 160 ids all share one home slot of the
     /// first table a two-term query over them sizes — picked as

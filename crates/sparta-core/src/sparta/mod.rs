@@ -5,7 +5,10 @@
 //!
 //! 1. **Segmented traversal with lazy UB updates** — posting lists are
 //!    traversed in segments allocated through a job queue; the shared
-//!    `UB[i]` is written once per segment, not per posting.
+//!    `UB[i]` is written once per segment, not per posting. A segment
+//!    is fetched with one `next_segment` call and its records located
+//!    by a load-only resolve pass before any is scored
+//!    (`candidates::Segment`).
 //! 2. **A cleaner task** — once `UBStop` (Eq. 1) first holds, no new
 //!    document can enter the top-k, so the shared `docMap` stops
 //!    growing; a background task repeatedly rebuilds it without dead
@@ -49,7 +52,7 @@ use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use candidates::{until_fits, Candidates};
+use candidates::{until_fits, Candidates, Segment};
 use sparta_collections::{
     DocTable, FastBuildHasher, FastHashMap, FastHashSet, ShardedCounter, SwapCell,
 };
@@ -173,12 +176,13 @@ type TermMap = FastHashMap<DocId, DocHandle>;
 /// each step traverses one segment of term i's posting list; returning
 /// `true` re-enqueues this same box for the next segment (line 25), so
 /// steady-state traversal allocates no job boxes and the cursor /
-/// `termMap` state never moves between heap objects.
+/// `termMap` / segment scratch never moves between heap objects.
 struct SegmentJob {
     state: Arc<State>,
     queue: Arc<JobQueue>,
     i: usize,
     cursor: Box<dyn ScoreCursor>,
+    seg: Segment,
     term_map: Option<TermMap>,
     /// Slab record indices reserved for this list's admissions.
     run: SlabRun,
@@ -219,31 +223,34 @@ impl CyclicJob for SegmentJob {
             self.term_map = Some(local);
         }
 
+        // Line 15 for the whole segment: one fetch, and a resolve pass
+        // that locates every posting's record (lines 16–21) in the
+        // termMap or this snapshot's map with loads only.
+        let exhausted = self
+            .seg
+            .fetch(&mut *self.cursor, state.cfg.seg_size, |doc| {
+                match &self.term_map {
+                    Some(local) => local.get(&doc).copied(),
+                    None => map.table(cands).get(doc).map(DocHandle::from_index),
+                }
+            });
+        // Only the first map admits, and only when no termMap serves.
+        let admits = self.term_map.is_none() && matches!(*map, DocMap::Open);
         let mut last_score: Option<u32> = None;
-        let mut exhausted = false;
         let mut aborted = false;
         // Counted locally and flushed once per segment: a shared RMW
         // per posting is a cache-line transfer per posting.
         let mut scanned = 0u64;
-        for _ in 0..state.cfg.seg_size {
+        for (p, found) in self.seg.iter() {
             if state.cands.is_done() {
                 aborted = true; // line 14
                 break;
             }
-            let Some(p) = self.cursor.next() else {
-                exhausted = true;
-                break;
-            };
             scanned += 1;
             last_score = Some(p.score);
-            // Lines 16–21: locate (or, in the first map, admit) the
-            // document's record.
-            let d = match (&self.term_map, &*map) {
-                (Some(local), _) => local.get(&p.doc).copied(),
-                (None, DocMap::Open) => cands.admit(&mut self.run, p.doc, !ub_stop),
-                (None, DocMap::Rebuilt { table, .. }) => {
-                    table.get(p.doc).map(DocHandle::from_index)
-                }
+            let d = match found {
+                None if admits => cands.admit(&mut self.run, p.doc, !ub_stop),
+                found => found,
             };
             if let Some(h) = d {
                 let sum = cands.slab.record(h).set_score(i, p.score); // line 22
@@ -262,8 +269,9 @@ impl CyclicJob for SegmentJob {
             state.ub.set(i, s);
         }
         if exhausted {
-            // Nothing untraversed remains: the bound drops to zero (the
-            // pseudocode leaves list exhaustion implicit).
+            // A short segment ends the list: nothing untraversed
+            // remains, so the bound drops to zero (the pseudocode leaves
+            // list exhaustion implicit).
             state.ub.exhaust(i);
         }
         // Observe the map size every segment regardless of which branch
@@ -410,11 +418,13 @@ impl Algorithm for Sparta {
             {
                 let _plan = state.spans.span(Phase::Plan);
                 for (i, &t) in query.terms.iter().enumerate() {
+                    let cursor = index.score_cursor(t);
                     queue.push(Job::cyclic(SegmentJob {
                         state: Arc::clone(&state),
                         queue: Arc::clone(&queue),
                         i,
-                        cursor: index.score_cursor(t),
+                        seg: Segment::new(cursor.as_ref(), cfg.seg_size),
+                        cursor,
                         term_map: None,
                         run: SlabRun::default(),
                     }));
@@ -531,6 +541,33 @@ mod tests {
         for threads in [1, 3] {
             check_exact(400, 70, 10, threads, 5);
         }
+    }
+
+    /// A list that is a multiple of the segment size ends on an empty
+    /// fetch, and that fetch alone must zero the list's `UB[i]`.
+    #[test]
+    fn an_empty_final_segment_exhausts_the_bound() {
+        let ix = pseudo_index(256, 1, 29);
+        let cfg = SearchConfig::exact(10).with_seg_size(64);
+        let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg));
+        let cursor = ix.score_cursor(0);
+        let mut job = SegmentJob {
+            state: Arc::clone(&state),
+            queue: JobQueue::tagged(0),
+            i: 0,
+            seg: Segment::new(cursor.as_ref(), cfg.seg_size),
+            cursor,
+            term_map: None,
+            run: SlabRun::default(),
+        };
+        let mut steps = 1;
+        while job.run_step() {
+            assert_ne!(state.ub.get(0), 0, "zeroed before the list ended");
+            steps += 1;
+        }
+        assert_eq!(steps, 5, "four full segments, then the empty one");
+        assert_eq!(state.ub.get(0), 0);
+        assert_eq!(state.postings.get(), 256);
     }
 
     #[test]

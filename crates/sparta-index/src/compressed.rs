@@ -624,9 +624,8 @@ impl ScoreCursor for CompressedScoreCursor {
             }
             let i = self.pos - self.base;
             let take = (self.n - i).min(want - out.len());
-            for j in i..i + take {
-                out.push(Posting::new(self.docs[j], self.scores[j]));
-            }
+            let (docs, scores) = (&self.docs[i..i + take], &self.scores[i..i + take]);
+            out.extend(docs.iter().zip(scores).map(|(&d, &s)| Posting::new(d, s)));
             self.pos += take;
         }
         out.len()

@@ -19,10 +19,17 @@ pub trait ScoreCursor: Send {
         self.len() == 0
     }
 
-    /// Fills `out` with up to `n` postings (a segment). Returns the
-    /// number delivered. Sparta traverses lists in segments of
-    /// `segSize` (§4.2); delivering a whole segment per call amortizes
-    /// per-posting dispatch.
+    /// Replaces `out`'s contents with the next up to `n` postings (a
+    /// segment) and returns how many it delivered. Sparta, pNRA and
+    /// pJASS traverse lists in segments of `segSize` (§4.2); delivering
+    /// a whole segment per call amortizes per-posting dispatch.
+    ///
+    /// Contract: the deliveries concatenate to exactly what `next()`
+    /// would have returned from the same position, and the two may be
+    /// mixed freely. A delivery shorter than `n` happens only at the
+    /// end of the list, and every later call delivers 0 — so a short
+    /// delivery is how a caller learns the list is exhausted. Any `n`,
+    /// `usize::MAX` included, is valid.
     fn next_segment(&mut self, n: usize, out: &mut Vec<Posting>) -> usize {
         out.clear();
         for _ in 0..n {
@@ -126,10 +133,10 @@ impl ScoreCursor for SliceScoreCursor {
 
     fn next_segment(&mut self, n: usize, out: &mut Vec<Posting>) -> usize {
         out.clear();
-        let end = (self.pos + n).min(self.postings.len());
-        out.extend_from_slice(&self.postings[self.pos..end]);
-        let delivered = end - self.pos;
-        self.pos = end;
+        // `pos + n` would overflow for a huge `n`; the rest cannot.
+        let delivered = n.min(self.postings.len() - self.pos);
+        out.extend_from_slice(&self.postings[self.pos..self.pos + delivered]);
+        self.pos += delivered;
         delivered
     }
 }
@@ -164,5 +171,7 @@ mod tests {
         assert_eq!(c.next_segment(4, &mut seg), 4);
         assert_eq!(c.next_segment(4, &mut seg), 2, "final partial segment");
         assert_eq!(c.next_segment(4, &mut seg), 0);
+        // `pos + n` overflowed once a posting had been read.
+        assert_eq!(c.next_segment(usize::MAX, &mut seg), 0);
     }
 }

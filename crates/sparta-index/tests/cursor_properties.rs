@@ -2,12 +2,15 @@
 //! linear-scan reference, block metadata must bound its block, and
 //! random access must agree with the doc-ordered list, over arbitrary
 //! posting lists and block sizes — on both index backends. Plus every
-//! operation on an empty or unknown term, on all three backends.
+//! operation on an empty or unknown term, and the `next_segment`
+//! contract Sparta, pNRA and pJASS stop on, on all three backends.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use sparta_index::storage::reader::IO_BLOCK_BYTES;
 use sparta_index::storage::IndexWriter;
 use sparta_index::{CompressedIndex, DiskIndex, InMemoryIndex, Index, IoModel, Posting};
+use std::sync::OnceLock;
 
 fn arb_list() -> impl Strategy<Value = Vec<Posting>> {
     vec((0u32..2000, 1u32..100_000), 0..300).prop_map(|mut ps| {
@@ -123,28 +126,7 @@ fn empty_and_unknown_terms_are_safe_on_every_backend() {
         (0..100u32).map(|d| Posting::new(d * 3, d + 1)).collect(),
         Vec::new(),
     ];
-    let dir = std::env::temp_dir().join(format!("sparta-cursor-empty-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut w = IndexWriter::create(&dir, 300, 2, 16).unwrap();
-    for l in &lists {
-        w.add_term(l.clone()).unwrap();
-    }
-    w.finish().unwrap();
-    let backends: [(&str, Box<dyn Index>); 3] = [
-        (
-            "raw",
-            Box::new(InMemoryIndex::with_block_size(lists.clone(), 300, 16)),
-        ),
-        (
-            "compressed",
-            Box::new(CompressedIndex::with_block_size(lists, 300, 16)),
-        ),
-        (
-            "disk",
-            Box::new(DiskIndex::open(&dir, IoModel::free()).unwrap()),
-        ),
-    ];
-    for (name, ix) in &backends {
+    for (name, ix) in &every_backend(lists, 300, "empty") {
         for term in [1, 2, 7, u32::MAX] {
             let ctx = format!("{name}, term {term}");
             assert_eq!((ix.doc_freq(term), ix.max_score(term)), (0, 0), "{ctx}");
@@ -179,5 +161,136 @@ fn empty_and_unknown_terms_are_safe_on_every_backend() {
             assert_eq!(ra.full_score(&[term, term], 3), 0, "{ctx}");
         }
     }
+}
+
+/// The raw, compressed and disk backends over `lists` (term t holds
+/// `lists[t]`), block size 16. The disk reader keeps its files open,
+/// so its directory (named by `tag`) goes as soon as it is opened.
+fn every_backend(
+    lists: Vec<Vec<Posting>>,
+    num_docs: u64,
+    tag: &str,
+) -> Vec<(&'static str, Box<dyn Index>)> {
+    let dir = std::env::temp_dir().join(format!("sparta-cursor-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut w = IndexWriter::create(&dir, num_docs, lists.len() as u32, 16).unwrap();
+    for l in &lists {
+        w.add_term(l.clone()).unwrap();
+    }
+    w.finish().unwrap();
+    let disk = DiskIndex::open(&dir, IoModel::free()).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
+    let raw = InMemoryIndex::with_block_size(lists.clone(), num_docs, 16);
+    let compressed = CompressedIndex::with_block_size(lists, num_docs, 16);
+    vec![
+        ("raw", Box::new(raw)),
+        ("compressed", Box::new(compressed)),
+        ("disk", Box::new(disk)),
+    ]
+}
+
+/// Segment sizes the `next_segment` contract is checked at.
+const SEG_SIZES: [usize; 4] = [1, 7, 64, 1024];
+
+/// The list lengths at which a segment boundary can go wrong for some
+/// size in [`SEG_SIZES`] — 0, 1, n − 1, n, n + 1 and 3n — plus one that
+/// crosses a disk read.
+fn boundary_lengths() -> Vec<usize> {
+    let mut lens: Vec<usize> = SEG_SIZES
+        .iter()
+        .flat_map(|&n| [0, 1, n - 1, n, n + 1, 3 * n])
+        .chain([IO_BLOCK_BYTES / 8 + 1])
+        .collect();
+    lens.sort_unstable();
+    lens.dedup();
+    lens
+}
+
+/// [`every_backend`] over one list per [`boundary_lengths`] entry
+/// (term t holds the t-th), built once for all segment tests.
+fn segment_backends() -> &'static [(&'static str, Box<dyn Index>)] {
+    static BACKENDS: OnceLock<Vec<(&'static str, Box<dyn Index>)>> = OnceLock::new();
+    BACKENDS.get_or_init(|| {
+        let lists = boundary_lengths()
+            .into_iter()
+            .map(|len| {
+                (0..len as u32)
+                    .map(|d| Posting::new(d * 3, d * 7919 % 10_007 + 1))
+                    .collect()
+            })
+            .collect();
+        every_backend(lists, 3 * IO_BLOCK_BYTES as u64, "seg")
+    })
+}
+
+/// What `next()` yields for `term` from a fresh cursor.
+fn next_sequence(ix: &dyn Index, term: u32) -> Vec<Posting> {
+    let mut c = ix.score_cursor(term);
+    std::iter::from_fn(|| c.next()).collect()
+}
+
+/// Deliveries of n at a time concatenate to the `next()` sequence, only
+/// the last is short, and every later call delivers nothing — what a
+/// segment job takes for the end of its list. `usize::MAX` is a valid
+/// n: it once overflowed the raw cursor's `pos + n`.
+#[test]
+fn segments_concatenate_to_the_next_sequence_on_every_backend() {
+    let lens = boundary_lengths();
+    for (name, ix) in segment_backends() {
+        for n in SEG_SIZES.into_iter().chain([usize::MAX]) {
+            for (term, &len) in lens.iter().enumerate() {
+                let ctx = format!("{name}, n {n}, len {len}");
+                let want = next_sequence(ix.as_ref(), term as u32);
+                assert_eq!(want.len(), len, "{ctx}");
+                let mut c = ix.score_cursor(term as u32);
+                let (mut got, mut seg) = (Vec::new(), Vec::new());
+                loop {
+                    let delivered = c.next_segment(n, &mut seg);
+                    assert_eq!(delivered, seg.len(), "{ctx}");
+                    got.extend_from_slice(&seg);
+                    assert!(got.len() <= len, "{ctx}: delivered past the end");
+                    if delivered < n {
+                        break;
+                    }
+                }
+                assert_eq!(got, want, "{ctx}");
+                for _ in 0..2 {
+                    assert_eq!(c.next_segment(n, &mut seg), 0, "{ctx}");
+                    assert!(seg.is_empty(), "{ctx}");
+                }
+                assert_eq!(c.next(), None, "{ctx}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    // `next()` and `next_segment` of any size (0 and `usize::MAX`
+    // included), mixed in any order, read from one position.
+    #[test]
+    fn next_and_next_segment_share_one_position(
+        term in 0usize..64,
+        ops in vec((0u8..3, 0usize..1100), 0..40)
+    ) {
+        let term = (term % boundary_lengths().len()) as u32;
+        for (name, ix) in segment_backends() {
+            let want = next_sequence(ix.as_ref(), term);
+            let mut c = ix.score_cursor(term);
+            let (mut pos, mut seg) = (0usize, Vec::new());
+            for &(kind, x) in &ops {
+                if kind == 0 {
+                    prop_assert_eq!(c.next(), want.get(pos).copied(), "{} next at {}", name, pos);
+                    pos = (pos + 1).min(want.len());
+                    continue;
+                }
+                let n = if kind == 1 { x } else { usize::MAX };
+                let end = pos + n.min(want.len() - pos);
+                prop_assert_eq!(c.next_segment(n, &mut seg), end - pos, "{} at {}", name, pos);
+                prop_assert_eq!(&seg[..], &want[pos..end], "{} at {}", name, pos);
+                pos = end;
+            }
+        }
+    }
 }
