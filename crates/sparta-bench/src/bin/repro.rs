@@ -995,6 +995,20 @@ fn guard_against(path: &str, cells: &[GuardCell], keys: &[&str], write: bool) {
         println!("{path}: baseline written ({} cells)", cells.len());
         return;
     }
+    if drifted_from(path, cells, keys) {
+        eprintln!(
+            "perf guard FAILED; if the change is intentional, regenerate with \
+             `repro --perf-guard {path} --write` (or --perf-guard-compressed)"
+        );
+        std::process::exit(1);
+    }
+    println!("perf guard ok ({} cells)", cells.len());
+}
+
+/// Compares `keys` of every cell (plus its own extra counters) with the
+/// baseline at `path`, printing each comparison. Returns whether any
+/// counter drifted.
+fn drifted_from(path: &str, cells: &[GuardCell], keys: &[&str]) -> bool {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
     let doc = sparta_obs::json::parse(&text).expect("baseline parses");
@@ -1014,21 +1028,14 @@ fn guard_against(path: &str, cells: &[GuardCell], keys: &[&str], write: bool) {
             let got = cell.get(key);
             let want = b.get(key).and_then(|v| v.as_f64()).unwrap_or(-1.0);
             if want != got as f64 {
-                eprintln!("{name}: {key} drifted — baseline {want}, measured {got}");
+                eprintln!("{name}: {key} drifted — {path} has {want}, measured {got}");
                 drifted = true;
             } else {
-                println!("{name}: {key} = {got} (matches baseline)");
+                println!("{name}: {key} = {got} (matches {path})");
             }
         }
     }
-    if drifted {
-        eprintln!(
-            "perf guard FAILED; if the change is intentional, regenerate with \
-             `repro --perf-guard {path} --write` (or --perf-guard-compressed)"
-        );
-        std::process::exit(1);
-    }
-    println!("perf guard ok ({} cells)", cells.len());
+    drifted
 }
 
 /// `--perf-guard <baseline> [--write]`: replays the pinned
@@ -1049,11 +1056,18 @@ fn perf_guard(path: &str, kind: IndexKind, write: bool) {
 }
 
 /// Beyond the equality check against its own baseline, the compressed
-/// guard asserts the backend actually exercises its machinery: every
+/// guard asserts the backend is bit-exact and actually exercises its
+/// machinery: the work counters the raw guard pins (postings, heap
+/// updates, pRA's random accesses) equal the raw baseline's, every
 /// algorithm decodes blocks, pBMW's block-max pruning still skips
 /// block groups, and pRA's probes stay point lookups that decode no
 /// block.
 fn check_compressed_machinery(cells: &[GuardCell]) {
+    let raw = "BENCH_perf_guard.json";
+    assert!(
+        !drifted_from(raw, cells, &["postings_scanned", "heap_updates"]),
+        "the compressed run's work counters differ from the raw baseline {raw}"
+    );
     for c in cells {
         assert!(
             c.blocks_decoded > 0,

@@ -9,6 +9,16 @@
 //! Instead, all workers check the UBStop condition, monitor the time
 //! elapsed since the last heap update and notify each other if they
 //! decide to stop."
+//!
+//! Each term's job reads its list a batch at a time, a batch ending on
+//! the next block boundary of the list. It claims every doc of the
+//! batch, probes each other term once over the claimed docs in
+//! ascending id order ([`RandomAccess::term_scores`]), then replays UB
+//! updates, offers and stop checks in posting order, so the scan stops
+//! on the posting the per-posting loop would stop on. Every claimed doc
+//! is offered, even past a stop: the claim keeps every other worker
+//! from scoring it. Docs claimed past a stop are the only extra work,
+//! counted in `random_accesses`.
 
 use crate::config::SearchConfig;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
@@ -17,9 +27,9 @@ use crate::sparta::SharedUb;
 use crate::trace::TraceSink;
 use crate::Algorithm;
 use sparta_collections::{DocBitset, ShardedCounter};
-use sparta_corpus::types::Query;
+use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
-use sparta_index::{Index, ScoreCursor};
+use sparta_index::{Index, Posting, RandomAccess, ScoreCursor, DEFAULT_BLOCK_SIZE};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,58 +79,137 @@ impl State {
     }
 }
 
-/// One term's traversal as a recycled [`CyclicJob`], a segment a step.
+/// One term's traversal as a recycled [`CyclicJob`], a segment a step,
+/// fetched and scored a batch at a time.
 struct TermJob {
     state: Arc<State>,
     i: usize,
     cursor: Box<dyn ScoreCursor>,
+    /// Postings fetched from `cursor` so far (its list position).
+    pos: usize,
+    batch: Batch,
+}
+
+/// A batch's scratch, kept in the recycled job so steps do not
+/// allocate.
+struct Batch {
+    /// The postings, in score order.
+    postings: Vec<Posting>,
+    /// Full score per posting; `None` where another worker claimed the
+    /// doc first.
+    full: Vec<Option<u64>>,
+    /// The docs this job claimed, as `(doc, index in postings)`,
+    /// ascending by doc.
+    claimed: Vec<(DocId, usize)>,
+    /// `claimed`'s docs alone: the batched probe's input.
+    docs: Vec<DocId>,
+    /// One other term's scores for `docs`.
+    scores: Vec<u32>,
+}
+
+impl Batch {
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            postings: Vec::with_capacity(n),
+            full: Vec::with_capacity(n),
+            claimed: Vec::with_capacity(n),
+            docs: Vec::with_capacity(n),
+            scores: Vec::with_capacity(n),
+        }
+    }
+
+    /// Claims every doc of the batch (first wins, one `fetch_or` each)
+    /// and gives each claimed doc its full score: one `term_scores` call
+    /// per other term over the claimed docs in ascending id order.
+    /// Returns the random accesses made, m − 1 per claimed doc.
+    fn claim_and_score(&mut self, state: &State, i: usize, ra: &dyn RandomAccess) -> u64 {
+        self.full.clear();
+        self.claimed.clear();
+        for (k, p) in self.postings.iter().enumerate() {
+            let won = state.seen.claim(p.doc);
+            self.full.push(won.then_some(u64::from(p.score)));
+            if won {
+                self.claimed.push((p.doc, k));
+            }
+        }
+        self.claimed.sort_unstable();
+        self.docs.clear();
+        self.docs.extend(self.claimed.iter().map(|&(doc, _)| doc));
+        self.scores.resize(self.docs.len(), 0);
+        for (j, &t) in state.terms.iter().enumerate() {
+            if j == i {
+                continue;
+            }
+            ra.term_scores(t, &self.docs, &mut self.scores);
+            for (&(_, k), &s) in self.claimed.iter().zip(&self.scores) {
+                if let Some(full) = &mut self.full[k] {
+                    *full += u64::from(s);
+                }
+            }
+        }
+        (self.docs.len() * (state.terms.len() - 1)) as u64
+    }
+
+    /// Replays the batch in posting order with the per-posting loop's
+    /// decisions: UB update, offer, stop check. A stop ends the scan,
+    /// but every doc this job claimed is still offered, because no
+    /// other worker will score it. Returns the postings scanned: those
+    /// before the stop.
+    fn replay(&self, state: &State, i: usize, stored_ub: &mut u64) -> u64 {
+        let (mut scanned, mut stopped) = (0, false);
+        for (k, (p, full)) in self.postings.iter().zip(&self.full).enumerate() {
+            // The first posting's stop check is the one before the fetch.
+            stopped = stopped || (k > 0 && state.is_done());
+            if !stopped {
+                scanned += 1;
+                // RA updates UB per posting (stopping detection is the
+                // cheap part of RA). Storing the value already there
+                // would still invalidate the line every worker reads in
+                // `check_stop`, and score-ordered lists repeat scores in
+                // runs.
+                if u64::from(p.score) != *stored_ub {
+                    state.ub.set(i, p.score);
+                    *stored_ub = u64::from(p.score);
+                }
+            }
+            if let Some(full) = *full {
+                state.heap.offer(full, p.doc, &state.trace);
+            }
+            if !stopped {
+                state.check_stop();
+            }
+        }
+        scanned
+    }
 }
 
 impl CyclicJob for TermJob {
     fn run_step(&mut self) -> bool {
-        let (state, i) = (&self.state, self.i);
-        if state.is_done() {
-            return false;
-        }
+        let (state, i) = (&*self.state, self.i);
         let ra = state
             .index
             .random_access()
             .expect("pRA requires a secondary index");
-        let mut exhausted = false;
         // Only this term's job writes UB[i], so the value read here
         // stays the stored one for the whole segment.
         let mut stored_ub = state.ub.get(i);
         let (mut postings, mut randoms) = (0u64, 0u64);
-        for _ in 0..state.cfg.seg_size {
-            if state.is_done() {
+        let (mut left, mut exhausted) = (state.cfg.seg_size, false);
+        while left > 0 && !state.is_done() {
+            // A batch ends on a block boundary of the list, so the
+            // compressed cursor decodes no block past the one the scan
+            // stops in.
+            let want = left.min(DEFAULT_BLOCK_SIZE - self.pos % DEFAULT_BLOCK_SIZE);
+            let got = self.cursor.next_segment(want, &mut self.batch.postings);
+            self.pos += got;
+            left -= got;
+            randoms += self.batch.claim_and_score(state, i, ra);
+            postings += self.batch.replay(state, i, &mut stored_ub);
+            if got < want {
+                // The list ended here, unless a stop came first.
+                exhausted = !state.is_done();
                 break;
             }
-            let Some(p) = self.cursor.next() else {
-                exhausted = true;
-                break;
-            };
-            postings += 1;
-            // RA updates UB per posting (stopping detection is the cheap
-            // part of RA). Storing the value already there would still
-            // invalidate the line every worker reads in `check_stop`, and
-            // score-ordered lists repeat scores in runs.
-            if u64::from(p.score) != stored_ub {
-                state.ub.set(i, p.score);
-                stored_ub = u64::from(p.score);
-            }
-            // First-wins claim (one `fetch_or`): the one first worker
-            // computes the full score via random access.
-            if state.seen.claim(p.doc) {
-                let mut full = u64::from(p.score);
-                for (j, &t) in state.terms.iter().enumerate() {
-                    if j != i {
-                        full += u64::from(ra.term_score(t, p.doc));
-                        randoms += 1;
-                    }
-                }
-                state.heap.offer(full, p.doc, &state.trace);
-            }
-            state.check_stop();
         }
         // One flush per segment, not one shared RMW per posting and probe.
         state.postings.add(postings);
@@ -175,6 +264,8 @@ impl Algorithm for PRa {
                 state: Arc::clone(&state),
                 i,
                 cursor: index.score_cursor(t),
+                pos: 0,
+                batch: Batch::with_capacity(DEFAULT_BLOCK_SIZE),
             }));
         }
         exec.run(Arc::clone(&queue));

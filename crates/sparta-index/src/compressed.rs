@@ -44,6 +44,13 @@
 //! (`blocks_decoded`, `compressed_bytes`). A random-access probe
 //! decodes no block: it walks one block's gap plane in place and is
 //! counted as a random access (`random_accesses`, `bytes_read`).
+//!
+//! A batched probe ([`RandomAccess::term_scores`]) takes docs in
+//! ascending order. It gallops forward over `BlockMeta::last_doc` from
+//! the previous doc's block and runs the same in-block walk per doc.
+//! Its accounting is the per-doc path's: one probe and the same bytes
+//! per doc that lies within the list, flushed once per call. pRA
+//! offers every doc it claimed for such a batch, stop or no stop.
 
 use crate::cursor::{DocCursor, RandomAccess, ScoreCursor};
 use crate::posting::{self, BlockMeta, Posting, DEFAULT_BLOCK_SIZE};
@@ -390,16 +397,57 @@ impl CompressedTermData {
 
     /// Point lookup: the score of `doc` (0 if the list skips it) and
     /// the packed bytes touched, or `None` when `doc` lies past the
-    /// list's last posting. Scratch-free: walks only the gap plane of
-    /// the one block that can hold `doc`, keeping a running doc id,
-    /// from whichever end of the block is nearer in doc-id space —
-    /// forward from the previous block's `last_doc`, or backward from
-    /// the block's own — and on a hit reads the single codebook index.
-    /// Wrapping and clamped like the block decoders: corrupt planes
-    /// yield wrong scores, never a panic.
+    /// list's last posting.
     fn probe(&self, doc: DocId) -> Option<(u32, u64)> {
         let bi = self.blocks.partition_point(|b| b.last_doc < doc);
-        let hi = self.blocks.get(bi)?.last_doc;
+        (bi < self.blocks.len()).then(|| self.probe_in(bi, doc))
+    }
+
+    /// Batched lookup over ascending `docs`: writes each score to
+    /// `out` and returns `(probes, bytes)`, the totals [`Self::probe`]
+    /// reports over the same docs (those past the last posting score 0
+    /// and are not probes). The block search gallops forward from the
+    /// previous doc's block instead of starting over per doc.
+    fn probe_ascending(&self, docs: &[DocId], out: &mut [u32]) -> (u64, u64) {
+        debug_assert!(docs.is_sorted());
+        let (mut bi, mut probes, mut bytes) = (0, 0, 0);
+        for (o, &doc) in out.iter_mut().zip(docs) {
+            bi = self.gallop(bi, doc);
+            *o = 0;
+            if bi < self.blocks.len() {
+                let (score, b) = self.probe_in(bi, doc);
+                (*o, probes, bytes) = (score, probes + 1, bytes + b);
+            }
+        }
+        (probes, bytes)
+    }
+
+    /// The first block at or after `from` whose `last_doc` is at least
+    /// `doc` (`blocks.len()` if none), found by galloping: it tests
+    /// blocks `from`, `from + 1`, `from + 3`, `from + 7`, … and then
+    /// binary-searches the last gap, so a block `d` ahead costs
+    /// O(log d) rather than a search over the whole directory.
+    fn gallop(&self, from: usize, doc: DocId) -> usize {
+        let rest = &self.blocks[from..];
+        let mut step = 1;
+        while step <= rest.len() && rest[step - 1].last_doc < doc {
+            step *= 2;
+        }
+        let lo = step / 2;
+        from + lo + rest[lo..step.min(rest.len())].partition_point(|b| b.last_doc < doc)
+    }
+
+    /// The lookup of `doc` in block `bi`, the first block whose
+    /// `last_doc` is at least `doc`: its score (0 if the list skips it)
+    /// and the packed bytes touched. Scratch-free: walks only the
+    /// block's gap plane, keeping a running doc id, from whichever end
+    /// of the block is nearer in doc-id space — forward from the
+    /// previous block's `last_doc`, or backward from the block's own —
+    /// and on a hit reads the single codebook index. Wrapping and
+    /// clamped like the block decoders: corrupt planes yield wrong
+    /// scores, never a panic.
+    fn probe_in(&self, bi: usize, doc: DocId) -> (u32, u64) {
+        let hi = self.blocks[bi].last_doc;
         let n = self.block_len(bi);
         let m = self.doc_meta[bi];
         let (off, gap_bits) = (m.off as usize, u32::from(m.bits));
@@ -434,7 +482,7 @@ impl CompressedTermData {
             score = self.dict[idx.min(self.dict.len() - 1)];
             bits += sidx_bits as usize;
         }
-        Some((score, bits.div_ceil(8) as u64))
+        (score, bits.div_ceil(8) as u64)
     }
 
     /// In-memory footprint of the compressed representation.
@@ -824,6 +872,20 @@ impl RandomAccess for CompressedIndex {
         self.io.record_random(bytes);
         score
     }
+
+    /// One forward walk over the term's blocks for the whole batch, and
+    /// one counter flush at the per-document totals.
+    fn term_scores(&self, term: TermId, docs: &[DocId], out: &mut [u32]) {
+        debug_assert_eq!(docs.len(), out.len());
+        let Some(td) = self.term_data(term) else {
+            out.fill(0);
+            return;
+        };
+        let (probes, bytes) = td.probe_ascending(docs, out);
+        if probes > 0 {
+            self.io.record_randoms(probes, bytes);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -992,6 +1054,24 @@ mod tests {
                     comp.term_score(t, d),
                     "term {t} doc {d}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_matches_partition_point() {
+        for len in [0, 1, 2, 64, 65, 1000] {
+            let td = CompressedTermData::from_postings(sample_postings(len as u64, len, 4_000), 8);
+            let blocks = td.blocks();
+            for from in 0..=blocks.len() {
+                for doc in (0..4_010).step_by(37) {
+                    let want = from + blocks[from..].partition_point(|b| b.last_doc < doc);
+                    assert_eq!(
+                        td.gallop(from, doc),
+                        want,
+                        "len {len} from {from} doc {doc}"
+                    );
+                }
             }
         }
     }

@@ -86,19 +86,37 @@ pub trait DocCursor: Send {
 
 /// Random access to term scores by document id, backed by a secondary
 /// index (§3.2 RA: "given a document id, we can use random access in
-/// order to obtain all its term scores"). Costly by design: each call
+/// order to obtain all its term scores"). Costly by design: each probe
 /// models an I/O request plus cache miss on disk-resident indexes.
+///
+/// Two probes: one document, or a batch of documents in ascending id
+/// order. pRA claims a score-ordered batch of postings, sorts the
+/// claimed documents by id and makes one [`term_scores`] call per other
+/// query term, so a backend can walk each list forward once instead of
+/// searching it from the top per document. pRA then offers every claimed
+/// document to its heap, even those past a stop in mid-batch: a claim
+/// means no other worker will score the document.
+///
+/// [`term_scores`]: RandomAccess::term_scores
 pub trait RandomAccess: Send + Sync {
     /// The term score `ts(doc, term)`, or 0 when the document does not
     /// contain the term.
     fn term_score(&self, term: TermId, doc: DocId) -> u32;
 
-    /// Full document score for a set of terms: `Σᵢ ts(doc, tᵢ)`.
-    fn full_score(&self, terms: &[TermId], doc: DocId) -> u64 {
-        terms
-            .iter()
-            .map(|&t| u64::from(self.term_score(t, doc)))
-            .sum()
+    /// Writes `ts(docs[i], term)` to `out[i]`: exactly what
+    /// [`term_score`](Self::term_score) returns for each document.
+    ///
+    /// Contract: `docs` is ascending and `out` is as long as `docs`.
+    /// Accounting is the per-document path's: a backend that counts
+    /// probes in [`crate::IoStats`] adds the same `random_accesses` and
+    /// `bytes_read` as one `term_score` call per document would. The
+    /// default makes those calls, so the disk backend keeps one read and
+    /// one latency charge per probe.
+    fn term_scores(&self, term: TermId, docs: &[DocId], out: &mut [u32]) {
+        debug_assert_eq!(docs.len(), out.len());
+        for (o, &doc) in out.iter_mut().zip(docs) {
+            *o = self.term_score(term, doc);
+        }
     }
 }
 

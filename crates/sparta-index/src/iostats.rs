@@ -102,7 +102,14 @@ impl IoStats {
     /// Records a random access of `bytes` bytes.
     #[inline]
     pub fn record_random(&self, bytes: u64) {
-        self.random_accesses.incr();
+        self.record_randoms(1, bytes);
+    }
+
+    /// Records `n` random accesses of `bytes` bytes in total: one flush
+    /// for a batch of probes.
+    #[inline]
+    pub fn record_randoms(&self, n: u64, bytes: u64) {
+        self.random_accesses.add(n);
         self.bytes_read.add(bytes);
     }
 
@@ -175,6 +182,8 @@ mod tests {
         s.record_seq(65536);
         s.record_random(8);
         assert_eq!(s.snapshot(), (2, 1, 131080));
+        s.record_randoms(3, 20);
+        assert_eq!(s.snapshot(), (2, 4, 131100));
         s.reset();
         assert_eq!(s.snapshot(), (0, 0, 0));
     }

@@ -2,8 +2,10 @@
 //! linear-scan reference, block metadata must bound its block, and
 //! random access must agree with the doc-ordered list, over arbitrary
 //! posting lists and block sizes — on both index backends. Plus every
-//! operation on an empty or unknown term, and the `next_segment`
-//! contract Sparta, pNRA and pJASS stop on, on all three backends.
+//! operation on an empty or unknown term, the `next_segment` contract
+//! Sparta, pNRA and pJASS stop on, and pRA's batched probe
+//! (`term_scores` is `term_score` per doc, at the same I/O accounting),
+//! on all three backends.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -158,7 +160,9 @@ fn empty_and_unknown_terms_are_safe_on_every_backend() {
             for doc in [0, 3, u32::MAX] {
                 assert_eq!(ra.term_score(term, doc), 0, "{ctx}");
             }
-            assert_eq!(ra.full_score(&[term, term], 3), 0, "{ctx}");
+            let mut out = [7; 3];
+            ra.term_scores(term, &[0, 3, u32::MAX], &mut out);
+            assert_eq!(out, [0; 3], "{ctx}");
         }
     }
 }
@@ -264,8 +268,71 @@ fn segments_concatenate_to_the_next_sequence_on_every_backend() {
     }
 }
 
+/// Probes ascending `docs` on `term` both ways — one `term_scores` call
+/// and one `term_score` per doc — and checks that the scores agree and,
+/// on a backend that counts probes, that both paths add the same
+/// `random_accesses` and `bytes_read`.
+fn assert_batch_matches_points(name: &str, ix: &dyn Index, term: u32, docs: &[u32]) {
+    let ctx = format!("{name}, term {term}, {} docs", docs.len());
+    let ra = ix.random_access().unwrap();
+    let io = || ix.io_stats().map(|s| (s.random_accesses(), s.bytes_read()));
+    let before = io();
+    let want: Vec<u32> = docs.iter().map(|&d| ra.term_score(term, d)).collect();
+    let between = io();
+    let mut got = vec![u32::MAX; docs.len()];
+    ra.term_scores(term, docs, &mut got);
+    let after = io();
+    assert_eq!(got, want, "{ctx}");
+    if let (Some(b), Some(m), Some(a)) = (before, between, after) {
+        assert_eq!((m.0 - b.0, m.1 - b.1), (a.0 - m.0, a.1 - m.1), "{ctx}: I/O");
+    }
+}
+
+/// `term_scores` is `term_score` per doc on every backend: on unknown
+/// terms and an empty list, for docs before the first and past the last
+/// posting, on the first and last doc of every block, on every doc of a
+/// range (hits and misses alike), and on an empty batch.
+#[test]
+fn term_scores_match_term_score_on_every_backend() {
+    // Term 0 starts past doc 0 and ends in a short block; term 1 is
+    // empty; term 2 holds one posting.
+    let lists: Vec<Vec<Posting>> = vec![
+        (0..150u32)
+            .map(|i| Posting::new(10 + i * 3, i * 7919 % 10_007 + 1))
+            .collect(),
+        Vec::new(),
+        vec![Posting::new(500, 9)],
+    ];
+    let range: Vec<u32> = (0..520).collect();
+    for (name, ix) in &every_backend(lists.clone(), 1000, "batch") {
+        for term in [0, 1, 2, 3, u32::MAX] {
+            let list = lists.get(term as usize).map_or(&[][..], Vec::as_slice);
+            let block_ends = list.chunks(16).flat_map(|b| [b[0].doc, b[b.len() - 1].doc]);
+            let mut docs: Vec<u32> = [0, 9, 11, 458, 459, 500, 999, u32::MAX]
+                .into_iter()
+                .chain(block_ends)
+                .collect();
+            docs.sort_unstable();
+            docs.dedup();
+            assert_batch_matches_points(name, ix.as_ref(), term, &docs);
+            assert_batch_matches_points(name, ix.as_ref(), term, &range);
+            assert_batch_matches_points(name, ix.as_ref(), term, &[]);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    // Any list, any ascending batch (repeats included) on every backend.
+    #[test]
+    fn term_scores_match_term_score(list in arb_list(), probes in vec(0u32..2100, 0..80)) {
+        let mut probes = probes;
+        probes.sort_unstable();
+        for (name, ix) in &every_backend(vec![list], 2000, "batch-prop") {
+            assert_batch_matches_points(name, ix.as_ref(), 0, &probes);
+        }
+    }
 
     // `next()` and `next_segment` of any size (0 and `usize::MAX`
     // included), mixed in any order, read from one position.
