@@ -5,7 +5,9 @@
 //!
 //! * [`BoundedTopK`] — a bounded min-heap tracking the k highest-scoring
 //!   items seen so far, together with the threshold Θ (the k-th best
-//!   score) that drives early stopping in every top-k algorithm.
+//!   score): the doc-order family's, RA's and pRA's heap, and every
+//!   final merge. The NRA family (Sparta, pNRA, NRA, sNRA), whose
+//!   members' scores grow, ranks by `sparta-core`'s `SpartaHeap`.
 //! * [`StripedMap`] — the paper's lock-per-bucket `docMap` (§4.3),
 //!   kept only for the repo benchmark's `collections.striped_upsert_ns`
 //!   probe; no algorithm uses it.
@@ -30,7 +32,6 @@ pub mod counter;
 pub mod doc_bitset;
 pub mod doc_table;
 pub mod fast_hash;
-pub mod mutable_topk;
 pub mod striped_map;
 pub mod swap_cell;
 pub mod topk_heap;
@@ -39,7 +40,6 @@ pub use counter::ShardedCounter;
 pub use doc_bitset::DocBitset;
 pub use doc_table::{DocTable, Lookup};
 pub use fast_hash::{FastBuildHasher, FastHashMap, FastHashSet, FastIntHasher};
-pub use mutable_topk::MutableTopK;
 pub use striped_map::StripedMap;
 pub use swap_cell::SwapCell;
 pub use topk_heap::{BoundedTopK, Entry};

@@ -8,9 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparta_collections::{
-    BoundedTopK, DocBitset, DocTable, Lookup, MutableTopK, ShardedCounter, SwapCell,
-};
+use sparta_collections::{BoundedTopK, DocBitset, DocTable, Lookup, ShardedCounter, SwapCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -36,32 +34,6 @@ fn bounded_topk_threshold_monotone_under_random_interleavings() {
         for i in 0..500u32 {
             let score: u64 = rng.gen_range(1..10_000);
             heap.offer(score, i);
-            let theta = heap.threshold();
-            assert!(
-                theta >= last,
-                "seed {seed}: threshold fell {last} -> {theta} (replay with \
-                 SPARTA_TEST_SEED={seed})"
-            );
-            last = theta;
-        }
-    }
-}
-
-/// Same monotonicity contract for the mutable heap, including under
-/// score *updates* to existing members (the operation BoundedTopK
-/// doesn't support).
-#[test]
-fn mutable_topk_threshold_monotone_under_updates() {
-    let base = test_seed();
-    for round in 0..32u64 {
-        let seed = base.wrapping_add(round ^ 0xA5A5);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut heap: MutableTopK<u32> = MutableTopK::new(8);
-        let mut last = 0u64;
-        for _ in 0..500 {
-            let item: u32 = rng.gen_range(0..64); // duplicates = updates
-            let score: u64 = rng.gen_range(1..10_000);
-            heap.offer(score, item);
             let theta = heap.threshold();
             assert!(
                 theta >= last,

@@ -75,7 +75,7 @@ impl Algorithm for PBmw {
         // partition results in well-balanced executions".
         let jobs = (2 * exec.parallelism()).max(1) as u64;
         let n = index.num_docs().max(1);
-        let queue = JobQueue::new();
+        let queue = JobQueue::tagged(cfg.query_tag);
         let cfg = *cfg;
         let plan = shared.spans.span(Phase::Plan);
         for j in 0..jobs {

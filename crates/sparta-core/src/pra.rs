@@ -63,10 +63,7 @@ impl State {
     /// All workers run the stopping check (no dedicated task).
     fn check_stop(&self) {
         let ub_stop = self.ub.ub_stop(self.heap.theta());
-        let timed_out = self
-            .cfg
-            .delta
-            .is_some_and(|d| self.heap.since_last_update() >= d);
+        let timed_out = self.heap.staleness().exceeds(self.cfg.delta);
         if ub_stop || timed_out {
             // Whoever flips `done` ended the query; on the Δ budget
             // alone (approximate variant) that is the query's one
@@ -308,7 +305,6 @@ impl Algorithm for PRa {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use crate::test_support::TagSpy;
     use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
     use std::time::Duration;
@@ -372,23 +368,19 @@ mod tests {
         assert_eq!(r.hits.len(), 500);
     }
 
-    /// What a served `pra` request is attributed and accounted by: the
-    /// queue carries the config's tag, and a stop the Δ budget caused
-    /// (Δ = 0: the first posting's check, long before `UBStop`) is
-    /// counted once, by the one worker whose check ended the query.
+    /// A stop the Δ budget caused (Δ = 0: the first posting's check,
+    /// long before `UBStop`) is counted once, by the one worker whose
+    /// check ended the query.
     #[test]
-    fn reports_delta_stop_and_query_tag() {
+    fn reports_delta_stop() {
         let ix = pseudo_index(3000, 3, 8);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10)
             .with_seg_size(64)
-            .with_delta(Some(Duration::ZERO))
-            .with_query_tag(77);
+            .with_delta(Some(Duration::ZERO));
         for seed in 0..8 {
-            let exec = TagSpy::new(seed);
-            let r = PRa.search(&ix, &q, &cfg, &exec);
+            let r = PRa.search(&ix, &q, &cfg, &DeterministicExecutor::new(seed));
             assert_eq!(r.work.timeout_stops, 1, "seed {seed}");
-            assert_eq!(exec.tag(), 77, "seed {seed}");
         }
         let exact = cfg.with_delta(None);
         let r = PRa.search(&ix, &q, &exact, &DeterministicExecutor::new(0));

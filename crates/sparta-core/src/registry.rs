@@ -52,9 +52,85 @@ pub fn algorithm_by_name(name: &str) -> Option<Arc<dyn Algorithm>> {
 mod tests {
     use super::*;
     use crate::SearchConfig;
+    use parking_lot::Mutex;
     use sparta_corpus::types::Query;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::{DedicatedExecutor, DeterministicExecutor, Executor, JobQueue};
     use sparta_index::{InMemoryIndex, Index, Posting};
+    use std::time::Duration;
+
+    /// 3 terms over `n` docs with pseudo-random scores.
+    fn pseudo_index(n: u32) -> Arc<dyn Index> {
+        let lists = (0..3u32)
+            .map(|t| {
+                (0..n)
+                    .map(|d| {
+                        let x = d.wrapping_mul(2654435761).wrapping_add(t * 193);
+                        Posting::new(d, x.wrapping_mul(2246822519) % 9_000 + 1)
+                    })
+                    .collect()
+            })
+            .collect();
+        Arc::new(InMemoryIndex::from_term_postings(lists, u64::from(n)))
+    }
+
+    /// Passes each queue on to a deterministic executor, noting its tag.
+    struct TagSpy {
+        inner: DeterministicExecutor,
+        tags: Mutex<Vec<u64>>,
+    }
+
+    impl Executor for TagSpy {
+        fn run(&self, queue: Arc<JobQueue>) {
+            self.tags.lock().push(queue.tag());
+            self.inner.run(queue);
+        }
+
+        fn parallelism(&self) -> usize {
+            self.inner.parallelism()
+        }
+    }
+
+    /// A served request is attributed and accounted by its queue's tag:
+    /// every queue an algorithm runs carries the config's `query_tag`,
+    /// and every parallel algorithm runs one.
+    #[test]
+    fn every_queue_carries_the_query_tag() {
+        let ix = pseudo_index(3000);
+        let q = Query::new(vec![0, 1, 2]);
+        let cfg = SearchConfig::exact(10).with_seg_size(64).with_query_tag(77);
+        let parallel: Vec<&str> = case_study_algorithms().iter().map(|a| a.name()).collect();
+        for algo in all_algorithms() {
+            let exec = TagSpy {
+                inner: DeterministicExecutor::new(0),
+                tags: Mutex::default(),
+            };
+            algo.search(&ix, &q, &cfg, &exec);
+            let tags = exec.tags.into_inner();
+            let name = algo.name();
+            assert!(tags.iter().all(|&t| t == 77), "{name}: tags {tags:?}");
+            assert_eq!(!tags.is_empty(), parallel.contains(&name), "{name}");
+        }
+    }
+
+    /// A stop the Δ budget caused is counted on the sequential paths
+    /// too: Δ = 0 fires at NRA's first sweep and RA's first check, long
+    /// before either's exactness condition.
+    #[test]
+    fn sequential_paths_count_delta_stops() {
+        let ix = pseudo_index(6000);
+        let q = Query::new(vec![0, 1, 2]);
+        let exact = SearchConfig::exact(100);
+        let approx = exact.with_delta(Some(Duration::ZERO));
+        let exec = DedicatedExecutor::new(2);
+        for name in ["nra", "snra", "ra"] {
+            let algo = algorithm_by_name(name).unwrap();
+            let r = algo.search(&ix, &q, &approx, &exec);
+            assert!(r.work.timeout_stops >= 1, "{name}: {}", r.work);
+            assert_eq!(r.hits.len(), 100, "{name}");
+            let r = algo.search(&ix, &q, &exact, &exec);
+            assert_eq!(r.work.timeout_stops, 0, "{name}: {}", r.work);
+        }
+    }
 
     #[test]
     fn names_are_unique() {

@@ -50,8 +50,8 @@ pub struct WorkStats {
     /// schedules.
     pub docmap_final: u64,
     /// Number of times the search stopped due to the Δ time budget
-    /// rather than its exactness condition (0 or 1; approximate
-    /// variants only).
+    /// rather than its exactness condition (0 or 1, or one per shard
+    /// for sNRA; approximate variants only).
     pub timeout_stops: u64,
     /// Block-max skip decisions taken by doc-order traversal (BMW
     /// family): each is one aligned block group jumped over without

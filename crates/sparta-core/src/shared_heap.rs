@@ -8,21 +8,20 @@
 //! update time are mirrored into atomics so readers on the hot path
 //! never take the lock.
 
+use crate::staleness::Staleness;
 use crate::trace::TraceSink;
 use parking_lot::Mutex;
 use sparta_collections::BoundedTopK;
 use sparta_corpus::types::DocId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 /// Shared top-k heap over `(score, doc)` with lock-free Θ reads.
 pub struct SharedHeap {
     heap: Mutex<BoundedTopK<DocId>>,
     /// Mirror of the heap's threshold (0 until full).
     theta: AtomicU64,
-    /// Nanoseconds (since `start`) of the last successful update.
-    upd_nanos: AtomicU64,
-    start: Instant,
+    /// Stamped by every successful update.
+    staleness: Staleness,
     updates: AtomicU64,
 }
 
@@ -33,9 +32,7 @@ impl SharedHeap {
         Self {
             heap: Mutex::new(BoundedTopK::new(k)),
             theta: AtomicU64::new(0),
-            upd_nanos: AtomicU64::new(0),
-            // lint: allow(wall-clock): baseline instant for the upd_nanos heap-update timing stat
-            start: Instant::now(),
+            staleness: Staleness::new(),
             updates: AtomicU64::new(0),
         }
     }
@@ -57,33 +54,21 @@ impl SharedHeap {
         if changed {
             self.theta.store(heap.threshold(), Ordering::Release);
             drop(heap);
-            self.upd_nanos
-                .store(self.start.elapsed().as_nanos() as u64, Ordering::Release);
+            self.staleness.stamp();
             self.updates.fetch_add(1, Ordering::Relaxed);
             trace.record(doc, score);
         }
         changed
     }
 
-    /// Time since the last successful update (since creation if none).
-    pub fn since_last_update(&self) -> Duration {
-        let last = Duration::from_nanos(self.upd_nanos.load(Ordering::Acquire));
-        self.start.elapsed().saturating_sub(last)
+    /// Δ's clock, stamped by every successful update.
+    pub fn staleness(&self) -> &Staleness {
+        &self.staleness
     }
 
     /// Number of successful updates.
     pub fn update_count(&self) -> u64 {
         self.updates.load(Ordering::Relaxed)
-    }
-
-    /// Number of documents currently held.
-    pub fn len(&self) -> usize {
-        self.heap.lock().len()
-    }
-
-    /// Whether the heap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshot in rank order.
@@ -115,21 +100,6 @@ mod tests {
         assert_eq!(h.theta(), 15);
         assert_eq!(h.sorted(), vec![(20, 2), (15, 4)]);
         assert_eq!(h.update_count(), 3);
-    }
-
-    #[test]
-    // This test measures elapsed wall time, so it genuinely must sleep.
-    #[allow(clippy::disallowed_methods)]
-    fn update_time_advances() {
-        let h = SharedHeap::new(1);
-        let t = TraceSink::new(false);
-        h.offer(1, 1, &t);
-        let d1 = h.since_last_update();
-        std::thread::sleep(Duration::from_millis(5));
-        let d2 = h.since_last_update();
-        assert!(d2 > d1);
-        h.offer(2, 2, &t);
-        assert!(h.since_last_update() < d2);
     }
 
     #[test]

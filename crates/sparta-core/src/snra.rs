@@ -109,8 +109,9 @@ impl Algorithm for SNra {
                 .map(|_| Mutex::new((Vec::new(), WorkStats::default())))
                 .collect(),
         );
-        let queue = JobQueue::new();
+        let queue = JobQueue::tagged(cfg.query_tag);
         let cfg_shard = *cfg;
+        let num_docs = index.num_docs();
         let plan = spans.span(Phase::Plan);
         for s in 0..p {
             let sharded = Arc::clone(&sharded);
@@ -119,9 +120,8 @@ impl Algorithm for SNra {
             let spans = Arc::clone(&spans);
             queue.push(Box::new(move || {
                 let _span = spans.span(Phase::ShardSearch);
-                let cursors = sharded.cursors(s);
-                let (hits, work) = run_nra(cursors, &cfg_shard, &trace);
-                *results[s].lock() = (hits, work);
+                let shard = run_nra(|| sharded.cursors(s), num_docs, &cfg_shard, &trace);
+                *results[s].lock() = shard;
             }));
         }
         drop(plan);
@@ -130,18 +130,18 @@ impl Algorithm for SNra {
         // Merge: global top-k over the shards' local top-k lists.
         let merge_span = spans.span(Phase::HeapMerge);
         let mut merged = BoundedTopK::new(cfg.k);
-        let mut work = WorkStats::default();
+        let (mut work, mut docmap_peak) = (WorkStats::default(), 0);
         for cell in results.iter() {
             let (hits, w) = &*cell.lock();
             for h in hits {
                 merged.offer(h.score, h.doc);
             }
-            work.postings_scanned += w.postings_scanned;
-            work.heap_updates += w.heap_updates;
-            // Shared-nothing: the total candidate footprint is the
-            // *sum* of the shards' peaks.
-            work.docmap_peak += w.docmap_peak;
+            work.merge(w);
+            docmap_peak += w.docmap_peak;
         }
+        // Shared-nothing: the total candidate footprint is the *sum* of
+        // the shards' peaks, not `merge`'s maximum.
+        work.docmap_peak = docmap_peak;
         let hits = finalize_hits(
             merged
                 .into_sorted_vec()
@@ -225,6 +225,25 @@ mod tests {
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
             let r = SNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "threads={threads}");
+        }
+    }
+
+    /// With one worker sNRA is one shard holding every list: the same
+    /// run as sequential NRA.
+    #[test]
+    fn one_shard_is_sequential_nra() {
+        let ix = pseudo_index(20_000, 3, 4);
+        let q = Query::new(vec![0, 1, 2]);
+        let exec = DedicatedExecutor::new(1);
+        for k in [10, 100] {
+            let cfg = SearchConfig::exact(k);
+            let snra = SNra.search(&ix, &q, &cfg, &exec);
+            let nra = crate::ta::SeqNra.search(&ix, &q, &cfg, &exec);
+            assert_eq!(snra.hits, nra.hits, "k={k}");
+            assert_eq!(
+                snra.work.postings_scanned, nra.work.postings_scanned,
+                "k={k}"
+            );
         }
     }
 

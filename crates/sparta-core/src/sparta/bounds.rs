@@ -60,8 +60,7 @@ impl SharedUb {
     /// carries a score ≤ that `UB[i]`, so a bound computed from the
     /// snapshot can only over-estimate.
     pub fn snapshot_into(&self, gamma: f64, out: &mut UbSnapshot) {
-        out.bounds.clear();
-        out.bounds.extend(self.ub.iter().map(|u| {
+        out.fill(self.ub.iter().map(|u| {
             let u = u.load(Ordering::Acquire);
             if gamma >= 1.0 {
                 u
@@ -69,11 +68,10 @@ impl SharedUb {
                 (u as f64 * gamma) as u64
             }
         }));
-        out.total = out.bounds.iter().sum();
     }
 }
 
-/// One pass's (Sparta's cleaner, pNRA's stop check) private copy of
+/// One pass's (Sparta's cleaner, pNRA's stop check, NRA's sweep) private copy of
 /// `UB[m]`, γ-scaled for the probabilistic-pruning extension (γ = 1 is
 /// the safe bound), with its total: `UB(D)` for a slab record is then
 /// one subtraction per *known* term instead of one shared load per
@@ -85,6 +83,13 @@ pub struct UbSnapshot {
 }
 
 impl UbSnapshot {
+    /// Replaces the copy with `bounds`, reusing its buffer.
+    pub(crate) fn fill(&mut self, bounds: impl Iterator<Item = u64>) {
+        self.bounds.clear();
+        self.bounds.extend(bounds);
+        self.total = self.bounds.iter().sum();
+    }
+
     /// The (scaled) bound of term i.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {

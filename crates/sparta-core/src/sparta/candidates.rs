@@ -1,5 +1,6 @@
-//! The candidate substrate Sparta, pNRA and pJASS share (DESIGN.md
-//! §10): a run's records in a [`DocSlab`] behind one open [`DocTable`]
+//! The candidate substrate Sparta, pNRA, pJASS and sequential NRA (so
+//! each sNRA shard) share (DESIGN.md §10): a run's records in a
+//! [`DocSlab`] behind one open [`DocTable`]
 //! (Alg. 1's first `docMap`), sized `min(Σ df, num_docs)` — a true
 //! bound, as `num_docs` bounds every doc id. Ids sharing a home slot
 //! can still fill its 128-slot probe window; that admission abandons
@@ -145,18 +146,24 @@ impl Segment {
     }
 }
 
-/// Runs `query` over fresh [`Candidates`] until a run is not abandoned
-/// and returns it; `candidates` finds them in what `run` returns.
+/// Σ df over `query`'s terms: every posting a run over `index` can read.
+pub(crate) fn postings(index: &dyn Index, query: &Query) -> u64 {
+    query.terms.iter().map(|&t| index.doc_freq(t)).sum()
+}
+
+/// Runs an `m`-term query over fresh [`Candidates`] until a run is not
+/// abandoned and returns it; `candidates` finds them in what `run`
+/// returns. The query reads `postings` postings of ids below `num_docs`.
 pub(crate) fn until_fits<R>(
-    index: &dyn Index,
-    query: &Query,
+    m: usize,
+    postings: u64,
+    num_docs: u64,
     mut run: impl FnMut(Candidates) -> R,
     candidates: impl Fn(&R) -> &Candidates,
 ) -> R {
-    let postings: u64 = query.terms.iter().map(|&t| index.doc_freq(t)).sum();
-    let mut cap = postings.min(index.num_docs());
+    let mut cap = postings.min(num_docs);
     loop {
-        let r = run(Candidates::new(query.terms.len(), cap));
+        let r = run(Candidates::new(m, cap));
         // The run's workers are joined: a flag, not a publication.
         if !candidates(&r).full.load(Ordering::Relaxed) {
             return r;
@@ -171,7 +178,9 @@ mod tests {
     use crate::oracle::Oracle;
     use crate::pjass::PJass;
     use crate::pnra::PNra;
+    use crate::snra::SNra;
     use crate::sparta::Sparta;
+    use crate::ta::SeqNra;
     use crate::{Algorithm, SearchConfig};
     use sparta_exec::DedicatedExecutor;
     use sparta_index::storage::IndexWriter;
@@ -193,12 +202,12 @@ mod tests {
             .collect()
     }
 
-    /// Each algorithm that admits through [`Segment`] returns `want`'s
+    /// Each algorithm that admits into [`Candidates`] returns `want`'s
     /// top-k over `ix` at 1 and 3 threads, with no job lost.
     fn exact_at_one_and_three_threads(ix: &Arc<dyn Index>, cfg: SearchConfig, ctx: &str) {
         let q = Query::new((0..ix.num_terms()).collect());
         let want = Oracle::compute(ix.as_ref(), &q, cfg.k);
-        let algos: [&dyn Algorithm; 3] = [&Sparta, &PNra, &PJass];
+        let algos: [&dyn Algorithm; 5] = [&Sparta, &PNra, &PJass, &SeqNra, &SNra];
         for algo in algos {
             for threads in [1, 3] {
                 let ctx = format!("{ctx}, {} t={threads}", algo.name());
@@ -257,11 +266,12 @@ mod tests {
     /// first table a two-term query over them sizes — picked as
     /// `doc_table.rs`'s `a_crowded_window_is_full_long_before_the_table_is`
     /// picks them. The 129th admission finds the window full while the
-    /// table is under an eighth full; Sparta, pNRA and pJASS must each
-    /// abandon that run and answer from a restarted one: exact, with no
-    /// panic, and with nothing of the abandoned run in the reported
-    /// work. Without the restart the first run's partial top-k is
-    /// returned.
+    /// table is under an eighth full; Sparta, pNRA, pJASS, and at one
+    /// thread NRA and sNRA (whose one shard then holds every id), must
+    /// each abandon that run and answer from a restarted one: exact,
+    /// with no panic, and with nothing of the abandoned run in the
+    /// reported work. Without the restart the first run's partial top-k
+    /// is returned.
     #[test]
     fn a_crowded_window_restarts_the_run_and_stays_exact() {
         const IDS: usize = 160;
@@ -291,9 +301,15 @@ mod tests {
         let k = 140;
         let want = Oracle::compute(ix.as_ref(), &q, k);
         let cfg = SearchConfig::exact(k).with_seg_size(64);
-        let algos: [&dyn Algorithm; 3] = [&Sparta, &PNra, &PJass];
-        for algo in algos {
-            for threads in [1, 3] {
+        let runs: [(&dyn Algorithm, &[usize]); 5] = [
+            (&Sparta, &[1, 3]),
+            (&PNra, &[1, 3]),
+            (&PJass, &[1, 3]),
+            (&SeqNra, &[1]),
+            (&SNra, &[1]),
+        ];
+        for (algo, threads) in runs {
+            for &threads in threads {
                 let ctx = format!("{} t={threads}", algo.name());
                 let r = algo.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
                 assert_eq!(want.recall(&r.docs()), 1.0, "{ctx}: {:?}", r.docs());

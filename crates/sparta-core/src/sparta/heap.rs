@@ -44,13 +44,13 @@
 
 use super::doc_slab::{DocHandle, DocSlab};
 use crate::result::SearchHit;
+use crate::staleness::Staleness;
 use crate::trace::TraceSink;
 use parking_lot::Mutex;
 use sparta_collections::{FastBuildHasher, FastHashSet};
 use sparta_corpus::types::DocId;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One heap member. The lazily refreshed `lb` is only ever read or
 /// written under the heap lock, so it lives here — in the lock's own
@@ -115,9 +115,8 @@ pub struct SpartaHeap {
     inner: Mutex<Inner>,
     theta: AtomicU64,
     len: AtomicUsize,
-    upd_nanos: AtomicU64,
+    staleness: Staleness,
     updates: AtomicU64,
-    start: Instant,
 }
 
 impl SpartaHeap {
@@ -134,10 +133,8 @@ impl SpartaHeap {
             }),
             theta: AtomicU64::new(0),
             len: AtomicUsize::new(0),
-            upd_nanos: AtomicU64::new(0),
+            staleness: Staleness::new(),
             updates: AtomicU64::new(0),
-            // lint: allow(wall-clock): baseline instant for the upd_nanos heap-update timing stat
-            start: Instant::now(),
         }
     }
 
@@ -194,11 +191,21 @@ impl SpartaHeap {
         self.len.store(inner.docs.len(), Ordering::Release);
         drop(guard);
         // Line 37: heapUpdTime ← current time.
-        self.upd_nanos
-            .store(self.start.elapsed().as_nanos() as u64, Ordering::Release);
+        self.staleness.stamp();
         self.updates.fetch_add(1, Ordering::Relaxed);
         trace.record(id, lb);
         true
+    }
+
+    /// Republishes Θ after a member's sum grew, which `update` ignores.
+    /// Sequential NRA calls it on each such growth, so its Θ is always
+    /// the k-th best fresh LB — at most k · m calls per query.
+    pub fn refresh_theta(&self) {
+        let mut inner = self.inner.lock();
+        if inner.docs.len() == self.k {
+            self.settle_root(&mut inner.docs);
+            self.theta.store(inner.docs[0].lb, Ordering::Release);
+        }
     }
 
     /// Lines 30–32, lazily: refreshes the root's LB until the cached
@@ -228,10 +235,9 @@ impl SpartaHeap {
         out.clone_from(&self.inner.lock().members);
     }
 
-    /// Time since the last heap change (since creation if none).
-    pub fn since_last_update(&self) -> Duration {
-        let last = Duration::from_nanos(self.upd_nanos.load(Ordering::Acquire));
-        self.start.elapsed().saturating_sub(last)
+    /// Δ's clock, stamped by every successful [`update`](Self::update).
+    pub fn staleness(&self) -> &Staleness {
+        &self.staleness
     }
 
     /// Successful updates so far.

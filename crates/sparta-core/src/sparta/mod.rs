@@ -52,7 +52,7 @@ use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use candidates::{until_fits, Candidates, Segment};
+use candidates::{postings, until_fits, Candidates, Segment};
 use sparta_collections::{
     DocTable, FastBuildHasher, FastHashMap, FastHashSet, ShardedCounter, SwapCell,
 };
@@ -361,10 +361,7 @@ impl CyclicJob for CleanerJob {
         // Line 46: stopping conditions — Eq. 2 (no candidate outside
         // the heap can still qualify), or the Δ timeout (exact: Δ = ∞).
         let eq2 = stragglers == 0;
-        let timed_out = state
-            .cfg
-            .delta
-            .is_some_and(|d| state.heap.since_last_update() >= d);
+        let timed_out = state.heap.staleness().exceeds(state.cfg.delta);
         // Starvation guard (found by the deterministic fault-injection
         // harness): if the cleaner is the only outstanding job, every
         // traversal job is gone — exhausted or lost to a fault — so no
@@ -433,7 +430,8 @@ impl Algorithm for Sparta {
             exec.run(Arc::clone(&queue));
             (state, queue)
         };
-        let (state, queue) = until_fits(index.as_ref(), query, run, |(s, _)| &s.cands);
+        let postings = postings(index.as_ref(), query);
+        let (state, queue) = until_fits(m, postings, index.num_docs(), run, |(s, _)| &s.cands);
 
         let merge = state.spans.span(Phase::HeapMerge);
         let mut hits = state.heap.sorted_hits();

@@ -76,16 +76,6 @@ impl UpperBounds {
     pub fn ub_stop(&self, theta: u64) -> bool {
         self.sum() <= theta
     }
-
-    /// Upper bound of a document given its known per-term scores
-    /// (`0` = unknown): known score where available, `UB[i]` otherwise.
-    pub fn doc_ub(&self, scores: &[u32]) -> u64 {
-        scores
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| if s > 0 { u64::from(s) } else { self.ub[i] })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -101,16 +91,14 @@ mod tests {
 
     #[test]
     fn figure_1_worked_example() {
-        // Figure 1: UB = [38, 32, 41]; for D57 the known scores are
-        // (unknown, 40, 41) ⇒ UB(D57) = 38+40+41 = 119.
+        // Figure 1: UB = [38, 32, 41]. (D57's UB of 38+40+41 is a
+        // record's: see `doc_slab`'s `figure_1_ub`.)
         let mut ub = UpperBounds::new(3);
         ub.update(0, 38);
         ub.update(1, 32);
         ub.update(2, 41);
         assert_eq!(ub.sum(), 111);
-        assert_eq!(ub.doc_ub(&[0, 40, 41]), 119);
-        // LB(D57) = 0+40+41 = 81 (lower bounds are just known sums).
-        assert_eq!([0u64, 40, 41].iter().sum::<u64>(), 81);
+        assert!(ub.ub_stop(111) && !ub.ub_stop(110));
     }
 
     #[test]

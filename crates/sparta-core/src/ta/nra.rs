@@ -4,20 +4,26 @@
 //! per-candidate partial scores. The heap is ordered by document
 //! *lower bounds*; the safe variant stops when (1) `UBStop` holds and
 //! (2) every traversed non-heap candidate has an upper bound ≤ Θ.
-//! Condition (2) is detected the way Sparta's cleaner does it: prune
-//! dead candidates periodically and stop once the candidate map is the
-//! same size as the heap.
+//!
+//! It runs on pNRA's substrate at one thread (DESIGN.md §10): a private
+//! `Candidates` slab and table, admitted into only while `UBStop` is
+//! false, ranked by a private [`SpartaHeap`]. Condition (2) is detected
+//! the way Sparta's cleaner does it, once every `SWEEP_EVERY` postings:
+//! the first sweep after `UBStop` collects the scored records, every
+//! sweep keeps those that are heap members or still have `UB(D) > Θ`,
+//! and the run stops once the kept set is the heap.
 
 use super::UpperBounds;
 use crate::config::SearchConfig;
-use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
+use crate::result::{SearchHit, TopKResult, WorkStats};
+use crate::sparta::candidates::{until_fits, Candidates};
+use crate::sparta::{DocHandle, SlabRun, SpartaHeap, UbSnapshot};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use sparta_collections::MutableTopK;
-use sparta_corpus::types::{DocId, Query};
+use sparta_collections::FastHashSet;
+use sparta_corpus::types::Query;
 use sparta_exec::Executor;
 use sparta_index::{Index, ScoreCursor};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,31 +32,64 @@ use std::time::Instant;
 /// posting steps.
 const SWEEP_EVERY: u64 = 4096;
 
-/// Runs sequential NRA over pre-opened score cursors (`cursors[i]` for
-/// query term i). Shared with sNRA, which calls this once per shard.
+/// One run over one set of [`Candidates`].
+struct Run {
+    cands: Candidates,
+    heap: SpartaHeap,
+    work: WorkStats,
+}
+
+/// Runs sequential NRA over the score cursors `open` returns
+/// (`cursors[i]` for query term i), whose doc ids are below
+/// `num_docs`. Shared with sNRA, which calls this once per shard. A run
+/// whose candidate table crowds starts over on freshly opened cursors.
 pub fn run_nra(
-    mut cursors: Vec<Box<dyn ScoreCursor>>,
+    open: impl Fn() -> Vec<Box<dyn ScoreCursor>>,
+    num_docs: u64,
     cfg: &SearchConfig,
     trace: &TraceSink,
 ) -> (Vec<SearchHit>, WorkStats) {
+    let first = open();
+    let m = first.len();
+    let postings = first.iter().map(|c| c.len()).sum();
+    let mut first = Some(first);
+    let run = |cands| run_once(first.take().unwrap_or_else(&open), cands, cfg, trace);
+    let Run { heap, work, .. } = until_fits(m, postings, num_docs, run, |r| &r.cands);
+    let hits = heap.sorted_hits();
+    // A member's growth is not a heap update, so its last traced score
+    // may be partial: re-record the final sums, as Sparta does.
+    for h in &hits {
+        trace.record(h.doc, h.score);
+    }
+    (hits, work)
+}
+
+/// One NRA pass over `cursors`, admitting into `cands`; cut short if
+/// an admission finds its probe window full.
+fn run_once(
+    mut cursors: Vec<Box<dyn ScoreCursor>>,
+    cands: Candidates,
+    cfg: &SearchConfig,
+    trace: &TraceSink,
+) -> Run {
     let m = cursors.len();
+    let heap = SpartaHeap::new(Arc::clone(&cands.slab), cfg.k);
     let mut ub = UpperBounds::new(m);
-    let mut candidates: HashMap<DocId, Vec<u32>> = HashMap::new();
-    let mut heap: MutableTopK<DocId> = MutableTopK::new(cfg.k);
+    let mut run = SlabRun::default();
     let mut work = WorkStats::default();
-    // lint: allow(wall-clock): sequential-baseline stall timeout (no queue to park on)
-    let mut last_heap_change = Instant::now();
+    // Sweep scratch: the bounds and the members, refilled per sweep,
+    // and from the first sweep after `UBStop` the candidates still live.
+    let mut bounds = UbSnapshot::default();
+    let mut members = FastHashSet::default();
+    let mut live: Option<Vec<DocHandle>> = None;
     let mut since_sweep = 0u64;
 
-    'outer: loop {
-        if ub.all_exhausted() {
-            break;
-        }
-        for i in 0..m {
+    'outer: while !ub.all_exhausted() {
+        for (i, cursor) in cursors.iter_mut().enumerate() {
             if ub.is_exhausted(i) {
                 continue;
             }
-            let Some(p) = cursors[i].next() else {
+            let Some(p) = cursor.next() else {
                 ub.exhaust(i);
                 continue;
             };
@@ -58,65 +97,58 @@ pub fn run_nra(
             since_sweep += 1;
             ub.update(i, p.score);
 
-            let theta = heap.threshold();
-            let ub_stop = ub.ub_stop(theta);
-            match candidates.get_mut(&p.doc) {
-                Some(scores) => {
-                    scores[i] = p.score;
-                    let lb: u64 = scores.iter().map(|&s| u64::from(s)).sum();
-                    if heap.offer(lb, p.doc) {
-                        work.heap_updates += 1;
-                        // lint: allow(wall-clock): sequential-baseline stall timeout (no queue to park on)
-                        last_heap_change = Instant::now();
-                        trace.record(p.doc, lb);
+            // New candidates only while new documents can still make
+            // the top-k.
+            let allow = !ub.ub_stop(heap.theta());
+            match cands.admit(&mut run, p.doc, allow) {
+                Some(h) => {
+                    let sum = cands.slab.record(h).set_score(i, p.score);
+                    if sum > heap.theta() && !heap.update(&h, trace) {
+                        // A member grew, and Θ may have grown with it.
+                        heap.refresh_theta();
                     }
                 }
-                None if !ub_stop => {
-                    // New candidate (only while new documents can
-                    // still make the top-k).
-                    let mut scores = vec![0u32; m];
-                    scores[i] = p.score;
-                    let lb = u64::from(p.score);
-                    if heap.offer(lb, p.doc) {
-                        work.heap_updates += 1;
-                        // lint: allow(wall-clock): sequential-baseline stall timeout (no queue to park on)
-                        last_heap_change = Instant::now();
-                        trace.record(p.doc, lb);
-                    }
-                    candidates.insert(p.doc, scores);
-                    work.docmap_peak = work.docmap_peak.max(candidates.len() as u64);
-                }
+                // The table's probe window is full: `until_fits`
+                // starts over with a larger one.
+                None if cands.is_done() => break 'outer,
                 None => {}
             }
 
-            if since_sweep >= SWEEP_EVERY {
-                since_sweep = 0;
-                if let Some(delta) = cfg.delta {
-                    if heap.is_full() && last_heap_change.elapsed() >= delta {
-                        break 'outer;
-                    }
-                }
-                let theta = heap.threshold();
-                if ub.ub_stop(theta) {
-                    // Prune candidates that can no longer enter the
-                    // heap (condition 2 bookkeeping).
-                    candidates.retain(|d, scores| heap.contains(d) || ub.doc_ub(scores) > theta);
-                    if candidates.len() == heap.len() {
-                        break 'outer; // Equation 2 holds
-                    }
-                }
+            if since_sweep < SWEEP_EVERY {
+                continue;
+            }
+            since_sweep = 0;
+            if heap.len() == cfg.k && heap.staleness().exceeds(cfg.delta) {
+                work.timeout_stops = 1;
+                break 'outer;
+            }
+            let theta = heap.theta();
+            if !ub.ub_stop(theta) {
+                continue;
+            }
+            heap.members_snapshot_into(&mut members);
+            bounds.fill((0..m).map(|j| ub.get(j)));
+            let live = live.get_or_insert_with(|| {
+                let mut scored = Vec::new();
+                cands.slab.for_each_scored(|h, _| scored.push(h));
+                scored
+            });
+            live.retain(|&h| {
+                let rec = cands.slab.record(h);
+                rec.ub(&bounds) > theta || members.contains(&rec.id())
+            });
+            if live.len() == heap.len() {
+                break 'outer; // Equation 2 holds
             }
         }
     }
 
-    let hits = finalize_hits(
-        heap.sorted()
-            .into_iter()
-            .map(|(score, doc)| SearchHit { doc, score })
-            .collect(),
-        cfg.k,
-    );
-    (hits, work)
+    cands.flush(&mut run);
+    work.heap_updates = heap.update_count();
+    // Nothing is admitted once `UBStop` holds, and nothing is removed
+    // before: the table's size is the peak.
+    work.docmap_peak = cands.table.len() as u64;
+    Run { cands, heap, work }
 }
 
 /// Sequential NRA as an [`Algorithm`] (ignores the executor's
@@ -139,8 +171,8 @@ impl Algorithm for SeqNra {
         // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
         let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
-        let cursors: Vec<_> = query.terms.iter().map(|&t| index.score_cursor(t)).collect();
-        let (hits, work) = run_nra(cursors, cfg, &trace);
+        let open = || query.terms.iter().map(|&t| index.score_cursor(t)).collect();
+        let (hits, work) = run_nra(open, index.num_docs(), cfg, &trace);
         TopKResult {
             hits,
             elapsed: start.elapsed(),

@@ -8,6 +8,7 @@
 use super::UpperBounds;
 use crate::config::SearchConfig;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
+use crate::staleness::Staleness;
 use crate::trace::TraceSink;
 use crate::Algorithm;
 use sparta_collections::BoundedTopK;
@@ -49,8 +50,7 @@ impl Algorithm for SeqRa {
         let mut heap: BoundedTopK<DocId> = BoundedTopK::new(cfg.k);
         let mut seen: HashSet<DocId> = HashSet::new();
         let mut work = WorkStats::default();
-        // lint: allow(wall-clock): sequential-baseline stall timeout (no queue to park on)
-        let mut last_change = Instant::now();
+        let staleness = Staleness::new();
         let mut since_check = 0u64;
 
         'outer: while !ub.all_exhausted() {
@@ -79,8 +79,7 @@ impl Algorithm for SeqRa {
                     work.docmap_peak = work.docmap_peak.max(seen.len() as u64);
                     if full > heap.threshold() && heap.offer(full, p.doc) {
                         work.heap_updates += 1;
-                        // lint: allow(wall-clock): sequential-baseline stall timeout (no queue to park on)
-                        last_change = Instant::now();
+                        staleness.stamp();
                         trace.record(p.doc, full);
                     }
                 }
@@ -92,10 +91,9 @@ impl Algorithm for SeqRa {
                 }
                 if since_check >= DELTA_CHECK_EVERY {
                     since_check = 0;
-                    if let Some(delta) = cfg.delta {
-                        if heap.is_full() && last_change.elapsed() >= delta {
-                            break 'outer;
-                        }
+                    if heap.is_full() && staleness.exceeds(cfg.delta) {
+                        work.timeout_stops = 1;
+                        break 'outer;
                     }
                 }
             }

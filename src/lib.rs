@@ -33,7 +33,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`collections`] | doc table, doc bitset, bounded/mutable top-k, swap cell |
+//! | [`collections`] | doc table, doc bitset, bounded top-k, swap cell |
 //! | [`corpus`] | synthetic corpus, tokenizer, scoring, query logs |
 //! | [`index`] | posting lists, block-max metadata, memory/disk indexes |
 //! | [`exec`] | job queue, per-query executor, shared worker pool |

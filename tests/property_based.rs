@@ -6,7 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sparta::collections::{BoundedTopK, DocBitset, DocTable, Lookup, MutableTopK, StripedMap};
+use sparta::collections::{BoundedTopK, DocBitset, DocTable, Lookup, StripedMap};
 use sparta::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -170,35 +170,6 @@ proptest! {
             .filter(|p| seen.insert(*p))
             .take(k)
             .collect();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn mutable_topk_models_max_per_item(
-        items in vec((0u64..500, 0u32..30), 0..300),
-        k in 1usize..10
-    ) {
-        // MutableTopK keyed by item keeps each item's max score; the
-        // final contents are the top-k items by their max scores.
-        let mut heap = MutableTopK::new(k);
-        for &(s, d) in &items {
-            heap.offer(s, d);
-        }
-        let got = heap.sorted();
-        // Reference model.
-        let mut best: HashMap<u32, u64> = HashMap::new();
-        for (s, d) in items {
-            let e = best.entry(d).or_insert(0);
-            *e = (*e).max(s);
-        }
-        let mut want: Vec<(u64, u32)> = best.into_iter().map(|(d, s)| (s, d)).collect();
-        want.sort_by(|a, b| b.cmp(a));
-        want.truncate(k);
-        // MutableTopK's eviction is greedy (an item whose score later
-        // rises may have been evicted while low), so it can differ
-        // from the offline optimum only when updates raced evictions;
-        // with max-accumulated offers it must match exactly, because
-        // offers are monotone per item. Verify exactness.
         prop_assert_eq!(got, want);
     }
 
