@@ -150,7 +150,6 @@ impl CyclicJob for StopChecker {
         // Starvation guard: if this checker is the only outstanding
         // job, all traversal jobs are gone (exhausted or lost to a
         // fault); no further updates can arrive, so spinning is futile.
-        // See the same guard in Sparta's cleaner.
         let starved = self.queue.outstanding() <= 1;
         if eq2 || timed_out || starved {
             if timed_out && !eq2 {

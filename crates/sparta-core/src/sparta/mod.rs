@@ -11,11 +11,11 @@
 //!    (`candidates::Segment`).
 //! 2. **A cleaner task** — once `UBStop` (Eq. 1) first holds, no new
 //!    document can enter the top-k, so the shared `docMap` stops
-//!    growing; a background task repeatedly rebuilds it without dead
-//!    candidates (`UB(D) ≤ Θ`) and publishes the pruned map with a
-//!    single pointer swing. It also detects termination: Eq. 2 holds
-//!    exactly when `|docMap| = |docHeap|`, and the Δ-timeout implements
-//!    the approximate variant.
+//!    growing; cleaner passes rebuild it without dead candidates
+//!    (`UB(D) ≤ Θ`) and publish the pruned map with a single pointer
+//!    swing. A pass also detects termination: Eq. 2 holds exactly when
+//!    `|docMap| = |docHeap|`, and the Δ-timeout implements the
+//!    approximate variant.
 //! 3. **Term-local map replicas** — when `|docMap|` drops below Φ, the
 //!    worker owning a posting list copies the entries still missing its
 //!    term's score into a thread-local `termMap` that fits in cache,
@@ -29,15 +29,33 @@
 //! cleaner publishes a rebuilt map instead. The first map and its
 //! admission are `candidates`, which pNRA and pJASS share.
 //!
-//! Deviation from the pseudocode, documented: Algorithm 1's *main
-//! thread* waits for `UBStop` and then enqueues CLEANER (lines 4–5).
-//! We have no dedicated main thread per query (the same code must run
-//! on a shared pool in throughput mode), so the first worker that
-//! observes `UBStop` enqueues the cleaner instead — same trigger, same
-//! once-only semantics. Likewise, the cleaner prunes on every pass
-//! rather than only while `|docMap| > Φ`; pruning below Φ is required
-//! for the exact variant's `|docMap| = |docHeap|` condition to become
-//! true, and is exactly what shrinks `termMap`-eligible copies.
+//! Deviations from the pseudocode, documented:
+//!
+//! * Algorithm 1's *main thread* waits for `UBStop` and then enqueues
+//!   CLEANER (lines 4–5). We have no dedicated main thread per query
+//!   (the same code must run on a shared pool in throughput mode), so
+//!   segment jobs schedule the cleaner at segment end instead.
+//! * The cleaner is *paced*, not a loop (line 48): each pass is a
+//!   one-shot job that runs only once the postings scanned since the
+//!   previous pass reach the entries it will walk (or Δ has run out),
+//!   so cleaning costs no more than the scan it rides on. The first
+//!   worker to observe `UBStop` enqueues a *check*: it tests Eq. 2
+//!   without pruning, and only if Eq. 2 holds does it prune and stop
+//!   the query — where the loop's first pass would have. A check that
+//!   fails sets the budget to `|docMap|` postings; a full pass that
+//!   does not stop sets it to the survivors it kept. One pass is in
+//!   flight at a time: the segment job that enqueues it claims
+//!   `next_pass_at`, and the pass's store of the next budget releases
+//!   the claim. Eq. 2 is seen at `UBStop` or at most one pass-size of
+//!   postings late, and no pass re-enqueues itself.
+//! * A list ending forces no pass. If every list runs dry before a
+//!   pass stops the query, `search` runs one last pass inline after the
+//!   workers have joined: every bound is then zero, so that pass proves
+//!   Eq. 2 (`|docMap| = |docHeap|`) without racing a worker.
+//! * The cleaner prunes on every full pass rather than only while
+//!   `|docMap| > Φ`; pruning below Φ is required for the exact
+//!   variant's `|docMap| = |docHeap|` condition to become true, and is
+//!   exactly what shrinks `termMap`-eligible copies.
 
 pub mod bounds;
 pub(crate) mod candidates;
@@ -60,13 +78,17 @@ use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// The Sparta algorithm.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Sparta;
+
+/// [`State::next_pass_at`] while a pass holds the claim: no other pass
+/// is due.
+const IN_FLIGHT: u64 = u64::MAX;
 
 /// Shared per-query state (Table 1).
 struct State {
@@ -77,7 +99,11 @@ struct State {
     cands: Candidates,
     heap: SpartaHeap,
     doc_map: SwapCell<DocMap>,
-    cleaner_scheduled: AtomicBool,
+    /// The postings count at which the next pass falls due once
+    /// `UBStop` holds (0: the first pass is due at once), or
+    /// [`IN_FLIGHT`] — the claim on the one pass in flight, taken by
+    /// the segment job that enqueues it and released by that pass.
+    next_pass_at: AtomicU64,
     trace: TraceSink,
     spans: QueryTrace,
     postings: ShardedCounter,
@@ -136,7 +162,7 @@ impl State {
             heap: SpartaHeap::new(Arc::clone(&cands.slab), cfg.k),
             cands,
             doc_map: SwapCell::new(DocMap::Open),
-            cleaner_scheduled: AtomicBool::new(false),
+            next_pass_at: AtomicU64::new(0),
             trace: TraceSink::with_clock(cfg.trace, cfg.clock),
             spans: QueryTrace::new(cfg.spans, cfg.clock),
             postings: ShardedCounter::new(),
@@ -151,16 +177,129 @@ impl State {
         self.ub.ub_stop(self.heap.theta())
     }
 
-    /// Enqueues the cleaner the first time `UBStop` is observed
-    /// (Alg. 1 lines 4–5, worker-triggered; see module docs).
-    fn maybe_schedule_cleaner(self: &Arc<Self>, queue: &Arc<JobQueue>) {
-        if self.ub_stop() && !self.cleaner_scheduled.swap(true, Ordering::AcqRel) {
-            queue.push(Job::cyclic(CleanerJob {
-                state: Arc::clone(self),
-                queue: Arc::clone(queue),
-                bounds: UbSnapshot::default(),
-                members: FastHashSet::default(),
-            }));
+    /// Called at every segment end: once `UBStop` holds, enqueues one
+    /// pass when the budget in `next_pass_at` is spent or Δ has run out,
+    /// and this worker wins the claim (see module docs).
+    fn maybe_schedule_pass(self: &Arc<Self>, queue: &Arc<JobQueue>) {
+        if !self.ub_stop() {
+            return;
+        }
+        let next = &self.next_pass_at;
+        // ordering: only a guess at the budget; the exchange below checks it (model: cleaner_pass)
+        let due = next.load(Ordering::Relaxed);
+        if due == IN_FLIGHT
+            || (self.postings.get() < due && !self.heap.staleness().exceeds(self.cfg.delta))
+        {
+            return;
+        }
+        // ordering: the claim pairs with the last pass's release (model: cleaner_pass);
+        // a stale `due` fails the exchange and claims nothing.
+        let claim = next.compare_exchange(due, IN_FLIGHT, Ordering::Acquire, Ordering::Relaxed);
+        if claim.is_ok() {
+            let state = Arc::clone(self);
+            queue.push(Box::new(move || state.clean(due == 0)));
+        }
+    }
+
+    /// One CLEANER pass (Alg. 1 lines 40–47), run by the holder of the
+    /// claim, or inline once every worker has joined. A pass that does
+    /// not stop the query sets the next budget, which releases the
+    /// claim; it never re-enqueues itself. The first pass, at `UBStop`,
+    /// is a `check`: it prunes only if Eq. 2 already holds.
+    fn clean(&self, check: bool) {
+        if self.cands.is_done() {
+            return;
+        }
+        let pass_span = self.spans.span(Phase::Cleaner);
+        self.cleaner_passes.fetch_add(1, Ordering::Relaxed);
+        let start = self.postings.get();
+        let cur = self.doc_map.load();
+        let cands = &self.cands;
+        let theta = self.heap.theta();
+        let mut members = FastHashSet::default();
+        self.heap.members_snapshot_into(&mut members);
+        // With the probabilistic extension (γ < 1), "upper bound"
+        // becomes the γ-scaled estimate — candidates merely *unlikely*
+        // to reach Θ are dropped too.
+        let gamma = self.cfg.prune_gamma.unwrap_or(1.0);
+        let mut bounds = UbSnapshot::default();
+        self.ub.snapshot_into(gamma, &mut bounds);
+        let walked = cur.table(cands).len();
+        self.docmap_peak.fetch_max(walked as u64, Ordering::Relaxed);
+        if check {
+            // Eq. 2 alone: is any candidate outside the heap still able
+            // to qualify? Past the first such straggler the walk only
+            // tests the flag, as pNRA's stop checker does.
+            let mut eq2 = true;
+            cur.for_each(&cands.slab, |_, rec| {
+                if eq2 && rec.ub(&bounds) > theta && !members.contains(&rec.id()) {
+                    eq2 = false;
+                }
+            });
+            if !eq2 && !self.heap.staleness().exceeds(self.cfg.delta) {
+                // The first full pass walks this map: it is due once as
+                // many postings have been scanned since this check.
+                drop(pass_span);
+                self.next_pass_at
+                    .store(start + walked as u64, Ordering::Release);
+                return;
+            }
+        }
+        // Lines 41–45: keep the entries whose upper bound still exceeds
+        // Θ, plus all heap members (whose bounds may equal Θ), then
+        // swing the global pointer to a map rebuilt from the survivors.
+        // Pass 1 walks the slab's scored records, every later pass the
+        // previous pass's survivors — both sequential. Membership is a
+        // lookup only on the prune branch, and there only for a record
+        // whose sum has reached Θ: a member's sum is never below the Θ
+        // read above (Θ is the smallest member LB, sums only grow, and
+        // Θ was read before the members were copied). Pruning removes
+        // only the handle; the record stays in the slab until the
+        // query drops.
+        let mut survivors = Vec::with_capacity(walked);
+        cur.for_each(&cands.slab, |h, rec| {
+            if rec.ub(&bounds) > theta
+                || (rec.current_sum() >= theta && members.contains(&rec.id()))
+            {
+                survivors.push(h);
+            }
+        });
+        // `stragglers` counts retained non-members: the pseudocode's
+        // `|docMap| = |docHeap|` stopping test assumes docHeap ⊆ docMap
+        // and is exactly `stragglers == 0` then. We check stragglers
+        // directly because with γ < 1 a pruned candidate can later
+        // re-grow and re-enter the heap through a worker's termMap,
+        // breaking the ⊆ invariant (a size-equality check would then
+        // never fire and the query would degrade to a full scan).
+        // Every member found in the map survived, so the non-members
+        // are the rest.
+        let members_in_map = members
+            .iter()
+            .filter(|&&d| cur.table(cands).get(d).is_some())
+            .count();
+        let kept = survivors.len();
+        let stragglers = kept - members_in_map;
+        if kept < walked {
+            self.doc_map
+                .swap(Arc::new(DocMap::rebuilt(&cands.slab, survivors)));
+        }
+        // Line 46: stopping conditions — Eq. 2 (no candidate outside
+        // the heap can still qualify), or the Δ timeout (exact: Δ = ∞).
+        let eq2 = stragglers == 0;
+        let timed_out = self.heap.staleness().exceeds(self.cfg.delta);
+        drop(pass_span);
+        if eq2 || timed_out {
+            if timed_out && !eq2 {
+                // The Δ budget (approximate variant) fired before Eq. 2.
+                self.timeout_stops.fetch_add(1, Ordering::Relaxed);
+            }
+            cands.stop(); // line 47
+        } else {
+            // The next pass walks `kept` entries: it is due once as
+            // many postings have been scanned since this one began.
+            // Storing the budget releases the claim.
+            self.next_pass_at
+                .store(start + kept as u64, Ordering::Release);
         }
     }
 }
@@ -281,106 +420,10 @@ impl CyclicJob for SegmentJob {
             state.doc_map.load().table(cands).len() as u64,
             Ordering::Relaxed,
         );
-        state.maybe_schedule_cleaner(&self.queue);
+        state.maybe_schedule_pass(&self.queue);
         drop(seg_span);
         // Line 25: recycle this box as the next segment of the list.
         !exhausted && !state.cands.is_done()
-    }
-}
-
-/// CLEANER (Alg. 1 lines 39–48) as a recycled [`CyclicJob`]: each step
-/// is one pass; returning `true` re-enqueues the same box (line 48).
-struct CleanerJob {
-    state: Arc<State>,
-    queue: Arc<JobQueue>,
-    /// This pass's private copy of `UB[m]`; the buffer is reused.
-    bounds: UbSnapshot,
-    /// This pass's copy of the heap's member ids; likewise reused.
-    members: FastHashSet<DocId>,
-}
-
-impl CyclicJob for CleanerJob {
-    fn run_step(&mut self) -> bool {
-        let state = &self.state;
-        if state.cands.is_done() {
-            return false;
-        }
-        let pass_span = state.spans.span(Phase::Cleaner);
-        state.cleaner_passes.fetch_add(1, Ordering::Relaxed);
-        let cur = state.doc_map.load();
-        let cands = &state.cands;
-        let theta = state.heap.theta();
-        state.heap.members_snapshot_into(&mut self.members);
-        let members = &self.members;
-        // With the probabilistic extension (γ < 1), "upper bound"
-        // becomes the γ-scaled estimate — candidates merely *unlikely*
-        // to reach Θ are dropped too.
-        let gamma = state.cfg.prune_gamma.unwrap_or(1.0);
-        state.ub.snapshot_into(gamma, &mut self.bounds);
-        state
-            .docmap_peak
-            .fetch_max(cur.table(cands).len() as u64, Ordering::Relaxed);
-        // Lines 41–45: keep the entries whose upper bound still exceeds
-        // Θ, plus all heap members (whose bounds may equal Θ), then
-        // swing the global pointer to a map rebuilt from the survivors.
-        // Pass 1 walks the slab's scored records, every later pass the
-        // previous pass's survivors — both sequential. Membership is a
-        // lookup only on the prune branch, and there only for a record
-        // whose sum has reached Θ: a member's sum is never below the Θ
-        // read above (Θ is the smallest member LB, sums only grow, and
-        // Θ was read before the members were copied). Pruning removes
-        // only the handle; the record stays in the slab until the
-        // query drops.
-        let mut survivors = Vec::with_capacity(cur.table(cands).len());
-        cur.for_each(&cands.slab, |h, rec| {
-            if rec.ub(&self.bounds) > theta
-                || (rec.current_sum() >= theta && members.contains(&rec.id()))
-            {
-                survivors.push(h);
-            }
-        });
-        // `stragglers` counts retained non-members: the pseudocode's
-        // `|docMap| = |docHeap|` stopping test assumes docHeap ⊆ docMap
-        // and is exactly `stragglers == 0` then. We check stragglers
-        // directly because with γ < 1 a pruned candidate can later
-        // re-grow and re-enter the heap through a worker's termMap,
-        // breaking the ⊆ invariant (a size-equality check would then
-        // never fire and the query would degrade to a full scan).
-        // Every member found in the map survived, so the non-members
-        // are the rest.
-        let members_in_map = members
-            .iter()
-            .filter(|&&d| cur.table(cands).get(d).is_some())
-            .count();
-        let stragglers = survivors.len() - members_in_map;
-        if survivors.len() < cur.table(cands).len() {
-            state
-                .doc_map
-                .swap(Arc::new(DocMap::rebuilt(&cands.slab, survivors)));
-        }
-        // Line 46: stopping conditions — Eq. 2 (no candidate outside
-        // the heap can still qualify), or the Δ timeout (exact: Δ = ∞).
-        let eq2 = stragglers == 0;
-        let timed_out = state.heap.staleness().exceeds(state.cfg.delta);
-        // Starvation guard (found by the deterministic fault-injection
-        // harness): if the cleaner is the only outstanding job, every
-        // traversal job is gone — exhausted or lost to a fault — so no
-        // score update can ever arrive and re-enqueueing would loop
-        // forever. In a fault-free run this fires only when Eq. 2
-        // already holds (exhausted lists zero their UB, which prunes
-        // every non-member), so it never changes exact results.
-        let starved = self.queue.outstanding() <= 1;
-        drop(pass_span);
-        if eq2 || timed_out || starved {
-            if timed_out && !eq2 {
-                // The Δ budget (approximate variant) fired before Eq. 2.
-                state.timeout_stops.fetch_add(1, Ordering::Relaxed);
-            }
-            cands.stop(); // line 47
-            false
-        } else {
-            true // line 48: recycle this box as the next pass
-        }
     }
 }
 
@@ -428,6 +471,10 @@ impl Algorithm for Sparta {
                 }
             }
             exec.run(Arc::clone(&queue));
+            // Every list ran dry before a pass stopped the query (or a
+            // pass was lost): all bounds are zero, so one last pass
+            // proves Eq. 2 with the workers joined.
+            state.clean(false);
             (state, queue)
         };
         let postings = postings(index.as_ref(), query);
@@ -478,7 +525,7 @@ impl Algorithm for Sparta {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
     use sparta_index::{InMemoryIndex, Posting};
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
@@ -566,6 +613,97 @@ mod tests {
         assert_eq!(steps, 5, "four full segments, then the empty one");
         assert_eq!(state.ub.get(0), 0);
         assert_eq!(state.postings.get(), 256);
+    }
+
+    /// Three lists of the same 1000 docs with k = 800: when `UBStop`
+    /// first holds, the check finds candidates outside the heap that
+    /// can still qualify, and the first full pass would walk more
+    /// entries than there are postings left to scan, so no pass falls
+    /// due before every list ends. Only the inline pass after the join
+    /// can then prove Eq. 2 — at every thread count, and on every
+    /// deterministic schedule.
+    #[test]
+    fn lists_that_run_dry_end_on_the_inline_pass() {
+        let (n, m, k) = (1000, 3, 800);
+        let ix = pseudo_index(n, m, 31);
+        let q = Query::new((0..m as u32).collect());
+        let cfg = SearchConfig::exact(k).with_seg_size(64).with_phi(256);
+        let oracle = Oracle::compute(ix.as_ref(), &q, k);
+        let check = |exec: &dyn Executor, ctx: &str| {
+            let r = Sparta.search(&ix, &q, &cfg, exec);
+            assert_eq!(oracle.recall(&r.docs()), 1.0, "{ctx}: {:?}", r.docs());
+            assert_eq!(
+                r.work.postings_scanned,
+                u64::from(n) * m as u64,
+                "{ctx}: the lists must run dry"
+            );
+            assert!(r.work.cleaner_passes >= 1, "{ctx}: no pass ran");
+            assert_eq!(
+                r.work.docmap_final,
+                r.hits.len() as u64,
+                "{ctx}: |docMap| != |docHeap| (Eq. 2)"
+            );
+            r.work.cleaner_passes
+        };
+        assert_eq!(
+            check(&DedicatedExecutor::new(1), "t=1"),
+            2,
+            "the check and the inline pass, and no pass between"
+        );
+        for threads in [2, 4] {
+            check(&DedicatedExecutor::new(threads), &format!("t={threads}"));
+        }
+        for seed in 0..16 {
+            check(&DeterministicExecutor::new(seed), &format!("seed {seed}"));
+        }
+    }
+
+    /// Two lists with k = 800 of 1000 docs: Eq. 2 already holds when
+    /// `UBStop` first does, so the check that `UBStop` schedules stops
+    /// the query there, before the lists run dry — no budget delays it.
+    #[test]
+    fn the_check_at_ubstop_stops_an_early_query() {
+        let (n, m, k) = (1000, 2, 800);
+        let ix = pseudo_index(n, m, 31);
+        let q = Query::new((0..m as u32).collect());
+        let cfg = SearchConfig::exact(k).with_seg_size(64).with_phi(256);
+        let oracle = Oracle::compute(ix.as_ref(), &q, k);
+        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        assert_eq!(oracle.recall(&r.docs()), 1.0);
+        assert_eq!(r.work.cleaner_passes, 1, "the check alone stops it");
+        assert!(
+            r.work.postings_scanned < u64::from(n) * m as u64,
+            "scanned {} postings: the lists ran dry",
+            r.work.postings_scanned
+        );
+        assert_eq!(r.work.docmap_final, r.hits.len() as u64);
+    }
+
+    /// Once `UBStop` holds, a pass is due when its budget is spent or Δ
+    /// has run out, whichever comes first; and while one is in flight
+    /// no second one is enqueued.
+    #[test]
+    fn a_pass_falls_due_on_its_budget_or_on_delta() {
+        let state_with = |delta| {
+            let cfg = SearchConfig::exact(10).with_delta(delta);
+            let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg));
+            state.ub.exhaust(0); // UBStop: Σ UB = 0 ≤ Θ
+            state.next_pass_at.store(1 << 40, Ordering::Relaxed);
+            state
+        };
+        let queue = JobQueue::tagged(0);
+        let waiting = state_with(None);
+        waiting.maybe_schedule_pass(&queue);
+        assert_eq!(queue.outstanding(), 0, "budget unspent, no Δ");
+        let stale = state_with(Some(std::time::Duration::ZERO));
+        stale.maybe_schedule_pass(&queue);
+        assert_eq!(queue.outstanding(), 1, "Δ ran out before the budget");
+        assert_eq!(stale.next_pass_at.load(Ordering::Relaxed), IN_FLIGHT);
+        stale.maybe_schedule_pass(&queue);
+        assert_eq!(queue.outstanding(), 1, "one pass in flight at a time");
+        waiting.postings.add(1 << 40);
+        waiting.maybe_schedule_pass(&queue);
+        assert_eq!(queue.outstanding(), 2, "budget spent");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 use crate::Model;
 
 pub mod admission;
+pub mod cleaner_pass;
 pub mod doc_bitset;
 pub mod doc_slab;
 pub mod doc_table;
@@ -45,6 +46,7 @@ pub fn all_shipped() -> Vec<Model> {
         doc_table::model(Mutation::None),
         doc_bitset::model(doc_bitset::Rmw::Atomic),
         admission::model(Mutation::None),
+        cleaner_pass::model(Mutation::None),
         server_flags::model(Mutation::None),
         tag_alloc::model(tag_alloc::Rmw::Atomic),
     ]

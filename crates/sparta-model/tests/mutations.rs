@@ -7,8 +7,8 @@
 //! of it would be theater.
 
 use sparta_model::protocols::{
-    admission, doc_bitset, doc_slab, doc_table, job_queue, seqlock, server_flags, tag_alloc,
-    Mutation,
+    admission, cleaner_pass, doc_bitset, doc_slab, doc_table, job_queue, seqlock, server_flags,
+    tag_alloc, Mutation,
 };
 use sparta_model::Model;
 
@@ -112,6 +112,22 @@ fn admission_unlock_without_release_edge_is_caught() {
     assert_caught(
         "admission/release",
         &admission::model(Mutation::ReleaseToRelaxed),
+    );
+}
+
+#[test]
+fn cleaner_pass_claim_without_acquire_edge_is_caught() {
+    assert_caught(
+        "cleaner_pass/acquire",
+        &cleaner_pass::model(Mutation::AcquireToRelaxed),
+    );
+}
+
+#[test]
+fn cleaner_pass_release_store_flipped_to_relaxed_is_caught() {
+    assert_caught(
+        "cleaner_pass/release",
+        &cleaner_pass::model(Mutation::ReleaseToRelaxed),
     );
 }
 

@@ -22,11 +22,9 @@ fn main() {
     // A small synthetic corpus (the paper's ClueWeb-like generator).
     let corpus = SynthCorpus::build(CorpusModel::tiny(7));
     let index: Arc<dyn Index> = Arc::new(IndexBuilder::new(TfIdfScorer).build_memory(&corpus));
-    let query = QueryLog::generate(corpus.stats(), 1, 4, 11)
-        .all()
-        .next()
-        .expect("query")
-        .clone();
+    // A 4-term query: enough segment jobs for seeds to interleave, and
+    // for the faults below to land inside the run.
+    let query = QueryLog::generate(corpus.stats(), 1, 4, 11).of_length(4)[0].clone();
     let cfg = SearchConfig::exact(10).with_seg_size(64);
     let oracle = Oracle::compute(index.as_ref(), &query, cfg.k);
 
@@ -73,7 +71,8 @@ fn main() {
     );
 
     // 4. Drop a continuation: the query may lose recall but must still
-    //    terminate (the cleaner's starvation guard stops the run).
+    //    terminate (the jobs drain, and one last cleaner pass runs
+    //    inline after the join).
     let lossy = DeterministicExecutor::new(seed).with_faults(FaultPlan::none().drop_at(2));
     let r = run(&lossy);
     println!(

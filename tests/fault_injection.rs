@@ -3,7 +3,10 @@
 //! query, poisoning the pool, or corrupting a *subsequent* query.
 
 use sparta::prelude::*;
-use sparta_testkit::{build_index, long_query, sweep_schedules};
+use sparta_obs::{ClockMode, Phase};
+use sparta_testkit::{
+    assert_eq2_termination, assert_exact_invariants, build_index, long_query, sweep_schedules,
+};
 use std::sync::Arc;
 
 /// A panicking job injected mid-query is caught and surfaced in
@@ -65,6 +68,48 @@ fn dropped_continuations_never_hang() {
             r.hits.windows(2).all(|w| w[0].score >= w[1].score),
             "seed {seed}: rank order broken after dropped jobs"
         );
+    });
+}
+
+/// A lost cleaner pass holds its claim on `next_pass_at` forever, so no
+/// worker can enqueue another: the lists run dry, and the inline pass
+/// that follows the join must still end the query exactly, by Eq. 2.
+/// The pass to drop is found in the fault-free run of the same seed:
+/// until a pass stops the query every step opens exactly one span, so
+/// the first cleaner span's rank among the job spans is its step.
+#[test]
+fn a_lost_cleaner_pass_ends_exactly_on_the_inline_pass() {
+    let (ix, corpus) = build_index(63);
+    let q = long_query(&corpus, 5);
+    let cfg = SearchConfig::exact(10)
+        .with_seg_size(64)
+        .with_phi(256)
+        .with_spans(true)
+        .with_clock(ClockMode::Logical);
+    let oracle = Oracle::compute(ix.as_ref(), &q, 10);
+    let total: u64 = q.terms.iter().map(|&t| ix.doc_freq(t)).sum();
+    sweep_schedules(8, |seed, exec| {
+        let ctx = format!("seed {seed}");
+        let clean = Sparta.search(&ix, &q, &cfg, exec);
+        let mut spans = clean.spans.expect("spans enabled");
+        spans.retain(|s| matches!(s.phase, Phase::TermProcess | Phase::Cleaner));
+        spans.sort_by_key(|s| s.start);
+        let step = spans
+            .iter()
+            .position(|s| s.phase == Phase::Cleaner)
+            .expect("a pass ran");
+        assert!(
+            spans[step..].iter().any(|s| s.phase == Phase::TermProcess),
+            "{ctx}: the first pass must run among the jobs, not after the join"
+        );
+        let faulty = exec
+            .clone()
+            .with_faults(FaultPlan::none().drop_at(step as u64));
+        let r = Sparta.search(&ix, &q, &cfg, &faulty);
+        assert_eq!(r.work.cleaner_passes, 1, "{ctx}: only the inline pass ran");
+        assert_eq!(r.work.postings_scanned, total, "{ctx}: lists ran dry");
+        assert_exact_invariants(&oracle, &r, &ctx);
+        assert_eq2_termination(&r, &ctx);
     });
 }
 
