@@ -6,18 +6,25 @@
 //! executing queries. All queries scheduled for execution equally
 //! share the thread pool."
 //!
-//! Implementation: `threads` persistent workers multiplex over the set
-//! of *active* query queues round-robin (equal sharing). A worker that
-//! sweeps all active queues without finding a runnable job is idle; it
-//! then admits the next *pending* query (FCFS). Completed queues
-//! (outstanding == 0) are retired during the sweep.
+//! Implementation: `threads` persistent workers share a FCFS backlog of
+//! *pending* queries and the set of *active* ones. A worker's *home* is
+//! the query it admitted, kept until it completes. Its next job is the
+//! first of (a) a queued job of home, taken without a pool lock; (b)
+//! with no home, the oldest pending query, admitted as home; (c) the
+//! oldest active query with a queued job. So every active query keeps
+//! one worker, and its records stay in that core's cache. Passing (a)
+//! retires completed queues.
+//!
+//! Deviation from §5.1, which admits only when no active query has
+//! work: a worker whose home has completed admits before it helps.
+//! With one query in flight every worker still reaches it through (c).
 
 use crate::watchdog::{StallWatchdog, WatchdogConfig};
-use crate::{Executor, JobQueue};
+use crate::{Executor, Job, JobQueue};
 use parking_lot::{Condvar, Mutex};
 use sparta_obs::{recorder, EventKind, ExecMetrics, FlightRecorder};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -29,7 +36,6 @@ struct Shared {
     pending: Mutex<VecDeque<Arc<JobQueue>>>,
     cv: Condvar,
     shutdown: AtomicBool,
-    rr: AtomicUsize,
     /// Opt-in registry; `None` keeps the worker loop timing-free.
     metrics: Option<Arc<ExecMetrics>>,
     /// Opt-in flight recorder; workers install their ring on entry.
@@ -79,7 +85,6 @@ impl WorkerPool {
             pending: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            rr: AtomicUsize::new(0),
             metrics,
             recorder,
         });
@@ -188,78 +193,36 @@ fn worker_loop(sh: &Shared, worker: usize) {
     // the stall watchdog could never distinguish "wedged" from
     // "parked and periodically re-checking".
     let mut idle = false;
+    let mut home = None;
     loop {
         if sh.shutdown.load(Ordering::Acquire) {
             return;
         }
-        // Sweep active queues round-robin for a runnable job.
-        let mut ran = false;
-        {
-            let mut active = sh.active.lock();
-            // Retire completed queries, folding their queue stats into
-            // the registry (high-water is only final once retired).
-            active.retain(|q| {
-                let done = q.is_complete();
-                if done {
-                    if let Some(m) = &sh.metrics {
-                        m.queue_depth_highwater.observe(q.depth_highwater());
-                        m.queries_run.incr();
-                    }
+        if let Some((q, job)) = next_job(sh, &mut home) {
+            if idle {
+                idle = false;
+                recorder::record(EventKind::Unpark, 0);
+            }
+            match &sh.metrics {
+                None => {
+                    q.run_job(job);
                 }
-                !done
-            });
-            let n = active.len();
-            if n > 0 {
-                let start = sh.rr.fetch_add(1, Ordering::Relaxed) % n;
-                for i in 0..n {
-                    let q = Arc::clone(&active[(start + i) % n]);
-                    if let Some(job) = q.try_pop() {
-                        drop(active);
-                        if idle {
-                            idle = false;
-                            recorder::record(EventKind::Unpark, 0);
-                        }
-                        match &sh.metrics {
-                            None => {
-                                q.run_job(job);
-                            }
-                            Some(m) => {
-                                // lint: allow(wall-clock): executor metrics timing (busy/parked nanos)
-                                let started = Instant::now();
-                                let panicked = q.run_job(job);
-                                m.worker(worker)
-                                    .record_job(started.elapsed().as_nanos() as u64, panicked);
-                            }
-                        }
-                        sh.cv.notify_all();
-                        ran = true;
-                        break;
-                    }
+                Some(m) => {
+                    // lint: allow(wall-clock): executor metrics timing (busy/parked nanos)
+                    let started = Instant::now();
+                    let panicked = q.run_job(job);
+                    m.worker(worker)
+                        .record_job(started.elapsed().as_nanos() as u64, panicked);
                 }
             }
-        }
-        if ran {
+            sh.cv.notify_all();
             continue;
         }
-        // Idle: no runnable work among active queries — admit the next
-        // pending query (FCFS), if any.
-        let admitted = {
-            let next = sh.pending.lock().pop_front();
-            match next {
-                Some(q) => {
-                    sh.active.lock().push(q);
-                    sh.cv.notify_all();
-                    true
-                }
-                None => false,
-            }
-        };
-        if admitted {
-            continue;
-        }
-        // Nothing to do: wait for a push/submission/completion.
+        // Nothing to do: wait for a push/submission/completion. A home
+        // still in flight bars admission, so `pending` is no cause to spin.
         let mut guard = sh.pending.lock();
-        if guard.is_empty() && !sh.shutdown.load(Ordering::Acquire) {
+        let may_admit = home.as_ref().is_none_or(|q| q.is_complete());
+        if (guard.is_empty() || !may_admit) && !sh.shutdown.load(Ordering::Acquire) {
             if !idle {
                 idle = true;
                 recorder::record(EventKind::Park, 0);
@@ -277,6 +240,42 @@ fn worker_loop(sh: &Shared, worker: usize) {
     }
 }
 
+/// Picks a worker's next job by the module docs' (a)–(c). `home` is
+/// cleared only once its query completes.
+fn next_job(sh: &Shared, home: &mut Option<Arc<JobQueue>>) -> Option<(Arc<JobQueue>, Job)> {
+    let pop = |q: &Arc<JobQueue>| q.try_pop().map(|job| (Arc::clone(q), job));
+    if let Some(own) = home.as_ref().and_then(pop) {
+        return Some(own);
+    }
+    home.take_if(|q| q.is_complete());
+    let admitted = home
+        .is_none()
+        .then(|| sh.pending.lock().pop_front())
+        .flatten();
+    let mut active = sh.active.lock();
+    // Retire completed queries, folding their queue stats into the
+    // registry (high-water is only final once retired).
+    active.retain(|q| {
+        let done = q.is_complete();
+        if done {
+            if let Some(m) = &sh.metrics {
+                m.queue_depth_highwater.observe(q.depth_highwater());
+                m.queries_run.incr();
+            }
+        }
+        !done
+    });
+    active.extend(admitted.clone());
+    // The admitted query first, then every active one, oldest first.
+    let picked = admitted.iter().chain(active.iter()).find_map(pop);
+    drop(active);
+    if let Some(q) = admitted {
+        sh.cv.notify_all();
+        *home = Some(q);
+    }
+    picked
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,6 +290,128 @@ mod tests {
             }));
         }
         q
+    }
+
+    /// A pool's shared state with no worker threads: tests drive
+    /// `next_job` by hand.
+    fn bare_shared(metrics: Option<Arc<ExecMetrics>>) -> Shared {
+        Shared {
+            active: Mutex::new(Vec::new()),
+            pending: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            metrics,
+            recorder: None,
+        }
+    }
+
+    fn picked(sh: &Shared, home: &mut Option<Arc<JobQueue>>) -> Arc<JobQueue> {
+        let (q, job) = next_job(sh, home).expect("a job is queued");
+        q.run_job(job);
+        q
+    }
+
+    fn is_home(home: &Option<Arc<JobQueue>>, q: &Arc<JobQueue>) -> bool {
+        home.as_ref().is_some_and(|h| Arc::ptr_eq(h, q))
+    }
+
+    #[test]
+    fn home_job_wins_over_older_active_and_pending_queries() {
+        let c = Arc::new(AtomicU64::new(0));
+        let (older, own, waiting) = (make_query(2, &c), make_query(2, &c), make_query(2, &c));
+        let sh = bare_shared(None);
+        sh.active
+            .lock()
+            .extend([Arc::clone(&older), Arc::clone(&own)]);
+        sh.pending.lock().push_back(Arc::clone(&waiting));
+        let mut home = Some(Arc::clone(&own));
+        assert!(Arc::ptr_eq(&picked(&sh, &mut home), &own));
+        assert!(Arc::ptr_eq(&picked(&sh, &mut home), &own));
+        assert!(is_home(&home, &own));
+        assert_eq!(sh.pending.lock().len(), 1, "nothing admitted yet");
+    }
+
+    #[test]
+    fn a_completed_home_admits_the_oldest_pending_query_before_helping() {
+        let c = Arc::new(AtomicU64::new(0));
+        let (own, busy) = (make_query(1, &c), make_query(3, &c));
+        let (first, second) = (make_query(2, &c), make_query(2, &c));
+        own.run_job(own.try_pop().expect("one job"));
+        let sh = bare_shared(None);
+        sh.active
+            .lock()
+            .extend([Arc::clone(&busy), Arc::clone(&own)]);
+        sh.pending
+            .lock()
+            .extend([Arc::clone(&first), Arc::clone(&second)]);
+        let mut home = Some(Arc::clone(&own));
+        assert!(Arc::ptr_eq(&picked(&sh, &mut home), &first));
+        assert!(is_home(&home, &first), "the admitted query is home");
+        assert_eq!(sh.active.lock().len(), 2, "`own` retired, `first` admitted");
+        assert_eq!(sh.pending.lock().len(), 1);
+    }
+
+    /// A query whose job runs on a helper keeps its worker: that worker
+    /// admits nothing meanwhile, so the requeued job finds it waiting
+    /// however many queries are pending.
+    #[test]
+    fn a_home_running_on_a_helper_keeps_its_worker() {
+        let c = Arc::new(AtomicU64::new(0));
+        let own = make_query(2, &c);
+        let sh = bare_shared(None);
+        sh.pending.lock().push_back(Arc::clone(&own));
+        let (mut w1, mut w2) = (None, None);
+        // W1 admits `own`; W2, with nothing pending, helps it.
+        let (q1, job1) = next_job(&sh, &mut w1).expect("admits `own`");
+        let (q2, job2) = next_job(&sh, &mut w2).expect("helps `own`");
+        assert!(Arc::ptr_eq(&q1, &own) && Arc::ptr_eq(&q2, &own));
+        assert!(w2.is_none(), "helping does not move home");
+        q1.run_job(job1);
+        // `own` is dry while W2 runs its last job, and queries arrive.
+        let arrivals: Vec<_> = (0..3).map(|_| make_query(2, &c)).collect();
+        sh.pending.lock().extend(arrivals.iter().cloned());
+        assert!(next_job(&sh, &mut w1).is_none(), "W1 waits for `own`");
+        assert!(is_home(&w1, &own));
+        // W2's step requeues into `own`, then W2 admits a new query.
+        own.push(Box::new(|| {}));
+        q2.run_job(job2);
+        assert!(Arc::ptr_eq(&picked(&sh, &mut w2), &arrivals[0]));
+        assert!(Arc::ptr_eq(&picked(&sh, &mut w1), &own));
+        assert!(own.is_complete());
+        assert!(Arc::ptr_eq(&picked(&sh, &mut w1), &arrivals[1]));
+    }
+
+    #[test]
+    fn with_nothing_pending_a_worker_helps_the_oldest_active_query() {
+        let c = Arc::new(AtomicU64::new(0));
+        let queries: Vec<_> = (0..3).map(|_| make_query(3, &c)).collect();
+        let own = make_query(1, &c);
+        let running = own.try_pop().expect("one job");
+        let sh = bare_shared(None);
+        sh.active.lock().extend(queries.iter().cloned());
+        sh.active.lock().push(Arc::clone(&own));
+        let mut home = Some(Arc::clone(&own));
+        for want in [0, 0, 0, 1] {
+            assert!(Arc::ptr_eq(&picked(&sh, &mut home), &queries[want]));
+            assert!(is_home(&home, &own), "helping does not move home");
+        }
+        own.run_job(running);
+    }
+
+    #[test]
+    fn a_completed_home_is_retired_and_counted() {
+        let metrics = ExecMetrics::new(1);
+        let sh = bare_shared(Some(Arc::clone(&metrics)));
+        let c = Arc::new(AtomicU64::new(0));
+        let q = make_query(1, &c);
+        sh.pending.lock().push_back(Arc::clone(&q));
+        let mut home = None;
+        assert!(Arc::ptr_eq(&picked(&sh, &mut home), &q));
+        assert!(q.is_complete());
+        assert!(next_job(&sh, &mut home).is_none());
+        assert!(home.is_none(), "a parked worker holds no query");
+        assert!(sh.active.lock().is_empty());
+        assert_eq!(metrics.snapshot().queries_run, 1);
     }
 
     #[test]
@@ -378,7 +499,7 @@ mod tests {
             pool.run(make_query(25, &c));
         }
         assert_eq!(c.load(Ordering::Relaxed), 100);
-        // Retirement happens on a worker's next sweep, and the last
+        // Retirement happens on a worker's next pick, and the last
         // job's duration is recorded *after* its completion bookkeeping
         // (a queue can retire while that worker is still between
         // run_job and record_job) — wait for both counters.

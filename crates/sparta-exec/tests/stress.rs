@@ -61,7 +61,8 @@ fn rapid_query_churn_on_shared_pool() {
 
 #[test]
 fn pool_interleaves_long_and_short_queries() {
-    // A long-running query must not starve short ones (equal sharing).
+    // A long-running query must not starve short ones: the worker it
+    // does not occupy admits them.
     let pool = Arc::new(WorkerPool::new(2));
     let long_done = Arc::new(AtomicU64::new(0));
     let long_q = JobQueue::new();

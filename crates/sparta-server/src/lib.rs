@@ -16,9 +16,10 @@
 //! * [`scheduler`] — the batching layer: every admitted query derives
 //!   a per-request [`SearchConfig`](sparta_core::SearchConfig) from a
 //!   shared template (`with_k` + `with_query_tag`) and runs on **one
-//!   shared** [`WorkerPool`](sparta_exec::WorkerPool), which
-//!   multiplexes concurrent queries round-robin instead of paying one
-//!   pool per query.
+//!   shared** [`WorkerPool`](sparta_exec::WorkerPool) instead of paying
+//!   one pool per query. Each pool worker keeps to the query it
+//!   admitted until that query completes, then admits the next pending
+//!   one; while its query has no queued job it helps another in flight.
 //! * [`server`] / [`client`] — the TCP edge: accept loop, polling
 //!   handlers, cooperative shutdown that joins every thread.
 //! * [`admin`] — the observability plane: a second listener speaking

@@ -3,10 +3,13 @@
 //!
 //! Each request derives its own [`SearchConfig`] from the server's
 //! template (`template.with_k(req.k).with_query_tag(tag)`), so the
-//! shared pool multiplexes many tagged job queues round-robin — the
-//! batching the paper's throughput mode describes (§5.4): concurrent
-//! queries coalesce onto the same workers rather than oversubscribing
-//! the machine with one pool each. The tag stamped on the queue keeps
+//! shared pool runs many tagged job queues at once — the batching the
+//! paper's throughput mode describes (§5.4): concurrent queries
+//! coalesce onto the same workers rather than oversubscribing the
+//! machine with one pool each. A worker keeps to the query it admitted
+//! until that query completes, then admits the next pending one, and
+//! helps another while its own has no queued job; a lone request in
+//! flight still gets every worker. The tag stamped on the queue keeps
 //! every job attributable to its query in flight-recorder dumps.
 //!
 //! The scheduler owns the admission step: `execute` either returns a
