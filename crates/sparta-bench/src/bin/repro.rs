@@ -46,8 +46,6 @@
 //!   `--emit-json` and `--perf-guard` runs (the guard asserts the
 //!   counters stay identical either way)
 
-#![forbid(unsafe_code)]
-
 use sparta_bench::measure::{run_latency_with, run_throughput};
 use sparta_bench::{Dataset, Scale, VariantParams};
 use sparta_core::recall::{recall_dynamics, time_to_recall};
@@ -57,7 +55,7 @@ use sparta_exec::DedicatedExecutor;
 use sparta_index::IndexKind;
 use sparta_obs::{ClockMode, FlightRecorder};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn threads() -> usize {
     std::env::var("SPARTA_THREADS")
@@ -451,9 +449,11 @@ fn fig3_dynamics(scale: Scale) {
         ("pbmw", "low", VariantParams::low().with_trace()),
     ];
     for (name, label, params) in runs {
+        let start = Instant::now();
         let r = algo(name).search(&ds.index, q, &params.config(ds.k), &exec);
+        let elapsed = start.elapsed();
         let trace = r.trace.clone().unwrap_or_default();
-        let horizon = r.elapsed.max(Duration::from_micros(200));
+        let horizon = elapsed.max(Duration::from_micros(200));
         let curve = recall_dynamics(&trace, &oracle, horizon, samples);
         print!("{name:>7}-{label:<5} |");
         for (_, rec) in &curve {
@@ -473,7 +473,7 @@ fn fig3_dynamics(scale: Scale) {
             .unwrap_or_else(|| "80% not reached".into());
         println!(
             "| total {}ms, {t80}, final {:.1}%",
-            fmt_ms(r.elapsed),
+            fmt_ms(elapsed),
             100.0 * oracle.recall(&r.docs())
         );
     }

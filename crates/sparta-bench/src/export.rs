@@ -21,7 +21,7 @@ use sparta_obs::json::{parse, Json};
 use sparta_obs::{ClockMode, ExecSnapshot, FlightRecorder, HistogramSnapshot};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Schema version stamped into every document; bump on breaking shape
 /// changes so consumers can dispatch.
@@ -343,9 +343,10 @@ fn build_recall_curves(
         .map(|&name| {
             let algo =
                 algorithm_by_name(name).unwrap_or_else(|| panic!("unknown algorithm {name}"));
+            let start = Instant::now();
             let r = algo.search(&ds.index, q, &params.config(ds.k), &exec);
+            let horizon = start.elapsed().max(Duration::from_micros(200));
             let trace = r.trace.clone().unwrap_or_default();
-            let horizon = r.elapsed.max(Duration::from_micros(200));
             let points = recall_dynamics(&trace, &oracle, horizon, samples)
                 .into_iter()
                 .map(|(t, rec)| (ms(t), rec))

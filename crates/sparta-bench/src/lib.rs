@@ -15,8 +15,6 @@
 //! random accesses) are reported alongside wall-clock times. See
 //! EXPERIMENTS.md for the paper-vs-measured record.
 
-#![forbid(unsafe_code)]
-
 pub mod arrival;
 pub mod dataset;
 pub mod export;

@@ -151,9 +151,17 @@ impl BuildHasher for FastBuildHasher {
 /// A `HashMap` keyed with [`FastIntHasher`] — the drop-in replacement
 /// for `std::collections::HashMap` on integer-keyed hot paths (Sparta's
 /// per-term `termMap` replicas).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned std map: keyed with FastBuildHasher"
+)]
 pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
 
 /// A `HashSet` keyed with [`FastIntHasher`] (heap membership snapshots).
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned std set: keyed with FastBuildHasher"
+)]
 pub type FastHashSet<T> = std::collections::HashSet<T, FastBuildHasher>;
 
 /// Hashes one value with [`FastIntHasher`] — the shared hash function

@@ -12,7 +12,6 @@ use sparta_corpus::types::Query;
 use sparta_exec::Executor;
 use sparta_index::Index;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Sequential BMW.
 #[derive(Debug, Default, Clone, Copy)]
@@ -30,8 +29,6 @@ impl Algorithm for SeqBmw {
         cfg: &SearchConfig,
         _exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
         let mut cursors: Vec<_> = query.terms.iter().map(|&t| index.doc_cursor(t)).collect();
         let mut heap = BoundedTopK::new(cfg.k.max(1));
@@ -58,7 +55,6 @@ impl Algorithm for SeqBmw {
         );
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: trace.into_events(),
             spans: None,

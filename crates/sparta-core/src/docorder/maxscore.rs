@@ -17,7 +17,6 @@ use sparta_corpus::types::{DocId, Query};
 use sparta_exec::Executor;
 use sparta_index::Index;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Sequential MaxScore.
 #[derive(Debug, Default, Clone, Copy)]
@@ -35,8 +34,6 @@ impl Algorithm for MaxScore {
         cfg: &SearchConfig,
         _exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
         let mut work = WorkStats::default();
 
@@ -116,7 +113,6 @@ impl Algorithm for MaxScore {
         );
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: trace.into_events(),
             spans: None,

@@ -25,7 +25,6 @@ use sparta_index::Index;
 use sparta_obs::{Phase, QueryTrace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The pBMW baseline.
 #[derive(Debug, Default, Clone, Copy)]
@@ -53,12 +52,9 @@ impl Algorithm for PBmw {
         cfg: &SearchConfig,
         exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         if query.terms.is_empty() {
             return TopKResult {
                 hits: Vec::new(),
-                elapsed: start.elapsed(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
                 spans: cfg.spans.then(Vec::new),
@@ -114,7 +110,6 @@ impl Algorithm for PBmw {
         let shared = Arc::into_inner(shared).expect("all range jobs drained");
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: shared.trace.into_events(),
             spans: shared.spans.into_spans(),

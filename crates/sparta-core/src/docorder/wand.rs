@@ -15,7 +15,6 @@ use sparta_corpus::types::{DocId, Query};
 use sparta_exec::Executor;
 use sparta_index::{DocCursor, Index};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Sequential WAND.
 #[derive(Debug, Default, Clone, Copy)]
@@ -140,8 +139,6 @@ impl Algorithm for Wand {
         cfg: &SearchConfig,
         _exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
         let mut cursors: Vec<_> = query.terms.iter().map(|&t| index.doc_cursor(t)).collect();
         let mut heap = BoundedTopK::new(cfg.k.max(1));
@@ -168,7 +165,6 @@ impl Algorithm for Wand {
         );
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: trace.into_events(),
             spans: None,

@@ -9,6 +9,11 @@
 //! postings", §5.2.1; p = 1 is exact). The top-k is extracted from the
 //! accumulators at the end.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "sequential JASS's accumulators: a reference baseline, off the parallel hot path"
+)]
+
 use crate::config::SearchConfig;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::trace::TraceSink;
@@ -19,7 +24,6 @@ use sparta_exec::Executor;
 use sparta_index::Index;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Sequential JASS.
 #[derive(Debug, Default, Clone, Copy)]
@@ -42,8 +46,6 @@ impl Algorithm for Jass {
         cfg: &SearchConfig,
         _exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
         let mut cursors: Vec<_> = query.terms.iter().map(|&t| index.score_cursor(t)).collect();
         let total: u64 = cursors.iter().map(|c| c.len()).sum();
@@ -94,7 +96,6 @@ impl Algorithm for Jass {
         );
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: trace.into_events(),
             spans: None,

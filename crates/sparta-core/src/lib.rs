@@ -30,8 +30,8 @@
 //! the same [`sparta_exec::Executor`] machinery, so latency and
 //! throughput experiments use identical code paths.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::disallowed_types))]
 
 pub mod config;
 pub mod docorder;

@@ -7,6 +7,11 @@
 //! time, O(N) space — far too slow to serve queries, exactly right
 //! for verifying the algorithms that do.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "ground truth for recall, never on a measured path"
+)]
+
 use crate::result::{finalize_hits, SearchHit};
 use sparta_collections::BoundedTopK;
 use sparta_corpus::types::{DocId, Query};

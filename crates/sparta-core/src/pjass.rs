@@ -31,7 +31,6 @@ use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The pJASS baseline.
 #[derive(Debug, Default, Clone, Copy)]
@@ -157,8 +156,6 @@ impl Algorithm for PJass {
         cfg: &SearchConfig,
         exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let postings = postings(index.as_ref(), query);
         let budget = posting_budget(postings, cfg.jass_p);
         let run = |cands| run_once(index, query, cfg, exec, budget, cands);
@@ -198,7 +195,6 @@ impl Algorithm for PJass {
         let state = Arc::into_inner(state).expect("all jobs drained");
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: state.trace.into_events(),
             spans: state.spans.into_spans(),

@@ -29,7 +29,6 @@ use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The pNRA baseline.
 #[derive(Debug, Default, Clone, Copy)]
@@ -220,12 +219,9 @@ impl Algorithm for PNra {
         cfg: &SearchConfig,
         exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         if query.terms.is_empty() {
             return TopKResult {
                 hits: Vec::new(),
-                elapsed: start.elapsed(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
                 spans: cfg.spans.then(Vec::new),
@@ -255,7 +251,6 @@ impl Algorithm for PNra {
         let state = Arc::into_inner(state).expect("all jobs drained");
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: state.trace.into_events(),
             spans: state.spans.into_spans(),

@@ -32,7 +32,6 @@ use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, Posting, RandomAccess, ScoreCursor, DEFAULT_BLOCK_SIZE};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The pRA baseline.
 #[derive(Debug, Default, Clone, Copy)]
@@ -231,12 +230,9 @@ impl Algorithm for PRa {
         cfg: &SearchConfig,
         exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         if query.terms.is_empty() {
             return TopKResult {
                 hits: Vec::new(),
-                elapsed: start.elapsed(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
                 spans: None,
@@ -293,7 +289,6 @@ impl Algorithm for PRa {
         let state = Arc::into_inner(state).expect("all jobs drained");
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: state.trace.into_events(),
             spans: None,

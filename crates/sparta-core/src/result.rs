@@ -3,7 +3,6 @@
 use crate::trace::TraceEvent;
 use sparta_corpus::types::DocId;
 use sparta_obs::SpanEvent;
-use std::time::Duration;
 
 /// One retrieved document.
 ///
@@ -118,8 +117,6 @@ impl std::fmt::Display for WorkStats {
 pub struct TopKResult {
     /// Hits in rank order (descending score, ties by descending doc).
     pub hits: Vec<SearchHit>,
-    /// Wall-clock duration of the search.
-    pub elapsed: Duration,
     /// Work counters.
     pub work: WorkStats,
     /// Heap trace, when requested via
@@ -174,7 +171,6 @@ mod tests {
     fn accessors() {
         let r = TopKResult {
             hits: vec![SearchHit { doc: 7, score: 9 }],
-            elapsed: Duration::from_millis(1),
             work: WorkStats::default(),
             trace: None,
             spans: None,

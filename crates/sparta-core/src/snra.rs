@@ -27,7 +27,6 @@ use sparta_index::cursor::SliceScoreCursor;
 use sparta_index::{Index, Posting, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The sNRA baseline.
 #[derive(Debug, Default, Clone, Copy)]
@@ -100,8 +99,6 @@ impl Algorithm for SNra {
         let sharded = Arc::new(ShardedLists::build(index, query, p));
         // Shard construction models offline pre-partitioning; latency
         // measurement starts here, matching the paper's methodology.
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let trace = Arc::new(TraceSink::with_clock(cfg.trace, cfg.clock));
         let spans = Arc::new(QueryTrace::new(cfg.spans, cfg.clock));
         let results: Arc<Vec<ShardResult>> = Arc::new(
@@ -158,7 +155,6 @@ impl Algorithm for SNra {
         let spans = Arc::into_inner(spans).expect("all shard jobs drained");
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: trace.into_events(),
             spans: spans.into_spans(),

@@ -80,7 +80,6 @@ use sparta_index::{Index, ScoreCursor};
 use sparta_obs::{Phase, QueryTrace};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The Sparta algorithm.
 #[derive(Debug, Default, Clone, Copy)]
@@ -439,13 +438,10 @@ impl Algorithm for Sparta {
         cfg: &SearchConfig,
         exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let m = query.terms.len();
         if m == 0 {
             return TopKResult {
                 hits: Vec::new(),
-                elapsed: start.elapsed(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
                 spans: cfg.spans.then(Vec::new),
@@ -513,7 +509,6 @@ impl Algorithm for Sparta {
         let state = Arc::into_inner(state).expect("all jobs drained");
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: state.trace.into_events(),
             spans: state.spans.into_spans(),

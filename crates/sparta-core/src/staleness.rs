@@ -21,9 +21,12 @@ pub struct Staleness {
 
 impl Staleness {
     /// A clock whose last change is "now" (Table 1's initial value).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "Δ's clock: the approximate variants stop on wall time since the last heap change"
+    )]
     pub fn new() -> Self {
         Self {
-            // lint: allow(wall-clock): Δ's clock; the approximate variants stop on wall time since the last heap change
             start: Instant::now(),
             upd_nanos: AtomicU64::new(0),
         }
@@ -62,8 +65,10 @@ mod tests {
     use super::*;
 
     #[test]
-    // This test measures elapsed wall time, so it genuinely must sleep.
-    #[allow(clippy::disallowed_methods)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures elapsed wall time, so it must sleep"
+    )]
     fn a_stamp_restarts_the_clock() {
         let s = Staleness::new();
         assert!(!s.exceeds(None), "no Δ never times out");

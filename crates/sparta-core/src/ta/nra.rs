@@ -25,7 +25,6 @@ use sparta_corpus::types::Query;
 use sparta_exec::Executor;
 use sparta_index::{Index, ScoreCursor};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// How many postings between stopping-condition / pruning sweeps.
 /// Sweeps are O(|candidates|), so they are amortized over many O(1)
@@ -168,14 +167,11 @@ impl Algorithm for SeqNra {
         cfg: &SearchConfig,
         _exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
         let open = || query.terms.iter().map(|&t| index.score_cursor(t)).collect();
         let (hits, work) = run_nra(open, index.num_docs(), cfg, &trace);
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: trace.into_events(),
             spans: None,

@@ -5,6 +5,11 @@
 //! stops when `UBStop` (Equation 1) holds. Random access is costly by
 //! design — on disk-resident indexes every lookup is an I/O request.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "sequential RA's seen set: a reference baseline, off the parallel hot path"
+)]
+
 use super::UpperBounds;
 use crate::config::SearchConfig;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
@@ -17,7 +22,6 @@ use sparta_exec::Executor;
 use sparta_index::Index;
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Postings between Δ-timeout checks.
 const DELTA_CHECK_EVERY: u64 = 1024;
@@ -38,8 +42,6 @@ impl Algorithm for SeqRa {
         cfg: &SearchConfig,
         _exec: &dyn Executor,
     ) -> TopKResult {
-        // lint: allow(wall-clock): end-to-end latency endpoint reported in TopKResult stats
-        let start = Instant::now();
         let trace = TraceSink::new(cfg.trace);
         let ra = index
             .random_access()
@@ -111,7 +113,6 @@ impl Algorithm for SeqRa {
         );
         TopKResult {
             hits,
-            elapsed: start.elapsed(),
             work,
             trace: trace.into_events(),
             spans: None,

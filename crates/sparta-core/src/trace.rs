@@ -8,6 +8,11 @@
 //! function of elapsed time, uniformly across algorithm families
 //! (global heaps, pBMW's thread-local heaps, pJASS's accumulators).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "recall replay runs after the query, off the hot path"
+)]
+
 use parking_lot::Mutex;
 use sparta_corpus::types::DocId;
 use sparta_obs::{ClockMode, ObsClock};

@@ -26,7 +26,6 @@
 //!   Lucene preprocessing the paper uses, so real text can be indexed
 //!   in examples and tests.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod querylog;

@@ -368,7 +368,10 @@ impl JobQueue {
             loop {
                 if let Some(job) = guard.pop_front() {
                     drop(guard);
-                    // lint: allow(wall-clock): executor metrics timing (busy/parked nanos)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "executor metrics timing (busy/parked nanos)"
+                    )]
                     let started = Instant::now();
                     let panicked = self.run_job(job);
                     m.record_job(started.elapsed().as_nanos() as u64, panicked);
@@ -377,7 +380,10 @@ impl JobQueue {
                 if self.is_complete() {
                     return;
                 }
-                // lint: allow(wall-clock): executor metrics timing (busy/parked nanos)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "executor metrics timing (busy/parked nanos)"
+                )]
                 let parked = Instant::now();
                 recorder::record(EventKind::Park, 0);
                 self.cv.wait(&mut guard);

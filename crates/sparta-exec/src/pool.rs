@@ -208,7 +208,10 @@ fn worker_loop(sh: &Shared, worker: usize) {
                     q.run_job(job);
                 }
                 Some(m) => {
-                    // lint: allow(wall-clock): executor metrics timing (busy/parked nanos)
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "executor metrics timing (busy/parked nanos)"
+                    )]
                     let started = Instant::now();
                     let panicked = q.run_job(job);
                     m.worker(worker)
@@ -227,7 +230,10 @@ fn worker_loop(sh: &Shared, worker: usize) {
                 idle = true;
                 recorder::record(EventKind::Park, 0);
             }
-            // lint: allow(wall-clock): executor metrics timing (busy/parked nanos)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "executor metrics timing (busy/parked nanos)"
+            )]
             let parked = Instant::now();
             sh.cv
                 .wait_for(&mut guard, std::time::Duration::from_micros(200));

@@ -131,6 +131,10 @@ impl Drop for StallWatchdog {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the watchdog measures real quiet time; diagnostic-only, never on a query path"
+)]
 fn monitor(
     recorder: &FlightRecorder,
     probe: &dyn Fn() -> (usize, String),
@@ -139,19 +143,15 @@ fn monitor(
     fired: &AtomicUsize,
 ) {
     let mut last_total = recorder.total_events();
-    // lint: allow(wall-clock): the watchdog measures real elapsed quiet
-    // time; it is diagnostic-only and never on a query path.
     let mut last_change = Instant::now();
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(config.poll);
         let total = recorder.total_events();
         if total != last_total {
             last_total = total;
-            // lint: allow(wall-clock): see above.
             last_change = Instant::now();
             continue;
         }
-        // lint: allow(wall-clock): see above.
         if last_change.elapsed() < config.quiet {
             continue;
         }
@@ -159,7 +159,6 @@ fn monitor(
         if outstanding == 0 {
             // Quiet because idle: re-arm so a later stall needs a fresh
             // quiet period.
-            // lint: allow(wall-clock): see above.
             last_change = Instant::now();
             continue;
         }
@@ -168,7 +167,6 @@ fn monitor(
             dump(recorder, outstanding, &detail, config);
             fired.store(n + 1, Ordering::Relaxed);
         }
-        // lint: allow(wall-clock): see above.
         last_change = Instant::now();
     }
 }

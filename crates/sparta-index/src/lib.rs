@@ -30,7 +30,6 @@
 //! * [`builder::IndexBuilder`] — builds either representation from a
 //!   corpus + scorer.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

@@ -52,9 +52,8 @@ impl Tok {
 ///   the policy table cannot prove (rule name is `"ordering"`). The
 ///   reason must also cite a `sparta-model` protocol via a
 ///   `model: <name>` tag on the same line (checked by [`crate::models`]).
-/// - `// lint: allow(<rule>): <reason>` — suppresses a named API rule
-///   (`wall-clock`, `std-hash`, `sleep`, `lock-unwrap`, `condvar-wait`)
-///   at one site.
+/// - `// lint: allow(<rule>): <reason>` — suppresses a named rule
+///   (`alloc`, `lock-unwrap`, `condvar-wait`) at one site.
 ///
 /// An annotation applies to its own line (trailing comment) or, when
 /// the comment stands alone, to the next non-comment line below it.
@@ -494,10 +493,10 @@ c.load(Ordering::Relaxed);
 
     #[test]
     fn lint_allow_annotation_parses_rule_and_reason() {
-        let l = lex("// lint: allow(wall-clock): measurement only\nInstant::now();");
-        assert!(l.annotated(2, "wall-clock"));
-        assert!(!l.annotated(2, "std-hash"));
-        assert_eq!(l.annotations[0].reason, "measurement only");
+        let l = lex("// lint: allow(alloc): construction only\nVec::new();");
+        assert!(l.annotated(2, "alloc"));
+        assert!(!l.annotated(2, "lock-unwrap"));
+        assert_eq!(l.annotations[0].reason, "construction only");
     }
 
     #[test]

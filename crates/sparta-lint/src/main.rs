@@ -12,8 +12,6 @@
 //! `[workspace]`. `--as <virtual-path>` lints the given files as if
 //! they lived at that workspace-relative path (fixture testing).
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 

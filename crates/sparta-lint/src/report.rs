@@ -241,12 +241,8 @@ mod tests {
             files_scanned: 3,
             ..Report::default()
         };
-        r.diagnostics.push(Diagnostic::new(
-            "std-hash",
-            "b.rs",
-            7,
-            "msg \"quoted\"".into(),
-        ));
+        r.diagnostics
+            .push(Diagnostic::new("alloc", "b.rs", 7, "msg \"quoted\"".into()));
         r.finish();
         let text = r.to_json().to_pretty_string(2);
         let back = sparta_obs::json::parse(&text).expect("parses");

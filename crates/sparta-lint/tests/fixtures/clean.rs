@@ -2,7 +2,6 @@
 //! linted as `crates/sparta-core/src/lib.rs` it must produce zero
 //! diagnostics.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sparta_collections::FastHashMap;

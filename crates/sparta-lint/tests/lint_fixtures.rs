@@ -58,44 +58,6 @@ fn bad_lock_unwrap_fires_on_hot_path_only() {
 }
 
 #[test]
-fn bad_wall_clock_fires() {
-    let rules = rules_for("bad_wall_clock.rs", CORE_MOD);
-    assert_eq!(rules, ["wall-clock"]);
-}
-
-#[test]
-fn bad_wall_clock_exempt_outside_replay_surface() {
-    // The same source is fine where the wall-clock ban does not apply.
-    let rules = rules_for("bad_wall_clock.rs", "crates/sparta-bench/src/fixture.rs");
-    assert!(rules.is_empty(), "unexpected: {rules:?}");
-}
-
-#[test]
-fn bad_std_hash_fires() {
-    // Both the `use` and the field type mention `HashMap`: two sites.
-    let rules = rules_for("bad_std_hash.rs", CORE_MOD);
-    assert_eq!(rules, ["std-hash", "std-hash"]);
-}
-
-#[test]
-fn bad_sleep_fires() {
-    let rules = rules_for("bad_sleep.rs", "crates/sparta-core/src/fixture.rs");
-    assert_eq!(rules, ["sleep"]);
-}
-
-#[test]
-fn bad_unsafe_fires() {
-    let rules = rules_for("bad_unsafe.rs", CORE_MOD);
-    assert_eq!(rules, ["unsafe-code"]);
-}
-
-#[test]
-fn bad_missing_forbid_fires() {
-    let rules = rules_for("bad_missing_forbid.rs", CORE_ROOT);
-    assert_eq!(rules, ["missing-forbid"]);
-}
-
-#[test]
 fn bad_alloc_fires_on_record_path_only() {
     // One unjustified `Vec::with_capacity` on the record path; the
     // annotated construction site stays silent.

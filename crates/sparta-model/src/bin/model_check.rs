@@ -10,8 +10,6 @@
 //! model-check [--budget-secs N]
 //! ```
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
 use sparta_model::protocols::{job_queue, Mutation};

@@ -46,8 +46,6 @@
 //! m.check().assert_clean();
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod exec;
 mod mem;
 mod model;

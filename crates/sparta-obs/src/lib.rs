@@ -33,7 +33,6 @@
 //!
 //! This crate deliberately depends on std alone.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -36,7 +36,6 @@
 //! byte-identical reports) or this TCP edge (real sockets, wall
 //! clock); see README "Running the server".
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admin;

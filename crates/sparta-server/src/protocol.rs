@@ -106,7 +106,8 @@ pub struct QueryRequest {
 /// harnesses can attribute latency to work without a second channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceSummary {
-    /// Wall (or logical) duration of the search, in nanoseconds.
+    /// The search's execute stage on the scheduler's clock (wall or
+    /// logical), in nanoseconds.
     pub elapsed_ns: u64,
     /// Posting-list entries traversed.
     pub postings_scanned: u64,

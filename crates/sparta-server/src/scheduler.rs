@@ -311,7 +311,7 @@ impl BatchScheduler {
                     })
                     .collect(),
                 summary: TraceSummary {
-                    elapsed_ns: r.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
+                    elapsed_ns: execute_ns,
                     postings_scanned: r.work.postings_scanned,
                     heap_updates: r.work.heap_updates,
                     cleaner_passes: r.work.cleaner_passes,

@@ -17,7 +17,6 @@
 //! SPARTA_TEST_SEED=17 cargo test -p sparta <failing test>
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sparta_core::config::SearchConfig;

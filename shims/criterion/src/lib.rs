@@ -8,7 +8,6 @@
 //! mean per-iteration times as plain text. No statistics, outlier
 //! rejection, or HTML reports; numbers are indicative, not rigorous.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};

@@ -1,7 +1,6 @@
 //! Offline stand-in for the `crossbeam` crate (see shims/README.md).
 //! Only the pieces this workspace uses are provided.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Utilities (`crossbeam::utils`).

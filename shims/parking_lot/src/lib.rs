@@ -14,7 +14,6 @@
 //! Performance differs from the real crate (std mutexes are futex-based
 //! on Linux and close enough for tests and benches at this scale).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::{self, PoisonError};

@@ -8,7 +8,6 @@
 //! generated inputs (the same knob the deterministic executor uses, so
 //! one seed story covers the whole suite).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod strategy {

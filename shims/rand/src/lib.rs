@@ -11,7 +11,6 @@
 //! ChaCha12-based `StdRng`. Anything persisted must therefore record
 //! the generator alongside the seed (the corpus builders do).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

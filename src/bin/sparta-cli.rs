@@ -15,8 +15,6 @@
 //! (one term per line, line number = term id) so queries can be
 //! analyzed with the same vocabulary at search time.
 
-#![forbid(unsafe_code)]
-
 use sparta::prelude::*;
 use std::io::{BufRead, Write};
 use std::path::Path;

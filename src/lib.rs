@@ -39,8 +39,6 @@
 //! | [`exec`] | job queue, per-query executor, shared worker pool |
 //! | [`core`] | Sparta + all baselines (pRA, pNRA, sNRA, pBMW, pJASS, …) |
 
-#![forbid(unsafe_code)]
-
 pub use sparta_collections as collections;
 pub use sparta_core as core;
 pub use sparta_corpus as corpus;

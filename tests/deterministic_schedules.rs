@@ -10,8 +10,7 @@ use sparta_testkit::{
 use std::time::Duration;
 
 /// Same seed ⇒ bit-identical result: identical hits *and* identical
-/// work counters (wall-clock `elapsed` is excluded — it is the one
-/// schedule-independent nondeterministic field).
+/// work counters.
 #[test]
 fn same_seed_is_bit_identical() {
     let (ix, corpus) = build_index(61);
