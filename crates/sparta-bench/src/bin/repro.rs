@@ -51,7 +51,7 @@ use sparta_bench::{Dataset, Scale, VariantParams};
 use sparta_core::recall::{recall_dynamics, time_to_recall};
 use sparta_core::{algorithm_by_name, Algorithm};
 use sparta_corpus::types::Query;
-use sparta_exec::DedicatedExecutor;
+use sparta_exec::WorkerPool;
 use sparta_index::IndexKind;
 use sparta_obs::{ClockMode, FlightRecorder};
 use std::sync::Arc;
@@ -435,7 +435,7 @@ fn fig3_dynamics(scale: Scale) {
     let ds = Dataset::cached(scale);
     let q = &ds.queries_of_length(12, 1)[0];
     let oracle = ds.oracle(q);
-    let exec = DedicatedExecutor::new(threads());
+    let exec = WorkerPool::new(threads());
     let samples = 16;
     // Exact versions for Sparta/pRA/pJASS ("identical to the
     // respective exact versions until they stop", §5.3); pBMW in all
@@ -488,7 +488,7 @@ fn ablations() {
     let qs: Vec<_> = ds.queries_of_length(m, queries_per_cell()).to_vec();
     let run =
         |label: &str, cfg_fn: &dyn Fn(sparta_core::SearchConfig) -> sparta_core::SearchConfig| {
-            let exec = DedicatedExecutor::new(t);
+            let exec = WorkerPool::new(t);
             let base = VariantParams::exact().config(ds.k);
             let cfg = cfg_fn(base);
             let mut times = Vec::new();
@@ -537,7 +537,7 @@ fn ramdisk() {
     let k = (docs / 100).clamp(10, 1000) as usize;
     let log = sparta_corpus::querylog::QueryLog::generate(corpus.stats(), 10, 12, 7);
     let cfg = VariantParams::high().config(k);
-    let exec = DedicatedExecutor::new(threads());
+    let exec = WorkerPool::new(threads());
     println!(
         "{:>7} {:>11} {:>11} {:>8}",
         "algo", "ram(ms)", "disk(ms)", "ratio"

@@ -16,7 +16,7 @@ use crate::variants::VariantParams;
 use sparta_core::recall::recall_dynamics;
 use sparta_core::result::WorkStats;
 use sparta_core::{algorithm_by_name, Algorithm};
-use sparta_exec::DedicatedExecutor;
+use sparta_exec::WorkerPool;
 use sparta_obs::json::{parse, Json};
 use sparta_obs::{ClockMode, ExecSnapshot, FlightRecorder, HistogramSnapshot};
 use std::path::{Path, PathBuf};
@@ -335,7 +335,7 @@ fn build_recall_curves(
         return Vec::new();
     };
     let oracle = ds.oracle(q);
-    let exec = DedicatedExecutor::new(threads.max(1));
+    let exec = WorkerPool::new(threads.max(1));
     let params = VariantParams::exact().with_trace();
     let samples = 12;
     algorithms

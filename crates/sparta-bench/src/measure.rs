@@ -6,7 +6,7 @@ use crate::variants::VariantParams;
 use sparta_core::result::WorkStats;
 use sparta_core::Algorithm;
 use sparta_corpus::types::Query;
-use sparta_exec::{DedicatedExecutor, WorkerPool};
+use sparta_exec::WorkerPool;
 use sparta_obs::{ExecMetrics, ExecSnapshot, FlightRecorder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,10 +49,10 @@ pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[idx]
 }
 
-/// Runs `algo` over `queries` in latency mode (`threads` dedicated
-/// workers per query, §5.1) and measures latency + recall, with an
-/// optional flight recorder attached to the executor (`SPARTA_RECORDER=1`
-/// report builds).
+/// Runs `algo` over `queries` in latency mode (one query at a time on
+/// a pool of `threads` workers, §5.1) and measures latency + recall,
+/// with an optional flight recorder attached to the pool
+/// (`SPARTA_RECORDER=1` report builds).
 pub fn run_latency_with(
     ds: &Dataset,
     algo: &dyn Algorithm,
@@ -62,11 +62,12 @@ pub fn run_latency_with(
     measure_recall: bool,
     recorder: Option<&Arc<FlightRecorder>>,
 ) -> LatencyStats {
-    let metrics = ExecMetrics::new(threads.max(1));
-    let mut exec = DedicatedExecutor::instrumented(threads.max(1), Arc::clone(&metrics));
-    if let Some(r) = recorder {
-        exec = exec.with_recorder(Arc::clone(r));
-    }
+    let threads = threads.max(1);
+    let metrics = ExecMetrics::new(threads);
+    let exec = match recorder {
+        Some(r) => WorkerPool::with_recorder(threads, Some(Arc::clone(&metrics)), Arc::clone(r)),
+        None => WorkerPool::instrumented(threads, Arc::clone(&metrics)),
+    };
     let cfg = params.config(ds.k);
     let mut sorted = Vec::with_capacity(queries.len());
     let mut recall_sum = 0.0;
@@ -91,6 +92,8 @@ pub fn run_latency_with(
         work.merge(&r.work);
     }
     sorted.sort();
+    // The pool's registry is exact only once its workers are joined.
+    drop(exec);
     LatencyStats {
         mean_recall: recall_sum / queries.len().max(1) as f64,
         sorted,

@@ -67,7 +67,7 @@ mod tests {
     use super::*;
     use crate::docorder::wand::{tests::pseudo_index, Wand};
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
 
     #[test]
     fn exact_bmw_matches_oracle() {
@@ -76,7 +76,7 @@ mod tests {
             let q = Query::new(vec![0, 1, 2]);
             let cfg = SearchConfig::exact(10);
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-            let r = SeqBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+            let r = SeqBmw.search(&ix, &q, &cfg, &WorkerPool::new(1));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "seed {seed}");
         }
     }
@@ -86,8 +86,8 @@ mod tests {
         let ix = pseudo_index(50_000, 3, 9);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10);
-        let bmw = SeqBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
-        let wand = Wand.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let bmw = SeqBmw.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let wand = Wand.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert!(
             bmw.work.postings_scanned <= wand.work.postings_scanned,
             "BMW {} > WAND {}",
@@ -103,23 +103,18 @@ mod tests {
         let ix = crate::docorder::wand::tests::correlated_index(50_000, 4, 11);
         let q = Query::new(vec![0, 1, 2, 3]);
         let oracle = Oracle::compute(ix.as_ref(), &q, 100);
-        let exact = SeqBmw.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(100),
-            &DedicatedExecutor::new(1),
-        );
+        let exact = SeqBmw.search(&ix, &q, &SearchConfig::exact(100), &WorkerPool::new(1));
         let high = SeqBmw.search(
             &ix,
             &q,
             &SearchConfig::exact(100).with_bmw_f(1.1),
-            &DedicatedExecutor::new(1),
+            &WorkerPool::new(1),
         );
         let low = SeqBmw.search(
             &ix,
             &q,
             &SearchConfig::exact(100).with_bmw_f(1.5),
-            &DedicatedExecutor::new(1),
+            &WorkerPool::new(1),
         );
         assert_eq!(oracle.recall(&exact.docs()), 1.0);
         // Larger f ⇒ more pruning ⇒ fewer scored postings, lower or

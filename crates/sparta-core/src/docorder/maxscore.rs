@@ -125,7 +125,7 @@ mod tests {
     use super::*;
     use crate::docorder::wand::tests::pseudo_index;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
 
     #[test]
     fn exact_maxscore_matches_oracle() {
@@ -133,12 +133,7 @@ mod tests {
             let ix = pseudo_index(4000, 4, seed);
             let q = Query::new(vec![0, 1, 2, 3]);
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-            let r = MaxScore.search(
-                &ix,
-                &q,
-                &SearchConfig::exact(10),
-                &DedicatedExecutor::new(1),
-            );
+            let r = MaxScore.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(1));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "seed {seed}: {:?}", r.docs());
         }
     }
@@ -149,12 +144,7 @@ mod tests {
         // list's max, its postings are only probed by seek.
         let ix = pseudo_index(50_000, 3, 21);
         let q = Query::new(vec![0, 1, 2]);
-        let r = MaxScore.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(10),
-            &DedicatedExecutor::new(1),
-        );
+        let r = MaxScore.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(1));
         let total: u64 = (0..3u32).map(|t| ix.doc_freq(t)).sum();
         assert!(r.work.postings_scanned < total);
         let oracle = Oracle::compute(ix.as_ref(), &q, 10);
@@ -166,7 +156,7 @@ mod tests {
         let ix = pseudo_index(1000, 1, 5);
         let q = Query::new(vec![0]);
         let oracle = Oracle::compute(ix.as_ref(), &q, 7);
-        let r = MaxScore.search(&ix, &q, &SearchConfig::exact(7), &DedicatedExecutor::new(1));
+        let r = MaxScore.search(&ix, &q, &SearchConfig::exact(7), &WorkerPool::new(1));
         assert_eq!(oracle.recall(&r.docs()), 1.0);
     }
 }

@@ -168,7 +168,7 @@ mod tests {
     use crate::docorder::wand::tests::pseudo_index;
     use crate::docorder::SeqBmw;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
 
     #[test]
     fn exact_pbmw_matches_oracle() {
@@ -176,12 +176,7 @@ mod tests {
             let ix = pseudo_index(4000, 3, 6);
             let q = Query::new(vec![0, 1, 2]);
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-            let r = PBmw.search(
-                &ix,
-                &q,
-                &SearchConfig::exact(10),
-                &DedicatedExecutor::new(threads),
-            );
+            let r = PBmw.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(threads));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "threads={threads}");
             for h in &r.hits {
                 assert_eq!(h.score, oracle.score(h.doc));
@@ -194,8 +189,8 @@ mod tests {
         let ix = pseudo_index(10_000, 4, 8);
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(20);
-        let seq = SeqBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
-        let par = PBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let seq = SeqBmw.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let par = PBmw.search(&ix, &q, &cfg, &WorkerPool::new(4));
         // Same score multiset (doc ties may differ at the boundary).
         assert_eq!(seq.scores(), par.scores());
     }
@@ -212,7 +207,7 @@ mod tests {
             u64::from(n),
         ));
         let q = Query::new(vec![0]);
-        let r = PBmw.search(&ix, &q, &SearchConfig::exact(1), &DedicatedExecutor::new(3));
+        let r = PBmw.search(&ix, &q, &SearchConfig::exact(1), &WorkerPool::new(3));
         assert_eq!(r.docs(), vec![n - 1]);
     }
 
@@ -225,10 +220,10 @@ mod tests {
         let ix = pseudo_index(20_000, 4, 8);
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10);
-        let seq = SeqBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let seq = SeqBmw.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert!(seq.work.blocks_skipped > 0, "seq BMW must skip here");
         for threads in [1usize, 4] {
-            let par = PBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+            let par = PBmw.search(&ix, &q, &cfg, &WorkerPool::new(threads));
             assert!(
                 par.work.blocks_skipped > 0,
                 "pBMW dropped its skip counter (threads={threads})"
@@ -246,8 +241,8 @@ mod tests {
         let ix = pseudo_index(50_000, 3, 10);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10);
-        let seq = SeqBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
-        let par = PBmw.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let seq = SeqBmw.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let par = PBmw.search(&ix, &q, &cfg, &WorkerPool::new(4));
         assert!(
             par.work.postings_scanned < seq.work.postings_scanned * 16,
             "par {} vs seq {}",

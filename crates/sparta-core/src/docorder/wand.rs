@@ -176,7 +176,7 @@ impl Algorithm for Wand {
 pub(crate) mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
     use sparta_index::{InMemoryIndex, Posting};
 
     pub(crate) fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
@@ -207,7 +207,7 @@ pub(crate) mod tests {
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10);
         let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-        let r = Wand.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = Wand.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         for h in &r.hits {
             assert_eq!(h.score, oracle.score(h.doc), "full scores");
@@ -245,12 +245,7 @@ pub(crate) mod tests {
     fn wand_scores_fewer_postings_than_exhaustive() {
         let ix = correlated_index(50_000, 3, 4);
         let q = Query::new(vec![0, 1, 2]);
-        let r = Wand.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(10),
-            &DedicatedExecutor::new(1),
-        );
+        let r = Wand.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(1));
         let total: u64 = (0..3u32).map(|t| ix.doc_freq(t)).sum();
         assert!(
             r.work.postings_scanned < total / 2,
@@ -269,7 +264,7 @@ pub(crate) mod tests {
         let t1 = vec![Posting::new(2, 90)];
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(vec![t0, t1], 5));
         let q = Query::new(vec![0, 1]);
-        let r = Wand.search(&ix, &q, &SearchConfig::exact(2), &DedicatedExecutor::new(1));
+        let r = Wand.search(&ix, &q, &SearchConfig::exact(2), &WorkerPool::new(1));
         assert_eq!(r.docs(), vec![1, 2]);
     }
 
@@ -277,17 +272,12 @@ pub(crate) mod tests {
     fn relaxed_f_prunes_more() {
         let ix = pseudo_index(30_000, 3, 5);
         let q = Query::new(vec![0, 1, 2]);
-        let exact = Wand.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(100),
-            &DedicatedExecutor::new(1),
-        );
+        let exact = Wand.search(&ix, &q, &SearchConfig::exact(100), &WorkerPool::new(1));
         let relaxed = Wand.search(
             &ix,
             &q,
             &SearchConfig::exact(100).with_bmw_f(5.0),
-            &DedicatedExecutor::new(1),
+            &WorkerPool::new(1),
         );
         assert!(relaxed.work.postings_scanned < exact.work.postings_scanned);
     }

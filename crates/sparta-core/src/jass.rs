@@ -107,7 +107,7 @@ impl Algorithm for Jass {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
     use sparta_index::{InMemoryIndex, Posting};
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
@@ -132,12 +132,7 @@ mod tests {
         let ix = pseudo_index(3000, 3, 1);
         let q = Query::new(vec![0, 1, 2]);
         let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-        let r = Jass.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(10),
-            &DedicatedExecutor::new(1),
-        );
+        let r = Jass.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(1));
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         for h in &r.hits {
             assert_eq!(h.score, oracle.score(h.doc), "p=1 scores are exact");
@@ -156,7 +151,7 @@ mod tests {
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(vec![t0, t1], 5));
         let q = Query::new(vec![0, 1]);
         let cfg = SearchConfig::exact(4).with_jass_p(0.5); // budget = 2 of 4
-        let r = Jass.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = Jass.search(&ix, &q, &cfg, &WorkerPool::new(1));
         // The two highest-impact postings are (0,100) and (2,50).
         assert_eq!(r.docs(), vec![0, 2]);
     }
@@ -170,7 +165,7 @@ mod tests {
             &ix,
             &q,
             &SearchConfig::exact(100).with_jass_p(0.05),
-            &DedicatedExecutor::new(1),
+            &WorkerPool::new(1),
         );
         assert_eq!(approx.work.postings_scanned, 3000, "5% of 60000");
         let r = oracle.recall(&approx.docs());
@@ -183,12 +178,7 @@ mod tests {
         // accumulator count is the number of distinct docs seen.
         let ix = pseudo_index(5000, 3, 3);
         let q = Query::new(vec![0, 1, 2]);
-        let r = Jass.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(10),
-            &DedicatedExecutor::new(1),
-        );
+        let r = Jass.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(1));
         assert_eq!(r.work.docmap_peak, 5000);
     }
 }

@@ -208,7 +208,7 @@ mod tests {
     use crate::jass::Jass;
     use crate::oracle::Oracle;
     use crate::sparta::doc_slab::RUN;
-    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
+    use sparta_exec::{DeterministicExecutor, WorkerPool};
     use sparta_index::{InMemoryIndex, Posting};
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
@@ -234,12 +234,7 @@ mod tests {
             let ix = pseudo_index(3000, 3, 1);
             let q = Query::new(vec![0, 1, 2]);
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-            let r = PJass.search(
-                &ix,
-                &q,
-                &SearchConfig::exact(10),
-                &DedicatedExecutor::new(threads),
-            );
+            let r = PJass.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(threads));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "threads={threads}");
         }
     }
@@ -249,7 +244,7 @@ mod tests {
         let ix = pseudo_index(10_000, 3, 2);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10).with_jass_p(0.1).with_seg_size(64);
-        let r = PJass.search(&ix, &q, &cfg, &DedicatedExecutor::new(3));
+        let r = PJass.search(&ix, &q, &cfg, &WorkerPool::new(3));
         let budget = 3000;
         assert!(
             r.work.postings_scanned >= budget && r.work.postings_scanned < budget + 3 * 64,
@@ -263,8 +258,8 @@ mod tests {
         let ix = pseudo_index(2000, 3, 3);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(20);
-        let seq = Jass.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
-        let par = PJass.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let seq = Jass.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let par = PJass.search(&ix, &q, &cfg, &WorkerPool::new(4));
         assert_eq!(seq.scores(), par.scores());
     }
 
@@ -272,12 +267,7 @@ mod tests {
     fn accumulators_never_pruned() {
         let ix = pseudo_index(4000, 3, 4);
         let q = Query::new(vec![0, 1, 2]);
-        let r = PJass.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(10),
-            &DedicatedExecutor::new(2),
-        );
+        let r = PJass.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(2));
         assert_eq!(r.work.docmap_peak, 4000, "every doc accumulated");
     }
 
@@ -286,7 +276,7 @@ mod tests {
         let ix = pseudo_index(1000, 2, 5);
         let q = Query::new(vec![0, 1]);
         let cfg = SearchConfig::exact(10).with_trace(true);
-        let r = PJass.search(&ix, &q, &cfg, &DedicatedExecutor::new(2));
+        let r = PJass.search(&ix, &q, &cfg, &WorkerPool::new(2));
         assert!(r.trace.unwrap().len() >= 10);
     }
 
@@ -309,7 +299,7 @@ mod tests {
         let ix = pseudo_index(5000, 4, 6);
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128);
-        let exec = DedicatedExecutor::new(4);
+        let exec = WorkerPool::new(4);
         let cands = Candidates::new(4, 5000);
         let (state, _queue) = run_once(&ix, &q, &cfg, &exec, u64::MAX, cands);
         assert_eq!(state.cands.table.len(), 5000);

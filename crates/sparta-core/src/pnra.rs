@@ -263,7 +263,7 @@ mod tests {
     use super::*;
     use crate::oracle::Oracle;
     use crate::sparta::doc_slab::RUN;
-    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
+    use sparta_exec::{DeterministicExecutor, WorkerPool};
     use sparta_index::{InMemoryIndex, Posting};
     use std::time::Duration;
 
@@ -291,7 +291,7 @@ mod tests {
             let q = Query::new(vec![0, 1, 2]);
             let cfg = SearchConfig::exact(10).with_seg_size(128);
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-            let r = PNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+            let r = PNra.search(&ix, &q, &cfg, &WorkerPool::new(threads));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "threads={threads}");
         }
     }
@@ -305,7 +305,7 @@ mod tests {
         let ix = pseudo_index(5000, 4, 6);
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128).with_phi(512);
-        let naive = PNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let naive = PNra.search(&ix, &q, &cfg, &WorkerPool::new(4));
         assert!(
             naive.work.docmap_peak > 50 * 10,
             "pNRA peak {} suspiciously small",
@@ -318,7 +318,7 @@ mod tests {
         let t0 = vec![Posting::new(2, 8), Posting::new(9, 3)];
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(vec![t0], 16));
         let q = Query::new(vec![0]);
-        let r = PNra.search(&ix, &q, &SearchConfig::exact(4), &DedicatedExecutor::new(2));
+        let r = PNra.search(&ix, &q, &SearchConfig::exact(4), &WorkerPool::new(2));
         assert_eq!(r.docs(), vec![2, 9]);
     }
 
@@ -348,7 +348,7 @@ mod tests {
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128);
         let cands = Candidates::new(4, 5000);
-        let (state, _queue) = run_once(&ix, &q, &cfg, &DedicatedExecutor::new(4), cands);
+        let (state, _queue) = run_once(&ix, &q, &cfg, &WorkerPool::new(4), cands);
         let candidates = state.cands.table.len();
         assert!(candidates > 50 * 10, "only {candidates} candidates");
         // Lost admission races re-stage the same record, so a list

@@ -300,7 +300,7 @@ impl Algorithm for PRa {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
+    use sparta_exec::{DeterministicExecutor, WorkerPool};
     use sparta_index::{InMemoryIndex, Posting};
     use std::time::Duration;
 
@@ -328,7 +328,7 @@ mod tests {
             let q = Query::new(vec![0, 1, 2]);
             let cfg = SearchConfig::exact(10).with_seg_size(128);
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-            let r = PRa.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+            let r = PRa.search(&ix, &q, &cfg, &WorkerPool::new(threads));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "threads={threads}");
             for h in &r.hits {
                 assert_eq!(h.score, oracle.score(h.doc), "pRA reports full scores");
@@ -344,7 +344,7 @@ mod tests {
             &ix,
             &q,
             &SearchConfig::exact(10).with_seg_size(64),
-            &DedicatedExecutor::new(3),
+            &WorkerPool::new(3),
         );
         assert!(r.work.random_accesses > 0);
         // Each distinct doc claimed costs exactly m-1 lookups.
@@ -358,7 +358,7 @@ mod tests {
         // Exhaustive (k = all docs): every doc appears in all 4 lists,
         // so claims = 500 and lookups = 500 × 3.
         let cfg = SearchConfig::exact(500).with_seg_size(32);
-        let r = PRa.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let r = PRa.search(&ix, &q, &cfg, &WorkerPool::new(4));
         assert_eq!(r.work.random_accesses, 500 * 3);
         assert_eq!(r.hits.len(), 500);
     }

@@ -54,7 +54,7 @@ mod tests {
     use crate::SearchConfig;
     use parking_lot::Mutex;
     use sparta_corpus::types::Query;
-    use sparta_exec::{DedicatedExecutor, DeterministicExecutor, Executor, JobQueue};
+    use sparta_exec::{DeterministicExecutor, Executor, JobQueue, WorkerPool};
     use sparta_index::{InMemoryIndex, Index, Posting};
     use std::time::Duration;
 
@@ -121,7 +121,7 @@ mod tests {
         let q = Query::new(vec![0, 1, 2]);
         let exact = SearchConfig::exact(100);
         let approx = exact.with_delta(Some(Duration::ZERO));
-        let exec = DedicatedExecutor::new(2);
+        let exec = WorkerPool::new(2);
         for name in ["nra", "snra", "ra"] {
             let algo = algorithm_by_name(name).unwrap();
             let r = algo.search(&ix, &q, &approx, &exec);
@@ -180,7 +180,7 @@ mod tests {
         let cfg = SearchConfig::exact(3).with_seg_size(2);
         for algo in all_algorithms().into_iter().filter(|a| a.name() != "pra") {
             for threads in [1, 2] {
-                let r = algo.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+                let r = algo.search(&ix, &q, &cfg, &WorkerPool::new(threads));
                 assert_eq!(r.docs(), want, "{} t={threads}", algo.name());
             }
         }

@@ -166,7 +166,7 @@ impl Algorithm for SNra {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
     use sparta_index::InMemoryIndex;
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
@@ -219,7 +219,7 @@ mod tests {
             let q = Query::new(vec![0, 1, 2]);
             let cfg = SearchConfig::exact(10);
             let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-            let r = SNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+            let r = SNra.search(&ix, &q, &cfg, &WorkerPool::new(threads));
             assert_eq!(oracle.recall(&r.docs()), 1.0, "threads={threads}");
         }
     }
@@ -230,7 +230,7 @@ mod tests {
     fn one_shard_is_sequential_nra() {
         let ix = pseudo_index(20_000, 3, 4);
         let q = Query::new(vec![0, 1, 2]);
-        let exec = DedicatedExecutor::new(1);
+        let exec = WorkerPool::new(1);
         for k in [10, 100] {
             let cfg = SearchConfig::exact(k);
             let snra = SNra.search(&ix, &q, &cfg, &exec);
@@ -250,8 +250,8 @@ mod tests {
         let ix = pseudo_index(20_000, 3, 3);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(100);
-        let snra = SNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(8));
-        let nra = crate::ta::SeqNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let snra = SNra.search(&ix, &q, &cfg, &WorkerPool::new(8));
+        let nra = crate::ta::SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert!(
             snra.work.postings_scanned > nra.work.postings_scanned,
             "sNRA {} ≤ NRA {}",

@@ -182,7 +182,7 @@ mod tests {
     use crate::sparta::Sparta;
     use crate::ta::SeqNra;
     use crate::{Algorithm, SearchConfig};
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
     use sparta_index::storage::IndexWriter;
     use sparta_index::{CompressedIndex, DiskIndex, InMemoryIndex, IoModel};
 
@@ -211,7 +211,7 @@ mod tests {
         for algo in algos {
             for threads in [1, 3] {
                 let ctx = format!("{ctx}, {} t={threads}", algo.name());
-                let r = algo.search(ix, &q, &cfg, &DedicatedExecutor::new(threads));
+                let r = algo.search(ix, &q, &cfg, &WorkerPool::new(threads));
                 assert_eq!(want.recall(&r.docs()), 1.0, "{ctx}: {:?}", r.docs());
                 assert_eq!(r.work.jobs_panicked, 0, "{ctx}");
             }
@@ -311,7 +311,7 @@ mod tests {
         for (algo, threads) in runs {
             for &threads in threads {
                 let ctx = format!("{} t={threads}", algo.name());
-                let r = algo.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+                let r = algo.search(&ix, &q, &cfg, &WorkerPool::new(threads));
                 assert_eq!(want.recall(&r.docs()), 1.0, "{ctx}: {:?}", r.docs());
                 assert_eq!(r.work.jobs_panicked, 0, "{ctx}");
                 assert!(

@@ -520,7 +520,7 @@ impl Algorithm for Sparta {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::{DedicatedExecutor, DeterministicExecutor};
+    use sparta_exec::{DeterministicExecutor, WorkerPool};
     use sparta_index::{InMemoryIndex, Posting};
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
@@ -545,7 +545,7 @@ mod tests {
         let q = Query::new((0..m as u32).collect());
         let cfg = SearchConfig::exact(k).with_seg_size(64).with_phi(256);
         let oracle = Oracle::compute(ix.as_ref(), &q, k);
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(threads));
         assert_eq!(
             oracle.recall(&r.docs()),
             1.0,
@@ -641,12 +641,12 @@ mod tests {
             r.work.cleaner_passes
         };
         assert_eq!(
-            check(&DedicatedExecutor::new(1), "t=1"),
+            check(&WorkerPool::new(1), "t=1"),
             2,
             "the check and the inline pass, and no pass between"
         );
         for threads in [2, 4] {
-            check(&DedicatedExecutor::new(threads), &format!("t={threads}"));
+            check(&WorkerPool::new(threads), &format!("t={threads}"));
         }
         for seed in 0..16 {
             check(&DeterministicExecutor::new(seed), &format!("seed {seed}"));
@@ -663,7 +663,7 @@ mod tests {
         let q = Query::new((0..m as u32).collect());
         let cfg = SearchConfig::exact(k).with_seg_size(64).with_phi(256);
         let oracle = Oracle::compute(ix.as_ref(), &q, k);
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         assert_eq!(r.work.cleaner_passes, 1, "the check alone stops it");
         assert!(
@@ -707,7 +707,7 @@ mod tests {
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(vec![t0], 10));
         let q = Query::new(vec![0]);
         let cfg = SearchConfig::exact(100);
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(2));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(2));
         assert_eq!(r.docs(), vec![5, 1]);
     }
 
@@ -718,7 +718,7 @@ mod tests {
             &ix,
             &Query::new(vec![]),
             &SearchConfig::exact(10),
-            &DedicatedExecutor::new(2),
+            &WorkerPool::new(2),
         );
         assert!(r.hits.is_empty());
     }
@@ -728,7 +728,7 @@ mod tests {
         let ix = pseudo_index(5000, 4, 7);
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128).with_phi(512);
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(4));
         assert!(r.work.cleaner_passes > 0, "cleaner must have run");
         assert!(r.work.docmap_peak > 10, "docMap grew beyond k");
     }
@@ -741,13 +741,13 @@ mod tests {
         let oracle = Oracle::compute(ix.as_ref(), &q, 50);
         // A Δ far above the query's runtime must not harm exactness…
         let generous = exact.with_delta(Some(std::time::Duration::from_secs(30)));
-        let r = Sparta.search(&ix, &q, &generous, &DedicatedExecutor::new(4));
+        let r = Sparta.search(&ix, &q, &generous, &WorkerPool::new(4));
         assert_eq!(oracle.recall(&r.docs()), 1.0, "generous Δ stays exact");
         // …while a tiny Δ must terminate promptly with a full (if
         // imperfect) result set. Recall under a tiny Δ is timing
         // dependent, so only structural properties are asserted.
         let tiny = exact.with_delta(Some(std::time::Duration::from_micros(50)));
-        let r = Sparta.search(&ix, &q, &tiny, &DedicatedExecutor::new(4));
+        let r = Sparta.search(&ix, &q, &tiny, &WorkerPool::new(4));
         assert_eq!(r.hits.len(), 50, "still returns a full result set");
         assert!(
             r.hits.windows(2).all(|w| w[0].score >= w[1].score),
@@ -763,7 +763,7 @@ mod tests {
         // Peak tracking must be branch-independent: a single worker
         // that jumps straight to termMaps used to under-report it.
         for threads in [1, 3] {
-            let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(threads));
+            let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(threads));
             assert!(r.work.postings_scanned > 0);
             assert!(r.work.heap_updates >= 10);
             assert_eq!(r.work.random_accesses, 0, "Sparta never random-accesses");
@@ -791,7 +791,7 @@ mod tests {
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(20).with_prune_gamma(1.0);
         let oracle = Oracle::compute(ix.as_ref(), &q, 20);
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(4));
         assert_eq!(oracle.recall(&r.docs()), 1.0, "γ = 1 must stay safe");
     }
 
@@ -803,13 +803,8 @@ mod tests {
         let oracle = Oracle::compute(ix.as_ref(), &q, 50);
         // Single-threaded for a deterministic job schedule — posting
         // counts are only comparable under identical interleavings.
-        let exact = Sparta.search(&ix, &q, &base, &DedicatedExecutor::new(1));
-        let prob = Sparta.search(
-            &ix,
-            &q,
-            &base.with_prune_gamma(0.9),
-            &DedicatedExecutor::new(1),
-        );
+        let exact = Sparta.search(&ix, &q, &base, &WorkerPool::new(1));
+        let prob = Sparta.search(&ix, &q, &base.with_prune_gamma(0.9), &WorkerPool::new(1));
         assert_eq!(oracle.recall(&exact.docs()), 1.0);
         // γ = 0.9 prunes boundary candidates early: no more postings
         // than the safe run at a small recall cost. (On this uniform
@@ -841,7 +836,7 @@ mod tests {
             .with_seg_size(128)
             .with_phi(512)
             .with_spans(true);
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(4));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(4));
         let spans = r.spans.expect("spans enabled");
         let phases: std::collections::HashSet<Phase> = spans.iter().map(|s| s.phase).collect();
         for phase in [
@@ -854,12 +849,7 @@ mod tests {
         }
         assert!(spans.iter().all(|s| s.end >= s.start));
         // Disabled by default: no spans vector at all.
-        let r = Sparta.search(
-            &ix,
-            &q,
-            &SearchConfig::exact(10),
-            &DedicatedExecutor::new(2),
-        );
+        let r = Sparta.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(2));
         assert!(r.spans.is_none());
     }
 
@@ -868,7 +858,7 @@ mod tests {
         let ix = pseudo_index(2000, 3, 13);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10).with_trace(true);
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(3));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(3));
         let trace = r.trace.expect("trace enabled");
         let traced: std::collections::HashSet<DocId> = trace.iter().map(|e| e.doc).collect();
         for h in &r.hits {

@@ -183,7 +183,7 @@ impl Algorithm for SeqNra {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
     use sparta_index::{InMemoryIndex, Posting};
 
     fn small_index() -> Arc<dyn Index> {
@@ -205,7 +205,7 @@ mod tests {
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(5);
         let oracle = Oracle::compute(ix.as_ref(), &q, 5);
-        let r = SeqNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(r.hits.len(), 5);
         assert_eq!(oracle.recall(&r.docs()), 1.0, "docs {:?}", r.docs());
         // Lower bounds never exceed true scores.
@@ -220,7 +220,7 @@ mod tests {
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(vec![t0], 10));
         let q = Query::new(vec![0]);
         let cfg = SearchConfig::exact(5);
-        let r = SeqNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(r.docs(), vec![7, 3]);
     }
 
@@ -230,7 +230,7 @@ mod tests {
         let q = Query::new(vec![1]);
         let cfg = SearchConfig::exact(3);
         let oracle = Oracle::compute(ix.as_ref(), &q, 3);
-        let r = SeqNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         // For m = 1, LB = true score.
         for h in &r.hits {
@@ -252,7 +252,7 @@ mod tests {
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(lists, u64::from(n)));
         let q = Query::new(vec![0, 1]);
         let cfg = SearchConfig::exact(1);
-        let r = SeqNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(r.docs(), vec![42]);
         assert!(
             r.work.postings_scanned < u64::from(n), // far less than 2n total
@@ -267,7 +267,7 @@ mod tests {
         let ix = small_index();
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(5).with_trace(true);
-        let r = SeqNra.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
         let tr = r.trace.expect("trace requested");
         assert!(tr.len() as u64 >= 5);
     }

@@ -124,7 +124,7 @@ impl Algorithm for SeqRa {
 mod tests {
     use super::*;
     use crate::oracle::Oracle;
-    use sparta_exec::DedicatedExecutor;
+    use sparta_exec::WorkerPool;
     use sparta_index::{InMemoryIndex, Posting};
 
     fn small_index() -> Arc<dyn Index> {
@@ -145,7 +145,7 @@ mod tests {
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(5);
         let oracle = Oracle::compute(ix.as_ref(), &q, 5);
-        let r = SeqRa.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = SeqRa.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         // RA reports *full* scores, matching the oracle exactly.
         for h in &r.hits {
@@ -175,7 +175,7 @@ mod tests {
             .collect();
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(lists, u64::from(n)));
         let q = Query::new(vec![0, 1]);
-        let r = SeqRa.search(&ix, &q, &SearchConfig::exact(5), &DedicatedExecutor::new(1));
+        let r = SeqRa.search(&ix, &q, &SearchConfig::exact(5), &WorkerPool::new(1));
         let oracle = Oracle::compute(ix.as_ref(), &q, 5);
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         assert!(
@@ -192,7 +192,7 @@ mod tests {
         // Every doc appears in all 3 lists; with exhaustive traversal
         // RA must perform exactly (m-1) lookups per distinct doc.
         let cfg = SearchConfig::exact(50); // k = all docs: no early stop
-        let r = SeqRa.search(&ix, &q, &cfg, &DedicatedExecutor::new(1));
+        let r = SeqRa.search(&ix, &q, &cfg, &WorkerPool::new(1));
         assert_eq!(r.work.random_accesses, 50 * 2);
         assert_eq!(r.hits.len(), 50);
     }

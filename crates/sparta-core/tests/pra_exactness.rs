@@ -1,5 +1,5 @@
 //! pRA's exactness matrix: every backend (raw, compressed, disk) ×
-//! every executor (dedicated at T ∈ {1, 2, 4}, deterministic seeds
+//! every executor (the pool at T ∈ {1, 2, 4}, deterministic seeds
 //! 0..16) × segment sizes that do and do not divide the block size.
 //! Hits and their full scores must be the oracle's. On the compressed
 //! backend a batch ends on a block boundary, so pRA decodes no block
@@ -9,7 +9,7 @@
 use sparta_core::pra::PRa;
 use sparta_core::{Algorithm, Oracle, SearchConfig};
 use sparta_corpus::types::Query;
-use sparta_exec::{DedicatedExecutor, DeterministicExecutor, Executor};
+use sparta_exec::{DeterministicExecutor, Executor, WorkerPool};
 use sparta_index::storage::IndexWriter;
 use sparta_index::{
     CompressedIndex, DiskIndex, InMemoryIndex, Index, IoModel, Posting, DEFAULT_BLOCK_SIZE,
@@ -53,15 +53,15 @@ fn queries() -> [Query; 3] {
 }
 
 fn executors() -> Vec<(String, Box<dyn Executor>)> {
-    let dedicated = [1, 2, 4].map(|t| {
-        let exec: Box<dyn Executor> = Box::new(DedicatedExecutor::new(t));
-        (format!("dedicated T={t}"), exec)
+    let pools = [1, 2, 4].map(|t| {
+        let exec: Box<dyn Executor> = Box::new(WorkerPool::new(t));
+        (format!("pool T={t}"), exec)
     });
     let deterministic = (0..16u64).map(|seed| {
         let exec: Box<dyn Executor> = Box::new(DeterministicExecutor::new(seed));
         (format!("deterministic seed {seed}"), exec)
     });
-    dedicated.into_iter().chain(deterministic).collect()
+    pools.into_iter().chain(deterministic).collect()
 }
 
 /// Runs the matrix on `index`: every query × executor × segment size at

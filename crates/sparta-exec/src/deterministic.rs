@@ -45,7 +45,7 @@ impl SplitMix64 {
 /// chosen by a seed, optionally injecting faults from a [`FaultPlan`].
 ///
 /// Implements [`Executor`], so it drops into any `search(...)` call in
-/// place of [`DedicatedExecutor`](crate::DedicatedExecutor). It
+/// place of [`WorkerPool`](crate::WorkerPool). It
 /// *reports* a configurable virtual parallelism (default 4) so
 /// algorithms still fan out work into many jobs — giving the scheduler
 /// interleavings to explore — while actually running them one at a

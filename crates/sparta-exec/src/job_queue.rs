@@ -6,13 +6,14 @@
 //! segment pushes the follow-up job for the next segment. The queue
 //! tracks an *outstanding* count (queued + currently running jobs);
 //! when it reaches zero the query is complete and all waiters wake.
+//! The queue never wakes anyone for a push: the pool's workers find
+//! new jobs through their own wake-ups (see `pool.rs`).
 
 use parking_lot::{Condvar, Mutex};
-use sparta_obs::{recorder, Counter, EventKind, MaxGauge, WorkerMetrics};
+use sparta_obs::{recorder, Counter, EventKind, MaxGauge};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A resumable job that keeps its own state between steps.
 ///
@@ -133,7 +134,6 @@ impl JobQueue {
         };
         self.depth_highwater.observe(depth as u64);
         recorder::record(EventKind::QueuePush, depth as u64);
-        self.cv.notify_one();
     }
 
     /// Number of jobs queued or running.
@@ -265,7 +265,7 @@ impl JobQueue {
     /// the last job, wake every waiter — with a lock bridge that makes
     /// the wakeup impossible to lose.
     ///
-    /// The waiters (`wait_complete`, the `run_worker` inner loops) take
+    /// The waiters (`wait_complete`, the only code parked on `cv`) take
     /// the `jobs` mutex, check `is_complete()` — an *atomic* the mutex
     /// does not guard — and park on `cv`. Without the bridge, this
     /// decrement and the notify can both land in the window between a
@@ -330,67 +330,6 @@ impl JobQueue {
         }
         self.depth_highwater.observe(depth as u64);
         recorder::record(EventKind::Requeue, depth as u64);
-        if pushed == 1 {
-            self.cv.notify_one();
-        } else {
-            self.cv.notify_all();
-        }
-    }
-
-    /// Worker loop: pop and run jobs until the queue completes.
-    /// Multiple threads may run this concurrently.
-    pub fn run_worker(&self) {
-        loop {
-            let mut guard = self.jobs.lock();
-            loop {
-                if let Some(job) = guard.pop_front() {
-                    drop(guard);
-                    self.run_job(job);
-                    break;
-                }
-                if self.is_complete() {
-                    return;
-                }
-                recorder::record(EventKind::Park, 0);
-                self.cv.wait(&mut guard);
-                recorder::record(EventKind::Unpark, 0);
-            }
-        }
-    }
-
-    /// [`JobQueue::run_worker`] with per-job instrumentation: job
-    /// durations and panics go to `m`, condvar waits are accounted as
-    /// idle time. Kept separate from the plain loop so uninstrumented
-    /// executors pay no timing overhead.
-    pub fn run_worker_observed(&self, m: &WorkerMetrics) {
-        loop {
-            let mut guard = self.jobs.lock();
-            loop {
-                if let Some(job) = guard.pop_front() {
-                    drop(guard);
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "executor metrics timing (busy/parked nanos)"
-                    )]
-                    let started = Instant::now();
-                    let panicked = self.run_job(job);
-                    m.record_job(started.elapsed().as_nanos() as u64, panicked);
-                    break;
-                }
-                if self.is_complete() {
-                    return;
-                }
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "executor metrics timing (busy/parked nanos)"
-                )]
-                let parked = Instant::now();
-                recorder::record(EventKind::Park, 0);
-                self.cv.wait(&mut guard);
-                recorder::record(EventKind::Unpark, 0);
-                m.idle_ns.add(parked.elapsed().as_nanos() as u64);
-            }
-        }
     }
 
     /// Blocks until all work completes.
@@ -398,20 +337,6 @@ impl JobQueue {
         let mut guard = self.jobs.lock();
         while !self.is_complete() {
             self.cv.wait(&mut guard);
-        }
-    }
-
-    /// Blocks until `pred()` holds. The predicate is re-evaluated after
-    /// every job completion or push. Used by orchestration steps such
-    /// as Sparta's "wait until UBStop" (Alg. 1 line 4); completion also
-    /// wakes the waiter so it never sleeps past the end of the query.
-    pub fn wait_until<F: FnMut() -> bool>(&self, mut pred: F) {
-        let mut guard = self.jobs.lock();
-        while !pred() && !self.is_complete() {
-            // Re-check periodically as well: predicates like UBStop
-            // flip due to worker-side writes that do not notify.
-            self.cv
-                .wait_for(&mut guard, std::time::Duration::from_micros(200));
         }
     }
 }
@@ -437,6 +362,15 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// Runs `q`'s jobs on the calling thread until none is queued.
+    /// Continuations are pushed before their job returns, so one
+    /// drainer finishes the query.
+    fn drain(q: &JobQueue) {
+        while let Some(job) = q.try_pop() {
+            q.run_job(job);
+        }
+    }
+
     #[test]
     fn runs_all_jobs_single_thread() {
         let q = JobQueue::new();
@@ -447,7 +381,7 @@ mod tests {
                 sum.fetch_add(i, Ordering::Relaxed);
             }));
         }
-        q.run_worker();
+        drain(&q);
         assert_eq!(sum.load(Ordering::Relaxed), 55);
         assert!(q.is_complete());
         assert_eq!(q.executed(), 10);
@@ -459,7 +393,7 @@ mod tests {
         let q = JobQueue::tagged(42);
         assert_eq!(q.tag(), 42);
         q.push(Box::new(|| {}));
-        q.run_worker();
+        drain(&q);
         assert_eq!(q.tag(), 42, "tag survives execution");
     }
 
@@ -479,7 +413,7 @@ mod tests {
             }));
         }
         step(Arc::clone(&q), Arc::clone(&count), 100);
-        q.run_worker();
+        drain(&q);
         assert_eq!(count.load(Ordering::Relaxed), 100);
     }
 
@@ -496,7 +430,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let q = Arc::clone(&q);
-                s.spawn(move || q.run_worker());
+                s.spawn(move || drain(&q));
             }
         });
         assert_eq!(count.load(Ordering::Relaxed), 1000);
@@ -516,32 +450,9 @@ mod tests {
         }
         std::thread::scope(|s| {
             let q2 = Arc::clone(&q);
-            s.spawn(move || q2.run_worker());
+            s.spawn(move || drain(&q2));
             q.wait_complete();
             assert_eq!(done.load(Ordering::Relaxed), 1);
-        });
-    }
-
-    #[test]
-    fn wait_until_observes_worker_writes() {
-        let q = JobQueue::new();
-        let flag = Arc::new(AtomicU64::new(0));
-        {
-            let flag = Arc::clone(&flag);
-            q.push(Box::new(move || {
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                flag.store(7, Ordering::Release);
-                std::thread::sleep(std::time::Duration::from_millis(30));
-            }));
-        }
-        std::thread::scope(|s| {
-            let q2 = Arc::clone(&q);
-            s.spawn(move || q2.run_worker());
-            let flag2 = Arc::clone(&flag);
-            q.wait_until(move || flag2.load(Ordering::Acquire) == 7);
-            // The job is still sleeping: outstanding is nonzero, the
-            // predicate fired.
-            assert_eq!(flag.load(Ordering::Acquire), 7);
         });
     }
 
@@ -556,7 +467,7 @@ mod tests {
                 count.fetch_add(1, Ordering::Relaxed);
             }));
         }
-        q.run_worker();
+        drain(&q);
         assert!(q.is_complete());
         assert_eq!(q.panicked(), 1);
         assert_eq!(q.executed(), 2);
@@ -609,7 +520,7 @@ mod tests {
         let front = q.try_pop().unwrap();
         q.requeue(front); // delay job 0 behind job 1
         assert_eq!(q.outstanding(), 2);
-        q.run_worker();
+        drain(&q);
         assert_eq!(*log.lock(), vec![1, 0]);
     }
 
@@ -620,22 +531,9 @@ mod tests {
             q.push(Box::new(|| {}));
         }
         assert_eq!(q.depth_highwater(), 5);
-        q.run_worker();
+        drain(&q);
         // Draining does not lower the high-water mark.
         assert_eq!(q.depth_highwater(), 5);
-    }
-
-    #[test]
-    fn observed_worker_records_jobs_and_panics() {
-        let q = JobQueue::new();
-        q.push(Box::new(|| {}));
-        q.push(Box::new(|| panic!("injected fault")));
-        let m = sparta_obs::WorkerMetrics::new();
-        q.run_worker_observed(&m);
-        assert_eq!(m.jobs_run.get(), 2);
-        assert_eq!(m.jobs_panicked.get(), 1);
-        assert_eq!(m.job_ns.count(), 2);
-        assert!(q.is_complete());
     }
 
     #[test]
@@ -657,7 +555,7 @@ mod tests {
             left: 100,
             count: Arc::clone(&count),
         }));
-        q.run_worker();
+        drain(&q);
         assert_eq!(count.load(Ordering::Relaxed), 100);
         assert!(q.is_complete());
         assert_eq!(q.executed(), 100);
@@ -668,7 +566,8 @@ mod tests {
     fn cyclic_recycle_keeps_outstanding_nonzero() {
         // Between run_step returning true and the next step starting,
         // the outstanding count must not dip to zero — a transient zero
-        // would let run_worker/wait_complete exit with work remaining.
+        // would let wait_complete return, or the pool retire the query,
+        // with work remaining.
         struct Probe {
             q: Arc<JobQueue>,
             left: u32,
@@ -689,7 +588,7 @@ mod tests {
             left: 50,
             min_seen: Arc::clone(&min_seen),
         }));
-        q.run_worker();
+        drain(&q);
         assert!(q.is_complete());
         assert!(min_seen.load(Ordering::Relaxed) >= 1);
     }
@@ -710,7 +609,7 @@ mod tests {
         }
         let q = JobQueue::new();
         q.push(Job::cyclic(Bomb { steps: 0 }));
-        q.run_worker();
+        drain(&q);
         assert!(q.is_complete());
         assert_eq!(q.panicked(), 1);
         assert_eq!(q.recycled(), 2);
@@ -735,7 +634,7 @@ mod tests {
             "the burst's deepest point must be accounted"
         );
         assert_eq!(q.outstanding(), 3, "requeue never touches outstanding");
-        q.run_worker();
+        drain(&q);
         assert!(q.is_complete());
         assert_eq!(q.executed(), 3);
     }
@@ -804,17 +703,5 @@ mod tests {
                 EventKind::JobEnd,
             ]
         );
-    }
-
-    #[test]
-    fn wait_until_returns_on_completion_even_if_pred_never_true() {
-        let q = JobQueue::new();
-        q.push(Box::new(|| {}));
-        std::thread::scope(|s| {
-            let q2 = Arc::clone(&q);
-            s.spawn(move || q2.run_worker());
-            q.wait_until(|| false);
-        });
-        assert!(q.is_complete());
     }
 }

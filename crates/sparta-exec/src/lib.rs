@@ -1,5 +1,5 @@
-//! Execution substrate: job queues, per-query executors, and the
-//! shared worker pool used for throughput experiments.
+//! Execution substrate: job queues, the shared worker pool both
+//! evaluation modes run on, and a deterministic replay executor.
 //!
 //! The paper's benchmarking environment (§5.1): "A benchmark driver
 //! draws queries from an input queue and submits them to the algorithm
@@ -14,22 +14,22 @@
 //! All parallel algorithms in `sparta-core` express their work as
 //! *self-scheduling jobs* on a [`JobQueue`] (Sparta's `PROCESSTERM`
 //! re-enqueues itself per segment, Alg. 1 line 25; pBMW enqueues
-//! doc-range jobs; etc.). An [`Executor`] then drains the queue:
-//! [`DedicatedExecutor`] spawns scoped threads for one query (latency
-//! mode), [`WorkerPool`] multiplexes many queries over persistent
-//! threads (throughput mode).
+//! doc-range jobs; etc.). An [`Executor`] then drains the queue.
+//! [`WorkerPool`] is the one threaded executor: its persistent workers
+//! share every query in flight, so latency mode is a pool with one
+//! query in flight (every worker helps it) and throughput mode is the
+//! same pool with many. [`DeterministicExecutor`] replays a seeded
+//! single-threaded schedule for tests and the perf guards.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
-pub mod dedicated;
 pub mod deterministic;
 pub mod fault;
 pub mod job_queue;
 pub mod pool;
 pub mod watchdog;
 
-pub use dedicated::DedicatedExecutor;
 pub use deterministic::DeterministicExecutor;
 pub use fault::FaultPlan;
 pub use job_queue::{CyclicJob, Job, JobQueue};
@@ -37,6 +37,12 @@ pub use pool::WorkerPool;
 pub use watchdog::{DumpHook, StallWatchdog, WatchdogConfig};
 
 use std::sync::Arc;
+
+/// The old name of latency mode's executor, now the shared pool. It
+/// stays only because the `benchmark/` package names it, and that
+/// package changes only when its baseline is re-recorded: retire the
+/// alias then.
+pub type DedicatedExecutor = WorkerPool;
 
 /// Drains a query's job queue to completion.
 pub trait Executor: Sync {

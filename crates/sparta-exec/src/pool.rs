@@ -1,4 +1,4 @@
-//! Throughput-mode shared worker pool with FCFS query admission.
+//! The shared worker pool with FCFS query admission, for both modes.
 //!
 //! §5.1: "queries are scheduled first-come-first-served, and a new
 //! query is scheduled for execution (i.e., assigned threads) once
@@ -17,7 +17,9 @@
 //!
 //! Deviation from §5.1, which admits only when no active query has
 //! work: a worker whose home has completed admits before it helps.
-//! With one query in flight every worker still reaches it through (c).
+//! With one query in flight every worker still reaches it through (c),
+//! which is latency mode: "the entire thread pool is used by a single
+//! query".
 
 use crate::watchdog::{StallWatchdog, WatchdogConfig};
 use crate::{Executor, Job, JobQueue};
@@ -42,7 +44,8 @@ struct Shared {
     recorder: Option<Arc<FlightRecorder>>,
 }
 
-/// A persistent pool of worker threads shared by many queries.
+/// A persistent pool of worker threads shared by the queries in
+/// flight: one in latency mode, many in throughput mode.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
@@ -57,7 +60,9 @@ impl WorkerPool {
 
     /// Starts `threads` persistent workers that record into `metrics`:
     /// per-job durations and panics, busy/idle split, retired queries'
-    /// queue-depth high-water, and queries run.
+    /// queue-depth high-water, and queries run. The counts are exact
+    /// once the pool is dropped; before that, the last queries may not
+    /// have retired yet.
     pub fn instrumented(threads: usize, metrics: Arc<ExecMetrics>) -> Self {
         Self::build(threads, Some(metrics), None)
     }
@@ -180,6 +185,9 @@ impl Drop for WorkerPool {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // No job runs now, so every duration is recorded: retiring what
+        // completed makes the registry exact for a reader after drop.
+        retire_completed(&self.shared, &mut self.shared.active.lock());
     }
 }
 
@@ -259,8 +267,21 @@ fn next_job(sh: &Shared, home: &mut Option<Arc<JobQueue>>) -> Option<(Arc<JobQue
         .then(|| sh.pending.lock().pop_front())
         .flatten();
     let mut active = sh.active.lock();
-    // Retire completed queries, folding their queue stats into the
-    // registry (high-water is only final once retired).
+    retire_completed(sh, &mut active);
+    active.extend(admitted.clone());
+    // The admitted query first, then every active one, oldest first.
+    let picked = admitted.iter().chain(active.iter()).find_map(pop);
+    drop(active);
+    if let Some(q) = admitted {
+        sh.cv.notify_all();
+        *home = Some(q);
+    }
+    picked
+}
+
+/// Drops completed queries from `active`, folding their queue stats
+/// into the registry (high-water is only final once retired).
+fn retire_completed(sh: &Shared, active: &mut Vec<Arc<JobQueue>>) {
     active.retain(|q| {
         let done = q.is_complete();
         if done {
@@ -271,15 +292,6 @@ fn next_job(sh: &Shared, home: &mut Option<Arc<JobQueue>>) -> Option<(Arc<JobQue
         }
         !done
     });
-    active.extend(admitted.clone());
-    // The admitted query first, then every active one, oldest first.
-    let picked = admitted.iter().chain(active.iter()).find_map(pop);
-    drop(active);
-    if let Some(q) = admitted {
-        sh.cv.notify_all();
-        *home = Some(q);
-    }
-    picked
 }
 
 #[cfg(test)]
@@ -497,6 +509,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic]
+    fn zero_threads_rejected() {
+        let _ = WorkerPool::new(0);
+    }
+
+    #[test]
     fn instrumented_pool_populates_registry() {
         let metrics = sparta_obs::ExecMetrics::new(2);
         let pool = WorkerPool::instrumented(2, Arc::clone(&metrics));
@@ -505,24 +523,35 @@ mod tests {
             pool.run(make_query(25, &c));
         }
         assert_eq!(c.load(Ordering::Relaxed), 100);
-        // Retirement happens on a worker's next pick, and the last
-        // job's duration is recorded *after* its completion bookkeeping
-        // (a queue can retire while that worker is still between
-        // run_job and record_job) — wait for both counters.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while {
-            let s = metrics.snapshot();
-            s.queries_run < 4 || s.jobs_run < 100
-        } && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        assert!(pool.metrics().is_some());
+        // A query retires on a worker's next pick, and a job's duration
+        // is recorded after its completion is visible: only the drop,
+        // which joins the workers, makes the counts final.
+        drop(pool);
         let s = metrics.snapshot();
         assert_eq!(s.jobs_run, 100);
         assert_eq!(s.jobs_panicked, 0);
         assert_eq!(s.queries_run, 4);
         assert!(s.queue_depth_highwater >= 25);
         assert_eq!(s.job_ns.count, 100);
-        assert!(pool.metrics().is_some());
+    }
+
+    #[test]
+    fn instrumented_pool_counts_a_panicking_job() {
+        let metrics = sparta_obs::ExecMetrics::new(2);
+        let pool = WorkerPool::instrumented(2, Arc::clone(&metrics));
+        let q = JobQueue::new();
+        for _ in 0..50 {
+            q.push(Box::new(|| {}));
+        }
+        q.push(Box::new(|| panic!("injected fault")));
+        pool.run(Arc::clone(&q));
+        drop(pool);
+        let s = metrics.snapshot();
+        assert_eq!(s.jobs_run, 51);
+        assert_eq!(s.jobs_panicked, 1);
+        assert_eq!(s.queries_run, 1);
+        assert_eq!(s.queue_depth_highwater, 51);
+        assert_eq!(s.job_ns.count, 51);
     }
 }

@@ -1,7 +1,8 @@
-//! Stress tests for the execution substrate: mixed dedicated/pool
-//! usage, deep self-scheduling chains, and rapid query churn.
+//! Stress tests for the execution substrate: deep self-scheduling
+//! chains, rapid query churn, and long and short queries sharing the
+//! pool.
 
-use sparta_exec::{DedicatedExecutor, Executor, JobQueue, WorkerPool};
+use sparta_exec::{Executor, JobQueue, WorkerPool};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,20 +21,14 @@ fn chain(q: &Arc<JobQueue>, counter: &Arc<AtomicU64>, fanout: u32, depth: u32) {
 }
 
 #[test]
-fn deep_chains_complete_on_both_executors() {
+fn deep_chains_complete_on_the_pool() {
     for threads in [1usize, 3] {
         let q = JobQueue::new();
         let c = Arc::new(AtomicU64::new(0));
         chain(&q, &c, 8, 50); // 8 chains of depth 50
-        DedicatedExecutor::new(threads).run(Arc::clone(&q));
+        WorkerPool::new(threads).run(Arc::clone(&q));
         assert_eq!(c.load(Ordering::Relaxed), 8 * 50, "threads={threads}");
     }
-    let pool = WorkerPool::new(3);
-    let q = JobQueue::new();
-    let c = Arc::new(AtomicU64::new(0));
-    chain(&q, &c, 8, 50);
-    pool.run(Arc::clone(&q));
-    assert_eq!(c.load(Ordering::Relaxed), 8 * 50);
 }
 
 #[test]
@@ -99,6 +94,5 @@ fn pool_interleaves_long_and_short_queries() {
 
 #[test]
 fn executor_reports_parallelism() {
-    assert_eq!(DedicatedExecutor::new(7).parallelism(), 7);
-    assert_eq!(WorkerPool::new(3).parallelism(), 3);
+    assert_eq!(WorkerPool::new(7).parallelism(), 7);
 }

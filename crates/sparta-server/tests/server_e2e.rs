@@ -3,7 +3,7 @@
 //! falling over, and shuts down without leaking threads.
 
 use sparta_core::{algorithm_by_name, SearchConfig};
-use sparta_exec::DedicatedExecutor;
+use sparta_exec::WorkerPool;
 use sparta_obs::ServerMetrics;
 use sparta_server::admission::AdmissionConfig;
 use sparta_server::protocol::{ErrorCode, Frame, QueryRequest};
@@ -51,7 +51,7 @@ fn served_hits_match_direct_search() {
         &index,
         &sparta_corpus::Query::new(terms),
         &SearchConfig::exact(5),
-        &DedicatedExecutor::new(2),
+        &WorkerPool::new(2),
     );
     let direct_docs: Vec<u32> = direct.hits.iter().map(|h| h.doc).collect();
     let served_docs: Vec<u32> = hits.iter().map(|h| h.doc).collect();

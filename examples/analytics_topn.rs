@@ -51,7 +51,7 @@ fn main() {
     let query = Query::new((0..DAYS).collect());
     let k = 20;
     let cfg = SearchConfig::exact(k);
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
 
     let t0 = std::time::Instant::now();
     let top = Sparta.search(&index, &query, &cfg, &exec);

@@ -7,7 +7,7 @@
 //! Runs one traced Sparta query under the seeded
 //! [`DeterministicExecutor`] with a logical-step clock — replaying the
 //! seed reproduces the span vector bit-for-bit — then runs the same
-//! query on an instrumented [`DedicatedExecutor`] and renders its
+//! query on an instrumented [`WorkerPool`] and renders its
 //! metrics in Prometheus text exposition format.
 
 use sparta::prelude::*;
@@ -61,13 +61,14 @@ fn main() {
     // 3. The same query on an instrumented thread-pool executor, its
     //    metrics scraped into Prometheus text exposition format.
     let metrics = ExecMetrics::new(2);
-    let exec = DedicatedExecutor::instrumented(2, Arc::clone(&metrics));
+    let exec = WorkerPool::instrumented(2, Arc::clone(&metrics));
     let r = Sparta.search(&index, &query, &SearchConfig::exact(10), &exec);
     assert_eq!(a.docs(), r.docs(), "instrumented run changed results");
+    drop(exec); // joins the workers: the registry is now exact
     let snap = metrics.snapshot();
     assert!(snap.jobs_run > 0, "no jobs observed");
     assert_eq!(snap.jobs_panicked, 0, "unexpected panics");
-    let text = exec_snapshot_text("dedicated", &snap);
+    let text = exec_snapshot_text("pool", &snap);
     let mut families: Vec<&str> = text
         .lines()
         .filter_map(|l| l.strip_prefix("# TYPE "))

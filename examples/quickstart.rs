@@ -34,7 +34,7 @@ fn main() {
     println!("query {query_text:?} -> terms {:?}", query.terms);
 
     let cfg = SearchConfig::exact(3);
-    let exec = DedicatedExecutor::new(query.len().max(1));
+    let exec = WorkerPool::new(query.len().max(1));
     let top = Sparta.search(&index, &query, &cfg, &exec);
 
     println!("top-{} documents (Sparta, exact):", cfg.k);

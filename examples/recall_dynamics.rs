@@ -23,7 +23,7 @@ fn main() {
     let log = QueryLog::generate(corpus.stats(), 1, 12, 13);
     let q = &log.of_length(12)[0];
     let oracle = Oracle::compute(index.as_ref(), q, k);
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     let cfg = SearchConfig::exact(k).with_trace(true);
 
     println!("recall dynamics, 12-term query, k = {k}, {num_docs} docs\n");

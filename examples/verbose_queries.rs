@@ -40,7 +40,7 @@ fn main() {
         lengths.iter().max().unwrap()
     );
 
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     let high = SearchConfig::exact(k)
         .with_delta(Some(Duration::from_millis(10)))
         .with_bmw_f(1.2)

@@ -33,7 +33,7 @@ fn main() {
     println!("indexed in {:.1?}", t0.elapsed());
 
     let log = QueryLog::generate(corpus.stats(), 5, 12, 7);
-    let exec = DedicatedExecutor::new(threads);
+    let exec = WorkerPool::new(threads);
     let cfg = SearchConfig::exact(k);
 
     println!("\nmean exact latency by query length (k = {k}, {threads} threads):");

@@ -148,7 +148,7 @@ fn cmd_search(index_dir: &str, query_text: &str, flags: &[String]) -> Result<(),
     } else {
         SearchConfig::exact(k).with_delta(Some(std::time::Duration::from_millis(10)))
     };
-    let exec = DedicatedExecutor::new(threads.max(1));
+    let exec = WorkerPool::new(threads.max(1));
     let t0 = std::time::Instant::now();
     let top = algo.search(&index, &query, &cfg, &exec);
     let dt = t0.elapsed();

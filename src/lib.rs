@@ -22,7 +22,7 @@
 //! // 3. A query and a search. Sparta uses up to m worker threads.
 //! let query = Query::new(vec![3, 17, 29]);
 //! let cfg = SearchConfig::exact(10);
-//! let exec = DedicatedExecutor::new(3);
+//! let exec = WorkerPool::new(3);
 //! let top = Sparta.search(&index, &query, &cfg, &exec);
 //!
 //! assert_eq!(top.hits.len(), 10);
@@ -36,7 +36,7 @@
 //! | [`collections`] | doc table, doc bitset, bounded top-k, swap cell |
 //! | [`corpus`] | synthetic corpus, tokenizer, scoring, query logs |
 //! | [`index`] | posting lists, block-max metadata, memory/disk indexes |
-//! | [`exec`] | job queue, per-query executor, shared worker pool |
+//! | [`exec`] | job queue, shared worker pool, deterministic replay executor |
 //! | [`core`] | Sparta + all baselines (pRA, pNRA, sNRA, pBMW, pJASS, …) |
 
 pub use sparta_collections as collections;
@@ -64,8 +64,6 @@ pub mod prelude {
     pub use sparta_corpus::synth::{CorpusModel, SynthCorpus};
     pub use sparta_corpus::tokenizer::Tokenizer;
     pub use sparta_corpus::types::{DocId, Query, TermId};
-    pub use sparta_exec::{
-        DedicatedExecutor, DeterministicExecutor, Executor, FaultPlan, WorkerPool,
-    };
+    pub use sparta_exec::{DeterministicExecutor, Executor, FaultPlan, WorkerPool};
     pub use sparta_index::{DiskIndex, InMemoryIndex, Index, IndexBuilder, IoModel};
 }

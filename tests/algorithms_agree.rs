@@ -21,7 +21,7 @@ fn all_exact_algorithms_match_oracle() {
         let cfg = SearchConfig::exact(k).with_seg_size(128).with_phi(512);
         for algo in &algos {
             for threads in [1usize, 4] {
-                let exec = DedicatedExecutor::new(threads);
+                let exec = WorkerPool::new(threads);
                 let r = algo.search(&ix, &q, &cfg, &exec);
                 assert_eq!(
                     oracle.recall(&r.docs()),
@@ -43,7 +43,7 @@ fn full_scoring_algorithms_report_exact_scores() {
     let k = 15;
     let oracle = Oracle::compute(ix.as_ref(), q, k);
     let cfg = SearchConfig::exact(k);
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     for name in [
         "ra", "pra", "bmw", "pbmw", "wand", "maxscore", "jass", "pjass",
     ] {
@@ -67,7 +67,7 @@ fn nra_family_scores_are_lower_bounds() {
     let k = 10;
     let oracle = Oracle::compute(ix.as_ref(), q, k);
     let cfg = SearchConfig::exact(k);
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     for name in ["nra", "pnra", "snra", "sparta"] {
         let algo = sparta::core::algorithm_by_name(name).unwrap();
         let r = algo.search(&ix, q, &cfg, &exec);
@@ -91,7 +91,7 @@ fn sparta_delta_variants_order_recall() {
     let q = Query::new(queries(&corpus, 8, 11).into_iter().last().unwrap().terms);
     let k = 50;
     let oracle = Oracle::compute(ix.as_ref(), &q, k);
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     let base = SearchConfig::exact(k).with_seg_size(128);
     let r_exact = Sparta.search(&ix, &q, &base, &exec);
     let r_loose = Sparta.search(
@@ -112,7 +112,7 @@ fn all_algorithms_handle_single_term_queries() {
     let k = 10;
     let oracle = Oracle::compute(ix.as_ref(), &q, k);
     let cfg = SearchConfig::exact(k);
-    let exec = DedicatedExecutor::new(2);
+    let exec = WorkerPool::new(2);
     for algo in sparta::core::registry::all_algorithms() {
         let r = algo.search(&ix, &q, &cfg, &exec);
         assert_eq!(oracle.recall(&r.docs()), 1.0, "{}", algo.name());
@@ -133,7 +133,7 @@ fn all_algorithms_handle_rare_term_queries() {
     let k = 2 * stats.df(rare) as usize;
     let oracle = Oracle::compute(ix.as_ref(), &q, k);
     let cfg = SearchConfig::exact(k);
-    let exec = DedicatedExecutor::new(2);
+    let exec = WorkerPool::new(2);
     for algo in sparta::core::registry::all_algorithms() {
         let r = algo.search(&ix, &q, &cfg, &exec);
         assert_eq!(
@@ -153,7 +153,7 @@ fn work_profiles_match_paper_characterization() {
     let q = queries(&corpus, 6, 17).pop().unwrap();
     let k = 30;
     let cfg = SearchConfig::exact(k).with_seg_size(128).with_phi(512);
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     let get = |name: &str| {
         sparta::core::algorithm_by_name(name)
             .unwrap()
@@ -211,7 +211,7 @@ fn sparta_early_stops_on_skewed_lists() {
     // attempt must be exact; the early stop must show within a few.
     let mut best = u64::MAX;
     for _ in 0..8 {
-        let r = Sparta.search(&ix, &q, &cfg, &DedicatedExecutor::new(3));
+        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(3));
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         best = best.min(r.work.postings_scanned);
         if best < total / 4 {

@@ -40,7 +40,7 @@ fn write(dir: &Path, kind: IndexKind) {
 fn every_algorithm_answers(ix: Arc<dyn Index>, ctx: &str) {
     let q = Query::new(vec![0]);
     let cfg = SearchConfig::exact(10).with_seg_size(32);
-    let exec = DedicatedExecutor::new(2);
+    let exec = WorkerPool::new(2);
     for algo in all_algorithms() {
         let r = algo.search(&ix, &q, &cfg, &exec);
         assert_eq!(r.work.jobs_panicked, 0, "{ctx}: {} panicked", algo.name());

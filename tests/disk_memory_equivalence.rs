@@ -41,7 +41,7 @@ fn all_algorithms_agree_across_backends() {
     let f = fixture("agree", 21);
     let disk: Arc<dyn Index> = Arc::<DiskIndex>::clone(&f.disk);
     let log = QueryLog::generate(f.corpus.stats(), 2, 5, 3);
-    let exec = DedicatedExecutor::new(3);
+    let exec = WorkerPool::new(3);
     for m in [1usize, 3, 5] {
         for q in log.of_length(m) {
             let cfg = SearchConfig::exact(15).with_seg_size(64).with_phi(256);
@@ -67,7 +67,7 @@ fn io_profile_matches_algorithm_family() {
     let log = QueryLog::generate(f.corpus.stats(), 1, 4, 9);
     let q = &log.of_length(4)[0];
     let cfg = SearchConfig::exact(20);
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     let stats = f.disk.io_stats().unwrap();
 
     stats.reset();
@@ -93,7 +93,7 @@ fn ssd_model_slows_down_queries() {
     let log = QueryLog::generate(f.corpus.stats(), 1, 3, 4);
     let q = &log.of_length(3)[0];
     let cfg = SearchConfig::exact(20);
-    let exec = DedicatedExecutor::new(3);
+    let exec = WorkerPool::new(3);
 
     let ssd_ix = Arc::new(DiskIndex::open(&f.dir, IoModel::ssd()).unwrap());
     let ssd: Arc<dyn Index> = Arc::<DiskIndex>::clone(&ssd_ix);

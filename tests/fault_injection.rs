@@ -145,22 +145,3 @@ fn pool_survives_panicking_job_and_serves_next_query() {
         assert_eq!(r.work.jobs_panicked, 0, "clean query reported panics");
     }
 }
-
-/// Same scenario on a dedicated executor: a panicking job inside one
-/// query does not prevent later queries from succeeding.
-#[test]
-fn dedicated_executor_survives_poison_queue() {
-    let (ix, corpus) = build_index(75);
-    let q = long_query(&corpus, 5);
-    let cfg = SearchConfig::exact(10);
-    let exec = DedicatedExecutor::new(2);
-
-    let poison = sparta::exec::JobQueue::new();
-    poison.push(Box::new(|| panic!("injected fault: poison job")));
-    exec.run(Arc::clone(&poison));
-    assert_eq!(poison.panicked(), 1);
-
-    let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-    let r = Sparta.search(&ix, &q, &cfg, &exec);
-    assert_eq!(oracle.recall(&r.docs()), 1.0);
-}

@@ -9,7 +9,7 @@
 
 use sparta_core::config::SearchConfig;
 use sparta_core::{algorithm_by_name, TopKResult};
-use sparta_exec::{DedicatedExecutor, DeterministicExecutor, Executor, JobQueue};
+use sparta_exec::{DeterministicExecutor, Executor, JobQueue, WorkerPool};
 use sparta_obs::{phase_totals, ClockMode, Histogram, Phase};
 use sparta_testkit::{base_seed, build_index, long_query, sweep_schedules};
 use std::sync::Arc;
@@ -115,7 +115,7 @@ fn histogram_counts_exactly_under_thread_concurrency() {
             }
         }));
     }
-    DedicatedExecutor::new(4).run(queue);
+    WorkerPool::new(4).run(queue);
     let s = hist.snapshot();
     assert_eq!(s.count, jobs * per_job);
     assert_eq!(s.sum, jobs * per_job * (per_job + 1) / 2);

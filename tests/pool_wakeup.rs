@@ -28,7 +28,7 @@ use sparta::prelude::*;
 use sparta_exec::JobQueue;
 use sparta_model::protocols::job_queue::{model, Variant};
 use sparta_model::protocols::Mutation;
-use sparta_testkit::{build_index, long_query, sweep_pool_schedules};
+use sparta_testkit::{base_seed, build_index, long_query, sweep_pool_schedules};
 use std::sync::Arc;
 
 #[test]
@@ -48,12 +48,12 @@ fn wakeup_model_proves_the_lock_bridge() {
 }
 
 #[test]
-fn pool_sweep_results_match_dedicated_across_worker_counts() {
+fn pool_sweep_results_match_deterministic_across_worker_counts() {
     let (ix, corpus) = build_index(41);
     let q = long_query(&corpus, 9);
     let cfg = SearchConfig::exact(10).with_seg_size(64).with_phi(256);
     let want = Sparta
-        .search(&ix, &q, &cfg, &DedicatedExecutor::new(1))
+        .search(&ix, &q, &cfg, &DeterministicExecutor::new(base_seed()))
         .scores();
     sweep_pool_schedules(6, |seed, pool| {
         let got = Sparta.search(&ix, &q, &cfg, pool).scores();
@@ -63,7 +63,7 @@ fn pool_sweep_results_match_dedicated_across_worker_counts() {
 
 #[test]
 fn burst_submission_completes_under_every_pool_schedule() {
-    // Bursts of trivial jobs maximize pressure on the push-notify vs
+    // Bursts of trivial jobs maximize pressure on the submit-notify vs
     // worker-park edge: with the lock bridge every wait_done returns.
     sweep_pool_schedules(12, |seed, pool| {
         for j in 0..3u64 {

@@ -34,7 +34,7 @@ proptest! {
         let q = Query::new((0..m).collect());
         let oracle = Oracle::compute(ix.as_ref(), &q, k);
         let cfg = SearchConfig::exact(k).with_seg_size(16).with_phi(32);
-        let exec = DedicatedExecutor::new(2);
+        let exec = WorkerPool::new(2);
         for algo in sparta::core::registry::all_algorithms() {
             let r = algo.search(&ix, &q, &cfg, &exec);
             prop_assert_eq!(

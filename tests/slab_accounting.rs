@@ -248,7 +248,7 @@ fn overlapping_admissions_share_one_record() {
     sweep_schedules(16, |seed, exec| {
         check_shared_records(&format!("seed {seed}"), exec, &[0..400, 200..600]);
     });
-    let exec = DedicatedExecutor::new(4);
+    let exec = WorkerPool::new(4);
     for round in 0..8 {
         let ranges = [0..2000, 0..2000, 0..2000, 0..2000];
         check_shared_records(&format!("threads, round {round}"), &exec, &ranges);

@@ -10,7 +10,7 @@ use std::time::Duration;
 fn bmw_f_monotonically_prunes() {
     let (ix, corpus) = build(41);
     let q = long_query(&corpus, 1);
-    let exec = DedicatedExecutor::new(1); // deterministic schedule
+    let exec = WorkerPool::new(1); // deterministic schedule
     let mut last = u64::MAX;
     for f in [1.0, 1.05, 1.2, 1.5, 2.0] {
         let cfg = SearchConfig::exact(25).with_bmw_f(f);
@@ -29,7 +29,7 @@ fn jass_p_budget_is_exact_for_sequential() {
     let (ix, corpus) = build(42);
     let q = long_query(&corpus, 2);
     let total: u64 = q.terms.iter().map(|&t| ix.doc_freq(t)).sum();
-    let exec = DedicatedExecutor::new(1);
+    let exec = WorkerPool::new(1);
     for p in [0.1, 0.25, 0.5, 1.0] {
         let cfg = SearchConfig::exact(25).with_jass_p(p);
         let r = Jass.search(&ix, &q, &cfg, &exec);
@@ -49,7 +49,7 @@ fn jass_p_budget_is_exact_for_sequential() {
 fn sparta_gamma_never_scans_more_than_safe() {
     let (ix, corpus) = build(43);
     let q = long_query(&corpus, 3);
-    let exec = DedicatedExecutor::new(1);
+    let exec = WorkerPool::new(1);
     let base = SearchConfig::exact(25).with_seg_size(64).with_phi(128);
     let safe = Sparta.search(&ix, &q, &base, &exec);
     for gamma in [0.95, 0.8, 0.6] {
@@ -71,7 +71,7 @@ fn delta_zero_like_timeouts_still_return_k_results() {
     let (ix, corpus) = build(44);
     let q = long_query(&corpus, 4);
     let cfg = SearchConfig::exact(20).with_delta(Some(Duration::from_micros(1)));
-    let exec = DedicatedExecutor::new(2);
+    let exec = WorkerPool::new(2);
     for name in ["sparta", "pra", "pnra", "snra", "nra", "ra"] {
         let algo = sparta::core::algorithm_by_name(name).unwrap();
         let r = algo.search(&ix, &q, &cfg, &exec);
@@ -110,7 +110,7 @@ fn exact_variants_agree_on_true_score_multisets() {
     let oracle = Oracle::compute(ix.as_ref(), &q, k);
     let want: Vec<u64> = oracle.topk().iter().map(|h| h.score).collect();
     let cfg = SearchConfig::exact(k);
-    let exec = DedicatedExecutor::new(3);
+    let exec = WorkerPool::new(3);
     for algo in sparta::core::registry::all_algorithms() {
         let r = algo.search(&ix, &q, &cfg, &exec);
         let mut got: Vec<u64> = r.docs().iter().map(|&d| oracle.score(d)).collect();
