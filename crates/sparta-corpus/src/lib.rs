@@ -25,9 +25,12 @@
 //!   alphanumeric tokenization, stop-word removal) standing in for the
 //!   Lucene preprocessing the paper uses, so real text can be indexed
 //!   in examples and tests.
+//! * [`per_term`] — the scoped per-term map that spreads corpus
+//!   synthesis and the index builds over every core.
 
 #![warn(missing_docs)]
 
+pub mod per_term;
 pub mod querylog;
 pub mod sampling;
 pub mod scoring;

@@ -101,16 +101,30 @@ pub fn distinct_sorted<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64>
         return Vec::new();
     }
     if k * 8 <= n {
-        // Floyd's algorithm: O(k) expected, great when k << n.
-        let mut set = std::collections::HashSet::with_capacity(k as usize);
+        // Floyd's algorithm: k draws, great when k << n. The set is an
+        // n-bit bitset, so reading its bits back in word order yields
+        // the sample already sorted.
+        let mut bits = vec![0u64; n.div_ceil(64) as usize];
+        let mut insert = |x: u64| {
+            let (w, b) = ((x / 64) as usize, 1u64 << (x % 64));
+            let fresh = bits[w] & b == 0;
+            bits[w] |= b;
+            fresh
+        };
         for j in (n - k)..n {
             let t = rng.gen_range(0..=j);
-            if !set.insert(t) {
-                set.insert(j);
+            if !insert(t) {
+                insert(j);
             }
         }
-        let mut v: Vec<u64> = set.into_iter().collect();
-        v.sort_unstable();
+        let mut v = Vec::with_capacity(k as usize);
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                v.push(w as u64 * 64 + u64::from(word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
         v
     } else {
         // Dense: sequential selection sampling (Knuth algorithm S),
@@ -134,8 +148,46 @@ pub fn distinct_sorted<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The hash-set Floyd sampler the bitset replaced: the reference
+    /// [`distinct_sorted`] must reproduce draw for draw.
+    fn distinct_sorted_hashset<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64> {
+        let k = k.min(n);
+        if k == 0 || k * 8 > n {
+            return distinct_sorted(rng, n, k);
+        }
+        let mut set = std::collections::HashSet::with_capacity(k as usize);
+        for j in (n - k)..n {
+            let t = rng.gen_range(0..=j);
+            if !set.insert(t) {
+                set.insert(j);
+            }
+        }
+        let mut v: Vec<u64> = set.into_iter().collect();
+        v.sort_unstable();
+        v
+    }
+
+    // Same sample and same RNG stream afterwards, on the sparse branch
+    // and across its boundary with the dense one.
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn bitset_floyd_matches_the_hashset_reference(
+            seed in 0u64..u64::MAX,
+            n in 1u64..5_000,
+            share in 0u64..200,
+        ) {
+            let k = n * share / 1_000;
+            let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            prop_assert_eq!(distinct_sorted(&mut a, n, k), distinct_sorted_hashset(&mut b, n, k));
+            prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
+    }
 
     #[test]
     fn geometric_mean_matches() {

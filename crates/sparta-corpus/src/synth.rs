@@ -19,11 +19,21 @@
 //! corpus stream straight into the index writer without ever
 //! materializing documents.
 //!
-//! Generation is two-phase and deterministic: each term's postings are
-//! produced by an RNG seeded from `(corpus seed, term)`, so phase A can
-//! stream over all terms once to accumulate document lengths (needed by
-//! the scorer) and phase B can regenerate identical postings on demand.
+//! Generation is two-phase, deterministic, and fans out per term: each
+//! term's postings are produced by an RNG seeded from `(corpus seed,
+//! term)`, independent of every other term. Phase A
+//! ([`SynthCorpus::build`]) generates every term once to accumulate
+//! document frequencies and document lengths (needed by the scorer);
+//! phase B regenerates identical postings on demand, one term at a time
+//! ([`SynthCorpus::term_postings`], [`SynthCorpus::for_each_term`]) or
+//! across every core ([`SynthCorpus::map_terms`]). Both phases spread
+//! the dictionary over workers with [`crate::per_term::map_terms`]; in
+//! phase A each worker sums its own terms' lengths into a partial of
+//! its own, and the partials are added after the join. The sums
+//! saturate and are non-negative, so their order cannot change them:
+//! the statistics are the serial loop's on any number of cores.
 
+use crate::per_term;
 use crate::sampling;
 use crate::types::{CorpusStats, DocBag, DocId, TermId};
 use crate::zipf::Zipf;
@@ -110,21 +120,30 @@ pub struct SynthCorpus {
 
 impl SynthCorpus {
     /// Runs phase A: derives per-term rates from the Zipf law, scales
-    /// them to the target average document length, and streams over all
-    /// terms once to accumulate exact document lengths and document
-    /// frequencies.
+    /// them to the target average document length, and generates every
+    /// term once, across all cores, to accumulate exact document
+    /// lengths and document frequencies.
     pub fn build(model: CorpusModel) -> Self {
         assert!(model.num_docs > 0 && model.vocab_size > 0);
         assert!(model.num_docs <= u64::from(u32::MAX), "DocId is u32");
         let rates = Self::derive_rates(&model);
-        let mut doc_len = vec![0u32; model.num_docs as usize];
-        let mut doc_freq = vec![0u32; model.vocab_size as usize];
-        let mut scratch = Vec::new();
-        for t in 0..model.vocab_size {
-            Self::gen_term_into(&model, &rates, t, &mut scratch);
-            doc_freq[t as usize] = scratch.len() as u32;
-            for &(d, tf) in &scratch {
-                doc_len[d as usize] = doc_len[d as usize].saturating_add(tf);
+        let num_docs = model.num_docs as usize;
+        let (doc_freq, partials) = per_term::map_terms(
+            model.vocab_size,
+            || (Vec::new(), vec![0u32; num_docs]),
+            |(scratch, doc_len), t| {
+                Self::gen_term_into(&model, &rates, t, scratch);
+                for &(d, tf) in scratch.iter() {
+                    doc_len[d as usize] = doc_len[d as usize].saturating_add(tf);
+                }
+                scratch.len() as u32
+            },
+        );
+        let mut partials = partials.into_iter().map(|(_, doc_len)| doc_len);
+        let mut doc_len = partials.next().expect("worker 0 ran");
+        for partial in partials {
+            for (sum, add) in doc_len.iter_mut().zip(partial) {
+                *sum = sum.saturating_add(add);
             }
         }
         let mut stats = CorpusStats {
@@ -245,6 +264,22 @@ impl SynthCorpus {
             Self::gen_term_into(&self.model, &self.rates, t, &mut scratch);
             f(t, &scratch);
         }
+    }
+
+    /// Regenerates every term's postings across all cores and maps
+    /// them through `f`, returning the results in term order. Each
+    /// worker reuses one scratch buffer; `f` sees exactly what
+    /// [`for_each_term`](Self::for_each_term) would pass it.
+    pub fn map_terms<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(TermId, &[(DocId, u32)]) -> R + Sync,
+    {
+        per_term::map_terms(self.model.vocab_size, Vec::new, |scratch, t| {
+            Self::gen_term_into(&self.model, &self.rates, t, scratch);
+            f(t, scratch)
+        })
+        .0
     }
 
     /// Materializes the corpus as per-document bags. Memory is

@@ -3,11 +3,18 @@
 //! This is the preprocessing stage the paper delegates to Lucene
 //! (§5.1): converting a corpus into scored posting lists. Raw `(doc,
 //! tf)` postings are turned into `(doc, integer term score)` postings
-//! by a [`Scorer`], then assembled into an [`InMemoryIndex`] or
-//! streamed to an on-disk index.
+//! by a [`Scorer`], then assembled into an [`InMemoryIndex`] or a
+//! [`CompressedIndex`], or streamed to an on-disk index.
+//!
+//! The in-memory builds fan out per term ([`SynthCorpus::map_terms`]):
+//! each worker regenerates, scores and builds its own terms'
+//! [`TermData`] or [`CompressedTermData`], and the index is assembled
+//! from them in term order — the serial build's bytes on any number of
+//! cores. [`IndexBuilder::write_disk`] stays serial: it
+//! streams one list at a time to keep its memory at one posting list.
 
-use crate::compressed::CompressedIndex;
-use crate::memory::InMemoryIndex;
+use crate::compressed::{CompressedIndex, CompressedTermData};
+use crate::memory::{InMemoryIndex, TermData};
 use crate::posting::{Posting, DEFAULT_BLOCK_SIZE};
 use crate::storage::writer::IndexWriter;
 use sparta_corpus::scoring::Scorer;
@@ -86,24 +93,24 @@ impl<S: Scorer> IndexBuilder<S> {
             .collect()
     }
 
-    /// Builds a RAM-resident index from a synthetic corpus.
+    /// Builds a RAM-resident index from a synthetic corpus, one term
+    /// per worker at a time across all cores.
     pub fn build_memory(&self, corpus: &SynthCorpus) -> InMemoryIndex {
         let stats = corpus.stats();
-        let mut terms = Vec::with_capacity(stats.vocab_size());
-        corpus.for_each_term(|t, raw| {
-            terms.push(self.score_term(t, raw, stats));
+        let terms = corpus.map_terms(|t, raw| {
+            TermData::from_postings(self.score_term(t, raw, stats), self.block_size)
         });
-        InMemoryIndex::with_block_size(terms, stats.num_docs, self.block_size)
+        InMemoryIndex::from_term_data(terms, stats.num_docs, self.block_size)
     }
 
-    /// Builds a RAM-resident compressed index from a synthetic corpus.
+    /// Builds a RAM-resident compressed index from a synthetic corpus,
+    /// one term per worker at a time across all cores.
     pub fn build_compressed(&self, corpus: &SynthCorpus) -> CompressedIndex {
         let stats = corpus.stats();
-        let mut terms = Vec::with_capacity(stats.vocab_size());
-        corpus.for_each_term(|t, raw| {
-            terms.push(self.score_term(t, raw, stats));
+        let terms = corpus.map_terms(|t, raw| {
+            CompressedTermData::from_postings(self.score_term(t, raw, stats), self.block_size)
         });
-        CompressedIndex::with_block_size(terms, stats.num_docs, self.block_size)
+        CompressedIndex::from_term_data(terms, stats.num_docs, self.block_size)
     }
 
     /// Builds the backend selected by `kind`, boxed behind the

@@ -55,6 +55,7 @@
 use crate::cursor::{DocCursor, RandomAccess, ScoreCursor};
 use crate::posting::{self, BlockMeta, Posting, DEFAULT_BLOCK_SIZE};
 use crate::{Index, IndexFootprint, IoStats};
+use sparta_corpus::per_term::map_terms;
 use sparta_corpus::types::{DocId, TermId};
 use std::sync::{Arc, OnceLock};
 
@@ -134,7 +135,7 @@ pub(crate) struct PlaneMeta {
 /// One term's compressed posting list: both traversal orders packed
 /// into a shared word buffer, plus the exact block-max plane. Decoding
 /// reproduces the raw postings exactly.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompressedTermData {
     pub(crate) len: u32,
     pub(crate) max_score: u32,
@@ -155,30 +156,55 @@ pub struct CompressedTermData {
 }
 
 impl CompressedTermData {
-    /// Builds one term's compressed data from postings in any order.
+    /// Builds one term's compressed data from postings in any order:
+    /// sorts them into both orders, then packs those.
     pub fn from_postings(mut postings: Vec<Posting>, block_size: usize) -> Self {
+        posting::sort_doc_order(&mut postings);
+        // lint: allow(alloc): build-time score-order staging
+        let mut score_order = postings.clone();
+        posting::sort_score_order(&mut score_order);
+        Self::from_orders(&postings, &score_order, block_size)
+    }
+
+    /// Builds one term's compressed data from the same postings in
+    /// both orders — `doc_order` as [`posting::sort_doc_order`] and
+    /// `score_order` as [`posting::sort_score_order`] leave them, which
+    /// is how [`crate::memory::TermData`] holds them. The two slices
+    /// must hold the same postings; debug builds check the orders.
+    /// Nothing is sorted: the codebook is the score order read
+    /// backwards with repeats dropped.
+    pub(crate) fn from_orders(
+        doc_order: &[Posting],
+        score_order: &[Posting],
+        block_size: usize,
+    ) -> Self {
         assert!(
             block_size > 0 && block_size <= MAX_BLOCK,
             "block_size must be in 1..={MAX_BLOCK}"
         );
-        if postings.is_empty() {
+        debug_assert!(posting::is_doc_ordered(doc_order));
+        debug_assert!(posting::is_score_ordered(score_order));
+        debug_assert_eq!(doc_order.len(), score_order.len());
+        let Some(first) = score_order.first() else {
             return Self {
                 block_size: block_size as u32,
                 ..Self::default()
             };
-        }
-        posting::sort_doc_order(&mut postings);
-        let blocks = posting::build_blocks(&postings, block_size);
-        let max_score = postings.iter().map(|p| p.score).max().expect("non-empty");
+        };
+        let blocks = posting::build_blocks(doc_order, block_size);
+        let max_score = first.score;
 
         // lint: allow(alloc): build-time codebook assembly
-        let mut dict: Vec<u32> = postings.iter().map(|p| p.score).collect();
-        dict.sort_unstable();
-        dict.dedup();
+        let mut dict: Vec<u32> = Vec::new();
+        for p in score_order.iter().rev() {
+            if dict.last() != Some(&p.score) {
+                dict.push(p.score);
+            }
+        }
         let sidx_bits = bits_for(dict.len() as u32 - 1) as u8;
 
         // lint: allow(alloc): build-time plane buffers
-        let mut words: Vec<u64> = Vec::with_capacity(postings.len() / 2 + 2);
+        let mut words: Vec<u64> = Vec::with_capacity(doc_order.len() / 2 + 2);
         // lint: allow(alloc): build-time block directory
         let mut doc_meta: Vec<PlaneMeta> = Vec::with_capacity(blocks.len());
         // lint: allow(alloc): build-time block directory
@@ -192,7 +218,7 @@ impl CompressedTermData {
         // Doc-ordered plane: per-block gap−1 deltas (the first posting
         // of the list stores its doc id raw) + codebook indices.
         let mut prev_doc = 0u32;
-        for (bi, chunk) in postings.chunks(block_size).enumerate() {
+        for (bi, chunk) in doc_order.chunks(block_size).enumerate() {
             gaps.clear();
             idxs.clear();
             for (i, p) in chunk.iter().enumerate() {
@@ -217,10 +243,8 @@ impl CompressedTermData {
 
         // Score-ordered plane: per-block raw doc ids + codebook-index
         // drops chained from level `dict.len() - 1` (the list's first
-        // posting always carries the maximum score).
-        // lint: allow(alloc): build-time score-order staging
-        let mut score_order = postings.clone();
-        posting::sort_score_order(&mut score_order);
+        // posting always carries the maximum score). Scores only fall
+        // along the list, so the codebook index walks down with them.
         let doc_raw_bits = bits_for(blocks.last().expect("non-empty").last_doc) as u8;
         let mut prev_idx = dict.len() as u32 - 1;
         for chunk in score_order.chunks(block_size) {
@@ -228,7 +252,10 @@ impl CompressedTermData {
             idxs.clear(); // reused for index drops
             for p in chunk {
                 gaps.push(p.doc);
-                let idx = dict.binary_search(&p.score).expect("score in codebook") as u32;
+                let mut idx = prev_idx;
+                while dict[idx as usize] != p.score {
+                    idx -= 1;
+                }
                 idxs.push(prev_idx - idx);
                 prev_idx = idx;
             }
@@ -242,11 +269,13 @@ impl CompressedTermData {
             });
         }
 
-        // Guarantee the decode path's one-word lookahead.
+        // Guarantee the decode path's one-word lookahead, and give back
+        // the slack the buffer's doubling left.
         words.push(0);
+        words.shrink_to_fit();
 
         Self {
-            len: postings.len() as u32,
+            len: doc_order.len() as u32,
             max_score,
             block_size: block_size as u32,
             dict,
@@ -522,11 +551,22 @@ impl CompressedIndex {
     /// As [`from_term_postings`](Self::from_term_postings) with an
     /// explicit block size (at most [`MAX_BLOCK`]).
     pub fn with_block_size(terms: Vec<Vec<Posting>>, num_docs: u64, block_size: usize) -> Self {
-        let terms: Vec<CompressedTermData> = terms
+        let terms = terms
             .into_iter()
             .map(|p| CompressedTermData::from_postings(p, block_size))
             // lint: allow(alloc): build-time term assembly
             .collect();
+        Self::from_term_data(terms, num_docs, block_size)
+    }
+
+    /// Assembles an index from term data built with `block_size`;
+    /// `num_docs` is a floor, as for
+    /// [`from_term_postings`](Self::from_term_postings).
+    pub(crate) fn from_term_data(
+        terms: Vec<CompressedTermData>,
+        num_docs: u64,
+        block_size: usize,
+    ) -> Self {
         let last_docs = terms
             .iter()
             .filter_map(|t| t.blocks.last().map(|b| b.last_doc));
@@ -536,18 +576,19 @@ impl CompressedIndex {
 
     /// Re-encodes an existing raw in-memory index (the bench harness's
     /// path: build once, serve both backends from the same postings).
+    /// Terms are packed across all cores, each straight from the two
+    /// orders the raw index already holds: nothing is copied or sorted,
+    /// and the output is [`with_block_size`](Self::with_block_size)'s
+    /// over the same postings.
     pub fn from_index(ix: &crate::memory::InMemoryIndex) -> Self {
-        let terms = (0..ix.num_terms())
-            .map(|t| match ix.term_data(t) {
-                Some(td) => {
-                    // lint: allow(alloc): build-time copy of raw postings
-                    let postings = td.doc_order.to_vec();
-                    CompressedTermData::from_postings(postings, ix.block_size())
-                }
-                None => CompressedTermData::default(),
-            })
-            // lint: allow(alloc): build-time term assembly
-            .collect();
+        let (terms, _) = map_terms(
+            ix.num_terms(),
+            || (),
+            |_, t| {
+                let td = ix.term_data(t).expect("t < num_terms");
+                CompressedTermData::from_orders(&td.doc_order, &td.score_order, ix.block_size())
+            },
+        );
         Self::from_parts(terms, ix.num_docs(), ix.block_size())
     }
 

@@ -13,7 +13,7 @@ use sparta_corpus::types::{DocId, TermId};
 use std::sync::{Arc, OnceLock};
 
 /// Per-term data: both orders plus block metadata.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TermData {
     /// Postings in decreasing-score order.
     pub score_order: Arc<Vec<Posting>>,
@@ -60,10 +60,17 @@ impl InMemoryIndex {
     /// As [`from_term_postings`](Self::from_term_postings) with an
     /// explicit block size.
     pub fn with_block_size(terms: Vec<Vec<Posting>>, num_docs: u64, block_size: usize) -> Self {
-        let terms: Vec<TermData> = terms
+        let terms = terms
             .into_iter()
             .map(|p| TermData::from_postings(p, block_size))
             .collect();
+        Self::from_term_data(terms, num_docs, block_size)
+    }
+
+    /// Assembles an index from term data built with `block_size`;
+    /// `num_docs` is a floor, as for
+    /// [`from_term_postings`](Self::from_term_postings).
+    pub(crate) fn from_term_data(terms: Vec<TermData>, num_docs: u64, block_size: usize) -> Self {
         let last_docs = terms
             .iter()
             .filter_map(|t| t.doc_order.last().map(|p| p.doc));
