@@ -9,7 +9,7 @@
 //! a predefined fraction, p, of postings."
 //!
 //! We realize "per-document lock" as an atomic accumulator: a document's
-//! running sum is one word of its record in the query's `DocSlab`
+//! running sum sits in its 16-byte record in the query's `DocSlab`
 //! (Sparta's and pNRA's substrate, `sparta::candidates`), reached
 //! through one lock-free `DocTable` — the same granularity, with no
 //! mutex and no allocation per document. The map is intentionally
@@ -38,7 +38,7 @@ pub struct PJass;
 
 struct State {
     cfg: SearchConfig,
-    /// One record per accumulated document; its `sum` is the
+    /// One record per accumulated document; its sum is the
     /// accumulator.
     cands: Candidates,
     /// Postings scanned, reported once per segment. A count: it

@@ -1,20 +1,23 @@
-//! A per-query arena of 24-byte candidate records.
+//! A per-query arena of candidate records, 16 bytes each up to 27 terms.
 //!
 //! NRA never needs a candidate's individual term scores — only their
 //! sum and *which* terms are known: `UB(D) = sum + Σ_{i ∉ known} UB[i]`,
 //! and a worker's term-local map wants exactly the candidates whose
-//! bit for its term is clear. So a record is `2 + ⌈m/64⌉` words,
+//! bit for its term is clear. So a record is an id word plus one term
+//! word per group of `GROUP` = 27 terms, holding the group's
+//! known-mask in its low 27 bits and the sum of its known scores above
+//! them:
 //!
 //! ```text
-//! ┌────────┬───────────┬──────────────────────┐
-//! │   id   │ sum (Σsᵢ) │ known-mask[⌈m/64⌉]   │   24 bytes for m ≤ 64
-//! └────────┴───────────┴──────────────────────┘
+//! ┌────────┬─────────────┬───────────────┐
+//! │   id   │ Σsᵢ ‹63…27› │ known ‹26…0›  │ × ⌈m/27⌉    16 bytes for m ≤ 27
+//! └────────┴─────────────┴───────────────┘
 //! ```
 //!
-//! instead of one word per query term, and the per-posting work —
-//! add to `sum`, set a bit, compare `sum` with Θ — touches one cache
-//! line. (The lazily refreshed lower bound lives in the heap's own
-//! entries; see `heap.rs`.)
+//! Scoring a posting is one `fetch_add` of `(sᵢ << 27) | bitᵢ`, so a
+//! reader sees a score exactly when it sees its bit, and the
+//! per-posting work touches one word. (The lazily refreshed lower
+//! bound lives in the heap's own entries; see `heap.rs`.)
 //!
 //! Records are addressed by [`DocHandle`], a `Copy` 4-byte index, and
 //! are never freed individually: the slab drops wholesale with the
@@ -45,11 +48,15 @@ const BASE_CAP: usize = 256;
 /// (cumulative capacity `BASE_CAP · (2^NUM_BLOCKS − 1)` > `u32::MAX`).
 const NUM_BLOCKS: usize = 25;
 
-/// Words preceding the mask: id, running sum.
-const HDR: usize = 2;
+/// Terms per term word: the known-mask takes the low `GROUP` bits, the
+/// sum the 37 above. 27·(2³² − 1) < 2³⁷, so a group's u32 scores never
+/// carry out of the word, and a bit added once never carries into the
+/// sum.
+const GROUP: usize = 27;
+const MASK: u64 = (1 << GROUP) - 1;
 
 /// Record indices a writer reserves at a time. Divides `BASE_CAP`, so
-/// a run never straddles two blocks; 32 records are 12 cache lines,
+/// a run never straddles two blocks; 32 records are 8 cache lines,
 /// and a query wastes at most one run's tail per posting list.
 pub const RUN: usize = 32;
 
@@ -93,15 +100,14 @@ impl SlabRun {
     }
 }
 
-/// A grow-only arena of `⟨id, sum, known-mask⟩` records.
+/// A grow-only arena of `⟨id, term words⟩` records.
 ///
 /// Concurrency contract (§4.3): term i's score is added — once per
-/// record — only by the worker owning term i; `sum` is maintained by
-/// commuting `fetch_add`s and the mask by commuting `fetch_or`s. Any
-/// thread may read anything.
+/// record — only by the worker owning term i, by a commuting
+/// `fetch_add` on its group's word. Any thread may read anything.
 pub struct DocSlab {
     m: usize,
-    /// Words per record: `HDR + ⌈m/64⌉`.
+    /// Words per record: `1 + ⌈m/GROUP⌉`.
     stride: usize,
     /// Record indices handed out to runs so far.
     reserved: AtomicUsize,
@@ -114,23 +120,14 @@ pub struct DocSlab {
 /// A borrowed view of one record: locate once, then operate.
 #[derive(Clone, Copy)]
 pub struct Record<'a> {
-    words: &'a [AtomicU64],
+    id: &'a AtomicU64,
+    terms: &'a [AtomicU64],
 }
 
 impl Record<'_> {
-    #[inline]
-    fn id_word(&self) -> &AtomicU64 {
-        &self.words[0]
-    }
-
-    #[inline]
-    fn sum_word(&self) -> &AtomicU64 {
-        &self.words[1]
-    }
-
-    #[inline]
-    fn mask_word(&self, w: usize) -> &AtomicU64 {
-        &self.words[HDR + w]
+    fn new(words: &[AtomicU64]) -> Record<'_> {
+        let (id, terms) = words.split_first().expect("a record has an id word");
+        Record { id, terms }
     }
 
     /// The record's document id.
@@ -141,61 +138,63 @@ impl Record<'_> {
         // pair orders that store before any reader holding the handle;
         // the cleaner's walk only looks at records it has seen scored,
         // and scoring needs the handle too.
-        self.id_word().load(Ordering::Relaxed) as DocId
+        self.id.load(Ordering::Relaxed) as DocId
     }
 
     /// Records term i's score (owner of term i only, once per record)
     /// and returns the running sum including it.
     #[inline]
     pub fn set_score(&self, i: usize, score: u32) -> u64 {
-        let bit = 1u64 << (i % 64);
-        // ordering: sum before mask, both AcqRel — a reader that (model: doc_slab_publish)
-        // Acquire-loads the mask and sees bit i therefore sees s_i in
-        // the sum it loads next. The reverse race (sum seen, bit not
-        // yet) makes UB(D) count s_i *and* UB[i]: an over-estimate,
-        // which is safe.
-        let sum = self
-            .sum_word()
-            .fetch_add(u64::from(score), Ordering::AcqRel);
-        let before = self.mask_word(i / 64).fetch_or(bit, Ordering::AcqRel);
+        let (g, bit) = (i / GROUP, 1u64 << (i % GROUP));
+        // ordering: score and bit land in one RMW, so a reader sees (model: doc_slab_publish)
+        // both or neither; the owner's later Release store of UB[i]
+        // covers the write for a cleaner that snapshots UB first.
+        let before = self.terms[g].fetch_add((u64::from(score) << GROUP) | bit, Ordering::AcqRel);
         debug_assert_eq!(before & bit, 0, "term {i} scored twice");
-        sum + u64::from(score)
+        let mut sum = (before >> GROUP) + u64::from(score);
+        for (_, w) in self.terms.iter().enumerate().filter(|&(h, _)| h != g) {
+            sum += w.load(Ordering::Acquire) >> GROUP;
+        }
+        sum
     }
 
     /// Whether term i's score is known (in the sum).
     #[inline]
     pub fn knows(&self, i: usize) -> bool {
-        self.mask_word(i / 64).load(Ordering::Acquire) & (1 << (i % 64)) != 0
+        self.terms[i / GROUP].load(Ordering::Acquire) & (1 << (i % GROUP)) != 0
     }
 
     /// Sum of the known term scores — the record's lower bound.
     #[inline]
     pub fn current_sum(&self) -> u64 {
-        self.sum_word().load(Ordering::Acquire)
+        self.terms
+            .iter()
+            .map(|w| w.load(Ordering::Acquire) >> GROUP)
+            .sum()
     }
 
     /// Whether any term has scored this record. False for a run's
     /// unused tail and for a staged record that lost its admission.
     #[inline]
     fn is_scored(&self) -> bool {
-        (0..self.words.len() - HDR).any(|w| self.mask_word(w).load(Ordering::Acquire) != 0)
-            || self.current_sum() != 0
+        self.terms.iter().any(|w| w.load(Ordering::Acquire) != 0)
     }
 
     /// `UB(D) = sum + Σ_{i ∉ mask} bounds[i]` (Table 1) against one
-    /// pass's private copy of the bounds. Mask first, then sum — see
-    /// [`set_score`](Self::set_score).
+    /// pass's private copy of the bounds, taken before this read.
     #[inline]
     pub fn ub(&self, bounds: &UbSnapshot) -> u64 {
-        let mut unknown = bounds.total();
-        for w in 0..self.words.len() - HDR {
-            let mut bits = self.mask_word(w).load(Ordering::Acquire);
+        let mut ub = bounds.total();
+        for (g, w) in self.terms.iter().enumerate() {
+            let word = w.load(Ordering::Acquire);
+            ub += word >> GROUP;
+            let mut bits = word & MASK;
             while bits != 0 {
-                unknown -= bounds.get(w * 64 + bits.trailing_zeros() as usize);
+                ub -= bounds.get(g * GROUP + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
         }
-        self.current_sum() + unknown
+        ub
     }
 }
 
@@ -204,7 +203,7 @@ impl DocSlab {
     pub fn new(m: usize) -> Self {
         Self {
             m,
-            stride: HDR + m.div_ceil(64).max(1),
+            stride: 1 + m.div_ceil(GROUP).max(1),
             reserved: AtomicUsize::new(0),
             blocks: (0..NUM_BLOCKS).map(|_| OnceLock::new()).collect(),
             blocks_allocated: AtomicUsize::new(0),
@@ -269,9 +268,7 @@ impl DocSlab {
     pub fn record(&self, h: DocHandle) -> Record<'_> {
         let (b, off) = self.locate(h.0 as usize);
         let block = self.blocks[b].get().expect("handle into unallocated block");
-        Record {
-            words: &block[off..off + self.stride],
-        }
+        Record::new(&block[off..off + self.stride])
     }
 
     /// Visits, in index order, every record some term has scored —
@@ -292,7 +289,7 @@ impl DocSlab {
             // exist yet.
             if let Some(block) = slot.get() {
                 for (r, words) in block.chunks_exact(self.stride).take(in_block).enumerate() {
-                    let rec = Record { words };
+                    let rec = Record::new(words);
                     if rec.is_scored() {
                         f(DocHandle(idx + r as u32), rec);
                     }
@@ -333,12 +330,48 @@ mod tests {
     }
 
     #[test]
-    fn record_is_24_bytes_up_to_64_terms() {
+    fn record_is_an_id_word_plus_one_word_per_27_terms() {
         let record_bytes = |m| DocSlab::new(m).stride * std::mem::size_of::<AtomicU64>();
-        assert_eq!(record_bytes(1), 24);
-        assert_eq!(record_bytes(12), 24);
-        assert_eq!(record_bytes(64), 24);
-        assert_eq!(record_bytes(65), 32);
+        for (m, bytes) in [(1, 16), (12, 16), (27, 16), (28, 24), (70, 32)] {
+            assert_eq!(record_bytes(m), bytes, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn a_full_group_at_u32_max_sums_exactly() {
+        let m = GROUP;
+        let ub = SharedUb::new(m);
+        let slab = DocSlab::new(m);
+        let rec = slab.record(alloc(&slab, &mut SlabRun::default(), 1));
+        let max = u64::from(u32::MAX);
+        for i in 0..m {
+            assert_eq!(rec.set_score(i, u32::MAX), (i as u64 + 1) * max);
+        }
+        assert_eq!(rec.current_sum(), m as u64 * max);
+        assert!((0..m).all(|i| rec.knows(i)), "full mask");
+        // Every term known: UB(D) is the sum, whatever the bounds.
+        assert_eq!(rec.ub(&snapshot(&ub, 1.0)), m as u64 * max);
+    }
+
+    #[test]
+    fn terms_straddling_a_word_boundary_do_not_bleed() {
+        let m = 70;
+        let ub = SharedUb::new(m);
+        for i in 0..m {
+            ub.set(i, 100);
+        }
+        let slab = DocSlab::new(m);
+        for pair in [[26, 27], [53, 54]] {
+            for i in pair {
+                let rec = slab.record(alloc(&slab, &mut SlabRun::default(), 1));
+                assert_eq!(rec.set_score(i, u32::MAX), u64::from(u32::MAX));
+                for j in 0..m {
+                    assert_eq!(rec.knows(j), j == i, "scored {i}, asked {j}");
+                }
+                let ub_d = u64::from(u32::MAX) + (m as u64 - 1) * 100;
+                assert_eq!(rec.ub(&snapshot(&ub, 1.0)), ub_d, "scored {i}");
+            }
+        }
     }
 
     #[test]
@@ -373,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn two_mask_words_for_wide_queries() {
+    fn three_term_words_for_wide_queries() {
         let m = 70;
         let ub = SharedUb::new(m);
         for i in 0..m {

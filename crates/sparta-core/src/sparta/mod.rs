@@ -22,7 +22,7 @@
 //!    eliminating shared-map reads entirely.
 //!
 //! The shared candidate state is built around the cache line
-//! (DESIGN.md §10): 24-byte `⟨id, sum, known-mask⟩` records in a
+//! (DESIGN.md §10): 16-byte `⟨id, sum | known-mask⟩` records in a
 //! per-query [`DocSlab`], and a `docMap` that is an insert-only
 //! lock-free [`DocTable`] — lookups are plain loads, admission is one
 //! compare-and-swap, and removal never happens in place because the
@@ -574,10 +574,10 @@ mod tests {
         check_exact(1500, 8, 20, 8, 4);
     }
 
-    /// m = 70 needs two known-mask words per record; the same path
+    /// m = 70 needs three term words per record; the same path
     /// handles it (no arity limit, no fallback layout).
     #[test]
-    fn exact_wide_query_uses_two_mask_words() {
+    fn exact_wide_query_uses_three_term_words() {
         for threads in [1, 3] {
             check_exact(400, 70, 10, threads, 5);
         }

@@ -40,7 +40,7 @@ pub mod types;
 pub mod zipf;
 
 pub use querylog::{QueryLog, VoiceLengthDistribution};
-pub use scoring::{Bm25Scorer, Scorer, TfIdfScorer, SCORE_SCALE};
+pub use scoring::{Scorer, TfIdfScorer, SCORE_SCALE};
 pub use synth::{CorpusModel, SynthCorpus};
 pub use tokenizer::Tokenizer;
 pub use types::{CorpusStats, DocBag, DocId, Query, TermId};

@@ -58,41 +58,6 @@ impl Scorer for TfIdfScorer {
     }
 }
 
-/// BM25 (Robertson/Sparck-Jones) with the usual k₁/b parameters —
-/// provided as an alternative ranking function so downstream users are
-/// not locked into tf-idf; the algorithms are score-function agnostic.
-#[derive(Debug, Clone, Copy)]
-pub struct Bm25Scorer {
-    /// Term-frequency saturation (typical 1.2).
-    pub k1: f64,
-    /// Length normalization strength (typical 0.75).
-    pub b: f64,
-}
-
-impl Default for Bm25Scorer {
-    fn default() -> Self {
-        Self { k1: 1.2, b: 0.75 }
-    }
-}
-
-impl Scorer for Bm25Scorer {
-    fn term_score(&self, tf: u32, doc: DocId, term: TermId, stats: &CorpusStats) -> u32 {
-        let df = f64::from(stats.df(term)).max(1.0);
-        let n = stats.num_docs as f64;
-        let dl = f64::from(stats.dl(doc)).max(1.0);
-        let avgdl = stats.avg_doc_len.max(1.0);
-        let tf = f64::from(tf);
-        let idf = ((n - df + 0.5) / (df + 0.5) + 1.0).ln();
-        let tf_part = tf * (self.k1 + 1.0) / (tf + self.k1 * (1.0 - self.b + self.b * dl / avgdl));
-        let score = SCORE_SCALE * idf * tf_part;
-        score.round().clamp(1.0, f64::from(u32::MAX)) as u32
-    }
-
-    fn name(&self) -> &'static str {
-        "bm25"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,22 +101,11 @@ mod tests {
     #[test]
     fn scores_are_positive_integers() {
         let s = stats();
-        for sc in [&TfIdfScorer as &dyn Scorer, &Bm25Scorer::default()] {
-            for tf in [1, 3, 100] {
-                for (doc, term) in [(0u32, 0u32), (1, 1), (2, 2)] {
-                    assert!(sc.term_score(tf, doc, term, &s) >= 1);
-                }
+        for tf in [1, 3, 100] {
+            for (doc, term) in [(0u32, 0u32), (1, 1), (2, 2)] {
+                assert!(TfIdfScorer.term_score(tf, doc, term, &s) >= 1);
             }
         }
-    }
-
-    #[test]
-    fn bm25_saturates_in_tf() {
-        let s = stats();
-        let sc = Bm25Scorer::default();
-        let d1 = sc.term_score(2, 0, 0, &s) - sc.term_score(1, 0, 0, &s);
-        let d2 = sc.term_score(20, 0, 0, &s) - sc.term_score(19, 0, 0, &s);
-        assert!(d2 < d1, "marginal gain of tf must shrink");
     }
 
     #[test]

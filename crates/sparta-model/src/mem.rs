@@ -20,8 +20,8 @@
 //!   fence.
 //! - An **RMW** reads the latest message (atomicity) and its new
 //!   message always inherits the previous message's attached view —
-//!   that is the release-sequence rule the `DocSlab` running sum and
-//!   the `JobQueue` outstanding counter lean on.
+//!   that is the release-sequence rule the `JobQueue` outstanding
+//!   counter leans on.
 //!
 //! This is the release/acquire fragment of the promising/operational
 //! semantics family (no promises, no SC accesses — the workspace lint

@@ -1,29 +1,24 @@
 //! The `DocSlab` record protocol Sparta's cleaner — and pNRA's stop
 //! checker — lean on (`sparta-core/src/sparta/doc_slab.rs`,
-//! `bounds.rs`): a record is
-//! `⟨id, sum, known-mask⟩`; the owner of term i scores a document with
-//! `sum.fetch_add(sᵢ, AcqRel)` **then** `mask.fetch_or(bitᵢ, AcqRel)`,
-//! and publishes `UB[i]` (Release) at the end of the segment, when
-//! every later posting of its list scores ≤ that value. The cleaner
-//! snapshots `UB[i]` (Acquire) *first*, then loads a record's mask
-//! (Acquire), then its sum (Acquire), and computes
-//! `UB(D) = sum + (bitᵢ seen ? 0 : UB[i])`. pNRA stores `UB[i]` on
-//! every posting, before scoring it: the same protocol with segments
-//! one posting long.
+//! `bounds.rs`): a record's term word holds a group's known-mask in its
+//! low bits and the sum of its known scores above them. The owner of
+//! term i scores a document with one `word.fetch_add((sᵢ << 27) | bitᵢ,
+//! AcqRel)`, and publishes `UB[i]` (Release) at the end of the segment,
+//! when every later posting of its list scores ≤ that value. The
+//! cleaner snapshots `UB[i]` (Acquire) *first*, then loads the word
+//! (Acquire), and computes `UB(D) = sum + (bitᵢ seen ? 0 : UB[i])`.
+//! pNRA stores `UB[i]` on every posting, before scoring it: the same
+//! protocol with segments one posting long.
 //!
 //! The DESIGN.md §10 claim under test: **the cleaner never
 //! under-estimates `UB(D)`** — whatever it races with, the bound it
-//! prunes on is at least the document's true final score.
-//!
-//! * Bit seen ⇒ the mask's release/acquire edge makes `sᵢ` visible in
-//!   the sum (sum-then-mask on the writer, mask-then-sum on the
-//!   reader).
-//! * Bit not seen ⇒ `UB[i]` stands in for `sᵢ`. The pre-segment bound
-//!   is ≥ `sᵢ` (scores descend along the list); the post-segment bound
-//!   may be smaller, but its Release store follows the record writes,
-//!   so a reader that snapshotted it would have seen the bit.
-//! * Sum seen, bit not yet (the reverse race) counts `sᵢ` twice — an
-//!   over-estimate, which is safe.
+//! prunes on is at least the document's true final score. One word
+//! carries score and bit, so a bit seen is an exact score; a bit not
+//! seen lets `UB[i]` stand in for `sᵢ`. The pre-segment bound is ≥ `sᵢ`
+//! (scores descend along the list); the post-segment bound may be
+//! smaller, but its Release store follows the record write, so a
+//! reader that snapshotted it sees the bit. That needs the snapshot
+//! taken before any record is read.
 
 use super::Mutation;
 use crate::{MemOrder, Model};
@@ -34,42 +29,47 @@ const SCORE: u64 = 7;
 const UB_BEFORE: u64 = 9;
 /// `UB[i]` published at that segment's end (later postings score less).
 const UB_AFTER: u64 = 5;
+/// Known-bits below the sum, as in the record's term word.
+const SHIFT: u32 = 27;
 const BIT: u64 = 1;
 
 /// One owner scoring a document and finishing its segment, one cleaner
 /// bounding the document. Mutations: `AcquireToRelaxed` flips the
-/// cleaner's mask load; `ReleaseToRelaxed` drops the release half of
-/// the owner's `mask.fetch_or` (AcqRel → Acquire).
+/// cleaner's `UB[i]` snapshot load; `ReleaseToRelaxed` flips the
+/// owner's `UB[i]` store.
 pub fn model(mutation: Mutation) -> Model {
-    let mut m = Model::new("doc_slab_publish");
-    let sum = m.atomic_u64("rec.sum", 0);
-    let mask = m.atomic_u64("rec.mask", 0);
+    let (store, load) = match mutation {
+        Mutation::None => (MemOrder::Release, MemOrder::Acquire),
+        Mutation::AcquireToRelaxed => (MemOrder::Release, MemOrder::Relaxed),
+        Mutation::ReleaseToRelaxed => (MemOrder::Relaxed, MemOrder::Acquire),
+    };
+    build(Model::new("doc_slab_publish"), store, load, true)
+}
+
+/// The protocol with the given `UB[i]` orderings; `bound_first` is the
+/// cleaner's read order.
+fn build(mut m: Model, ub_store: MemOrder, ub_load: MemOrder, bound_first: bool) -> Model {
+    let word = m.atomic_u64("rec.word", 0);
     let ub = m.atomic_u64("ub[i]", UB_BEFORE);
 
-    let or_ord = match mutation {
-        Mutation::ReleaseToRelaxed => MemOrder::Acquire,
-        _ => MemOrder::AcqRel,
-    };
     m.thread("owner", move |t| {
-        // Record::set_score(): sum first, then the known bit.
-        sum.fetch_add(t, SCORE, MemOrder::AcqRel);
-        mask.fetch_or(t, BIT, or_ord);
-        // SharedUb::set() at segment end.
-        ub.store(t, UB_AFTER, MemOrder::Release);
+        // Record::set_score(), then SharedUb::set() at segment end.
+        word.fetch_add(t, (SCORE << SHIFT) | BIT, MemOrder::AcqRel);
+        ub.store(t, UB_AFTER, ub_store);
     });
 
-    let mask_ord = match mutation {
-        Mutation::AcquireToRelaxed => MemOrder::Relaxed,
-        _ => MemOrder::Acquire,
-    };
     m.thread("cleaner", move |t| {
-        // SharedUb::snapshot_into() before any record is read…
-        let bound = ub.load(t, MemOrder::Acquire);
-        // …then Record::ub(): mask, then sum.
-        let known = mask.load(t, mask_ord);
-        let s = sum.load(t, MemOrder::Acquire);
-        let unknown = if known & BIT != 0 { 0 } else { bound };
-        t.observe("ub_of_doc", s + unknown);
+        // SharedUb::snapshot_into() before any record is read, then
+        // Record::ub().
+        let (bound, w) = if bound_first {
+            let bound = ub.load(t, ub_load);
+            (bound, word.load(t, MemOrder::Acquire))
+        } else {
+            let w = word.load(t, MemOrder::Acquire);
+            (ub.load(t, ub_load), w)
+        };
+        let unknown = if w & BIT != 0 { 0 } else { bound };
+        t.observe("ub_of_doc", (w >> SHIFT) + unknown);
     });
 
     m.invariant(
@@ -94,34 +94,17 @@ mod tests {
         assert!(report.executions > 10);
     }
 
-    /// The order of the cleaner's first two loads is part of the
-    /// protocol: reading the record before the bound lets a whole
-    /// segment slip in between.
+    /// The order of the cleaner's two loads is the protocol: reading
+    /// the record before the bound lets a whole segment slip in
+    /// between.
     #[test]
     fn reading_the_record_before_the_bound_is_caught() {
-        let mut m = Model::new("doc_slab_publish_bound_read_last");
-        let sum = m.atomic_u64("rec.sum", 0);
-        let mask = m.atomic_u64("rec.mask", 0);
-        let ub = m.atomic_u64("ub[i]", UB_BEFORE);
-        m.thread("owner", move |t| {
-            sum.fetch_add(t, SCORE, MemOrder::AcqRel);
-            mask.fetch_or(t, BIT, MemOrder::AcqRel);
-            ub.store(t, UB_AFTER, MemOrder::Release);
-        });
-        m.thread("cleaner", move |t| {
-            let known = mask.load(t, MemOrder::Acquire);
-            let s = sum.load(t, MemOrder::Acquire);
-            let bound = ub.load(t, MemOrder::Acquire);
-            let unknown = if known & BIT != 0 { 0 } else { bound };
-            t.observe("ub_of_doc", s + unknown);
-        });
-        m.invariant(move |leaf| {
-            if leaf.observed("ub_of_doc").iter().all(|&v| v >= SCORE) {
-                Ok(())
-            } else {
-                Err("under-estimate".to_string())
-            }
-        });
+        let m = build(
+            Model::new("doc_slab_publish_bound_read_last"),
+            MemOrder::Release,
+            MemOrder::Acquire,
+            false,
+        );
         assert!(m.check().violations > 0);
     }
 }

@@ -68,7 +68,7 @@ fn seqlock_release_publish_dropped_is_caught() {
 }
 
 #[test]
-fn doc_slab_acquire_mask_load_flipped_to_relaxed_is_caught() {
+fn doc_slab_acquire_bound_snapshot_flipped_to_relaxed_is_caught() {
     assert_caught(
         "doc_slab/acquire",
         &doc_slab::model(Mutation::AcquireToRelaxed),
@@ -76,7 +76,7 @@ fn doc_slab_acquire_mask_load_flipped_to_relaxed_is_caught() {
 }
 
 #[test]
-fn doc_slab_release_half_of_fetch_or_dropped_is_caught() {
+fn doc_slab_release_bound_store_flipped_to_relaxed_is_caught() {
     assert_caught(
         "doc_slab/release",
         &doc_slab::model(Mutation::ReleaseToRelaxed),

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use sparta_core::ta::{SeqNra, SeqRa};
     pub use sparta_core::Algorithm;
     pub use sparta_corpus::querylog::{QueryLog, VoiceLengthDistribution};
-    pub use sparta_corpus::scoring::{Bm25Scorer, Scorer, TfIdfScorer};
+    pub use sparta_corpus::scoring::{Scorer, TfIdfScorer};
     pub use sparta_corpus::synth::{CorpusModel, SynthCorpus};
     pub use sparta_corpus::tokenizer::Tokenizer;
     pub use sparta_corpus::types::{DocId, Query, TermId};
