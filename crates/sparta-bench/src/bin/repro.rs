@@ -688,8 +688,8 @@ fn load_cmd(args: &[String]) {
             handle.admin_addr(),
         );
         // Scrape the profiling plane while the server is still live:
-        // the collapsed profile and the metrics-history ring both come
-        // from the same sweep the report describes.
+        // the collapsed profile comes from the same sweep the report
+        // describes.
         if let Some(admin) = handle.admin_addr() {
             match sparta_server::http_get(admin, "/debug/profile?format=collapsed") {
                 Ok((200, body)) => println!(
@@ -697,21 +697,6 @@ fn load_cmd(args: &[String]) {
                     body.lines().count()
                 ),
                 other => println!("debug profile scrape failed: {other:?}"),
-            }
-            match sparta_server::http_get(admin, "/debug/history") {
-                Ok((200, body)) => {
-                    let doc = sparta_obs::json::parse(&body).expect("history JSON parses");
-                    let samples = doc
-                        .get("samples")
-                        .and_then(|s| s.as_arr())
-                        .map_or(0, <[sparta_obs::json::Json]>::len);
-                    let overwritten = doc
-                        .get("overwritten")
-                        .and_then(sparta_obs::json::Json::as_f64)
-                        .unwrap_or(-1.0);
-                    println!("debug history scrape: {samples} samples, overwritten={overwritten}");
-                }
-                other => println!("debug history scrape failed: {other:?}"),
             }
         }
         handle.shutdown();

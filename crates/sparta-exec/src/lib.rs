@@ -34,7 +34,7 @@ pub use deterministic::DeterministicExecutor;
 pub use fault::FaultPlan;
 pub use job_queue::{CyclicJob, Job, JobQueue};
 pub use pool::WorkerPool;
-pub use watchdog::{DumpHook, StallWatchdog, WatchdogConfig};
+pub use watchdog::{StallWatchdog, WatchdogConfig};
 
 use std::sync::Arc;
 

@@ -9,7 +9,9 @@
 //! event for a configurable quiet period while work is still
 //! outstanding**, it dumps every ring plus the executor's queue/pool
 //! state to stderr (and optionally a file) — the last thing each
-//! worker did, straight from its ring.
+//! worker did, straight from its ring. It dumps once per lifetime: a
+//! wedged pool would otherwise re-dump every quiet period, so the
+//! monitor thread exits after its dump.
 //!
 //! The watchdog deliberately reads only monotone counters and a
 //! caller-supplied `probe` closure; it takes no executor locks itself
@@ -25,13 +27,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Callback invoked with the full dump text each time the watchdog
-/// fires — the hook the server's slow-query log uses to capture wedge
-/// evidence from a live process instead of scraping stderr.
-pub type DumpHook = Arc<dyn Fn(&str) + Send + Sync>;
-
 /// Tunables for [`StallWatchdog::spawn`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct WatchdogConfig {
     /// How long `total_events()` must stay flat (with work outstanding)
     /// before the watchdog declares a stall and dumps.
@@ -41,26 +38,6 @@ pub struct WatchdogConfig {
     /// If set, the dump is also written to this file (the stderr copy
     /// always happens).
     pub dump_path: Option<PathBuf>,
-    /// Maximum number of dumps per watchdog lifetime; after this the
-    /// monitor keeps polling but stays silent (a wedged pool would
-    /// otherwise re-dump every quiet period).
-    pub max_dumps: usize,
-    /// If set, called with the dump text on every firing (in addition
-    /// to stderr and `dump_path`). Runs on the monitor thread; it must
-    /// not block on the executor it is watching.
-    pub on_dump: Option<DumpHook>,
-}
-
-impl std::fmt::Debug for WatchdogConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WatchdogConfig")
-            .field("quiet", &self.quiet)
-            .field("poll", &self.poll)
-            .field("dump_path", &self.dump_path)
-            .field("max_dumps", &self.max_dumps)
-            .field("on_dump", &self.on_dump.as_ref().map(|_| "<hook>"))
-            .finish()
-    }
 }
 
 impl Default for WatchdogConfig {
@@ -69,8 +46,6 @@ impl Default for WatchdogConfig {
             quiet: Duration::from_secs(2),
             poll: Duration::from_millis(50),
             dump_path: None,
-            max_dumps: 1,
-            on_dump: None,
         }
     }
 }
@@ -111,7 +86,7 @@ impl StallWatchdog {
         }
     }
 
-    /// How many times the watchdog has dumped.
+    /// How many times the watchdog has dumped (0 or 1).
     pub fn fired(&self) -> usize {
         self.fired.load(Ordering::Relaxed)
     }
@@ -162,12 +137,9 @@ fn monitor(
             last_change = Instant::now();
             continue;
         }
-        let n = fired.load(Ordering::Relaxed);
-        if n < config.max_dumps {
-            dump(recorder, outstanding, &detail, config);
-            fired.store(n + 1, Ordering::Relaxed);
-        }
-        last_change = Instant::now();
+        dump(recorder, outstanding, &detail, config);
+        fired.store(1, Ordering::Relaxed);
+        return;
     }
 }
 
@@ -189,9 +161,6 @@ fn dump(recorder: &FlightRecorder, outstanding: usize, detail: &str, config: &Wa
             eprintln!("sparta stall watchdog: failed to write dump to {path:?}: {e}");
         }
     }
-    if let Some(hook) = &config.on_dump {
-        hook(&text);
-    }
 }
 
 #[cfg(test)]
@@ -204,34 +173,7 @@ mod tests {
             quiet: Duration::from_millis(40),
             poll: Duration::from_millis(5),
             dump_path: None,
-            max_dumps: 1,
-            on_dump: None,
         }
-    }
-
-    #[test]
-    fn dump_hook_receives_the_dump_text() {
-        let rec = FlightRecorder::new(1, 16, ClockMode::Logical);
-        {
-            let _g = rec.install(0);
-            sparta_obs::recorder::record(EventKind::Park, 0);
-        }
-        let captured = Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
-        let sink = Arc::clone(&captured);
-        let mut cfg = fast_config();
-        cfg.on_dump = Some(Arc::new(move |text: &str| {
-            sink.lock().unwrap().push(text.to_string());
-        }));
-        let wd = StallWatchdog::spawn(Arc::clone(&rec), || (2, "probe: wedged".into()), cfg);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while wd.fired() == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        drop(wd);
-        let dumps = captured.lock().unwrap();
-        assert_eq!(dumps.len(), 1, "max_dumps=1 caps the hook too");
-        assert!(dumps[0].contains("stall watchdog"));
-        assert!(dumps[0].contains("probe: wedged"));
     }
 
     #[test]
@@ -289,8 +231,9 @@ mod tests {
         while wd.fired() == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        // Give it time to tempt a second dump; max_dumps=1 must cap it.
+        // Give it time to tempt a second dump; one dump per lifetime.
         std::thread::sleep(Duration::from_millis(120));
+        assert_eq!(wd.fired(), 1, "a watchdog dumps at most once");
         drop(wd);
         let text = std::fs::read_to_string(&path).expect("dump file written");
         let _ = std::fs::remove_file(&path);

@@ -70,9 +70,9 @@ impl Policy {
     /// the recorder's own overhead), the compressed posting
     /// decoder (block decode sits under every cursor advance — it
     /// must run out of fixed scratch arrays; builders escape with
-    /// `lint: allow(alloc)`), the profiling plane's sample/fold
-    /// paths (the sampler runs forever beside the serving path;
-    /// construction and rendering escape with `lint: allow(alloc)`),
+    /// `lint: allow(alloc)`), the ring fold shared by the trace
+    /// exporter and the profile, and the profile's accumulation
+    /// (construction and rendering escape with `lint: allow(alloc)`),
     /// and the per-posting candidate-state structures — the `docMap`
     /// table, pRA's claim bitset and Sparta/pNRA/pJASS's candidates (a
     /// lookup, claim or admission runs per posting and must stay a probe
@@ -84,8 +84,8 @@ impl Policy {
             || path == "crates/sparta-core/src/sparta/candidates.rs"
             || path == "crates/sparta-obs/src/ring.rs"
             || path == "crates/sparta-obs/src/recorder.rs"
-            || path == "crates/sparta-obs/src/history.rs"
             || path == "crates/sparta-obs/src/profile.rs"
+            || path == "crates/sparta-obs/src/fold.rs"
             || path == "crates/sparta-index/src/compressed.rs"
     }
 

@@ -24,6 +24,11 @@
 //!   thread local by the executors, dumped by the stall watchdog, and
 //!   exported as Chrome trace-event JSON for `chrome://tracing` /
 //!   Perfetto.
+//! * [`profile`] — the same rings folded into aggregate tables
+//!   (per-worker utilization, per-phase self time, collapsed stacks).
+//!   The trace exporter and the profile pair ring events through one
+//!   shared fold, so the profile's tables are sums of the trace's
+//!   slices.
 //!
 //! Everything here follows the disabled-sink design of
 //! `sparta-core::TraceSink`: a disabled [`QueryTrace`] costs one
@@ -37,7 +42,7 @@
 
 pub mod clock;
 pub mod export;
-pub mod history;
+mod fold;
 pub mod json;
 pub mod metrics;
 pub mod profile;
@@ -53,7 +58,6 @@ pub use export::{
     exec_snapshot_text, parse_exposition, sample_value, server_snapshot_text, stage_snapshot_text,
     PrometheusText,
 };
-pub use history::{start_sampler, HistorySample, MetricsHistory, SamplerHandle};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, MaxGauge};
 pub use profile::{
     profile_recorder, validate_profile_json, PhaseProfile, Profile, WorkerUtilization,

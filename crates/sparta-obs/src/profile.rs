@@ -18,14 +18,16 @@
 //! [`ClockMode::Logical`] every tick is an exact integer and both the
 //! JSON and the collapsed text render byte-identical across replays of
 //! the same deterministic schedule — CI pins that with a twice-emitted
-//! `cmp` golden. This file is under the allocation-ban lint rule: the
-//! per-event fold path allocates nothing beyond the annotated
-//! construction and rendering sites.
+//! `cmp` golden. The event pairing is the crate's private ring fold,
+//! shared with the Chrome trace exporter, so the profile's tables are
+//! sums of the trace's slices. This file is under the allocation-ban
+//! lint rule: the per-piece accumulation allocates nothing beyond the
+//! annotated construction and rendering sites.
 
 use crate::clock::ClockMode;
+use crate::fold::{fold_worker, for_each_ring, Piece, SpanFrame};
 use crate::json::Json;
 use crate::recorder::FlightRecorder;
-use crate::ring::{Event, EventKind};
 use crate::span::Phase;
 use std::fmt::Write as _;
 
@@ -123,105 +125,14 @@ pub struct Profile {
     stacks: Vec<StackSlot>,
 }
 
-/// Per-worker fold state: the same pairing state machine the Chrome
-/// trace exporter uses, accumulating into tables instead of slices.
-struct WorkerFold {
-    job_start: Vec<(u64, u64)>,
-    park_start: Option<u64>,
-    span_stack: Vec<(u8, u64, u64)>, // (phase index, open tick, child ticks)
-    idle_since: Option<u64>,
-    last_mark: u64, // tick of the last span-stack transition
-    util: WorkerUtilization,
-}
-
-impl WorkerFold {
-    fn new(worker: u32) -> WorkerFold {
-        WorkerFold {
-            // lint: allow(alloc): per-fold construction; the per-event
-            // arms below only push into these stacks.
-            job_start: Vec::with_capacity(4),
-            park_start: None,
-            // lint: allow(alloc): per-fold construction (see above).
-            span_stack: Vec::with_capacity(8),
-            idle_since: None,
-            last_mark: 0,
-            util: WorkerUtilization {
-                worker,
-                ..WorkerUtilization::default()
-            },
-        }
+/// `stack` packed into a collapsed-path key (bottom frame in the most
+/// significant nibble).
+fn stack_key(stack: &[SpanFrame]) -> u64 {
+    let mut key = 0u64;
+    for f in stack.iter().take(MAX_STACK_KEY_DEPTH) {
+        key = (key << 4) | u64::from(f.phase + 1);
     }
-
-    /// The current span stack packed into a collapsed-path key
-    /// (bottom frame in the most significant nibble).
-    fn stack_key(&self) -> u64 {
-        let mut key = 0u64;
-        for &(phase, _, _) in self.span_stack.iter().take(MAX_STACK_KEY_DEPTH) {
-            key = (key << 4) | u64::from(phase + 1);
-        }
-        key
-    }
-
-    /// Attributes the ticks since the last stack transition to the
-    /// current stack path (flamegraph self time), then re-marks.
-    fn attribute_self(&mut self, now: u64, stacks: &mut Vec<StackSlot>) {
-        if !self.span_stack.is_empty() {
-            let ticks = now.saturating_sub(self.last_mark);
-            if ticks > 0 {
-                bump_stack(stacks, self.util.worker, self.stack_key(), ticks);
-            }
-        }
-        self.last_mark = now;
-    }
-
-    fn fold(&mut self, e: &Event, stacks: &mut Vec<StackSlot>, phases: &mut [(u64, u64, u64)]) {
-        match e.kind {
-            EventKind::JobStart => {
-                if let Some(prev) = self.idle_since.take() {
-                    self.util.queue_wait_ticks += e.ts.saturating_sub(prev);
-                }
-                self.job_start.push((e.ts, e.payload));
-            }
-            EventKind::JobEnd => {
-                if let Some((start, _)) = self.job_start.pop() {
-                    self.util.busy_ticks += e.ts.saturating_sub(start);
-                }
-                self.idle_since = Some(e.ts);
-            }
-            EventKind::Park => self.park_start = Some(e.ts),
-            EventKind::Unpark => {
-                if let Some(start) = self.park_start.take() {
-                    self.util.parked_ticks += e.ts.saturating_sub(start);
-                }
-                self.idle_since = Some(e.ts);
-            }
-            EventKind::SpanBegin => {
-                self.attribute_self(e.ts, stacks);
-                self.span_stack.push(((e.payload & 0xff) as u8, e.ts, 0));
-            }
-            EventKind::SpanEnd => {
-                self.attribute_self(e.ts, stacks);
-                let want = (e.payload & 0xff) as u8;
-                if let Some(pos) = self.span_stack.iter().rposition(|&(p, _, _)| p == want) {
-                    let (_, start, child_ticks) = self.span_stack.remove(pos);
-                    let inclusive = e.ts.saturating_sub(start);
-                    if let Some(p) = phases.get_mut(usize::from(want)) {
-                        p.0 += 1; // spans closed
-                        p.1 += inclusive; // inclusive total
-                        p.2 += inclusive.saturating_sub(child_ticks); // self
-                    }
-                    // The closed span is its parent's child time.
-                    if let Some(last) = self.span_stack.last_mut() {
-                        last.2 += inclusive;
-                    }
-                }
-            }
-            EventKind::QueuePush
-            | EventKind::QueuePop
-            | EventKind::Requeue
-            | EventKind::ScoreMark => {}
-        }
-    }
+    key
 }
 
 fn bump_stack(stacks: &mut Vec<StackSlot>, worker: u32, key: u64, ticks: u64) {
@@ -246,27 +157,41 @@ pub fn profile_recorder(rec: &FlightRecorder) -> Profile {
     let mut stacks: Vec<StackSlot> = Vec::new();
     let mut phase_acc = [(0u64, 0u64, 0u64); Phase::ALL.len()]; // (count, inclusive, self)
     let mut events_folded = 0u64;
-    let mut skipped_reads = 0u64;
-    for w in 0..rec.worker_count() {
-        let ring = rec.ring(w);
-        // lint: allow(alloc): one event buffer per ring per fold call.
-        let mut events: Vec<Event> = Vec::with_capacity(ring.len());
-        skipped_reads += ring.for_each(|e| events.push(e));
-        if events.is_empty() {
-            continue;
-        }
+    let skipped_reads = for_each_ring(rec, |worker, events| {
         events_folded += events.len() as u64;
-        let first_ts = events.first().map(|e| e.ts).unwrap_or(0);
-        let last_ts = events.last().map(|e| e.ts).unwrap_or(first_ts);
-        let mut fold = WorkerFold::new(ring.worker());
-        fold.last_mark = first_ts;
-        for e in &events {
-            fold.fold(e, &mut stacks, &mut phase_acc);
-        }
-        fold.util.events = events.len() as u64;
-        fold.util.window_ticks = last_ts.saturating_sub(first_ts);
-        workers.push(fold.util);
-    }
+        let first_ts = events.first().map_or(0, |e| e.ts);
+        let last_ts = events.last().map_or(first_ts, |e| e.ts);
+        let mut util = WorkerUtilization {
+            worker,
+            events: events.len() as u64,
+            window_ticks: last_ts.saturating_sub(first_ts),
+            ..WorkerUtilization::default()
+        };
+        let mut last_edge = first_ts;
+        fold_worker(events, |piece| match piece {
+            Piece::Job { dur, .. } => util.busy_ticks += dur,
+            Piece::Park { dur, .. } => util.parked_ticks += dur,
+            Piece::QueueWait { dur, .. } => util.queue_wait_ticks += dur,
+            Piece::SpanEdge { ts, stack } => {
+                // Flamegraph self time: the ticks since the previous
+                // edge belong to the stack that stood between them.
+                let ticks = ts.saturating_sub(last_edge);
+                if !stack.is_empty() && ticks > 0 {
+                    bump_stack(&mut stacks, worker, stack_key(stack), ticks);
+                }
+                last_edge = ts;
+            }
+            Piece::Span { frame, dur } => {
+                if let Some(p) = phase_acc.get_mut(usize::from(frame.phase)) {
+                    p.0 += 1; // spans closed
+                    p.1 += dur; // inclusive total
+                    p.2 += dur.saturating_sub(frame.child_ticks); // self
+                }
+            }
+            Piece::Instant(_) => {}
+        });
+        workers.push(util);
+    });
     // lint: allow(alloc): result-table construction, once per fold.
     let mut phases: Vec<PhaseProfile> = Vec::new();
     for (i, phase) in Phase::ALL.iter().enumerate() {
@@ -441,6 +366,7 @@ mod tests {
     use super::*;
     use crate::clock::ClockMode;
     use crate::recorder::record;
+    use crate::ring::EventKind;
 
     /// A scripted two-worker recording with nesting and parks; logical
     /// clock so every tick is pinned.

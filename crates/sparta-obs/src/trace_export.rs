@@ -25,9 +25,10 @@
 //! [`dump_text`] is the stall watchdog's human-readable form: every
 //! ring's tail, newest last, with drop accounting.
 
+use crate::fold::{fold_worker, for_each_ring, Piece};
 use crate::json::Json;
 use crate::recorder::FlightRecorder;
-use crate::ring::{Event, EventKind};
+use crate::ring::Event;
 use crate::span::Phase;
 use crate::ClockMode;
 use std::fmt::Write as _;
@@ -70,71 +71,33 @@ fn instant(mode: ClockMode, name: &str, tid: u32, ts: u64, payload: u64) -> Json
         .with("args", Json::obj().with("payload", payload))
 }
 
-fn span_name(payload: u64) -> &'static str {
-    u8::try_from(payload)
-        .ok()
-        .and_then(Phase::from_index)
-        .map(|p| p.as_str())
-        .unwrap_or("span")
-}
-
-/// Converts one worker's event stream into trace events, appending to
-/// `out`. Returns nothing; pairing state is local to the worker.
+/// Renders one worker's paired pieces as trace events, appending to
+/// `out`.
 fn worker_events(mode: ClockMode, tid: u32, events: &[Event], out: &mut Vec<Json>) {
-    let mut job_start: Vec<(u64, u64)> = Vec::new(); // (ts, payload)
-    let mut park_start: Option<u64> = None;
-    let mut span_start: Vec<(u64, u64)> = Vec::new(); // (phase, ts)
-    let mut idle_since: Option<u64> = None; // set by JobEnd / Unpark
-    for e in events {
-        match e.kind {
-            EventKind::JobStart => {
-                if let Some(prev) = idle_since.take() {
-                    if e.ts > prev {
-                        let args = Json::obj();
-                        out.push(slice(mode, "queue_wait", tid, prev, e.ts - prev, args));
-                    }
-                }
-                job_start.push((e.ts, e.payload));
-            }
-            EventKind::JobEnd => {
-                if let Some((start, outstanding)) = job_start.pop() {
-                    let args = Json::obj()
-                        .with("outstanding_at_start", outstanding)
-                        .with("panicked", e.payload != 0);
-                    out.push(slice(mode, "job", tid, start, e.ts - start, args));
-                }
-                idle_since = Some(e.ts);
-            }
-            EventKind::Park => park_start = Some(e.ts),
-            EventKind::Unpark => {
-                if let Some(start) = park_start.take() {
-                    out.push(slice(mode, "park", tid, start, e.ts - start, Json::obj()));
-                }
-                idle_since = Some(e.ts);
-            }
-            EventKind::SpanBegin => span_start.push((e.payload, e.ts)),
-            EventKind::SpanEnd => {
-                if let Some(pos) = span_start.iter().rposition(|(p, _)| *p == e.payload) {
-                    let (_, start) = span_start.remove(pos);
-                    let args = Json::obj().with("phase", e.payload);
-                    out.push(slice(
-                        mode,
-                        span_name(e.payload),
-                        tid,
-                        start,
-                        e.ts - start,
-                        args,
-                    ));
-                }
-            }
-            EventKind::QueuePush
-            | EventKind::QueuePop
-            | EventKind::Requeue
-            | EventKind::ScoreMark => {
-                out.push(instant(mode, e.kind.as_str(), tid, e.ts, e.payload));
-            }
+    fold_worker(events, |piece| match piece {
+        Piece::Job {
+            start,
+            dur,
+            outstanding,
+            panicked,
+        } => {
+            let args = Json::obj()
+                .with("outstanding_at_start", outstanding)
+                .with("panicked", panicked);
+            out.push(slice(mode, "job", tid, start, dur, args));
         }
-    }
+        Piece::Park { start, dur } => out.push(slice(mode, "park", tid, start, dur, Json::obj())),
+        Piece::QueueWait { start, dur } => {
+            out.push(slice(mode, "queue_wait", tid, start, dur, Json::obj()));
+        }
+        Piece::SpanEdge { .. } => {}
+        Piece::Span { frame, dur } => {
+            let name = Phase::from_index(frame.phase).map_or("span", |p| p.as_str());
+            let args = Json::obj().with("phase", u64::from(frame.phase));
+            out.push(slice(mode, name, tid, frame.open, dur, args));
+        }
+        Piece::Instant(e) => out.push(instant(mode, e.kind.as_str(), tid, e.ts, e.payload)),
+    });
 }
 
 /// Builds the Chrome trace-event document for everything recorded so
@@ -150,15 +113,7 @@ pub fn chrome_trace(rec: &FlightRecorder) -> Json {
             .with("pid", 1u64)
             .with("args", Json::obj().with("name", "sparta")),
     );
-    let mut skipped_reads = 0u64;
-    for w in 0..rec.worker_count() {
-        let ring = rec.ring(w);
-        let mut events = Vec::with_capacity(ring.len());
-        skipped_reads += ring.for_each(|e| events.push(e));
-        if events.is_empty() {
-            continue;
-        }
-        let tid = ring.worker();
+    let skipped_reads = for_each_ring(rec, |tid, events| {
         trace_events.push(
             Json::obj()
                 .with("name", "thread_name")
@@ -167,8 +122,8 @@ pub fn chrome_trace(rec: &FlightRecorder) -> Json {
                 .with("tid", u64::from(tid))
                 .with("args", Json::obj().with("name", format!("worker {tid}"))),
         );
-        worker_events(mode, tid, &events, &mut trace_events);
-    }
+        worker_events(mode, tid, events, &mut trace_events);
+    });
     let mode_str = match mode {
         ClockMode::Wall => "wall",
         ClockMode::Logical => "logical",
@@ -299,6 +254,7 @@ pub fn dump_text(rec: &FlightRecorder) -> String {
 mod tests {
     use super::*;
     use crate::recorder::record;
+    use crate::ring::EventKind;
 
     fn sample_recorder() -> std::sync::Arc<FlightRecorder> {
         let rec = FlightRecorder::new(2, 64, ClockMode::Logical);

@@ -19,15 +19,12 @@
 //!   from the flight-recorder rings (utilization breakdown, per-phase
 //!   self time) as JSON; `?format=collapsed` returns
 //!   the flamegraph-collapsed text rendering instead.
-//! * `GET /debug/history` — the bounded metrics-history ring as JSON
-//!   (periodic `ServerSnapshot`/`StageSnapshot`/`ExecSnapshot` samples
-//!   with exact overwrite accounting).
 //!
 //! The protocol support is deliberately minimal — request line + headers
 //! are read, only `GET` and the path matter, every response closes the
 //! connection (`Connection: close`, HTTP/1.0 semantics). That keeps the
 //! entire admin plane inside std TCP: no HTTP dependency enters the
-//! workspace for the sake of five read-only routes.
+//! workspace for the sake of six read-only routes.
 //!
 //! Error paths are first-class: malformed request lines get `400`,
 //! unknown paths `404`, request heads larger than
@@ -43,7 +40,7 @@ use crate::scheduler::BatchScheduler;
 use crate::server::POLL_INTERVAL;
 use sparta_obs::{
     chrome_trace_string, exec_snapshot_text, profile_recorder, server_snapshot_text,
-    stage_snapshot_text, MetricsHistory,
+    stage_snapshot_text,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -75,9 +72,6 @@ pub(crate) struct AdminState {
     /// True once the accept loops are live; cleared by drain/shutdown.
     pub(crate) ready: Arc<AtomicBool>,
     pub(crate) stop: Arc<AtomicBool>,
-    /// The metrics-history ring the background sampler feeds; `None`
-    /// when the server runs without an admin plane.
-    pub(crate) history: Option<Arc<MetricsHistory>>,
 }
 
 /// Serves one admin connection: read the request head, route, answer,
@@ -273,20 +267,6 @@ fn route(path: &str, state: &AdminState) -> (u16, &'static str, &'static str, St
                 "Not Found",
                 "text/plain",
                 "no flight recorder attached\n".to_string(),
-            ),
-        },
-        "/debug/history" => match &state.history {
-            Some(history) => (
-                200,
-                "OK",
-                "application/json",
-                history.to_json().to_pretty_string(2),
-            ),
-            None => (
-                404,
-                "Not Found",
-                "text/plain",
-                "no metrics history attached\n".to_string(),
             ),
         },
         _ => (404, "Not Found", "text/plain", format!("no route {path}\n")),

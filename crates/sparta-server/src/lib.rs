@@ -25,11 +25,10 @@
 //! * [`admin`] — the observability plane: a second listener speaking
 //!   minimal HTTP/1.0 for `/metrics` (Prometheus exposition),
 //!   `/healthz`, `/readyz`, `/debug/trace` (Chrome trace of the
-//!   flight-recorder rings), and `/debug/slow`.
+//!   flight-recorder rings), `/debug/slow`, and `/debug/profile`.
 //! * [`slowlog`] — the slow-query log: a bounded ring of evidence
 //!   records (stage decomposition + flight-recorder dump) for queries
-//!   whose end-to-end latency crossed a threshold, plus watchdog stall
-//!   dumps.
+//!   whose end-to-end latency crossed a threshold.
 //!
 //! The open-loop load harness in `sparta-bench` (`repro load`) drives
 //! either the in-process scheduler (deterministic, logical-clock,

@@ -34,7 +34,7 @@ use crate::slowlog::{SlowLog, SlowLogConfig, SlowQueryRecord};
 use sparta_core::registry::algorithm_by_name;
 use sparta_core::SearchConfig;
 use sparta_corpus::Query;
-use sparta_exec::{Executor, StallWatchdog, WatchdogConfig, WorkerPool};
+use sparta_exec::{Executor, WorkerPool};
 use sparta_index::Index;
 use sparta_obs::{ClockMode, ExecMetrics, FlightRecorder, ObsClock, ServerMetrics};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,9 +68,6 @@ pub struct StageTiming {
 /// Runs admitted queries on a shared worker pool.
 pub struct BatchScheduler {
     exec: Arc<dyn Executor + Send + Sync>,
-    /// The concrete pool when built via [`BatchScheduler::new`]; lets
-    /// [`watchdog`](Self::watchdog) probe pool state.
-    pool: Option<Arc<WorkerPool>>,
     admission: Arc<AdmissionController>,
     index: Arc<dyn Index>,
     template: SearchConfig,
@@ -98,14 +95,13 @@ impl BatchScheduler {
         let workers = workers.max(1);
         let exec_metrics = ExecMetrics::new(workers);
         let recorder = FlightRecorder::new(workers, RECORDER_RING_CAPACITY, ClockMode::Wall);
-        let pool = Arc::new(WorkerPool::with_recorder(
+        let pool = WorkerPool::with_recorder(
             workers,
             Some(Arc::clone(&exec_metrics)),
             Arc::clone(&recorder),
-        ));
+        );
         Self {
-            exec: Arc::clone(&pool) as Arc<dyn Executor + Send + Sync>,
-            pool: Some(pool),
+            exec: Arc::new(pool),
             admission: AdmissionController::new(admission, metrics),
             index,
             template,
@@ -121,8 +117,7 @@ impl BatchScheduler {
     /// a fault-injecting
     /// [`DeterministicExecutor`](sparta_exec::DeterministicExecutor)).
     /// Pass the executor's recorder so slow-query captures can dump
-    /// its rings; there is no pool to probe, so [`watchdog`](Self::watchdog)
-    /// returns `None`.
+    /// its rings.
     pub fn with_executor(
         index: Arc<dyn Index>,
         template: SearchConfig,
@@ -133,7 +128,6 @@ impl BatchScheduler {
     ) -> Self {
         Self {
             exec,
-            pool: None,
             admission: AdmissionController::new(admission, metrics),
             index,
             template,
@@ -192,23 +186,6 @@ impl BatchScheduler {
     /// The slow-query log.
     pub fn slow_log(&self) -> &Arc<SlowLog> {
         &self.slow_log
-    }
-
-    /// Spawns a stall watchdog over the scheduler's pool whose dumps
-    /// also land in the slow-query log as `"stall"` records (so wedge
-    /// evidence is servable at `/debug/slow`, not just on stderr).
-    /// `None` when the scheduler has a custom executor (no pool).
-    pub fn watchdog(&self, mut config: WatchdogConfig) -> Option<StallWatchdog> {
-        let pool = self.pool.as_ref()?;
-        let slow = Arc::clone(&self.slow_log);
-        let prior = config.on_dump.take();
-        config.on_dump = Some(Arc::new(move |dump: &str| {
-            slow.record_stall(dump);
-            if let Some(hook) = &prior {
-                hook(dump);
-            }
-        }));
-        pool.watchdog(config)
     }
 
     /// Validates a request without running it. `Ok` carries the
@@ -346,7 +323,6 @@ impl BatchScheduler {
             .map(|r| sparta_obs::dump_text(r))
             .unwrap_or_default();
         self.slow_log.push(SlowQueryRecord {
-            kind: "slow",
             query_tag: timing.query_tag,
             k: req.k,
             algorithm: req.algorithm.clone(),

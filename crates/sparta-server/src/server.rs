@@ -16,7 +16,7 @@
 //!
 //! [`serve_with_admin`] binds a second listener speaking minimal
 //! HTTP/1.0 (see [`crate::admin`]) for `/metrics`, `/healthz`,
-//! `/readyz`, `/debug/trace`, and `/debug/slow`. Readiness tracks the
+//! `/readyz`, `/debug/trace`, `/debug/slow`, and `/debug/profile`. Readiness tracks the
 //! server lifecycle: `/readyz` answers `200` only after both accept
 //! loops are live and flips to `503` the moment [`ServerHandle::drain`]
 //! or shutdown begins.
@@ -33,7 +33,7 @@ use crate::admin::{handle_admin_connection, AdminState};
 use crate::protocol::{read_frame, write_frame, ErrorCode, Frame, ProtocolError};
 use crate::scheduler::BatchScheduler;
 use parking_lot::Mutex;
-use sparta_obs::{start_sampler, MetricsHistory, SamplerHandle, ServerMetrics};
+use sparta_obs::ServerMetrics;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,14 +43,6 @@ use std::time::Duration;
 
 /// How often an idle connection re-checks the shutdown flag.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
-/// Samples the metrics-history ring keeps before overwriting the
-/// oldest (`/debug/history` serves the whole ring).
-pub const HISTORY_CAPACITY: usize = 256;
-
-/// How often the background sampler snapshots the metrics registries
-/// into the history ring.
-pub const SAMPLE_INTERVAL: Duration = Duration::from_millis(100);
 
 /// A running query server. Dropping the handle shuts it down.
 pub struct ServerHandle {
@@ -63,8 +55,6 @@ pub struct ServerHandle {
     accept: Option<JoinHandle<()>>,
     admin_accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    history: Option<Arc<MetricsHistory>>,
-    sampler: Option<SamplerHandle>,
 }
 
 impl ServerHandle {
@@ -88,12 +78,6 @@ impl ServerHandle {
         &self.scheduler
     }
 
-    /// The metrics-history ring the admin sampler feeds, when started
-    /// via [`serve_with_admin`].
-    pub fn history(&self) -> Option<&Arc<MetricsHistory>> {
-        self.history.as_ref()
-    }
-
     /// Marks the server not-ready (`/readyz` → 503) without stopping
     /// it: the drain step a rolling restart takes before shutdown, so
     /// load balancers stop routing while in-flight queries finish.
@@ -109,11 +93,6 @@ impl ServerHandle {
     }
 
     fn stop_and_join(&mut self) {
-        // Stop the metrics sampler first: it only reads registries,
-        // but joining it here keeps the no-detached-threads invariant.
-        if let Some(sampler) = self.sampler.take() {
-            sampler.stop();
-        }
         // ordering: Release publishes the drain; /readyz reads with (model: server_lifecycle)
         // Acquire.
         self.ready.store(false, Ordering::Release);
@@ -156,10 +135,8 @@ pub fn serve(addr: &str, scheduler: BatchScheduler) -> std::io::Result<ServerHan
 
 /// Like [`serve`], but also binds an admin listener at `admin_addr`
 /// serving `/metrics`, `/healthz`, `/readyz`, `/debug/trace`,
-/// `/debug/slow`, `/debug/profile`, and `/debug/history` over minimal
-/// HTTP/1.0, and starts the metrics-history sampler that feeds
-/// `/debug/history`. The bound admin address is available from
-/// [`ServerHandle::admin_addr`].
+/// `/debug/slow`, and `/debug/profile` over minimal HTTP/1.0. The
+/// bound admin address is available from [`ServerHandle::admin_addr`].
 pub fn serve_with_admin(
     addr: &str,
     admin_addr: &str,
@@ -211,37 +188,12 @@ fn serve_inner(
             })?
     };
 
-    // The admin plane gets a metrics-history ring fed by a background
-    // sampler that snapshots the admission/stage/executor registries on
-    // the scheduler's clock.
-    let (history, sampler) = if admin_listener.is_some() {
-        let history = MetricsHistory::new(HISTORY_CAPACITY);
-        let source_scheduler = Arc::clone(&scheduler);
-        let sampler = start_sampler(
-            Arc::clone(&history),
-            Arc::clone(scheduler.clock()),
-            SAMPLE_INTERVAL,
-            move || {
-                let metrics = source_scheduler.admission().metrics();
-                (
-                    metrics.snapshot(),
-                    metrics.stages.snapshot(),
-                    source_scheduler.exec_metrics().map(|m| m.snapshot()),
-                )
-            },
-        );
-        (Some(history), Some(sampler))
-    } else {
-        (None, None)
-    };
-
     let admin_accept = match admin_listener {
         Some(listener) => {
             let state = Arc::new(AdminState {
                 scheduler: Arc::clone(&scheduler),
                 ready: Arc::clone(&ready),
                 stop: Arc::clone(&stop),
-                history: history.clone(),
             });
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
@@ -283,8 +235,6 @@ fn serve_inner(
         accept: Some(accept),
         admin_accept,
         conns,
-        history,
-        sampler,
     })
 }
 

@@ -1,6 +1,5 @@
 //! The slow-query log: a fixed-capacity ring of evidence records for
-//! queries whose end-to-end latency crossed a threshold, plus stall
-//! dumps pushed by the watchdog hook.
+//! queries whose end-to-end latency crossed a threshold.
 //!
 //! When the scheduler finishes a query whose end-to-end time (read
 //! from the scheduler's injectable `ObsClock`, so deterministic runs
@@ -12,11 +11,6 @@
 //! did while the query was slow. Records live in a bounded ring
 //! (oldest evicted first) served by the admin endpoint at
 //! `/debug/slow`.
-//!
-//! A second entry point, [`SlowLog::record_stall`], accepts stall
-//! dumps from [`sparta_exec::WatchdogConfig::on_dump`] — a wedged
-//! query never completes, so it can never cross the completion-path
-//! threshold; the watchdog is how its evidence still reaches the ring.
 
 use parking_lot::Mutex;
 use sparta_obs::json::Json;
@@ -58,16 +52,14 @@ impl SlowLogConfig {
     }
 }
 
-/// One captured slow query (or stall dump).
+/// One captured slow query.
 #[derive(Debug, Clone)]
 pub struct SlowQueryRecord {
-    /// `"slow"` (completion-path threshold) or `"stall"` (watchdog).
-    pub kind: &'static str,
-    /// Scheduler-assigned query tag (0 for stall dumps).
+    /// Scheduler-assigned query tag.
     pub query_tag: u64,
-    /// Requested k (0 for stall dumps).
+    /// Requested k.
     pub k: u32,
-    /// Requested algorithm (`"<watchdog>"` for stall dumps).
+    /// Requested algorithm.
     pub algorithm: String,
     /// Admission-decision wait, clock ticks.
     pub admission_wait_ns: u64,
@@ -93,7 +85,6 @@ pub struct SlowQueryRecord {
 impl SlowQueryRecord {
     fn to_json(&self) -> Json {
         Json::obj()
-            .with("kind", self.kind)
             .with("query_tag", self.query_tag)
             .with("k", u64::from(self.k))
             .with("algorithm", self.algorithm.as_str())
@@ -160,25 +151,6 @@ impl SlowLog {
         self.captured.incr();
     }
 
-    /// Captures a watchdog stall dump as a `"stall"` record.
-    pub fn record_stall(&self, dump: &str) {
-        self.push(SlowQueryRecord {
-            kind: "stall",
-            query_tag: 0,
-            k: 0,
-            algorithm: "<watchdog>".to_string(),
-            admission_wait_ns: 0,
-            queue_wait_ns: 0,
-            execute_ns: 0,
-            response_write_ns: 0,
-            end_to_end_ns: 0,
-            queue_depth: 0,
-            in_flight: 0,
-            shed_total: 0,
-            recorder: dump.to_string(),
-        });
-    }
-
     /// Records ever captured (monotone, survives eviction).
     pub fn captured(&self) -> u64 {
         self.captured.get()
@@ -209,7 +181,6 @@ mod tests {
 
     fn rec(tag: u64, dump: &str) -> SlowQueryRecord {
         SlowQueryRecord {
-            kind: "slow",
             query_tag: tag,
             k: 10,
             algorithm: "sparta".into(),
@@ -262,23 +233,5 @@ mod tests {
         let got = &log.records()[0].recorder;
         assert!(got.len() <= SLOW_DUMP_MAX_BYTES + "\n…[truncated]".len());
         assert!(got.ends_with("[truncated]"));
-    }
-
-    #[test]
-    fn stall_records_carry_the_dump() {
-        let log = SlowLog::new(SlowLogConfig::default());
-        log.record_stall("=== stall dump ===");
-        let records = log.records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].kind, "stall");
-        assert!(records[0].recorder.contains("stall dump"));
-        // The JSON document is parseable and carries the record.
-        let text = log.to_json().to_pretty_string(2);
-        let doc = sparta_obs::json::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("captured").and_then(Json::as_f64),
-            Some(1.0),
-            "{text}"
-        );
     }
 }

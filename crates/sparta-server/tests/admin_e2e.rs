@@ -227,11 +227,6 @@ fn injected_stall_lands_in_slow_log_with_recorder_evidence() {
         .and_then(Json::as_arr)
         .expect("records array");
     let rec = records.last().expect("at least one record");
-    assert_eq!(
-        rec.get("kind").and_then(Json::as_str),
-        Some("slow"),
-        "completion-path capture"
-    );
     assert_eq!(rec.get("algorithm").and_then(Json::as_str), Some("sparta"));
     assert_eq!(rec.get("k").and_then(Json::as_f64), Some(5.0));
     let dump = rec

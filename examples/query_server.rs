@@ -123,7 +123,7 @@ fn main() {
     let slow = loop {
         let (status, body) = http_get(admin, "/debug/slow").expect("slow log");
         assert_eq!(status, 200);
-        if body.contains("\"kind\"") {
+        if body.contains("\"query_tag\"") {
             break body;
         }
         std::thread::sleep(std::time::Duration::from_millis(5));

@@ -1,13 +1,14 @@
 //! Flight-recorder integration: ring wraparound accounting, reader vs
 //! writer races on a live ring, byte-identical Chrome-trace export
 //! under the deterministic executor, per-worker timeline completeness,
-//! and the stall watchdog firing on a genuinely wedged pool.
+//! trace/profile agreement, and the stall watchdog firing on a
+//! genuinely wedged pool.
 
 use sparta::prelude::*;
 use sparta_exec::{JobQueue, WatchdogConfig};
 use sparta_obs::{
-    chrome_trace_string, json, recorder, validate_trace_json, ClockMode, EventKind, EventRing,
-    FlightRecorder, ObsClock,
+    chrome_trace, chrome_trace_string, json, profile_recorder, recorder, validate_trace_json,
+    ClockMode, EventKind, EventRing, FlightRecorder, ObsClock,
 };
 use sparta_testkit::{base_seed, build_index, long_query};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -130,6 +131,70 @@ fn trace_timeline_is_complete_for_every_worker() {
     }
 }
 
+/// The trace's slices and the profile's tables are two readings of
+/// one ring fold: per worker, the job/park/queue_wait slices sum to the
+/// busy/parked/queue-wait ticks, and per phase the phase-named slices
+/// match the profile's count and inclusive total.
+#[test]
+fn trace_slices_sum_to_profile_tables() {
+    let (ix, corpus) = build_index(7);
+    let q = long_query(&corpus, 11);
+    let cfg = SearchConfig::exact(10)
+        .with_seg_size(64)
+        .with_phi(256)
+        .with_spans(true)
+        .with_clock(ClockMode::Logical);
+    let rec = FlightRecorder::new(4, 1 << 14, ClockMode::Logical);
+    let algos: [&dyn Algorithm; 2] = [&Sparta, &PBmw];
+    for (i, algo) in algos.into_iter().enumerate() {
+        let exec = DeterministicExecutor::new(base_seed().wrapping_add(i as u64))
+            .with_recorder(Arc::clone(&rec));
+        algo.search(&ix, &q, &cfg, &exec);
+    }
+    assert_eq!(rec.dropped_events(), 0, "the ring must hold the whole run");
+
+    let trace = chrome_trace(&rec);
+    let profile = profile_recorder(&rec);
+    // (tid, name) → (slices, summed dur), over the `X` slices.
+    let mut slices: std::collections::BTreeMap<(u64, String), (u64, u64)> = Default::default();
+    for ev in trace.get("traceEvents").and_then(|j| j.as_arr()).unwrap() {
+        if ev.get("ph").and_then(|j| j.as_str()) != Some("X") {
+            continue;
+        }
+        let num = |key: &str| ev.get(key).and_then(|j| j.as_f64()).unwrap() as u64;
+        let name = ev.get("name").and_then(|j| j.as_str()).unwrap();
+        let slot = slices.entry((num("tid"), name.to_string())).or_default();
+        slot.0 += 1;
+        slot.1 += num("dur");
+    }
+    let summed = |tid: Option<u64>, name: &str| -> (u64, u64) {
+        slices
+            .iter()
+            .filter(|((t, n), _)| n == name && tid.is_none_or(|w| *t == w))
+            .fold((0, 0), |acc, (_, v)| (acc.0 + v.0, acc.1 + v.1))
+    };
+
+    assert_eq!(profile.workers.len(), 4, "every worker recorded");
+    for w in &profile.workers {
+        let tid = Some(u64::from(w.worker));
+        assert!(w.busy_ticks > 0, "worker {} ran no job", w.worker);
+        assert_eq!(summed(tid, "job").1, w.busy_ticks, "worker {}", w.worker);
+        assert_eq!(summed(tid, "park").1, w.parked_ticks, "worker {}", w.worker);
+        assert_eq!(
+            summed(tid, "queue_wait").1,
+            w.queue_wait_ticks,
+            "worker {}",
+            w.worker
+        );
+    }
+    assert!(!profile.phases.is_empty(), "spans were recorded");
+    for p in &profile.phases {
+        let (count, dur) = summed(None, p.phase.as_str());
+        assert_eq!(count, p.count, "phase {}", p.phase.as_str());
+        assert_eq!(dur, p.total_ticks, "phase {}", p.phase.as_str());
+    }
+}
+
 #[test]
 fn watchdog_dumps_rings_when_pool_wedges() {
     // Wedge a queue for real: the deterministic executor's stall fault
@@ -150,8 +215,6 @@ fn watchdog_dumps_rings_when_pool_wedges() {
             quiet: Duration::from_millis(300),
             poll: Duration::from_millis(20),
             dump_path: Some(dump.clone()),
-            max_dumps: 1,
-            on_dump: None,
         })
         .expect("pool has a recorder");
 
