@@ -17,8 +17,10 @@
 //! ```sh
 //! repro --emit-json <name>       # writes out/BENCH_<name>.json
 //! repro --validate-json <path>   # schema-checks an emitted document
-//! repro --perf-guard <baseline>  # deterministic work-counter guard;
-//!                                #   --write regenerates the baseline
+//! repro --perf-guard <baseline>  # deterministic work-counter guard,
+//!                                #   replayed with and without the
+//!                                #   flight recorder; --write
+//!                                #   regenerates the baseline
 //! repro --perf-guard-compressed <baseline>
 //!                                # same pinned cell replayed on the
 //!                                #   compressed posting backend; also
@@ -42,17 +44,16 @@
 //! * `SPARTA_DOCS`    — base corpus size (default 20 000; CWX10 = 10×)
 //! * `SPARTA_QUERIES` — queries per cell   (default 20; paper uses 100)
 //! * `SPARTA_THREADS` — worker threads     (default 4; paper uses 12)
-//! * `SPARTA_RECORDER` — `1` attaches a flight recorder to
-//!   `--emit-json` and `--perf-guard` runs (the guard asserts the
-//!   counters stay identical either way)
 
 use sparta_bench::measure::{run_latency_with, run_throughput};
 use sparta_bench::{Dataset, Scale, VariantParams};
 use sparta_core::recall::{recall_dynamics, time_to_recall};
+use sparta_core::result::WorkStats;
 use sparta_core::{algorithm_by_name, Algorithm};
 use sparta_corpus::types::Query;
 use sparta_exec::WorkerPool;
 use sparta_index::IndexKind;
+use sparta_obs::json::{self, Json};
 use sparta_obs::{ClockMode, FlightRecorder};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -407,17 +408,7 @@ fn measure_cell(
 ) -> String {
     let a = algo(name);
     let params = variant_by_name(variant).unwrap_or_else(|| panic!("unknown variant {variant}"));
-    let latency = || {
-        run_latency_with(
-            ds,
-            a.as_ref(),
-            qs,
-            &params,
-            workers,
-            stat == Stat::Recall,
-            None,
-        )
-    };
+    let latency = || run_latency_with(ds, a.as_ref(), qs, &params, workers, stat == Stat::Recall);
     match stat {
         Stat::Mean => fmt_ms(latency().mean()),
         Stat::P95 => fmt_ms(latency().percentile(0.95)),
@@ -737,12 +728,7 @@ fn load_cmd(args: &[String]) {
     );
     for l in &load.levels {
         let lat = |p: f64| {
-            let sorted: Vec<Duration> = l
-                .latencies_ns
-                .iter()
-                .map(|&n| Duration::from_nanos(n))
-                .collect();
-            sparta_bench::percentile(&sorted, p).as_secs_f64() * 1e3
+            Duration::from_nanos(sparta_obs::percentile(&l.latencies_ns, p)).as_secs_f64() * 1e3
         };
         println!(
             "{:>10.0} {:>8} {:>8} {:>6} {:>10.3} {:>10.3} {:>10.3} {:>9}",
@@ -779,7 +765,6 @@ fn load_cmd(args: &[String]) {
             cells: Vec::new(),
             index,
             recall_curves: Vec::new(),
-            recorder: None,
             load: Some(load),
         };
         let path = report
@@ -847,50 +832,18 @@ fn emit_json(name: &str) {
 /// the guard compares them for *equality* — any drift in
 /// `postings_scanned` or `heap_updates` is an algorithmic change, not
 /// noise, and must be acknowledged by regenerating the baseline.
-const GUARD_DOCS: &str = "4000";
-const GUARD_K: &str = "20";
+const GUARD_DOCS: u64 = 4000;
+const GUARD_K: u64 = 20;
 const GUARD_SEED: u64 = 0x5eed_caf3;
 const GUARD_QUERIES: usize = 4;
 const GUARD_TERMS: usize = 6;
 const GUARD_ALGOS: [&str; 5] = ["sparta", "pnra", "pbmw", "pjass", "pra"];
 
-/// One guard cell's schedule-independent counters. `postings`/`heap`
-/// are backend-independent on the bit-exact compressed format;
-/// `blocks_skipped`/`blocks_decoded` are the compressed backend's
-/// block-max-pruning and decode evidence; `random_accesses` is pRA's
-/// probe count.
-#[derive(Debug, Default)]
+/// One guard algorithm's work counters summed over the guard queries,
+/// `blocks_decoded` counted by the index's decode accounting.
 struct GuardCell {
-    name: String,
-    postings: u64,
-    heap: u64,
-    random_accesses: u64,
-    blocks_skipped: u64,
-    blocks_decoded: u64,
-}
-
-impl GuardCell {
-    fn get(&self, key: &str) -> u64 {
-        match key {
-            "postings_scanned" => self.postings,
-            "heap_updates" => self.heap,
-            "random_accesses" => self.random_accesses,
-            "blocks_skipped" => self.blocks_skipped,
-            "blocks_decoded" => self.blocks_decoded,
-            other => panic!("unknown guard counter {other:?}"),
-        }
-    }
-
-    /// The guard's common `keys` plus the counters only this cell
-    /// carries: pRA is the one guard algorithm that probes.
-    fn keys<'a>(&self, keys: &'a [&'a str]) -> impl Iterator<Item = &'a str> {
-        let extra: &[&str] = if self.name == "pra" {
-            &["random_accesses"]
-        } else {
-            &[]
-        };
-        keys.iter().chain(extra).copied()
-    }
+    name: &'static str,
+    work: WorkStats,
 }
 
 /// A logical-clock recorder sized for one replay of the guard cell.
@@ -904,8 +857,8 @@ fn guard_recorder() -> Arc<FlightRecorder> {
 /// traces and phase spans on the logical clock into it. Returns each
 /// algorithm's summed counters.
 fn replay_guard_cell(kind: IndexKind, recorder: Option<&Arc<FlightRecorder>>) -> Vec<GuardCell> {
-    std::env::set_var("SPARTA_DOCS", GUARD_DOCS);
-    std::env::set_var("SPARTA_K", GUARD_K);
+    std::env::set_var("SPARTA_DOCS", GUARD_DOCS.to_string());
+    std::env::set_var("SPARTA_K", GUARD_K.to_string());
     let ds = Dataset::build_kind(Scale::Cw, kind);
     let qs = ds.queries_of_length(GUARD_TERMS, GUARD_QUERIES);
     let mut cfg = VariantParams::exact().config(ds.k);
@@ -920,10 +873,7 @@ fn replay_guard_cell(kind: IndexKind, recorder: Option<&Arc<FlightRecorder>>) ->
         .iter()
         .map(|&name| {
             let a = algo(name);
-            let mut cell = GuardCell {
-                name: name.to_string(),
-                ..GuardCell::default()
-            };
+            let mut work = WorkStats::default();
             for (i, q) in qs.iter().enumerate() {
                 let mut exec =
                     sparta_exec::DeterministicExecutor::new(GUARD_SEED.wrapping_add(i as u64));
@@ -931,113 +881,104 @@ fn replay_guard_cell(kind: IndexKind, recorder: Option<&Arc<FlightRecorder>>) ->
                     exec = exec.with_recorder(Arc::clone(rec));
                 }
                 let decode0 = io.map(|s| s.decode_snapshot()).unwrap_or_default();
-                let r = a.search(&ds.index, q, &cfg, &exec);
+                let mut r = a.search(&ds.index, q, &cfg, &exec);
                 let decode1 = io.map(|s| s.decode_snapshot()).unwrap_or_default();
-                cell.postings += r.work.postings_scanned;
-                cell.heap += r.work.heap_updates;
-                cell.random_accesses += r.work.random_accesses;
-                cell.blocks_skipped += r.work.blocks_skipped;
-                cell.blocks_decoded += decode1.0.saturating_sub(decode0.0);
+                r.work.blocks_decoded = decode1.0.saturating_sub(decode0.0);
+                work.merge(&r.work);
             }
-            cell
+            GuardCell { name, work }
         })
         .collect()
 }
 
-fn perf_guard_json(cells: &[GuardCell], keys: &[&str]) -> sparta_obs::json::Json {
-    use sparta_obs::json::Json;
+/// The guard document of `cells` as the `kind` guard pins it: per
+/// algorithm the schedule-independent counters — postings scanned and
+/// heap updates (backend-independent on the bit-exact compressed
+/// format), the compressed backend's block-max-pruning and decode
+/// counters on `IndexKind::Compressed`, and pRA's random accesses (the
+/// one guard algorithm that probes).
+fn perf_guard_json(cells: &[GuardCell], kind: IndexKind) -> Json {
+    let cell_json = |c: &GuardCell| {
+        let mut j = Json::obj()
+            .with("algorithm", c.name)
+            .with("postings_scanned", c.work.postings_scanned)
+            .with("heap_updates", c.work.heap_updates);
+        if kind == IndexKind::Compressed {
+            j = j
+                .with("blocks_skipped", c.work.blocks_skipped)
+                .with("blocks_decoded", c.work.blocks_decoded);
+        }
+        if c.name == "pra" {
+            j = j.with("random_accesses", c.work.random_accesses);
+        }
+        j
+    };
     Json::obj()
         .with("schema_version", 1u64)
-        .with("docs", GUARD_DOCS.parse::<u64>().unwrap())
-        .with("k", GUARD_K.parse::<u64>().unwrap())
+        .with("docs", GUARD_DOCS)
+        .with("k", GUARD_K)
         .with("queries", GUARD_QUERIES)
         .with("terms", GUARD_TERMS)
         .with("seed", GUARD_SEED)
-        .with(
-            "cells",
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|c| {
-                        let mut j = Json::obj().with("algorithm", c.name.as_str());
-                        for key in c.keys(keys) {
-                            j = j.with(key, c.get(key));
-                        }
-                        j
-                    })
-                    .collect(),
-            ),
-        )
+        .with("cells", Json::Arr(cells.iter().map(cell_json).collect()))
 }
 
-/// Shared guard body: with `write`, records `keys` of every cell into
-/// `<baseline>`; otherwise compares for equality and exits non-zero on
-/// any drift.
-fn guard_against(path: &str, cells: &[GuardCell], keys: &[&str], write: bool) {
-    if write {
-        std::fs::write(path, perf_guard_json(cells, keys).to_pretty_string(2))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        println!("{path}: baseline written ({} cells)", cells.len());
-        return;
-    }
-    if drifted_from(path, cells, keys) {
-        eprintln!(
-            "perf guard FAILED; if the change is intentional, regenerate with \
-             `repro --perf-guard {path} --write` (or --perf-guard-compressed)"
-        );
-        std::process::exit(1);
-    }
-    println!("perf guard ok ({} cells)", cells.len());
-}
-
-/// Compares `keys` of every cell (plus its own extra counters) with the
-/// baseline at `path`, printing each comparison. Returns whether any
-/// counter drifted.
-fn drifted_from(path: &str, cells: &[GuardCell], keys: &[&str]) -> bool {
+/// The checked-in baseline document at `path`.
+fn baseline(path: &str) -> Json {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let doc = sparta_obs::json::parse(&text).expect("baseline parses");
-    let base = doc.get("cells").and_then(|c| c.as_arr()).unwrap_or(&[]);
-    let mut drifted = false;
-    for cell in cells {
-        let name = cell.name.as_str();
-        let Some(b) = base
-            .iter()
-            .find(|c| c.get("algorithm").and_then(|a| a.as_str()) == Some(name))
-        else {
-            eprintln!("{name}: missing from baseline {path}");
-            drifted = true;
-            continue;
-        };
-        for key in cell.keys(keys) {
-            let got = cell.get(key);
-            let want = b.get(key).and_then(|v| v.as_f64()).unwrap_or(-1.0);
-            if want != got as f64 {
-                eprintln!("{name}: {key} drifted — {path} has {want}, measured {got}");
-                drifted = true;
-            } else {
-                println!("{name}: {key} = {got} (matches {path})");
-            }
-        }
+    json::parse(&text).unwrap_or_else(|e| panic!("baseline {path} does not parse: {e}"))
+}
+
+/// Prints `mismatches` (one `path: <left> != <right>` line each, as
+/// [`json::diff`] renders them) under `what`, which names the two
+/// sides, and exits 1 when there are any.
+fn fail_on(mismatches: &[String], what: &str) {
+    if mismatches.is_empty() {
+        return;
     }
-    drifted
+    eprintln!("perf guard FAILED: {what}:");
+    for m in mismatches {
+        eprintln!("  {m}");
+    }
+    std::process::exit(1);
 }
 
 /// `--perf-guard <baseline> [--write]`: replays the pinned
 /// deterministic cell on the raw backend (`--perf-guard-compressed`:
-/// on the compressed one). With `--write`, records the counters into
-/// `<baseline>`; otherwise compares against the checked-in baseline
-/// and exits non-zero on any drift. `SPARTA_RECORDER=1` replays with a
-/// flight recorder attached — the counters must not notice.
+/// on the compressed one), once plain and once with the logical-clock
+/// flight recorder attached — the two replays must give the same
+/// document. With `--write`, writes that document to `<baseline>`;
+/// otherwise compares it with the checked-in baseline and exits 1 on
+/// any drift, naming each differing path.
 fn perf_guard(path: &str, kind: IndexKind, write: bool) {
-    let recorder = (std::env::var("SPARTA_RECORDER").as_deref() == Ok("1")).then(guard_recorder);
-    let cells = replay_guard_cell(kind, recorder.as_ref());
-    let mut keys = vec!["postings_scanned", "heap_updates"];
+    let cells = replay_guard_cell(kind, None);
+    let doc = perf_guard_json(&cells, kind);
+    let recorded = perf_guard_json(&replay_guard_cell(kind, Some(&guard_recorder())), kind);
+    fail_on(
+        &json::diff(&doc, &recorded),
+        "plain replay != replay with the flight recorder attached",
+    );
     if kind == IndexKind::Compressed {
         check_compressed_machinery(&cells);
-        keys.extend(["blocks_skipped", "blocks_decoded"]);
     }
-    guard_against(path, &cells, &keys, write);
+    if write {
+        std::fs::write(path, doc.to_pretty_string(2))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        println!("{path}: baseline written ({} cells)", cells.len());
+        return;
+    }
+    fail_on(
+        &json::diff(&baseline(path), &doc),
+        &format!(
+            "{path} != measured (an intentional change regenerates it with \
+             `repro --perf-guard {path} --write`, or --perf-guard-compressed)"
+        ),
+    );
+    println!(
+        "perf guard ok ({} cells match {path}, with and without the recorder)",
+        cells.len()
+    );
 }
 
 /// Beyond the equality check against its own baseline, the compressed
@@ -1049,19 +990,18 @@ fn perf_guard(path: &str, kind: IndexKind, write: bool) {
 /// block.
 fn check_compressed_machinery(cells: &[GuardCell]) {
     let raw = "BENCH_perf_guard.json";
-    assert!(
-        !drifted_from(raw, cells, &["postings_scanned", "heap_updates"]),
-        "the compressed run's work counters differ from the raw baseline {raw}"
+    fail_on(
+        &json::diff(&baseline(raw), &perf_guard_json(cells, IndexKind::Raw)),
+        &format!("{raw} != the compressed run's work counters"),
     );
-    for c in cells {
+    for GuardCell { name, work } in cells {
         assert!(
-            c.blocks_decoded > 0,
-            "{}: compressed run decoded no blocks — the backend was not exercised",
-            c.name
+            work.blocks_decoded > 0,
+            "{name}: compressed run decoded no blocks — the backend was not exercised"
         );
         println!(
-            "{}: blocks_decoded={} blocks_skipped={}",
-            c.name, c.blocks_decoded, c.blocks_skipped
+            "{name}: blocks_decoded={} blocks_skipped={}",
+            work.blocks_decoded, work.blocks_skipped
         );
     }
     let pbmw = cells
@@ -1069,7 +1009,7 @@ fn check_compressed_machinery(cells: &[GuardCell]) {
         .find(|c| c.name == "pbmw")
         .expect("pbmw is a guard algorithm");
     assert!(
-        pbmw.blocks_skipped > 0,
+        pbmw.work.blocks_skipped > 0,
         "pbmw skipped no blocks on the pinned cell — block-max pruning stopped firing"
     );
     // A probe is a point lookup, not a block decode: pRA decodes only
@@ -1078,16 +1018,17 @@ fn check_compressed_machinery(cells: &[GuardCell]) {
     let pra = cells
         .iter()
         .find(|c| c.name == "pra")
+        .map(|c| &c.work)
         .expect("pra is a guard algorithm");
     let scan_blocks = pra
-        .postings
+        .postings_scanned
         .div_ceil(sparta_index::DEFAULT_BLOCK_SIZE as u64)
         + (GUARD_TERMS * GUARD_QUERIES) as u64;
     assert!(
         pra.blocks_decoded <= scan_blocks,
         "pra decoded {} blocks for {} scanned postings — random access regressed to block decode",
         pra.blocks_decoded,
-        pra.postings
+        pra.postings_scanned
     );
 }
 
@@ -1183,24 +1124,12 @@ fn profile_cmd(args: &[String]) {
     );
 }
 
-/// `--validate-trace <path>`: parses an emitted Chrome trace and checks
-/// the schema, exiting non-zero on any drift.
-fn validate_trace(path: &str) {
+/// `--validate-json <path>` / `--validate-trace <path>`: parses an
+/// emitted document and checks it with `validate`, exiting 1 on any
+/// drift.
+fn validate(path: &str, validate: fn(&str) -> Result<(), String>) {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    match sparta_obs::validate_trace_json(&text) {
-        Ok(()) => println!("{path}: trace schema ok"),
-        Err(e) => {
-            eprintln!("{path}: trace schema violation: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--validate-json <path>`: parses an emitted document and checks the
-/// schema, exiting non-zero on any drift.
-fn validate_json(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    match sparta_bench::validate_bench_json(&text) {
+    match validate(&text) {
         Ok(()) => println!("{path}: schema ok"),
         Err(e) => {
             eprintln!("{path}: schema violation: {e}");
@@ -1214,9 +1143,15 @@ fn main() {
     let arg = |i: usize| args.get(i).map(String::as_str);
     match arg(0) {
         Some("--emit-json") => emit_json(arg(1).unwrap_or("run")),
-        Some("--validate-json") => validate_json(arg(1).expect("--validate-json needs a path")),
+        Some("--validate-json") => validate(
+            arg(1).expect("--validate-json needs a path"),
+            sparta_bench::validate_bench_json,
+        ),
         Some("--emit-trace") => emit_trace(arg(1).unwrap_or("run")),
-        Some("--validate-trace") => validate_trace(arg(1).expect("--validate-trace needs a path")),
+        Some("--validate-trace") => validate(
+            arg(1).expect("--validate-trace needs a path"),
+            sparta_obs::validate_trace_json,
+        ),
         Some("load") => load_cmd(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
         Some(flag @ ("--perf-guard" | "--perf-guard-compressed")) => {
@@ -1285,6 +1220,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn guard_comparison_names_each_drifted_counter() {
+        let work = WorkStats {
+            postings_scanned: 100,
+            heap_updates: 10,
+            random_accesses: 7,
+            ..WorkStats::default()
+        };
+        let cells: Vec<GuardCell> = GUARD_ALGOS
+            .iter()
+            .map(|&name| GuardCell { name, work })
+            .collect();
+        let doc = perf_guard_json(&cells, IndexKind::Raw);
+        let text = doc.to_pretty_string(2);
+        assert!(json::diff(&json::parse(&text).unwrap(), &doc).is_empty());
+        let perturbed = text.replace("\"random_accesses\": 7", "\"random_accesses\": 8");
+        assert_eq!(
+            json::diff(&json::parse(&perturbed).unwrap(), &doc),
+            ["cells[4].random_accesses: 8 != 7"]
+        );
+        // The compressed document carries block counters the raw
+        // baseline lacks.
+        let compressed = perf_guard_json(&cells, IndexKind::Compressed);
+        assert_eq!(json::diff(&doc, &compressed).len(), 2 * cells.len());
     }
 
     #[test]

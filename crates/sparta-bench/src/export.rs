@@ -17,8 +17,8 @@ use sparta_core::recall::recall_dynamics;
 use sparta_core::result::WorkStats;
 use sparta_core::{algorithm_by_name, Algorithm};
 use sparta_exec::WorkerPool;
-use sparta_obs::json::{parse, Json};
-use sparta_obs::{ClockMode, ExecSnapshot, FlightRecorder, HistogramSnapshot};
+use sparta_obs::json::{parse, Json, Schema};
+use sparta_obs::{ExecSnapshot, HistogramSnapshot};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,15 +77,6 @@ impl IndexReport {
     }
 }
 
-/// Flight-recorder accounting for a recorder-enabled emission.
-#[derive(Debug, Clone, Copy)]
-pub struct RecorderReport {
-    /// Events recorded across all rings over the whole run.
-    pub events_recorded: u64,
-    /// Events overwritten off ring tails (capacity pressure).
-    pub events_dropped: u64,
-}
-
 /// A full benchmark emission.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
@@ -105,9 +96,6 @@ pub struct BenchReport {
     pub index: Option<IndexReport>,
     /// Recall-over-time curves.
     pub recall_curves: Vec<RecallCurve>,
-    /// Present when the run had a flight recorder attached
-    /// (`SPARTA_RECORDER=1`); emitted as `"flight_recorder"`.
-    pub recorder: Option<RecorderReport>,
     /// Present on `repro load` emissions: the latency-under-load sweep
     /// (emitted as `"load"`). A load-only report may have no cells.
     pub load: Option<LoadReport>,
@@ -219,14 +207,6 @@ impl BenchReport {
                     .with("compression_ratio", ix.compression_ratio()),
             );
         }
-        if let Some(r) = &self.recorder {
-            j = j.with(
-                "flight_recorder",
-                Json::obj()
-                    .with("events_recorded", r.events_recorded)
-                    .with("events_dropped", r.events_dropped),
-            );
-        }
         if let Some(l) = &self.load {
             j = j.with("load", l.to_json());
         }
@@ -263,14 +243,6 @@ pub fn build_report(
     queries_per_cell: usize,
     terms_per_query: usize,
 ) -> BenchReport {
-    // SPARTA_RECORDER=1 attaches a flight recorder to every measured
-    // run; the report then carries its event accounting, so CI can
-    // assert recorder-on runs do identical work.
-    let max_threads = thread_counts.iter().copied().max().unwrap_or(1).max(1);
-    let recorder = std::env::var("SPARTA_RECORDER")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-        .then(|| FlightRecorder::new(max_threads, 1 << 12, ClockMode::Wall));
     let queries = ds.queries_of_length(terms_per_query, queries_per_cell);
     let mut cells = Vec::new();
     for &name in algorithms {
@@ -278,15 +250,7 @@ pub fn build_report(
             algorithm_by_name(name).unwrap_or_else(|| panic!("unknown algorithm {name}"));
         for params in variants {
             for &t in thread_counts {
-                let stats = run_latency_with(
-                    ds,
-                    algo.as_ref(),
-                    queries,
-                    params,
-                    t,
-                    true,
-                    recorder.as_ref(),
-                );
+                let stats = run_latency_with(ds, algo.as_ref(), queries, params, t, true);
                 cells.push(BenchCell {
                     algorithm: name.to_string(),
                     variant: params.label.to_string(),
@@ -314,10 +278,6 @@ pub fn build_report(
         cells,
         index,
         recall_curves,
-        recorder: recorder.map(|r| RecorderReport {
-            events_recorded: r.total_events(),
-            events_dropped: r.dropped_events(),
-        }),
         load: None,
     }
 }
@@ -360,236 +320,142 @@ fn build_recall_curves(
         .collect()
 }
 
-fn require<'a>(j: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
-    j.get(key)
-        .ok_or_else(|| format!("{ctx}: missing key {key:?}"))
-}
+const WORK: Schema = Schema::Obj(&[
+    (
+        "postings_scanned random_accesses heap_updates docmap_peak cleaner_passes \
+         jobs_panicked jobs_recycled docmap_final timeout_stops",
+        Schema::Num,
+    ),
+    // The compressed-backend counters postdate the schema.
+    (
+        "blocks_skipped? blocks_decoded? compressed_bytes?",
+        Schema::Num,
+    ),
+]);
 
-fn require_num(j: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    require(j, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| format!("{ctx}: key {key:?} is not a number"))
-}
+const EXEC: Schema = Schema::Obj(&[
+    (
+        "workers jobs_run jobs_panicked busy_ns idle_ns idle_ratio queue_depth_highwater \
+         queries_run",
+        Schema::Num,
+    ),
+    (
+        "job_ns",
+        Schema::Obj(&[("count sum mean p50 p99", Schema::Num)]),
+    ),
+]);
+
+const CELL: Schema = Schema::Obj(&[
+    // Older emissions predate per-cell backend labels.
+    ("algorithm variant backend?", Schema::Str),
+    ("threads queries mean_recall", Schema::Num),
+    (
+        "latency_ms",
+        Schema::Obj(&[("mean p50 p95 p99 p999", Schema::Num)]),
+    ),
+    ("work", WORK),
+    ("exec", EXEC),
+]);
+
+const RECALL_CURVE: Schema = Schema::Obj(&[
+    ("algorithm variant", Schema::Str),
+    (
+        "points",
+        Schema::Arr(&Schema::Obj(&[("ms recall", Schema::Num)])),
+    ),
+]);
+
+const INDEX: Schema = Schema::Obj(&[
+    ("backend", Schema::Str),
+    (
+        "footprint_bytes raw_footprint_bytes compression_ratio",
+        Schema::Num,
+    ),
+]);
+
+const LOAD_LEVEL: Schema = Schema::Obj(&[
+    (
+        "offered_qps offered accepted queued shed abandoned completed queue_depth_highwater \
+         in_flight_highwater",
+        Schema::Num,
+    ),
+    (
+        "latency_ms",
+        Schema::Obj(&[("count mean p50 p99 p999", Schema::Num)]),
+    ),
+    (
+        "queue_depth",
+        Schema::Arr(&Schema::Obj(&[("ns depth", Schema::Num)])),
+    ),
+]);
+
+/// Server-side truth a TCP sweep scraped from the admin endpoint.
+const LOAD_SERVER: Schema = Schema::Obj(&[
+    (
+        "scrapes attempts accepted queued shed abandoned completed queue_depth_highwater \
+         in_flight_highwater",
+        Schema::Num,
+    ),
+    ("monotone", Schema::Bool),
+    ("stages", Schema::Arr(&STAGE)),
+]);
+
+const STAGE: Schema = Schema::Obj(&[("stage", Schema::Str), ("count sum_ns", Schema::Num)]);
+
+const SATURATION: Schema = Schema::Obj(&[
+    (
+        "latency_budget_ms knee_qps knee_p99_ms in_flight_utilization",
+        Schema::Num,
+    ),
+    ("knee_detected", Schema::Bool),
+    ("dominant_wait", Schema::Str),
+]);
+
+/// The latency-under-load sweep of a `repro load` emission: at least
+/// one level, and always its saturation analysis. `server` is present
+/// only when a TCP sweep scraped an admin endpoint.
+const LOAD: Schema = Schema::Obj(&[
+    ("arrival mode", Schema::Str),
+    ("seed service_ns max_in_flight queue_capacity", Schema::Num),
+    ("levels", Schema::NonEmptyArr(&LOAD_LEVEL)),
+    ("saturation", SATURATION),
+    ("server?", LOAD_SERVER),
+]);
+
+/// The `BENCH_*.json` contract.
+static BENCH_SCHEMA: Schema = Schema::Obj(&[
+    ("schema_version", Schema::Version(SCHEMA_VERSION)),
+    ("name", Schema::Str),
+    ("docs k queries_per_cell terms_per_query", Schema::Num),
+    ("cells", Schema::Arr(&CELL)),
+    ("recall_curves", Schema::Arr(&RECALL_CURVE)),
+    ("index?", INDEX),
+    ("load?", LOAD),
+]);
 
 /// Validates an emitted `BENCH_*.json` document: parses it and checks
-/// every key the schema promises, so a CI smoke run fails loudly when
-/// the emitter and this contract drift apart.
+/// it against the bench schema, so a CI smoke run fails loudly when
+/// the emitter and this contract drift apart. Beyond the schema, a
+/// report must measure something (cells, or a `load` sweep), and a
+/// sweep's saturation analysis must name its dominant wait class.
 pub fn validate_bench_json(text: &str) -> Result<(), String> {
     let doc = parse(text)?;
-    for key in ["name", "docs", "k", "queries_per_cell", "terms_per_query"] {
-        require(&doc, key, "report")?;
+    BENCH_SCHEMA.check(&doc)?;
+    let load = doc.get("load");
+    if doc
+        .get("cells")
+        .and_then(Json::as_arr)
+        .is_some_and(<[Json]>::is_empty)
+        && load.is_none()
+    {
+        return Err("cells: empty, and no load sweep".into());
     }
-    let version = require_num(&doc, "schema_version", "report")?;
-    if version != SCHEMA_VERSION as f64 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    let cells = require(&doc, "cells", "report")?
-        .as_arr()
-        .ok_or("report: cells is not an array")?;
-    // A load-only emission (`repro load`) carries its measurements in
-    // the "load" block and legitimately has no cells; anything else
-    // with no cells measured nothing and is a bug.
-    if cells.is_empty() && doc.get("load").is_none() {
-        return Err("report: cells is empty".into());
-    }
-    for (i, cell) in cells.iter().enumerate() {
-        let ctx = format!("cell {i}");
-        for key in ["algorithm", "variant"] {
-            require(cell, key, &ctx)?
-                .as_str()
-                .ok_or_else(|| format!("{ctx}: key {key:?} is not a string"))?;
-        }
-        for key in ["threads", "queries", "mean_recall"] {
-            require_num(cell, key, &ctx)?;
-        }
-        let lat = require(cell, "latency_ms", &ctx)?;
-        for key in ["mean", "p50", "p95", "p99", "p999"] {
-            require_num(lat, key, &format!("{ctx} latency_ms"))?;
-        }
-        // Optional: older emissions predate per-cell backend labels.
-        if let Some(b) = cell.get("backend") {
-            b.as_str()
-                .ok_or_else(|| format!("{ctx}: key \"backend\" is not a string"))?;
-        }
-        let work = require(cell, "work", &ctx)?;
-        for key in [
-            "postings_scanned",
-            "random_accesses",
-            "heap_updates",
-            "docmap_peak",
-            "cleaner_passes",
-            "jobs_panicked",
-            "jobs_recycled",
-            "docmap_final",
-            "timeout_stops",
-        ] {
-            require_num(work, key, &format!("{ctx} work"))?;
-        }
-        // Optional (schema-compatible additions): compressed-backend
-        // counters. Absent in pre-compression emissions; when present
-        // they must be numbers.
-        for key in ["blocks_skipped", "blocks_decoded", "compressed_bytes"] {
-            if work.get(key).is_some() {
-                require_num(work, key, &format!("{ctx} work"))?;
-            }
-        }
-        let exec = require(cell, "exec", &ctx)?;
-        for key in [
-            "workers",
-            "jobs_run",
-            "jobs_panicked",
-            "busy_ns",
-            "idle_ns",
-            "idle_ratio",
-            "queue_depth_highwater",
-            "queries_run",
-        ] {
-            require_num(exec, key, &format!("{ctx} exec"))?;
-        }
-        let job_ns = require(exec, "job_ns", &format!("{ctx} exec"))?;
-        for key in ["count", "sum", "mean", "p50", "p99"] {
-            require_num(job_ns, key, &format!("{ctx} exec job_ns"))?;
-        }
-    }
-    let curves = require(&doc, "recall_curves", "report")?
-        .as_arr()
-        .ok_or("report: recall_curves is not an array")?;
-    for (i, curve) in curves.iter().enumerate() {
-        let ctx = format!("recall_curve {i}");
-        require(curve, "algorithm", &ctx)?;
-        require(curve, "variant", &ctx)?;
-        let points = require(curve, "points", &ctx)?
-            .as_arr()
-            .ok_or_else(|| format!("{ctx}: points is not an array"))?;
-        for p in points {
-            require_num(p, "ms", &ctx)?;
-            require_num(p, "recall", &ctx)?;
-        }
-    }
-    // Optional: index-size accounting, but when present it must be
-    // well-formed (this is where compressed-vs-raw ratios are
-    // regression-tracked).
-    if let Some(ix) = doc.get("index") {
-        require(ix, "backend", "index")?
-            .as_str()
-            .ok_or("index: backend is not a string")?;
-        for key in [
-            "footprint_bytes",
-            "raw_footprint_bytes",
-            "compression_ratio",
-        ] {
-            require_num(ix, key, "index")?;
-        }
-    }
-    // Optional: present only on recorder-enabled runs, but when present
-    // it must be well-formed.
-    if let Some(fr) = doc.get("flight_recorder") {
-        for key in ["events_recorded", "events_dropped"] {
-            require_num(fr, key, "flight_recorder")?;
-        }
-    }
-    // Optional: present only on `repro load` emissions, but when
-    // present the latency-under-load sweep must be complete — at
-    // least one level, each with admission counters, the latency
-    // percentiles, and a queue-depth series.
-    if let Some(load) = doc.get("load") {
-        for key in ["arrival", "mode"] {
-            require(load, key, "load")?
-                .as_str()
-                .ok_or_else(|| format!("load: key {key:?} is not a string"))?;
-        }
-        for key in ["seed", "service_ns", "max_in_flight", "queue_capacity"] {
-            require_num(load, key, "load")?;
-        }
-        let levels = require(load, "levels", "load")?
-            .as_arr()
-            .ok_or("load: levels is not an array")?;
-        if levels.is_empty() {
-            return Err("load: levels is empty".into());
-        }
-        for (i, level) in levels.iter().enumerate() {
-            let ctx = format!("load level {i}");
-            for key in [
-                "offered_qps",
-                "offered",
-                "accepted",
-                "queued",
-                "shed",
-                "abandoned",
-                "completed",
-                "queue_depth_highwater",
-                "in_flight_highwater",
-            ] {
-                require_num(level, key, &ctx)?;
-            }
-            let lat = require(level, "latency_ms", &ctx)?;
-            for key in ["count", "mean", "p50", "p99", "p999"] {
-                require_num(lat, key, &format!("{ctx} latency_ms"))?;
-            }
-            let depth = require(level, "queue_depth", &ctx)?
-                .as_arr()
-                .ok_or_else(|| format!("{ctx}: queue_depth is not an array"))?;
-            for p in depth {
-                require_num(p, "ns", &ctx)?;
-                require_num(p, "depth", &ctx)?;
-            }
-        }
-        // Optional: present only when the TCP sweep scraped an admin
-        // endpoint; when present, the server-side truth must be
-        // complete — scrape accounting, the admission counters, and a
-        // per-stage totals array.
-        if let Some(server) = load.get("server") {
-            require_num(server, "scrapes", "load server")?;
-            match require(server, "monotone", "load server")? {
-                Json::Bool(_) => {}
-                _ => return Err("load server: monotone is not a bool".into()),
-            }
-            for key in [
-                "attempts",
-                "accepted",
-                "queued",
-                "shed",
-                "abandoned",
-                "completed",
-                "queue_depth_highwater",
-                "in_flight_highwater",
-            ] {
-                require_num(server, key, "load server")?;
-            }
-            let stages = require(server, "stages", "load server")?
-                .as_arr()
-                .ok_or("load server: stages is not an array")?;
-            for (i, stage) in stages.iter().enumerate() {
-                let ctx = format!("load server stage {i}");
-                require(stage, "stage", &ctx)?
-                    .as_str()
-                    .ok_or_else(|| format!("{ctx}: stage is not a string"))?;
-                require_num(stage, "count", &ctx)?;
-                require_num(stage, "sum_ns", &ctx)?;
-            }
-        }
-        // Required: every non-empty sweep carries its saturation
-        // analysis — the knee verdict, where it sits, and the dominant
-        // wait class there.
-        let sat = require(load, "saturation", "load")?;
-        for key in [
-            "latency_budget_ms",
-            "knee_qps",
-            "knee_p99_ms",
-            "in_flight_utilization",
-        ] {
-            require_num(sat, key, "load saturation")?;
-        }
-        match require(sat, "knee_detected", "load saturation")? {
-            Json::Bool(_) => {}
-            _ => return Err("load saturation: knee_detected is not a bool".into()),
-        }
-        let wait = require(sat, "dominant_wait", "load saturation")?
-            .as_str()
-            .ok_or("load saturation: dominant_wait is not a string")?;
-        if wait.is_empty() {
-            return Err("load saturation: dominant_wait is empty".into());
-        }
+    let wait = load
+        .and_then(|l| l.get("saturation"))
+        .and_then(|s| s.get("dominant_wait"))
+        .and_then(Json::as_str);
+    if wait == Some("") {
+        return Err("load.saturation.dominant_wait: empty".into());
     }
     Ok(())
 }
@@ -624,96 +490,20 @@ mod tests {
                 points: vec![(0.5, 0.4), (1.0, 1.0)],
             }],
             index: None,
-            recorder: None,
             load: None,
         }
     }
 
-    #[test]
-    fn index_block_roundtrips_and_validates() {
+    /// [`tiny_report`] with every optional block: index accounting and
+    /// a one-level TCP load sweep with its admin scrape.
+    fn full_report() -> BenchReport {
+        use crate::load::{LoadLevel, LoadReport, SaturationReport, ServerScrape, StageStat};
         let mut r = tiny_report();
         r.index = Some(IndexReport {
             backend: "compressed".into(),
             footprint_bytes: 250,
             raw_footprint_bytes: 1000,
         });
-        let text = r.to_json().to_pretty_string(2);
-        validate_bench_json(&text).unwrap();
-        let doc = parse(&text).unwrap();
-        let ix = doc.get("index").expect("block emitted");
-        assert_eq!(ix.get("backend").and_then(Json::as_str), Some("compressed"));
-        assert_eq!(
-            ix.get("compression_ratio").and_then(Json::as_f64),
-            Some(4.0)
-        );
-        // Cells carry the backend label and the new work counters.
-        let cell = &doc.get("cells").and_then(|c| c.as_arr()).unwrap()[0];
-        assert_eq!(cell.get("backend").and_then(Json::as_str), Some("raw"));
-        let work = cell.get("work").unwrap();
-        for key in ["blocks_skipped", "blocks_decoded", "compressed_bytes"] {
-            assert!(work.get(key).is_some(), "missing {key}");
-        }
-        // A malformed block must fail even though the block is optional.
-        let broken = text.replace("raw_footprint_bytes", "raw_footprint_mangled");
-        assert!(validate_bench_json(&broken).is_err());
-    }
-
-    #[test]
-    fn report_json_validates() {
-        let r = tiny_report();
-        validate_bench_json(&r.to_json().to_pretty_string(2)).unwrap();
-        validate_bench_json(&r.to_json().to_string()).unwrap();
-    }
-
-    #[test]
-    fn validation_catches_missing_keys() {
-        let mut j = tiny_report().to_json();
-        if let Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "cells");
-        }
-        let err = validate_bench_json(&j.to_string()).unwrap_err();
-        assert!(err.contains("cells"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn validation_catches_malformed_cell() {
-        let mut j = tiny_report().to_json();
-        if let Some(Json::Arr(cells)) = match &mut j {
-            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == "cells").map(|(_, v)| v),
-            _ => None,
-        } {
-            if let Json::Obj(cell) = &mut cells[0] {
-                cell.retain(|(k, _)| k != "exec");
-            }
-        }
-        let err = validate_bench_json(&j.to_string()).unwrap_err();
-        assert!(err.contains("exec"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn recorder_block_roundtrips_and_validates() {
-        let mut r = tiny_report();
-        r.recorder = Some(RecorderReport {
-            events_recorded: 123,
-            events_dropped: 4,
-        });
-        let text = r.to_json().to_pretty_string(2);
-        validate_bench_json(&text).unwrap();
-        let doc = parse(&text).unwrap();
-        let fr = doc.get("flight_recorder").expect("block emitted");
-        assert_eq!(
-            fr.get("events_recorded").and_then(Json::as_f64),
-            Some(123.0)
-        );
-        // A malformed block must fail even though the block is optional.
-        let broken = text.replace("events_dropped", "events_mangled");
-        assert!(validate_bench_json(&broken).is_err());
-    }
-
-    #[test]
-    fn load_server_block_roundtrips_and_validates() {
-        use crate::load::{LoadLevel, LoadReport, SaturationReport, ServerScrape, StageStat};
-        let mut r = tiny_report();
         r.load = Some(LoadReport {
             arrival: "poisson".into(),
             mode: "tcp".into(),
@@ -726,7 +516,7 @@ mod tests {
                 offered: 10,
                 snapshot: sparta_obs::ServerSnapshot::default(),
                 latencies_ns: vec![1_000, 2_000],
-                queue_depth: Vec::new(),
+                queue_depth: vec![(5, 1)],
             }],
             server: Some(ServerScrape {
                 scrapes: 2,
@@ -747,31 +537,66 @@ mod tests {
                 in_flight_utilization: 1.0,
             }),
         });
+        r
+    }
+
+    #[test]
+    fn report_json_validates() {
+        let r = tiny_report();
+        validate_bench_json(&r.to_json().to_pretty_string(2)).unwrap();
+        validate_bench_json(&r.to_json().to_string()).unwrap();
+        assert!(validate_bench_json("not json").is_err());
+    }
+
+    #[test]
+    fn schema_rejects_each_broken_required_field() {
+        let doc = full_report().to_json();
+        let checked = BENCH_SCHEMA.rejects_each_broken_field(&doc).unwrap();
+        assert!(checked > 2 * 100, "every block's fields");
+    }
+
+    #[test]
+    fn optional_blocks_roundtrip_and_validate() {
+        let mut r = full_report();
         let text = r.to_json().to_pretty_string(2);
         validate_bench_json(&text).unwrap();
         let doc = parse(&text).unwrap();
+        let ix = doc.get("index").expect("block emitted");
+        assert_eq!(ix.get("backend").and_then(Json::as_str), Some("compressed"));
+        assert_eq!(
+            ix.get("compression_ratio").and_then(Json::as_f64),
+            Some(4.0)
+        );
+        // Cells carry the backend label and the new work counters.
+        let cell = &doc.get("cells").and_then(|c| c.as_arr()).unwrap()[0];
+        assert_eq!(cell.get("backend").and_then(Json::as_str), Some("raw"));
+        let work = cell.get("work").unwrap();
+        for key in ["blocks_skipped", "blocks_decoded", "compressed_bytes"] {
+            assert!(work.get(key).is_some(), "missing {key}");
+        }
         let server = doc
             .get("load")
             .and_then(|l| l.get("server"))
             .expect("server block emitted");
         assert_eq!(server.get("scrapes").and_then(Json::as_f64), Some(2.0));
         assert!(matches!(server.get("monotone"), Some(Json::Bool(true))));
-        // A malformed block must fail even though the block is optional.
-        let broken = text.replace("\"monotone\": true", "\"monotone\": 1");
-        assert!(validate_bench_json(&broken).is_err());
-        let broken = text.replace("\"sum_ns\"", "\"sum_mangled\"");
-        assert!(validate_bench_json(&broken).is_err());
-        // The saturation block is required and typed: a missing block,
-        // a mistyped knee verdict, and an empty wait class all fail.
-        let broken = text.replace("\"saturation\"", "\"saturation_gone\"");
-        assert!(validate_bench_json(&broken).is_err());
-        let broken = text.replace("\"knee_detected\": true", "\"knee_detected\": 1");
-        assert!(validate_bench_json(&broken).is_err());
+        // The saturation analysis must name a wait class.
         let broken = text.replace(
             "\"dominant_wait\": \"queue_wait\"",
             "\"dominant_wait\": \"\"",
         );
-        assert!(validate_bench_json(&broken).is_err());
+        assert_eq!(
+            validate_bench_json(&broken).unwrap_err(),
+            "load.saturation.dominant_wait: empty"
+        );
+        // A load-only emission has no cells; a report with neither
+        // measured nothing.
+        r.cells.clear();
+        validate_bench_json(&r.to_json().to_string()).unwrap();
+        r.load = None;
+        assert!(validate_bench_json(&r.to_json().to_string())
+            .unwrap_err()
+            .starts_with("cells: empty"));
     }
 
     #[test]

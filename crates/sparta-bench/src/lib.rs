@@ -24,12 +24,10 @@ pub mod variants;
 
 pub use arrival::ArrivalProcess;
 pub use dataset::{Dataset, Scale};
-pub use export::{
-    out_path, validate_bench_json, BenchCell, BenchReport, IndexReport, RecallCurve, RecorderReport,
-};
+pub use export::{out_path, validate_bench_json, BenchCell, BenchReport, IndexReport, RecallCurve};
 pub use load::{
     analyze_saturation, run_load_sim, run_load_tcp, LoadConfig, LoadLevel, LoadReport,
     SaturationReport, ServerScrape, StageStat, DEFAULT_LATENCY_BUDGET_MS,
 };
-pub use measure::{percentile, LatencyStats};
+pub use measure::LatencyStats;
 pub use variants::VariantParams;

@@ -31,9 +31,8 @@
 //! "where does it fall over" but "what it was waiting on when it did".
 
 use crate::arrival::{ArrivalProcess, SplitMix64};
-use crate::measure::percentile;
 use sparta_obs::json::Json;
-use sparta_obs::ServerSnapshot;
+use sparta_obs::{percentile, ServerSnapshot};
 use sparta_server::admission::{AdmissionConfig, AdmissionController, Permit, QueueSlot, TryAdmit};
 use sparta_server::protocol::{Frame, QueryRequest};
 use std::collections::{BinaryHeap, VecDeque};
@@ -201,13 +200,14 @@ impl SaturationReport {
     }
 }
 
+/// A nanosecond latency in milliseconds.
+fn ns_to_ms(ns: u64) -> f64 {
+    Duration::from_nanos(ns).as_secs_f64() * 1e3
+}
+
 /// p99 of a sorted nanosecond latency series, in milliseconds.
 fn p99_ms(latencies_ns: &[u64]) -> f64 {
-    let sorted: Vec<Duration> = latencies_ns
-        .iter()
-        .map(|&n| Duration::from_nanos(n))
-        .collect();
-    percentile(&sorted, 0.99).as_secs_f64() * 1e3
+    ns_to_ms(percentile(latencies_ns, 0.99))
 }
 
 /// Detects the knee and characterizes the service there.
@@ -294,22 +294,21 @@ pub struct LoadReport {
 }
 
 fn latency_block(latencies_ns: &[u64]) -> Json {
-    let sorted: Vec<Duration> = latencies_ns
-        .iter()
-        .map(|&n| Duration::from_nanos(n))
-        .collect();
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    let mean = if sorted.is_empty() {
+    let mean = if latencies_ns.is_empty() {
         Duration::ZERO
     } else {
-        sorted.iter().sum::<Duration>() / sorted.len() as u32
+        latencies_ns
+            .iter()
+            .map(|&n| Duration::from_nanos(n))
+            .sum::<Duration>()
+            / latencies_ns.len() as u32
     };
     Json::obj()
-        .with("count", sorted.len() as u64)
-        .with("mean", ms(mean))
-        .with("p50", ms(percentile(&sorted, 0.50)))
-        .with("p99", ms(percentile(&sorted, 0.99)))
-        .with("p999", ms(percentile(&sorted, 0.999)))
+        .with("count", latencies_ns.len() as u64)
+        .with("mean", mean.as_secs_f64() * 1e3)
+        .with("p50", ns_to_ms(percentile(latencies_ns, 0.50)))
+        .with("p99", ns_to_ms(percentile(latencies_ns, 0.99)))
+        .with("p999", ns_to_ms(percentile(latencies_ns, 0.999)))
 }
 
 impl LoadLevel {

@@ -7,7 +7,7 @@ use sparta_core::result::WorkStats;
 use sparta_core::Algorithm;
 use sparta_corpus::types::Query;
 use sparta_exec::WorkerPool;
-use sparta_obs::{ExecMetrics, ExecSnapshot, FlightRecorder};
+use sparta_obs::{ExecMetrics, ExecSnapshot};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,23 +36,12 @@ impl LatencyStats {
 
     /// p-th percentile latency (p in 0..=1).
     pub fn percentile(&self, p: f64) -> Duration {
-        percentile(&self.sorted, p)
+        sparta_obs::percentile(&self.sorted, p)
     }
-}
-
-/// p-th percentile of a sorted slice.
-pub fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
-    sorted[idx]
 }
 
 /// Runs `algo` over `queries` in latency mode (one query at a time on
-/// a pool of `threads` workers, §5.1) and measures latency + recall,
-/// with an optional flight recorder attached to the pool
-/// (`SPARTA_RECORDER=1` report builds).
+/// a pool of `threads` workers, §5.1) and measures latency + recall.
 pub fn run_latency_with(
     ds: &Dataset,
     algo: &dyn Algorithm,
@@ -60,14 +49,10 @@ pub fn run_latency_with(
     params: &VariantParams,
     threads: usize,
     measure_recall: bool,
-    recorder: Option<&Arc<FlightRecorder>>,
 ) -> LatencyStats {
     let threads = threads.max(1);
     let metrics = ExecMetrics::new(threads);
-    let exec = match recorder {
-        Some(r) => WorkerPool::with_recorder(threads, Some(Arc::clone(&metrics)), Arc::clone(r)),
-        None => WorkerPool::instrumented(threads, Arc::clone(&metrics)),
-    };
+    let exec = WorkerPool::instrumented(threads, Arc::clone(&metrics));
     let cfg = params.config(ds.k);
     let mut sorted = Vec::with_capacity(queries.len());
     let mut recall_sum = 0.0;
@@ -138,15 +123,6 @@ pub fn run_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_picks_expected_entries() {
-        let v: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&v, 0.0), Duration::from_millis(1));
-        assert_eq!(percentile(&v, 1.0), Duration::from_millis(100));
-        assert_eq!(percentile(&v, 0.95), Duration::from_millis(95));
-        assert_eq!(percentile(&[], 0.5), Duration::ZERO);
-    }
 
     #[test]
     fn latency_stats_mean() {

@@ -1,4 +1,4 @@
-//! A minimal JSON value model, encoder, and parser.
+//! A minimal JSON value model, encoder, parser, schema and diff.
 //!
 //! The workspace has no serde (offline-shims policy), but the bench
 //! harness must emit — and the CI smoke test must *validate* — the
@@ -8,6 +8,11 @@
 //!
 //! Non-finite floats encode as `null` (JSON has no NaN/∞), so emitted
 //! documents always parse.
+//!
+//! Every document kind `repro` writes declares its shape as one
+//! [`Schema`] `static` next to its emitter; [`Schema::check`] is the
+//! one validator, and [`diff`] the one comparator (the perf guard
+//! compares its document with the checked-in baseline through it).
 
 use std::fmt::Write as _;
 
@@ -419,6 +424,197 @@ impl Parser<'_> {
     }
 }
 
+/// A declarative description of a JSON document's shape. Schemas are
+/// `const`-built, so each document kind declares its contract as one
+/// `static` and [`Schema::check`]s parsed documents against it.
+#[derive(Debug)]
+pub enum Schema {
+    /// Any number (`U64` or `F64`).
+    Num,
+    /// Any string.
+    Str,
+    /// `true` or `false`.
+    Bool,
+    /// The number `n` exactly: a document's schema version.
+    Version(u64),
+    /// A string drawn from a fixed set.
+    OneOf(&'static [&'static str]),
+    /// An array whose every element matches the schema.
+    Arr(&'static Schema),
+    /// A non-empty array whose every element matches the schema.
+    NonEmptyArr(&'static Schema),
+    /// An object of `(names, schema)` fields; other keys pass. `names`
+    /// lists space-separated keys that share the schema, each required
+    /// unless it ends in `?` (then checked only when present).
+    Obj(&'static [(&'static str, Schema)]),
+}
+
+/// Each key an object schema's fields name, with its schema and
+/// whether it is required.
+fn fields(
+    list: &'static [(&'static str, Schema)],
+) -> impl Iterator<Item = (&'static str, &'static Schema, bool)> {
+    list.iter().flat_map(|(names, schema)| {
+        names
+            .split(' ')
+            .map(move |key| match key.strip_suffix('?') {
+                Some(key) => (key, schema, false),
+                None => (key, schema, true),
+            })
+    })
+}
+
+/// `path.key`, or `key` at the document root.
+fn field_path(path: &str, key: &str) -> String {
+    format!("{path}{}{key}", if path.is_empty() { "" } else { "." })
+}
+
+impl Schema {
+    /// Checks `doc` against the schema. The error names the JSON path
+    /// of the first violation, e.g. `cells[3].work.heap_updates:
+    /// missing`.
+    pub fn check(&self, doc: &Json) -> Result<(), String> {
+        self.check_at(doc, "")
+    }
+
+    fn check_at(&self, v: &Json, path: &str) -> Result<(), String> {
+        let fail = |what: String| {
+            let at = if path.is_empty() { "document" } else { path };
+            Err(format!("{at}: {what}"))
+        };
+        match (self, v) {
+            (Schema::Num, Json::U64(_) | Json::F64(_))
+            | (Schema::Str, Json::Str(_))
+            | (Schema::Bool, Json::Bool(_)) => Ok(()),
+            (Schema::Version(n), _) if v.as_f64() == Some(*n as f64) => Ok(()),
+            (Schema::Version(n), _) => fail(format!("expected version {n}, got {v}")),
+            (Schema::OneOf(set), Json::Str(s)) if set.contains(&s.as_str()) => Ok(()),
+            (Schema::OneOf(set), _) => fail(format!("expected one of {set:?}, got {v}")),
+            (Schema::NonEmptyArr(_), Json::Arr(items)) if items.is_empty() => {
+                fail("empty".to_string())
+            }
+            (Schema::Arr(item) | Schema::NonEmptyArr(item), Json::Arr(items)) => items
+                .iter()
+                .enumerate()
+                .try_for_each(|(i, x)| item.check_at(x, &format!("{path}[{i}]"))),
+            (Schema::Obj(list), Json::Obj(_)) => {
+                fields(list).try_for_each(|(key, schema, required)| match v.get(key) {
+                    Some(x) => schema.check_at(x, &field_path(path, key)),
+                    None if required => Err(format!("{}: missing", field_path(path, key))),
+                    None => Ok(()),
+                })
+            }
+            _ => fail(format!("expected {}", self.kind())),
+        }
+    }
+
+    fn kind(&self) -> &'static str {
+        match self {
+            Schema::Num | Schema::Version(_) => "a number",
+            Schema::Str | Schema::OneOf(_) => "a string",
+            Schema::Bool => "a bool",
+            Schema::Arr(_) | Schema::NonEmptyArr(_) => "an array",
+            Schema::Obj(_) => "an object",
+        }
+    }
+
+    /// Breaks each required field of `doc` the schema declares in turn
+    /// — deleting it, then giving it a value of the wrong type — and
+    /// checks that [`Schema::check`] rejects every such document with an
+    /// error naming that field's path. Returns how many documents were
+    /// checked. A schema's contract test runs this on a real document.
+    pub fn rejects_each_broken_field(&self, doc: &Json) -> Result<usize, String> {
+        let mut broken = Vec::new();
+        self.break_at(doc, "", &mut broken);
+        for (path, doc) in &broken {
+            match self.check(doc) {
+                Err(e) if e.starts_with(&format!("{path}: ")) => {}
+                other => return Err(format!("breaking {path} gave {other:?}")),
+            }
+        }
+        Ok(broken.len())
+    }
+
+    fn break_at(&self, v: &Json, path: &str, out: &mut Vec<(String, Json)>) {
+        match (self, v) {
+            (Schema::Arr(item) | Schema::NonEmptyArr(item), Json::Arr(items)) => {
+                for (i, x) in items.iter().enumerate() {
+                    let mut inner = Vec::new();
+                    item.break_at(x, &format!("{path}[{i}]"), &mut inner);
+                    for (p, broken) in inner {
+                        let mut items = items.clone();
+                        items[i] = broken;
+                        out.push((p, Json::Arr(items)));
+                    }
+                }
+            }
+            (Schema::Obj(list), Json::Obj(pairs)) => {
+                for (key, schema, required) in fields(list) {
+                    let Some(at) = pairs.iter().position(|(k, _)| k == key) else {
+                        continue;
+                    };
+                    let p = field_path(path, key);
+                    let with = |value: Option<Json>| {
+                        let mut pairs = pairs.clone();
+                        match value {
+                            Some(value) => pairs[at].1 = value,
+                            None => drop(pairs.remove(at)),
+                        }
+                        Json::Obj(pairs)
+                    };
+                    if required {
+                        out.push((p.clone(), with(None)));
+                        out.push((p.clone(), with(Some(schema.wrong_type()))));
+                    }
+                    let mut inner = Vec::new();
+                    schema.break_at(&pairs[at].1, &p, &mut inner);
+                    out.extend(inner.into_iter().map(|(q, broken)| (q, with(Some(broken)))));
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A value this schema rejects for its type.
+    fn wrong_type(&self) -> Json {
+        match self {
+            Schema::Num | Schema::Version(_) => Json::from("not a number"),
+            _ => Json::U64(0),
+        }
+    }
+}
+
+/// Compares two documents: one line per path where they differ,
+/// `path: <a> != <b>` (`missing` for a key or element only one side
+/// has). Empty when the documents are equal.
+pub fn diff(a: &Json, b: &Json) -> Vec<String> {
+    let mut out = Vec::new();
+    diff_at(Some(a), Some(b), "", &mut out);
+    out
+}
+
+fn diff_at<'a>(a: Option<&'a Json>, b: Option<&'a Json>, path: &str, out: &mut Vec<String>) {
+    match (a, b) {
+        (Some(Json::Obj(x)), Some(Json::Obj(y))) => {
+            let only_in_b = y.iter().filter(|(k, _)| x.iter().all(|(j, _)| j != k));
+            for (key, _) in x.iter().chain(only_in_b) {
+                let field = |side: Option<&'a Json>| side.and_then(|v| v.get(key));
+                diff_at(field(a), field(b), &field_path(path, key), out);
+            }
+        }
+        (Some(Json::Arr(x)), Some(Json::Arr(y))) => {
+            for i in 0..x.len().max(y.len()) {
+                diff_at(x.get(i), y.get(i), &format!("{path}[{i}]"), out);
+            }
+        }
+        _ if a == b => {}
+        _ => {
+            let show = |v: Option<&Json>| v.map_or_else(|| "missing".to_string(), Json::to_string);
+            out.push(format!("{path}: {} != {}", show(a), show(b)));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,6 +667,68 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("42 tail").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    const POINT: Schema = Schema::Obj(&[
+        ("x", Schema::Num),
+        ("tag", Schema::OneOf(&["a", "b"])),
+        ("note?", Schema::Str),
+    ]);
+    static DOC: Schema = Schema::Obj(&[
+        ("version", Schema::Version(1)),
+        ("ok", Schema::Bool),
+        ("points", Schema::NonEmptyArr(&POINT)),
+        ("extra?", Schema::Arr(&Schema::Num)),
+    ]);
+
+    #[test]
+    fn schema_check_names_the_failing_path() {
+        let err = |text: &str| DOC.check(&parse(text).unwrap()).unwrap_err();
+        let valid = r#"{"version": 1, "ok": true, "points": [{"x": 1, "tag": "a"}]}"#;
+        DOC.check(&parse(valid).unwrap()).unwrap();
+        for (from, to, want) in [
+            (
+                "\"version\": 1",
+                "\"version\": 2",
+                "version: expected version 1, got 2",
+            ),
+            (
+                "\"a\"",
+                "\"c\"",
+                r#"points[0].tag: expected one of ["a", "b"], got "c""#,
+            ),
+            (
+                "{\"x\"",
+                "{\"note\": 3, \"x\"",
+                "points[0].note: expected a string",
+            ),
+            ("[{\"x\": 1, \"tag\": \"a\"}]", "[]", "points: empty"),
+        ] {
+            assert_eq!(err(&valid.replace(from, to)), want);
+        }
+        assert_eq!(err("[]"), "document: expected an object");
+        // Five required fields (three, plus the point's two), each
+        // deleted once and mistyped once.
+        assert_eq!(
+            DOC.rejects_each_broken_field(&parse(valid).unwrap()),
+            Ok(10)
+        );
+    }
+
+    #[test]
+    fn diff_lists_each_differing_path_with_both_values() {
+        let a = parse(r#"{"n": 1, "cells": [{"x": 1}, {"x": 2}], "gone": true}"#).unwrap();
+        let b = parse(r#"{"n": 1, "cells": [{"x": 1}, {"x": 3, "y": 0}], "new": "s"}"#).unwrap();
+        assert!(diff(&a, &a).is_empty());
+        assert_eq!(
+            diff(&a, &b),
+            [
+                "cells[1].x: 2 != 3",
+                "cells[1].y: missing != 0",
+                "gone: true != missing",
+                "new: missing != \"s\"",
+            ]
+        );
     }
 
     #[test]

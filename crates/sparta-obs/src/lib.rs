@@ -58,7 +58,7 @@ pub use export::{
     exec_snapshot_text, parse_exposition, sample_value, server_snapshot_text, stage_snapshot_text,
     PrometheusText,
 };
-pub use metrics::{Counter, Histogram, HistogramSnapshot, MaxGauge};
+pub use metrics::{percentile, Counter, Histogram, HistogramSnapshot, MaxGauge};
 pub use profile::{
     profile_recorder, validate_profile_json, PhaseProfile, Profile, WorkerUtilization,
     PROFILE_SCHEMA_VERSION,

@@ -212,9 +212,31 @@ impl HistogramSnapshot {
     }
 }
 
+/// Nearest-rank p-th percentile (`p ∈ [0, 1]`) of an ascending sample:
+/// the element at `round((n − 1) · p)`, or `T::default()` when the
+/// sample is empty. Exact, unlike [`HistogramSnapshot::percentile`].
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
+    sorted[idx]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_percentile_picks_expected_entries() {
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&v, 0.0), 1);
+        assert_eq!(percentile(&v, 1.0), 100);
+        assert_eq!(percentile(&v, 0.95), 95);
+        assert_eq!(percentile::<u64>(&[], 0.5), 0);
+        let d = [std::time::Duration::from_millis(3)];
+        assert_eq!(percentile(&d, 0.99), d[0]);
+    }
 
     #[test]
     fn counter_and_gauge_basics() {

@@ -26,7 +26,7 @@
 
 use crate::clock::ClockMode;
 use crate::fold::{fold_worker, for_each_ring, Piece, SpanFrame};
-use crate::json::Json;
+use crate::json::{Json, Schema};
 use crate::recorder::FlightRecorder;
 use crate::span::Phase;
 use std::fmt::Write as _;
@@ -292,73 +292,31 @@ impl Profile {
     }
 }
 
+/// The profile document's contract: the envelope and every table row.
+static PROFILE_SCHEMA: Schema = Schema::Obj(&[
+    ("schema_version", Schema::Version(PROFILE_SCHEMA_VERSION)),
+    ("clock", Schema::OneOf(&["wall", "logical"])),
+    ("events_folded dropped_events skipped_reads", Schema::Num),
+    ("workers", Schema::Arr(&WORKER_ROW)),
+    ("phases", Schema::Arr(&PHASE_ROW)),
+    ("collapsed", Schema::Arr(&Schema::Str)),
+]);
+
+const WORKER_ROW: Schema = Schema::Obj(&[(
+    "worker events window_ticks busy_ticks busy_fraction parked_ticks parked_fraction \
+     queue_wait_ticks queue_wait_fraction",
+    Schema::Num,
+)]);
+
+const PHASE_ROW: Schema = Schema::Obj(&[
+    ("phase", Schema::Str),
+    ("count total_ticks self_ticks", Schema::Num),
+]);
+
 /// Validates a profile document produced by [`Profile::to_json`]:
-/// parses the JSON and checks the envelope and every table row.
+/// parses the JSON and checks it against the profile schema.
 pub fn validate_profile_json(text: &str) -> Result<(), String> {
-    let doc = crate::json::parse(text)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or("missing schema_version")?;
-    if version != PROFILE_SCHEMA_VERSION as f64 {
-        // lint: allow(alloc): validation error path, not the fold path.
-        return Err(format!(
-            "schema_version {version} != {PROFILE_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("clock").and_then(Json::as_str) {
-        Some("wall") | Some("logical") => {}
-        // lint: allow(alloc): validation error path, not the fold path.
-        other => return Err(format!("clock must be wall|logical, got {other:?}")),
-    }
-    for key in ["events_folded", "dropped_events", "skipped_reads"] {
-        doc.get(key)
-            .and_then(Json::as_f64)
-            // lint: allow(alloc): validation error path, not the fold path.
-            .ok_or_else(|| format!("envelope: missing numeric `{key}`"))?;
-    }
-    let workers = doc
-        .get("workers")
-        .and_then(Json::as_arr)
-        .ok_or("missing workers array")?;
-    for (i, w) in workers.iter().enumerate() {
-        for key in [
-            "worker",
-            "events",
-            "window_ticks",
-            "busy_ticks",
-            "busy_fraction",
-            "parked_ticks",
-            "parked_fraction",
-            "queue_wait_ticks",
-            "queue_wait_fraction",
-        ] {
-            w.get(key)
-                .and_then(Json::as_f64)
-                // lint: allow(alloc): validation error path, not the fold path.
-                .ok_or_else(|| format!("workers[{i}]: missing numeric `{key}`"))?;
-        }
-    }
-    let phases = doc
-        .get("phases")
-        .and_then(Json::as_arr)
-        .ok_or("missing phases array")?;
-    for (i, p) in phases.iter().enumerate() {
-        p.get("phase")
-            .and_then(Json::as_str)
-            // lint: allow(alloc): validation error path, not the fold path.
-            .ok_or_else(|| format!("phases[{i}]: missing `phase`"))?;
-        for key in ["count", "total_ticks", "self_ticks"] {
-            p.get(key)
-                .and_then(Json::as_f64)
-                // lint: allow(alloc): validation error path, not the fold path.
-                .ok_or_else(|| format!("phases[{i}]: missing numeric `{key}`"))?;
-        }
-    }
-    doc.get("collapsed")
-        .and_then(Json::as_arr)
-        .ok_or("missing collapsed array")?;
-    Ok(())
+    PROFILE_SCHEMA.check(&crate::json::parse(text)?)
 }
 
 #[cfg(test)]
@@ -450,9 +408,13 @@ mod tests {
         assert_eq!(ja, jb);
         assert_eq!(a.to_collapsed(), b.to_collapsed());
         validate_profile_json(&ja).expect("own profile must validate");
-        assert!(validate_profile_json("{}").is_err());
         assert!(validate_profile_json("not json").is_err());
-        let broken = ja.replace("\"busy_ticks\"", "\"busy_mangled\"");
-        assert!(validate_profile_json(&broken).is_err());
+    }
+
+    #[test]
+    fn schema_rejects_each_broken_required_field() {
+        let doc = profile_recorder(&sample_recorder()).to_json();
+        let checked = PROFILE_SCHEMA.rejects_each_broken_field(&doc).unwrap();
+        assert!(checked > 2 * (8 + 2 * 9), "the envelope and every row");
     }
 }

@@ -26,7 +26,7 @@
 //! ring's tail, newest last, with drop accounting.
 
 use crate::fold::{fold_worker, for_each_ring, Piece};
-use crate::json::Json;
+use crate::json::{Json, Schema};
 use crate::recorder::FlightRecorder;
 use crate::ring::Event;
 use crate::span::Phase;
@@ -145,58 +145,40 @@ pub fn chrome_trace_string(rec: &FlightRecorder) -> String {
     chrome_trace(rec).to_string()
 }
 
-fn require_num(ev: &Json, key: &str, what: &str) -> Result<(), String> {
-    ev.get(key)
-        .and_then(Json::as_f64)
-        .map(|_| ())
-        .ok_or_else(|| format!("{what}: missing numeric `{key}`"))
-}
+/// The trace document's contract. Which of an event's `tid`, `ts` and
+/// `dur` are required depends on its `ph`; [`validate_trace_json`]
+/// checks that.
+static TRACE_SCHEMA: Schema = Schema::Obj(&[
+    ("schema_version", Schema::Version(TRACE_SCHEMA_VERSION)),
+    ("clock", Schema::OneOf(&["wall", "logical"])),
+    (
+        "workers total_events dropped_events skipped_reads",
+        Schema::Num,
+    ),
+    ("traceEvents", Schema::Arr(&TRACE_EVENT)),
+]);
+
+const TRACE_EVENT: Schema =
+    Schema::Obj(&[("name ph", Schema::Str), ("pid tid? ts? dur?", Schema::Num)]);
 
 /// Validates a trace document produced by [`chrome_trace`]: parses the
-/// JSON, checks the envelope (schema version, clock, drop accounting)
-/// and every trace event's required fields for its phase type.
+/// JSON and checks it against the trace schema; every event but
+/// metadata (`ph: "M"`) must carry `tid` and `ts`, a complete slice
+/// (`ph: "X"`) also `dur`, and at least one such event must exist.
 pub fn validate_trace_json(text: &str) -> Result<(), String> {
     let doc = crate::json::parse(text)?;
-    let version = doc
-        .get("schema_version")
-        .and_then(Json::as_f64)
-        .ok_or("missing schema_version")?;
-    if version != TRACE_SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "schema_version {version} != {TRACE_SCHEMA_VERSION}"
-        ));
-    }
-    match doc.get("clock").and_then(Json::as_str) {
-        Some("wall") | Some("logical") => {}
-        other => return Err(format!("clock must be wall|logical, got {other:?}")),
-    }
-    for key in ["workers", "total_events", "dropped_events", "skipped_reads"] {
-        require_num(&doc, key, "envelope")?;
-    }
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("missing traceEvents array")?;
+    TRACE_SCHEMA.check(&doc)?;
+    let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap_or(&[]);
     let mut non_meta = 0usize;
     for (i, ev) in events.iter().enumerate() {
-        let what = format!("traceEvents[{i}]");
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what}: missing `name`"))?;
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{what} ({name}): missing `ph`"))?;
-        require_num(ev, "pid", &what)?;
-        if ph == "M" {
-            continue;
-        }
+        let needs: &[&str] = match ev.get("ph").and_then(Json::as_str) {
+            Some("M") => continue,
+            Some("X") => &["tid", "ts", "dur"],
+            _ => &["tid", "ts"],
+        };
         non_meta += 1;
-        require_num(ev, "tid", &what)?;
-        require_num(ev, "ts", &what)?;
-        if ph == "X" {
-            require_num(ev, "dur", &what)?;
+        if let Some(key) = needs.iter().find(|key| ev.get(key).is_none()) {
+            return Err(format!("traceEvents[{i}].{key}: missing"));
         }
     }
     if non_meta == 0 {
@@ -310,13 +292,23 @@ mod tests {
         let rec = sample_recorder();
         let text = chrome_trace_string(&rec);
         validate_trace_json(&text).expect("own trace must validate");
-        assert!(validate_trace_json("{}").is_err());
         assert!(validate_trace_json("not json").is_err());
+        let slice = text.replacen(",\"dur\":", ",\"span\":", 1);
+        assert!(validate_trace_json(&slice)
+            .unwrap_err()
+            .ends_with(".dur: missing"));
         let empty = chrome_trace(&FlightRecorder::new(1, 8, ClockMode::Logical));
         assert!(
             validate_trace_json(&empty.to_string()).is_err(),
             "a trace with no events must not validate"
         );
+    }
+
+    #[test]
+    fn schema_rejects_each_broken_required_field() {
+        let doc = crate::json::parse(&chrome_trace_string(&sample_recorder())).unwrap();
+        let checked = TRACE_SCHEMA.rejects_each_broken_field(&doc).unwrap();
+        assert!(checked > 2 * 8, "the envelope and every event's fields");
     }
 
     #[test]

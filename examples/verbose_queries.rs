@@ -16,11 +16,6 @@ use sparta::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
-}
-
 fn main() {
     let num_docs: u64 = std::env::args()
         .nth(1)
@@ -67,7 +62,7 @@ fn main() {
             "{:<8} {:>10.2?} {:>10.2?} {:>7.1}%",
             name,
             mean,
-            percentile(&times, 0.95),
+            sparta_obs::percentile(&times, 0.95),
             100.0 * recall_sum / mix.len() as f64
         );
     }
