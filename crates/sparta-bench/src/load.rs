@@ -127,9 +127,10 @@ pub struct ServerScrape {
     /// Whether every monotone series (`*_total`, `*_sum`, `*_count`,
     /// `*_bucket`) was non-decreasing across consecutive scrapes.
     pub monotone: bool,
-    /// Cumulative admission counters from the final scrape.
+    /// Admission counters the sweep added: the final scrape less the
+    /// first (highwaters as of the final scrape).
     pub snapshot: ServerSnapshot,
-    /// Per-stage latency totals from the final scrape.
+    /// Per-stage latency totals the sweep added, likewise.
     pub stages: Vec<StageStat>,
 }
 
@@ -541,6 +542,8 @@ struct ScrapeState {
     scrapes: u64,
     monotone: bool,
     prev: Samples,
+    /// The first and the latest successful scrape.
+    first: Option<(ServerSnapshot, Vec<StageStat>)>,
     last: Option<(ServerSnapshot, Vec<StageStat>)>,
 }
 
@@ -551,6 +554,7 @@ impl ScrapeState {
             scrapes: 0,
             monotone: true,
             prev: Vec::new(),
+            first: None,
             last: None,
         }
     }
@@ -573,15 +577,28 @@ impl ScrapeState {
             }
         }
         self.prev = samples;
+        if self.first.is_none() {
+            self.first = Some((snapshot, stages.clone()));
+        }
         self.last = Some((snapshot, stages));
     }
 
+    /// What the sweep added: the latest scrape less the first.
     fn finish(self) -> Option<ServerScrape> {
-        let (snapshot, stages) = self.last?;
+        let ((base, base_stages), (snapshot, stages)) = (self.first?, self.last?);
+        let stages = stages
+            .into_iter()
+            .zip(base_stages)
+            .map(|(s, b)| StageStat {
+                count: s.count.saturating_sub(b.count),
+                sum_ns: s.sum_ns.saturating_sub(b.sum_ns),
+                ..s
+            })
+            .collect();
         Some(ServerScrape {
             scrapes: self.scrapes,
             monotone: self.monotone,
-            snapshot,
+            snapshot: snapshot_delta(&base, &snapshot),
             stages,
         })
     }
@@ -591,11 +608,11 @@ impl ScrapeState {
 /// later absolute value — they cannot be meaningfully diffed).
 fn snapshot_delta(before: &ServerSnapshot, after: &ServerSnapshot) -> ServerSnapshot {
     ServerSnapshot {
-        accepted: after.accepted - before.accepted,
-        queued: after.queued - before.queued,
-        shed: after.shed - before.shed,
-        abandoned: after.abandoned - before.abandoned,
-        completed: after.completed - before.completed,
+        accepted: after.accepted.saturating_sub(before.accepted),
+        queued: after.queued.saturating_sub(before.queued),
+        shed: after.shed.saturating_sub(before.shed),
+        abandoned: after.abandoned.saturating_sub(before.abandoned),
+        completed: after.completed.saturating_sub(before.completed),
         queue_depth_highwater: after.queue_depth_highwater,
         in_flight_highwater: after.in_flight_highwater,
     }
@@ -650,10 +667,14 @@ fn run_level_tcp(
     }
 }
 
-/// Runs the full sweep against a live server at `addr`. When `admin`
-/// is given, the server's `/metrics` endpoint is scraped before the
-/// sweep and after every level; the final scrape (plus a sweep-wide
-/// monotonicity verdict) lands in [`LoadReport::server`].
+/// Runs the full sweep against a live server at `addr`. The first
+/// level's schedule runs once beforehand and its results are dropped,
+/// so the first measured level does not also pay the server's cold
+/// start (first connections, first queries on fresh workers). When
+/// `admin` is given, the server's `/metrics` endpoint is scraped after
+/// that warm-up and after every level; what the sweep added between
+/// the first and the final scrape (plus a sweep-wide monotonicity
+/// verdict) lands in [`LoadReport::server`].
 pub fn run_load_tcp(
     addr: std::net::SocketAddr,
     metrics: &Arc<sparta_obs::ServerMetrics>,
@@ -662,6 +683,9 @@ pub fn run_load_tcp(
     admin: Option<std::net::SocketAddr>,
 ) -> LoadReport {
     assert!(!requests.is_empty(), "need at least one request template");
+    if let Some(&qps) = cfg.qps_levels.first() {
+        run_level_tcp(addr, metrics, cfg, qps, cfg.seed, requests);
+    }
     let mut scraper = admin.map(ScrapeState::new);
     if let Some(s) = &mut scraper {
         s.scrape();

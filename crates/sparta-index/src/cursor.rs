@@ -110,8 +110,8 @@ pub trait RandomAccess: Send + Sync {
     /// Accounting is the per-document path's: a backend that counts
     /// probes in [`crate::IoStats`] adds the same `random_accesses` and
     /// `bytes_read` as one `term_score` call per document would. The
-    /// default makes those calls, so the disk backend keeps one read and
-    /// one latency charge per probe.
+    /// default makes those calls, so the disk backend keeps one block
+    /// read and one latency charge per probe.
     fn term_scores(&self, term: TermId, docs: &[DocId], out: &mut [u32]) {
         debug_assert_eq!(docs.len(), out.len());
         for (o, &doc) in out.iter_mut().zip(docs) {

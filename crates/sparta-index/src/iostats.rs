@@ -5,11 +5,13 @@
 //! read from disk during the experiment" (§5.1), and a key finding is
 //! that pRA's random accesses to its secondary index "cannot be
 //! sustained even with modern SSD hardware" (§5.3). We do not have the
-//! authors' 1TB SSD; instead the disk index routes every read through
+//! authors' 1TB SSD; instead the disk backend holds its postings in
+//! RAM and reports every access a disk-resident index would make to
 //! this layer, which (a) counts sequential block fetches and random
 //! accesses, and (b) optionally charges a configurable latency for
 //! each, calibrated to SSD behaviour (tens of microseconds per
-//! sequential 64KB block, ~100µs per cold random 4KB read).
+//! sequential 64KB block, ~100µs per cold random 4KB read). The
+//! charges are the whole disk model: no access reads a file.
 
 use sparta_collections::ShardedCounter;
 use std::time::{Duration, Instant};
@@ -18,7 +20,7 @@ use std::time::{Duration, Instant};
 ///
 /// Latencies are charged by spin-waiting (not `sleep`): the granularity
 /// required is microseconds, far below OS timer resolution, and the
-/// spin also models the CPU stall a synchronous `pread` causes.
+/// spin also models the CPU stall a synchronous `pread` would cause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoModel {
     /// Charged per sequential block fetch.
@@ -28,8 +30,8 @@ pub struct IoModel {
 }
 
 impl IoModel {
-    /// No charging — pure counting. Reads still hit the real file
-    /// system (page cache), so relative costs remain visible.
+    /// No charging — pure counting: the access pattern shows in the
+    /// [`IoStats`] counts, and a query costs what it costs in RAM.
     pub const fn free() -> Self {
         Self {
             seq_block: Duration::ZERO,

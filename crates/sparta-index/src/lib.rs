@@ -22,10 +22,11 @@
 //! * [`compressed::CompressedIndex`] — RAM-resident block-compressed
 //!   postings, decoded bit-exactly behind the same cursors;
 //! * [`storage`] — an uncompressed binary on-disk format ("stored on
-//!   disk uncompressed as a collection of binary files", §5.1) read in
-//!   fixed-size blocks through an I/O layer that counts block fetches
-//!   and can charge a configurable latency per sequential block and
-//!   per random access, standing in for the paper's SSD with a flushed
+//!   disk uncompressed as a collection of binary files", §5.1), loaded
+//!   and cross-checked whole at open, and the disk backend over it: the
+//!   loaded planes behind an I/O layer that counts block fetches and
+//!   can charge a configurable latency per sequential block and per
+//!   random access, standing in for the paper's SSD with a flushed
 //!   page cache;
 //! * [`builder::IndexBuilder`] — builds either representation from a
 //!   corpus + scorer.
@@ -131,7 +132,8 @@ pub trait Index: Send + Sync {
     fn io_stats(&self) -> Option<&IoStats>;
 
     /// In-memory posting-storage footprint, if this backend can report
-    /// one (RAM-resident backends do; the disk reader does not).
+    /// one (the in-memory backends do; the disk backend, whose postings
+    /// stand for files on disk, does not).
     fn footprint(&self) -> Option<IndexFootprint> {
         None
     }

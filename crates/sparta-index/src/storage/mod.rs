@@ -17,10 +17,13 @@
 //! blocks.bin  block-max metadata for doc.bin
 //! ```
 //!
-//! The dictionary and block metadata are small (40 bytes/term and
-//! 8 bytes per 64 postings) and are held in RAM by the reader, like
-//! any production engine; posting data is fetched in fixed-size blocks
-//! through the [`crate::iostats`] layer.
+//! [`load_raw`] reads the whole directory at open and cross-checks it:
+//! every posting is stored twice (`score.bin`, `doc.bin`) and
+//! summarised twice (`blocks.bin`, the dict's max score), so a file
+//! damaged on its own is `InvalidData`, not a wrong answer.
+//! [`DiskIndex`] serves those planes from RAM and reports each access a
+//! disk-resident index would make — fixed-size sequential fetches,
+//! block reads, random probes — to the [`crate::iostats`] layer.
 //!
 //! Format version 2 adds an *optional* versioned compressed section:
 //!
@@ -41,7 +44,7 @@ pub mod reader;
 pub mod writer;
 
 pub use format::{DictEntry, Meta, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
-pub use reader::{load_compressed, DiskIndex};
+pub use reader::{load_compressed, load_raw, DiskIndex};
 pub use writer::IndexWriter;
 
 #[cfg(test)]
@@ -183,20 +186,33 @@ mod tests {
     /// Overwrites `file`'s bytes at `at` (appends when `at` is its
     /// length).
     fn patch(dir: &std::path::Path, file: &str, at: usize, with: &[u8]) {
-        let path = dir.join(file);
-        let mut bytes = std::fs::read(&path).unwrap();
+        edit(dir, file, |bytes| overwrite(bytes, at, with));
+    }
+
+    fn overwrite(bytes: &mut Vec<u8>, at: usize, with: &[u8]) {
         bytes.resize(bytes.len().max(at + with.len()), 0);
         bytes[at..at + with.len()].copy_from_slice(with);
+    }
+
+    fn edit(dir: &std::path::Path, file: &str, change: impl FnOnce(&mut Vec<u8>)) {
+        let path = dir.join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        change(&mut bytes);
         std::fs::write(&path, bytes).unwrap();
     }
 
     /// The sample with one patch applied must fail to open with
-    /// `InvalidData` — each of these used to panic on first use.
+    /// `InvalidData`: a damaged directory neither panics on first use
+    /// nor answers from a list it silently shortened.
     fn assert_open_rejects(tag: &str, file: &str, at: usize, with: &[u8]) {
+        assert_edit_rejected(tag, file, |bytes| overwrite(bytes, at, with));
+    }
+
+    fn assert_edit_rejected(tag: &str, file: &str, change: impl FnOnce(&mut Vec<u8>)) {
         let dir = tempdir(tag);
         write_sample(&dir);
         assert!(DiskIndex::open(&dir, IoModel::free()).is_ok(), "{tag}");
-        patch(&dir, file, at, with);
+        edit(&dir, file, change);
         let err = DiskIndex::open(&dir, IoModel::free()).err().expect(tag);
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{tag}: {err}");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -225,6 +241,51 @@ mod tests {
     #[test]
     fn open_rejects_block_size_zero() {
         assert_open_rejects("block_size", "meta.bin", 24, &0u32.to_le_bytes());
+    }
+
+    /// Damage confined to one posting file: every posting is stored
+    /// twice (`score.bin`, `doc.bin`) and summarised twice
+    /// (`blocks.bin`, the dict's `max_score`), so the copies disagree.
+    /// Term 0 holds docs `3i` at score `1000 − i` in both orders, at
+    /// bytes 0..2400 of each file; term 3's one posting ends both.
+    #[test]
+    fn open_rejects_a_short_score_bin() {
+        assert_edit_rejected("short_score", "score.bin", |b| b.truncate(b.len() - 8));
+    }
+
+    #[test]
+    fn open_rejects_a_short_doc_bin() {
+        assert_edit_rejected("short_doc", "doc.bin", |b| b.truncate(b.len() - 8));
+    }
+
+    #[test]
+    fn open_rejects_doc_bin_out_of_order() {
+        assert_edit_rejected("swapped", "doc.bin", |b| {
+            let (first, second) = b.split_at_mut(8);
+            first.swap_with_slice(&mut second[..8]);
+        });
+    }
+
+    #[test]
+    fn open_rejects_a_score_changed_in_score_bin_only() {
+        // Posting 5 of term 0 scores 995; 994 keeps the order valid.
+        assert_open_rejects("score", "score.bin", 5 * 8 + 4, &994u32.to_le_bytes());
+    }
+
+    #[test]
+    fn open_rejects_a_wrong_block_max() {
+        // Term 0's block 1 holds scores 936 down to 873.
+        assert_open_rejects("block_max", "blocks.bin", 8 + 4, &937u32.to_le_bytes());
+    }
+
+    #[test]
+    fn open_rejects_a_wrong_dict_max_score() {
+        assert_open_rejects("dict_max", "dict.bin", 36, &999u32.to_le_bytes());
+    }
+
+    #[test]
+    fn open_rejects_a_posting_range_past_u64() {
+        assert_open_rejects("score_off", "dict.bin", 3 * 40, &u64::MAX.to_le_bytes());
     }
 
     /// `num_docs` bounds every stored id (`Index::num_docs`): both

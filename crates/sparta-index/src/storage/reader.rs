@@ -1,14 +1,21 @@
-//! Disk-resident index reader with block-granular, accounted I/O.
+//! Index-directory loaders, and the disk backend: a raw index loaded
+//! whole and cross-checked at open, served from RAM with block-granular
+//! I/O accounting.
+//!
+//! [`load_raw`] reads the raw planes and [`load_compressed`] the
+//! compressed section; each checks everything it reads once, so a
+//! damaged directory is `InvalidData` at open, never a wrong answer
+//! later. No file is opened after either returns.
 
 use super::format::{self, DictEntry, Meta};
 use crate::cursor::{DocCursor, RandomAccess, ScoreCursor};
 use crate::iostats::{IoModel, IoStats};
-use crate::posting::{BlockMeta, Posting};
+use crate::memory::{InMemoryIndex, TermData};
+use crate::posting::{self, BlockMeta, Posting};
 use crate::Index;
 use sparta_corpus::types::{DocId, TermId};
 use std::fs::File;
 use std::io::{self, Read};
-use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -16,122 +23,102 @@ use std::sync::Arc;
 /// relies on the OS read-ahead; 64KB models one read-ahead unit).
 pub const IO_BLOCK_BYTES: usize = 64 * 1024;
 
-/// A disk-resident [`Index`]. The dictionary and block-max metadata
-/// are RAM-resident; posting data is fetched on demand through the
-/// [`IoStats`]/[`IoModel`] accounting layer.
-pub struct DiskIndex {
-    /// Shared with every open cursor, so cursors are `'static`.
-    state: Arc<DiskState>,
-}
+/// Postings per sequential fetch.
+const FETCH_POSTINGS: u64 = (IO_BLOCK_BYTES / 8) as u64;
 
-/// Everything a [`DiskIndex`] and its cursors read.
-struct DiskState {
-    meta: Meta,
-    dict: Vec<DictEntry>,
-    blocks: Vec<BlockMeta>,
-    score_file: File,
-    doc_file: File,
-    io: IoStats,
-    model: IoModel,
-}
+/// Loads the raw planes of an index directory written by
+/// [`super::writer::IndexWriter`] into a RAM-resident
+/// [`InMemoryIndex`].
+///
+/// Every posting is stored twice (score order in `score.bin`, doc order
+/// in `doc.bin`) and summarised twice (`blocks.bin` and the dict's
+/// `max_score`), so the copies are checked against each other:
+/// `InvalidData` unless each term's postings lie inside both files, its
+/// doc plane is strictly ascending and below `num_docs`, and the
+/// [`TermData`] built from that plane equals its score plane, its
+/// blocks and its `max_score` exactly. Damage confined to one file
+/// therefore never loads.
+pub fn load_raw(dir: impl AsRef<Path>) -> io::Result<InMemoryIndex> {
+    let dir = dir.as_ref();
+    let meta = Meta::read_from(&mut File::open(dir.join("meta.bin"))?)?;
+    if meta.block_size == 0 {
+        return Err(format::bad("block_size is 0"));
+    }
 
-impl DiskIndex {
-    /// Opens an index directory written by
-    /// [`super::writer::IndexWriter`]. `InvalidData` unless every
-    /// term's `⌈len / block_size⌉` blocks lie inside `blocks.bin` and
-    /// end below `num_docs`, so no later slice of them can panic.
-    pub fn open(dir: impl AsRef<Path>, model: IoModel) -> io::Result<Self> {
-        let dir = dir.as_ref();
-        let mut meta_file = File::open(dir.join("meta.bin"))?;
-        let meta = Meta::read_from(&mut meta_file)?;
-        if meta.block_size == 0 {
-            return Err(format::bad("block_size is 0"));
-        }
+    let dict_bytes = std::fs::read(dir.join("dict.bin"))?;
+    if dict_bytes.len() != meta.num_terms as usize * DictEntry::SIZE {
+        return Err(format::bad("dict.bin size does not match num_terms"));
+    }
+    let mut slice = dict_bytes.as_slice();
+    let dict = (0..meta.num_terms)
+        .map(|_| DictEntry::read_from(&mut slice))
+        .collect::<io::Result<Vec<_>>>()?;
 
-        let mut dict_bytes = Vec::new();
-        File::open(dir.join("dict.bin"))?.read_to_end(&mut dict_bytes)?;
-        if dict_bytes.len() != meta.num_terms as usize * DictEntry::SIZE {
-            return Err(format::bad("dict.bin size does not match num_terms"));
+    let block_bytes = std::fs::read(dir.join("blocks.bin"))?;
+    if block_bytes.len() % 8 != 0 {
+        return Err(format::bad("blocks.bin is not a whole number of blocks"));
+    }
+    let blocks = format::decode_blocks(&block_bytes);
+    for e in &dict {
+        let end = e.block_off.checked_add(u64::from(e.num_blocks));
+        if end.is_none_or(|end| end > blocks.len() as u64) {
+            return Err(format::bad("a term's blocks overrun blocks.bin"));
         }
-        let mut dict = Vec::with_capacity(meta.num_terms as usize);
-        let mut slice = dict_bytes.as_slice();
-        for _ in 0..meta.num_terms {
-            dict.push(DictEntry::read_from(&mut slice)?);
+        if u64::from(e.num_blocks) != e.len.div_ceil(u64::from(meta.block_size)) {
+            return Err(format::bad("block count does not match posting count"));
         }
+    }
+    check_num_docs(meta.num_docs, blocks.iter().map(|b| b.last_doc).max())?;
 
-        let mut block_bytes = Vec::new();
-        File::open(dir.join("blocks.bin"))?.read_to_end(&mut block_bytes)?;
-        if block_bytes.len() % 8 != 0 {
-            return Err(format::bad("blocks.bin is not a whole number of blocks"));
-        }
-        let blocks = format::decode_blocks(&block_bytes);
-        for e in &dict {
-            let end = e.block_off.checked_add(u64::from(e.num_blocks));
-            if end.is_none_or(|end| end > blocks.len() as u64) {
-                return Err(format::bad("a term's blocks overrun blocks.bin"));
+    let score_bin = std::fs::read(dir.join("score.bin"))?;
+    let doc_bin = std::fs::read(dir.join("doc.bin"))?;
+    let block_size = meta.block_size as usize;
+    let terms = dict
+        .iter()
+        .map(|e| {
+            let doc_order = postings_at(&doc_bin, e.doc_off, e.len, "doc.bin")?;
+            let score_order = postings_at(&score_bin, e.score_off, e.len, "score.bin")?;
+            if !posting::is_doc_ordered(&doc_order) {
+                return Err(format::bad("doc.bin is not in ascending doc order"));
             }
-            if u64::from(e.num_blocks) != e.len.div_ceil(u64::from(meta.block_size)) {
-                return Err(format::bad("block count does not match posting count"));
+            if doc_order
+                .last()
+                .is_some_and(|p| u64::from(p.doc) >= meta.num_docs)
+            {
+                return Err(format::bad("doc.bin holds an id not below num_docs"));
             }
-        }
-        check_num_docs(meta.num_docs, blocks.iter().map(|b| b.last_doc).max())?;
-
-        let state = Arc::new(DiskState {
-            meta,
-            dict,
-            blocks,
-            score_file: File::open(dir.join("score.bin"))?,
-            doc_file: File::open(dir.join("doc.bin"))?,
-            io: IoStats::new(),
-            model,
-        });
-        Ok(Self { state })
-    }
-
-    /// Block size (postings per block-max block).
-    pub fn block_size(&self) -> usize {
-        self.state.meta.block_size as usize
-    }
+            let td = TermData::from_postings(doc_order, block_size);
+            let stored = &blocks[e.block_off as usize..][..e.num_blocks as usize];
+            if *td.score_order != score_order {
+                return Err(format::bad("score.bin disagrees with doc.bin"));
+            }
+            if td.blocks[..] != *stored {
+                return Err(format::bad("blocks.bin disagrees with doc.bin"));
+            }
+            if td.max_score != e.max_score {
+                return Err(format::bad("dict.bin max_score disagrees with doc.bin"));
+            }
+            Ok(td)
+        })
+        .collect::<io::Result<Vec<_>>>()?;
+    Ok(InMemoryIndex::from_term_data(
+        terms,
+        meta.num_docs,
+        block_size,
+    ))
 }
 
-impl DiskState {
-    /// `term`'s dictionary entry (all zeros for unknown terms).
-    fn entry_or_empty(&self, term: TermId) -> DictEntry {
-        self.dict.get(term as usize).copied().unwrap_or_default()
-    }
-
-    fn entry(&self, term: TermId) -> Option<&DictEntry> {
-        self.dict.get(term as usize).filter(|e| e.len > 0)
-    }
-
-    fn term_blocks(&self, e: &DictEntry) -> &[BlockMeta] {
-        &self.blocks[e.block_off as usize..e.block_off as usize + e.num_blocks as usize]
-    }
-
-    /// Reads `buf.len()` bytes at `off` from `file`, charging it as a
-    /// sequential fetch when `seq`, else as a random access.
-    fn read_at(&self, file: &File, off: u64, buf: &mut [u8], seq: bool) -> io::Result<()> {
-        file.read_exact_at(buf, off)?;
-        if seq {
-            self.io.record_seq(buf.len() as u64);
-            self.model.charge_seq();
-        } else {
-            self.io.record_random(buf.len() as u64);
-            self.model.charge_random();
-        }
-        Ok(())
-    }
-
-    /// Decodes postings into `out`; a doc id ≥ `num_docs` is a failed
-    /// read (`false`, `out` left empty), so no cursor yields it.
-    fn decode(&self, bytes: &[u8], out: &mut Vec<Posting>) -> bool {
-        format::decode_postings(bytes, out);
-        let ok = out.iter().all(|p| u64::from(p.doc) < self.meta.num_docs);
-        if !ok {
-            out.clear();
-        }
-        ok
-    }
+/// Decodes the `len` postings at byte `off` of `file` (named `name`);
+/// `InvalidData` if they do not lie inside it.
+fn postings_at(file: &[u8], off: u64, len: u64, name: &str) -> io::Result<Vec<Posting>> {
+    let end = len
+        .checked_mul(8)
+        .and_then(|bytes| off.checked_add(bytes))
+        .filter(|&end| end <= file.len() as u64)
+        .ok_or_else(|| format::bad(format!("a term's postings overrun {name}")))?;
+    let mut out = Vec::new();
+    format::decode_postings(&file[off as usize..end as usize], &mut out);
+    Ok(out)
 }
 
 /// Rejects a header `num_docs` above 2^32 or not above `max_doc`, the
@@ -146,29 +133,113 @@ fn check_num_docs(num_docs: u64, max_doc: Option<DocId>) -> io::Result<()> {
     )))
 }
 
+/// The disk-resident [`Index`] of the paper's setup (§5.1): the raw
+/// planes [`load_raw`] returns, each access charged through
+/// [`IoStats`]/[`IoModel`] as a cold read of the posting files would
+/// be. The dictionary and block-max metadata count as RAM-resident, as
+/// in any production engine; postings cost:
+///
+/// * a score cursor, one sequential fetch of up to [`IO_BLOCK_BYTES`]
+///   when it delivers the first posting of each fetch;
+/// * a doc cursor, one read of a block's postings when it first lands
+///   in that block — sequential for the block after the last one read,
+///   random otherwise; opening it lands in block 0;
+/// * a random-access probe, one random read of the block its target
+///   would lie in (none when the target lies past the list).
+pub struct DiskIndex {
+    raw: InMemoryIndex,
+    io: Charges,
+}
+
+impl DiskIndex {
+    /// Opens an index directory written by
+    /// [`super::writer::IndexWriter`]: [`load_raw`], then charged I/O.
+    pub fn open(dir: impl AsRef<Path>, model: IoModel) -> io::Result<Self> {
+        Ok(Self {
+            raw: load_raw(dir)?,
+            io: Charges {
+                stats: Arc::new(IoStats::new()),
+                model,
+            },
+        })
+    }
+
+    /// Block size (postings per block-max block).
+    pub fn block_size(&self) -> usize {
+        self.raw.block_size()
+    }
+}
+
+/// The I/O accounting one [`DiskIndex`] shares with its cursors.
+#[derive(Clone)]
+struct Charges {
+    stats: Arc<IoStats>,
+    model: IoModel,
+}
+
+impl Charges {
+    fn seq(&self, bytes: u64) {
+        self.stats.record_seq(bytes);
+        self.model.charge_seq();
+    }
+
+    fn random(&self, bytes: u64) {
+        self.stats.record_random(bytes);
+        self.model.charge_random();
+    }
+
+    /// Charges a read of doc-order block `bi` of a list of `len`
+    /// postings in blocks of `block_size`.
+    fn block(&self, bi: usize, len: u64, block_size: usize, seq: bool) {
+        let start = (bi * block_size) as u64;
+        let bytes = (len - start).min(block_size as u64) * 8;
+        if seq {
+            self.seq(bytes);
+        } else {
+            self.random(bytes);
+        }
+    }
+}
+
 impl Index for DiskIndex {
     fn num_docs(&self) -> u64 {
-        self.state.meta.num_docs
+        self.raw.num_docs()
     }
 
     fn num_terms(&self) -> u32 {
-        self.state.meta.num_terms
+        self.raw.num_terms()
     }
 
     fn doc_freq(&self, term: TermId) -> u64 {
-        self.state.entry_or_empty(term).len
+        self.raw.doc_freq(term)
     }
 
     fn max_score(&self, term: TermId) -> u32 {
-        self.state.entry_or_empty(term).max_score
+        self.raw.max_score(term)
     }
 
     fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor> {
-        Box::new(DiskScoreCursor::new(Arc::clone(&self.state), term))
+        Box::new(ChargedScoreCursor {
+            inner: self.raw.score_cursor(term),
+            io: self.io.clone(),
+            pos: 0,
+        })
     }
 
     fn doc_cursor(&self, term: TermId) -> Box<dyn DocCursor> {
-        Box::new(DiskDocCursor::new(Arc::clone(&self.state), term))
+        let inner = self.raw.doc_cursor(term);
+        let blocks = self.raw.term_data(term).map(|t| Arc::clone(&t.blocks));
+        let c = ChargedDocCursor {
+            inner,
+            blocks: blocks.unwrap_or_default(),
+            block_size: self.block_size(),
+            io: self.io.clone(),
+            block: 0,
+        };
+        if !c.inner.is_empty() {
+            c.io.block(0, c.inner.len(), c.block_size, true);
+        }
+        Box::new(c)
     }
 
     fn random_access(&self) -> Option<&dyn RandomAccess> {
@@ -176,256 +247,129 @@ impl Index for DiskIndex {
     }
 
     fn io_stats(&self) -> Option<&IoStats> {
-        Some(&self.state.io)
+        Some(&self.io.stats)
     }
 }
 
 impl RandomAccess for DiskIndex {
     /// One lookup = one RAM binary search over block metadata + one
-    /// random block fetch, modelling the paper's secondary index (one
+    /// random block read, modelling the paper's secondary index (one
     /// I/O request and cache miss per access, §3.2).
     fn term_score(&self, term: TermId, doc: DocId) -> u32 {
-        let ix = &*self.state;
-        let Some(e) = ix.entry(term) else { return 0 };
-        let blocks = ix.term_blocks(e);
-        let bi = blocks.partition_point(|b| b.last_doc < doc);
-        if bi >= blocks.len() {
+        let Some(t) = self.raw.term_data(term) else {
+            return 0;
+        };
+        let bi = t.blocks.partition_point(|b| b.last_doc < doc);
+        if bi >= t.blocks.len() {
             return 0;
         }
-        let bs = ix.meta.block_size as usize;
-        let start = bi * bs;
-        let count = (e.len as usize - start).min(bs);
-        let mut buf = vec![0u8; count * 8];
-        if ix
-            .read_at(
-                &ix.doc_file,
-                e.doc_off + (start * 8) as u64,
-                &mut buf,
-                false,
-            )
-            .is_err()
-        {
-            return 0;
-        }
-        let mut postings = Vec::new();
-        if !ix.decode(&buf, &mut postings) {
-            return 0;
-        }
-        match postings.binary_search_by_key(&doc, |p| p.doc) {
-            Ok(i) => postings[i].score,
-            Err(_) => 0,
-        }
+        let len = t.doc_order.len() as u64;
+        self.io.block(bi, len, self.block_size(), false);
+        self.raw.term_score(term, doc)
     }
 }
 
-/// Sequential score-order cursor reading [`IO_BLOCK_BYTES`] at a time.
-struct DiskScoreCursor {
-    ix: Arc<DiskState>,
-    entry: DictEntry,
-    buf: Vec<Posting>,
-    /// Absolute posting index of `buf[0]`.
-    buf_start: u64,
-    /// Absolute posting index of the next posting to return.
+/// The raw score cursor, charged one sequential fetch per
+/// [`IO_BLOCK_BYTES`] of postings as it delivers the fetch's first.
+struct ChargedScoreCursor {
+    inner: Box<dyn ScoreCursor>,
+    io: Charges,
+    /// Postings delivered so far.
     pos: u64,
-    bytes: Vec<u8>,
 }
 
-impl DiskScoreCursor {
-    fn new(ix: Arc<DiskState>, term: TermId) -> Self {
-        let entry = ix.entry_or_empty(term);
-        Self {
-            ix,
-            entry,
-            buf: Vec::new(),
-            buf_start: 0,
-            pos: 0,
-            bytes: Vec::new(),
+impl ChargedScoreCursor {
+    /// Charges each fetch whose first posting is among the next `n`
+    /// delivered.
+    fn deliver(&mut self, n: u64) {
+        let end = self.pos + n;
+        let mut fetch = self.pos.next_multiple_of(FETCH_POSTINGS);
+        while fetch < end {
+            let postings = (self.inner.len() - fetch).min(FETCH_POSTINGS);
+            self.io.seq(postings * 8);
+            fetch += FETCH_POSTINGS;
         }
-    }
-
-    fn fill(&mut self) -> bool {
-        if self.pos >= self.entry.len {
-            return false;
-        }
-        let count = ((self.entry.len - self.pos) * 8).min(IO_BLOCK_BYTES as u64) as usize;
-        self.bytes.resize(count, 0);
-        let off = self.entry.score_off + self.pos * 8;
-        let ix = &*self.ix;
-        if ix
-            .read_at(&ix.score_file, off, &mut self.bytes, true)
-            .is_err()
-            || !ix.decode(&self.bytes, &mut self.buf)
-        {
-            return false;
-        }
-        self.buf_start = self.pos;
-        true
+        self.pos = end;
     }
 }
 
-impl ScoreCursor for DiskScoreCursor {
+impl ScoreCursor for ChargedScoreCursor {
     fn next(&mut self) -> Option<Posting> {
-        if self.pos >= self.entry.len {
-            return None;
+        let p = self.inner.next();
+        if p.is_some() {
+            self.deliver(1);
         }
-        let rel = (self.pos - self.buf_start) as usize;
-        if (self.buf.is_empty() || rel >= self.buf.len()) && !self.fill() {
-            return None;
-        }
-        let rel = (self.pos - self.buf_start) as usize;
-        let p = self.buf[rel];
-        self.pos += 1;
-        Some(p)
+        p
     }
 
     fn len(&self) -> u64 {
-        self.entry.len
+        self.inner.len()
+    }
+
+    fn next_segment(&mut self, n: usize, out: &mut Vec<Posting>) -> usize {
+        let delivered = self.inner.next_segment(n, out);
+        self.deliver(delivered as u64);
+        delivered
     }
 }
 
-/// Doc-order cursor that loads one block-max block at a time, using
-/// the RAM block metadata for seeks and BMW-style block probes.
-struct DiskDocCursor {
-    ix: Arc<DiskState>,
-    entry: DictEntry,
-    /// Local (term-relative) index of the loaded block; usize::MAX if
-    /// nothing is loaded yet.
-    cur_block: usize,
-    block: Vec<Posting>,
-    /// Position within `block`.
-    rel: usize,
-    /// Exhausted flag.
-    done: bool,
-    /// File offset a sequential continuation would read next.
-    next_seq_off: u64,
-    bytes: Vec<u8>,
+/// The raw doc cursor, charged one read of a block's postings each
+/// time it lands in a block other than the last one charged.
+struct ChargedDocCursor {
+    inner: Box<dyn DocCursor>,
+    blocks: Arc<Vec<BlockMeta>>,
+    block_size: usize,
+    io: Charges,
+    /// The block the cursor is in: the last one charged.
+    block: usize,
 }
 
-impl DiskDocCursor {
-    fn new(ix: Arc<DiskState>, term: TermId) -> Self {
-        let entry = ix.entry_or_empty(term);
-        let done = entry.len == 0;
-        let mut c = Self {
-            ix,
-            entry,
-            cur_block: usize::MAX,
-            block: Vec::new(),
-            rel: 0,
-            done,
-            next_seq_off: entry.doc_off,
-            bytes: Vec::new(),
-        };
-        if !c.done {
-            c.load_block(0);
+impl ChargedDocCursor {
+    /// Charges the block `doc`, the cursor's new position, lies in if
+    /// the cursor has left the last one charged.
+    fn landed(&mut self, doc: Option<DocId>) -> Option<DocId> {
+        if let Some(d) = doc {
+            if d > self.blocks[self.block].last_doc {
+                let next = self.block + 1;
+                self.block = next + self.blocks[next..].partition_point(|b| b.last_doc < d);
+                let seq = self.block == next;
+                self.io
+                    .block(self.block, self.inner.len(), self.block_size, seq);
+            }
         }
-        c
-    }
-
-    fn blocks(&self) -> &[BlockMeta] {
-        let s = self.entry.block_off as usize;
-        &self.ix.blocks[s..s + self.entry.num_blocks as usize]
-    }
-
-    fn load_block(&mut self, bi: usize) {
-        if bi >= self.entry.num_blocks as usize {
-            self.done = true;
-            self.block.clear();
-            return;
-        }
-        let bs = self.ix.meta.block_size as usize;
-        let start = bi * bs;
-        let count = (self.entry.len as usize - start).min(bs);
-        let off = self.entry.doc_off + (start * 8) as u64;
-        self.bytes.resize(count * 8, 0);
-        let seq = off == self.next_seq_off;
-        let ix = &*self.ix;
-        let ok = ix.read_at(&ix.doc_file, off, &mut self.bytes, seq).is_ok()
-            && ix.decode(&self.bytes, &mut self.block);
-        if !ok {
-            self.done = true;
-            return;
-        }
-        self.next_seq_off = off + (count * 8) as u64;
-        self.cur_block = bi;
-        self.rel = 0;
+        doc
     }
 }
 
-impl DocCursor for DiskDocCursor {
+impl DocCursor for ChargedDocCursor {
     fn doc(&self) -> Option<DocId> {
-        if self.done {
-            None
-        } else {
-            self.block.get(self.rel).map(|p| p.doc)
-        }
+        self.inner.doc()
     }
 
     fn score(&self) -> u32 {
-        if self.done {
-            0
-        } else {
-            self.block.get(self.rel).map_or(0, |p| p.score)
-        }
+        self.inner.score()
     }
 
     fn advance(&mut self) -> Option<DocId> {
-        if self.done {
-            return None;
-        }
-        self.rel += 1;
-        if self.rel >= self.block.len() {
-            let next = self.cur_block + 1;
-            self.load_block(next);
-        }
-        self.doc()
+        let doc = self.inner.advance();
+        self.landed(doc)
     }
 
     fn seek(&mut self, target: DocId) -> Option<DocId> {
-        if self.done {
-            return None;
-        }
-        if let Some(d) = self.doc() {
-            if d >= target {
-                return Some(d);
-            }
-        }
-        let (bi, nblocks) = {
-            let blocks = self.blocks();
-            (
-                self.cur_block + blocks[self.cur_block..].partition_point(|b| b.last_doc < target),
-                blocks.len(),
-            )
-        };
-        if bi >= nblocks {
-            self.done = true;
-            return None;
-        }
-        if bi != self.cur_block {
-            self.load_block(bi);
-            if self.done {
-                return None;
-            }
-        }
-        self.rel += self.block[self.rel..].partition_point(|p| p.doc < target);
-        debug_assert!(self.rel < self.block.len());
-        self.doc()
+        let doc = self.inner.seek(target);
+        self.landed(doc)
     }
 
     fn block_at(&self, target: DocId) -> Option<(DocId, u32)> {
-        if self.done {
-            return None;
-        }
-        let blocks = self.blocks();
-        let bi = self.cur_block + blocks[self.cur_block..].partition_point(|b| b.last_doc < target);
-        blocks.get(bi).map(|b| (b.last_doc, b.max_score))
+        self.inner.block_at(target)
     }
 
     fn max_score(&self) -> u32 {
-        self.entry.max_score
+        self.inner.max_score()
     }
 
     fn len(&self) -> u64 {
-        self.entry.len
+        self.inner.len()
     }
 }
 
@@ -435,7 +379,7 @@ impl DocCursor for DiskDocCursor {
 /// into a RAM-resident [`CompressedIndex`](crate::CompressedIndex).
 ///
 /// Version-1 directories have no such section; opening them raises
-/// `NotFound`, and callers fall back to [`DiskIndex`] / a raw build.
+/// `NotFound`, and callers fall back to [`load_raw`] / a raw build.
 /// A decoded id not below the header's `num_docs` is `InvalidData`.
 pub fn load_compressed(dir: impl AsRef<Path>) -> io::Result<crate::CompressedIndex> {
     let dir = dir.as_ref();

@@ -168,8 +168,8 @@ fn empty_and_unknown_terms_are_safe_on_every_backend() {
 }
 
 /// The raw, compressed and disk backends over `lists` (term t holds
-/// `lists[t]`), block size 16. The disk reader keeps its files open,
-/// so its directory (named by `tag`) goes as soon as it is opened.
+/// `lists[t]`), block size 16. The disk backend reads its directory
+/// (named by `tag`) whole at open, so the directory goes right after.
 fn every_backend(
     lists: Vec<Vec<Posting>>,
     num_docs: u64,

@@ -375,12 +375,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Copy the run up to the next quote or escape. Both
+                    // are ASCII, so a run never splits a UTF-8 scalar.
                     let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = text.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let text = std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8")?;
+                    s.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -645,6 +649,16 @@ mod tests {
             let back = parse(&text).unwrap();
             assert_eq!(back, j, "failed roundtrip for {text}");
         }
+    }
+
+    #[test]
+    fn multi_byte_text_round_trips_beside_escapes() {
+        let j = Json::obj().with("s", "é→𝄞\"é\\→\n𝄞\t").with("é→𝄞", "x");
+        for text in [j.to_string(), j.to_pretty_string(2)] {
+            assert_eq!(parse(&text).unwrap(), j, "failed roundtrip for {text}");
+        }
+        let escaped = parse(r#""\u00e9\u2192x\"é""#).unwrap();
+        assert_eq!(escaped, Json::Str("é→x\"é".into()));
     }
 
     #[test]

@@ -176,19 +176,22 @@ fn corrupt_compressed_values_never_panic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `DiskIndex` reads postings lazily, so an id ≥ `num_docs` in
-/// `score.bin` is caught where it is decoded: the read fails, the
-/// cursor ends, and nothing downstream ever sees the id.
+/// `DiskIndex` loads and cross-checks its directory at open, so an
+/// id ≥ `num_docs` in `score.bin` (which disagrees with `doc.bin`
+/// besides) is `InvalidData` there: no cursor ever yields it, and no
+/// query answers from a silently shortened list.
 #[test]
-fn an_out_of_range_id_in_score_bin_is_a_failed_read() {
+fn an_out_of_range_id_in_score_bin_fails_to_open() {
     let dir = tempdir("disk");
     write(&dir, IndexKind::Raw);
+    assert!(DiskIndex::open(&dir, IoModel::free()).is_ok());
     let path = dir.join("score.bin");
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[3] ^= 0x80; // bit 31 of the first posting's doc id
     std::fs::write(&path, &bytes).unwrap();
-    let disk = DiskIndex::open(&dir, IoModel::free()).unwrap();
-    assert_eq!(disk.score_cursor(0).next(), None);
-    every_algorithm_answers(Arc::new(disk), "score.bin bit flip");
+    let err = DiskIndex::open(&dir, IoModel::free())
+        .err()
+        .expect("opened");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -125,3 +125,140 @@ fn dictionary_statistics_match() {
         assert_eq!(f.disk.max_score(t), f.mem.max_score(t), "max({t})");
     }
 }
+
+/// The exact I/O the disk backend charges, pinned. Every number here
+/// was read off the lazy block reader this backend replaced (the
+/// `pread` cursors), before it was removed: the accounting now rides
+/// on the RAM-resident planes and must charge what those reads did.
+/// Under one schedule seed the counts are a function of the query.
+#[test]
+fn io_accounting_is_pinned() {
+    let f = fixture("iopin", 25);
+    let disk: Arc<dyn Index> = Arc::<DiskIndex>::clone(&f.disk);
+    let log = QueryLog::generate(f.corpus.stats(), 1, 4, 11);
+    let q = &log.of_length(4)[0];
+    let cfg = SearchConfig::exact(20);
+    let stats = f.disk.io_stats().unwrap();
+    let mut got = Vec::new();
+    let algos: [(&str, &dyn Algorithm); 4] = [
+        ("sparta", &Sparta),
+        ("pra", &PRa),
+        ("pbmw", &PBmw),
+        ("pjass", &PJass),
+    ];
+    for (name, algo) in algos {
+        stats.reset();
+        algo.search(&disk, q, &cfg, &DeterministicExecutor::new(7));
+        got.push((name, stats.snapshot()));
+    }
+
+    // The longest list, scanned in score order to its end.
+    let longest = (0..disk.num_terms())
+        .max_by_key(|&t| disk.doc_freq(t))
+        .unwrap();
+    stats.reset();
+    let mut c = disk.score_cursor(longest);
+    while c.next().is_some() {}
+    got.push(("score scan", stats.snapshot()));
+
+    // Opening a doc cursor fetches its first block, and nothing else.
+    stats.reset();
+    drop(disk.doc_cursor(longest));
+    got.push(("doc open", stats.snapshot()));
+
+    let want = [
+        ("sparta", (4, 0, 12_792)),
+        ("pra", (4, 3_616, 1_742_872)),
+        ("pbmw", (61, 16, 37_664)),
+        ("pjass", (4, 0, 12_792)),
+        ("score scan", (1, 0, 630 * 8)),
+        ("doc open", (1, 0, 64 * 8)),
+    ];
+    assert_eq!((longest, disk.doc_freq(longest)), (14, 630));
+    assert_eq!(got, want);
+}
+
+/// The I/O of cursor and probe moves over one list of 20 000 postings
+/// (three 64 KiB score-order fetches, 313 doc-order blocks of 64),
+/// each step's `(seq_blocks, random_accesses, bytes_read)` counted
+/// from zero. Pinned, like [`io_accounting_is_pinned`], to what the
+/// replaced `pread` cursors counted: a fetch is charged when its first
+/// posting is delivered, a doc block when the cursor first lands in
+/// it (sequential only for the next block), a probe only when its
+/// target lies inside the list's blocks.
+#[test]
+fn cursor_moves_charge_what_block_reads_did() {
+    use sparta::index::storage::IndexWriter;
+    use sparta::index::Posting;
+    let dir = std::env::temp_dir().join(format!("sparta-it-iolong-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let list = (0..20_000u32)
+        .map(|i| Posting::new(3 * i, i.wrapping_mul(7_919) % 10_007 + 1))
+        .collect();
+    let mut w = IndexWriter::create(&dir, 60_000, 1, 64).unwrap();
+    w.add_term(list).unwrap();
+    w.finish().unwrap();
+    let disk = DiskIndex::open(&dir, IoModel::free()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stats = disk.io_stats().unwrap();
+    let mut got = Vec::new();
+    let mut step = |name, run: &mut dyn FnMut()| {
+        stats.reset();
+        run();
+        got.push((name, stats.snapshot()));
+    };
+    step("next() to the end", &mut || {
+        let mut c = disk.score_cursor(0);
+        while c.next().is_some() {}
+    });
+    step("segments of 5 000", &mut || {
+        let (mut c, mut seg) = (disk.score_cursor(0), Vec::new());
+        while c.next_segment(5_000, &mut seg) == 5_000 {}
+    });
+    step("8 191 by next(), then one segment", &mut || {
+        let (mut c, mut seg) = (disk.score_cursor(0), Vec::new());
+        for _ in 0..8_191 {
+            c.next();
+        }
+        c.next_segment(usize::MAX, &mut seg);
+    });
+    step("doc cursor: open, advance across a block", &mut || {
+        let mut c = disk.doc_cursor(0);
+        for _ in 0..100 {
+            c.advance();
+        }
+    });
+    step("doc cursor: seeks near and far, block_at", &mut || {
+        let mut c = disk.doc_cursor(0);
+        c.seek(100);
+        c.seek(30_000);
+        c.seek(30_200);
+        c.block_at(50_000);
+        c.seek(59_997);
+        c.seek(59_998);
+        c.advance();
+    });
+    step("probes: hit, miss, past the end, unknown term", &mut || {
+        let ra = disk.random_access().unwrap();
+        for (term, doc) in [(0, 0), (0, 31_000), (0, 31_001), (0, 59_998), (1, 3)] {
+            ra.term_score(term, doc);
+        }
+        let mut out = [0; 3];
+        ra.term_scores(0, &[3, 300, 60_000], &mut out);
+    });
+    let want = [
+        ("next() to the end", (3, 0, 20_000 * 8)),
+        ("segments of 5 000", (3, 0, 20_000 * 8)),
+        ("8 191 by next(), then one segment", (3, 0, 20_000 * 8)),
+        ("doc cursor: open, advance across a block", (2, 0, 2 * 512)),
+        (
+            "doc cursor: seeks near and far, block_at",
+            (2, 2, 3 * 512 + 32 * 8),
+        ),
+        (
+            "probes: hit, miss, past the end, unknown term",
+            (0, 5, 5 * 512),
+        ),
+    ];
+    assert_eq!(got, want);
+}
