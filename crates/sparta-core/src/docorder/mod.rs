@@ -1,27 +1,20 @@
-//! Document-order ("document-at-a-time") top-k algorithms (§3.1):
-//! WAND, Block-Max WAND (BMW), MaxScore, and the doc-sharded parallel
-//! BMW (pBMW) used as the paper's best-in-class document-order
-//! baseline.
+//! Document-order ("document-at-a-time") top-k retrieval (§3.1): the
+//! doc-sharded parallel Block-Max WAND (pBMW) used as the paper's
+//! best-in-class document-order baseline.
 //!
-//! These algorithms "simultaneously scan all relevant posting lists in
-//! order of document id, fully scoring each document before moving to
-//! the next one", pruning with list-wide (WAND/MaxScore) or per-block
-//! (BMW) score upper bounds.
+//! Document-order algorithms "simultaneously scan all relevant posting
+//! lists in order of document id, fully scoring each document before
+//! moving to the next one", pruning with list-wide (WAND) and
+//! per-block (BMW) score upper bounds.
 
-pub mod bmw;
-pub mod maxscore;
 pub mod pbmw;
-pub mod wand;
 
-pub use bmw::SeqBmw;
-pub use maxscore::MaxScore;
 pub use pbmw::PBmw;
-pub use wand::Wand;
 
 use sparta_index::DocCursor;
 
 /// Sorts cursor indexes by current document id (exhausted cursors
-/// last). The WAND/BMW pivot scan relies on this ordering.
+/// last). The BMW pivot scan relies on this ordering.
 pub(crate) fn sort_by_doc(order: &mut [usize], cursors: &[Box<dyn DocCursor>]) {
     order.sort_by_key(|&i| cursors[i].doc().map_or(u64::MAX, u64::from));
 }

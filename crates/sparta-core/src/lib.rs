@@ -7,35 +7,34 @@
 //! pruning, per-segment (lazy) upper-bound updates, and thread-local
 //! map replicas once the candidate set fits in cache (§4).
 //!
-//! The baselines of the paper's case study (§5.2) are implemented in
-//! full. pNRA shares Sparta's candidate substrate — `DocSlab` records,
-//! a `DocTable` map, [`sparta::SpartaHeap`] — so the two differ only in
-//! the algorithm; sequential NRA, and sNRA per shard, run on a private
-//! one at one thread. pJASS accumulates into the same slab behind the same
-//! table; pRA, which scores a document in full the moment it is first
-//! seen, needs one bit per document and keeps a `DocBitset`. No
-//! algorithm takes a lock per posting:
+//! The five parallel baselines of the paper's case study (§5.2,
+//! Table 2) are implemented in full. pNRA shares Sparta's candidate
+//! substrate — `DocSlab` records, a `DocTable` map,
+//! [`sparta::SpartaHeap`] — so the two differ only in the algorithm;
+//! sNRA runs sequential NRA ([`ta::nra::run_nra`]) per shard on a
+//! private one at one thread. pJASS accumulates into the same slab
+//! behind the same table; pRA, which scores a document in full the
+//! moment it is first seen, needs one bit per document and keeps a
+//! `DocBitset`. No algorithm takes a lock per posting:
 //!
 //! | algorithm | module | paper role |
 //! |---|---|---|
-//! | sequential NRA / RA | [`ta`] | the Threshold Algorithm [Fagin et al.] |
 //! | pRA | [`pra`] | parallel RA with a shared heap |
 //! | pNRA | [`pnra`] | naïve shared-state NRA |
-//! | sNRA | [`snra`] | shared-nothing NRA |
-//! | WAND / BMW / MaxScore | [`docorder`] | document-order engines |
+//! | sNRA | [`snra`], [`ta`] | shared-nothing NRA [Fagin et al.] |
 //! | pBMW | [`docorder::pbmw`] | doc-sharded parallel BMW [Rojas et al.] |
-//! | JASS / pJASS | [`jass`], [`pjass`] | score-at-a-time [Lin & Trotman; Mackenzie et al.] |
+//! | pJASS | [`pjass`] | score-at-a-time [Lin & Trotman; Mackenzie et al.] |
 //!
-//! Every algorithm implements [`Algorithm`] and is exercised through
-//! the same [`sparta_exec::Executor`] machinery, so latency and
-//! throughput experiments use identical code paths.
+//! Every algorithm implements [`Algorithm`], runs its work as jobs on
+//! a [`sparta_exec::JobQueue`], and is exercised through the same
+//! [`sparta_exec::Executor`] machinery, so latency and throughput
+//! experiments use identical code paths.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::disallowed_types))]
 
 pub mod config;
 pub mod docorder;
-pub mod jass;
 pub mod oracle;
 pub mod pjass;
 pub mod pnra;
@@ -71,8 +70,7 @@ pub trait Algorithm: Send + Sync {
     ///
     /// * `index` — shared index; cursors opened per worker.
     /// * `cfg` — k plus the variant parameters (Δ, f, p, segment size…).
-    /// * `exec` — supplies worker threads; sequential algorithms run on
-    ///   the calling thread regardless.
+    /// * `exec` — supplies worker threads: the query's jobs run on it.
     fn search(
         &self,
         index: &Arc<dyn Index>,

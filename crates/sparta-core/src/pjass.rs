@@ -17,7 +17,6 @@
 //! map" with Sparta's cleaning, §6).
 
 use crate::config::SearchConfig;
-use crate::jass::posting_budget;
 use crate::result::{finalize_hits, SearchHit, TopKResult, WorkStats};
 use crate::shared_heap::SharedHeap;
 use crate::sparta::candidates::{postings, until_fits, Candidates, Segment};
@@ -35,6 +34,11 @@ use std::sync::Arc;
 /// The pJASS baseline.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PJass;
+
+/// Posting budget for fraction `p` over lists of total length `total`.
+fn posting_budget(total: u64, p: f64) -> u64 {
+    ((total as f64) * p).ceil() as u64
+}
 
 struct State {
     cfg: SearchConfig,
@@ -205,7 +209,6 @@ impl Algorithm for PJass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jass::Jass;
     use crate::oracle::Oracle;
     use crate::sparta::doc_slab::RUN;
     use sparta_exec::{DeterministicExecutor, WorkerPool};
@@ -253,14 +256,18 @@ mod tests {
         );
     }
 
+    /// Exact pJASS scores every document in full, at any worker count.
     #[test]
-    fn exact_matches_sequential_jass_scores() {
+    fn exact_scores_are_full_at_one_and_four_workers() {
         let ix = pseudo_index(2000, 3, 3);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(20);
-        let seq = Jass.search(&ix, &q, &cfg, &WorkerPool::new(1));
-        let par = PJass.search(&ix, &q, &cfg, &WorkerPool::new(4));
-        assert_eq!(seq.scores(), par.scores());
+        let oracle = Oracle::compute(ix.as_ref(), &q, 20);
+        let want: Vec<u64> = oracle.topk().iter().map(|h| h.score).collect();
+        for threads in [1usize, 4] {
+            let r = PJass.search(&ix, &q, &cfg, &WorkerPool::new(threads));
+            assert_eq!(r.scores(), want, "threads={threads}");
+        }
     }
 
     #[test]

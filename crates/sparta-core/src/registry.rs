@@ -1,38 +1,18 @@
 //! Name-indexed registry of all implemented algorithms, used by the
 //! benchmark harness and the `repro` binary.
 
-use crate::docorder::{MaxScore, PBmw, SeqBmw, Wand};
-use crate::jass::Jass;
+use crate::docorder::PBmw;
 use crate::pjass::PJass;
 use crate::pnra::PNra;
 use crate::pra::PRa;
 use crate::snra::SNra;
 use crate::sparta::Sparta;
-use crate::ta::{SeqNra, SeqRa};
 use crate::Algorithm;
 use std::sync::Arc;
 
-/// All algorithms, parallel and sequential.
-pub fn all_algorithms() -> Vec<Arc<dyn Algorithm>> {
-    vec![
-        Arc::new(Sparta),
-        Arc::new(PRa),
-        Arc::new(PNra),
-        Arc::new(SNra),
-        Arc::new(PBmw),
-        Arc::new(PJass),
-        Arc::new(SeqNra),
-        Arc::new(SeqRa),
-        Arc::new(SeqBmw),
-        Arc::new(Wand),
-        Arc::new(MaxScore),
-        Arc::new(Jass),
-    ]
-}
-
 /// The six algorithms of the paper's case study (§5.2), in the order
-/// of Table 2.
-pub fn case_study_algorithms() -> Vec<Arc<dyn Algorithm>> {
+/// of Table 2: Sparta and its five parallel baselines.
+pub fn all_algorithms() -> Vec<Arc<dyn Algorithm>> {
     vec![
         Arc::new(Sparta),
         Arc::new(PNra),
@@ -91,14 +71,13 @@ mod tests {
     }
 
     /// A served request is attributed and accounted by its queue's tag:
-    /// every queue an algorithm runs carries the config's `query_tag`,
-    /// and every parallel algorithm runs one.
+    /// every registered algorithm runs at least one queue, and every
+    /// queue it runs carries the config's `query_tag`.
     #[test]
     fn every_queue_carries_the_query_tag() {
         let ix = pseudo_index(3000);
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(10).with_seg_size(64).with_query_tag(77);
-        let parallel: Vec<&str> = case_study_algorithms().iter().map(|a| a.name()).collect();
         for algo in all_algorithms() {
             let exec = TagSpy {
                 inner: DeterministicExecutor::new(0),
@@ -107,29 +86,26 @@ mod tests {
             algo.search(&ix, &q, &cfg, &exec);
             let tags = exec.tags.into_inner();
             let name = algo.name();
+            assert!(!tags.is_empty(), "{name} ran no queue");
             assert!(tags.iter().all(|&t| t == 77), "{name}: tags {tags:?}");
-            assert_eq!(!tags.is_empty(), parallel.contains(&name), "{name}");
         }
     }
 
-    /// A stop the Δ budget caused is counted on the sequential paths
-    /// too: Δ = 0 fires at NRA's first sweep and RA's first check, long
-    /// before either's exactness condition.
+    /// A stop the Δ budget caused is counted on `run_nra`, sNRA's
+    /// per-shard engine, too: Δ = 0 fires at its first sweep, long
+    /// before its exactness condition.
     #[test]
-    fn sequential_paths_count_delta_stops() {
+    fn run_nra_counts_delta_stops() {
         let ix = pseudo_index(6000);
         let q = Query::new(vec![0, 1, 2]);
         let exact = SearchConfig::exact(100);
         let approx = exact.with_delta(Some(Duration::ZERO));
         let exec = WorkerPool::new(2);
-        for name in ["nra", "snra", "ra"] {
-            let algo = algorithm_by_name(name).unwrap();
-            let r = algo.search(&ix, &q, &approx, &exec);
-            assert!(r.work.timeout_stops >= 1, "{name}: {}", r.work);
-            assert_eq!(r.hits.len(), 100, "{name}");
-            let r = algo.search(&ix, &q, &exact, &exec);
-            assert_eq!(r.work.timeout_stops, 0, "{name}: {}", r.work);
-        }
+        let r = SNra.search(&ix, &q, &approx, &exec);
+        assert!(r.work.timeout_stops >= 1, "{}", r.work);
+        assert_eq!(r.hits.len(), 100);
+        let r = SNra.search(&ix, &q, &exact, &exec);
+        assert_eq!(r.work.timeout_stops, 0, "{}", r.work);
     }
 
     #[test]
@@ -151,16 +127,17 @@ mod tests {
 
     #[test]
     fn case_study_has_six() {
-        assert_eq!(case_study_algorithms().len(), 6);
+        let names: Vec<&str> = all_algorithms().iter().map(|a| a.name()).collect();
+        assert_eq!(names, ["sparta", "pnra", "snra", "pra", "pbmw", "pjass"]);
     }
 
     /// Doc ids 0 and `u32::MAX` are ordinary ids to every algorithm:
     /// both extremes rank in the top 3 of an index of all 2^32 ids.
     /// (Sparta's docMap packs them into a slot word's extremes,
-    /// `doc << 32 | handle + 1`; WAND, BMW and pBMW carry their
-    /// exclusive doc bound as a `u64`.) pRA is left out: its claim
-    /// bitset for 2^32 ids is 512 MiB. The oracle's accumulator is
-    /// dense in doc id too, so the expected ranking is stated by hand.
+    /// `doc << 32 | handle + 1`; pBMW carries its exclusive doc bound
+    /// as a `u64`.) pRA is left out: its claim bitset for 2^32 ids is
+    /// 512 MiB. The oracle's accumulator is dense in doc id too, so the
+    /// expected ranking is stated by hand.
     #[test]
     fn exact_with_extreme_doc_ids() {
         // (doc, per-list base score).

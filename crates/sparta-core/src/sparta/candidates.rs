@@ -180,7 +180,6 @@ mod tests {
     use crate::pnra::PNra;
     use crate::snra::SNra;
     use crate::sparta::Sparta;
-    use crate::ta::SeqNra;
     use crate::{Algorithm, SearchConfig};
     use sparta_exec::WorkerPool;
     use sparta_index::storage::IndexWriter;
@@ -207,7 +206,7 @@ mod tests {
     fn exact_at_one_and_three_threads(ix: &Arc<dyn Index>, cfg: SearchConfig, ctx: &str) {
         let q = Query::new((0..ix.num_terms()).collect());
         let want = Oracle::compute(ix.as_ref(), &q, cfg.k);
-        let algos: [&dyn Algorithm; 5] = [&Sparta, &PNra, &PJass, &SeqNra, &SNra];
+        let algos: [&dyn Algorithm; 4] = [&Sparta, &PNra, &PJass, &SNra];
         for algo in algos {
             for threads in [1, 3] {
                 let ctx = format!("{ctx}, {} t={threads}", algo.name());
@@ -267,7 +266,7 @@ mod tests {
     /// `doc_table.rs`'s `a_crowded_window_is_full_long_before_the_table_is`
     /// picks them. The 129th admission finds the window full while the
     /// table is under an eighth full; Sparta, pNRA, pJASS, and at one
-    /// thread NRA and sNRA (whose one shard then holds every id), must
+    /// thread sNRA (whose one `run_nra` shard then holds every id), must
     /// each abandon that run and answer from a restarted one: exact,
     /// with no panic, and with nothing of the abandoned run in the
     /// reported work. Without the restart the first run's partial top-k
@@ -301,11 +300,10 @@ mod tests {
         let k = 140;
         let want = Oracle::compute(ix.as_ref(), &q, k);
         let cfg = SearchConfig::exact(k).with_seg_size(64);
-        let runs: [(&dyn Algorithm, &[usize]); 5] = [
+        let runs: [(&dyn Algorithm, &[usize]); 4] = [
             (&Sparta, &[1, 3]),
             (&PNra, &[1, 3]),
             (&PJass, &[1, 3]),
-            (&SeqNra, &[1]),
             (&SNra, &[1]),
         ];
         for (algo, threads) in runs {

@@ -1,16 +1,12 @@
 //! The Threshold Algorithm (Fagin, Lotem & Naor) in the IR setting
-//! (§3.2): sequential NRA and RA over score-ordered posting lists.
+//! (§3.2): sequential NRA over score-ordered posting lists.
 //!
-//! These are both baselines in their own right (the 1-thread points of
-//! Figures 3h/3i) and substrates: [`snra`](crate::snra) runs
-//! [`nra::run_nra`] per shard, and Sparta's stopping conditions are
-//! NRA's.
+//! Sequential NRA is a substrate, not a registered algorithm:
+//! [`snra`](crate::snra) runs [`nra::run_nra`] per shard, and the
+//! [`UpperBounds`] it keeps are the `UBStop` state Sparta's stopping
+//! conditions extend.
 
 pub mod nra;
-pub mod ra;
-
-pub use nra::SeqNra;
-pub use ra::SeqRa;
 
 /// Shared upper-bound state of an interleaved score-order traversal.
 ///

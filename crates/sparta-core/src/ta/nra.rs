@@ -15,15 +15,12 @@
 
 use super::UpperBounds;
 use crate::config::SearchConfig;
-use crate::result::{SearchHit, TopKResult, WorkStats};
+use crate::result::{SearchHit, WorkStats};
 use crate::sparta::candidates::{until_fits, Candidates};
 use crate::sparta::{DocHandle, SlabRun, SpartaHeap, UbSnapshot};
 use crate::trace::TraceSink;
-use crate::Algorithm;
 use sparta_collections::FastHashSet;
-use sparta_corpus::types::Query;
-use sparta_exec::Executor;
-use sparta_index::{Index, ScoreCursor};
+use sparta_index::ScoreCursor;
 use std::sync::Arc;
 
 /// How many postings between stopping-condition / pruning sweeps.
@@ -150,26 +147,19 @@ fn run_once(
     Run { cands, heap, work }
 }
 
-/// Sequential NRA as an [`Algorithm`] (ignores the executor's
-/// parallelism — it always runs on the calling thread).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SeqNra;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::oracle::Oracle;
+    use crate::result::TopKResult;
+    use sparta_corpus::types::Query;
+    use sparta_index::{InMemoryIndex, Index, Posting};
 
-impl Algorithm for SeqNra {
-    fn name(&self) -> &'static str {
-        "nra"
-    }
-
-    fn search(
-        &self,
-        index: &Arc<dyn Index>,
-        query: &Query,
-        cfg: &SearchConfig,
-        _exec: &dyn Executor,
-    ) -> TopKResult {
+    /// [`run_nra`] over `q`'s cursors of the whole index.
+    fn nra(ix: &Arc<dyn Index>, q: &Query, cfg: &SearchConfig) -> TopKResult {
         let trace = TraceSink::new(cfg.trace);
-        let open = || query.terms.iter().map(|&t| index.score_cursor(t)).collect();
-        let (hits, work) = run_nra(open, index.num_docs(), cfg, &trace);
+        let open = || q.terms.iter().map(|&t| ix.score_cursor(t)).collect();
+        let (hits, work) = run_nra(open, ix.num_docs(), cfg, &trace);
         TopKResult {
             hits,
             work,
@@ -177,14 +167,6 @@ impl Algorithm for SeqNra {
             spans: None,
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::oracle::Oracle;
-    use sparta_exec::WorkerPool;
-    use sparta_index::{InMemoryIndex, Posting};
 
     fn small_index() -> Arc<dyn Index> {
         // 3 terms, 30 docs, deterministic scores.
@@ -205,7 +187,7 @@ mod tests {
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(5);
         let oracle = Oracle::compute(ix.as_ref(), &q, 5);
-        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let r = nra(&ix, &q, &cfg);
         assert_eq!(r.hits.len(), 5);
         assert_eq!(oracle.recall(&r.docs()), 1.0, "docs {:?}", r.docs());
         // Lower bounds never exceed true scores.
@@ -220,7 +202,7 @@ mod tests {
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(vec![t0], 10));
         let q = Query::new(vec![0]);
         let cfg = SearchConfig::exact(5);
-        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let r = nra(&ix, &q, &cfg);
         assert_eq!(r.docs(), vec![7, 3]);
     }
 
@@ -230,7 +212,7 @@ mod tests {
         let q = Query::new(vec![1]);
         let cfg = SearchConfig::exact(3);
         let oracle = Oracle::compute(ix.as_ref(), &q, 3);
-        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let r = nra(&ix, &q, &cfg);
         assert_eq!(oracle.recall(&r.docs()), 1.0);
         // For m = 1, LB = true score.
         for h in &r.hits {
@@ -252,7 +234,7 @@ mod tests {
         let ix: Arc<dyn Index> = Arc::new(InMemoryIndex::from_term_postings(lists, u64::from(n)));
         let q = Query::new(vec![0, 1]);
         let cfg = SearchConfig::exact(1);
-        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let r = nra(&ix, &q, &cfg);
         assert_eq!(r.docs(), vec![42]);
         assert!(
             r.work.postings_scanned < u64::from(n), // far less than 2n total
@@ -267,7 +249,7 @@ mod tests {
         let ix = small_index();
         let q = Query::new(vec![0, 1, 2]);
         let cfg = SearchConfig::exact(5).with_trace(true);
-        let r = SeqNra.search(&ix, &q, &cfg, &WorkerPool::new(1));
+        let r = nra(&ix, &q, &cfg);
         let tr = r.trace.expect("trace requested");
         assert!(tr.len() as u64 >= 5);
     }

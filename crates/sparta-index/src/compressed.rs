@@ -876,10 +876,6 @@ impl Index for CompressedIndex {
         self.term_data(term).map_or(0, |t| t.len() as u64)
     }
 
-    fn max_score(&self, term: TermId) -> u32 {
-        self.term_data(term).map_or(0, |t| t.max_score)
-    }
-
     fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor> {
         let io = Arc::clone(&self.io);
         // lint: allow(alloc): cursor construction
@@ -1046,7 +1042,10 @@ mod tests {
         let comp = CompressedIndex::from_term_postings(lists, 4_000);
         for t in 0..raw.num_terms() {
             assert_eq!(raw.doc_freq(t), comp.doc_freq(t));
-            assert_eq!(raw.max_score(t), comp.max_score(t));
+            assert_eq!(
+                raw.doc_cursor(t).max_score(),
+                comp.doc_cursor(t).max_score()
+            );
             // Score cursors agree posting-for-posting.
             let mut a = raw.score_cursor(t);
             let mut b = comp.score_cursor(t);

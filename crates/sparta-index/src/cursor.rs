@@ -44,7 +44,7 @@ pub trait ScoreCursor: Send {
 
 /// Traversal of one posting list in increasing document-id order with
 /// block-max metadata — the access path of document-order algorithms
-/// (WAND, BMW, MaxScore; §3.1).
+/// (pBMW's Block-Max WAND; §3.1).
 ///
 /// The cursor is positioned *on* a posting; a freshly opened cursor is
 /// on the first posting. `doc() == None` means the list is exhausted.
@@ -72,7 +72,7 @@ pub trait DocCursor: Send {
     /// I/O.
     fn block_at(&self, target: DocId) -> Option<(DocId, u32)>;
 
-    /// List-wide maximum term score (the WAND/MaxScore upper bound).
+    /// List-wide maximum term score (the WAND pivot's upper bound).
     fn max_score(&self) -> u32;
 
     /// Total list length.

@@ -8,12 +8,12 @@
 //! * [`Posting`] / posting-list invariants ([`posting`]);
 //! * the [`Index`] trait unifying the three access paths the paper's
 //!   algorithm families need:
-//!   * **score-order cursors** (TA family, JASS) — postings sorted by
-//!     decreasing term score,
-//!   * **doc-order cursors with block-max metadata** (WAND, BMW,
-//!     MaxScore) — postings sorted by document id, with per-block
-//!     maximum scores for skipping [Ding & Suel 2011],
-//!   * **random access** (RA) — `ts(D, t)` lookups by document id via
+//!   * **score-order cursors** (Sparta, the NRA family, pRA, pJASS) —
+//!     postings sorted by decreasing term score,
+//!   * **doc-order cursors with block-max metadata** (pBMW) — postings
+//!     sorted by document id, with per-block maximum scores for
+//!     skipping [Ding & Suel 2011],
+//!   * **random access** (pRA) — `ts(D, t)` lookups by document id via
 //!     a secondary index;
 //!
 //!   each backend implements each path once, and every cursor holds
@@ -99,11 +99,6 @@ pub trait Index: Send + Sync {
 
     /// Length of `term`'s posting list (0 for unknown terms).
     fn doc_freq(&self, term: TermId) -> u64;
-
-    /// The maximum term score in `term`'s posting list (0 if empty) —
-    /// the list-wide upper bound used by WAND/MaxScore and available
-    /// from the dictionary without touching postings.
-    fn max_score(&self, term: TermId) -> u32;
 
     /// Opens a cursor over `term`'s postings in decreasing-score order.
     /// The cursor shares the term's data by `Arc`, so it outlives the

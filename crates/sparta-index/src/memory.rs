@@ -113,10 +113,6 @@ impl Index for InMemoryIndex {
         self.term_data(term).map_or(0, |t| t.doc_order.len() as u64)
     }
 
-    fn max_score(&self, term: TermId) -> u32 {
-        self.term_data(term).map_or(0, |t| t.max_score)
-    }
-
     fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor> {
         let t = self.term_or_empty(term);
         Box::new(SliceScoreCursor::new(Arc::clone(&t.score_order)))
@@ -270,8 +266,8 @@ mod tests {
         assert_eq!(ix.doc_freq(0), 10);
         assert_eq!(ix.doc_freq(1), 5);
         assert_eq!(ix.doc_freq(7), 0, "unknown term");
-        assert_eq!(ix.max_score(0), 100);
-        assert_eq!(ix.max_score(1), 41);
+        assert_eq!(ix.doc_cursor(0).max_score(), 100);
+        assert_eq!(ix.doc_cursor(1).max_score(), 41);
     }
 
     /// A declared count is a floor: lists holding ids `0..3000` behind

@@ -51,8 +51,13 @@ pub fn is_score_ordered(postings: &[Posting]) -> bool {
 
 /// Sorts postings into score order: decreasing score, ties broken by
 /// increasing doc id (deterministic traversal order).
+///
+/// Every index build hands this a list already in doc order, where the
+/// doc sort only confirms the order and one stable sort by score keeps
+/// each score's postings in doc order.
 pub fn sort_score_order(postings: &mut [Posting]) {
-    postings.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.doc.cmp(&b.doc)));
+    sort_doc_order(postings);
+    postings.sort_by_key(|p| std::cmp::Reverse(p.score));
 }
 
 /// Sorts postings into doc order.
@@ -75,6 +80,8 @@ pub fn build_blocks(postings: &[Posting], block_size: usize) -> Vec<BlockMeta> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample() -> Vec<Posting> {
         vec![
@@ -147,5 +154,21 @@ mod tests {
     #[test]
     fn empty_list_has_no_blocks() {
         assert!(build_blocks(&[], 64).is_empty());
+    }
+
+    // The doc sort plus stable score sort orders any input — with
+    // duplicate doc ids and tied scores — as the one-comparator sort by
+    // (score desc, doc asc) does.
+    proptest! {
+        #[test]
+        fn score_order_matches_the_comparator_sort(
+            raw in vec((0u32..40, 0u32..8), 0..200)
+        ) {
+            let mut got: Vec<Posting> = raw.iter().map(|&(d, s)| Posting::new(d, s)).collect();
+            let mut want = got.clone();
+            want.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.doc.cmp(&b.doc)));
+            sort_score_order(&mut got);
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -91,7 +91,11 @@ mod tests {
         assert_eq!(disk.num_terms(), 4);
         for t in 0..4 as TermId {
             assert_eq!(disk.doc_freq(t), mem.doc_freq(t), "df term {t}");
-            assert_eq!(disk.max_score(t), mem.max_score(t), "max term {t}");
+            assert_eq!(
+                disk.doc_cursor(t).max_score(),
+                mem.doc_cursor(t).max_score(),
+                "max term {t}"
+            );
             // Score order identical.
             let mut a = disk.score_cursor(t);
             let mut b = mem.score_cursor(t);
@@ -324,7 +328,10 @@ mod tests {
         assert_eq!(loaded.num_terms(), built.num_terms());
         for t in 0..loaded.num_terms() {
             assert_eq!(loaded.doc_freq(t), built.doc_freq(t));
-            assert_eq!(loaded.max_score(t), built.max_score(t));
+            assert_eq!(
+                loaded.doc_cursor(t).max_score(),
+                built.doc_cursor(t).max_score()
+            );
             let mut a = loaded.score_cursor(t);
             let mut b = built.score_cursor(t);
             loop {

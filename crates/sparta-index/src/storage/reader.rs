@@ -214,10 +214,6 @@ impl Index for DiskIndex {
         self.raw.doc_freq(term)
     }
 
-    fn max_score(&self, term: TermId) -> u32 {
-        self.raw.max_score(term)
-    }
-
     fn score_cursor(&self, term: TermId) -> Box<dyn ScoreCursor> {
         Box::new(ChargedScoreCursor {
             inner: self.raw.score_cursor(term),

@@ -131,7 +131,7 @@ fn empty_and_unknown_terms_are_safe_on_every_backend() {
     for (name, ix) in &every_backend(lists, 300, "empty") {
         for term in [1, 2, 7, u32::MAX] {
             let ctx = format!("{name}, term {term}");
-            assert_eq!((ix.doc_freq(term), ix.max_score(term)), (0, 0), "{ctx}");
+            assert_eq!(ix.doc_freq(term), 0, "{ctx}");
 
             let mut sc = ix.score_cursor(term);
             assert_eq!(sc.len(), 0, "{ctx}");

@@ -34,7 +34,7 @@ fn main() {
     //    results must be bit-identical (exact codebook scores).
     let log = QueryLog::generate(corpus.stats(), 4, 6, seed);
     let cfg = SearchConfig::exact(10);
-    for name in ["sparta", "pjass", "pbmw", "maxscore", "pra"] {
+    for name in ["sparta", "pjass", "pbmw", "pra"] {
         let algo = sparta::core::algorithm_by_name(name).expect("registered algorithm");
         for q in log.of_length(4) {
             // Same seeded schedule on both backends so parallel

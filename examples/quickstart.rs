@@ -51,9 +51,9 @@ fn main() {
     // 4. Verify against the exhaustive oracle and a baseline.
     let oracle = Oracle::compute(index.as_ref(), &query, cfg.k);
     assert_eq!(oracle.recall(&top.docs()), 1.0, "exact Sparta is exact");
-    let bmw = SeqBmw.search(&index, &query, &cfg, &exec);
+    let bmw = PBmw.search(&index, &query, &cfg, &exec);
     println!(
-        "agreement with BMW: {:.0}%",
+        "agreement with pBMW: {:.0}%",
         100.0 * oracle.recall(&bmw.docs())
     );
     println!(

@@ -43,11 +43,6 @@ fn main() {
     );
     for m in [2usize, 4, 8, 12] {
         print!("{m:>7}");
-        for algo in sparta::core::registry::case_study_algorithms() {
-            // registry order: sparta, pnra, snra, pra, pbmw, pjass —
-            // reorder for the header above.
-            let _ = algo;
-        }
         for name in ["sparta", "pra", "pnra", "snra", "pbmw", "pjass"] {
             let algo = sparta::core::algorithm_by_name(name).unwrap();
             let t0 = Instant::now();

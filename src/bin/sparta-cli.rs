@@ -141,8 +141,13 @@ fn cmd_search(index_dir: &str, query_text: &str, flags: &[String]) -> Result<(),
     }
     let query = Query::new(terms);
 
-    let algo = sparta::core::algorithm_by_name(&algo_name)
-        .ok_or_else(|| format!("unknown algorithm {algo_name} (try: sparta pra pnra snra pbmw pjass nra ra bmw wand maxscore jass)"))?;
+    let algo = sparta::core::algorithm_by_name(&algo_name).ok_or_else(|| {
+        let names: Vec<&str> = sparta::core::all_algorithms()
+            .iter()
+            .map(|a| a.name())
+            .collect();
+        format!("unknown algorithm {algo_name} (try: {})", names.join(" "))
+    })?;
     let cfg = if exact {
         SearchConfig::exact(k)
     } else {

@@ -37,7 +37,7 @@
 //! | [`corpus`] | synthetic corpus, tokenizer, scoring, query logs |
 //! | [`index`] | posting lists, block-max metadata, memory/disk indexes |
 //! | [`exec`] | job queue, shared worker pool, deterministic replay executor |
-//! | [`core`] | Sparta + all baselines (pRA, pNRA, sNRA, pBMW, pJASS, …) |
+//! | [`core`] | Sparta + its five baselines (pNRA, sNRA, pRA, pBMW, pJASS) |
 
 pub use sparta_collections as collections;
 pub use sparta_core as core;
@@ -48,8 +48,7 @@ pub use sparta_index as index;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use sparta_core::config::SearchConfig;
-    pub use sparta_core::docorder::{MaxScore, PBmw, SeqBmw, Wand};
-    pub use sparta_core::jass::Jass;
+    pub use sparta_core::docorder::PBmw;
     pub use sparta_core::oracle::Oracle;
     pub use sparta_core::pjass::PJass;
     pub use sparta_core::pnra::PNra;
@@ -57,7 +56,6 @@ pub mod prelude {
     pub use sparta_core::result::{SearchHit, TopKResult};
     pub use sparta_core::snra::SNra;
     pub use sparta_core::sparta::Sparta;
-    pub use sparta_core::ta::{SeqNra, SeqRa};
     pub use sparta_core::Algorithm;
     pub use sparta_corpus::querylog::{QueryLog, VoiceLengthDistribution};
     pub use sparta_corpus::scoring::{Scorer, TfIdfScorer};

@@ -44,9 +44,7 @@ fn full_scoring_algorithms_report_exact_scores() {
     let oracle = Oracle::compute(ix.as_ref(), q, k);
     let cfg = SearchConfig::exact(k);
     let exec = WorkerPool::new(4);
-    for name in [
-        "ra", "pra", "bmw", "pbmw", "wand", "maxscore", "jass", "pjass",
-    ] {
+    for name in ["pra", "pbmw", "pjass"] {
         let algo = sparta::core::algorithm_by_name(name).unwrap();
         let r = algo.search(&ix, q, &cfg, &exec);
         for h in &r.hits {
@@ -68,7 +66,7 @@ fn nra_family_scores_are_lower_bounds() {
     let oracle = Oracle::compute(ix.as_ref(), q, k);
     let cfg = SearchConfig::exact(k);
     let exec = WorkerPool::new(4);
-    for name in ["nra", "pnra", "snra", "sparta"] {
+    for name in ["pnra", "snra", "sparta"] {
         let algo = sparta::core::algorithm_by_name(name).unwrap();
         let r = algo.search(&ix, q, &cfg, &exec);
         for h in &r.hits {

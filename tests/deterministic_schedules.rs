@@ -103,7 +103,7 @@ fn nra_family_lower_bounds_hold_on_all_schedules() {
     let q = queries(&corpus, 1, 5, 5).pop().unwrap();
     let cfg = SearchConfig::exact(10).with_seg_size(64).with_phi(128);
     let oracle = Oracle::compute(ix.as_ref(), &q, 10);
-    for name in ["nra", "pnra", "snra", "sparta"] {
+    for name in ["pnra", "snra", "sparta"] {
         let algo = sparta::core::algorithm_by_name(name).unwrap();
         sweep_schedules(16, |seed, exec| {
             let r = algo.search(&ix, &q, &cfg, exec);

@@ -39,7 +39,7 @@ fn pool_results_match_deterministic() {
     let (pool, _watchdog) = guarded_pool(3, None);
     let replay = DeterministicExecutor::new(base_seed()).with_parallelism(3);
     for q in log.all() {
-        for algo in sparta::core::registry::case_study_algorithms() {
+        for algo in sparta::core::registry::all_algorithms() {
             let a = algo.search(&ix, q, &cfg, &replay);
             let b = algo.search(&ix, q, &cfg, &pool);
             assert_eq!(

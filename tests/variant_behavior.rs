@@ -2,28 +2,43 @@
 //! algorithm suite: each knob must trade work for recall in the
 //! documented direction, and the exact settings must be safe.
 
+use sparta::collections::BoundedTopK;
+use sparta::core::docorder::pbmw::bmw_range;
+use sparta::core::{TraceSink, WorkStats};
 use sparta::prelude::*;
 use sparta_testkit::{build_index as build, long_query};
 use std::time::Duration;
 
+/// Sequential BMW — pBMW's range scan over `[0, num_docs)` with no Θ
+/// floor — prunes no less as f grows.
 #[test]
 fn bmw_f_monotonically_prunes() {
     let (ix, corpus) = build(41);
     let q = long_query(&corpus, 1);
-    let exec = WorkerPool::new(1); // deterministic schedule
     let mut last = u64::MAX;
     for f in [1.0, 1.05, 1.2, 1.5, 2.0] {
-        let cfg = SearchConfig::exact(25).with_bmw_f(f);
-        let r = SeqBmw.search(&ix, &q, &cfg, &exec);
-        assert!(
-            r.work.postings_scanned <= last,
-            "f={f}: scanned {} > previous {last}",
-            r.work.postings_scanned
+        let mut cursors: Vec<_> = q.terms.iter().map(|&t| ix.doc_cursor(t)).collect();
+        let mut work = WorkStats::default();
+        bmw_range(
+            &mut cursors,
+            ix.num_docs(),
+            &mut BoundedTopK::new(25),
+            f,
+            &|| 0,
+            &mut work,
+            &TraceSink::new(false),
         );
-        last = r.work.postings_scanned;
+        assert!(
+            work.postings_scanned <= last,
+            "f={f}: scanned {} > previous {last}",
+            work.postings_scanned
+        );
+        last = work.postings_scanned;
     }
 }
 
+/// At one worker pJASS's budget is exact: each segment is capped at
+/// what is left of it.
 #[test]
 fn jass_p_budget_is_exact_for_sequential() {
     let (ix, corpus) = build(42);
@@ -32,7 +47,7 @@ fn jass_p_budget_is_exact_for_sequential() {
     let exec = WorkerPool::new(1);
     for p in [0.1, 0.25, 0.5, 1.0] {
         let cfg = SearchConfig::exact(25).with_jass_p(p);
-        let r = Jass.search(&ix, &q, &cfg, &exec);
+        let r = PJass.search(&ix, &q, &cfg, &exec);
         let budget = ((total as f64) * p).ceil() as u64;
         assert!(
             r.work.postings_scanned <= budget,
@@ -72,7 +87,7 @@ fn delta_zero_like_timeouts_still_return_k_results() {
     let q = long_query(&corpus, 4);
     let cfg = SearchConfig::exact(20).with_delta(Some(Duration::from_micros(1)));
     let exec = WorkerPool::new(2);
-    for name in ["sparta", "pra", "pnra", "snra", "nra", "ra"] {
+    for name in ["sparta", "pra", "pnra", "snra"] {
         let algo = sparta::core::algorithm_by_name(name).unwrap();
         let r = algo.search(&ix, &q, &cfg, &exec);
         assert!(!r.hits.is_empty(), "{name} returned nothing");
