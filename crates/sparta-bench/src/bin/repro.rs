@@ -650,12 +650,9 @@ fn load_cmd(args: &[String]) {
             ds.raw_footprint.total()
         );
         let metrics = sparta_obs::ServerMetrics::new();
-        // Spans on: the sweep is also what CI scrapes `/debug/profile`
-        // against, and phase attribution needs SpanBegin/SpanEnd events
-        // in the server's flight-recorder rings.
         let scheduler = BatchScheduler::new(
             Arc::clone(&ds.index),
-            sparta_core::SearchConfig::exact(ds.k).with_spans(true),
+            sparta_core::SearchConfig::exact(ds.k),
             threads(),
             cfg.admission,
             metrics,
@@ -680,12 +677,13 @@ fn load_cmd(args: &[String]) {
         );
         // Scrape the profiling plane while the server is still live:
         // the collapsed profile comes from the same sweep the report
-        // describes.
+        // describes. A `workerN;phase…` line carries a phase frame.
         if let Some(admin) = handle.admin_addr() {
             match sparta_server::http_get(admin, "/debug/profile?format=collapsed") {
                 Ok((200, body)) => println!(
-                    "debug profile scrape: {} collapsed lines",
-                    body.lines().count()
+                    "debug profile scrape: {} collapsed lines, {} with a phase frame",
+                    body.lines().count(),
+                    body.lines().filter(|l| l.contains(';')).count()
                 ),
                 other => println!("debug profile scrape failed: {other:?}"),
             }
@@ -854,8 +852,8 @@ fn guard_recorder() -> Arc<FlightRecorder> {
 /// Replays the pinned guard cell on `kind`: every guard algorithm over
 /// the guard queries, query `i` under the deterministic schedule
 /// `GUARD_SEED + i`. With a `recorder`, the runs also record heap
-/// traces and phase spans on the logical clock into it. Returns each
-/// algorithm's summed counters.
+/// traces on the logical clock, and their phase spans land in the
+/// recorder's rings. Returns each algorithm's summed counters.
 fn replay_guard_cell(kind: IndexKind, recorder: Option<&Arc<FlightRecorder>>) -> Vec<GuardCell> {
     std::env::set_var("SPARTA_DOCS", GUARD_DOCS.to_string());
     std::env::set_var("SPARTA_K", GUARD_K.to_string());
@@ -863,10 +861,7 @@ fn replay_guard_cell(kind: IndexKind, recorder: Option<&Arc<FlightRecorder>>) ->
     let qs = ds.queries_of_length(GUARD_TERMS, GUARD_QUERIES);
     let mut cfg = VariantParams::exact().config(ds.k);
     if recorder.is_some() {
-        cfg = cfg
-            .with_trace(true)
-            .with_spans(true)
-            .with_clock(ClockMode::Logical);
+        cfg = cfg.with_trace(true).with_clock(ClockMode::Logical);
     }
     let io = ds.index.io_stats();
     GUARD_ALGOS

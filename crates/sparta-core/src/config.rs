@@ -36,13 +36,10 @@ pub struct SearchConfig {
     /// that are unlikely (rather than unable) to qualify, trading
     /// recall for convergence speed. `None` ⇒ safe.
     pub prune_gamma: Option<f64>,
-    /// Record phase spans (plan, term processing, cleaner passes, heap
-    /// merge) into [`TopKResult::spans`](crate::TopKResult). Disabled
-    /// spans cost one branch per instrumentation site.
-    pub spans: bool,
-    /// Clock the trace/span sinks stamp events with. The wall clock is
-    /// the default; the logical clock makes traces bit-identical under
-    /// the deterministic executor.
+    /// Clock the heap [`TraceSink`](crate::TraceSink) stamps its events
+    /// with. The wall clock is the default; the logical clock makes
+    /// heap traces bit-identical under the deterministic executor.
+    /// (Phase spans go to the flight recorder, stamped by its clock.)
     pub clock: ClockMode,
     /// Per-query tag stamped onto the job queue a search creates
     /// (0 = untagged). The query server derives one config per request
@@ -63,7 +60,6 @@ impl SearchConfig {
             jass_p: 1.0,
             trace: false,
             prune_gamma: None,
-            spans: false,
             clock: ClockMode::Wall,
             query_tag: 0,
         }
@@ -108,13 +104,7 @@ impl SearchConfig {
         self
     }
 
-    /// Builder: enables phase-span recording.
-    pub fn with_spans(mut self, spans: bool) -> Self {
-        self.spans = spans;
-        self
-    }
-
-    /// Builder: sets the trace/span clock.
+    /// Builder: sets the heap-trace clock.
     pub fn with_clock(mut self, clock: ClockMode) -> Self {
         self.clock = clock;
         self

@@ -21,7 +21,7 @@ use sparta_collections::BoundedTopK;
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{Executor, JobQueue};
 use sparta_index::{DocCursor, Index};
-use sparta_obs::{Phase, QueryTrace};
+use sparta_obs::{span, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,7 +36,6 @@ struct Shared {
     merged: Mutex<BoundedTopK<DocId>>,
     work: Mutex<WorkStats>,
     trace: TraceSink,
-    spans: QueryTrace,
 }
 
 impl Algorithm for PBmw {
@@ -56,7 +55,6 @@ impl Algorithm for PBmw {
                 hits: Vec::new(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
-                spans: cfg.spans.then(Vec::new),
             };
         }
         let shared = Arc::new(Shared {
@@ -64,7 +62,6 @@ impl Algorithm for PBmw {
             merged: Mutex::new(BoundedTopK::new(cfg.k.max(1))),
             work: Mutex::new(WorkStats::default()),
             trace: TraceSink::with_clock(cfg.trace, cfg.clock),
-            spans: QueryTrace::new(cfg.spans, cfg.clock),
         });
         // Twice as many equal ranges as workers (§5.2.1) — "this
         // partition results in well-balanced executions".
@@ -72,7 +69,7 @@ impl Algorithm for PBmw {
         let n = index.num_docs().max(1);
         let queue = JobQueue::tagged(cfg.query_tag);
         let cfg = *cfg;
-        let plan = shared.spans.span(Phase::Plan);
+        let plan = span(Phase::Plan);
         for j in 0..jobs {
             // u64: the last range ends at `num_docs`, 2^32 at most.
             let (lo, hi) = (n * j / jobs, n * (j + 1) / jobs);
@@ -83,14 +80,14 @@ impl Algorithm for PBmw {
             let index = Arc::clone(index);
             let terms = query.terms.clone();
             queue.push(Box::new(move || {
-                let _span = shared.spans.span(Phase::RangeScan);
+                let _span = span(Phase::RangeScan);
                 run_range(&shared, &index, &terms, &cfg, lo, hi);
             }));
         }
         drop(plan);
         exec.run(queue);
 
-        let merge_span = shared.spans.span(Phase::HeapMerge);
+        let merge_span = span(Phase::HeapMerge);
         let hits = finalize_hits(
             shared
                 .merged
@@ -111,7 +108,6 @@ impl Algorithm for PBmw {
             hits,
             work,
             trace: shared.trace.into_events(),
-            spans: shared.spans.into_spans(),
         }
     }
 }
@@ -351,7 +347,6 @@ mod tests {
             hits: finalize_hits(hits, k),
             work,
             trace: None,
-            spans: None,
         }
     }
 

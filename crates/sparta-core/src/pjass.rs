@@ -27,7 +27,7 @@ use sparta_collections::BoundedTopK;
 use sparta_corpus::types::Query;
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
-use sparta_obs::{Phase, QueryTrace};
+use sparta_obs::{span, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -51,7 +51,6 @@ struct State {
     scanned: AtomicU64,
     budget: u64,
     trace: TraceSink,
-    spans: QueryTrace,
     /// Trace-only instrumentation: a small heap fed by accumulator
     /// updates so recall dynamics can be replayed. pJASS itself builds
     /// its heap only at the end; this exists only when tracing.
@@ -76,7 +75,7 @@ impl CyclicJob for SegmentJob {
         if state.cands.is_done() {
             return false;
         }
-        let _seg_span = state.spans.span(Phase::TermProcess);
+        let _seg_span = span(Phase::TermProcess);
         // The segment is capped at what is left of the budget, so one
         // worker at a time stops on the budget's exact posting and T
         // workers overshoot it by less than T segments.
@@ -127,12 +126,11 @@ fn run_once(
         scanned: AtomicU64::new(0),
         budget,
         trace: TraceSink::with_clock(cfg.trace, cfg.clock),
-        spans: QueryTrace::new(cfg.spans, cfg.clock),
         trace_heap: cfg.trace.then(|| SharedHeap::new(cfg.k.max(1))),
     });
     let queue = JobQueue::tagged(cfg.query_tag);
     {
-        let _plan = state.spans.span(Phase::Plan);
+        let _plan = span(Phase::Plan);
         for (i, &t) in query.terms.iter().enumerate() {
             let cursor = index.score_cursor(t);
             queue.push(Job::cyclic(SegmentJob {
@@ -167,7 +165,7 @@ impl Algorithm for PJass {
         let (state, queue) = until_fits(m, postings, index.num_docs(), run, |(s, _)| &s.cands);
 
         // Final selection over the accumulators.
-        let merge_span = state.spans.span(Phase::HeapMerge);
+        let merge_span = span(Phase::HeapMerge);
         let mut heap = BoundedTopK::new(cfg.k.max(1));
         state.cands.slab.for_each_scored(|_, rec| {
             heap.offer(rec.current_sum(), rec.id());
@@ -201,7 +199,6 @@ impl Algorithm for PJass {
             hits,
             work,
             trace: state.trace.into_events(),
-            spans: state.spans.into_spans(),
         }
     }
 }

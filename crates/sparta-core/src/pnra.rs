@@ -26,7 +26,7 @@ use sparta_collections::{FastHashSet, ShardedCounter};
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
-use sparta_obs::{Phase, QueryTrace};
+use sparta_obs::{span, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -43,7 +43,6 @@ struct State {
     cands: Candidates,
     heap: SpartaHeap,
     trace: TraceSink,
-    spans: QueryTrace,
     postings: ShardedCounter,
     docmap_peak: AtomicU64,
     timeout_stops: AtomicU64,
@@ -75,7 +74,7 @@ impl CyclicJob for SegmentJob {
         if state.cands.is_done() {
             return false;
         }
-        let _seg_span = state.spans.span(Phase::TermProcess);
+        let _seg_span = span(Phase::TermProcess);
         let exhausted = self.seg.fetch(&mut *self.cursor, state.cfg.seg_size, |d| {
             state.cands.find(d)
         });
@@ -125,7 +124,7 @@ impl CyclicJob for StopChecker {
         if state.cands.is_done() {
             return false;
         }
-        let _check_span = state.spans.span(Phase::StopCheck);
+        let _check_span = span(Phase::StopCheck);
         state
             .docmap_peak
             .fetch_max(state.cands.table.len() as u64, Ordering::Relaxed);
@@ -178,14 +177,13 @@ fn run_once(
         heap: SpartaHeap::new(Arc::clone(&cands.slab), cfg.k),
         cands,
         trace: TraceSink::with_clock(cfg.trace, cfg.clock),
-        spans: QueryTrace::new(cfg.spans, cfg.clock),
         postings: ShardedCounter::new(),
         docmap_peak: AtomicU64::new(0),
         timeout_stops: AtomicU64::new(0),
     });
     let queue = JobQueue::tagged(cfg.query_tag);
     {
-        let _plan = state.spans.span(Phase::Plan);
+        let _plan = span(Phase::Plan);
         for (i, &t) in query.terms.iter().enumerate() {
             let cursor = index.score_cursor(t);
             queue.push(Job::cyclic(SegmentJob {
@@ -224,14 +222,13 @@ impl Algorithm for PNra {
                 hits: Vec::new(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
-                spans: cfg.spans.then(Vec::new),
             };
         }
         let run = |cands| run_once(index, query, cfg, exec, cands);
         let (m, postings) = (query.terms.len(), postings(index.as_ref(), query));
         let (state, queue) = until_fits(m, postings, index.num_docs(), run, |(s, _)| &s.cands);
 
-        let merge = state.spans.span(Phase::HeapMerge);
+        let merge = span(Phase::HeapMerge);
         let mut hits = state.heap.sorted_hits();
         hits.truncate(cfg.k);
         drop(merge);
@@ -253,7 +250,6 @@ impl Algorithm for PNra {
             hits,
             work,
             trace: state.trace.into_events(),
-            spans: state.spans.into_spans(),
         }
     }
 }

@@ -235,7 +235,6 @@ impl Algorithm for PRa {
                 hits: Vec::new(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
-                spans: None,
             };
         }
         let state = Arc::new(State {
@@ -291,7 +290,6 @@ impl Algorithm for PRa {
             hits,
             work,
             trace: state.trace.into_events(),
-            spans: None,
         }
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::trace::TraceEvent;
 use sparta_corpus::types::DocId;
-use sparta_obs::SpanEvent;
 
 /// One retrieved document.
 ///
@@ -122,9 +121,6 @@ pub struct TopKResult {
     /// Heap trace, when requested via
     /// [`SearchConfig::trace`](crate::SearchConfig).
     pub trace: Option<Vec<TraceEvent>>,
-    /// Phase spans (plan / term processing / cleaner / heap merge …),
-    /// when requested via [`SearchConfig::spans`](crate::SearchConfig).
-    pub spans: Option<Vec<SpanEvent>>,
 }
 
 impl TopKResult {
@@ -173,7 +169,6 @@ mod tests {
             hits: vec![SearchHit { doc: 7, score: 9 }],
             work: WorkStats::default(),
             trace: None,
-            spans: None,
         };
         assert_eq!(r.docs(), vec![7]);
         assert_eq!(r.scores(), vec![9]);

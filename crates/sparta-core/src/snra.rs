@@ -25,7 +25,7 @@ use sparta_corpus::types::Query;
 use sparta_exec::{Executor, JobQueue};
 use sparta_index::cursor::SliceScoreCursor;
 use sparta_index::{Index, Posting, ScoreCursor};
-use sparta_obs::{Phase, QueryTrace};
+use sparta_obs::{span, Phase};
 use std::sync::Arc;
 
 /// The sNRA baseline.
@@ -100,7 +100,6 @@ impl Algorithm for SNra {
         // Shard construction models offline pre-partitioning; latency
         // measurement starts here, matching the paper's methodology.
         let trace = Arc::new(TraceSink::with_clock(cfg.trace, cfg.clock));
-        let spans = Arc::new(QueryTrace::new(cfg.spans, cfg.clock));
         let results: Arc<Vec<ShardResult>> = Arc::new(
             (0..p)
                 .map(|_| Mutex::new((Vec::new(), WorkStats::default())))
@@ -109,14 +108,13 @@ impl Algorithm for SNra {
         let queue = JobQueue::tagged(cfg.query_tag);
         let cfg_shard = *cfg;
         let num_docs = index.num_docs();
-        let plan = spans.span(Phase::Plan);
+        let plan = span(Phase::Plan);
         for s in 0..p {
             let sharded = Arc::clone(&sharded);
             let results = Arc::clone(&results);
             let trace = Arc::clone(&trace);
-            let spans = Arc::clone(&spans);
             queue.push(Box::new(move || {
-                let _span = spans.span(Phase::ShardSearch);
+                let _span = span(Phase::ShardSearch);
                 let shard = run_nra(|| sharded.cursors(s), num_docs, &cfg_shard, &trace);
                 *results[s].lock() = shard;
             }));
@@ -125,7 +123,7 @@ impl Algorithm for SNra {
         exec.run(queue);
 
         // Merge: global top-k over the shards' local top-k lists.
-        let merge_span = spans.span(Phase::HeapMerge);
+        let merge_span = span(Phase::HeapMerge);
         let mut merged = BoundedTopK::new(cfg.k);
         let (mut work, mut docmap_peak) = (WorkStats::default(), 0);
         for cell in results.iter() {
@@ -152,12 +150,10 @@ impl Algorithm for SNra {
         );
         drop(merge_span);
         let trace = Arc::into_inner(trace).expect("all shard jobs drained");
-        let spans = Arc::into_inner(spans).expect("all shard jobs drained");
         TopKResult {
             hits,
             work,
             trace: trace.into_events(),
-            spans: spans.into_spans(),
         }
     }
 }

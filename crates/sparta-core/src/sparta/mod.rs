@@ -77,7 +77,7 @@ use sparta_collections::{
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
-use sparta_obs::{Phase, QueryTrace};
+use sparta_obs::{span, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,7 +104,6 @@ struct State {
     /// the segment job that enqueues it and released by that pass.
     next_pass_at: AtomicU64,
     trace: TraceSink,
-    spans: QueryTrace,
     postings: ShardedCounter,
     docmap_peak: AtomicU64,
     cleaner_passes: AtomicU64,
@@ -163,7 +162,6 @@ impl State {
             doc_map: SwapCell::new(DocMap::Open),
             next_pass_at: AtomicU64::new(0),
             trace: TraceSink::with_clock(cfg.trace, cfg.clock),
-            spans: QueryTrace::new(cfg.spans, cfg.clock),
             postings: ShardedCounter::new(),
             docmap_peak: AtomicU64::new(0),
             cleaner_passes: AtomicU64::new(0),
@@ -209,7 +207,7 @@ impl State {
         if self.cands.is_done() {
             return;
         }
-        let pass_span = self.spans.span(Phase::Cleaner);
+        let pass_span = span(Phase::Cleaner);
         self.cleaner_passes.fetch_add(1, Ordering::Relaxed);
         let start = self.postings.get();
         let cur = self.doc_map.load();
@@ -333,7 +331,7 @@ impl CyclicJob for SegmentJob {
         if state.cands.is_done() {
             return false;
         }
-        let seg_span = state.spans.span(Phase::TermProcess);
+        let seg_span = span(Phase::TermProcess);
         // One snapshot per segment, taken *before* UBStop is evaluated:
         // a worker that then still sees UBStop false holds the query's
         // first map (the cleaner, which alone replaces it, is only
@@ -444,7 +442,6 @@ impl Algorithm for Sparta {
                 hits: Vec::new(),
                 work: WorkStats::default(),
                 trace: cfg.trace.then(Vec::new),
-                spans: cfg.spans.then(Vec::new),
             };
         }
         // The first docMap is the run's candidate table (`candidates`).
@@ -452,7 +449,7 @@ impl Algorithm for Sparta {
             let state = Arc::new(State::new(m, cands, *cfg));
             let queue = JobQueue::tagged(cfg.query_tag);
             {
-                let _plan = state.spans.span(Phase::Plan);
+                let _plan = span(Phase::Plan);
                 for (i, &t) in query.terms.iter().enumerate() {
                     let cursor = index.score_cursor(t);
                     queue.push(Job::cyclic(SegmentJob {
@@ -476,7 +473,7 @@ impl Algorithm for Sparta {
         let postings = postings(index.as_ref(), query);
         let (state, queue) = until_fits(m, postings, index.num_docs(), run, |(s, _)| &s.cands);
 
-        let merge = state.spans.span(Phase::HeapMerge);
+        let merge = span(Phase::HeapMerge);
         let mut hits = state.heap.sorted_hits();
         hits.truncate(cfg.k);
         // Re-record every final member with its settled sum:
@@ -511,7 +508,6 @@ impl Algorithm for Sparta {
             hits,
             work,
             trace: state.trace.into_events(),
-            spans: state.spans.into_spans(),
         }
     }
 }
@@ -522,6 +518,7 @@ mod tests {
     use crate::oracle::Oracle;
     use sparta_exec::{DeterministicExecutor, WorkerPool};
     use sparta_index::{InMemoryIndex, Posting};
+    use sparta_obs::{ClockMode, EventKind, FlightRecorder};
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
         let lists: Vec<Vec<Posting>> = (0..m as u32)
@@ -828,29 +825,52 @@ mod tests {
         let _ = SearchConfig::exact(10).with_prune_gamma(1.5);
     }
 
+    /// The phases whose `SpanBegin` landed in `rec`'s rings `workers`.
+    fn phases_begun(
+        rec: &FlightRecorder,
+        workers: std::ops::Range<usize>,
+    ) -> std::collections::BTreeSet<Phase> {
+        let mut phases = std::collections::BTreeSet::new();
+        for w in workers {
+            rec.ring(w).for_each(|e| {
+                if e.kind == EventKind::SpanBegin {
+                    phases.extend(u8::try_from(e.payload).ok().and_then(Phase::from_index));
+                }
+            });
+        }
+        phases
+    }
+
     #[test]
     fn spans_cover_every_phase() {
         let ix = pseudo_index(5000, 4, 23);
         let q = Query::new(vec![0, 1, 2, 3]);
-        let cfg = SearchConfig::exact(10)
-            .with_seg_size(128)
-            .with_phi(512)
-            .with_spans(true);
-        let r = Sparta.search(&ix, &q, &cfg, &WorkerPool::new(4));
-        let spans = r.spans.expect("spans enabled");
-        let phases: std::collections::HashSet<Phase> = spans.iter().map(|s| s.phase).collect();
-        for phase in [
-            Phase::Plan,
-            Phase::TermProcess,
-            Phase::Cleaner,
-            Phase::HeapMerge,
-        ] {
-            assert!(phases.contains(&phase), "missing {phase:?} span");
+        let cfg = SearchConfig::exact(10).with_seg_size(128).with_phi(512);
+        // Rings 0..4 are the pool's workers, ring 4 the calling thread.
+        let rec = FlightRecorder::new(5, 1 << 14, ClockMode::Logical);
+        // An unrecorded run leaves every ring empty.
+        Sparta.search(&ix, &q, &cfg, &WorkerPool::new(4));
+        assert_eq!(rec.total_events(), 0);
+
+        let pool = WorkerPool::with_recorder(4, None, Arc::clone(&rec));
+        Sparta.search(&ix, &q, &cfg, &pool);
+        let workers = phases_begun(&rec, 0..4);
+        for phase in [Phase::TermProcess, Phase::Cleaner] {
+            assert!(workers.contains(&phase), "missing {phase:?} span");
         }
-        assert!(spans.iter().all(|s| s.end >= s.start));
-        // Disabled by default: no spans vector at all.
-        let r = Sparta.search(&ix, &q, &SearchConfig::exact(10), &WorkerPool::new(2));
-        assert!(r.spans.is_none());
+        // Plan and the merge run on the caller, which holds no ring.
+        assert!(!workers.contains(&Phase::Plan) && !workers.contains(&Phase::HeapMerge));
+        assert!(phases_begun(&rec, 4..5).is_empty());
+
+        {
+            let _caller = rec.install(4);
+            Sparta.search(&ix, &q, &cfg, &pool);
+        }
+        drop(pool);
+        let caller = phases_begun(&rec, 4..5);
+        for phase in [Phase::Plan, Phase::HeapMerge] {
+            assert!(caller.contains(&phase), "missing {phase:?} span");
+        }
     }
 
     #[test]

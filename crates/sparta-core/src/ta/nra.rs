@@ -164,7 +164,6 @@ mod tests {
             hits,
             work,
             trace: trace.into_events(),
-            spans: None,
         }
     }
 

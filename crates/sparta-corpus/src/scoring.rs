@@ -14,13 +14,28 @@ pub const SCORE_SCALE: f64 = 1_000_000.0;
 
 /// A per-term document scoring function producing the integer term
 /// scores `ts(D, tᵢ)` that are stored in posting lists.
+///
+/// A score factors into a part that depends on the term alone and a
+/// part that depends on the document alone, so an index build computes
+/// each once and only [`combine`](Scorer::combine)s per posting.
 pub trait Scorer: Send + Sync {
-    /// Integer term score of a document for one term.
+    /// Integer term score of a document for one term, computed from
+    /// scratch: the reference the factored form must equal bit for bit.
     ///
     /// * `tf` — frequency of the term in the document (≥ 1),
     /// * `doc` — document id (used for length lookup),
     /// * `term` — term id (used for document-frequency lookup).
     fn term_score(&self, tf: u32, doc: DocId, term: TermId, stats: &CorpusStats) -> u32;
+
+    /// The factor that depends on the term alone.
+    fn term_factor(&self, term: TermId, stats: &CorpusStats) -> f64;
+
+    /// The factor that depends on the document alone.
+    fn doc_factor(&self, doc: DocId, stats: &CorpusStats) -> f64;
+
+    /// A posting's score from its `tf` and the two factors; equal to
+    /// [`term_score`](Scorer::term_score) bit for bit.
+    fn combine(&self, tf: u32, term_factor: f64, doc_factor: f64) -> u32;
 
     /// Human-readable scorer name for logs and experiment records.
     fn name(&self) -> &'static str;
@@ -34,7 +49,8 @@ pub trait Scorer: Send + Sync {
 ///
 /// The `(1 + ln tf)` dampening, idf and `sqrt`-of-length pivot are the
 /// standard components of the Lucene-era tf-idf family the paper's
-/// preprocessing pipeline produces.
+/// preprocessing pipeline produces. The term factor is the idf, the
+/// document factor the length norm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TfIdfScorer;
 
@@ -50,6 +66,25 @@ impl Scorer for TfIdfScorer {
         let norm = (dl / avgdl).sqrt();
         let score = SCORE_SCALE * tf_part * idf / norm;
         // Clamp into u32; real scores are ~1e6–1e8, far below the limit.
+        score.round().clamp(1.0, f64::from(u32::MAX)) as u32
+    }
+
+    fn term_factor(&self, term: TermId, stats: &CorpusStats) -> f64 {
+        let df = f64::from(stats.df(term)).max(1.0);
+        let n = stats.num_docs as f64;
+        (1.0 + n / df).ln()
+    }
+
+    fn doc_factor(&self, doc: DocId, stats: &CorpusStats) -> f64 {
+        let dl = f64::from(stats.dl(doc)).max(1.0);
+        let avgdl = stats.avg_doc_len.max(1.0);
+        (dl / avgdl).sqrt()
+    }
+
+    fn combine(&self, tf: u32, idf: f64, norm: f64) -> u32 {
+        debug_assert!(tf >= 1, "a posting implies at least one occurrence");
+        let tf_part = 1.0 + f64::from(tf).ln();
+        let score = SCORE_SCALE * tf_part * idf / norm;
         score.round().clamp(1.0, f64::from(u32::MAX)) as u32
     }
 
@@ -104,6 +139,25 @@ mod tests {
         for tf in [1, 3, 100] {
             for (doc, term) in [(0u32, 0u32), (1, 1), (2, 2)] {
                 assert!(TfIdfScorer.term_score(tf, doc, term, &s) >= 1);
+            }
+        }
+    }
+
+    #[test]
+    fn factored_scores_equal_the_reference() {
+        let s = stats();
+        for tf in [1, 2, 3, 7, 100] {
+            for doc in [0, 1, 2, 9999] {
+                for term in [0, 1, 2, 9999] {
+                    let (idf, norm) = (
+                        TfIdfScorer.term_factor(term, &s),
+                        TfIdfScorer.doc_factor(doc, &s),
+                    );
+                    assert_eq!(
+                        TfIdfScorer.combine(tf, idf, norm),
+                        TfIdfScorer.term_score(tf, doc, term, &s)
+                    );
+                }
             }
         }
     }

@@ -19,7 +19,7 @@ use crate::posting::{Posting, DEFAULT_BLOCK_SIZE};
 use crate::storage::writer::IndexWriter;
 use sparta_corpus::scoring::Scorer;
 use sparta_corpus::synth::SynthCorpus;
-use sparta_corpus::types::{CorpusStats, DocBag, TermId};
+use sparta_corpus::types::{CorpusStats, DocBag, DocId, TermId};
 use std::io;
 use std::path::Path;
 
@@ -81,15 +81,35 @@ impl<S: Scorer> IndexBuilder<S> {
         self
     }
 
-    /// Scores one term's raw postings into index postings.
+    /// Every known document's scorer factor, in doc-id order: computed
+    /// once per build and read by [`score_term`](Self::score_term).
+    pub fn doc_factors(&self, stats: &CorpusStats) -> Vec<f64> {
+        (0..stats.doc_len.len() as DocId)
+            .map(|d| self.scorer.doc_factor(d, stats))
+            .collect()
+    }
+
+    /// Scores one term's raw postings into index postings: the term's
+    /// factor once, then one combine per posting with its document's
+    /// factor from `doc_factors` (computed on the spot for a document
+    /// past the table). Equal to the scorer's per-posting
+    /// `term_score`.
     pub fn score_term(
         &self,
         term: TermId,
         raw: &[(u32, u32)],
         stats: &CorpusStats,
+        doc_factors: &[f64],
     ) -> Vec<Posting> {
+        let term_factor = self.scorer.term_factor(term, stats);
         raw.iter()
-            .map(|&(doc, tf)| Posting::new(doc, self.scorer.term_score(tf, doc, term, stats)))
+            .map(|&(doc, tf)| {
+                let doc_factor = doc_factors
+                    .get(doc as usize)
+                    .copied()
+                    .unwrap_or_else(|| self.scorer.doc_factor(doc, stats));
+                Posting::new(doc, self.scorer.combine(tf, term_factor, doc_factor))
+            })
             .collect()
     }
 
@@ -97,8 +117,9 @@ impl<S: Scorer> IndexBuilder<S> {
     /// per worker at a time across all cores.
     pub fn build_memory(&self, corpus: &SynthCorpus) -> InMemoryIndex {
         let stats = corpus.stats();
+        let norms = self.doc_factors(stats);
         let terms = corpus.map_terms(|t, raw| {
-            TermData::from_postings(self.score_term(t, raw, stats), self.block_size)
+            TermData::from_postings(self.score_term(t, raw, stats, &norms), self.block_size)
         });
         InMemoryIndex::from_term_data(terms, stats.num_docs, self.block_size)
     }
@@ -107,8 +128,12 @@ impl<S: Scorer> IndexBuilder<S> {
     /// one term per worker at a time across all cores.
     pub fn build_compressed(&self, corpus: &SynthCorpus) -> CompressedIndex {
         let stats = corpus.stats();
+        let norms = self.doc_factors(stats);
         let terms = corpus.map_terms(|t, raw| {
-            CompressedTermData::from_postings(self.score_term(t, raw, stats), self.block_size)
+            CompressedTermData::from_postings(
+                self.score_term(t, raw, stats, &norms),
+                self.block_size,
+            )
         });
         CompressedIndex::from_term_data(terms, stats.num_docs, self.block_size)
     }
@@ -133,10 +158,11 @@ impl<S: Scorer> IndexBuilder<S> {
                 raw[t as usize].push((bag.id, tf));
             }
         }
+        let norms = self.doc_factors(stats);
         let terms = raw
             .iter()
             .enumerate()
-            .map(|(t, r)| self.score_term(t as TermId, r, stats))
+            .map(|(t, r)| self.score_term(t as TermId, r, stats, &norms))
             .collect();
         InMemoryIndex::with_block_size(terms, stats.num_docs, self.block_size)
     }
@@ -151,10 +177,11 @@ impl<S: Scorer> IndexBuilder<S> {
             stats.vocab_size() as u32,
             self.block_size,
         )?;
+        let norms = self.doc_factors(stats);
         let mut failed = None;
         corpus.for_each_term(|t, raw| {
             if failed.is_none() {
-                if let Err(e) = writer.add_term(self.score_term(t, raw, stats)) {
+                if let Err(e) = writer.add_term(self.score_term(t, raw, stats, &norms)) {
                     failed = Some(e);
                 }
             }
@@ -236,7 +263,7 @@ mod tests {
         let b = IndexBuilder::new(TfIdfScorer);
         let stats = corpus.stats();
         let raw = corpus.term_postings(5);
-        let scored = b.score_term(5, &raw, stats);
+        let scored = b.score_term(5, &raw, stats, &b.doc_factors(stats));
         assert_eq!(scored.len(), raw.len());
         for (p, &(d, tf)) in scored.iter().zip(raw.iter()) {
             assert_eq!(p.doc, d);

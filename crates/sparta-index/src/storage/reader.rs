@@ -13,6 +13,7 @@ use crate::iostats::{IoModel, IoStats};
 use crate::memory::{InMemoryIndex, TermData};
 use crate::posting::{self, BlockMeta, Posting};
 use crate::Index;
+use sparta_corpus::per_term;
 use sparta_corpus::types::{DocId, TermId};
 use std::fs::File;
 use std::io::{self, Read};
@@ -37,7 +38,8 @@ const FETCH_POSTINGS: u64 = (IO_BLOCK_BYTES / 8) as u64;
 /// doc plane is strictly ascending and below `num_docs`, and the
 /// [`TermData`] built from that plane equals its score plane, its
 /// blocks and its `max_score` exactly. Damage confined to one file
-/// therefore never loads.
+/// therefore never loads. Terms are decoded and checked on every core
+/// ([`per_term::map_terms`]).
 pub fn load_raw(dir: impl AsRef<Path>) -> io::Result<InMemoryIndex> {
     let dir = dir.as_ref();
     let meta = Meta::read_from(&mut File::open(dir.join("meta.bin"))?)?;
@@ -73,9 +75,14 @@ pub fn load_raw(dir: impl AsRef<Path>) -> io::Result<InMemoryIndex> {
     let score_bin = std::fs::read(dir.join("score.bin"))?;
     let doc_bin = std::fs::read(dir.join("doc.bin"))?;
     let block_size = meta.block_size as usize;
-    let terms = dict
-        .iter()
-        .map(|e| {
+    // Terms load on every core; results come back in term order, so
+    // the error returned is the first failing term's, as a serial loop
+    // would report it.
+    let (terms, _) = per_term::map_terms(
+        meta.num_terms,
+        || (),
+        |(), t| {
+            let e = &dict[t as usize];
             let doc_order = postings_at(&doc_bin, e.doc_off, e.len, "doc.bin")?;
             let score_order = postings_at(&score_bin, e.score_off, e.len, "score.bin")?;
             if !posting::is_doc_ordered(&doc_order) {
@@ -99,10 +106,10 @@ pub fn load_raw(dir: impl AsRef<Path>) -> io::Result<InMemoryIndex> {
                 return Err(format::bad("dict.bin max_score disagrees with doc.bin"));
             }
             Ok(td)
-        })
-        .collect::<io::Result<Vec<_>>>()?;
+        },
+    );
     Ok(InMemoryIndex::from_term_data(
-        terms,
+        terms.into_iter().collect::<io::Result<Vec<_>>>()?,
         meta.num_docs,
         block_size,
     ))

@@ -1,15 +1,16 @@
-//! Observability substrate: query tracing spans, lock-free metrics,
-//! and machine-readable exporters.
+//! Observability substrate: phase spans, lock-free metrics, a flight
+//! recorder, and machine-readable exporters.
 //!
 //! The paper's evaluation (§5) reasons about latency distributions,
 //! work per query, and recall-over-time dynamics. This crate provides
 //! the shared measurement vocabulary the rest of the workspace reports
 //! in:
 //!
-//! * [`QueryTrace`] — query-scoped phase spans (plan, term processing,
-//!   cleaner passes, heap merge, …) recorded against either a
-//!   wall-clock or a *logical-step* clock ([`ClockMode`]), so traces
-//!   are bit-identical when replayed under the deterministic executor.
+//! * [`span()`] — phase spans (plan, term processing, cleaner passes,
+//!   heap merge, …), recorded as begin/end events in the flight
+//!   recorder below. A recorder stamps them with a wall-clock or a
+//!   *logical-step* clock ([`ClockMode`]); the logical one makes them
+//!   bit-identical when replayed under the deterministic executor.
 //! * [`Counter`] / [`MaxGauge`] / [`Histogram`] — lock-free primitives
 //!   for per-worker registries ([`WorkerMetrics`], [`ExecMetrics`])
 //!   aggregated on scrape into an [`ExecSnapshot`].
@@ -31,10 +32,9 @@
 //!   slices.
 //!
 //! Everything here follows the disabled-sink design of
-//! `sparta-core::TraceSink`: a disabled [`QueryTrace`] costs one
-//! branch per instrumentation site (and an uninstalled flight
-//! recorder one thread-local branch), so observability is free unless
-//! a query opts in.
+//! `sparta-core::TraceSink`: with no ring installed on the thread, a
+//! span or any other recorder event costs one thread-local branch, so
+//! observability is free unless an executor records.
 //!
 //! This crate deliberately depends on std alone.
 
@@ -67,7 +67,7 @@ pub use recorder::{FlightRecorder, RecorderGuard};
 pub use registry::{ExecMetrics, ExecSnapshot, WorkerMetrics};
 pub use ring::{Event, EventKind, EventRing};
 pub use server::{ServerMetrics, ServerSnapshot, StageLatency, StageSnapshot};
-pub use span::{phase_totals, Phase, PhaseTotal, QueryTrace, SpanEvent, SpanGuard};
+pub use span::{span, Phase, SpanGuard};
 pub use trace_export::{
     chrome_trace, chrome_trace_string, dump_text, validate_trace_json, TRACE_SCHEMA_VERSION,
 };

@@ -1,18 +1,17 @@
-//! Query-scoped tracing spans.
+//! Phase spans of a search.
 //!
-//! A [`QueryTrace`] records which *phase* of a search ran when: the
-//! planning step, each posting-list segment, each cleaner pass, the
-//! final heap merge. Algorithms open a span with [`QueryTrace::span`]
-//! and close it by dropping the guard; a disabled trace makes both a
-//! single branch, mirroring the disabled-sink design of
-//! `sparta-core::TraceSink`.
-//!
-//! Timestamps come from an [`ObsClock`], so a trace recorded against
-//! [`ClockMode::Logical`] under the deterministic executor is
-//! bit-identical across replays of the same seed.
+//! A span marks which *phase* ran when: the planning step, each
+//! posting-list segment, each cleaner pass, the final heap merge.
+//! Algorithms open one with [`span`] and close it by dropping the
+//! guard. The flight recorder is the only sink: the span lands in the
+//! ring installed on the running thread, if any, as a
+//! `SpanBegin`/`SpanEnd` pair that `trace_export` draws as a slice and
+//! `profile` folds into per-phase tables. Under a logical-clock
+//! recorder and the deterministic executor those bytes replay
+//! identically for the same seed.
 
-use crate::clock::{ClockMode, ObsClock};
-use std::sync::Mutex;
+use crate::recorder::record;
+use crate::ring::EventKind;
 
 /// The phases of a top-k search, uniform across algorithm families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,239 +70,53 @@ impl Phase {
     }
 }
 
-/// One closed span: `phase` ran from tick `start` to tick `end`
-/// (nanoseconds under a wall clock, step numbers under a logical one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Which phase.
-    pub phase: Phase,
-    /// Opening tick.
-    pub start: u64,
-    /// Closing tick (`≥ start`).
-    pub end: u64,
+/// Opens a `phase` span in this thread's flight-recorder ring: a
+/// `SpanBegin` now and a `SpanEnd` when the guard drops, both stamped
+/// by the recorder's clock. With no ring installed both are the
+/// one-branch no-op of [`recorder::record`](crate::recorder::record),
+/// so algorithms call this unconditionally.
+#[inline]
+pub fn span(phase: Phase) -> SpanGuard {
+    record(EventKind::SpanBegin, u64::from(phase.index()));
+    SpanGuard { phase }
 }
 
-/// A concurrent span sink scoped to one query. Disabled traces cost
-/// one branch per instrumentation site.
-pub struct QueryTrace {
-    clock: ObsClock,
-    spans: Option<Mutex<Vec<SpanEvent>>>,
-}
-
-impl QueryTrace {
-    /// Creates a trace; `enabled = false` makes every operation a
-    /// no-op behind one branch.
-    pub fn new(enabled: bool, mode: ClockMode) -> Self {
-        Self {
-            clock: ObsClock::new(mode),
-            spans: enabled.then(|| Mutex::new(Vec::new())),
-        }
-    }
-
-    /// A trace that records nothing.
-    pub fn disabled() -> Self {
-        Self::new(false, ClockMode::Wall)
-    }
-
-    /// Whether spans are being collected.
-    pub fn enabled(&self) -> bool {
-        self.spans.is_some()
-    }
-
-    /// The clock spans are stamped with.
-    pub fn clock(&self) -> &ObsClock {
-        &self.clock
-    }
-
-    /// Opens a span; it closes (and records) when the guard drops.
-    /// When this thread has a flight-recorder ring installed, the
-    /// open/close also mirror as `SpanBegin`/`SpanEnd` ring events
-    /// (stamped by the *recorder's* clock), so `--emit-trace`
-    /// timelines show phase slices without any per-algorithm wiring.
-    #[inline]
-    pub fn span(&self, phase: Phase) -> SpanGuard<'_> {
-        SpanGuard {
-            trace: self,
-            phase,
-            start: if self.spans.is_some() {
-                crate::recorder::record(
-                    crate::ring::EventKind::SpanBegin,
-                    u64::from(phase.index()),
-                );
-                self.clock.tick()
-            } else {
-                0
-            },
-        }
-    }
-
-    /// Records an already-closed span.
-    #[inline]
-    pub fn record(&self, phase: Phase, start: u64, end: u64) {
-        if let Some(spans) = &self.spans {
-            spans
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(SpanEvent { phase, start, end });
-        }
-    }
-
-    /// Extracts the recorded spans in a canonical order (by start tick,
-    /// then end, then phase). Under a logical clock ticks are unique,
-    /// so the order — and therefore the whole vector — is deterministic
-    /// for a deterministic schedule.
-    pub fn into_spans(self) -> Option<Vec<SpanEvent>> {
-        self.spans.map(|m| {
-            let mut v = m
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            v.sort_by_key(|s| (s.start, s.end, s.phase));
-            v
-        })
-    }
-}
-
-/// RAII guard returned by [`QueryTrace::span`].
-pub struct SpanGuard<'a> {
-    trace: &'a QueryTrace,
+/// RAII guard returned by [`span`]; dropping it closes the span.
+#[must_use = "the span closes when the guard drops"]
+pub struct SpanGuard {
     phase: Phase,
-    start: u64,
 }
 
-impl Drop for SpanGuard<'_> {
+impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        if self.trace.spans.is_some() {
-            let end = self.trace.clock.tick();
-            self.trace.record(self.phase, self.start, end);
-            crate::recorder::record(
-                crate::ring::EventKind::SpanEnd,
-                u64::from(self.phase.index()),
-            );
-        }
+        record(EventKind::SpanEnd, u64::from(self.phase.index()));
     }
-}
-
-/// Aggregate view of a span list: per-phase count and total ticks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseTotal {
-    /// The phase.
-    pub phase: Phase,
-    /// Spans recorded for it.
-    pub count: u64,
-    /// Summed `end - start` ticks (saturating).
-    pub total_ticks: u64,
-}
-
-/// Folds spans into per-phase totals, in [`Phase::ALL`] order, keeping
-/// only phases that occurred.
-pub fn phase_totals(spans: &[SpanEvent]) -> Vec<PhaseTotal> {
-    Phase::ALL
-        .iter()
-        .filter_map(|&phase| {
-            let mut count = 0u64;
-            let mut total = 0u64;
-            for s in spans.iter().filter(|s| s.phase == phase) {
-                count += 1;
-                total = total.saturating_add(s.end.saturating_sub(s.start));
-            }
-            (count > 0).then_some(PhaseTotal {
-                phase,
-                count,
-                total_ticks: total,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ClockMode;
+    use crate::recorder::FlightRecorder;
 
     #[test]
-    fn disabled_trace_records_nothing() {
-        let t = QueryTrace::disabled();
+    fn spans_nest_in_the_installed_ring_only() {
+        let rec = FlightRecorder::new(1, 16, ClockMode::Logical);
+        drop(span(Phase::Plan)); // no ring installed yet
         {
-            let _g = t.span(Phase::Plan);
+            let _g = rec.install(0);
+            let _plan = span(Phase::Plan);
+            drop(span(Phase::TermProcess));
         }
-        t.record(Phase::Cleaner, 0, 1);
-        assert!(!t.enabled());
-        assert!(t.into_spans().is_none());
-    }
-
-    #[test]
-    fn spans_close_on_drop_and_sort() {
-        let t = QueryTrace::new(true, ClockMode::Logical);
-        {
-            let _plan = t.span(Phase::Plan); // ticks 0..1
-        }
-        {
-            let _seg = t.span(Phase::TermProcess); // ticks 2..3
-        }
-        let spans = t.into_spans().unwrap();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].phase, Phase::Plan);
-        assert_eq!((spans[0].start, spans[0].end), (0, 1));
-        assert_eq!(spans[1].phase, Phase::TermProcess);
-        assert_eq!((spans[1].start, spans[1].end), (2, 3));
-    }
-
-    #[test]
-    fn logical_traces_replay_identically() {
-        let run = || {
-            let t = QueryTrace::new(true, ClockMode::Logical);
-            for _ in 0..3 {
-                let _g = t.span(Phase::Cleaner);
-            }
-            {
-                let _g = t.span(Phase::HeapMerge);
-            }
-            t.into_spans().unwrap()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn phase_totals_aggregate() {
-        let spans = vec![
-            SpanEvent {
-                phase: Phase::TermProcess,
-                start: 0,
-                end: 5,
-            },
-            SpanEvent {
-                phase: Phase::TermProcess,
-                start: 6,
-                end: 8,
-            },
-            SpanEvent {
-                phase: Phase::HeapMerge,
-                start: 9,
-                end: 10,
-            },
-        ];
-        let totals = phase_totals(&spans);
-        assert_eq!(totals.len(), 2);
-        assert_eq!(totals[0].phase, Phase::TermProcess);
-        assert_eq!(totals[0].count, 2);
-        assert_eq!(totals[0].total_ticks, 7);
-        assert_eq!(totals[1].phase, Phase::HeapMerge);
-    }
-
-    #[test]
-    fn concurrent_span_recording() {
-        let t = std::sync::Arc::new(QueryTrace::new(true, ClockMode::Logical));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let t = std::sync::Arc::clone(&t);
-                s.spawn(move || {
-                    for _ in 0..50 {
-                        let _g = t.span(Phase::TermProcess);
-                    }
-                });
-            }
-        });
-        let t = std::sync::Arc::into_inner(t).unwrap();
-        assert_eq!(t.into_spans().unwrap().len(), 200);
+        drop(span(Phase::Cleaner)); // uninstalled again
+        let mut events = Vec::new();
+        rec.ring(0).for_each(|e| events.push((e.kind, e.payload)));
+        let (b, e) = (EventKind::SpanBegin, EventKind::SpanEnd);
+        let (plan, seg) = (
+            Phase::Plan.index().into(),
+            Phase::TermProcess.index().into(),
+        );
+        assert_eq!(events, [(b, plan), (b, seg), (e, seg), (e, plan)]);
     }
 }

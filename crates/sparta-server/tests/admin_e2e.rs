@@ -143,6 +143,15 @@ fn readyz_tracks_lifecycle_and_debug_routes_serve() {
     assert_eq!(status, 200);
     sparta_obs::validate_trace_json(&body).expect("valid chrome trace");
 
+    // The default config has no span switch: the recorded pool's rings
+    // hold the query's phase spans, so the profile has phase frames.
+    let (status, body) = http_get(admin, "/debug/profile?format=collapsed").expect("profile");
+    assert_eq!(status, 200);
+    assert!(
+        body.lines().any(|l| l.contains(";term_process")),
+        "no term_process frame in the collapsed profile:\n{body}"
+    );
+
     // The slow log serves (empty) JSON with its bounds.
     let (status, body) = http_get(admin, "/debug/slow").expect("slow");
     assert_eq!(status, 200);

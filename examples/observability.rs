@@ -1,18 +1,19 @@
-//! Query tracing spans, executor metrics, and Prometheus exposition.
+//! Phase spans, executor metrics, and Prometheus exposition.
 //!
 //! ```sh
 //! cargo run --release --example observability [seed]
 //! ```
 //!
-//! Runs one traced Sparta query under the seeded
-//! [`DeterministicExecutor`] with a logical-step clock — replaying the
-//! seed reproduces the span vector bit-for-bit — then runs the same
-//! query on an instrumented [`WorkerPool`] and renders its
-//! metrics in Prometheus text exposition format.
+//! Runs one Sparta query under the seeded [`DeterministicExecutor`]
+//! with a logical-clock flight recorder attached and prints the
+//! recorder's per-phase table — replaying the seed reproduces the
+//! Chrome trace export byte-for-byte — then runs the same query on an
+//! instrumented [`WorkerPool`] and renders its metrics in Prometheus
+//! text exposition format.
 
 use sparta::prelude::*;
 use sparta_obs::export::exec_snapshot_text;
-use sparta_obs::{phase_totals, ClockMode, ExecMetrics};
+use sparta_obs::{chrome_trace_string, profile_recorder, ClockMode, ExecMetrics, FlightRecorder};
 use std::sync::Arc;
 
 fn main() {
@@ -29,34 +30,38 @@ fn main() {
         .expect("query")
         .clone();
 
-    // 1. Traced run under the deterministic executor: the logical
-    //    clock stamps spans with scheduling steps, not nanoseconds.
-    let cfg = SearchConfig::exact(10)
-        .with_seg_size(64)
-        .with_spans(true)
-        .with_clock(ClockMode::Logical);
-    let run = |s: u64| Sparta.search(&index, &query, &cfg, &DeterministicExecutor::new(s));
-    let a = run(seed);
-    let spans = a.spans.as_deref().expect("spans enabled");
-    println!(
-        "seed {seed}: {} spans, phase totals (logical ticks):",
-        spans.len()
-    );
-    for t in phase_totals(spans) {
+    // 1. Recorded run under the deterministic executor: each virtual
+    //    worker records into its ring, phase spans included, and the
+    //    logical clock stamps events with steps, not nanoseconds.
+    let cfg = SearchConfig::exact(10).with_seg_size(64);
+    let run = |s: u64| {
+        let rec = FlightRecorder::new(4, 1 << 14, ClockMode::Logical);
+        let exec = DeterministicExecutor::new(s).with_recorder(Arc::clone(&rec));
+        (Sparta.search(&index, &query, &cfg, &exec), rec)
+    };
+    let (a, rec_a) = run(seed);
+    let profile = profile_recorder(&rec_a);
+    println!("seed {seed}: phase table (logical ticks):");
+    for p in &profile.phases {
         println!(
-            "  {:<13} count {:>3}  ticks {:>4}",
-            t.phase.as_str(),
-            t.count,
-            t.total_ticks
+            "  {:<13} count {:>3}  inclusive {:>5}  self {:>5}",
+            p.phase.as_str(),
+            p.count,
+            p.total_ticks,
+            p.self_ticks
         );
     }
 
-    // 2. Replay: same seed => bit-identical span vector and results.
-    let b = run(seed);
-    assert_eq!(a.spans, b.spans, "span replay diverged");
+    // 2. Replay: same seed => byte-identical trace export and results.
+    let (b, rec_b) = run(seed);
+    assert_eq!(
+        chrome_trace_string(&rec_a),
+        chrome_trace_string(&rec_b),
+        "trace replay diverged"
+    );
     assert_eq!(a.hits, b.hits, "result replay diverged");
     assert_eq!(a.work, b.work, "work-counter replay diverged");
-    println!("replay of seed {seed}: spans bit-identical across runs");
+    println!("replay of seed {seed}: trace export byte-identical across runs");
 
     // 3. The same query on an instrumented thread-pool executor, its
     //    metrics scraped into Prometheus text exposition format.

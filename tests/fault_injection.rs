@@ -3,7 +3,7 @@
 //! query, poisoning the pool, or corrupting a *subsequent* query.
 
 use sparta::prelude::*;
-use sparta_obs::{ClockMode, Phase};
+use sparta_obs::{ClockMode, EventKind, FlightRecorder, Phase};
 use sparta_testkit::{
     assert_eq2_termination, assert_exact_invariants, build_index, long_query, sweep_schedules,
 };
@@ -74,32 +74,46 @@ fn dropped_continuations_never_hang() {
 /// A lost cleaner pass holds its claim on `next_pass_at` forever, so no
 /// worker can enqueue another: the lists run dry, and the inline pass
 /// that follows the join must still end the query exactly, by Eq. 2.
-/// The pass to drop is found in the fault-free run of the same seed:
-/// until a pass stops the query every step opens exactly one span, so
-/// the first cleaner span's rank among the job spans is its step.
+/// The pass to drop is found in the fault-free, recorded run of the
+/// same seed: until a pass stops the query every step opens exactly one
+/// span, so the first cleaner span's rank among the job spans, ordered
+/// by logical timestamp across the workers' rings, is its step.
 #[test]
 fn a_lost_cleaner_pass_ends_exactly_on_the_inline_pass() {
     let (ix, corpus) = build_index(63);
     let q = long_query(&corpus, 5);
-    let cfg = SearchConfig::exact(10)
-        .with_seg_size(64)
-        .with_phi(256)
-        .with_spans(true)
-        .with_clock(ClockMode::Logical);
+    let cfg = SearchConfig::exact(10).with_seg_size(64).with_phi(256);
     let oracle = Oracle::compute(ix.as_ref(), &q, 10);
     let total: u64 = q.terms.iter().map(|&t| ix.doc_freq(t)).sum();
     sweep_schedules(8, |seed, exec| {
         let ctx = format!("seed {seed}");
-        let clean = Sparta.search(&ix, &q, &cfg, exec);
-        let mut spans = clean.spans.expect("spans enabled");
-        spans.retain(|s| matches!(s.phase, Phase::TermProcess | Phase::Cleaner));
-        spans.sort_by_key(|s| s.start);
-        let step = spans
+        let rec = FlightRecorder::new(4, 1 << 14, ClockMode::Logical);
+        Sparta.search(&ix, &q, &cfg, &exec.clone().with_recorder(Arc::clone(&rec)));
+        assert_eq!(
+            rec.dropped_events(),
+            0,
+            "{ctx}: the rings must hold the run"
+        );
+        let mut begun = Vec::new();
+        for w in 0..rec.worker_count() {
+            rec.ring(w).for_each(|e| {
+                let phase = u8::try_from(e.payload).ok().and_then(Phase::from_index);
+                if e.kind == EventKind::SpanBegin
+                    && matches!(phase, Some(Phase::TermProcess | Phase::Cleaner))
+                {
+                    begun.push((e.ts, phase));
+                }
+            });
+        }
+        begun.sort_unstable();
+        let step = begun
             .iter()
-            .position(|s| s.phase == Phase::Cleaner)
-            .expect("a pass ran");
+            .position(|&(_, p)| p == Some(Phase::Cleaner))
+            .expect("a pass ran among the jobs");
         assert!(
-            spans[step..].iter().any(|s| s.phase == Phase::TermProcess),
+            begun[step..]
+                .iter()
+                .any(|&(_, p)| p == Some(Phase::TermProcess)),
             "{ctx}: the first pass must run among the jobs, not after the join"
         );
         let faulty = exec

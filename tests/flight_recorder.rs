@@ -5,10 +5,11 @@
 //! genuinely wedged pool.
 
 use sparta::prelude::*;
+use sparta_core::algorithm_by_name;
 use sparta_exec::{JobQueue, WatchdogConfig};
 use sparta_obs::{
     chrome_trace, chrome_trace_string, json, profile_recorder, recorder, validate_trace_json,
-    ClockMode, EventKind, EventRing, FlightRecorder, ObsClock,
+    ClockMode, EventKind, EventRing, FlightRecorder, ObsClock, Phase,
 };
 use sparta_testkit::{base_seed, build_index, long_query};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,33 +72,53 @@ fn concurrent_reader_only_sees_well_formed_events() {
     assert_eq!(skipped, 0, "quiescent read must never skip");
 }
 
-fn traced_trace_string(seed: u64) -> String {
+/// Algorithms with phase-span instrumentation (pRA has none).
+const TRACED_ALGOS: [&str; 5] = ["sparta", "pnra", "snra", "pjass", "pbmw"];
+
+fn traced_trace_string(name: &str, seed: u64) -> String {
     let (ix, corpus) = build_index(7);
     let q = long_query(&corpus, 11);
     let cfg = SearchConfig::exact(10)
         .with_seg_size(64)
         .with_phi(256)
         .with_trace(true)
-        .with_spans(true)
         .with_clock(ClockMode::Logical);
     let rec = FlightRecorder::new(4, 1 << 12, ClockMode::Logical);
     let exec = DeterministicExecutor::new(seed).with_recorder(Arc::clone(&rec));
-    Sparta.search(&ix, &q, &cfg, &exec);
+    algorithm_by_name(name)
+        .unwrap_or_else(|| panic!("unknown algorithm {name}"))
+        .search(&ix, &q, &cfg, &exec);
     chrome_trace_string(&rec)
 }
 
+/// Phase spans live in the rings only, so the export's bytes are what
+/// replay determinism is asserted on: every instrumented algorithm
+/// replays to the same document, phase slices included.
 #[test]
 fn trace_json_is_byte_identical_across_same_seed_runs() {
-    let a = traced_trace_string(base_seed());
-    let b = traced_trace_string(base_seed());
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "same-seed trace export must be byte-identical");
-    validate_trace_json(&a).expect("trace must validate");
+    for name in TRACED_ALGOS {
+        let a = traced_trace_string(name, base_seed());
+        let b = traced_trace_string(name, base_seed());
+        assert_eq!(
+            a, b,
+            "{name}: same-seed trace export must be byte-identical"
+        );
+        validate_trace_json(&a).expect("trace must validate");
+        let doc = json::parse(&a).expect("trace parses");
+        let events = doc.get("traceEvents").and_then(|j| j.as_arr()).unwrap();
+        let phase_slices = events
+            .iter()
+            .filter(|ev| ev.get("ph").and_then(|j| j.as_str()) == Some("X"))
+            .filter_map(|ev| ev.get("name").and_then(|j| j.as_str()))
+            .filter(|n| Phase::ALL.iter().any(|p| p.as_str() == *n))
+            .count();
+        assert!(phase_slices > 0, "{name}: no phase slice recorded");
+    }
 }
 
 #[test]
 fn trace_timeline_is_complete_for_every_worker() {
-    let text = traced_trace_string(base_seed());
+    let text = traced_trace_string("sparta", base_seed());
     let doc = json::parse(&text).expect("trace parses");
     let events = doc.get("traceEvents").and_then(|j| j.as_arr()).unwrap();
     // (tid, name) pairs of non-metadata events.
@@ -142,7 +163,6 @@ fn trace_slices_sum_to_profile_tables() {
     let cfg = SearchConfig::exact(10)
         .with_seg_size(64)
         .with_phi(256)
-        .with_spans(true)
         .with_clock(ClockMode::Logical);
     let rec = FlightRecorder::new(4, 1 << 14, ClockMode::Logical);
     let algos: [&dyn Algorithm; 2] = [&Sparta, &PBmw];

@@ -2,43 +2,39 @@
 //!
 //! The acceptance bar for the tracing layer: under the deterministic
 //! executor with a logical-step clock, replaying the same schedule
-//! seed yields *bit-identical* span vectors and heap traces — no
-//! wall-clock jitter leaks into the record. The metric primitives must
-//! likewise count exactly under every explored schedule and under real
+//! seed yields *bit-identical* heap traces — no wall-clock jitter
+//! leaks into the record — and the phase spans in the flight
+//! recorder's rings are well formed (`flight_recorder.rs` checks their
+//! export replays byte for byte). The metric primitives must likewise
+//! count exactly under every explored schedule and under real
 //! thread-level concurrency.
 
 use sparta_core::config::SearchConfig;
 use sparta_core::{algorithm_by_name, TopKResult};
 use sparta_exec::{DeterministicExecutor, Executor, JobQueue, WorkerPool};
-use sparta_obs::{phase_totals, ClockMode, Histogram, Phase};
+use sparta_obs::{ClockMode, EventKind, FlightRecorder, Histogram, Phase};
 use sparta_testkit::{base_seed, build_index, long_query, sweep_schedules};
 use std::sync::Arc;
 
 /// Algorithms with phase-span instrumentation.
 const TRACED_ALGOS: [&str; 5] = ["sparta", "pnra", "snra", "pjass", "pbmw"];
 
-fn run_traced(name: &str, seed: u64) -> TopKResult {
+fn run_traced(name: &str, exec: &DeterministicExecutor) -> TopKResult {
     let (ix, corpus) = build_index(7);
     let q = long_query(&corpus, 11);
     let cfg = SearchConfig::exact(10)
-        .with_spans(true)
         .with_clock(ClockMode::Logical)
         .with_trace(true);
-    let exec = DeterministicExecutor::new(seed);
     algorithm_by_name(name)
         .unwrap_or_else(|| panic!("unknown algorithm {name}"))
-        .search(&ix, &q, &cfg, &exec)
+        .search(&ix, &q, &cfg, exec)
 }
 
 #[test]
 fn traces_bit_identical_across_replays_of_same_seed() {
     for name in TRACED_ALGOS {
-        let a = run_traced(name, base_seed());
-        let b = run_traced(name, base_seed());
-        let spans_a = a.spans.as_deref().expect("spans enabled");
-        let spans_b = b.spans.as_deref().expect("spans enabled");
-        assert!(!spans_a.is_empty(), "{name}: no spans recorded");
-        assert_eq!(spans_a, spans_b, "{name}: span replay diverged");
+        let a = run_traced(name, &DeterministicExecutor::new(base_seed()));
+        let b = run_traced(name, &DeterministicExecutor::new(base_seed()));
         assert_eq!(a.trace, b.trace, "{name}: heap-trace replay diverged");
         assert_eq!(a.docs(), b.docs(), "{name}: results diverged");
     }
@@ -47,28 +43,46 @@ fn traces_bit_identical_across_replays_of_same_seed() {
 #[test]
 fn replay_determinism_holds_across_schedules() {
     sweep_schedules(4, |seed, _| {
-        let a = run_traced("sparta", seed);
-        let b = run_traced("sparta", seed);
-        assert_eq!(a.spans, b.spans, "seed {seed}: spans diverged");
+        let a = run_traced("sparta", &DeterministicExecutor::new(seed));
+        let b = run_traced("sparta", &DeterministicExecutor::new(seed));
         assert_eq!(a.trace, b.trace, "seed {seed}: trace diverged");
     });
 }
 
 #[test]
 fn logical_spans_are_well_formed_and_cover_phases() {
-    let r = run_traced("sparta", base_seed());
-    let spans = r.spans.unwrap();
-    // Logical ticks are unique per trace, so sorted spans strictly
-    // advance and every span closes after it opens.
-    for w in spans.windows(2) {
-        assert!(w[0].start < w[1].start, "logical ticks not unique");
+    // Rings 0..4 are the virtual workers; ring 4 is the calling
+    // thread's, where planning and the merge run.
+    let rec = FlightRecorder::new(5, 1 << 14, ClockMode::Logical);
+    {
+        let _caller = rec.install(4);
+        let exec = DeterministicExecutor::new(base_seed()).with_recorder(Arc::clone(&rec));
+        run_traced("sparta", &exec);
     }
-    for s in &spans {
-        assert!(s.end > s.start, "span {s:?} closed before opening");
+    assert_eq!(rec.dropped_events(), 0, "the rings must hold the whole run");
+    let mut closed = Vec::new();
+    for w in 0..rec.worker_count() {
+        // Logical ticks are unique, so a ring's events strictly
+        // advance; its spans nest, each end closing the innermost one.
+        let (mut open, mut last) = (Vec::new(), None);
+        rec.ring(w).for_each(|e| {
+            assert!(Some(e.ts) > last, "ring {w}: logical ticks not unique");
+            last = Some(e.ts);
+            let phase = u8::try_from(e.payload).ok().and_then(Phase::from_index);
+            match e.kind {
+                EventKind::SpanBegin => open.push(phase),
+                EventKind::SpanEnd => {
+                    let begun = open.pop().expect("span closed before opening");
+                    assert_eq!(begun, phase, "ring {w}: spans interleave");
+                    closed.extend(phase);
+                }
+                _ => {}
+            }
+        });
+        assert!(open.is_empty(), "ring {w}: a span never closed");
     }
-    let phases: Vec<Phase> = phase_totals(&spans).iter().map(|t| t.phase).collect();
     for expected in [Phase::Plan, Phase::TermProcess, Phase::HeapMerge] {
-        assert!(phases.contains(&expected), "missing phase {expected:?}");
+        assert!(closed.contains(&expected), "missing phase {expected:?}");
     }
 }
 

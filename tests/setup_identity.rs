@@ -3,7 +3,8 @@
 //! with a serial reference assembled one term at a time from
 //! `term_postings` + `score_term` + `with_block_size`: corpus
 //! statistics, every raw term, and every compressed term, packed words
-//! included.
+//! included. `score_term` itself is checked against the scorer's
+//! per-posting formula.
 
 use sparta::corpus::types::CorpusStats;
 use sparta::index::{CompressedIndex, InMemoryIndex, Index, IndexBuilder, Posting};
@@ -29,9 +30,32 @@ fn builders() -> Vec<IndexBuilder<TfIdfScorer>> {
 /// Every term's scored postings, generated one term at a time.
 fn serial_terms(corpus: &SynthCorpus, builder: &IndexBuilder<TfIdfScorer>) -> Vec<Vec<Posting>> {
     let stats = corpus.stats();
+    let norms = builder.doc_factors(stats);
     (0..stats.vocab_size() as TermId)
-        .map(|t| builder.score_term(t, &corpus.term_postings(t), stats))
+        .map(|t| builder.score_term(t, &corpus.term_postings(t), stats, &norms))
         .collect()
+}
+
+/// `score_term` computes the idf once per term and the length norm
+/// once per document; every posting must still get the score of the
+/// scorer's per-posting formula, bit for bit.
+#[test]
+fn term_scoring_matches_the_per_posting_formula() {
+    for (name, model) in corpora() {
+        let corpus = SynthCorpus::build(model);
+        let stats = corpus.stats();
+        let builder = IndexBuilder::new(TfIdfScorer);
+        let norms = builder.doc_factors(stats);
+        for t in 0..stats.vocab_size() as TermId {
+            let raw = corpus.term_postings(t);
+            let got = builder.score_term(t, &raw, stats, &norms);
+            assert_eq!(got.len(), raw.len(), "{name}: term {t}");
+            for (p, &(doc, tf)) in got.iter().zip(&raw) {
+                let want = TfIdfScorer.term_score(tf, doc, t, stats);
+                assert_eq!(p.score, want, "{name}: term {t} doc {doc}");
+            }
+        }
+    }
 }
 
 #[test]
