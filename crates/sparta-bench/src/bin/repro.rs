@@ -861,7 +861,7 @@ fn replay_guard_cell(kind: IndexKind, recorder: Option<&Arc<FlightRecorder>>) ->
     let qs = ds.queries_of_length(GUARD_TERMS, GUARD_QUERIES);
     let mut cfg = VariantParams::exact().config(ds.k);
     if recorder.is_some() {
-        cfg = cfg.with_trace(true).with_clock(ClockMode::Logical);
+        cfg = cfg.with_trace(true);
     }
     let io = ds.index.io_stats();
     GUARD_ALGOS

@@ -644,10 +644,12 @@ fn run_level_tcp(
                     std::thread::sleep(offset - now);
                 }
                 let sent = std::time::Instant::now();
-                match client.query(&req) {
-                    Ok(Frame::Response { .. }) => Some(sent.elapsed().as_nanos() as u64),
-                    _ => None,
-                }
+                let reply = client.query(&req);
+                let latency = sent.elapsed().as_nanos() as u64;
+                // The level ends, and the admin plane is scraped, only
+                // once the server has recorded this query's stages.
+                let _ = client.close();
+                matches!(reply, Ok(Frame::Response { .. })).then_some(latency)
             })
         })
         .collect();

@@ -1,6 +1,5 @@
 //! Search configuration.
 
-use sparta_obs::ClockMode;
 use std::time::Duration;
 
 /// Parameters of one top-k search.
@@ -25,7 +24,9 @@ pub struct SearchConfig {
     /// pJASS's traversed-postings fraction p ∈ (0, 1] (p = 1 ⇒ exact;
     /// the paper uses p = 0.02 high / p = 0.005 low, §5.3).
     pub jass_p: f64,
-    /// Record a heap trace for recall-dynamics analysis (Fig. 3f/3g).
+    /// Record a heap trace for recall-dynamics analysis (Fig. 3f/3g),
+    /// stamped with the executor's clock
+    /// ([`Executor::clock_mode`](sparta_exec::Executor::clock_mode)).
     pub trace: bool,
     /// Probabilistic-pruning factor γ ∈ (0, 1] for Sparta's cleaner —
     /// the extension the paper leaves as future work (§6, after
@@ -36,11 +37,6 @@ pub struct SearchConfig {
     /// that are unlikely (rather than unable) to qualify, trading
     /// recall for convergence speed. `None` ⇒ safe.
     pub prune_gamma: Option<f64>,
-    /// Clock the heap [`TraceSink`](crate::TraceSink) stamps its events
-    /// with. The wall clock is the default; the logical clock makes
-    /// heap traces bit-identical under the deterministic executor.
-    /// (Phase spans go to the flight recorder, stamped by its clock.)
-    pub clock: ClockMode,
     /// Per-query tag stamped onto the job queue a search creates
     /// (0 = untagged). The query server derives one config per request
     /// from a shared template and tags it with the request id, so a
@@ -60,7 +56,6 @@ impl SearchConfig {
             jass_p: 1.0,
             trace: false,
             prune_gamma: None,
-            clock: ClockMode::Wall,
             query_tag: 0,
         }
     }
@@ -101,12 +96,6 @@ impl SearchConfig {
     /// Builder: enables heap tracing.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Builder: sets the heap-trace clock.
-    pub fn with_clock(mut self, clock: ClockMode) -> Self {
-        self.clock = clock;
         self
     }
 

@@ -61,7 +61,7 @@ impl Algorithm for PBmw {
             theta: AtomicU64::new(0),
             merged: Mutex::new(BoundedTopK::new(cfg.k.max(1))),
             work: Mutex::new(WorkStats::default()),
-            trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+            trace: TraceSink::with_clock(cfg.trace, exec.clock_mode()),
         });
         // Twice as many equal ranges as workers (§5.2.1) — "this
         // partition results in well-balanced executions".

@@ -125,7 +125,7 @@ fn run_once(
         cands,
         scanned: AtomicU64::new(0),
         budget,
-        trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+        trace: TraceSink::with_clock(cfg.trace, exec.clock_mode()),
         trace_heap: cfg.trace.then(|| SharedHeap::new(cfg.k.max(1))),
     });
     let queue = JobQueue::tagged(cfg.query_tag);

@@ -176,7 +176,7 @@ fn run_once(
         ub: SharedUb::new(query.terms.len()),
         heap: SpartaHeap::new(Arc::clone(&cands.slab), cfg.k),
         cands,
-        trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+        trace: TraceSink::with_clock(cfg.trace, exec.clock_mode()),
         postings: ShardedCounter::new(),
         docmap_peak: AtomicU64::new(0),
         timeout_stops: AtomicU64::new(0),

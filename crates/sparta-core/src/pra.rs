@@ -30,6 +30,7 @@ use sparta_collections::{DocBitset, ShardedCounter};
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, Posting, RandomAccess, ScoreCursor, DEFAULT_BLOCK_SIZE};
+use sparta_obs::{span, Phase};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -181,6 +182,7 @@ impl Batch {
 
 impl CyclicJob for TermJob {
     fn run_step(&mut self) -> bool {
+        let _seg_span = span(Phase::TermProcess);
         let (state, i) = (&*self.state, self.i);
         let ra = state
             .index
@@ -237,6 +239,7 @@ impl Algorithm for PRa {
                 trace: cfg.trace.then(Vec::new),
             };
         }
+        let plan = span(Phase::Plan);
         let state = Arc::new(State {
             cfg: *cfg,
             terms: query.terms.clone(),
@@ -245,7 +248,7 @@ impl Algorithm for PRa {
             seen: DocBitset::with_capacity(index.num_docs() as usize),
             done: AtomicBool::new(false),
             timeout_stops: AtomicU64::new(0),
-            trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+            trace: TraceSink::with_clock(cfg.trace, exec.clock_mode()),
             postings: ShardedCounter::new(),
             randoms: ShardedCounter::new(),
             index: Arc::clone(index),
@@ -260,8 +263,10 @@ impl Algorithm for PRa {
                 batch: Batch::with_capacity(DEFAULT_BLOCK_SIZE),
             }));
         }
+        drop(plan);
         exec.run(Arc::clone(&queue));
 
+        let merge_span = span(Phase::HeapMerge);
         let hits = finalize_hits(
             state
                 .heap
@@ -271,6 +276,7 @@ impl Algorithm for PRa {
                 .collect(),
             cfg.k,
         );
+        drop(merge_span);
         // Claims are never withdrawn: the set's peak is its final size.
         let claimed = state.seen.len() as u64;
         let work = WorkStats {

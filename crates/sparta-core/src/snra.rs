@@ -99,7 +99,7 @@ impl Algorithm for SNra {
         let sharded = Arc::new(ShardedLists::build(index, query, p));
         // Shard construction models offline pre-partitioning; latency
         // measurement starts here, matching the paper's methodology.
-        let trace = Arc::new(TraceSink::with_clock(cfg.trace, cfg.clock));
+        let trace = Arc::new(TraceSink::with_clock(cfg.trace, exec.clock_mode()));
         let results: Arc<Vec<ShardResult>> = Arc::new(
             (0..p)
                 .map(|_| Mutex::new((Vec::new(), WorkStats::default())))

@@ -77,7 +77,7 @@ use sparta_collections::{
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
-use sparta_obs::{span, Phase};
+use sparta_obs::{span, ClockMode, Phase};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -153,7 +153,7 @@ impl DocMap {
 }
 
 impl State {
-    fn new(m: usize, cands: Candidates, cfg: SearchConfig) -> Self {
+    fn new(m: usize, cands: Candidates, cfg: SearchConfig, clock: ClockMode) -> Self {
         Self {
             cfg,
             ub: SharedUb::new(m),
@@ -161,7 +161,7 @@ impl State {
             cands,
             doc_map: SwapCell::new(DocMap::Open),
             next_pass_at: AtomicU64::new(0),
-            trace: TraceSink::with_clock(cfg.trace, cfg.clock),
+            trace: TraceSink::with_clock(cfg.trace, clock),
             postings: ShardedCounter::new(),
             docmap_peak: AtomicU64::new(0),
             cleaner_passes: AtomicU64::new(0),
@@ -446,7 +446,7 @@ impl Algorithm for Sparta {
         }
         // The first docMap is the run's candidate table (`candidates`).
         let run = |cands| {
-            let state = Arc::new(State::new(m, cands, *cfg));
+            let state = Arc::new(State::new(m, cands, *cfg, exec.clock_mode()));
             let queue = JobQueue::tagged(cfg.query_tag);
             {
                 let _plan = span(Phase::Plan);
@@ -518,7 +518,7 @@ mod tests {
     use crate::oracle::Oracle;
     use sparta_exec::{DeterministicExecutor, WorkerPool};
     use sparta_index::{InMemoryIndex, Posting};
-    use sparta_obs::{ClockMode, EventKind, FlightRecorder};
+    use sparta_obs::{EventKind, FlightRecorder};
 
     fn pseudo_index(n: u32, m: usize, seed: u32) -> Arc<dyn Index> {
         let lists: Vec<Vec<Posting>> = (0..m as u32)
@@ -586,7 +586,7 @@ mod tests {
     fn an_empty_final_segment_exhausts_the_bound() {
         let ix = pseudo_index(256, 1, 29);
         let cfg = SearchConfig::exact(10).with_seg_size(64);
-        let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg));
+        let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg, ClockMode::Wall));
         let cursor = ix.score_cursor(0);
         let mut job = SegmentJob {
             state: Arc::clone(&state),
@@ -678,7 +678,7 @@ mod tests {
     fn a_pass_falls_due_on_its_budget_or_on_delta() {
         let state_with = |delta| {
             let cfg = SearchConfig::exact(10).with_delta(delta);
-            let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg));
+            let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg, ClockMode::Wall));
             state.ub.exhaust(0); // UBStop: Σ UB = 0 ≤ Θ
             state.next_pass_at.store(1 << 40, Ordering::Relaxed);
             state

@@ -22,7 +22,7 @@
 use crate::fault::FaultPlan;
 use crate::{Executor, JobQueue};
 use sparta_obs::ring::EventKind;
-use sparta_obs::FlightRecorder;
+use sparta_obs::{ClockMode, FlightRecorder};
 use std::sync::Arc;
 
 /// SplitMix64 (Steele et al.), inlined so `sparta-exec` stays
@@ -93,9 +93,8 @@ impl DeterministicExecutor {
     /// Attaches a flight recorder. Each scheduling step runs under the
     /// ring of *virtual worker* `step % parallelism` — the events a
     /// real pool would spread over threads land in the same per-worker
-    /// rings, deterministically. Pair with a
-    /// [`ClockMode::Logical`](sparta_obs::ClockMode::Logical) recorder
-    /// for byte-identical traces across same-seed runs.
+    /// rings, deterministically. Pair with a [`ClockMode::Logical`]
+    /// recorder for byte-identical traces across same-seed runs.
     #[must_use]
     pub fn with_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.recorder = Some(recorder);
@@ -168,6 +167,10 @@ impl Executor for DeterministicExecutor {
 
     fn parallelism(&self) -> usize {
         self.parallelism
+    }
+
+    fn clock_mode(&self) -> ClockMode {
+        ClockMode::Logical
     }
 }
 

@@ -36,6 +36,7 @@ pub use job_queue::{CyclicJob, Job, JobQueue};
 pub use pool::WorkerPool;
 pub use watchdog::{StallWatchdog, WatchdogConfig};
 
+use sparta_obs::ClockMode;
 use std::sync::Arc;
 
 /// The old name of latency mode's executor, now the shared pool. It
@@ -54,4 +55,12 @@ pub trait Executor: Sync {
     /// size their job sets from this (e.g. pBMW creates `2 ×
     /// parallelism` document ranges, §5.2.1).
     fn parallelism(&self) -> usize;
+
+    /// The clock a query's heap trace is stamped with: the wall clock,
+    /// which measured latencies share, unless the executor replays a
+    /// seeded schedule ([`DeterministicExecutor`]), whose logical clock
+    /// keeps the trace bit-identical across runs of the seed.
+    fn clock_mode(&self) -> ClockMode {
+        ClockMode::Wall
+    }
 }

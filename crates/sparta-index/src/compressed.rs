@@ -122,14 +122,14 @@ fn unpack(words: &[u64], start_bit: usize, width: u32, out: &mut [u32]) {
 
 /// Per-block location of one packed plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct PlaneMeta {
+struct PlaneMeta {
     /// Bit offset of the block's first plane in the term's word
     /// buffer.
-    pub(crate) off: u32,
+    off: u32,
     /// Width of the per-block-sized field (doc-id gaps for the
     /// doc-ordered plane, codebook-index drops for the score-ordered
     /// plane).
-    pub(crate) bits: u8,
+    bits: u8,
 }
 
 /// One term's compressed posting list: both traversal orders packed
@@ -137,22 +137,22 @@ pub(crate) struct PlaneMeta {
 /// reproduces the raw postings exactly.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CompressedTermData {
-    pub(crate) len: u32,
-    pub(crate) max_score: u32,
-    pub(crate) block_size: u32,
+    len: u32,
+    max_score: u32,
+    block_size: u32,
     /// Sorted distinct score values (the exact codebook).
-    pub(crate) dict: Vec<u32>,
+    dict: Vec<u32>,
     /// Exact block-max metadata over the doc-ordered plane — identical
     /// to the raw backend's.
-    pub(crate) blocks: Vec<BlockMeta>,
+    blocks: Vec<BlockMeta>,
     /// Codebook-index width in the doc-ordered plane.
-    pub(crate) sidx_bits: u8,
+    sidx_bits: u8,
     /// Raw doc-id width in the score-ordered plane.
-    pub(crate) doc_raw_bits: u8,
-    pub(crate) doc_meta: Vec<PlaneMeta>,
-    pub(crate) score_meta: Vec<PlaneMeta>,
+    doc_raw_bits: u8,
+    doc_meta: Vec<PlaneMeta>,
+    score_meta: Vec<PlaneMeta>,
     /// Packed planes + one padding word.
-    pub(crate) words: Vec<u64>,
+    words: Vec<u64>,
 }
 
 impl CompressedTermData {
@@ -407,23 +407,6 @@ impl CompressedTermData {
         (n, idx)
     }
 
-    /// The largest doc id the list can yield, over the block directory
-    /// and both id planes (corrupt planes decode ids it never names).
-    pub(crate) fn max_decoded_doc(&self) -> Option<DocId> {
-        let mut docs = [0u32; MAX_BLOCK];
-        let mut scores = [0u32; MAX_BLOCK];
-        let mut max = self.blocks.iter().map(|b| b.last_doc).max();
-        let mut prev_idx = self.dict.len().saturating_sub(1) as u32;
-        for bi in 0..self.blocks.len() {
-            let n = self.decode_doc_block(bi, &mut docs, &mut scores);
-            max = max.max(docs[..n].iter().copied().max());
-            let (n, idx) = self.decode_score_block(bi, prev_idx, &mut docs, &mut scores);
-            max = max.max(docs[..n].iter().copied().max());
-            prev_idx = idx;
-        }
-        max
-    }
-
     /// Point lookup: the score of `doc` (0 if the list skips it) and
     /// the packed bytes touched, or `None` when `doc` lies past the
     /// list's last posting.
@@ -593,7 +576,7 @@ impl CompressedIndex {
     }
 
     /// Reassembles an index from built term data whose ids `num_docs`
-    /// already bounds (the other constructors' and the reader's path).
+    /// already bounds (the other constructors' path).
     pub(crate) fn from_parts(
         terms: Vec<CompressedTermData>,
         num_docs: u64,

@@ -25,32 +25,22 @@
 //! disk-resident index would make — fixed-size sequential fetches,
 //! block reads, random probes — to the [`crate::iostats`] layer.
 //!
-//! Format version 2 adds an *optional* versioned compressed section:
-//!
-//! ```text
-//! compressed.bin  magic "SPARTACP", section version, num_docs,
-//!                 num_terms, block_size, then one
-//!                 [`crate::CompressedTermData`] record per term
-//!                 (see [`format::encode_compressed_term`])
-//! ```
-//!
-//! written when the index is built with
-//! [`crate::builder::IndexKind::Compressed`] and loaded whole into RAM
-//! by [`reader::load_compressed`]. Version-1 directories (no such
-//! file) remain readable by [`DiskIndex`].
+//! This is the index's only on-disk format. The compressed backend
+//! ([`crate::CompressedIndex`]) is built in RAM from postings or from a
+//! loaded raw index ([`crate::CompressedIndex::from_index`]) and is
+//! never persisted.
 
 pub mod format;
 pub mod reader;
 pub mod writer;
 
 pub use format::{DictEntry, Meta, FORMAT_VERSION, MAGIC, MIN_FORMAT_VERSION};
-pub use reader::{load_compressed, load_raw, DiskIndex};
+pub use reader::{load_raw, DiskIndex};
 pub use writer::IndexWriter;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::IndexKind;
     use crate::memory::InMemoryIndex;
     use crate::posting::Posting;
     use crate::{Index, IoModel};
@@ -68,12 +58,8 @@ mod tests {
     }
 
     fn write_sample(dir: &std::path::Path) {
-        write_sample_kind(dir, IndexKind::Raw);
-    }
-
-    fn write_sample_kind(dir: &std::path::Path, kind: IndexKind) {
         let lists = sample_lists();
-        let mut w = IndexWriter::create_with_kind(dir, 900, lists.len() as u32, 64, kind).unwrap();
+        let mut w = IndexWriter::create(dir, 900, lists.len() as u32, 64).unwrap();
         for l in &lists {
             w.add_term(l.clone()).unwrap();
         }
@@ -292,125 +278,20 @@ mod tests {
         assert_open_rejects("score_off", "dict.bin", 3 * 40, &u64::MAX.to_le_bytes());
     }
 
-    /// `num_docs` bounds every stored id (`Index::num_docs`): both
-    /// loaders reject a header at or below the sample's largest id,
-    /// 897, or above 2^32, and accept 898. The header field sits at
-    /// byte 12 of `meta.bin` and of `compressed.bin` alike.
+    /// `num_docs` bounds every stored id (`Index::num_docs`): the
+    /// loader rejects a header at or below the sample's largest id,
+    /// 897, or above 2^32, and accepts 898. The header field sits at
+    /// byte 12 of `meta.bin`.
     #[test]
     fn loaders_reject_num_docs_not_covering_a_stored_id() {
         let dir = tempdir("num_docs");
-        write_sample_kind(&dir, IndexKind::Compressed);
+        write_sample(&dir);
         let kind = |r: std::io::Result<()>| r.err().map(|e| e.kind());
         let disk = || kind(DiskIndex::open(&dir, IoModel::free()).map(drop));
-        let compressed = || kind(load_compressed(&dir).map(drop));
         let bad = Some(std::io::ErrorKind::InvalidData);
         for (num_docs, want) in [(897u64, bad), ((1 << 32) + 1, bad), (898, None)] {
             patch(&dir, "meta.bin", 12, &num_docs.to_le_bytes());
-            patch(&dir, "compressed.bin", 12, &num_docs.to_le_bytes());
             assert_eq!(disk(), want, "meta.bin num_docs {num_docs}");
-            assert_eq!(compressed(), want, "compressed.bin num_docs {num_docs}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compressed_section_round_trips() {
-        use crate::compressed::CompressedIndex;
-        let dir = tempdir("compressed_rt");
-        write_sample_kind(&dir, IndexKind::Compressed);
-
-        // The raw planes are still a valid v2 index.
-        assert!(DiskIndex::open(&dir, IoModel::free()).is_ok());
-
-        let loaded = load_compressed(&dir).unwrap();
-        let built = CompressedIndex::from_term_postings(sample_lists(), 900);
-        assert_eq!(loaded.num_docs(), built.num_docs());
-        assert_eq!(loaded.num_terms(), built.num_terms());
-        for t in 0..loaded.num_terms() {
-            assert_eq!(loaded.doc_freq(t), built.doc_freq(t));
-            assert_eq!(
-                loaded.doc_cursor(t).max_score(),
-                built.doc_cursor(t).max_score()
-            );
-            let mut a = loaded.score_cursor(t);
-            let mut b = built.score_cursor(t);
-            loop {
-                let (x, y) = (a.next(), b.next());
-                assert_eq!(x, y, "term {t}");
-                if x.is_none() {
-                    break;
-                }
-            }
-            let mut a = loaded.doc_cursor(t);
-            let mut b = built.doc_cursor(t);
-            loop {
-                assert_eq!(a.doc(), b.doc(), "term {t}");
-                let here = a.doc().unwrap_or(0);
-                assert_eq!(a.block_at(here), b.block_at(here), "term {t}");
-                if a.advance().is_none() {
-                    b.advance();
-                    break;
-                }
-                b.advance();
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn raw_kind_writes_no_compressed_section() {
-        let dir = tempdir("raw_kind");
-        write_sample(&dir);
-        assert!(!dir.join("compressed.bin").exists());
-        let err = reader::load_compressed(&dir).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compressed_section_rejects_corruption() {
-        let dir = tempdir("compressed_corrupt");
-        write_sample_kind(&dir, IndexKind::Compressed);
-        let path = dir.join("compressed.bin");
-        let good = std::fs::read(&path).unwrap();
-
-        // Bad magic.
-        let mut bad = good.clone();
-        bad[0] ^= 0xFF;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(load_compressed(&dir).is_err());
-
-        // Truncation mid-term.
-        std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(load_compressed(&dir).is_err());
-
-        // Trailing garbage.
-        let mut long = good.clone();
-        long.push(0);
-        std::fs::write(&path, &long).unwrap();
-        assert!(load_compressed(&dir).is_err());
-
-        std::fs::write(&path, &good).unwrap();
-        assert!(load_compressed(&dir).is_ok());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// `compressed.bin` carries its own layout version at byte 8: the
-    /// previous layout and any later one are `InvalidData`, not a
-    /// misparse.
-    #[test]
-    fn compressed_section_rejects_other_versions() {
-        use format::COMPRESSED_SECTION_VERSION;
-        let dir = tempdir("compressed_version");
-        write_sample_kind(&dir, IndexKind::Compressed);
-        assert!(load_compressed(&dir).is_ok());
-        for version in [
-            COMPRESSED_SECTION_VERSION - 1,
-            COMPRESSED_SECTION_VERSION + 1,
-        ] {
-            patch(&dir, "compressed.bin", 8, &version.to_le_bytes());
-            let err = load_compressed(&dir).expect_err("another version loads");
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "v{version}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,11 +1,10 @@
-//! Index-directory loaders, and the disk backend: a raw index loaded
+//! The index-directory loader, and the disk backend: a raw index loaded
 //! whole and cross-checked at open, served from RAM with block-granular
 //! I/O accounting.
 //!
-//! [`load_raw`] reads the raw planes and [`load_compressed`] the
-//! compressed section; each checks everything it reads once, so a
-//! damaged directory is `InvalidData` at open, never a wrong answer
-//! later. No file is opened after either returns.
+//! [`load_raw`] reads the raw planes and checks everything it reads
+//! once, so a damaged directory is `InvalidData` at open, never a wrong
+//! answer later. No file is opened after it returns.
 
 use super::format::{self, DictEntry, Meta};
 use crate::cursor::{DocCursor, RandomAccess, ScoreCursor};
@@ -16,7 +15,7 @@ use crate::Index;
 use sparta_corpus::per_term;
 use sparta_corpus::types::{DocId, TermId};
 use std::fs::File;
-use std::io::{self, Read};
+use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -374,33 +373,4 @@ impl DocCursor for ChargedDocCursor {
     fn len(&self) -> u64 {
         self.inner.len()
     }
-}
-
-/// Loads the versioned compressed section (`compressed.bin`) of an
-/// index directory written with
-/// [`IndexKind::Compressed`](crate::builder::IndexKind::Compressed)
-/// into a RAM-resident [`CompressedIndex`](crate::CompressedIndex).
-///
-/// Version-1 directories have no such section; opening them raises
-/// `NotFound`, and callers fall back to [`load_raw`] / a raw build.
-/// A decoded id not below the header's `num_docs` is `InvalidData`.
-pub fn load_compressed(dir: impl AsRef<Path>) -> io::Result<crate::CompressedIndex> {
-    let dir = dir.as_ref();
-    let mut f = std::io::BufReader::new(File::open(dir.join("compressed.bin"))?);
-    let (num_docs, num_terms, block_size) = format::read_compressed_header(&mut f)?;
-    let mut terms = Vec::with_capacity(num_terms as usize);
-    for _ in 0..num_terms {
-        terms.push(format::decode_compressed_term(&mut f, block_size)?);
-    }
-    let mut rest = [0u8; 1];
-    if f.read(&mut rest)? != 0 {
-        return Err(format::bad("trailing bytes after last term"));
-    }
-    let max_doc = terms.iter().filter_map(|t| t.max_decoded_doc()).max();
-    check_num_docs(num_docs, max_doc)?;
-    Ok(crate::CompressedIndex::from_parts(
-        terms,
-        num_docs,
-        block_size as usize,
-    ))
 }

@@ -1,4 +1,5 @@
-//! Streaming index writer.
+//! Streaming index writer: the raw planes of [`super`], the one
+//! on-disk format.
 //!
 //! Terms are appended one at a time so that arbitrarily large corpora
 //! can be indexed with O(largest posting list) memory: the synthetic
@@ -6,8 +7,6 @@
 //! straight to [`IndexWriter::add_term`].
 
 use super::format::{self, DictEntry, Meta, FORMAT_VERSION};
-use crate::builder::IndexKind;
-use crate::compressed::CompressedTermData;
 use crate::posting::{self, Posting};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -21,9 +20,6 @@ pub struct IndexWriter {
     score_file: BufWriter<File>,
     doc_file: BufWriter<File>,
     blocks_file: BufWriter<File>,
-    /// The versioned compressed section, present when the writer was
-    /// created with [`IndexKind::Compressed`].
-    compressed_file: Option<BufWriter<File>>,
     score_off: u64,
     doc_off: u64,
     block_off: u64,
@@ -40,33 +36,10 @@ impl IndexWriter {
         num_terms: u32,
         block_size: usize,
     ) -> io::Result<Self> {
-        Self::create_with_kind(dir, num_docs, num_terms, block_size, IndexKind::Raw)
-    }
-
-    /// As [`create`](Self::create); with [`IndexKind::Compressed`] the
-    /// writer additionally emits `compressed.bin`, the versioned
-    /// compressed section loadable via
-    /// [`super::reader::load_compressed`]. The raw planes are always
-    /// written, so the directory stays readable by [`super::reader::DiskIndex`].
-    pub fn create_with_kind(
-        dir: impl AsRef<Path>,
-        num_docs: u64,
-        num_terms: u32,
-        block_size: usize,
-        kind: IndexKind,
-    ) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let open = |name: &str| -> io::Result<BufWriter<File>> {
             Ok(BufWriter::new(File::create(dir.join(name))?))
-        };
-        let compressed_file = match kind {
-            IndexKind::Raw => None,
-            IndexKind::Compressed => {
-                let mut f = open("compressed.bin")?;
-                format::write_compressed_header(&mut f, num_docs, num_terms, block_size as u32)?;
-                Some(f)
-            }
         };
         Ok(Self {
             meta: Meta {
@@ -79,7 +52,6 @@ impl IndexWriter {
             score_file: open("score.bin")?,
             doc_file: open("doc.bin")?,
             blocks_file: open("blocks.bin")?,
-            compressed_file,
             score_off: 0,
             doc_off: 0,
             block_off: 0,
@@ -108,13 +80,6 @@ impl IndexWriter {
             num_blocks: blocks.len() as u32,
             max_score,
         };
-
-        if let Some(f) = self.compressed_file.as_mut() {
-            let td =
-                CompressedTermData::from_postings(postings.clone(), self.meta.block_size as usize);
-            format::encode_compressed_term(&td, &mut self.scratch);
-            f.write_all(&self.scratch)?;
-        }
 
         format::encode_postings(&postings, &mut self.scratch);
         self.doc_file.write_all(&self.scratch)?;
@@ -149,9 +114,6 @@ impl IndexWriter {
         self.score_file.flush()?;
         self.doc_file.flush()?;
         self.blocks_file.flush()?;
-        if let Some(mut f) = self.compressed_file.take() {
-            f.flush()?;
-        }
 
         let mut dict = BufWriter::new(File::create(self.dir.join("dict.bin"))?);
         for e in &self.dict {

@@ -18,7 +18,8 @@ use crate::ring::EventKind;
 pub enum Phase {
     /// Query planning: opening cursors, seeding the job queue.
     Plan,
-    /// One posting-list segment traversal (Sparta, pNRA, pJASS).
+    /// One posting-list segment traversal (Sparta, pNRA, pJASS; pRA's
+    /// also claims and probes each batch).
     TermProcess,
     /// One Sparta cleaner pass.
     Cleaner,

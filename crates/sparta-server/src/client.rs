@@ -2,7 +2,8 @@
 //! load harness and the integration tests.
 
 use crate::protocol::{read_frame, write_frame, Frame, ProtocolError, QueryRequest};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::Read;
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 
 /// One blocking connection to a query server.
 pub struct Client {
@@ -23,5 +24,14 @@ impl Client {
         write_frame(&mut self.stream, &Frame::Request(req.clone()))
             .map_err(|e| ProtocolError::Io(e.kind()))?;
         read_frame(&mut self.stream)
+    }
+
+    /// Half-closes the connection and waits for the server to close its
+    /// end. The server closes only once it has finished every request
+    /// the connection sent, stage histograms included, so a metrics
+    /// scrape taken after this returns counts all of them.
+    pub fn close(mut self) -> std::io::Result<()> {
+        self.stream.shutdown(Shutdown::Write)?;
+        self.stream.read_to_end(&mut Vec::new()).map(drop)
     }
 }

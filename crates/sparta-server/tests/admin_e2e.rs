@@ -127,12 +127,14 @@ fn readyz_tracks_lifecycle_and_debug_routes_serve() {
     let (status, body) = http_get(admin, "/readyz").expect("readyz");
     assert_eq!((status, body.as_str()), (200, "ready\n"));
 
-    // Run one query so the flight-recorder rings hold real events.
+    // Run one query so the flight-recorder rings hold real events. It
+    // is pRA's, the server's only query before the profile check, so
+    // that check fails unless pRA records phase spans too.
     let mut client = Client::connect(handle.addr()).expect("connect");
     let reply = client
         .query(&QueryRequest {
             k: 3,
-            algorithm: "sparta".to_string(),
+            algorithm: "pra".to_string(),
             terms: vec![1, 2],
         })
         .expect("answered");

@@ -72,8 +72,8 @@ fn concurrent_reader_only_sees_well_formed_events() {
     assert_eq!(skipped, 0, "quiescent read must never skip");
 }
 
-/// Algorithms with phase-span instrumentation (pRA has none).
-const TRACED_ALGOS: [&str; 5] = ["sparta", "pnra", "snra", "pjass", "pbmw"];
+/// Algorithms with phase-span instrumentation.
+const TRACED_ALGOS: [&str; 6] = ["sparta", "pnra", "snra", "pjass", "pbmw", "pra"];
 
 fn traced_trace_string(name: &str, seed: u64) -> String {
     let (ix, corpus) = build_index(7);
@@ -81,8 +81,7 @@ fn traced_trace_string(name: &str, seed: u64) -> String {
     let cfg = SearchConfig::exact(10)
         .with_seg_size(64)
         .with_phi(256)
-        .with_trace(true)
-        .with_clock(ClockMode::Logical);
+        .with_trace(true);
     let rec = FlightRecorder::new(4, 1 << 12, ClockMode::Logical);
     let exec = DeterministicExecutor::new(seed).with_recorder(Arc::clone(&rec));
     algorithm_by_name(name)
@@ -160,10 +159,7 @@ fn trace_timeline_is_complete_for_every_worker() {
 fn trace_slices_sum_to_profile_tables() {
     let (ix, corpus) = build_index(7);
     let q = long_query(&corpus, 11);
-    let cfg = SearchConfig::exact(10)
-        .with_seg_size(64)
-        .with_phi(256)
-        .with_clock(ClockMode::Logical);
+    let cfg = SearchConfig::exact(10).with_seg_size(64).with_phi(256);
     let rec = FlightRecorder::new(4, 1 << 14, ClockMode::Logical);
     let algos: [&dyn Algorithm; 2] = [&Sparta, &PBmw];
     for (i, algo) in algos.into_iter().enumerate() {

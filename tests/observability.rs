@@ -17,14 +17,12 @@ use sparta_testkit::{base_seed, build_index, long_query, sweep_schedules};
 use std::sync::Arc;
 
 /// Algorithms with phase-span instrumentation.
-const TRACED_ALGOS: [&str; 5] = ["sparta", "pnra", "snra", "pjass", "pbmw"];
+const TRACED_ALGOS: [&str; 6] = ["sparta", "pnra", "snra", "pjass", "pbmw", "pra"];
 
 fn run_traced(name: &str, exec: &DeterministicExecutor) -> TopKResult {
     let (ix, corpus) = build_index(7);
     let q = long_query(&corpus, 11);
-    let cfg = SearchConfig::exact(10)
-        .with_clock(ClockMode::Logical)
-        .with_trace(true);
+    let cfg = SearchConfig::exact(10).with_trace(true);
     algorithm_by_name(name)
         .unwrap_or_else(|| panic!("unknown algorithm {name}"))
         .search(&ix, &q, &cfg, exec)
