@@ -101,14 +101,26 @@ fn unpack(word: u64) -> (u32, u32) {
 }
 
 impl DocTable {
-    fn with_slots(entries: usize, sealed: bool) -> Self {
-        // At most half full: linear probing stays at ~1.5 probes per
-        // hit and an absent key always reaches an empty slot.
-        let n = entries
+    /// Slots for `entries` documents. At most half full: linear probing
+    /// stays at ~1.5 probes per hit and an absent key always reaches an
+    /// empty slot.
+    fn slots_for(entries: usize) -> usize {
+        entries
             .checked_mul(2)
             .expect("DocTable capacity overflow")
             .next_power_of_two()
-            .max(MIN_SLOTS);
+            .max(MIN_SLOTS)
+    }
+
+    /// Bytes of the slot array a table sized for `entries` documents
+    /// allocates: what a [`DenseDocTable`](crate::DenseDocTable) is
+    /// weighed against.
+    pub fn footprint(entries: usize) -> usize {
+        Self::slots_for(entries) * std::mem::size_of::<AtomicU64>()
+    }
+
+    fn with_slots(entries: usize, sealed: bool) -> Self {
+        let n = Self::slots_for(entries);
         // lint: allow(alloc): the table's one allocation, at construction
         let slots: Box<[AtomicU64]> = (0..n).map(|_| AtomicU64::new(0)).collect();
         Self {
@@ -293,6 +305,8 @@ mod tests {
     fn sized_for_half_load_and_fills_to_it() {
         let t = DocTable::with_capacity(1000);
         assert_eq!(t.slots.len(), 2048);
+        assert_eq!(DocTable::footprint(1000), 2048 * 8);
+        assert_eq!(DocTable::footprint(0), MIN_SLOTS * 8);
         for d in 0..1000u32 {
             assert_eq!(
                 t.get_or_try_insert_with(d * 7919, true, || d),

@@ -14,7 +14,12 @@
 //! * [`DocTable`] — an insert-only open-addressing `doc id → handle`
 //!   table, one atomic word per slot, sized once: lookups are plain
 //!   loads and admission is one compare-and-swap. Sparta's, pNRA's
-//!   and pJASS's `docMap`.
+//!   and pJASS's `docMap` when the corpus is much larger than a
+//!   query's lists.
+//! * [`DenseDocTable`] — the same table indexed by doc id: one
+//!   `AtomicU32` per document, a lookup is one load and admission one
+//!   compare-and-swap, with no probe window and no restart. Their
+//!   `docMap` whenever it is no larger than the `DocTable` it replaces.
 //! * [`DocBitset`] — one bit per document, claimed with one
 //!   `fetch_or`: pRA's first-wins `seen` set.
 //! * [`SwapCell`] — a shared pointer that readers can snapshot cheaply
@@ -29,6 +34,7 @@
 #![cfg_attr(test, allow(clippy::disallowed_types))]
 
 pub mod counter;
+pub mod dense_doc_table;
 pub mod doc_bitset;
 pub mod doc_table;
 pub mod fast_hash;
@@ -37,6 +43,7 @@ pub mod swap_cell;
 pub mod topk_heap;
 
 pub use counter::ShardedCounter;
+pub use dense_doc_table::DenseDocTable;
 pub use doc_bitset::DocBitset;
 pub use doc_table::{DocTable, Lookup};
 pub use fast_hash::{FastBuildHasher, FastHashMap, FastHashSet, FastIntHasher};

@@ -1,14 +1,16 @@
 //! Focused stress tests for the concurrent collections (ISSUE
 //! satellite): threshold monotonicity under random interleavings,
 //! SwapCell publish visibility, ShardedCounter sum consistency, and
-//! first-wins admission on DocTable and DocBitset.
+//! first-wins admission on DocTable, DenseDocTable and DocBitset.
 //!
 //! Randomized tests derive their RNG from `SPARTA_TEST_SEED` (default
 //! 0) so any failure is replayable with the printed seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparta_collections::{BoundedTopK, DocBitset, DocTable, Lookup, ShardedCounter, SwapCell};
+use sparta_collections::{
+    BoundedTopK, DenseDocTable, DocBitset, DocTable, Lookup, ShardedCounter, SwapCell,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -168,6 +170,59 @@ fn doc_table_one_handle_per_doc_under_contention() {
             );
             assert_eq!(h % DOCS, doc, "doc {doc}: handle offered for another doc");
         }
+    }
+    let winners = told.iter().flatten().filter(|&&(_, _, won)| won).count();
+    assert_eq!(winners, DOCS as usize);
+}
+
+/// The same guarantee on the doc-indexed table: two threads admit
+/// overlapping id ranges (the middle third contested, walked in
+/// opposite directions so they meet), each offering handles of its
+/// own. Every id ends with exactly one handle, each contested id has
+/// one winner, and both threads were told the winner's handle.
+#[test]
+fn dense_doc_table_one_handle_per_doc_across_two_threads() {
+    const DOCS: u32 = 3000;
+    let table = DenseDocTable::with_capacity(DOCS as usize);
+    let start = std::sync::Barrier::new(2);
+    let told: Vec<Vec<(u32, u32, bool)>> = std::thread::scope(|s| {
+        let workers: Vec<_> = [(0..2000u32, false), (1000..DOCS, true)]
+            .into_iter()
+            .enumerate()
+            .map(|(t, (ids, reverse))| {
+                let (table, start) = (&table, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let ids: Vec<u32> = if reverse {
+                        ids.rev().collect()
+                    } else {
+                        ids.collect()
+                    };
+                    let mut out = Vec::with_capacity(ids.len());
+                    let mut won = 0;
+                    for doc in ids {
+                        let mine = t as u32 * DOCS + doc;
+                        match table.get_or_try_insert_with(doc, true, || mine) {
+                            Lookup::Inserted(h) => {
+                                assert_eq!(h, mine);
+                                won += 1;
+                                out.push((doc, h, true));
+                            }
+                            Lookup::Found(h) => out.push((doc, h, false)),
+                            other => panic!("doc {doc}: {other:?}"),
+                        }
+                    }
+                    table.add_len(won);
+                    out
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(table.len(), DOCS as usize, "exactly one winner per doc");
+    for &(doc, h, _) in told.iter().flatten() {
+        assert_eq!(table.get(doc), Some(h), "doc {doc}: a stale handle");
+        assert_eq!(h % DOCS, doc, "doc {doc}: handle offered for another doc");
     }
     let winners = told.iter().flatten().filter(|&&(_, _, won)| won).count();
     assert_eq!(winners, DOCS as usize);

@@ -9,7 +9,7 @@
 //!
 //! The five parallel baselines of the paper's case study (§5.2,
 //! Table 2) are implemented in full. pNRA shares Sparta's candidate
-//! substrate — `DocSlab` records, a `DocTable` map,
+//! substrate — `DocSlab` records, a `DenseDocTable` or `DocTable` map,
 //! [`sparta::SpartaHeap`] — so the two differ only in the algorithm;
 //! sNRA runs sequential NRA ([`ta::nra::run_nra`]) per shard on a
 //! private one at one thread. pJASS accumulates into the same slab

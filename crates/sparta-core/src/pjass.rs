@@ -11,7 +11,7 @@
 //! We realize "per-document lock" as an atomic accumulator: a document's
 //! running sum sits in its 16-byte record in the query's `DocSlab`
 //! (Sparta's and pNRA's substrate, `sparta::candidates`), reached
-//! through one lock-free `DocTable` — the same granularity, with no
+//! through one lock-free `docMap` table — the same granularity, with no
 //! mutex and no allocation per document. The map is intentionally
 //! never pruned (the paper contrasts pJASS's "huge in-memory document
 //! map" with Sparta's cleaning, §6).
@@ -84,9 +84,7 @@ impl CyclicJob for SegmentJob {
             .budget
             .saturating_sub(before)
             .min(state.cfg.seg_size as u64) as usize;
-        let exhausted = self
-            .seg
-            .fetch(&mut *self.cursor, limit, |d| state.cands.find(d));
+        let exhausted = self.seg.fetch(&mut *self.cursor, limit, &state.cands.table);
         let mut scanned = 0u64;
         for (p, found) in self.seg.iter() {
             if state.cands.is_done() {
@@ -304,7 +302,7 @@ mod tests {
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128);
         let exec = WorkerPool::new(4);
-        let cands = Candidates::new(4, 5000);
+        let cands = Candidates::new(4, 5000, ix.num_docs());
         let (state, _queue) = run_once(&ix, &q, &cfg, &exec, u64::MAX, cands);
         assert_eq!(state.cands.table.len(), 5000);
         // Lost admission races re-stage the same record, so a list

@@ -75,9 +75,9 @@ impl CyclicJob for SegmentJob {
             return false;
         }
         let _seg_span = span(Phase::TermProcess);
-        let exhausted = self.seg.fetch(&mut *self.cursor, state.cfg.seg_size, |d| {
-            state.cands.find(d)
-        });
+        let exhausted = self
+            .seg
+            .fetch(&mut *self.cursor, state.cfg.seg_size, &state.cands.table);
         let mut scanned = 0u64;
         for (p, found) in self.seg.iter() {
             if state.cands.is_done() {
@@ -343,7 +343,7 @@ mod tests {
         let ix = pseudo_index(5000, 4, 6);
         let q = Query::new(vec![0, 1, 2, 3]);
         let cfg = SearchConfig::exact(10).with_seg_size(128);
-        let cands = Candidates::new(4, 5000);
+        let cands = Candidates::new(4, 5000, ix.num_docs());
         let (state, _queue) = run_once(&ix, &q, &cfg, &WorkerPool::new(4), cands);
         let candidates = state.cands.table.len();
         assert!(candidates > 50 * 10, "only {candidates} candidates");

@@ -24,10 +24,14 @@
 //! The shared candidate state is built around the cache line
 //! (DESIGN.md §10): 16-byte `⟨id, sum | known-mask⟩` records in a
 //! per-query [`DocSlab`], and a `docMap` that is an insert-only
-//! lock-free [`DocTable`] — lookups are plain loads, admission is one
-//! compare-and-swap, and removal never happens in place because the
-//! cleaner publishes a rebuilt map instead. The first map and its
-//! admission are `candidates`, which pNRA and pJASS share.
+//! lock-free table — doc-indexed
+//! ([`DenseDocTable`](sparta_collections::DenseDocTable)) whenever that
+//! is no larger than the hashed
+//! [`DocTable`](sparta_collections::DocTable), which serves otherwise.
+//! Lookups are plain loads, admission is one compare-and-swap, and
+//! removal never happens in place because the cleaner publishes a
+//! rebuilt map, chosen by the same size rule, instead. The first map
+//! and its admission are `candidates`, which pNRA and pJASS share.
 //!
 //! Deviations from the pseudocode, documented:
 //!
@@ -70,10 +74,8 @@ use crate::config::SearchConfig;
 use crate::result::{TopKResult, WorkStats};
 use crate::trace::TraceSink;
 use crate::Algorithm;
-use candidates::{postings, until_fits, Candidates, Segment};
-use sparta_collections::{
-    DocTable, FastBuildHasher, FastHashMap, FastHashSet, ShardedCounter, SwapCell,
-};
+use candidates::{postings, until_fits, CandidateMap, Candidates, Segment};
+use sparta_collections::{FastBuildHasher, FastHashMap, FastHashSet, ShardedCounter, SwapCell};
 use sparta_corpus::types::{DocId, Query};
 use sparta_exec::{CyclicJob, Executor, Job, JobQueue};
 use sparta_index::{Index, ScoreCursor};
@@ -115,28 +117,30 @@ enum DocMap {
     /// The first map: the run's [`Candidates`] table, still being
     /// admitted into; its entries are the slab's scored records.
     Open,
-    /// A pruned, sealed replacement the cleaner built, with its handles
-    /// in kept order — what the next pass and `termMap` construction
-    /// walk, so neither scans a sparse slot array.
+    /// A pruned, sealed replacement the cleaner built — doc-indexed or
+    /// hashed by the same size rule as the first map, applied to the
+    /// survivors — with its handles in kept order: what the next pass
+    /// and `termMap` construction walk, so neither scans a sparse slot
+    /// array.
     Rebuilt {
-        table: DocTable,
+        table: CandidateMap,
         live: Box<[DocHandle]>,
     },
 }
 
 impl DocMap {
     /// A pruned replacement holding exactly `live`, built privately.
-    fn rebuilt(slab: &DocSlab, live: Vec<DocHandle>) -> Self {
-        let entries = live.iter().map(|&h| (slab.record(h).id(), h.index()));
+    fn rebuilt(cands: &Candidates, live: Vec<DocHandle>) -> Self {
+        let entries = live.iter().map(|&h| (cands.slab.record(h).id(), h.index()));
         Self::Rebuilt {
-            table: DocTable::from_entries(entries),
+            table: CandidateMap::from_entries(cands.num_docs, entries),
             live: live.into_boxed_slice(),
         }
     }
 
     /// This version's lookup table: the run's open one or the rebuilt.
     #[inline]
-    fn table<'a>(&'a self, cands: &'a Candidates) -> &'a DocTable {
+    fn table<'a>(&'a self, cands: &'a Candidates) -> &'a CandidateMap {
         match self {
             Self::Open => &cands.table,
             Self::Rebuilt { table, .. } => table,
@@ -278,7 +282,7 @@ impl State {
         let stragglers = kept - members_in_map;
         if kept < walked {
             self.doc_map
-                .swap(Arc::new(DocMap::rebuilt(&cands.slab, survivors)));
+                .swap(Arc::new(DocMap::rebuilt(cands, survivors)));
         }
         // Line 46: stopping conditions — Eq. 2 (no candidate outside
         // the heap can still qualify), or the Δ timeout (exact: Δ = ∞).
@@ -362,14 +366,13 @@ impl CyclicJob for SegmentJob {
         // Line 15 for the whole segment: one fetch, and a resolve pass
         // that locates every posting's record (lines 16–21) in the
         // termMap or this snapshot's map with loads only.
-        let exhausted = self
-            .seg
-            .fetch(&mut *self.cursor, state.cfg.seg_size, |doc| {
-                match &self.term_map {
-                    Some(local) => local.get(&doc).copied(),
-                    None => map.table(cands).get(doc).map(DocHandle::from_index),
-                }
-            });
+        let (cursor, n) = (&mut *self.cursor, state.cfg.seg_size);
+        let exhausted = match &self.term_map {
+            Some(local) => self
+                .seg
+                .fetch_with(cursor, n, |doc| local.get(&doc).copied()),
+            None => self.seg.fetch(cursor, n, map.table(cands)),
+        };
         // Only the first map admits, and only when no termMap serves.
         let admits = self.term_map.is_none() && matches!(*map, DocMap::Open);
         let mut last_score: Option<u32> = None;
@@ -424,6 +427,41 @@ impl CyclicJob for SegmentJob {
     }
 }
 
+/// One run of `query` over `cands`: a segment job per term on `exec`,
+/// then one inline pass.
+fn run_once(
+    index: &Arc<dyn Index>,
+    query: &Query,
+    cfg: &SearchConfig,
+    exec: &dyn Executor,
+    cands: Candidates,
+) -> (Arc<State>, Arc<JobQueue>) {
+    let m = query.terms.len();
+    let state = Arc::new(State::new(m, cands, *cfg, exec.clock_mode()));
+    let queue = JobQueue::tagged(cfg.query_tag);
+    {
+        let _plan = span(Phase::Plan);
+        for (i, &t) in query.terms.iter().enumerate() {
+            let cursor = index.score_cursor(t);
+            queue.push(Job::cyclic(SegmentJob {
+                state: Arc::clone(&state),
+                queue: Arc::clone(&queue),
+                i,
+                seg: Segment::new(cursor.as_ref(), cfg.seg_size),
+                cursor,
+                term_map: None,
+                run: SlabRun::default(),
+            }));
+        }
+    }
+    exec.run(Arc::clone(&queue));
+    // Every list ran dry before a pass stopped the query (or a pass was
+    // lost): all bounds are zero, so one last pass proves Eq. 2 with
+    // the workers joined.
+    state.clean(false);
+    (state, queue)
+}
+
 impl Algorithm for Sparta {
     fn name(&self) -> &'static str {
         "sparta"
@@ -445,31 +483,7 @@ impl Algorithm for Sparta {
             };
         }
         // The first docMap is the run's candidate table (`candidates`).
-        let run = |cands| {
-            let state = Arc::new(State::new(m, cands, *cfg, exec.clock_mode()));
-            let queue = JobQueue::tagged(cfg.query_tag);
-            {
-                let _plan = span(Phase::Plan);
-                for (i, &t) in query.terms.iter().enumerate() {
-                    let cursor = index.score_cursor(t);
-                    queue.push(Job::cyclic(SegmentJob {
-                        state: Arc::clone(&state),
-                        queue: Arc::clone(&queue),
-                        i,
-                        seg: Segment::new(cursor.as_ref(), cfg.seg_size),
-                        cursor,
-                        term_map: None,
-                        run: SlabRun::default(),
-                    }));
-                }
-            }
-            exec.run(Arc::clone(&queue));
-            // Every list ran dry before a pass stopped the query (or a
-            // pass was lost): all bounds are zero, so one last pass
-            // proves Eq. 2 with the workers joined.
-            state.clean(false);
-            (state, queue)
-        };
+        let run = |cands| run_once(index, query, cfg, exec, cands);
         let postings = postings(index.as_ref(), query);
         let (state, queue) = until_fits(m, postings, index.num_docs(), run, |(s, _)| &s.cands);
 
@@ -586,7 +600,8 @@ mod tests {
     fn an_empty_final_segment_exhausts_the_bound() {
         let ix = pseudo_index(256, 1, 29);
         let cfg = SearchConfig::exact(10).with_seg_size(64);
-        let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg, ClockMode::Wall));
+        let cands = Candidates::new(1, 256, ix.num_docs());
+        let state = Arc::new(State::new(1, cands, cfg, ClockMode::Wall));
         let cursor = ix.score_cursor(0);
         let mut job = SegmentJob {
             state: Arc::clone(&state),
@@ -678,7 +693,12 @@ mod tests {
     fn a_pass_falls_due_on_its_budget_or_on_delta() {
         let state_with = |delta| {
             let cfg = SearchConfig::exact(10).with_delta(delta);
-            let state = Arc::new(State::new(1, Candidates::new(1, 256), cfg, ClockMode::Wall));
+            let state = Arc::new(State::new(
+                1,
+                Candidates::new(1, 256, 256),
+                cfg,
+                ClockMode::Wall,
+            ));
             state.ub.exhaust(0); // UBStop: Σ UB = 0 ≤ Θ
             state.next_pass_at.store(1 << 40, Ordering::Relaxed);
             state

@@ -104,7 +104,7 @@ fn run_once(
                         heap.refresh_theta();
                     }
                 }
-                // The table's probe window is full: `until_fits`
+                // A hashed table's probe window is full: `until_fits`
                 // starts over with a larger one.
                 None if cands.is_done() => break 'outer,
                 None => {}

@@ -355,23 +355,19 @@ impl CompressedTermData {
         let mut d = if bi == 0 {
             docs[0]
         } else {
-            self.blocks[bi - 1]
-                .last_doc
-                .wrapping_add(docs[0])
-                .wrapping_add(1)
+            self.blocks[bi - 1].last_doc + docs[0] + 1
         };
         docs[0] = d;
-        // Wrapping, like the clamped gather below: corrupt on-disk
-        // planes yield wrong doc ids, never a panic.
+        // Planes are packed only in memory, from checked postings, so
+        // ids ascend below 2^32 and every codebook index is in range:
+        // plain arithmetic and indexing, and a packing bug panics.
         for v in docs[1..n].iter_mut() {
-            d = d.wrapping_add(*v).wrapping_add(1);
+            d += *v + 1;
             *v = d;
         }
         // Codebook indices → exact scores.
         for s in scores[..n].iter_mut() {
-            // Clamped gather: corrupt on-disk planes yield wrong
-            // scores, never a panic.
-            *s = self.dict[(*s as usize).min(self.dict.len() - 1)];
+            *s = self.dict[*s as usize];
         }
         n
     }
@@ -397,12 +393,12 @@ impl CompressedTermData {
             u32::from(m.bits),
             &mut scores[..n],
         );
-        // Index drops → codebook indices → exact scores (wrapping and
-        // clamped, like the doc plane).
+        // Index drops → codebook indices → exact scores. Scores fall
+        // along the list, so the index never drops below 0.
         let mut idx = prev_idx;
         for s in scores[..n].iter_mut() {
-            idx = idx.wrapping_sub(*s);
-            *s = self.dict[(idx as usize).min(self.dict.len() - 1)];
+            idx -= *s;
+            *s = self.dict[idx as usize];
         }
         (n, idx)
     }
@@ -455,9 +451,9 @@ impl CompressedTermData {
     /// block's gap plane, keeping a running doc id, from whichever end
     /// of the block is nearer in doc-id space — forward from the
     /// previous block's `last_doc`, or backward from the block's own —
-    /// and on a hit reads the single codebook index. Wrapping and
-    /// clamped like the block decoders: corrupt planes yield wrong
-    /// scores, never a panic.
+    /// and on a hit reads the single codebook index. Plain arithmetic
+    /// and indexing, like the block decoders, except for the "−1"
+    /// before the list.
     fn probe_in(&self, bi: usize, doc: DocId) -> (u32, u64) {
         let hi = self.blocks[bi].last_doc;
         let n = self.block_len(bi);
@@ -470,17 +466,17 @@ impl CompressedTermData {
             0 => u32::MAX,
             _ => self.blocks[bi - 1].last_doc,
         };
-        let (i, d, walked) = if doc.wrapping_sub(lo) <= hi.wrapping_sub(doc) {
+        let (i, d, walked) = if doc.wrapping_sub(lo) <= hi - doc {
             let (mut i, mut d) = (0, lo.wrapping_add(gap(0)).wrapping_add(1));
             while d < doc && i + 1 < n {
                 i += 1;
-                d = d.wrapping_add(gap(i)).wrapping_add(1);
+                d += gap(i) + 1;
             }
             (i, d, i + 1)
         } else {
             let (mut i, mut d) = (n - 1, hi);
             while d > doc && i > 0 {
-                d = d.wrapping_sub(gap(i)).wrapping_sub(1);
+                d -= gap(i) + 1;
                 i -= 1;
             }
             (i, d, n - 1 - i)
@@ -491,7 +487,7 @@ impl CompressedTermData {
             let sidx_bits = u32::from(self.sidx_bits);
             let at = off + n * gap_bits as usize + i * sidx_bits as usize;
             let idx = field(&self.words, at, sidx_bits) as usize;
-            score = self.dict[idx.min(self.dict.len() - 1)];
+            score = self.dict[idx];
             bits += sidx_bits as usize;
         }
         (score, bits.div_ceil(8) as u64)

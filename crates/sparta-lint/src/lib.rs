@@ -73,13 +73,15 @@ impl Policy {
     /// `lint: allow(alloc)`), the ring fold shared by the trace
     /// exporter and the profile, and the profile's accumulation
     /// (construction and rendering escape with `lint: allow(alloc)`),
-    /// and the per-posting candidate-state structures — the `docMap`
-    /// table, pRA's claim bitset and Sparta/pNRA/pJASS's candidates (a
-    /// lookup, claim or admission runs per posting and must stay a probe
-    /// over the words sized at construction; the constructor's
-    /// allocation escapes with `lint: allow(alloc)`).
+    /// and the per-posting candidate-state structures — the hashed and
+    /// dense `docMap` tables, pRA's claim bitset and
+    /// Sparta/pNRA/pJASS's candidates (a lookup, claim or admission
+    /// runs per posting and must stay a probe over the words sized at
+    /// construction; the constructor's allocation escapes with
+    /// `lint: allow(alloc)`).
     pub fn bans_alloc(path: &str) -> bool {
         path == "crates/sparta-collections/src/doc_table.rs"
+            || path == "crates/sparta-collections/src/dense_doc_table.rs"
             || path == "crates/sparta-collections/src/doc_bitset.rs"
             || path == "crates/sparta-core/src/sparta/candidates.rs"
             || path == "crates/sparta-obs/src/ring.rs"

@@ -70,9 +70,11 @@ fn bad_alloc_fires_on_record_path_only() {
         "crates/sparta-collections/src/doc_table.rs",
     );
     assert_eq!(rules, ["alloc"]);
-    // …and so are pRA's claim bitset and the candidate substrate the
-    // other score-order algorithms admit through, for the same reason.
+    // …and so are its dense twin, pRA's claim bitset and the candidate
+    // substrate the other score-order algorithms admit through, for the
+    // same reason.
     for path in [
+        "crates/sparta-collections/src/dense_doc_table.rs",
         "crates/sparta-collections/src/doc_bitset.rs",
         "crates/sparta-core/src/sparta/candidates.rs",
     ] {

@@ -43,7 +43,8 @@ pub fn all_shipped() -> Vec<Model> {
         job_queue::model(job_queue::Variant::LockBridge, Mutation::None),
         seqlock::model(Mutation::None),
         doc_slab::model(Mutation::None),
-        doc_table::model(Mutation::None),
+        doc_table::model(doc_table::Slot::Hashed, Mutation::None),
+        doc_table::model(doc_table::Slot::Dense, Mutation::None),
         doc_bitset::model(doc_bitset::Rmw::Atomic),
         admission::model(Mutation::None),
         cleaner_pass::model(Mutation::None),

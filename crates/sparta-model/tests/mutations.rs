@@ -87,7 +87,7 @@ fn doc_slab_release_bound_store_flipped_to_relaxed_is_caught() {
 fn doc_table_acquire_slot_load_flipped_to_relaxed_is_caught() {
     assert_caught(
         "doc_table/acquire",
-        &doc_table::model(Mutation::AcquireToRelaxed),
+        &doc_table::model(doc_table::Slot::Hashed, Mutation::AcquireToRelaxed),
     );
 }
 
@@ -95,7 +95,23 @@ fn doc_table_acquire_slot_load_flipped_to_relaxed_is_caught() {
 fn doc_table_release_half_of_claim_cas_dropped_is_caught() {
     assert_caught(
         "doc_table/release",
-        &doc_table::model(Mutation::ReleaseToRelaxed),
+        &doc_table::model(doc_table::Slot::Hashed, Mutation::ReleaseToRelaxed),
+    );
+}
+
+#[test]
+fn dense_slot_acquire_load_flipped_to_relaxed_is_caught() {
+    assert_caught(
+        "dense_slot/acquire",
+        &doc_table::model(doc_table::Slot::Dense, Mutation::AcquireToRelaxed),
+    );
+}
+
+#[test]
+fn dense_slot_release_half_of_claim_cas_dropped_is_caught() {
+    assert_caught(
+        "dense_slot/release",
+        &doc_table::model(doc_table::Slot::Dense, Mutation::ReleaseToRelaxed),
     );
 }
 
